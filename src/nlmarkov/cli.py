@@ -184,12 +184,11 @@ def _run_chain(args) -> int:
         "mu0": "",
         "steps": 200,
         "resolution": 0,
-        "workers": 1,
     }
     resolved = _merge(defaults, _load_config(args.config), args,
                       ["kernel", "gamma", "alpha", "lam", "mix-lam", "space",
                        "truncation", "kernel-file", "mu0", "steps",
-                       "resolution", "workers"])
+                       "resolution"])
     if resolved["steps"] < 1:
         raise UsageError("steps must be positive")
     if resolved["space"] not in (2, 5):
@@ -215,7 +214,7 @@ def _run_chain(args) -> int:
         print(f"kernel validation failed: {exc}", file=sys.stderr)
         return 1
 
-    cert = certify(kernel, grid, workers=int(resolved["workers"]))
+    cert = certify(kernel, grid)
     mu0 = (
         DiscreteMeasure(np.array(_floats(resolved["mu0"], "mu0")))
         if resolved["mu0"]
@@ -513,7 +512,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu0", help="comma-separated initial weights")
     p.add_argument("--steps", type=int)
     p.add_argument("--resolution", type=int)
-    p.add_argument("--workers", type=int)
     p.set_defaults(run=_run_chain)
 
     p = sub.add_parser("counterexample", help="replay one sharpness construction")

@@ -9,15 +9,33 @@ govern ergodicity of such chains:
 * the measure sensitivity ``lambda``: rows at a fixed state move by at
   most lambda times the total variation between input measures.
 
-Both are estimated here by exhaustive sweeps over a simplex grid, which
-makes the estimates one-sided: alpha_hat >= alpha and lambda_hat <= lambda,
-with monotone behaviour under grid refinement.
+Both are estimated here by sweeps over a simplex grid of G measures,
+which makes the estimates one-sided: alpha_hat >= alpha and
+lambda_hat <= lambda, with monotone behaviour under grid refinement.
+
+Each sweep evaluates the kernel once per grid measure and then takes
+the same maximum an all-pairs sweep would, through an exact identity
+that avoids materialising the pairs:
+
+* alpha: the L1 diameter of the G*n pooled rows equals the largest
+  spread ``max_a s.r_a - min_a s.r_a`` over sign vectors s in {-1, +1}^n
+  with s_1 = +1, because ``||v||_1 = max_s s.v`` and s, -s give the same
+  spread.  That is one (G*n x n) by (n x 2^(n-1)) product instead of
+  (G*n)^2 row differences; with more sign vectors than rows it falls
+  back to the pairwise maximum in fixed-size tiles.
+* lambda: two grid measures are joined by unit moves (e_j - e_i)/R
+  through grid measures whose TV lengths add up to exactly their own
+  distance, so by the triangle inequality the largest ratio over all
+  pairs is the largest ratio over neighbour pairs: G*n(n-1)/2 pairs
+  instead of G^2.
+
+Memory is linear in G: the (G, n, n) kernel evaluations plus
+temporaries of at most about ``SWEEP_BLOCK_BYTES`` each.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterator
@@ -29,6 +47,7 @@ from .measures import DiscreteMeasure, tv_distance
 ROW_SUM_TOL = 1e-10
 TIE_TOLERANCE = 1e-6
 NEGLIGIBLE_TV = 1e-9
+SWEEP_BLOCK_BYTES = 16 * 2**20
 
 __all__ = [
     "NonlinearKernel",
@@ -371,15 +390,79 @@ def _all_rows(kernel: NonlinearKernel, grid: MeasureGrid) -> np.ndarray:
     return mats  # shape (G, n, n)
 
 
-def _chunk_ranges(total: int, workers: int):
-    step = max(64, -(-total // max(workers, 1)))
-    return [(s, min(s + step, total)) for s in range(0, total, step)]
+def _l1_diameter(rows: np.ndarray) -> float:
+    """Largest ||r_a - r_b||_1 over all pairs of rows of an (m, n) array."""
+    m, n = rows.shape
+    n_signs = 2 ** (n - 1)
+    if n_signs <= m:
+        # Columns are the sign vectors with s_1 = +1; bit t of the column
+        # index flips the sign of coordinate t + 2.
+        bits = (np.arange(n_signs)[None, :] >> np.arange(n - 1)[:, None]) & 1
+        signs = np.vstack([np.ones((1, n_signs)), 1.0 - 2.0 * bits])
+        hi = np.full(n_signs, -np.inf)
+        lo = np.full(n_signs, np.inf)
+        step = max(1, SWEEP_BLOCK_BYTES // (8 * n_signs))
+        for s in range(0, m, step):
+            proj = rows[s:s + step] @ signs
+            np.maximum(hi, proj.max(axis=0), out=hi)
+            np.minimum(lo, proj.min(axis=0), out=lo)
+        return float((hi - lo).max())
+    # More sign vectors than rows: pairwise differences in square tiles,
+    # upper triangle only.
+    step = max(1, math.isqrt(SWEEP_BLOCK_BYTES // (8 * n)))
+    worst = 0.0
+    for s in range(0, m, step):
+        for t in range(s, m, step):
+            diff = rows[s:s + step, None, :] - rows[None, t:t + step, :]
+            worst = max(worst, float(np.abs(diff, out=diff).sum(axis=2).max()))
+    return worst
+
+
+def _grid_ranks(counts: np.ndarray, resolution: int) -> np.ndarray:
+    """Position in ``MeasureGrid`` order of each row of integer weights.
+
+    The grid lists compositions in lexicographic order of their divider
+    positions.  With m = n - 1 and suffix sums S_p = k_p + ... + k_{n-1},
+    the number of compositions before k is
+
+        sum_{p < m} C(S_p + m - p, m - p) - C(S_{p+1} + m - p, m - p),
+
+    and every term is at most the grid size, so int64 is exact.
+    """
+    n = counts.shape[1]
+    m = n - 1
+    table = np.array(
+        [[math.comb(s + d, d) for d in range(m + 1)] for s in range(resolution + 1)],
+        dtype=np.int64,
+    )
+    suffix = np.zeros((counts.shape[0], n + 1), dtype=np.int64)
+    suffix[:, :n] = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]
+    d = np.arange(m, 0, -1)
+    return (table[suffix[:, :m], d] - table[suffix[:, 1:n], d]).sum(axis=1)
+
+
+def _neighbour_pairs(grid: MeasureGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (a, b) of grid measures with k_b = k_a - e_i + e_j, i < j.
+
+    Every unordered pair of grid measures one unit move apart appears
+    exactly once; there are at most G n (n - 1) / 2 of them.
+    """
+    n, r = grid.space_size, grid.resolution
+    counts = np.rint(grid.weights * r).astype(np.int64)
+    eye = np.eye(n, dtype=np.int64)
+    firsts = [np.zeros(0, dtype=np.int64)]
+    seconds = [np.zeros(0, dtype=np.int64)]
+    for i in range(n - 1):
+        src = np.flatnonzero(counts[:, i])
+        moved = counts[src, None, :] - eye[i] + eye[None, i + 1:, :]
+        firsts.append(np.repeat(src, n - 1 - i))
+        seconds.append(_grid_ranks(moved.reshape(-1, n), r))
+    return np.concatenate(firsts), np.concatenate(seconds)
 
 
 def estimate_alpha(
     kernel: NonlinearKernel,
     grid: MeasureGrid | None = None,
-    workers: int = 1,
 ) -> float:
     """Grid estimate of the Dobrushin overlap:
 
@@ -389,28 +472,26 @@ def estimate_alpha(
     sweep covers a subset of the true supremum's domain, so alpha_hat
     never underestimates the kernel's worst-case row separation being
     shown, i.e. alpha_hat >= alpha and refining the grid can only lower it.
+
+    The max is the L1 diameter of the G*n pooled rows r_a, computed as
+
+        max_{a,b} ||r_a - r_b||_1 = max_s (max_a s.r_a - min_a s.r_a)
+
+    over s in {-1, +1}^n with s_1 = +1.  This is exact: ||v||_1 = max_s s.v,
+    the pair max and the sign max commute, and s and -s give the same
+    spread.  Cost O(G n^2 2^(n-1)) time for the projections; when
+    2^(n-1) > G*n the pairwise sweep is cheaper and runs instead in tiles,
+    O((G n)^2 n) time.  Memory is O(G n^2) plus temporaries of about
+    ``SWEEP_BLOCK_BYTES`` each.
     """
     grid = grid or MeasureGrid.default(kernel.space_size)
     rows = _all_rows(kernel, grid).reshape(-1, kernel.space_size)
-
-    def block_max(bounds) -> float:
-        s, e = bounds
-        diff = np.abs(rows[s:e, None, :] - rows[None, :, :]).sum(axis=2)
-        return float(diff.max())
-
-    ranges = _chunk_ranges(rows.shape[0], workers)
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            worst = max(pool.map(block_max, ranges))
-    else:
-        worst = max(map(block_max, ranges))
-    return 1.0 - worst / 2.0
+    return 1.0 - _l1_diameter(rows) / 2.0
 
 
 def estimate_lambda(
     kernel: NonlinearKernel,
     grid: MeasureGrid | None = None,
-    workers: int = 1,
 ) -> float:
     """Grid estimate of the measure sensitivity:
 
@@ -420,28 +501,33 @@ def estimate_lambda(
     Pairs closer than 1e-9 in total variation are skipped to avoid 0/0.
     The max runs over a grid subset, so lambda_hat <= lambda and grid
     refinement can only raise it.
+
+    Only neighbour pairs (k, k - e_i + e_j) are swept, and the max is
+    the same.  Any two grid measures mu, nu are joined by
+    ||mu - nu||_tv R / 2 unit moves through grid measures, each of TV
+    length 2/R, so the lengths add up to exactly ||mu - nu||_tv.  By the
+    triangle inequality at each state, the row movement between mu and
+    nu is at most the largest neighbour ratio times that sum.  Cost
+    O(G n^4) time over at most G n (n - 1) / 2 pairs, taken in chunks of
+    about ``SWEEP_BLOCK_BYTES``; memory O(G n^2).
     """
     grid = grid or MeasureGrid.default(kernel.space_size)
     mats = _all_rows(kernel, grid)
     w = grid.weights
-    g = grid.size
-
-    def block_max(bounds) -> float:
-        s, e = bounds
+    firsts, seconds = _neighbour_pairs(grid)
+    n = kernel.space_size
+    step = max(1, SWEEP_BLOCK_BYTES // (8 * n * n))
+    best = 0.0
+    for s in range(0, firsts.size, step):
+        a, b = firsts[s:s + step], seconds[s:s + step]
         # Row movement per state, then max over states, per measure pair.
-        move = np.abs(mats[s:e, None, :, :] - mats[None, :, :, :]).sum(axis=3).max(axis=2)
-        base = np.abs(w[s:e, None, :] - w[None, :, :]).sum(axis=2)
+        diff = mats[a]
+        diff -= mats[b]
+        move = np.abs(diff, out=diff).sum(axis=2).max(axis=1)
+        base = np.abs(w[a] - w[b]).sum(axis=1)
         ok = base > NEGLIGIBLE_TV
-        if not ok.any():
-            return 0.0
-        return float((move[ok] / base[ok]).max())
-
-    ranges = _chunk_ranges(g, workers)
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            best = max(pool.map(block_max, ranges))
-    else:
-        best = max(map(block_max, ranges))
+        if ok.any():
+            best = max(best, float((move[ok] / base[ok]).max()))
     return best
 
 
@@ -449,7 +535,6 @@ def certify(
     kernel: NonlinearKernel,
     grid: MeasureGrid | None = None,
     tie_tolerance: float = TIE_TOLERANCE,
-    workers: int = 1,
 ) -> ErgodicityCertificate:
     """Run both sweeps and classify the kernel.
 
@@ -459,8 +544,8 @@ def certify(
     feedback; it is not a proof of non-ergodicity.
     """
     grid = grid or MeasureGrid.default(kernel.space_size)
-    a = estimate_alpha(kernel, grid, workers=workers)
-    l = estimate_lambda(kernel, grid, workers=workers)
+    a = estimate_alpha(kernel, grid)
+    l = estimate_lambda(kernel, grid)
     if l < a - tie_tolerance:
         regime = "fast"
     elif abs(l - a) <= tie_tolerance:

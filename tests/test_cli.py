@@ -73,11 +73,14 @@ class TestChain:
         assert resolved["steps"] == 10  # flag beats config
         assert resolved["kernel"] == "markov-example"
 
-    def test_unknown_config_field_rejected(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"no_such_field": 1}))
-        assert main(["chain", "--config", str(cfg),
-                     "--out", str(tmp_path / "x")]) == 2
+    def test_unknown_config_field_rejected(self, tmp_path, capsys):
+        # "workers" selected a thread pool that no longer exists
+        for field in ("no_such_field", "workers"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({field: 1}))
+            assert main(["chain", "--config", str(cfg),
+                         "--out", str(tmp_path / "x")]) == 2
+            assert f"unknown config field {field!r}" in capsys.readouterr().err
 
     def test_bad_kernel_choice_exits_via_argparse(self, tmp_path):
         with pytest.raises(SystemExit):

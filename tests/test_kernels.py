@@ -12,10 +12,14 @@ The closed forms used as oracles:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nlmarkov.kernel_spec import load_kernel_spec
 from nlmarkov.kernels import (
     KernelValidationError,
     MeasureGrid,
@@ -33,6 +37,7 @@ from nlmarkov.kernels import (
     oscillating_kernel,
     validate,
 )
+from nlmarkov.kernels import _grid_ranks
 
 
 # ---------------------------------------------------------------------------
@@ -241,21 +246,155 @@ def test_grid_refinement_is_monotone():
     assert estimate_lambda(km, f5) >= estimate_lambda(km, c5) - 1e-12
 
 
-def test_parallel_sweep_matches_serial():
-    k = mixture_kernel(birth_death_jitter_matrix(), 0.25)
-    g = MeasureGrid(5, 4)
-    assert estimate_alpha(k, g, workers=3) == estimate_alpha(k, g)
-    assert estimate_lambda(k, g, workers=3) == estimate_lambda(k, g)
-    c1 = certify(k, g, workers=3)
-    assert (c1.alpha_hat, c1.lambda_hat) == (
-        certify(k, g).alpha_hat,
-        certify(k, g).lambda_hat,
-    )
-
-
 def test_markov_kernel_ignores_the_measure():
     k = markov_kernel(np.array([[0.9, 0.1], [0.2, 0.8]]))
     m1 = k.matrix([1.0, 0.0])
     m2 = k.matrix([0.25, 0.75])
     assert np.array_equal(m1, m2)
     assert estimate_lambda(k, MeasureGrid(2, 8)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Sweeps against the all-pairs reference
+
+
+def pairwise_sweeps(kernel, grid, block=32):
+    """(alpha_hat, lambda_hat) by the all-pairs definitions, in row blocks.
+
+    Memory is O(block * G * n^2), so keep it to small grids.
+    """
+    mats = np.stack([kernel.matrix(w) for w in grid.weights])
+    rows = mats.reshape(-1, kernel.space_size)
+    worst = 0.0
+    for s in range(0, rows.shape[0], block):
+        diff = np.abs(rows[s:s + block, None, :] - rows[None, :, :]).sum(axis=2)
+        worst = max(worst, float(diff.max()))
+    w = grid.weights
+    best = 0.0
+    for s in range(0, grid.size, block):
+        move = np.abs(mats[s:s + block, None] - mats[None]).sum(axis=3).max(axis=2)
+        base = np.abs(w[s:s + block, None, :] - w[None, :, :]).sum(axis=2)
+        ok = base > 1e-9
+        if ok.any():
+            best = max(best, float((move[ok] / base[ok]).max()))
+    return 1.0 - worst / 2.0, best
+
+
+def assert_matches_pairwise(kernel, grid):
+    alpha, lam = pairwise_sweeps(kernel, grid)
+    assert abs(estimate_alpha(kernel, grid) - alpha) <= 1e-12
+    assert abs(estimate_lambda(kernel, grid) - lam) <= 1e-12
+
+
+@st.composite
+def mixture_cases(draw, sizes, resolutions):
+    """(kernel, grid): a mixture kernel with a random base Q and lam."""
+    n, r = draw(sizes), draw(resolutions)
+    unit = st.floats(0.0, 1.0)
+    q = np.array(draw(st.lists(st.lists(unit, min_size=n, max_size=n),
+                               min_size=n, max_size=n)))
+    q[q.sum(axis=1) == 0.0] = 1.0
+    q /= q.sum(axis=1, keepdims=True)
+    return mixture_kernel(q, draw(unit)), MeasureGrid(n, r)
+
+
+SWEEP_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@SWEEP_SETTINGS
+@given(case=mixture_cases(st.integers(1, 6), st.integers(1, 6)))
+def test_sweeps_match_pairwise_on_mixture_kernels(case):
+    assert_matches_pairwise(*case)
+
+
+# With 2^(n-1) > G n the alpha sweep takes pairwise tiles instead of sign
+# vectors: n = 7 and 12 at R = 1 fall back, n = 7 at R = 2 does not.
+@SWEEP_SETTINGS
+@given(case=mixture_cases(st.integers(7, 12), st.integers(1, 2)))
+@example(case=(mixture_kernel(birth_death_jitter_matrix(size=12), 0.3),
+                MeasureGrid(12, 1)))
+@example(case=(mixture_kernel(birth_death_jitter_matrix(size=7), 0.3),
+                MeasureGrid(7, 2)))
+def test_sweeps_match_pairwise_across_the_sign_vector_cutoff(case):
+    assert_matches_pairwise(*case)
+
+
+@st.composite
+def clamped_specs(draw):
+    """(n, R, terms): off-diagonal entry (i, j) is
+    max(min(c + slope * nu(k), hi), lo) for terms[i][j] = (lo, hi, c, slope, k),
+    and each diagonal entry is 1 minus the rest of its row."""
+    n, r = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cap = 1.0 / max(n - 1, 1)
+    terms = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                lo = draw(st.floats(0.0, cap / 2))
+                hi = draw(st.floats(lo, cap))
+                c = draw(st.floats(lo, hi))
+                terms[i][j] = (lo, hi, c, draw(st.floats(-2.0, 2.0)), draw(st.integers(1, n)))
+    return n, r, terms
+
+
+def clamped_spec_kernel(n, terms, grid):
+    entries = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                lo, hi, c, slope, k = terms[i][j]
+                entries[i][j] = f"max(min({c!r} + {slope!r}*nu({k}), {hi!r}), {lo!r})"
+        others = [f"({entries[i][j]})" for j in range(n) if j != i]
+        entries[i][i] = " - ".join(["1", *others])
+    return load_kernel_spec({"space_size": n, "entries": entries}, grid)
+
+
+# Row 1 loses mass on both off-diagonal entries when mass moves from state 1
+# to state 3, so lambda (0.8) is reached only by that move and not by moves
+# between adjacent states (0.4 each).
+FAR_MOVE = [
+    [None, (0.0, 0.4, 0.0, 0.4, 1), (0.0, 0.4, 0.4, -0.4, 3)],
+    [(0.1, 0.1, 0.1, 0.0, 1), None, (0.1, 0.1, 0.1, 0.0, 1)],
+    [(0.1, 0.1, 0.1, 0.0, 1), (0.1, 0.1, 0.1, 0.0, 1), None],
+]
+
+
+@SWEEP_SETTINGS
+@given(spec=clamped_specs())
+@example(spec=(3, 4, FAR_MOVE))
+def test_sweeps_match_pairwise_on_clamped_spec_kernels(spec):
+    # The clamps make the sensitivity peak between grid vertices, where a
+    # mixture kernel's is flat.
+    n, r, terms = spec
+    grid = MeasureGrid(n, r)
+    assert_matches_pairwise(clamped_spec_kernel(n, terms, grid), grid)
+
+
+def test_grid_ranks_reproduce_grid_order():
+    for n in range(1, 7):
+        for r in range(1, 7):
+            g = MeasureGrid(n, r)
+            counts = np.rint(g.weights * r).astype(np.int64)
+            assert np.array_equal(_grid_ranks(counts, r), np.arange(g.size))
+
+
+# ---------------------------------------------------------------------------
+# Sweep memory
+
+
+@pytest.mark.parametrize(
+    "kernel, grid",
+    [
+        (mixture_kernel(birth_death_jitter_matrix(), 0.2), MeasureGrid(5, 12)),
+        (no_invariant_kernel(0.2, 0.8, 30), MeasureGrid(30, 1)),
+    ],
+    ids=["mixture5-r12", "no-invariant30-r1"],
+)
+def test_certify_memory_stays_small(kernel, grid):
+    tracemalloc.start()
+    try:
+        certify(kernel, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
