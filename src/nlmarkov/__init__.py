@@ -1,100 +1,11 @@
 """Ergodicity toolkit for nonlinear Markov chains and mean-field
 particle systems: total variation machinery, Dobrushin-style grid
 certificates, sharpness counterexamples, and diagnostics for weakly
-interacting diffusions."""
+interacting diffusions.
 
-from .measures import (
-    DiscreteMeasure,
-    EmpiricalMeasure,
-    HistogramDensity,
-    histogram_of,
-    sub_measure_eta,
-    tv_between_histograms,
-    tv_distance,
-    wasserstein2_truncated,
-    weighted_tv_distance,
-)
-from .kernels import (
-    ErgodicityCertificate,
-    KernelValidationError,
-    MeasureGrid,
-    NonlinearKernel,
-    birth_death_jitter_matrix,
-    certify,
-    continuum_kernel,
-    default_resolution,
-    estimate_alpha,
-    estimate_lambda,
-    markov_example_kernel,
-    markov_kernel,
-    mixture_kernel,
-    no_invariant_kernel,
-    oscillating_kernel,
-    validate,
-)
-from .kernel_spec import KernelSpecError, load_kernel_spec, parse_entry_expression
-from .ergodicity import (
-    CertificationError,
-    ContractionCheck,
-    DriftConditionError,
-    FixedPointResult,
-    HMCertificate,
-    RateReport,
-    Trajectory,
-    certify_hm_contraction,
-    check_contraction_inequality,
-    check_rate,
-    evolve,
-    find_invariant,
-    rate_bound,
-    verify_invariant,
-)
-from .counterexamples import (
-    CounterexampleReport,
-    demonstrate_no_convergence,
-    first_crossing_index,
-    verify_continuum,
-    verify_no_invariant_recursion,
-    verify_oscillation,
-)
-from .mckean_vlasov import (
-    DriftBoundError,
-    IntegralEstimate,
-    ParticleEnsemble,
-    SMVESpec,
-    SimulationBlowUp,
-    VHReport,
-    WeightFunction,
-    epsilon_zero,
-    gaussian_sampler,
-    integral_I,
-    make_ou_spec,
-    make_vh_spec,
-    make_weight_function,
-    mean_attraction_coupling,
-    ou_drift,
-    point_mass_sampler,
-    radial_confinement_drift,
-    simulate,
-    two_point_mixture_sampler,
-    verify_vh,
-)
-from .diagnostics import (
-    Binning,
-    DEFAULT_BINNING,
-    DecayFit,
-    DecayFitError,
-    GirsanovReport,
-    LyapunovFit,
-    calibrate_tv_allowance,
-    composite_contraction_factor,
-    estimate_local_alpha,
-    fit_decay,
-    girsanov_bound_check,
-    lyapunov_diagnostic,
-    measure_lipschitz_diagnostic,
-    perturbation_bound_factor,
-)
-from .reporting import Claim, report_document, write_csv, write_json_report
+The API lives in the submodules (``nlmarkov.kernels``,
+``nlmarkov.ergodicity``, ``nlmarkov.mckean_vlasov`` and so on); the
+package itself only carries the version.
+"""
 
 __version__ = "0.1.0"

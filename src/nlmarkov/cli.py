@@ -96,11 +96,17 @@ def _load_config(path: str | None) -> dict:
 
 def _merge(defaults: dict, config: dict, args, keys) -> dict:
     """Defaults, overridden by config file entries, overridden by flags
-    given on the command line."""
+    given on the command line.  A config value for a numeric field must
+    have its default's type (a float field also takes an int; a bool is
+    never a number); it is kept as given, not coerced."""
     resolved = dict(defaults)
-    for k in config:
+    for k, v in config.items():
         if k not in defaults:
             raise UsageError(f"unknown config field {k!r}")
+        kind = type(defaults[k])
+        if kind in (int, float) and type(v) not in (int, kind):
+            raise UsageError(
+                f"config field {k!r} must be {kind.__name__}, got {v!r}")
     resolved.update(config)
     for k in keys:
         v = getattr(args, k.replace("-", "_"), None)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ergodicity import Trajectory, evolve, find_invariant, verify_invariant
+from .ergodicity import evolve, find_invariant, verify_invariant
 from .kernels import (
     MeasureGrid,
     continuum_kernel,
@@ -38,8 +38,6 @@ __all__ = [
     "verify_oscillation",
     "verify_continuum",
     "verify_no_invariant_recursion",
-    "demonstrate_no_convergence",
-    "first_crossing_index",
 ]
 
 
@@ -322,79 +320,3 @@ def verify_no_invariant_recursion(
         claims,
         {"solved_boundary_masses": solved, "boundary_case": False},
     )
-
-
-def first_crossing_index(nu, alpha: float, lam: float) -> int:
-    """Smallest 1-based n with lam * nu({1..n}) >= alpha; the truncation
-    size if the running mass never crosses."""
-    w = nu.weights if isinstance(nu, DiscreteMeasure) else np.asarray(nu, float)
-    run = lam * np.cumsum(w)
-    hits = np.flatnonzero(run >= alpha)
-    return int(hits[0]) + 1 if hits.size else w.size
-
-
-def demonstrate_no_convergence(
-    alpha: float,
-    lam: float,
-    truncation: int = 200,
-    mu0: DiscreteMeasure | None = None,
-    steps: int = 200,
-) -> tuple[Trajectory, CounterexampleReport]:
-    """Run the truncated chain and watch the forcing mechanism at work.
-
-    The truncated kernel does have fixed points (mass folded back at the
-    boundary restores them), so this is an illustration, not the proof:
-    the proof is verify_no_invariant_recursion.  What the run shows is
-    the first state being pinned to exactly alpha whenever its mass
-    drops below alpha/lambda, while the shift component leaks mass
-    toward ever higher states.
-    """
-    if not (0.0 < alpha < lam <= 1.0):
-        raise ValueError("need 0 < alpha < lam <= 1")
-    kernel = no_invariant_kernel(alpha, lam, truncation)
-    mu0 = mu0 or DiscreteMeasure.dirac(0, truncation)
-    if mu0.size != truncation:
-        raise ValueError("mu0 does not match the truncation")
-    traj = evolve(kernel, mu0, steps)
-
-    crossing = [first_crossing_index(m, alpha, lam) for m in traj.measures]
-    first_mass = [float(m.weights[0]) for m in traj.measures]
-
-    pin_dev = 0.0
-    pin_events = 0
-    for k in range(len(traj.measures) - 1):
-        if lam * first_mass[k] < alpha:
-            pin_events += 1
-            pin_dev = max(pin_dev, abs(first_mass[k + 1] - alpha))
-
-    beyond0 = float(traj.measures[0].weights[2:].sum())
-    beyond1 = float(traj.final.weights[2:].sum())
-
-    claims = (
-        Claim(
-            "first state pinned to alpha whenever its mass falls below alpha/lambda",
-            # exact up to the evolving law's normalization drift
-            pin_events > 0 and pin_dev <= 1e-12,
-            {"events": pin_events, "worst_deviation": pin_dev},
-        ),
-        Claim(
-            "mass leaks past the initial support",
-            beyond1 > beyond0 + 1e-12,
-            {"initial_tail_mass": beyond0, "final_tail_mass": beyond1},
-        ),
-    )
-    report = CounterexampleReport(
-        "no-invariant-run",
-        {"alpha": alpha, "lam": lam, "truncation": truncation, "steps": steps},
-        claims,
-        {
-            "crossing_index_path": crossing,
-            "first_state_mass_head": first_mass[:10],
-            "step_distance_head": list(traj.step_distances[:10]),
-            "truncation_note": (
-                "the finite chain folds the shift back onto the last state, "
-                "so it does admit fixed points; only the infinite chain has none"
-            ),
-        },
-    )
-    return traj, report

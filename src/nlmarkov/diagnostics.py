@@ -1,7 +1,6 @@
 """Statistical diagnostics for the particle simulations: histogram
 total variation over time, exponential decay fits, local overlap of
-transition laws, Lyapunov regressions, and the closed-form perturbation
-factors.
+transition laws, Lyapunov regressions, and coupled-run bound checks.
 
 All total variation estimates here go through a fixed shared binning,
 declared once per experiment, because comparing histograms with
@@ -14,7 +13,7 @@ pretending the estimator is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +23,6 @@ from .measures import (
     HistogramDensity,
     histogram_of,
     tv_between_histograms,
-    wasserstein2_truncated,
 )
 from .mckean_vlasov import ParticleEnsemble, SMVESpec, simulate
 
@@ -40,9 +38,6 @@ __all__ = [
     "girsanov_bound_check",
     "calibrate_tv_allowance",
     "fit_decay",
-    "perturbation_bound_factor",
-    "composite_contraction_factor",
-    "measure_lipschitz_diagnostic",
 ]
 
 
@@ -440,65 +435,3 @@ def fit_decay(
         tv_values=tuple(tvs),
         noise_floor=noise_floor,
     )
-
-
-# ---------------------------------------------------------------------------
-# Closed-form perturbation factors.
-
-
-def perturbation_bound_factor(C: float, eps: float, beta: float, zeta_V: float) -> float:
-    """Prefactor C eps (1 + beta) (1 + zeta_V) multiplying the weighted
-    distance in the small-interaction perturbation bound."""
-    if min(C, eps, beta, zeta_V) < 0:
-        raise ValueError("all inputs must be nonnegative")
-    return C * eps * (1.0 + beta) * (1.0 + zeta_V)
-
-
-def composite_contraction_factor(
-    lam: float, C: float, eps: float, beta: float, K: float, nu_V: float
-) -> float:
-    """Effective one-step factor lambda + C eps (1 + beta) (1 + K + nu_V)
-    combining the unperturbed contraction with the perturbation cost.
-    Below 1 it yields exponential convergence of the perturbed flow."""
-    if min(lam, C, eps, beta, K, nu_V) < 0:
-        raise ValueError("all inputs must be nonnegative")
-    return lam + C * eps * (1.0 + beta) * (1.0 + K + nu_V)
-
-
-# ---------------------------------------------------------------------------
-# Interaction smoothness probe.
-
-
-def measure_lipschitz_diagnostic(
-    b2: Callable,
-    ensembles: Sequence[EmpiricalMeasure],
-    probe_points: np.ndarray,
-    declared_L: float,
-) -> dict:
-    """Largest observed ratio |b2(x, mu) - b2(x, nu)| / rho2(mu, nu)
-    over ensemble pairs, against the declared Lipschitz constant.
-
-    Informational: the truncated transport distance can be much smaller
-    than a mean shift, so ratios above declared_L flag where the hand
-    constant stops being a certificate.
-    """
-    pts = np.asarray(probe_points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    worst = 0.0
-    pairs = 0
-    for i in range(len(ensembles)):
-        for j in range(i + 1, len(ensembles)):
-            mu, nu = ensembles[i], ensembles[j]
-            rho = wasserstein2_truncated(mu, nu, method="monotone")
-            if rho < 1e-12:
-                continue
-            gap = np.linalg.norm(b2(pts, mu) - b2(pts, nu), axis=1).max()
-            worst = max(worst, float(gap) / rho)
-            pairs += 1
-    return {
-        "max_ratio": worst,
-        "declared_L": declared_L,
-        "pairs_checked": pairs,
-        "within_declared": worst <= declared_L * (1.0 + 1e-9),
-    }

@@ -36,8 +36,6 @@ __all__ = [
     "verify_vh",
     "simulate",
     "epsilon_zero",
-    "integral_I",
-    "IntegralEstimate",
     "ou_drift",
     "radial_confinement_drift",
     "mean_attraction_coupling",
@@ -448,7 +446,7 @@ def simulate(
 
 
 # ---------------------------------------------------------------------------
-# Perturbation threshold and exponential moment.
+# Perturbation threshold.
 
 
 def epsilon_zero(alpha_local: float, r: float, D: float) -> float:
@@ -459,61 +457,3 @@ def epsilon_zero(alpha_local: float, r: float, D: float) -> float:
     if r <= 0 or D <= 0:
         raise ValueError("r and D must be positive")
     return min(alpha_local / (2.0 * D), r / (2.0 * D))
-
-
-@dataclass(frozen=True)
-class IntegralEstimate:
-    value: float
-    std_error: float | None
-    method: str
-    flagged_dimension: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "method": self.method,
-            "flagged_dimension": self.flagged_dimension,
-        }
-
-
-def integral_I(source, n_samples: int = 100_000, seed: int = 0) -> IntegralEstimate:
-    """Exponential moment of an initial law: integral of e^x.
-
-    Accepts either an iterable of (location, weight) atoms (evaluated
-    exactly) or a sampler callable (Monte Carlo with a standard error).
-    In dimension above one the integrand becomes e^|x| and the result is
-    flagged, since the one-dimensional moment has no canonical
-    multivariate counterpart.
-    """
-    if callable(source):
-        rng = _stream(seed, 0)
-        probe = np.asarray(source(rng, 2, 1), dtype=float)
-        d = probe.shape[1] if probe.ndim == 2 else 1
-        draws = np.asarray(source(_stream(seed, 1), n_samples, d), dtype=float)
-        if draws.ndim == 1:
-            draws = draws[:, None]
-        flagged = d > 1
-        vals = np.exp(np.linalg.norm(draws, axis=1)) if flagged else np.exp(draws[:, 0])
-        value = float(vals.mean())
-        if not math.isfinite(value):
-            return IntegralEstimate(math.inf, None, "monte-carlo", flagged)
-        se = float(vals.std(ddof=1) / math.sqrt(n_samples))
-        return IntegralEstimate(value, se, "monte-carlo", flagged)
-
-    atoms = list(source)
-    total_w = 0.0
-    acc = 0.0
-    for loc, w in atoms:
-        if w < 0:
-            raise ValueError("atom weights must be nonnegative")
-        total_w += w
-        try:
-            term = math.exp(float(loc))
-        except OverflowError:
-            term = math.inf
-        acc += w * term
-    if abs(total_w - 1.0) > 1e-9:
-        raise ValueError(f"atom weights sum to {total_w:.17g}, not 1")
-    value = acc if math.isfinite(acc) else math.inf
-    return IntegralEstimate(value, None, "exact-atoms", False)

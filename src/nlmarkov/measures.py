@@ -13,10 +13,8 @@ inequalities) are stated in this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 MASS_TOL = 1e-12
 
@@ -26,8 +24,6 @@ __all__ = [
     "HistogramDensity",
     "tv_distance",
     "weighted_tv_distance",
-    "sub_measure_eta",
-    "wasserstein2_truncated",
     "histogram_of",
     "tv_between_histograms",
 ]
@@ -201,86 +197,6 @@ def weighted_tv_distance(mu, nu, f) -> float:
     if np.any(w < 0.0):
         raise ValueError("weight function must be nonnegative")
     return float((w * np.abs(p - q)).sum())
-
-
-def sub_measure_eta(mu, nu) -> np.ndarray:
-    """Componentwise minimum of two discrete measures.
-
-    The result is a sub-probability vector; its total mass equals
-    1 - tv_distance(mu, nu) / 2, which is the amount of mass a maximal
-    coupling keeps in place.
-    """
-    p, q = _as_weights(mu), _as_weights(nu)
-    if p.shape != q.shape:
-        raise ValueError("measures live on different state spaces")
-    return np.minimum(p, q)
-
-
-_EXACT_ASSIGNMENT_MAX = 256
-
-
-_W2_METHODS = {
-    "monotone_upper_bound": "monotone",
-    "monotone": "monotone",
-    "exact_assignment": "exact",
-    "exact": "exact",
-}
-
-
-def wasserstein2_truncated(a: EmpiricalMeasure, b: EmpiricalMeasure,
-                           method: str = "monotone_upper_bound") -> float:
-    """Order-2 transport distance with truncated cost min(|x - y|^2, 1).
-
-    method="monotone_upper_bound"
-        Quantile (monotone) coupling in one dimension: a valid upper
-        bound on the optimal cost (the truncated cost is not convex in
-        |x - y|, so sorting is not provably optimal), exact sorted
-        pairing when sample sizes agree.  One-dimensional input only.
-    method="exact_assignment"
-        Optimal assignment over all pairings; requires equal sample
-        counts, at most 256 points each.  Any dimension.
-
-    The short aliases "monotone" and "exact" are accepted.  The result
-    lies in [0, 1] because the cost is capped at 1.
-    """
-    if not isinstance(a, EmpiricalMeasure) or not isinstance(b, EmpiricalMeasure):
-        a, b = EmpiricalMeasure(np.asarray(a)), EmpiricalMeasure(np.asarray(b))
-    if a.dimension != b.dimension:
-        raise ValueError("sample clouds have different dimensions")
-    kind = _W2_METHODS.get(method)
-    if kind is None:
-        raise ValueError(f"unknown method {method!r}")
-    if kind == "monotone":
-        if a.dimension != 1:
-            raise ValueError("monotone coupling is defined in one dimension only")
-        return _monotone_cost(a.points[:, 0], b.points[:, 0])
-    n, m = a.n_samples, b.n_samples
-    if n != m:
-        raise ValueError("exact assignment requires equal sample counts")
-    if n > _EXACT_ASSIGNMENT_MAX:
-        raise ValueError(
-            f"exact assignment limited to {_EXACT_ASSIGNMENT_MAX} points"
-        )
-    diff = a.points[:, None, :] - b.points[None, :, :]
-    cost = np.minimum((diff ** 2).sum(axis=2), 1.0)
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.sqrt(cost[rows, cols].mean()))
-
-
-def _monotone_cost(x: np.ndarray, y: np.ndarray) -> float:
-    # Quantile coupling of two empirical measures: walk the union of
-    # mass breakpoints i/n and j/m, pairing quantile segments.
-    xs, ys = np.sort(x), np.sort(y)
-    n, m = xs.size, ys.size
-    if n == m:
-        return float(np.sqrt(np.minimum((xs - ys) ** 2, 1.0).mean()))
-    cuts = np.union1d(np.arange(1, n + 1) / n, np.arange(1, m + 1) / m)
-    widths = np.diff(np.concatenate(([0.0], cuts)))
-    mids = cuts - widths / 2
-    xi = np.minimum((mids * n).astype(int), n - 1)
-    yi = np.minimum((mids * m).astype(int), m - 1)
-    cost = np.minimum((xs[xi] - ys[yi]) ** 2, 1.0)
-    return float(np.sqrt((cost * widths).sum()))
 
 
 def histogram_of(ensemble: EmpiricalMeasure, bounds, bin_count) -> HistogramDensity:

@@ -8,10 +8,10 @@ directory and insists every report file comes back byte-identical.
 
 import math
 import time
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from nlmarkov.counterexamples import (
     verify_continuum,
@@ -288,7 +288,7 @@ def run_criterion_07(out):
     z = abs(s2 - 0.5) / se
 
     sigma = math.sqrt((1.0 - math.exp(-2.0)) / 2.0)
-    alpha_exact = float(2.0 * norm.cdf(-2.0 * math.exp(-1.0) / (2.0 * sigma)))
+    alpha_exact = float(2.0 * NormalDist().cdf(-2.0 * math.exp(-1.0) / (2.0 * sigma)))
     alpha_hat = estimate_local_alpha(ou_drift(), R=1.0, t=1.0,
                                      n_sims=100_000, seed=101)
     claims = [

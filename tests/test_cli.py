@@ -2,9 +2,14 @@
 files, config precedence, and byte-identical reruns."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nlmarkov
 from nlmarkov.cli import main
 
 
@@ -65,13 +70,16 @@ class TestChain:
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"steps": 50, "kernel": "markov-example"}))
+        cfg.write_text(json.dumps({"steps": 50, "kernel": "markov-example",
+                                   "gamma": 1}))
         out = tmp_path / "run"
         assert main(["chain", "--config", str(cfg), "--steps", "10",
                      "--out", str(out)]) == 0
         resolved = read_json(out / "resolved_config.json")
         assert resolved["steps"] == 10  # flag beats config
         assert resolved["kernel"] == "markov-example"
+        # a float field takes an int, recorded as given, not coerced
+        assert type(resolved["gamma"]) is int
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         # "workers" selected a thread pool that no longer exists
@@ -81,6 +89,16 @@ class TestChain:
             assert main(["chain", "--config", str(cfg),
                          "--out", str(tmp_path / "x")]) == 2
             assert f"unknown config field {field!r}" in capsys.readouterr().err
+
+    def test_config_values_must_match_field_types(self, tmp_path, capsys):
+        # a string or a bool is not an int; nothing is coerced or written
+        for value in ("200", True, 200.0):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"steps": value}))
+            out = tmp_path / "x"
+            assert main(["chain", "--config", str(cfg), "--out", str(out)]) == 2
+            assert "config field 'steps' must be int" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bad_kernel_choice_exits_via_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -194,6 +212,14 @@ class TestSmve:
         assert main(["smve", "lyapunov", "--horizon", "1", "--lag", "1",
                      "--out", out]) == 2
 
+    def test_float_bins_in_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bins": 2.5}))
+        out = tmp_path / "x"
+        assert main(["smve", "simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config field 'bins' must be int" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sampler_mini_language_errors(self, tmp_path):
         out = str(tmp_path / "x")
         assert main(["smve", "simulate", "--mu0", "gauss:0", "--out", out]) == 2
@@ -216,3 +242,14 @@ class TestOutputDirResolution:
                      "--a", "0.3", "--steps", "10", "--out", str(out)]) == 0
         assert (out / "report.json").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    # numpy is the only runtime dependency: a fresh interpreter that
+    # imports the entry point must not pull scipy in
+    src = str(Path(nlmarkov.__file__).resolve().parents[1])
+    code = "import sys, nlmarkov.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from nlmarkov.counterexamples import (
-    demonstrate_no_convergence,
-    first_crossing_index,
     verify_continuum,
     verify_no_invariant_recursion,
     verify_oscillation,
@@ -116,29 +114,3 @@ def test_no_invariant_guards():
         verify_no_invariant_recursion(0.6, 0.3)
     with pytest.raises(ValueError):
         verify_no_invariant_recursion(0.3, 0.6, n_max=1)
-
-
-def test_first_crossing_index():
-    # lam * cumsum = (0.3, 0.45, 0.6); alpha = 0.4 crosses at state 2
-    assert first_crossing_index([0.5, 0.25, 0.25], 0.4, 0.6) == 2
-    assert first_crossing_index([0.5, 0.25, 0.25], 0.2, 0.6) == 1
-    # never crosses: reports the truncation size
-    assert first_crossing_index([0.1, 0.1, 0.8], 0.9, 0.6) == 3
-
-
-def test_demonstrate_no_convergence_run():
-    traj, report = demonstrate_no_convergence(0.3, 0.6, truncation=60, steps=120)
-    assert report.passed, [c.name for c in report.claims if not c.passed]
-    assert traj.steps == 120
-    # mass keeps sliding right: the tail holds much more mass at the end
-    head0 = traj.measures[0].weights[:5].sum()
-    tail_end = traj.measures[-1].weights[30:].sum()
-    assert head0 == pytest.approx(1.0)
-    assert tail_end > 0.3
-
-
-def test_demonstrate_no_convergence_custom_start():
-    mu0 = DiscreteMeasure.uniform(20)
-    traj, report = demonstrate_no_convergence(0.3, 0.6, truncation=20, mu0=mu0, steps=30)
-    assert traj.measures[0] is mu0
-    assert report.parameters["truncation"] == 20

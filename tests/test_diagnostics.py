@@ -1,31 +1,26 @@
 """Tests for the simulation diagnostics: local overlap estimation,
-Lyapunov and decay regressions, the coupled-run bound check, and the
-closed-form perturbation factors."""
+Lyapunov and decay regressions, and the coupled-run bound check."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from nlmarkov.diagnostics import (
     Binning,
     DecayFitError,
     calibrate_tv_allowance,
-    composite_contraction_factor,
     estimate_local_alpha,
     fit_decay,
     girsanov_bound_check,
     lyapunov_diagnostic,
-    measure_lipschitz_diagnostic,
-    perturbation_bound_factor,
 )
 from nlmarkov.measures import EmpiricalMeasure
 from nlmarkov.mckean_vlasov import (
     ParticleEnsemble,
     make_ou_spec,
     make_weight_function,
-    mean_attraction_coupling,
     ou_drift,
     point_mass_sampler,
 )
@@ -63,7 +58,7 @@ class TestEstimateLocalAlpha:
         # so the worst pair is (-R, R) and the overlap has a closed form.
         R, t = 1.0, 1.0
         sigma = math.sqrt((1.0 - math.exp(-2.0 * t)) / 2.0)
-        alpha_exact = 2.0 * norm.cdf(-2.0 * R * math.exp(-t) / (2.0 * sigma))
+        alpha_exact = 2.0 * NormalDist().cdf(-2.0 * R * math.exp(-t) / (2.0 * sigma))
         est = estimate_local_alpha(ou_drift(), R=R, t=t, n_sims=1500,
                                    binning=Binning(-6.0, 6.0, 40), seed=101)
         assert abs(est - alpha_exact) < 0.05
@@ -249,36 +244,3 @@ class TestCalibrateTvAllowance:
         with pytest.raises(ValueError):
             calibrate_tv_allowance(make_ou_spec(), point_mass_sampler(0.0),
                                    [0.2], 500, 0.05, seed=1, n_pairs=0)
-
-
-class TestMeasureLipschitz:
-    def test_mean_attraction_stays_within_declared(self):
-        b2 = mean_attraction_coupling(1.0)
-        clouds = [
-            EmpiricalMeasure(np.zeros((100, 1))),
-            EmpiricalMeasure(np.full((100, 1), 0.3)),
-            EmpiricalMeasure(np.zeros((100, 1))),
-        ]
-        diag = measure_lipschitz_diagnostic(
-            b2, clouds, np.linspace(-2.0, 2.0, 9), declared_L=1.0)
-        # The identical pair is skipped; two informative pairs remain.
-        assert diag["pairs_checked"] == 2
-        assert diag["within_declared"]
-        assert 0.9 < diag["max_ratio"] <= 1.0
-
-
-class TestClosedFormFactors:
-    def test_hand_values(self):
-        assert perturbation_bound_factor(2.0, 0.1, 0.5, 1.0) == pytest.approx(0.6)
-        assert composite_contraction_factor(
-            0.5, 1.0, 0.05, 0.5, 2.0, 1.0) == pytest.approx(0.8)
-
-    def test_zero_epsilon_recovers_bare_contraction(self):
-        assert composite_contraction_factor(0.3, 5.0, 0.0, 1.0, 2.0, 1.0) == 0.3
-        assert perturbation_bound_factor(5.0, 0.0, 1.0, 1.0) == 0.0
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            perturbation_bound_factor(-1.0, 0.1, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            composite_contraction_factor(0.5, 1.0, -0.05, 0.5, 2.0, 1.0)

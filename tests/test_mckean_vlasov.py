@@ -1,5 +1,5 @@
 """Tests for the particle SDE layer: weight functions, drift checks,
-simulation determinism, and the exponential-moment integral."""
+simulation determinism, and the perturbation threshold."""
 
 import math
 import warnings
@@ -13,7 +13,6 @@ from nlmarkov.mckean_vlasov import (
     SimulationBlowUp,
     epsilon_zero,
     gaussian_sampler,
-    integral_I,
     make_ou_spec,
     make_vh_spec,
     make_weight_function,
@@ -253,41 +252,3 @@ class TestEpsilonZero:
             epsilon_zero(0.5, -1.0, 1.0)
         with pytest.raises(ValueError):
             epsilon_zero(0.5, 1.0, 0.0)
-
-
-class TestIntegralI:
-    def test_atoms_are_exact(self):
-        est = integral_I([(0.0, 1.0)])
-        assert est.value == 1.0 and est.method == "exact-atoms"
-        est = integral_I([(0.0, 0.5), (1.0, 0.5)])
-        assert est.value == pytest.approx((1.0 + math.e) / 2, rel=1e-15)
-        assert est.std_error is None
-
-    def test_atom_weights_validated(self):
-        with pytest.raises(ValueError, match="sum"):
-            integral_I([(0.0, 0.4), (1.0, 0.4)])
-        with pytest.raises(ValueError, match="nonnegative"):
-            integral_I([(0.0, 1.5), (1.0, -0.5)])
-
-    def test_overflowing_atom_reports_infinity(self):
-        assert integral_I([(1000.0, 1.0)]).value == math.inf
-
-    def test_monte_carlo_matches_gaussian_moment(self):
-        est = integral_I(gaussian_sampler(0.0, 1.0), n_samples=20_000, seed=7)
-        assert est.method == "monte-carlo"
-        assert est.std_error is not None
-        assert abs(est.value - math.exp(0.5)) < 4 * est.std_error
-
-    def test_monte_carlo_overflow_reports_infinity(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            est = integral_I(point_mass_sampler(1000.0), n_samples=100, seed=3)
-        assert est.value == math.inf
-        assert est.std_error is None
-
-    def test_multivariate_source_is_flagged(self):
-        est = integral_I(lambda rng, n, d: rng.normal(size=(n, 2)),
-                         n_samples=5000, seed=7)
-        assert est.flagged_dimension
-        # E[e^{|X|}] for a standard 2-d normal is about 4.59
-        assert 3.5 < est.value < 5.5

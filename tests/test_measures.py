@@ -1,20 +1,18 @@
 """Distances and measure containers, checked against hand-computed and
 brute-force oracles."""
 
-import itertools
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlmarkov.measures import (
     DiscreteMeasure,
     EmpiricalMeasure,
     HistogramDensity,
     histogram_of,
-    sub_measure_eta,
     tv_between_histograms,
     tv_distance,
-    wasserstein2_truncated,
     weighted_tv_distance,
 )
 
@@ -104,105 +102,26 @@ def test_weighted_tv_rejects_negative_weight():
         weighted_tv_distance([0.5, 0.5], [0.4, 0.6], [1.0, -1.0])
 
 
-def test_sub_measure_eta():
-    eta = sub_measure_eta([0.3, 0.7], [0.5, 0.5])
-    assert eta.tolist() == [0.3, 0.5]
-    # overlap mass = 1 - tv/2
-    assert eta.sum() == pytest.approx(1.0 - 0.4 / 2.0)
+@st.composite
+def measure_pairs(draw):
+    """Two probability vectors on one state space of 1 to 8 states."""
+    n = draw(st.integers(1, 8))
+    pair = []
+    for _ in range(2):
+        w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        if w.sum() == 0.0:
+            w[:] = 1.0
+        pair.append(w / w.sum())
+    return pair
 
 
-def test_sub_measure_eta_overlap_identity_random():
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        p, q = rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6))
-        assert sub_measure_eta(p, q).sum() == pytest.approx(
-            1.0 - tv_distance(p, q) / 2.0
-        )
-
-
-# ---------------------------------------------------------------------------
-# Truncated Wasserstein-2
-
-
-def test_w2_equal_counts_monotone_hand_value():
-    a = EmpiricalMeasure(np.array([0.0, 1.0, 2.0]))
-    b = EmpiricalMeasure(np.array([0.5, 1.5, 2.5]))
-    # every sorted pair is 0.5 apart
-    assert wasserstein2_truncated(a, b) == pytest.approx(0.5)
-
-
-def test_w2_cost_truncation_caps_at_one():
-    a = EmpiricalMeasure(np.array([0.0]))
-    b = EmpiricalMeasure(np.array([50.0]))
-    assert wasserstein2_truncated(a, b) == pytest.approx(1.0)
-
-
-def test_w2_unequal_counts_quantile_oracle():
-    # F_a^{-1} is 0 on (0, 1/2] and 1 after; F_b^{-1} is 0 everywhere,
-    # so the quantile cost is 1/2 * 1^2.
-    a = EmpiricalMeasure(np.array([0.0, 1.0]))
-    b = EmpiricalMeasure(np.array([0.0]))
-    assert wasserstein2_truncated(a, b) == pytest.approx(np.sqrt(0.5))
-
-
-def test_w2_exact_assignment_matches_brute_force():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        n = int(rng.integers(2, 7))
-        a = rng.normal(size=(n, 2))
-        b = rng.normal(size=(n, 2))
-        cost = np.minimum(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2), 1.0)
-        best = min(
-            cost[np.arange(n), list(perm)].mean()
-            for perm in itertools.permutations(range(n))
-        )
-        got = wasserstein2_truncated(
-            EmpiricalMeasure(a), EmpiricalMeasure(b), method="exact_assignment"
-        )
-        assert got == pytest.approx(np.sqrt(best), abs=1e-12)
-
-
-def test_w2_monotone_upper_bounds_exact_in_one_dimension():
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        n = int(rng.integers(2, 12))
-        a = EmpiricalMeasure(rng.normal(size=n))
-        b = EmpiricalMeasure(rng.normal(size=n) + 1.0)
-        mono = wasserstein2_truncated(a, b, method="monotone_upper_bound")
-        exact = wasserstein2_truncated(a, b, method="exact_assignment")
-        assert mono >= exact - 1e-12
-
-
-def test_w2_method_aliases_and_errors():
-    a = EmpiricalMeasure(np.array([0.0, 1.0]))
-    b = EmpiricalMeasure(np.array([0.3, 0.8]))
-    assert wasserstein2_truncated(a, b, "monotone") == wasserstein2_truncated(
-        a, b, "monotone_upper_bound"
-    )
-    assert wasserstein2_truncated(a, b, "exact") == wasserstein2_truncated(
-        a, b, "exact_assignment"
-    )
-    with pytest.raises(ValueError):
-        wasserstein2_truncated(a, b, "sinkhorn")
-
-
-def test_w2_monotone_is_one_dimensional_only():
-    a = EmpiricalMeasure(np.zeros((4, 2)))
-    b = EmpiricalMeasure(np.ones((4, 2)))
-    with pytest.raises(ValueError):
-        wasserstein2_truncated(a, b, "monotone")
-    # exact handles d = 2 fine
-    assert wasserstein2_truncated(a, b, "exact") == pytest.approx(1.0)
-
-
-def test_w2_exact_requires_equal_small_clouds():
-    with pytest.raises(ValueError):
-        wasserstein2_truncated(
-            EmpiricalMeasure(np.zeros(3)), EmpiricalMeasure(np.zeros(2)), "exact"
-        )
-    big = EmpiricalMeasure(np.zeros(257))
-    with pytest.raises(ValueError):
-        wasserstein2_truncated(big, big, "exact")
+@settings(deadline=None)
+@given(pair=measure_pairs())
+def test_tv_distance_overlap_identity(pair):
+    # the mass a maximal coupling keeps in place, sum_i min(p_i, q_i),
+    # is 1 - d_tv(p, q) / 2 in the sum |p - q| convention
+    p, q = pair
+    assert np.minimum(p, q).sum() == pytest.approx(1.0 - tv_distance(p, q) / 2.0)
 
 
 # ---------------------------------------------------------------------------
