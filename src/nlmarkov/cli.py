@@ -173,7 +173,10 @@ def _build_kernel(resolved: dict):
     if kind == "custom":
         if not resolved["kernel-file"]:
             raise UsageError("kernel custom requires --kernel-file")
-        return load_kernel_spec(resolved["kernel-file"])
+        try:
+            return load_kernel_spec(Path(resolved["kernel-file"]))
+        except OSError as exc:
+            raise UsageError(f"cannot read kernel file: {exc}")
     raise UsageError(f"unknown kernel {kind!r}")
 
 

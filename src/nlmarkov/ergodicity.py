@@ -19,13 +19,14 @@ Lyapunov function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .kernels import ErgodicityCertificate, KernelValidationError, NonlinearKernel, ROW_SUM_TOL
-from .measures import DiscreteMeasure, MASS_TOL, tv_distance, weighted_tv_distance
+from .kernels import ErgodicityCertificate, KernelValidationError, NonlinearKernel
+from .kernels import ROW_SUM_TOL, markov_kernel, row_faults
+from .measures import DiscreteMeasure, MASS_TOL
 
 MAX_CYCLE_PERIOD = 8
 DEFAULT_TOL = 1e-10
@@ -82,15 +83,16 @@ class Trajectory:
 
 
 def _step(kernel: NonlinearKernel, weights: np.ndarray, k: int) -> np.ndarray:
-    mat = kernel.matrix(weights)
+    """mu P_mu for an (n,) measure, or for each row of a (B, n) stack as a
+    (1, n) @ (n, n) product, the same product as for a single measure."""
+    mats = kernel.matrix(weights)
     # Row sums of measure-dependent kernels inherit the evolving law's
     # rounding drift, which grows with the state count.
-    tol = ROW_SUM_TOL * max(1, kernel.space_size)
-    if np.any(mat < -tol) or np.any(np.abs(mat.sum(axis=1) - 1.0) > tol):
+    if row_faults(mats, ROW_SUM_TOL * kernel.space_size)[2].any():
         raise KernelValidationError(
             f"{kernel.label}: non-stochastic rows at step {k}"
         )
-    return weights @ mat
+    return (weights[..., None, :] @ mats)[..., 0, :]
 
 
 def evolve(kernel: NonlinearKernel, mu0: DiscreteMeasure, steps: int) -> Trajectory:
@@ -156,9 +158,6 @@ def find_invariant(
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter at least 1")
     mu0 = mu0 or DiscreteMeasure.uniform(kernel.space_size)
-    if mu0.size != kernel.space_size:
-        raise ValueError("initial measure does not match kernel state space")
-
     w = mu0.weights
     resid0 = float(np.abs(_step(kernel, w, 0) - w).sum())
     if resid0 < tol:
@@ -195,8 +194,6 @@ def find_invariant(
 
 def verify_invariant(kernel: NonlinearKernel, pi: DiscreteMeasure) -> float:
     """Fixed-point residual d_tv(P_pi pi, pi)."""
-    if pi.size != kernel.space_size:
-        raise ValueError("measure does not match kernel state space")
     return float(np.abs(_step(kernel, pi.weights, 0) - pi.weights).sum())
 
 
@@ -236,22 +233,20 @@ def check_contraction_inequality(
     tol: float = DEFAULT_TOL,
 ) -> ContractionCheck:
     """Check d_tv(P_mu mu, P_nu nu) <= d (1 - alpha + lambda) - lambda d^2/2
-    for each supplied pair, d being their total variation distance."""
-    n_viol, max_excess, worst = 0, -np.inf, None
-    count = 0
-    for mu, nu in pairs:
-        wm = mu.weights if isinstance(mu, DiscreteMeasure) else np.asarray(mu, float)
-        wn = nu.weights if isinstance(nu, DiscreteMeasure) else np.asarray(nu, float)
-        d = float(np.abs(wm - wn).sum())
-        lhs = float(np.abs(_step(kernel, wm, 0) - _step(kernel, wn, 0)).sum())
-        rhs = d * (1.0 - alpha + lam) - lam * d * d / 2.0
-        excess = lhs - rhs
-        if excess > max_excess:
-            max_excess, worst = excess, (wm.tolist(), wn.tolist())
-        if excess > tol:
-            n_viol += 1
-        count += 1
-    return ContractionCheck(count, n_viol, float(max_excess), worst, tol)
+    for each supplied pair, d being their total variation distance, with
+    all pairs in one kernel evaluation.  ``worst_pair`` is the first pair
+    with the largest excess of the left side over the right."""
+    n = kernel.space_size
+    w = np.asarray(pairs, dtype=float).reshape(len(pairs), 2, n)
+    if not len(w):
+        return ContractionCheck(0, 0, -np.inf, None, tol)
+    stepped = _step(kernel, w.reshape(-1, n), 0).reshape(w.shape)
+    d = np.abs(w[:, 0] - w[:, 1]).sum(axis=1)
+    lhs = np.abs(stepped[:, 0] - stepped[:, 1]).sum(axis=1)
+    excess = lhs - (d * (1.0 - alpha + lam) - lam * d * d / 2.0)
+    p = int(excess.argmax())
+    worst = (w[p, 0].tolist(), w[p, 1].tolist())
+    return ContractionCheck(len(w), int((excess > tol).sum()), float(excess[p]), worst, tol)
 
 
 def rate_bound(certificate: ErgodicityCertificate, n: int) -> float:
@@ -452,13 +447,12 @@ def certify_hm_contraction(
     ValueError if the supplied alpha_local is not actually achieved on
     the sublevel set, and CertificationError if no beta works.
     """
-    q = np.asarray(matrix, dtype=float)
+    kernel = markov_kernel(matrix, label)
+    n = kernel.space_size
+    q = kernel.matrix(np.full(n, 1.0 / n))
     v = np.asarray(V, dtype=float)
-    n = q.shape[0]
-    if q.shape != (n, n) or v.shape != (n,):
-        raise ValueError("matrix must be (n, n) and V of length n")
-    if np.any(q < 0) or np.any(np.abs(q.sum(axis=1) - 1.0) > ROW_SUM_TOL):
-        raise ValueError("matrix rows must be probability vectors")
+    if v.shape != (n,):
+        raise ValueError("V must have one value per state")
     if np.any(v < 1.0 - 1e-12):
         raise ValueError("V must be at least 1 everywhere")
     if not 0.0 < gamma < 1.0 or K <= 0.0:
@@ -479,15 +473,15 @@ def certify_hm_contraction(
     sublevel = np.flatnonzero(v <= threshold)
     if sublevel.size == 0:
         raise ValueError("sublevel set {V <= 4K/(1-gamma)} is empty")
-    for a_i in range(sublevel.size):
-        for b_i in range(a_i + 1, sublevel.size):
-            x, y = int(sublevel[a_i]), int(sublevel[b_i])
-            sep = float(np.abs(q[x] - q[y]).sum())
-            if sep > 2.0 * (1.0 - alpha_local) + tol:
-                raise ValueError(
-                    f"{label}: rows {x} and {y} overlap less than "
-                    f"alpha_local = {alpha_local:g} on the sublevel set"
-                )
+    rows = q[sublevel]
+    sep = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
+    apart = np.argwhere(np.triu(sep > 2.0 * (1.0 - alpha_local) + tol, 1))
+    if apart.size:
+        x, y = sublevel[apart[0]]
+        raise ValueError(
+            f"{label}: rows {x} and {y} overlap less than "
+            f"alpha_local = {alpha_local:g} on the sublevel set"
+        )
 
     betas = [float(b) for b in beta_grid]
     if not betas or any(b <= 0 for b in betas):
@@ -513,16 +507,17 @@ def certify_hm_contraction(
         )
 
     f = 1.0 + best_beta * v
-    for mu, nu in test_pairs:
-        wm = mu.weights if isinstance(mu, DiscreteMeasure) else np.asarray(mu, float)
-        wn = nu.weights if isinstance(nu, DiscreteMeasure) else np.asarray(nu, float)
-        lhs = float((f * np.abs(wm @ q - wn @ q)).sum())
-        rhs = best_lw * float((f * np.abs(wm - wn)).sum())
-        if lhs > rhs + tol:
-            raise CertificationError(
-                f"{label}: certified factor fails on a validation pair "
-                f"(lhs = {lhs:.17g}, rhs = {rhs:.17g})"
-            )
+    w = np.asarray(test_pairs, dtype=float).reshape(len(test_pairs), 2, n)
+    moved = _step(kernel, w.reshape(-1, n), 0).reshape(w.shape)
+    lhs = (f * np.abs(moved[:, 0] - moved[:, 1])).sum(axis=1)
+    rhs = best_lw * (f * np.abs(w[:, 0] - w[:, 1])).sum(axis=1)
+    failed = np.flatnonzero(lhs > rhs + tol)
+    if failed.size:
+        p = failed[0]
+        raise CertificationError(
+            f"{label}: certified factor fails on a validation pair "
+            f"(lhs = {lhs[p]:.17g}, rhs = {rhs[p]:.17g})"
+        )
 
     return HMCertificate(
         gamma=gamma,

@@ -19,9 +19,11 @@ measure.  The expression grammar (states are 1-based in ``nu(k)``):
             | "min" "(" expr "," expr ")" | "max" "(" expr "," expr ")"
             | "(" expr ")" | "-" factor
 
-No division, no exponentiation, no free variables.  Loading validates
-the kernel on a simplex grid and rejects it if any row fails to be a
-probability vector there.
+No division, no exponentiation, no free variables, and at most
+``MAX_NESTING`` levels of nesting.  The n^2 entries compile into one
+program of numpy ufuncs over a batch of measures, with each repeated
+subexpression evaluated once.  Loading validates the kernel on a simplex
+grid and rejects it if any row fails to be a probability vector there.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelValidationError, MeasureGrid, NonlinearKernel, validate
+from .kernels import MeasureGrid, NonlinearKernel, validate
 
 __all__ = ["parse_entry_expression", "load_kernel_spec", "KernelSpecError"]
 
@@ -43,132 +45,139 @@ class KernelSpecError(ValueError):
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>nu|min|max)"
-    r"|(?P<punct>[(),+*-]))"
+    r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<word>nu|min|max|[(),+*-]))"
 )
 
 
 def _tokenize(text: str) -> list:
+    """Numbers as floats, names and punctuation as strings."""
     tokens, pos = [], 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
             raise KernelSpecError(f"bad character at {text[pos:pos + 8]!r}")
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num"))))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("punct", m.group("punct")))
+        tokens.append(m.group("word") or float(m.group("num")))
         pos = m.end()
     return tokens
 
 
-class _Parser:
-    """Recursive descent over the grammar above; produces a closure
-    ``nu_weights -> float``."""
+MAX_NESTING = 100
 
-    def __init__(self, tokens: list, space_size: int):
-        self.tokens = tokens
-        self.i = 0
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply,
+           "min": np.minimum, "max": np.maximum}
+
+
+class _Compiler:
+    """Recursive descent over the grammar above into straight-line code
+    shared by every expression it compiles.  ``code`` maps each
+    instruction ``(op, a, b)`` to its position, in emission order:
+    ``("num", value, None)`` and ``("nu", state, None)`` are leaves, the
+    ops of ``_BINARY`` take their operands' positions.  An instruction is
+    emitted once, so a repeated subexpression is evaluated once."""
+
+    def __init__(self, space_size: int):
         self.n = space_size
+        self.code: dict = {}
+
+    def compile(self, text) -> int:
+        """Compile one expression; return the position of its value."""
+        if not isinstance(text, str) or not text.strip():
+            raise KernelSpecError("entry expression must be a nonempty string")
+        self.tokens, self.i, self.depth = _tokenize(text), 0, 0
+        root = self.expr()
+        if self.peek() is not None:
+            raise KernelSpecError(f"trailing input at {self.peek()!r}")
+        return root
+
+    def emit(self, op, a, b=None) -> int:
+        return self.code.setdefault((op, a, b), len(self.code))
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def take(self, kind=None, value=None):
+    def take(self, expected=None):
         tok = self.peek()
-        if tok[0] is None:
+        if tok is None:
             raise KernelSpecError("unexpected end of expression")
-        if kind is not None and tok[0] != kind:
-            raise KernelSpecError(f"expected {value or kind}, got {tok[1]!r}")
-        if value is not None and tok[1] != value:
-            raise KernelSpecError(f"expected {value!r}, got {tok[1]!r}")
+        if expected is not None and tok != expected:
+            raise KernelSpecError(f"expected {expected!r}, got {tok!r}")
         self.i += 1
         return tok
 
-    def parse(self) -> Callable[[np.ndarray], float]:
-        fn = self.expr()
-        if self.peek()[0] is not None:
-            raise KernelSpecError(f"trailing input at {self.peek()[1]!r}")
-        return fn
-
-    def expr(self):
+    def expr(self) -> int:
         left = self.term()
-        while self.peek() == ("punct", "+") or self.peek() == ("punct", "-"):
-            op = self.take()[1]
-            right = self.term()
-            if op == "+":
-                left = (lambda a, b: lambda w: a(w) + b(w))(left, right)
-            else:
-                left = (lambda a, b: lambda w: a(w) - b(w))(left, right)
+        while self.peek() in ("+", "-"):
+            left = self.emit(self.take(), left, self.term())
         return left
 
-    def term(self):
+    def term(self) -> int:
         left = self.factor()
-        while self.peek() == ("punct", "*"):
-            self.take()
-            right = self.factor()
-            left = (lambda a, b: lambda w: a(w) * b(w))(left, right)
+        while self.peek() == "*":
+            left = self.emit(self.take(), left, self.factor())
         return left
 
-    def factor(self):
-        kind, val = self.peek()
-        if kind == "num":
-            self.take()
-            return lambda w, c=val: c
-        if kind == "punct" and val == "-":
-            self.take()
-            inner = self.factor()
-            return lambda w: -inner(w)
-        if kind == "punct" and val == "(":
-            self.take()
-            inner = self.expr()
-            self.take("punct", ")")
-            return inner
-        if kind == "name" and val == "nu":
-            self.take()
-            self.take("punct", "(")
-            idx_tok = self.take("num")
-            self.take("punct", ")")
-            idx = idx_tok[1]
-            if idx != int(idx) or not 1 <= int(idx) <= self.n:
-                raise KernelSpecError(
-                    f"nu({idx:g}) out of range for {self.n} states"
-                )
-            k = int(idx) - 1
-            return lambda w: w[k]
-        if kind == "name" and val in ("min", "max"):
-            self.take()
-            self.take("punct", "(")
+    def factor(self) -> int:
+        self.depth += 1  # every nesting passes through here
+        if self.depth > MAX_NESTING:
+            raise KernelSpecError(f"expression nests deeper than {MAX_NESTING} levels")
+        tok = self.take()
+        if isinstance(tok, float):
+            pos = self.emit("num", tok)
+        elif tok == "-":  # multiplying by -1 negates exactly
+            pos = self.emit("*", self.emit("num", -1.0), self.factor())
+        elif tok == "(":
+            pos = self.expr()
+            self.take(")")
+        elif tok == "nu":
+            self.take("(")
+            k = self.take()
+            self.take(")")
+            if not isinstance(k, float) or not k.is_integer() or not 1 <= k <= self.n:
+                raise KernelSpecError(f"nu({k}) is not one of the {self.n} states")
+            pos = self.emit("nu", int(k) - 1)
+        elif tok in ("min", "max"):
+            self.take("(")
             a = self.expr()
-            self.take("punct", ",")
-            b = self.expr()
-            self.take("punct", ")")
-            if val == "min":
-                return lambda w: min(a(w), b(w))
-            return lambda w: max(a(w), b(w))
-        raise KernelSpecError(f"unexpected token {val!r}")
+            self.take(",")
+            pos = self.emit(tok, a, self.expr())
+            self.take(")")
+        else:
+            raise KernelSpecError(f"unexpected token {tok!r}")
+        self.depth -= 1
+        return pos
 
 
-def parse_entry_expression(text: str, space_size: int) -> Callable[[np.ndarray], float]:
+def _run(code: dict, w: np.ndarray) -> list:
+    """Values, of shape w.shape[:-1], of every instruction at weights w."""
+    vals = []
+    for op, a, b in code:
+        if op == "nu":
+            vals.append(w[..., a])
+        elif op == "num":
+            vals.append(np.full(w.shape[:-1], a))
+        else:
+            vals.append(_BINARY[op](vals[a], vals[b]))
+    return vals
+
+
+def parse_entry_expression(text: str, space_size: int) -> Callable[[np.ndarray], np.ndarray]:
     """Compile one matrix-entry expression to a function of the measure
-    weights.  Raises KernelSpecError on any syntax or range problem.
+    weights: (n,) weights give a scalar, (B, n) weights a (B,) array.
+    Raises KernelSpecError on any syntax or range problem.
     """
-    if not isinstance(text, str) or not text.strip():
-        raise KernelSpecError("entry expression must be a nonempty string")
-    return _Parser(_tokenize(text), space_size).parse()
+    compiler = _Compiler(space_size)
+    root = compiler.compile(text)
+    return lambda w: _run(compiler.code, np.asarray(w, dtype=float))[root][()]
 
 
 def load_kernel_spec(source, grid: MeasureGrid | None = None) -> NonlinearKernel:
-    """Build a NonlinearKernel from a JSON file path, JSON text, or an
-    already-parsed dict, then validate it on ``grid`` (default grid for
-    the declared space size).  Invalid rows reject the whole file.
+    """Build a NonlinearKernel from a JSON file ``Path``, JSON text, or
+    an already-parsed dict, then validate it on ``grid`` (default grid
+    for the declared space size).  Invalid rows reject the whole file.
     """
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        doc = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
+    if isinstance(source, Path):
+        source = source.read_text()
+    if isinstance(source, str):
         try:
             doc = json.loads(source)
         except json.JSONDecodeError as exc:
@@ -176,7 +185,7 @@ def load_kernel_spec(source, grid: MeasureGrid | None = None) -> NonlinearKernel
     elif isinstance(source, dict):
         doc = source
     else:
-        raise KernelSpecError("source must be a path, JSON text, or dict")
+        raise KernelSpecError("source must be a Path, JSON text, or dict")
 
     try:
         n = int(doc["space_size"])
@@ -193,13 +202,12 @@ def load_kernel_spec(source, grid: MeasureGrid | None = None) -> NonlinearKernel
     ):
         raise KernelSpecError(f"entries must be an {n} x {n} matrix of strings")
 
-    compiled = [
-        [parse_entry_expression(entries[i][j], n) for j in range(n)]
-        for i in range(n)
-    ]
+    compiler = _Compiler(n)
+    roots = [compiler.compile(text) for row in entries for text in row]
 
-    def rows(nu: np.ndarray) -> np.ndarray:
-        return np.array([[fn(nu) for fn in row] for row in compiled])
+    def rows(w: np.ndarray) -> np.ndarray:
+        vals = _run(compiler.code, w)
+        return np.array([vals[r] for r in roots]).T.reshape(-1, n, n)
 
     kernel = NonlinearKernel(n, rows, label)
     validate(kernel, grid or MeasureGrid.default(n))

@@ -13,9 +13,9 @@ Both are estimated here by sweeps over a simplex grid of G measures,
 which makes the estimates one-sided: alpha_hat >= alpha and
 lambda_hat <= lambda, with monotone behaviour under grid refinement.
 
-Each sweep evaluates the kernel once per grid measure and then takes
-the same maximum an all-pairs sweep would, through an exact identity
-that avoids materialising the pairs:
+Each sweep evaluates the kernel on the whole grid in one batched call
+and then takes the same maximum an all-pairs sweep would, through an
+exact identity that avoids materialising the pairs:
 
 * alpha: the L1 diameter of the G*n pooled rows equals the largest
   spread ``max_a s.r_a - min_a s.r_a`` over sign vectors s in {-1, +1}^n
@@ -38,11 +38,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
-
-from .measures import DiscreteMeasure, tv_distance
 
 ROW_SUM_TOL = 1e-10
 TIE_TOLERANCE = 1e-6
@@ -55,6 +53,7 @@ __all__ = [
     "ErgodicityCertificate",
     "KernelValidationError",
     "validate",
+    "row_faults",
     "oscillating_kernel",
     "continuum_kernel",
     "no_invariant_kernel",
@@ -77,9 +76,9 @@ class KernelValidationError(ValueError):
 class NonlinearKernel:
     """Measure-dependent transition kernel.
 
-    ``row_builder`` receives the weight vector of the input measure and
-    returns the full (n, n) transition matrix for that measure.  It must
-    be a pure function: same input, same matrix.
+    ``row_builder`` maps a (B, n) array of B measures' weights to the
+    (B, n, n) stack of their transition matrices.  It must be a pure
+    function of each row: same measure, same matrix, whatever the batch.
     """
 
     space_size: int
@@ -91,18 +90,19 @@ class NonlinearKernel:
             raise ValueError("space_size must be positive")
 
     def matrix(self, nu) -> np.ndarray:
-        """Transition matrix P_nu for the measure ``nu``."""
-        w = nu.weights if isinstance(nu, DiscreteMeasure) else np.asarray(nu, dtype=float)
-        if w.shape != (self.space_size,):
-            raise ValueError(
-                f"measure has {w.shape} weights, kernel expects {self.space_size}"
-            )
-        mat = np.asarray(self.row_builder(w), dtype=float)
-        if mat.shape != (self.space_size, self.space_size):
+        """Transition matrix P_nu: (n, n) for one measure ``nu`` of n
+        weights, or (B, n, n) for a (B, n) stack of measures."""
+        w = np.asarray(nu, dtype=float)
+        n = self.space_size
+        if w.ndim not in (1, 2) or w.shape[-1] != n:
+            raise ValueError(f"measure has {w.shape} weights, kernel expects {n}")
+        batch = w.reshape(-1, n)
+        mats = np.asarray(self.row_builder(batch), dtype=float)
+        if mats.shape != (batch.shape[0], n, n):
             raise KernelValidationError(
-                f"{self.label}: row builder returned shape {mat.shape}"
+                f"{self.label}: row builder returned shape {mats.shape}"
             )
-        return mat
+        return mats if w.ndim == 2 else mats[0]
 
 
 def default_resolution(space_size: int) -> int:
@@ -149,10 +149,6 @@ class MeasureGrid:
     @property
     def size(self) -> int:
         return int(self.weights.shape[0])
-
-    def measures(self) -> Iterator[DiscreteMeasure]:
-        for row in self.weights:
-            yield DiscreteMeasure(row)
 
 
 def _compositions(total: int, parts: int):
@@ -211,12 +207,13 @@ def oscillating_kernel(gamma: float) -> NonlinearKernel:
         raise ValueError("gamma must lie in (0, 1)")
     lo, hi = gamma / 2.0, 1.0 - gamma / 2.0
 
-    def rows(nu: np.ndarray) -> np.ndarray:
+    def rows(w: np.ndarray) -> np.ndarray:
         # second entry is the complement of the first, not a second
         # clamp: writing it as clamp(nu_1) makes each row sum to
         # sum(nu), so normalization error would square every step
-        a = min(max(nu[1], lo), hi)
-        return np.array([[a, 1.0 - a], [a, 1.0 - a]])
+        a = np.minimum(np.maximum(w[:, 1:], lo), hi)
+        row = np.concatenate([a, 1.0 - a], axis=1)
+        return np.repeat(row[:, None, :], 2, axis=1)
 
     return NonlinearKernel(2, rows, f"oscillating(gamma={gamma:g})")
 
@@ -234,13 +231,12 @@ def continuum_kernel(alpha: float, lam: float) -> NonlinearKernel:
     if not (0.0 < alpha < lam <= 1.0):
         raise ValueError("need 0 < alpha < lam <= 1")
 
-    def clamp(p: float) -> float:
-        return min(max(lam * p, alpha / 2.0), lam - alpha / 2.0)
+    lo, hi = alpha / 2.0, lam - alpha / 2.0
 
-    def rows(nu: np.ndarray) -> np.ndarray:
-        p12 = clamp(nu[1])
-        p21 = clamp(nu[0])
-        return np.array([[1.0 - p12, p12], [p21, 1.0 - p21]])
+    def rows(w: np.ndarray) -> np.ndarray:
+        # columns p12 (from nu_2) and p21 (from nu_1)
+        p = np.minimum(np.maximum(lam * w[:, ::-1], lo), hi)
+        return np.concatenate([1.0 - p[:, :1], p, 1.0 - p[:, 1:]], axis=1).reshape(-1, 2, 2)
 
     return NonlinearKernel(2, rows, f"continuum(alpha={alpha:g},lam={lam:g})")
 
@@ -261,21 +257,19 @@ def no_invariant_kernel(alpha: float, lam: float, truncation: int) -> NonlinearK
         raise ValueError("truncation must be at least 3")
     m = truncation
 
-    def rows(nu: np.ndarray) -> np.ndarray:
+    def rows(w: np.ndarray) -> np.ndarray:
         # base[j] = ((lam F_j - alpha) ^ lam nu_j) v 0 written as the
         # increment of max(lam F_j, alpha): algebraically identical, and
         # the shift mass is the exact complement, so row sums stay at 1
         # instead of compounding cumsum rounding step over step.
-        cum = np.maximum(lam * np.cumsum(nu), alpha)
-        base = np.empty(m)
-        base[0] = cum[0]
-        base[1:] = np.diff(cum)
-        shift = 1.0 - cum[-1]
-        mat = np.tile(base, (m, 1))
+        cum = np.maximum(lam * np.cumsum(w, axis=1), alpha)
+        base = np.diff(cum, axis=1, prepend=0.0)
+        shift = 1.0 - cum[:, -1:]
+        mats = np.repeat(base[:, None, :], m, axis=1)
         idx = np.arange(m - 1)
-        mat[idx, idx + 1] += shift
-        mat[m - 1, m - 1] += shift
-        return mat
+        mats[:, idx, idx + 1] += shift
+        mats[:, m - 1, m - 1] += shift[:, 0]
+        return mats
 
     return NonlinearKernel(
         m, rows, f"no-invariant(alpha={alpha:g},lam={lam:g},m={m})"
@@ -292,7 +286,7 @@ def markov_kernel(matrix, label: str = "markov") -> NonlinearKernel:
         raise ValueError("matrix rows must be probability vectors")
     q = q.copy()
     q.flags.writeable = False
-    return NonlinearKernel(q.shape[0], lambda nu: q, label)
+    return NonlinearKernel(q.shape[0], lambda w: np.repeat(q[None], len(w), axis=0), label)
 
 
 def markov_example_kernel() -> NonlinearKernel:
@@ -313,11 +307,11 @@ def mixture_kernel(matrix, lam: float, label: str | None = None) -> NonlinearKer
     base = markov_kernel(matrix, "mixture-base")
     q = base.matrix(np.full(base.space_size, 1.0 / base.space_size))
 
-    def rows(nu: np.ndarray) -> np.ndarray:
+    def rows(w: np.ndarray) -> np.ndarray:
         # the nu term must carry unit mass exactly: row sums inherit
         # lam * sum(nu) otherwise, and that feedback compounds the
         # evolving law's rounding drift geometrically
-        return (1.0 - lam) * q + (lam / nu.sum()) * nu[None, :]
+        return (1.0 - lam) * q + (lam / w.sum(axis=1))[:, None, None] * w[:, None, :]
 
     return NonlinearKernel(
         base.space_size, rows, label or f"mixture(lam={lam:g})"
@@ -354,40 +348,40 @@ def birth_death_jitter_matrix(
 # Grid sweeps.
 
 
+def row_faults(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of an (..., n, n) stack: whether it has an entry below
+    -tol, its deviation |sum - 1|, and whether it is faulty, i.e. has
+    either a negative entry or a deviation not within tol (NaN is not)."""
+    negative = (mats < -tol).any(axis=-1)
+    deviation = np.abs(mats.sum(axis=-1) - 1.0)
+    return negative, deviation, negative | ~(deviation <= tol)
+
+
 def validate(kernel: NonlinearKernel, grid: MeasureGrid | None = None) -> dict:
     """Check that every grid measure yields nonnegative rows summing to 1
     within 1e-10.  Returns a small report; raises KernelValidationError
-    naming the offending measure and row otherwise.
+    naming the first offending measure in grid order and its offending
+    row otherwise, a negative entry taking precedence over a bad sum.
     """
     grid = grid or MeasureGrid.default(kernel.space_size)
-    if grid.space_size != kernel.space_size:
-        raise ValueError("grid and kernel state spaces differ")
-    worst = 0.0
-    for w in grid.weights:
-        mat = kernel.matrix(w)
-        if np.any(mat < -ROW_SUM_TOL):
-            i = int(np.argwhere(mat < -ROW_SUM_TOL)[0][0])
+    mats = kernel.matrix(grid.weights)
+    negative, deviation, faulty = row_faults(mats, ROW_SUM_TOL)
+    if faulty.any():
+        b = int(faulty.any(axis=1).argmax())
+        nu = grid.weights[b].tolist()
+        if negative[b].any():
             raise KernelValidationError(
-                f"{kernel.label}: negative entry in row {i} at nu={w.tolist()}"
+                f"{kernel.label}: negative entry in row {negative[b].argmax()} at nu={nu}"
             )
-        dev = np.abs(mat.sum(axis=1) - 1.0)
-        if dev.max() > ROW_SUM_TOL:
-            i = int(dev.argmax())
-            raise KernelValidationError(
-                f"{kernel.label}: row {i} sums to {mat[i].sum():.17g} "
-                f"at nu={w.tolist()}"
-            )
-        worst = max(worst, float(dev.max()))
+        i = deviation[b].argmax()
+        raise KernelValidationError(
+            f"{kernel.label}: row {i} sums to {mats[b, i].sum():.17g} at nu={nu}"
+        )
     return {
         "kernel": kernel.label,
         "grid_points": grid.size,
-        "worst_row_deviation": worst,
+        "worst_row_deviation": float(deviation.max()),
     }
-
-
-def _all_rows(kernel: NonlinearKernel, grid: MeasureGrid) -> np.ndarray:
-    mats = np.stack([kernel.matrix(w) for w in grid.weights])
-    return mats  # shape (G, n, n)
 
 
 def _l1_diameter(rows: np.ndarray) -> float:
@@ -485,7 +479,7 @@ def estimate_alpha(
     ``SWEEP_BLOCK_BYTES`` each.
     """
     grid = grid or MeasureGrid.default(kernel.space_size)
-    rows = _all_rows(kernel, grid).reshape(-1, kernel.space_size)
+    rows = kernel.matrix(grid.weights).reshape(-1, kernel.space_size)
     return 1.0 - _l1_diameter(rows) / 2.0
 
 
@@ -512,7 +506,7 @@ def estimate_lambda(
     about ``SWEEP_BLOCK_BYTES``; memory O(G n^2).
     """
     grid = grid or MeasureGrid.default(kernel.space_size)
-    mats = _all_rows(kernel, grid)
+    mats = kernel.matrix(grid.weights)
     w = grid.weights
     firsts, seconds = _neighbour_pairs(grid)
     n = kernel.space_size

@@ -60,6 +60,26 @@ class TestChain:
         rep = read_json(out / "report.json")
         assert rep["details"]["certificate"]["regime"] == "fast"
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["nu(1e400)", "(" * 2000 + "0.5" + ")" * 2000, "-" * 3000 + "0.5"],
+        ids=["index-overflow", "deep-parentheses", "deep-unary-minus"],
+    )
+    def test_malformed_kernel_entry_is_usage_error(self, tmp_path, capsys, entry):
+        kfile = tmp_path / "kernel.json"
+        kfile.write_text(json.dumps(
+            {"space_size": 2, "entries": [[entry, "0.5"], ["0.5", "0.5"]]}))
+        assert main(["chain", "--kernel", "custom", "--kernel-file", str(kfile),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unreadable_kernel_file_is_usage_error(self, tmp_path, capsys):
+        for path in (tmp_path / "nosuch.json", tmp_path):
+            assert main(["chain", "--kernel", "custom", "--kernel-file", str(path),
+                         "--out", str(tmp_path / "run")]) == 2
+            err = capsys.readouterr().err
+            assert "cannot read kernel file" in err and str(path) in err
+
     def test_custom_without_file_is_usage_error(self, tmp_path):
         assert main(["chain", "--kernel", "custom",
                      "--out", str(tmp_path / "x")]) == 2

@@ -9,6 +9,8 @@ lambda_w = 0.72 at beta = 2 over the grid used below.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlmarkov.ergodicity import (
     CertificationError,
@@ -90,7 +92,8 @@ def test_evolve_input_guards():
 
 
 def test_evolve_rejects_non_stochastic_kernel():
-    bad = NonlinearKernel(2, lambda nu: np.array([[0.6, 0.6], [0.5, 0.5]]), "bad")
+    rows = np.array([[0.6, 0.6], [0.5, 0.5]])
+    bad = NonlinearKernel(2, lambda w: np.broadcast_to(rows, (len(w), 2, 2)), "bad")
     with pytest.raises(KernelValidationError, match="step 0"):
         evolve(bad, DiscreteMeasure.uniform(2), 3)
 
@@ -167,6 +170,56 @@ def test_contraction_inequality_detects_false_claims():
     assert chk.n_violations == 1
     assert chk.worst_pair == ([1.0, 0.0], [0.0, 1.0])
     assert chk.max_excess > 1.0
+
+
+def contraction_oracle(kernel, alpha, lam, pairs, tol=1e-10):
+    """The contraction check as a loop over pairs, one kernel evaluation
+    per measure; ``worst_pair`` is the first pair with the largest excess."""
+    n_viol, max_excess, worst = 0, -np.inf, None
+    for mu, nu in pairs:
+        d = float(np.abs(mu - nu).sum())
+        lhs = float(np.abs(mu @ kernel.matrix(mu) - nu @ kernel.matrix(nu)).sum())
+        rhs = d * (1.0 - alpha + lam) - lam * d * d / 2.0
+        excess = lhs - rhs
+        if excess > max_excess:
+            max_excess, worst = excess, [mu.tolist(), nu.tolist()]
+        n_viol += excess > tol
+    return {"n_pairs": len(pairs), "n_violations": n_viol,
+            "max_excess": max_excess, "worst_pair": worst, "tolerance": tol,
+            "passed": n_viol == 0}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kernel=st.sampled_from([
+        mixture_kernel(MIX_Q, 0.2),
+        mixture_kernel(birth_death_jitter_matrix(), 0.3),
+        continuum_kernel(0.2, 0.8),
+        oscillating_kernel(0.4),
+        no_invariant_kernel(0.3, 0.6, 6),
+    ]),
+    alpha=st.floats(0.0, 1.0),
+    lam=st.floats(0.0, 1.0),
+    n_pairs=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_contraction_check_matches_per_pair_loop(kernel, alpha, lam, n_pairs, seed):
+    # random claims (alpha, lam) make some pairs violate and others not
+    pairs = random_pairs(n_pairs, kernel.space_size, seed)
+    got = check_contraction_inequality(kernel, alpha, lam, pairs).to_dict()
+    assert got == contraction_oracle(kernel, alpha, lam, pairs)
+
+
+def test_contraction_check_takes_discrete_measures_and_rejects_bad_pairs():
+    k = mixture_kernel(MIX_Q, 0.2)
+    pairs = [(DiscreteMeasure.two_point(0.2), DiscreteMeasure.two_point(0.9))]
+    arrays = [(mu.weights, nu.weights) for mu, nu in pairs]
+    assert (check_contraction_inequality(k, 0.5, 0.2, pairs).to_dict()
+            == contraction_oracle(k, 0.5, 0.2, arrays))
+    empty = check_contraction_inequality(k, 0.5, 0.2, [])
+    assert (empty.n_pairs, empty.worst_pair, empty.passed) == (0, None, True)
+    with pytest.raises(ValueError):
+        check_contraction_inequality(k, 0.5, 0.2, [(np.ones(3) / 3, np.ones(3) / 3)])
 
 
 def test_contraction_check_to_dict():
@@ -301,6 +354,17 @@ def test_hm_certificate_bounds_fresh_random_pairs():
         lhs = weighted_tv_distance(mu @ q, nu @ q, f)
         rhs = cert.lambda_w * weighted_tv_distance(mu, nu, f)
         assert lhs <= rhs + 1e-10
+
+
+def test_hm_test_pairs_report_the_first_failing_pair():
+    # (e_x, 0) carries unequal mass, so the measure-pair bound need not
+    # hold: at beta = 2 it fails for x = 0..3 and holds for x = 4.
+    q = birth_death_jitter_matrix()
+    eye, zero = np.eye(5), np.zeros(5)
+    pairs = [(eye[0] * 0.5 + eye[4] * 0.5, eye[2]), (eye[4], zero),
+             (eye[1], zero), (eye[0], zero)]
+    with pytest.raises(CertificationError, match=r"lhs = 8\.88\d*, rhs = 6\.48"):
+        certify_hm_contraction(q, V5, 0.8, 2.0, 0.1, BETAS, test_pairs=pairs)
 
 
 def test_hm_drift_failure_names_the_state():

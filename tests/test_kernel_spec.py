@@ -1,15 +1,20 @@
 """Expression grammar and file loading for custom kernels."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlmarkov.kernel_spec import (
+    MAX_NESTING,
     KernelSpecError,
     load_kernel_spec,
     parse_entry_expression,
 )
+from nlmarkov.kernels import MeasureGrid
 
 MIXTURE_DOC = {
     "space_size": 2,
@@ -37,6 +42,8 @@ def test_expression_arithmetic():
         "max(min(nu(2), 0.6), 0.4)": 0.6,
         "(nu(1) + 1) * 0.5": 0.625,
         "1 - 2 * min(nu(1), nu(2))": 0.5,
+        "-" * 40 + "nu(1)": 0.25,
+        "(" * 60 + "nu(2)" + ")" * 60: 0.75,
     }
     for text, want in cases.items():
         fn = parse_entry_expression(text, 2)
@@ -62,6 +69,10 @@ def test_expression_rejections():
         "(nu(1)",
         "nu(1) nu(2)",
         "1 +",
+        "nu(1e400)",  # the index overflows int
+        "(" * 2000 + "1" + ")" * 2000,  # nesting would exhaust the stack
+        "-" * 3000 + "1",
+        "-" * MAX_NESTING + "1",
     ):
         with pytest.raises(KernelSpecError):
             parse_entry_expression(text, 2)
@@ -73,6 +84,27 @@ def test_load_from_dict_builds_working_kernel():
     assert k.label == "half-mix"
     mat = k.matrix([1.0, 0.0])
     assert mat[0].tolist() == pytest.approx([0.5 * 0.7 + 0.5, 0.5 * 0.3])
+
+
+def test_batched_evaluation_matches_single_measures():
+    fn = parse_entry_expression("max(min(0.1 + 0.2*nu(2), 0.3), 0.1) - nu(1)", 2)
+    w = np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]])
+    assert fn(w).shape == (3,)
+    assert fn(w).tolist() == [fn(row) for row in w]
+    assert parse_entry_expression("0.5", 2)(w).tolist() == [0.5, 0.5, 0.5]
+
+
+def test_repeated_subexpressions_compile_once():
+    from nlmarkov.kernel_spec import _Compiler
+
+    doc = json.loads((Path(__file__).parents[1] / "bench" / "spec5.json").read_text())
+    compiler = _Compiler(5)
+    for row in doc["entries"]:
+        for text in row:
+            compiler.compile(text)
+    # 5 leaves nu(k), 4 constants, 4 x 5 clamp steps, 19 distinct
+    # running differences on the diagonals
+    assert len(compiler.code) == 48
 
 
 def test_load_from_json_text_and_file(tmp_path):
@@ -108,3 +140,131 @@ def test_load_validates_rows_on_the_grid():
     }
     with pytest.raises(KernelValidationError, match="row"):
         load_kernel_spec(doc)
+
+
+# ---------------------------------------------------------------------------
+# Properties
+
+
+GRAMMAR_PIECES = ["nu(", "min(", "max(", "(", ")", ",", "+", "-", "*", " ",
+                  "1", "2.5", "1e400", "0.", "nu", "3", "e", "x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(GRAMMAR_PIECES), max_size=30).map("".join),
+))
+def test_parser_raises_nothing_but_kernel_spec_error(text):
+    try:
+        fn = parse_entry_expression(text, 3)
+    except KernelSpecError:
+        return
+    with np.errstate(all="ignore"):
+        fn(np.array([0.2, 0.3, 0.5]))
+
+
+# Expression trees: ("num", x), ("nu", k), ("neg", t), ("()", t) or
+# (op, left, right) for op in + - * min max.
+BINARY = ["+", "-", "*", "min", "max"]
+
+
+def trees(n):
+    leaves = st.one_of(
+        st.tuples(st.just("num"), st.floats(0.0, 4.0)),
+        st.tuples(st.just("nu"), st.integers(1, n)),
+    )
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.tuples(st.sampled_from(BINARY), kids, kids),
+        st.tuples(st.sampled_from(["neg", "()"]), kids),
+    ), max_leaves=10)
+
+
+PRECEDENCE = {"+": 1, "-": 1, "*": 2}
+
+
+def render(tree) -> tuple:
+    """(text, precedence) of a tree, parenthesised only where the
+    grammar needs it, so precedence and associativity are exercised."""
+    op = tree[0]
+    if op == "num":
+        return repr(tree[1]), 3
+    if op == "nu":
+        return f"nu({tree[1]})", 3
+    if op == "()":
+        return f"({render(tree[1])[0]})", 3
+    if op == "neg":
+        text, prec = render(tree[1])
+        return "-" + (text if prec == 3 else f"({text})"), 3
+    if op in ("min", "max"):
+        return f"{op}({render(tree[1])[0]}, {render(tree[2])[0]})", 3
+    (left, lp), (right, rp) = render(tree[1]), render(tree[2])
+    prec = PRECEDENCE[op]
+    left = left if lp >= prec else f"({left})"
+    right = right if rp > prec else f"({right})"  # operators associate left
+    return f"{left} {op} {right}", prec
+
+
+def reference(tree, w) -> float:
+    """Scalar evaluation of a tree at one weight vector, in Python floats.
+    min and max return the second operand on ties, as np.minimum and
+    np.maximum do, so signed zeros agree too."""
+    op = tree[0]
+    if op == "num":
+        return tree[1]
+    if op == "nu":
+        return float(w[tree[1] - 1])
+    if op == "()":
+        return reference(tree[1], w)
+    if op == "neg":
+        return -reference(tree[1], w)
+    a, b = reference(tree[1], w), reference(tree[2], w)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "min":
+        return a if a < b else b
+    return a if a > b else b
+
+
+@st.composite
+def spec_kernels(draw):
+    """(n, entry trees, weights): off-diagonal entry trees are random
+    trees clamped to [0, 0.05], and each diagonal is 1 minus the rest of
+    its row, so the kernel validates and its diagonals repeat the
+    off-diagonal subtrees."""
+    n = draw(st.integers(1, 4))
+    entries = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                t = ("max", ("min", draw(trees(n)), ("num", 1.0)), ("num", 0.0))
+                entries[i][j] = ("*", ("num", 0.05), t)
+        diag = ("num", 1.0)
+        for j in range(n):
+            if j != i:
+                diag = ("-", diag, entries[i][j])
+        entries[i][i] = diag
+    unit = st.floats(0.0, 1.0)
+    w = np.array(draw(st.lists(st.lists(unit, min_size=n, max_size=n),
+                               min_size=1, max_size=6)))
+    return n, entries, w
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=spec_kernels())
+def test_batched_spec_kernel_matches_scalar_reference(case):
+    n, entries, w = case
+    doc = {"space_size": n,
+           "entries": [[render(t)[0] for t in row] for row in entries]}
+    kernel = load_kernel_spec(doc, MeasureGrid(n, 2))
+    want = np.array([[[reference(t, x) for t in row] for row in entries] for x in w])
+    assert kernel.matrix(w).tobytes() == want.tobytes()
+    assert kernel.matrix(w[0]).tobytes() == want[0].tobytes()
+    for i in range(n):
+        for j in range(n):
+            fn = parse_entry_expression(doc["entries"][i][j], n)
+            assert fn(w).tobytes() == want[:, i, j].tobytes()

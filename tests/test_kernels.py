@@ -38,6 +38,7 @@ from nlmarkov.kernels import (
     validate,
 )
 from nlmarkov.kernels import _grid_ranks
+from nlmarkov.measures import DiscreteMeasure
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +55,8 @@ def test_grid_enumerates_all_compositions():
 
 
 def test_grid_measures_are_valid():
-    for mu in MeasureGrid(2, 5).measures():
-        assert mu.size == 2
+    for w in MeasureGrid(2, 5).weights:
+        assert DiscreteMeasure(w).size == 2
 
 
 def test_grid_rejects_bad_parameters():
@@ -79,32 +80,79 @@ def test_default_resolution_presets_and_budget():
 
 
 def test_kernel_matrix_shape_guard():
-    k = NonlinearKernel(2, lambda nu: np.zeros((3, 3)), "bad-shape")
+    k = NonlinearKernel(2, lambda w: np.zeros((len(w), 3, 3)), "bad-shape")
     with pytest.raises(KernelValidationError):
         k.matrix([0.5, 0.5])
+    with pytest.raises(KernelValidationError):
+        k.matrix([[0.5, 0.5], [1.0, 0.0]])
     with pytest.raises(ValueError):
         markov_example_kernel().matrix([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        markov_example_kernel().matrix([[[1.0, 0.0]]])
+
+
+STOCK_KERNELS = [
+    oscillating_kernel(0.4),
+    continuum_kernel(0.2, 0.8),
+    markov_example_kernel(),
+    mixture_kernel(birth_death_jitter_matrix(), 0.2),
+    no_invariant_kernel(0.3, 0.6, 12),
+]
 
 
 def test_validate_accepts_stock_kernels():
-    for k in (
-        oscillating_kernel(0.4),
-        continuum_kernel(0.2, 0.8),
-        markov_example_kernel(),
-        mixture_kernel(birth_death_jitter_matrix(), 0.2),
-        no_invariant_kernel(0.3, 0.6, 12),
-    ):
+    for k in STOCK_KERNELS:
         info = validate(k, MeasureGrid(k.space_size, 6))
         assert info["worst_row_deviation"] <= 1e-10
 
 
 def test_validate_names_the_offending_row():
-    bad = NonlinearKernel(2, lambda nu: np.array([[0.5, 0.4], [0.5, 0.5]]), "leaky")
+    leaky = np.array([[0.5, 0.4], [0.5, 0.5]])
+    bad = NonlinearKernel(2, lambda w: np.broadcast_to(leaky, (len(w), 2, 2)), "leaky")
     with pytest.raises(KernelValidationError, match="row 0"):
         validate(bad, MeasureGrid(2, 2))
-    neg = NonlinearKernel(2, lambda nu: np.array([[1.1, -0.1], [0.5, 0.5]]), "neg")
+    negative = np.array([[1.1, -0.1], [0.5, 0.5]])
+    neg = NonlinearKernel(2, lambda w: np.broadcast_to(negative, (len(w), 2, 2)), "neg")
     with pytest.raises(KernelValidationError, match="negative"):
         validate(neg, MeasureGrid(2, 2))
+
+
+def faulty_kernel(leak_from, negative_from):
+    """Uniform 2-state rows, except that row 0 sums to 1.1 once nu_1 >=
+    leak_from and row 1 holds -0.1 once nu_1 >= negative_from."""
+    def rows(w):
+        mats = np.full((len(w), 2, 2), 0.5)
+        mats[w[:, 0] >= leak_from, 0, 0] = 0.6
+        mats[w[:, 0] >= negative_from, 1] = [1.1, -0.1]
+        return mats
+    return NonlinearKernel(2, rows, "faulty")
+
+
+def test_validate_reports_first_measure_and_negative_rows_first():
+    # grid order on 2 states at R = 4: nu_1 = 0, 0.25, 0.5, 0.75, 1
+    grid = MeasureGrid(2, 4)
+    with pytest.raises(KernelValidationError, match=r"row 0 sums to .* at nu=\[0.5, 0.5\]"):
+        validate(faulty_kernel(0.5, 0.75), grid)
+    with pytest.raises(KernelValidationError, match=r"negative entry in row 1 at nu=\[0.5, 0.5\]"):
+        validate(faulty_kernel(0.5, 0.5), grid)
+    with pytest.raises(KernelValidationError, match=r"negative entry in row 1 at nu=\[0.25, 0.75\]"):
+        validate(faulty_kernel(0.5, 0.25), grid)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("kernel", STOCK_KERNELS, ids=lambda k: k.label)
+def test_stock_kernel_batch_matches_single_measures(kernel, data):
+    n = kernel.space_size
+    rows = data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+                              min_size=1, max_size=8))
+    w = np.array(rows)
+    w[w.sum(axis=1) == 0.0] = 1.0
+    w /= w.sum(axis=1, keepdims=True)
+    mats = kernel.matrix(w)
+    assert mats.shape == (len(w), n, n)
+    for b in range(len(w)):
+        assert mats[b].tobytes() == kernel.matrix(w[b]).tobytes()
 
 
 def test_constructor_parameter_guards():
