@@ -17,6 +17,7 @@ up to eps_0 = min(alpha_local, r) / (2 D).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -138,6 +139,12 @@ class SMVESpec:
     ``bound_D`` in Euclidean norm (checked at runtime).  ``lipschitz_L``
     is the constant used in perturbation bounds; for the shipped
     coefficients it is derived by hand, not fitted.
+
+    Neither coefficient may modify the positions: ``simulate`` passes a
+    read-only view of the particles it steps in place, and ``law`` is a
+    read-only view of the same array, with ``.points`` and ``.mean()``,
+    valid for the duration of the call.  Either may return its input or
+    a view of it; ``simulate`` never writes into what they return.
     """
 
     dimension: int
@@ -162,13 +169,22 @@ class SMVESpec:
         total = self.b1(positions)
         if self.b2 is not None and self.epsilon > 0:
             inter = self.b2(positions, law)
-            worst = float(np.linalg.norm(inter, axis=1).max())
+            worst = float(_row_norms(inter).max())
             if worst > self.bound_D + 1e-9:
                 raise DriftBoundError(
                     f"{self.label}: |b2| = {worst:.17g} exceeds D = {self.bound_D:g}"
                 )
             total = total + self.epsilon * inter
         return total
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (n, d) array, as an (n, 1)
+    column.  In one dimension this is |v|, which equals the norm exactly
+    unless v**2 under- or overflows (the norm then reads 0 or inf)."""
+    if v.shape[1] == 1:
+        return np.abs(v)
+    return np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def ou_drift() -> Callable[[np.ndarray], np.ndarray]:
@@ -183,8 +199,12 @@ def radial_confinement_drift(r: float, M: float) -> Callable[[np.ndarray], np.nd
         raise ValueError("r and M must be positive")
 
     def b1(x: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        return -r * x / np.maximum(norms, M)
+        # -r x / max(|x|, M), with the same roundings, in two fresh arrays
+        scale = _row_norms(x)
+        np.maximum(scale, M, out=scale)
+        out = x * -r
+        out /= scale
+        return out
 
     return b1
 
@@ -196,8 +216,10 @@ def mean_attraction_coupling(D: float) -> Callable[[np.ndarray, EmpiricalMeasure
         raise ValueError("D must be positive")
 
     def b2(x: np.ndarray, law: EmpiricalMeasure) -> np.ndarray:
-        center = law.mean()
-        return (D / math.sqrt(x.shape[1])) * np.tanh(center[None, :] - x)
+        out = np.subtract(law.mean(), x)
+        np.tanh(out, out=out)
+        out *= D / math.sqrt(x.shape[1])
+        return out
 
     return b2
 
@@ -382,11 +404,96 @@ class ParticleEnsemble:
         return EmpiricalMeasure(self.positions)
 
 
-def _stream(seed: int, tag: int) -> Generator:
-    # Counter-based stream: the (seed, tag) pair fully determines the
-    # block of draws, independent of how work is scheduled.
-    key = np.array([seed % 2**64, tag % 2**64], dtype=np.uint64)
-    return Generator(Philox(key=key))
+def _stream(seed: int, tag: int, reuse: Generator | None = None) -> Generator:
+    """The counter-based stream keyed by (seed, tag): a new Generator, or
+    ``reuse`` (a Philox Generator) rewound to that stream's first draw.
+
+    The (seed, tag) pair fully determines the block of draws,
+    independent of how work is scheduled.  Rewinding sets the key, a
+    zero counter and an empty buffer, which is the whole state of a new
+    Philox, at a tenth of the cost of building one.
+    """
+    key = (seed % 2**64, tag % 2**64)
+    if reuse is None:
+        return Generator(Philox(key=np.array(key, dtype=np.uint64)))
+    reuse.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return reuse
+
+
+# How far the noise worker may run ahead of the Euler loop: about 1 MB
+# of buffers, and never less than one step.
+_LOOKAHEAD_BYTES = 2**20
+
+
+class _NoiseAhead:
+    """Euler noise sqrt(h) * xi for steps 1..n_steps, step k drawn from
+    the (seed, k) stream on one worker thread while the caller computes
+    drifts.
+
+    The worker fills a ring of buffers: as many as fit in
+    _LOOKAHEAD_BYTES, at least two, and no more than there are steps.
+    It calls no public nlmarkov function, so traced spans stay on the
+    caller's thread.  An exception in the worker is raised by ``take``
+    at the step that hit it.  Leaving the ``with`` block stops the
+    worker and joins it, on every exit path.
+    """
+
+    def __init__(self, seed: int, n_steps: int, shape: tuple, scale: float):
+        step_bytes = 8 * shape[0] * shape[1]
+        depth = min(n_steps, max(2, _LOOKAHEAD_BYTES // step_bytes))
+        self._buffers = [np.empty(shape) for _ in range(depth)]
+        self._free = threading.Semaphore(depth)
+        self._ready = threading.Semaphore(0)
+        self._stop = False
+        self._failed_step = 0
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(
+            target=self._draw, args=(seed, n_steps, scale),
+            name="nlmarkov-noise", daemon=True,
+        )
+
+    def __enter__(self) -> "_NoiseAhead":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop = True
+        self._free.release()
+        self._thread.join()
+
+    def _draw(self, seed: int, n_steps: int, scale: float) -> None:
+        generator = None
+        for k in range(1, n_steps + 1):
+            self._free.acquire()
+            if self._stop:
+                return
+            try:
+                generator = _stream(seed, k, generator)
+                out = self._buffers[k % len(self._buffers)]
+                generator.standard_normal(out=out)
+                out *= scale
+            except BaseException as exc:
+                self._error, self._failed_step = exc, k
+                self._ready.release()
+                return
+            self._ready.release()
+
+    def take(self, k: int) -> np.ndarray:
+        """Step k's noise, valid until the call for step k + 1, which
+        hands its buffer back to the worker.  Steps come in order."""
+        if k > 1:
+            self._free.release()
+        self._ready.acquire()
+        if k == self._failed_step:
+            raise self._error
+        return self._buffers[k % len(self._buffers)]
 
 
 def simulate(
@@ -401,12 +508,16 @@ def simulate(
     """Synchronous Euler update with the previous step's empirical
     measure:
 
-        X_i <- X_i + (b1(X_i) + eps b2(X_i, mu_prev)) h + sqrt(h) xi_i.
+        X_i <- (X_i + (b1(X_i) + eps b2(X_i, mu_prev)) h) + sqrt(h) xi_i.
 
     Noise for step k is drawn from a counter-based stream keyed by
-    (seed, k + 1), so runs are bit-reproducible and independent of any
-    worker layout; initial positions use the (seed, 0) stream.  Raises
-    SimulationBlowUp if positions leave the finite range.
+    (seed, k), so runs are bit-reproducible and independent of any
+    worker layout; initial positions use the (seed, 0) stream.  One
+    worker thread draws the noise ahead of the steps (``_NoiseAhead``);
+    the drift stays on the calling thread, once per step, and the
+    particles are stepped in place.  Raises ValueError if the initial
+    sample is not finite and SimulationBlowUp if positions leave the
+    finite range.
     """
     if n_particles < 100:
         raise ValueError("need at least 100 particles")
@@ -422,26 +533,32 @@ def simulate(
         raise ValueError("snapshot times must lie within [0, horizon]")
 
     d = spec.dimension
-    x = np.asarray(initial_sampler(_stream(seed, 0), n_particles, d), dtype=float)
+    # An owned C-ordered copy: the loop writes into it.
+    x = np.array(initial_sampler(_stream(seed, 0), n_particles, d), dtype=float, order="C")
     if x.shape != (n_particles, d):
         raise ValueError("initial sampler returned the wrong shape")
+    if not np.isfinite(x).all():
+        raise ValueError("points must be finite")
+    positions = x.view()
+    positions.flags.writeable = False
+    law = EmpiricalMeasure.view(positions)
 
     snapshots = []
     snap_set = set(snap_steps)
     if 0 in snap_set:
         snapshots.append(ParticleEnsemble(x, 0.0, step_size, seed, 0))
 
-    sqrt_h = math.sqrt(step_size)
-    for k in range(n_steps):
-        law = EmpiricalMeasure(x)
-        noise = _stream(seed, k + 1).standard_normal((n_particles, d))
-        x = x + spec.drift(x, law) * step_size + sqrt_h * noise
-        if not np.all(np.isfinite(x)):
-            raise SimulationBlowUp(f"{spec.label}: non-finite position at step {k + 1}")
-        if (k + 1) in snap_set:
-            snapshots.append(
-                ParticleEnsemble(x, (k + 1) * step_size, step_size, seed, k + 1)
-            )
+    drift_h = np.empty_like(x)
+    with _NoiseAhead(seed, n_steps, x.shape, math.sqrt(step_size)) as draws:
+        for k in range(1, n_steps + 1):
+            noise = draws.take(k)
+            np.multiply(spec.drift(positions, law), step_size, out=drift_h)
+            x += drift_h
+            x += noise
+            if not np.isfinite(x).all():
+                raise SimulationBlowUp(f"{spec.label}: non-finite position at step {k}")
+            if k in snap_set:
+                snapshots.append(ParticleEnsemble(x, k * step_size, step_size, seed, k))
     return snapshots
 
 

@@ -114,6 +114,17 @@ class EmpiricalMeasure:
     def dimension(self) -> int:
         return int(self.points.shape[1])
 
+    @classmethod
+    def view(cls, points: np.ndarray) -> "EmpiricalMeasure":
+        """Wrap ``points`` as they are, without the copy and the checks:
+        the caller guarantees a finite, read-only (n, d) float array.  The
+        measure follows the array, so whoever owns the data may change it
+        between uses; ``simulate`` passes its particles to the drift this
+        way while it steps them in place."""
+        law = object.__new__(cls)
+        object.__setattr__(law, "points", points)
+        return law
+
     def mean(self) -> np.ndarray:
         return self.points.mean(axis=0)
 

@@ -273,3 +273,14 @@ def test_cli_import_does_not_load_scipy():
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_concurrent_futures():
+    # the particle simulator's noise worker is a bare threading.Thread;
+    # concurrent.futures would add about 8 ms to every CLI start
+    src = str(Path(nlmarkov.__file__).resolve().parents[1])
+    code = "import sys, nlmarkov.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"

@@ -2,11 +2,17 @@
 simulation determinism, and the perturbation threshold."""
 
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
+from nlmarkov import mckean_vlasov
+from nlmarkov.measures import EmpiricalMeasure
 from nlmarkov.mckean_vlasov import (
     DriftBoundError,
     SMVESpec,
@@ -228,11 +234,207 @@ class TestSimulate:
     def test_nonfinite_positions_raise(self):
         expl = SMVESpec(dimension=1, b1=lambda x: x**3, b2=None,
                         epsilon=0.0, bound_D=0.0, lipschitz_L=0.0)
+        threads = threading.active_count()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with pytest.raises(SimulationBlowUp, match="step"):
+            with pytest.raises(SimulationBlowUp,
+                               match=r"^smve: non-finite position at step 1$"):
                 simulate(expl, point_mass_sampler(1e200), n_particles=100,
                          step_size=0.01, horizon=0.5, seed=1)
+        assert threading.active_count() == threads
+
+    def test_drift_bound_error_keeps_its_message(self):
+        bad = SMVESpec(dimension=1, b1=lambda x: -x,
+                       b2=lambda x, law: np.full_like(x, 5.0),
+                       epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
+        threads = threading.active_count()
+        with pytest.raises(DriftBoundError,
+                           match=r"^smve: \|b2\| = 5 exceeds D = 1$"):
+            simulate(bad, point_mass_sampler(0.0), n_particles=100,
+                     step_size=0.01, horizon=0.1, seed=1)
+        assert threading.active_count() == threads
+
+    def test_nonfinite_initial_sample_is_a_value_error(self):
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="finite"):
+            simulate(make_ou_spec(), point_mass_sampler(np.inf), n_particles=100,
+                     step_size=0.01, horizon=0.5, seed=1)
+        assert threading.active_count() == threads
+
+    def test_noise_worker_failure_reaches_the_caller_at_its_step(self, monkeypatch):
+        real = mckean_vlasov._stream
+
+        def failing(seed, tag, reuse=None):
+            if tag == 7:
+                raise RuntimeError("no draws for step 7")
+            return real(seed, tag, reuse)
+
+        monkeypatch.setattr(mckean_vlasov, "_stream", failing)
+        calls = []
+
+        def b1(x):
+            calls.append(1)
+            return -x
+
+        spec = SMVESpec(dimension=1, b1=b1, b2=None, epsilon=0.0,
+                        bound_D=0.0, lipschitz_L=0.0)
+        threads = threading.active_count()
+        outcome = {}
+
+        def run():
+            try:
+                simulate(spec, point_mass_sampler(0.0), n_particles=100,
+                         step_size=0.01, horizon=0.5, seed=3)
+            except RuntimeError as exc:
+                outcome["error"] = exc
+
+        # on a helper thread, so a lost failure fails the test, not hangs it
+        helper = threading.Thread(target=run, daemon=True)
+        helper.start()
+        helper.join(timeout=60)
+        assert not helper.is_alive(), "simulate did not return"
+        assert str(outcome["error"]) == "no draws for step 7"
+        assert threading.active_count() == threads
+        # steps 1..6 ran as usual; step 7 stopped before its drift
+        assert len(calls) == 6
+
+    def test_coefficients_see_read_only_positions(self):
+        seen = []
+
+        def b1(x):
+            seen.append(x.flags.writeable)
+            return -x
+
+        def b2(x, law):
+            seen.append(law.points.flags.writeable)
+            assert law.points.shape == x.shape
+            return np.zeros_like(x)
+
+        spec = SMVESpec(dimension=2, b1=b1, b2=b2, epsilon=0.1,
+                        bound_D=1.0, lipschitz_L=1.0)
+        simulate(spec, point_mass_sampler([0.0, 1.0]), n_particles=100,
+                 step_size=0.01, horizon=0.03, seed=3)
+        assert seen == [False] * 6
+
+    def test_sampler_output_is_not_written_to(self):
+        start = np.zeros((100, 1))
+        simulate(make_ou_spec(), lambda rng, n, d: start, n_particles=100,
+                 step_size=0.01, horizon=0.1, seed=3)
+        assert not start.any()
+
+
+def _reference_simulate(b1, b2, epsilon, bound_D, label, d,
+                        sampler, n, h, horizon, seed, times):
+    """The Euler loop as it stood before the noise moved to a worker
+    thread: a fresh EmpiricalMeasure and a fresh Philox Generator per
+    step, norm-based bound check, out-of-place update."""
+    n_steps = int(round(horizon / h))
+    snap_steps = sorted({int(round(t / h)) for t in times})
+    x = np.asarray(sampler(Generator(Philox(key=np.array([seed, 0], dtype=np.uint64))),
+                           n, d), dtype=float)
+    out = [x.copy()] if 0 in snap_steps else []
+    for k in range(n_steps):
+        law = EmpiricalMeasure(x)
+        key = np.array([seed, k + 1], dtype=np.uint64)
+        noise = Generator(Philox(key=key)).standard_normal((n, d))
+        total = b1(x)
+        if b2 is not None and epsilon > 0:
+            inter = b2(x, law)
+            worst = float(np.linalg.norm(inter, axis=1).max())
+            if worst > bound_D + 1e-9:
+                raise DriftBoundError(f"{label}: |b2| exceeds D")
+            total = total + epsilon * inter
+        x = x + total * h + math.sqrt(h) * noise
+        assert np.all(np.isfinite(x))
+        if k + 1 in snap_steps:
+            out.append(x.copy())
+    return out
+
+
+def _old_radial(r, M):
+    return lambda x: -r * x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), M)
+
+
+def _old_mean_attraction(D):
+    return lambda x, law: (D / math.sqrt(x.shape[1])) * np.tanh(law.mean()[None, :] - x)
+
+
+# (spec, the same coefficients as the reference loop evaluated them)
+def _model(name, d):
+    if name == "ou":
+        return make_ou_spec(d), (lambda x: -x, None, 0.0, 0.0)
+    if name == "vh":
+        spec = make_vh_spec(r=1.5, M=0.7, D=1.0, epsilon=0.3, dimension=d)
+        return spec, (_old_radial(1.5, 0.7), _old_mean_attraction(1.0), 0.3, 1.0)
+    if name == "identity":
+        # the drift is the positions array itself
+        b1 = lambda x: x
+        return SMVESpec(d, b1, None, 0.0, 0.0, 0.0, "identity"), (b1, None, 0.0, 0.0)
+    if name == "cached":
+        # the drift is the same writeable array at every step
+        cache = {}
+        b1 = lambda x: cache.setdefault(x.shape, np.full(x.shape, -0.5))
+        return SMVESpec(d, b1, None, 0.0, 0.0, 0.0, "cached"), (b1, None, 0.0, 0.0)
+    # b1 returns its input and b2 a reversed view of the positions, so a
+    # write into either would change the particles
+    b1 = lambda x: x
+    b2 = lambda x, law: law.points[::-1]
+    spec = SMVESpec(d, b1, b2, 0.5, 1e6, 1.0, "alias")
+    return spec, (b1, b2, 0.5, 1e6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.sampled_from([("ou", 1), ("vh", 1), ("vh", 2), ("identity", 1),
+                           ("cached", 2), ("alias", 1), ("alias", 2)]),
+    n=st.sampled_from([100, 1_000, 10_000, 140_000]),
+    steps=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+    h=st.sampled_from([0.01, 0.05]),
+)
+@example(model=("vh", 1), n=140_000, steps=5, seed=7, h=0.01)
+@example(model=("alias", 2), n=10_000, steps=29, seed=1, h=0.05)
+@example(model=("vh", 2), n=100, steps=1, seed=0, h=0.01)
+@example(model=("identity", 1), n=1_000, steps=3, seed=2, h=0.01)
+@example(model=("cached", 2), n=1_000, steps=3, seed=2, h=0.01)
+def test_simulate_matches_reference_euler_loop(model, n, steps, seed, h):
+    # 140,000 particles make one step over 1 MB (a two-buffer ring);
+    # 10^4 particles give a ring of 13 (d=1) or 6 (d=2) steps, which
+    # most step counts do not divide
+    if n == 140_000:
+        steps = min(steps, 5)
+    spec, (b1, b2, eps, bound) = _model(*model)
+    d = spec.dimension
+    horizon = steps * h
+    times = [0.0, (steps // 2) * h, horizon]
+    sampler = gaussian_sampler([0.3] * d, 1.0)
+    got = simulate(spec, sampler, n, h, horizon, seed, times)
+    want = _reference_simulate(b1, b2, eps, bound, spec.label, d,
+                               sampler, n, h, horizon, seed, times)
+    assert len(got) == len(want) == len(set(times))
+    for ens, ref in zip(got, want):
+        assert ens.positions.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (100, 3), (1_001, 2)])
+def test_rewound_stream_matches_a_new_generator(shape):
+    generator = mckean_vlasov._stream(11, 1)
+    for seed, tag in [(11, 1), (11, 2), (11, 999), (0, 2**63 + 5), (2**64 - 1, 2**64 - 1)]:
+        # leave the generator mid-buffer, with a spare 32-bit half drawn
+        generator.standard_normal(3)
+        generator.random(dtype=np.float32)
+        rewound = mckean_vlasov._stream(seed, tag, generator)
+        key = np.array([seed, tag], dtype=np.uint64)
+        fresh = Generator(Philox(key=key))
+        assert _plain(rewound.bit_generator.state) == _plain(fresh.bit_generator.state)
+        got = rewound.standard_normal(shape)
+        assert got.tobytes() == fresh.standard_normal(shape).tobytes()
+
+
+def _plain(state):
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return np.asarray(state).tolist()
 
 
 class TestEpsilonZero:
