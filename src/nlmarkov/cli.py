@@ -13,12 +13,14 @@ carry no timestamps and floats are printed in full precision, so a
 rerun with the same configuration is byte-identical.
 
 Exit codes: 0 all claims hold, 1 a certified claim was falsified,
-2 usage or configuration error.
+2 usage or configuration error, 3 numerical failure (a particle run
+blew up or its interaction exceeded its declared bound).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -57,6 +59,8 @@ from .kernels import (
 )
 from .measures import DiscreteMeasure
 from .mckean_vlasov import (
+    DriftBoundError,
+    SimulationBlowUp,
     gaussian_sampler,
     make_ou_spec,
     make_vh_spec,
@@ -64,6 +68,7 @@ from .mckean_vlasov import (
     point_mass_sampler,
     radial_confinement_drift,
     simulate,
+    simulate_runs,
     two_point_mixture_sampler,
 )
 from .reporting import Claim, report_document, write_csv, write_json_report
@@ -155,7 +160,7 @@ def _sampler(desc, field: str):
 _STOCK_Q5 = birth_death_jitter_matrix()
 
 
-def _build_kernel(resolved: dict):
+def _build_kernel(resolved: dict, spec_text: str | None):
     kind = resolved["kernel"]
     if kind == "oscillating":
         return oscillating_kernel(resolved["gamma"])
@@ -171,12 +176,9 @@ def _build_kernel(resolved: dict):
             resolved["alpha"], resolved["lam"], resolved["truncation"]
         )
     if kind == "custom":
-        if not resolved["kernel-file"]:
+        if spec_text is None:
             raise UsageError("kernel custom requires --kernel-file")
-        try:
-            return load_kernel_spec(Path(resolved["kernel-file"]))
-        except OSError as exc:
-            raise UsageError(f"cannot read kernel file: {exc}")
+        return load_kernel_spec(spec_text)
     raise UsageError(f"unknown kernel {kind!r}")
 
 
@@ -203,8 +205,20 @@ def _run_chain(args) -> int:
     if resolved["space"] not in (2, 5):
         raise UsageError("space must be 2 or 5")
 
+    # The report names a kernel file by its basename and the sha256 of
+    # its bytes, so it does not depend on where the file lives;
+    # resolved_config.json keeps the path as given.
+    spec_text = provenance = None
+    if resolved["kernel"] == "custom" and resolved["kernel-file"]:
+        path = Path(resolved["kernel-file"])
+        try:
+            raw = path.read_bytes()
+        except OSError as exc:
+            raise UsageError(f"cannot read kernel file: {exc}")
+        spec_text = raw.decode("utf-8")
+        provenance = {"name": path.name, "sha256": hashlib.sha256(raw).hexdigest()}
     try:
-        kernel = _build_kernel(resolved)
+        kernel = _build_kernel(resolved, spec_text)
     except (ValueError, KernelSpecError) as exc:
         raise UsageError(str(exc))
 
@@ -259,7 +273,8 @@ def _run_chain(args) -> int:
         )
         if not rate.passed:
             exit_code = 1
-    doc = report_document("chain", resolved, claims, details)
+    parameters = {**resolved, "kernel-file": provenance} if provenance else resolved
+    doc = report_document("chain", parameters, claims, details)
     write_json_report(out / "report.json", doc)
     print(f"regime: {cert.regime} (alpha_hat={cert.alpha_hat:.6g}, "
           f"lambda_hat={cert.lambda_hat:.6g}) -> {out}")
@@ -395,8 +410,8 @@ def _run_smve(args) -> int:
             floor = calibrate_tv_allowance(
                 spec, mu, times, n, h, seed + 1000, binning,
                 n_pairs=int(resolved["calibration-pairs"]))
-        run_a = simulate(spec, mu, n, h, horizon, seed, times)
-        run_b = simulate(spec, nu, n, h, horizon, seed + 1, times)
+        run_a, run_b = simulate_runs(spec, [(mu, seed), (nu, seed + 1)], n, h,
+                                     horizon, times)
         try:
             fit = fit_decay(run_a, run_b, binning, floor)
         except DecayFitError as exc:
@@ -577,6 +592,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (SimulationBlowUp, DriftBoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ pretending the estimator is exact.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,7 +25,7 @@ from .measures import (
     histogram_of,
     tv_between_histograms,
 )
-from .mckean_vlasov import ParticleEnsemble, SMVESpec, simulate
+from .mckean_vlasov import ParticleEnsemble, SMVESpec, simulate, simulate_runs
 
 __all__ = [
     "Binning",
@@ -290,8 +291,8 @@ def girsanov_bound_check(
     if not times:
         raise ValueError("need at least one time")
     horizon = max(times[-1], step_size)
-    run_a = simulate(spec, mu0_sampler, n_particles, step_size, horizon, seed, times)
-    run_b = simulate(spec, nu0_sampler, n_particles, step_size, horizon, seed, times)
+    run_a, run_b = simulate_runs(spec, [(mu0_sampler, seed), (nu0_sampler, seed)],
+                                 n_particles, step_size, horizon, times)
 
     rate = 4.0 * spec.epsilon**2 * spec.lipschitz_L**2
     estimates, bounds, violations = [], [], []
@@ -335,13 +336,16 @@ def calibrate_tv_allowance(
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
     samples = []
-    for j in range(n_pairs):
-        run_a = simulate(spec, sampler, n_particles, step_size, max(times),
-                         seed + 2 * j + 1, times)
-        run_b = simulate(spec, sampler, n_particles, step_size, max(times),
-                         seed + 2 * j + 2, times)
-        for a, b in zip(run_a, run_b):
-            samples.append(_ensemble_tv(a, b, binning))
+    # Pair j is the runs at seeds seed + 2j + 1 and seed + 2j + 2.  Each
+    # pair is reduced to its distances and dropped before the next pair
+    # is received, so at most about three runs are held at once.
+    runs = [(sampler, seed + k) for k in range(1, 2 * n_pairs + 1)]
+    with closing(simulate_runs(spec, runs, n_particles, step_size, max(times),
+                               times)) as results:
+        for run_a, run_b in zip(results, results):
+            for a, b in zip(run_a, run_b):
+                samples.append(_ensemble_tv(a, b, binning))
+            del run_a, run_b
     return float(np.percentile(samples, percentile))
 
 

@@ -17,9 +17,13 @@ up to eps_0 = min(alpha_local, r) / (2 D).
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -36,6 +40,7 @@ __all__ = [
     "DriftBoundError",
     "verify_vh",
     "simulate",
+    "simulate_runs",
     "epsilon_zero",
     "ou_drift",
     "radial_confinement_drift",
@@ -496,6 +501,91 @@ class _NoiseAhead:
         return self._buffers[k % len(self._buffers)]
 
 
+class _NoiseInline:
+    """The same noise as ``_NoiseAhead``, drawn by the caller in ``take``
+    into one reused buffer.  For processes whose CPUs are all busy
+    stepping particles, where a noise thread would only contend."""
+
+    def __init__(self, seed: int, n_steps: int, shape: tuple, scale: float):
+        self._seed, self._scale = seed, scale
+        self._out = np.empty(shape)
+        self._generator: Generator | None = None
+
+    def __enter__(self) -> "_NoiseInline":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+    def take(self, k: int) -> np.ndarray:
+        """Step k's noise, valid until the call for step k + 1."""
+        self._generator = _stream(self._seed, k, self._generator)
+        self._generator.standard_normal(out=self._out)
+        self._out *= self._scale
+        return self._out
+
+
+def _plan(n_particles: int, step_size: float, horizon: float,
+          snapshot_times: Sequence[float] | None) -> tuple[int, list[int]]:
+    """Check one run's arguments; return its step count and the sorted
+    steps at which it takes snapshots."""
+    if n_particles < 100:
+        raise ValueError("need at least 100 particles")
+    if step_size <= 0:
+        raise ValueError("step_size must be positive")
+    if horizon < step_size:
+        raise ValueError("horizon must cover at least one step")
+    n_steps = int(round(horizon / step_size))
+    if snapshot_times is None:
+        snapshot_times = [0.0, horizon]
+    snap_steps = sorted({int(round(t / step_size)) for t in snapshot_times})
+    if snap_steps[0] < 0 or snap_steps[-1] > n_steps:
+        raise ValueError("snapshot times must lie within [0, horizon]")
+    return n_steps, snap_steps
+
+
+def _euler(
+    spec: SMVESpec,
+    initial_sampler: Callable,
+    n_particles: int,
+    step_size: float,
+    seed: int,
+    plan: tuple[int, list[int]],
+    noise_source: type,
+) -> list[ParticleEnsemble]:
+    """The Euler loop of ``simulate``, with its noise drawn by
+    ``noise_source`` (``_NoiseAhead`` or ``_NoiseInline``)."""
+    n_steps, snap_steps = plan
+    d = spec.dimension
+    # An owned C-ordered copy: the loop writes into it.
+    x = np.array(initial_sampler(_stream(seed, 0), n_particles, d), dtype=float, order="C")
+    if x.shape != (n_particles, d):
+        raise ValueError("initial sampler returned the wrong shape")
+    if not np.isfinite(x).all():
+        raise ValueError("points must be finite")
+    positions = x.view()
+    positions.flags.writeable = False
+    law = EmpiricalMeasure.view(positions)
+
+    snapshots = []
+    snap_set = set(snap_steps)
+    if 0 in snap_set:
+        snapshots.append(ParticleEnsemble(x, 0.0, step_size, seed, 0))
+
+    drift_h = np.empty_like(x)
+    with noise_source(seed, n_steps, x.shape, math.sqrt(step_size)) as draws:
+        for k in range(1, n_steps + 1):
+            noise = draws.take(k)
+            np.multiply(spec.drift(positions, law), step_size, out=drift_h)
+            x += drift_h
+            x += noise
+            if not np.isfinite(x).all():
+                raise SimulationBlowUp(f"{spec.label}: non-finite position at step {k}")
+            if k in snap_set:
+                snapshots.append(ParticleEnsemble(x, k * step_size, step_size, seed, k))
+    return snapshots
+
+
 def simulate(
     spec: SMVESpec,
     initial_sampler: Callable,
@@ -519,47 +609,140 @@ def simulate(
     sample is not finite and SimulationBlowUp if positions leave the
     finite range.
     """
-    if n_particles < 100:
-        raise ValueError("need at least 100 particles")
-    if step_size <= 0:
-        raise ValueError("step_size must be positive")
-    if horizon < step_size:
-        raise ValueError("horizon must cover at least one step")
-    n_steps = int(round(horizon / step_size))
-    if snapshot_times is None:
-        snapshot_times = [0.0, horizon]
-    snap_steps = sorted({int(round(t / step_size)) for t in snapshot_times})
-    if snap_steps[0] < 0 or snap_steps[-1] > n_steps:
-        raise ValueError("snapshot times must lie within [0, horizon]")
+    plan = _plan(n_particles, step_size, horizon, snapshot_times)
+    return _euler(spec, initial_sampler, n_particles, step_size, seed, plan, _NoiseAhead)
 
-    d = spec.dimension
-    # An owned C-ordered copy: the loop writes into it.
-    x = np.array(initial_sampler(_stream(seed, 0), n_particles, d), dtype=float, order="C")
-    if x.shape != (n_particles, d):
-        raise ValueError("initial sampler returned the wrong shape")
-    if not np.isfinite(x).all():
-        raise ValueError("points must be finite")
-    positions = x.view()
-    positions.flags.writeable = False
-    law = EmpiricalMeasure.view(positions)
 
-    snapshots = []
-    snap_set = set(snap_steps)
-    if 0 in snap_set:
-        snapshots.append(ParticleEnsemble(x, 0.0, step_size, seed, 0))
+def simulate_runs(
+    spec: SMVESpec,
+    runs: Sequence[tuple[Callable, int]],
+    n_particles: int,
+    step_size: float,
+    horizon: float,
+    snapshot_times: Sequence[float] | None = None,
+) -> Iterator[list[ParticleEnsemble]]:
+    """``simulate(spec, sampler, n_particles, step_size, horizon, seed,
+    snapshot_times)`` for each ``(sampler, seed)`` in ``runs``, yielded
+    in list order and bit for bit the same.
 
-    drift_h = np.empty_like(x)
-    with _NoiseAhead(seed, n_steps, x.shape, math.sqrt(step_size)) as draws:
-        for k in range(1, n_steps + 1):
-            noise = draws.take(k)
-            np.multiply(spec.drift(positions, law), step_size, out=drift_h)
-            x += drift_h
-            x += noise
-            if not np.isfinite(x).all():
-                raise SimulationBlowUp(f"{spec.label}: non-finite position at step {k}")
-            if k in snap_set:
-                snapshots.append(ParticleEnsemble(x, k * step_size, step_size, seed, k))
-    return snapshots
+    The runs are independent, so they are spread round-robin over forked
+    worker processes, one per usable CPU.  A worker steps its runs one
+    after another, draws each step's noise inline (``_NoiseInline``) and
+    sends each run back as soon as it is done; while the caller waits
+    for the next run it drains every worker's pipe, and it holds only
+    the runs it has not yet yielded.  The runs go in
+    order in this process, through ``simulate``, when there is one run
+    or one usable CPU, off Linux, or when other threads are alive, since
+    forking a threaded process is unsafe.
+
+    The arguments are checked before any fork.  The exception of the
+    first failing run in list order is raised with its type and message
+    (as a RuntimeError naming both if it cannot be pickled); a worker
+    that exits without reporting its run raises RuntimeError with its
+    exit code.  Every worker is joined, or terminated and joined, when
+    the iterator finishes, fails or is closed.
+    """
+    plan = _plan(n_particles, step_size, horizon, snapshot_times)
+    runs = [(sampler, seed) for sampler, seed in runs]
+    return _dispatch(spec, runs, n_particles, step_size, horizon, snapshot_times, plan)
+
+
+def _dispatch(spec, runs, n_particles, step_size, horizon, snapshot_times, plan):
+    # decided at the first item, which is when the workers would fork
+    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+    if len(runs) < 2 or cpus < 2 or threading.active_count() > 1:
+        for sampler, seed in runs:
+            yield simulate(spec, sampler, n_particles, step_size, horizon, seed,
+                           snapshot_times)
+        return
+    yield from _forked_runs(spec, runs, n_particles, step_size, plan,
+                            min(len(runs), cpus))
+
+
+def _forked_runs(spec, runs, n_particles, step_size, plan, n_workers):
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    context = multiprocessing.get_context("fork")
+    workers = []  # (process, read end of its pipe)
+    finished = False
+    try:
+        for w in range(n_workers):
+            reader, writer = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_run_worker, name=f"nlmarkov-runs-{w}", daemon=True,
+                args=(writer, spec, runs, w, n_workers, n_particles, step_size, plan),
+            )
+            workers.append((process, reader))
+            process.start()
+            # closed before the next fork, so only worker w holds it and
+            # its exit shows as end-of-file
+            writer.close()
+        open_readers = [reader for _, reader in workers]
+        partial = {}  # run index -> its snapshots received so far
+        received = {}  # run index -> its snapshots, or the exception it raised
+        for i in range(len(runs)):
+            process, owner = workers[i % n_workers]
+            while i not in received:
+                if owner not in open_readers:
+                    process.join()
+                    raise RuntimeError(
+                        f"particle run {i}: worker process exited with code "
+                        f"{process.exitcode} without reporting it")
+                for reader in wait(open_readers):
+                    try:
+                        j, item = pickle.loads(reader.recv_bytes())
+                    except EOFError:
+                        open_readers.remove(reader)
+                    else:
+                        if isinstance(item, ParticleEnsemble):
+                            partial.setdefault(j, []).append(item)
+                        else:
+                            received[j] = partial.pop(j) if item is None else item
+            result = received.pop(i)
+            if isinstance(result, BaseException):
+                raise result
+            yield result
+        finished = True
+    finally:
+        for process, reader in workers:
+            if process.pid is not None:  # None if interrupted before it started
+                if not finished:
+                    process.terminate()
+                process.join()
+                process.close()
+            reader.close()
+
+
+def _run_worker(writer, spec, runs, first, stride, n_particles, step_size, plan):
+    """Worker body: runs first, first + stride, ... in order, and stops
+    at the first failure.  Each message is one pickle: (i, snapshot) for
+    each snapshot of run i in time order, then (i, None) when run i is
+    done, or (i, exception) when it failed.  One message per snapshot
+    keeps the caller's allocations the size of a snapshot, as they are
+    when the runs go in order in one process.  Ctrl-C reaches the
+    parent, which terminates the workers."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for i in range(first, len(runs), stride):
+        sampler, seed = runs[i]
+        try:
+            snapshots = _euler(spec, sampler, n_particles, step_size, seed, plan,
+                               _NoiseInline)
+        except BaseException as exc:
+            writer.send_bytes(_pickled_failure(i, exc))
+            return
+        for snapshot in snapshots:
+            writer.send_bytes(pickle.dumps((i, snapshot), protocol=5))
+        writer.send_bytes(pickle.dumps((i, None)))
+
+
+def _pickled_failure(i: int, exc: BaseException) -> bytes:
+    try:
+        payload = pickle.dumps((i, exc), protocol=5)
+        pickle.loads(payload)
+    except Exception:
+        payload = pickle.dumps((i, RuntimeError(f"{type(exc).__name__}: {exc}")))
+    return payload
 
 
 # ---------------------------------------------------------------------------

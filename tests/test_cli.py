@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end: exit codes, output
 files, config precedence, and byte-identical reruns."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import nlmarkov
+from nlmarkov import cli
 from nlmarkov.cli import main
+from nlmarkov.mckean_vlasov import DriftBoundError
 
 
 def read_json(path):
@@ -72,6 +75,25 @@ class TestChain:
         assert main(["chain", "--kernel", "custom", "--kernel-file", str(kfile),
                      "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_kernel_file_is_named_by_basename_and_digest(self, tmp_path):
+        # the same spec read from two directories gives the same report
+        text = json.dumps({"space_size": 2, "entries": [["0.7", "0.3"], ["0.4", "0.6"]]})
+        reports = []
+        for place in ("one", "two/deeper"):
+            kfile = tmp_path / place / "kernel.json"
+            kfile.parent.mkdir(parents=True)
+            kfile.write_text(text)
+            out = tmp_path / place / "run"
+            assert main(["chain", "--kernel", "custom", "--kernel-file", str(kfile),
+                         "--steps", "20", "--out", str(out)]) == 0
+            assert read_json(out / "resolved_config.json")["kernel-file"] == str(kfile)
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["parameters"]["kernel-file"] == {
+            "name": "kernel.json",
+            "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        }
 
     def test_unreadable_kernel_file_is_usage_error(self, tmp_path, capsys):
         for path in (tmp_path / "nosuch.json", tmp_path):
@@ -223,6 +245,23 @@ class TestSmve:
         rep = read_json(out / "report.json")
         assert rep["claims"][0]["witness"]["gamma_hat"] < 1.0
 
+    def test_blow_up_exits_three_with_one_error_line(self, tmp_path, capsys):
+        # the first calibration run blows up (in a worker process where
+        # there are two CPUs); its message reaches the error line intact
+        assert main(["smve", "decay", "--preset", "ou", "--h", "5",
+                     "--horizon", "5000", "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error:")] == [
+            "error: ou: non-finite position at step 512"]
+
+    def test_drift_bound_error_exits_three(self, tmp_path, capsys, monkeypatch):
+        def exceeded(*args, **kwargs):
+            raise DriftBoundError("vh: |b2| = 5 exceeds D = 1")
+
+        monkeypatch.setattr(cli, "simulate", exceeded)
+        assert main(["smve", "simulate", "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err == "error: vh: |b2| = 5 exceeds D = 1\n"
+
     def test_usage_errors(self, tmp_path):
         out = str(tmp_path / "x")
         assert main(["smve", "simulate", "--mu0", "bogus", "--out", out]) == 2
@@ -280,6 +319,16 @@ def test_cli_import_does_not_load_concurrent_futures():
     # concurrent.futures would add about 8 ms to every CLI start
     src = str(Path(nlmarkov.__file__).resolve().parents[1])
     code = "import sys, nlmarkov.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    # simulate_runs imports multiprocessing when it first forks workers
+    src = str(Path(nlmarkov.__file__).resolve().parents[1])
+    code = "import sys, nlmarkov.cli; print('multiprocessing' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})

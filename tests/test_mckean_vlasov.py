@@ -2,7 +2,11 @@
 simulation determinism, and the perturbation threshold."""
 
 import math
+import multiprocessing
+import os
+import signal
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -27,6 +31,7 @@ from nlmarkov.mckean_vlasov import (
     point_mass_sampler,
     radial_confinement_drift,
     simulate,
+    simulate_runs,
     two_point_mixture_sampler,
     verify_vh,
 )
@@ -435,6 +440,272 @@ def _plain(state):
     if isinstance(state, dict):
         return {k: _plain(v) for k, v in state.items()}
     return np.asarray(state).tolist()
+
+
+# ---------------------------------------------------------------------------
+# Independent runs in worker processes.
+
+TWO_CPUS = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="worker processes need two usable CPUs")
+
+
+class _Hang(Exception):
+    pass
+
+
+@pytest.fixture
+def no_leftovers():
+    """Fails the test if it leaves a worker process or a thread behind,
+    and fails it, instead of hanging, after 60 s."""
+    threads = threading.active_count()
+
+    def expire(signum, frame):
+        raise _Hang("simulate_runs did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+def _same_runs(got, want):
+    assert len(got) == len(want)
+    for run, ref in zip(got, want):
+        assert len(run) == len(ref)
+        for ens, expected in zip(run, ref):
+            assert ens.positions.tobytes() == expected.positions.tobytes()
+            assert ens.positions.shape == expected.positions.shape
+            assert not ens.positions.flags.writeable
+            assert (ens.time, ens.step_size, ens.seed, ens.stream_offset) == (
+                expected.time, expected.step_size, expected.seed,
+                expected.stream_offset)
+
+
+def _sequential(spec, runs, n, h, horizon, times):
+    return [simulate(spec, sampler, n, h, horizon, seed, times) for sampler, seed in runs]
+
+
+def _sampler(name, d):
+    if name == "point":
+        return point_mass_sampler([0.5] * d)
+    if name == "gauss":
+        return gaussian_sampler([0.3] * d, 1.0)
+    return two_point_mixture_sampler([-1.0] * d, [2.0] * d, 0.4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    model=st.sampled_from([("ou", 1), ("vh", 1), ("vh", 2)]),
+    runs=st.lists(st.tuples(st.sampled_from(["point", "gauss", "mix"]), st.integers(0, 3)),
+                  min_size=1, max_size=5),
+    n=st.sampled_from([100, 1_000]),
+    steps=st.integers(1, 30),
+)
+@example(model=("vh", 2), runs=[("gauss", 1), ("gauss", 1), ("mix", 0)], n=1_000, steps=7)
+@example(model=("ou", 1), runs=[("point", 2)], n=100, steps=1)
+def test_simulate_runs_matches_simulate(model, runs, n, steps):
+    threads = threading.active_count()
+    spec, _ = _model(*model)
+    d = spec.dimension
+    h = 0.05
+    horizon = steps * h
+    times = [0.0, (steps // 2) * h, horizon]
+    pairs = [(_sampler(name, d), seed) for name, seed in runs]
+    got = list(simulate_runs(spec, pairs, n, h, horizon, times))
+    _same_runs(got, _sequential(spec, pairs, n, h, horizon, times))
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+def _two_runs():
+    return make_vh_spec(), [(gaussian_sampler(0.0, 1.0), 4), (point_mass_sampler(1.0), 5)]
+
+
+@TWO_CPUS
+def test_runs_go_to_worker_processes(monkeypatch, no_leftovers):
+    spec, runs = _two_runs()
+    want = _sequential(spec, runs, 1_000, 0.01, 0.2, None)
+
+    def in_process(*args, **kwargs):
+        raise AssertionError("a run went through simulate in this process")
+
+    monkeypatch.setattr(mckean_vlasov, "simulate", in_process)
+    _same_runs(list(simulate_runs(spec, runs, 1_000, 0.01, 0.2)), want)
+
+
+def _counting_simulate(monkeypatch):
+    calls = []
+    real = mckean_vlasov.simulate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mckean_vlasov, "simulate", counted)
+    return calls
+
+
+def test_one_cpu_runs_in_order_in_process(monkeypatch, no_leftovers):
+    spec, runs = _two_runs()
+    want = _sequential(spec, runs, 1_000, 0.01, 0.2, [0.1, 0.2])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    calls = _counting_simulate(monkeypatch)
+    _same_runs(list(simulate_runs(spec, runs, 1_000, 0.01, 0.2, [0.1, 0.2])), want)
+    assert len(calls) == 2
+
+
+def test_live_threads_keep_the_runs_in_process(monkeypatch):
+    spec, runs = _two_runs()
+    want = _sequential(spec, runs, 1_000, 0.01, 0.2, None)
+    calls = _counting_simulate(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        got = list(simulate_runs(spec, runs, 1_000, 0.01, 0.2))
+    finally:
+        release.set()
+        other.join()
+    _same_runs(got, want)
+    assert len(calls) == 2
+    assert multiprocessing.active_children() == []
+
+
+def test_bad_arguments_raise_before_any_run(no_leftovers):
+    spec, runs = _two_runs()
+    for kwargs in (dict(n_particles=50), dict(step_size=0.0),
+                   dict(horizon=0.001), dict(snapshot_times=[2.0])):
+        args = dict(n_particles=100, step_size=0.01, horizon=1.0) | kwargs
+        with pytest.raises(ValueError):
+            simulate_runs(spec, runs, **args)
+    assert list(simulate_runs(spec, [], 100, 0.01, 1.0)) == []
+
+
+def _late_blow_up_spec():
+    # about 75 steps of 2 ms from 1e250 to overflow
+    def b1(x):
+        time.sleep(0.002)
+        return 50.0 * x
+
+    return SMVESpec(1, b1, None, 0.0, 0.0, 0.0, "late")
+
+
+def _fails_at_once(rng, n, d):
+    raise ValueError("no initial sample")
+
+
+def test_first_failing_run_in_list_order_wins(no_leftovers):
+    # run 0 blows up late; run 1 fails at once; run 2 would pass
+    spec = _late_blow_up_spec()
+    runs = [(point_mass_sampler(1e250), 1), (_fails_at_once, 2),
+            (point_mass_sampler(0.0), 3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(SimulationBlowUp) as want:
+            _sequential(spec, runs, 100, 0.1, 20.0, None)
+        results = simulate_runs(spec, runs, 100, 0.1, 20.0)
+        with pytest.raises(SimulationBlowUp) as got:
+            next(results)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("late: non-finite position at step ")
+
+
+def test_runs_before_the_failure_are_yielded(no_leftovers):
+    spec = make_ou_spec()
+    runs = [(point_mass_sampler(0.0), 1), (_fails_at_once, 2), (point_mass_sampler(0.0), 3)]
+    results = simulate_runs(spec, runs, 100, 0.01, 0.5)
+    _same_runs([next(results)], _sequential(spec, runs[:1], 100, 0.01, 0.5, None))
+    with pytest.raises(ValueError, match="^no initial sample$"):
+        next(results)
+
+
+def test_worker_failure_keeps_its_type_and_message(no_leftovers):
+    bad = SMVESpec(dimension=1, b1=lambda x: -x,
+                   b2=lambda x, law: np.full_like(x, 5.0),
+                   epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
+    runs = [(point_mass_sampler(0.0), 1), (point_mass_sampler(0.0), 2)]
+    with pytest.raises(DriftBoundError, match=r"^smve: \|b2\| = 5 exceeds D = 1$"):
+        list(simulate_runs(bad, runs, 100, 0.01, 0.1))
+
+
+@TWO_CPUS
+def test_unpicklable_failure_becomes_a_runtime_error(no_leftovers):
+    class LocalError(Exception):
+        pass
+
+    def sampler(rng, n, d):
+        raise LocalError("cannot cross a pipe")
+
+    runs = [(sampler, 1), (point_mass_sampler(0.0), 2)]
+    with pytest.raises(RuntimeError, match="^LocalError: cannot cross a pipe$"):
+        list(simulate_runs(make_ou_spec(), runs, 100, 0.01, 0.1))
+
+
+@TWO_CPUS
+def test_killed_worker_raises_instead_of_hanging(no_leftovers):
+    # the last worker started dies in its first run's sampler
+    parent = os.getpid()
+
+    def killed_in_worker(rng, n, d):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return np.zeros((n, d))
+
+    spec = make_ou_spec()
+    runs = [(point_mass_sampler(0.0), 1), (killed_in_worker, 2), (point_mass_sampler(0.0), 3)]
+    results = simulate_runs(spec, runs, 100, 0.01, 0.1)
+    _same_runs([next(results)], _sequential(spec, runs[:1], 100, 0.01, 0.1, None))
+    with pytest.raises(RuntimeError, match=r"^particle run 1: worker process exited "
+                                           r"with code -9 without reporting it$"):
+        next(results)
+
+
+def _slow_far_out_spec():
+    # Brownian particles; a step takes 5 ms while their mean is above 500
+    def b1(x):
+        if x.mean() > 500:
+            time.sleep(0.005)
+        return np.zeros_like(x)
+
+    return SMVESpec(1, b1, None, 0.0, 0.0, 0.0, "slow")
+
+
+# runs 1 and 2 take 10 s each, runs 0 and 3 a few milliseconds
+_FAST_AND_SLOW = [(point_mass_sampler(0.0), 1), (point_mass_sampler(1000.0), 2),
+                  (point_mass_sampler(1000.0), 3), (point_mass_sampler(0.0), 4)]
+
+
+def test_consumer_that_stops_early_leaves_no_worker(no_leftovers):
+    results = simulate_runs(_slow_far_out_spec(), _FAST_AND_SLOW, 100, 0.01, 20.0)
+    next(results)
+    start = time.perf_counter()
+    results.close()
+    # the workers were terminated, not waited for
+    assert time.perf_counter() - start < 5.0
+    # and one that never starts
+    simulate_runs(_slow_far_out_spec(), _FAST_AND_SLOW, 100, 0.01, 20.0).close()
+
+
+def test_interrupt_while_waiting_leaves_no_worker(no_leftovers):
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.perf_counter()
+    signal.setitimer(signal.ITIMER_REAL, 0.3)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            list(simulate_runs(_slow_far_out_spec(), _FAST_AND_SLOW, 100, 0.01, 20.0))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 5.0
 
 
 class TestEpsilonZero:
