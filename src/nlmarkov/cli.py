@@ -22,9 +22,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .diagnostics import (
     lyapunov_diagnostic,
 )
 from .ergodicity import check_rate, evolve
-from .kernel_spec import KernelSpecError, load_kernel_spec
+from .kernel_spec import compile_kernel_spec
 from .kernels import (
     KernelValidationError,
     MeasureGrid,
@@ -51,6 +53,7 @@ from .kernels import (
     certify,
     continuum_kernel,
     default_resolution,
+    largest_resolution,
     markov_example_kernel,
     mixture_kernel,
     no_invariant_kernel,
@@ -74,50 +77,130 @@ from .mckean_vlasov import (
 from .reporting import Claim, report_document, write_csv, write_json_report
 
 
-class UsageError(Exception):
-    pass
+class Option(NamedTuple):
+    """One command-line option.  Its default also fixes its type; with
+    ``choices``, flag and config values must be one of them."""
+
+    default: object
+    help: str | None = None
+    choices: tuple | None = None
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("NLMARKOV_OUT") or "nlmarkov-out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+# The base chains of ``chain --kernel mixture``, by ``--space``.
+_MIXTURE_BASES = {2: np.array([[0.7, 0.3], [0.4, 0.6]]), 5: birth_death_jitter_matrix()}
+
+# The stock kernels of ``chain --kernel``, built from the resolved options.
+_KERNELS = {
+    "oscillating": lambda c: oscillating_kernel(c["gamma"]),
+    "continuum": lambda c: continuum_kernel(c["alpha"], c["lam"]),
+    "markov-example": lambda c: markov_example_kernel(),
+    "mixture": lambda c: mixture_kernel(_MIXTURE_BASES[c["space"]], c["mix-lam"]),
+    "no-invariant": lambda c: no_invariant_kernel(c["alpha"], c["lam"], c["truncation"]),
+}
+
+# Every option of every command, declared once: in this order they
+# become the command's flags and the keys of resolved_config.json.
+OPTIONS = {
+    "chain": {
+        "kernel": Option("markov-example", choices=(*_KERNELS, "custom")),
+        "gamma": Option(0.5),
+        "alpha": Option(0.2),
+        "lam": Option(0.8, "measure sensitivity parameter"),
+        "mix-lam": Option(0.2),
+        "space": Option(2, choices=tuple(_MIXTURE_BASES)),
+        "truncation": Option(50),
+        "kernel-file": Option(""),
+        "mu0": Option("", "comma-separated initial weights"),
+        "steps": Option(200),
+        "resolution": Option(0),
+    },
+    "counterexample": {
+        "gamma": Option(0.5),
+        "a": Option(0.3),
+        "alpha": Option(0.2),
+        "lam": Option(0.8),
+        "steps": Option(50),
+        "n-max": Option(50),
+    },
+    "smve": {
+        "preset": Option("vh", choices=("ou", "vh")),
+        "r": Option(1.0),
+        "m-ball": Option(1.0),
+        "d-bound": Option(1.0),
+        "epsilon": Option(0.05),
+        "n": Option(10_000),
+        "h": Option(0.01),
+        "horizon": Option(20.0),
+        "times": Option("", "comma-separated snapshot times"),
+        "seed": Option(7),
+        "bins": Option(200),
+        "bin-lo": Option(-10.0),
+        "bin-hi": Option(10.0),
+        "mu0": Option("point:0", "point:x | gauss:mean,std | mix:x0,x1,w0"),
+        "nu0": Option("gauss:2,1", "same mini-language as --mu0"),
+        "tv0": Option(0.2),
+        "noise-floor": Option(-1.0),
+        "allowance": Option(-1.0),
+        "calibration-pairs": Option(5),
+        "radius": Option(1.0),
+        "t": Option(1.0),
+        "n-sims": Option(100_000),
+        "x-grid": Option(""),
+        "lag": Option(1.0),
+    },
+}
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise UsageError("config file must hold a JSON object")
-    return doc
-
-
-def _merge(defaults: dict, config: dict, args, keys) -> dict:
-    """Defaults, overridden by config file entries, overridden by flags
-    given on the command line.  A config value for a numeric field must
-    have its default's type (a float field also takes an int; a bool is
-    never a number); it is kept as given, not coerced."""
-    resolved = dict(defaults)
+def _resolve(args) -> dict:
+    """The command's options: defaults, overridden by --config file
+    entries, overridden by flags given on the command line.  A config
+    value must have its option's type (a float field also takes an
+    int; a bool is never a number) and be one of its choices; it is
+    kept as given, not coerced."""
+    options, config = OPTIONS[args.command], {}
+    if args.config:
+        try:
+            config = json.loads(Path(args.config).read_text())
+        except OSError as exc:
+            raise ValueError(f"cannot read config file: {exc}")
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file is not valid JSON: {exc}")
+        if not isinstance(config, dict):
+            raise ValueError("config file must hold a JSON object")
     for k, v in config.items():
-        if k not in defaults:
-            raise UsageError(f"unknown config field {k!r}")
-        kind = type(defaults[k])
+        if k not in options:
+            raise ValueError(f"unknown config field {k!r}")
+        kind, choices = type(options[k].default), options[k].choices
         if kind in (int, float) and type(v) not in (int, kind):
-            raise UsageError(
+            raise ValueError(
                 f"config field {k!r} must be {kind.__name__}, got {v!r}")
+        if choices and v not in choices:
+            raise ValueError(f"config field {k!r} must be one of "
+                             f"{', '.join(map(str, choices))}; got {v!r}")
+    resolved = {k: option.default for k, option in options.items()}
     resolved.update(config)
-    for k in keys:
-        v = getattr(args, k.replace("-", "_"), None)
+    for k in options:
+        v = getattr(args, k.replace("-", "_"))
         if v is not None:
             resolved[k] = v
     return resolved
+
+
+def _begin(args, command: str, resolved: dict) -> Path:
+    """Create the output directory and write resolved_config.json."""
+    out = Path(args.out or os.environ.get("NLMARKOV_OUT") or "nlmarkov-out")
+    out.mkdir(parents=True, exist_ok=True)
+    write_json_report(out / "resolved_config.json", {"command": command, **resolved})
+    return out
+
+
+def _finish(out: Path, doc: dict, line: str, file=None) -> int:
+    """Every run ends here: write report.json, print the run's one line
+    (to stdout unless ``file`` is given) and return 0 if every claim
+    passed, else 1."""
+    write_json_report(out / "report.json", doc)
+    print(line, file=file)
+    return 0 if doc["passed"] else 1
 
 
 def _floats(value, field: str) -> list:
@@ -125,11 +208,11 @@ def _floats(value, field: str) -> list:
         try:
             return [float(v) for v in value]
         except (TypeError, ValueError):
-            raise UsageError(f"{field} must hold numbers, got {value!r}")
+            raise ValueError(f"{field} must hold numbers, got {value!r}")
     try:
         return [float(tok) for tok in str(value).split(",") if tok != ""]
     except ValueError:
-        raise UsageError(f"{field} must be comma-separated numbers, got {value!r}")
+        raise ValueError(f"{field} must be comma-separated numbers, got {value!r}")
 
 
 def _sampler(desc, field: str):
@@ -147,8 +230,8 @@ def _sampler(desc, field: str):
         if kind == "mix" and len(vals) == 3:
             return two_point_mixture_sampler(vals[0], vals[1], vals[2])
     except ValueError as exc:
-        raise UsageError(f"{field}: {exc}")
-    raise UsageError(
+        raise ValueError(f"{field}: {exc}")
+    raise ValueError(
         f"{field} must be point:x, gauss:mean,std or mix:x0,x1,w0; got {text!r}"
     )
 
@@ -157,85 +240,55 @@ def _sampler(desc, field: str):
 # chain
 
 
-_STOCK_Q5 = birth_death_jitter_matrix()
+# The largest (G, n, n) float64 stack of kernel matrices a chain run
+# may build: validation evaluates the kernel on the whole grid at once.
+GRID_BUDGET_BYTES = 2**30
 
 
-def _build_kernel(resolved: dict, spec_text: str | None):
-    kind = resolved["kernel"]
-    if kind == "oscillating":
-        return oscillating_kernel(resolved["gamma"])
-    if kind == "continuum":
-        return continuum_kernel(resolved["alpha"], resolved["lam"])
-    if kind == "markov-example":
-        return markov_example_kernel()
-    if kind == "mixture":
-        q = np.array([[0.7, 0.3], [0.4, 0.6]]) if resolved["space"] == 2 else _STOCK_Q5
-        return mixture_kernel(q, resolved["mix-lam"])
-    if kind == "no-invariant":
-        return no_invariant_kernel(
-            resolved["alpha"], resolved["lam"], resolved["truncation"]
-        )
-    if kind == "custom":
-        if spec_text is None:
-            raise UsageError("kernel custom requires --kernel-file")
-        return load_kernel_spec(spec_text)
-    raise UsageError(f"unknown kernel {kind!r}")
-
-
-def _run_chain(args) -> int:
-    defaults = {
-        "kernel": "markov-example",
-        "gamma": 0.5,
-        "alpha": 0.2,
-        "lam": 0.8,
-        "mix-lam": 0.2,
-        "space": 2,
-        "truncation": 50,
-        "kernel-file": "",
-        "mu0": "",
-        "steps": 200,
-        "resolution": 0,
-    }
-    resolved = _merge(defaults, _load_config(args.config), args,
-                      ["kernel", "gamma", "alpha", "lam", "mix-lam", "space",
-                       "truncation", "kernel-file", "mu0", "steps",
-                       "resolution"])
+def _run_chain(args, resolved: dict) -> int:
     if resolved["steps"] < 1:
-        raise UsageError("steps must be positive")
-    if resolved["space"] not in (2, 5):
-        raise UsageError("space must be 2 or 5")
+        raise ValueError("steps must be positive")
+    if resolved["resolution"] < 0:
+        raise ValueError("resolution must be positive, or 0 for the default")
 
     # The report names a kernel file by its basename and the sha256 of
     # its bytes, so it does not depend on where the file lives;
     # resolved_config.json keeps the path as given.
-    spec_text = provenance = None
-    if resolved["kernel"] == "custom" and resolved["kernel-file"]:
+    provenance = None
+    if resolved["kernel"] != "custom":
+        kernel = _KERNELS[resolved["kernel"]](resolved)
+    elif not resolved["kernel-file"]:
+        raise ValueError("kernel custom requires --kernel-file")
+    else:
         path = Path(resolved["kernel-file"])
         try:
             raw = path.read_bytes()
         except OSError as exc:
-            raise UsageError(f"cannot read kernel file: {exc}")
-        spec_text = raw.decode("utf-8")
+            raise ValueError(f"cannot read kernel file: {exc}")
         provenance = {"name": path.name, "sha256": hashlib.sha256(raw).hexdigest()}
-    try:
-        kernel = _build_kernel(resolved, spec_text)
-    except (ValueError, KernelSpecError) as exc:
-        raise UsageError(str(exc))
+        kernel = compile_kernel_spec(raw.decode("utf-8"))
 
-    resolution = resolved["resolution"] or default_resolution(kernel.space_size)
+    n = kernel.space_size
+    resolution = resolved["resolution"] or default_resolution(n)
+    size = math.comb(resolution + n - 1, n - 1)
+    if size * n * n * 8 > GRID_BUDGET_BYTES:
+        fits = largest_resolution(n, GRID_BUDGET_BYTES // (8 * n * n))
+        raise ValueError(
+            f"resolution {resolution} gives {size} grid measures, whose ({size}, {n}, "
+            f"{n}) matrix stack exceeds the {GRID_BUDGET_BYTES >> 30} GiB budget; "
+            f"the largest resolution that fits is {fits}")
     resolved["resolution"] = resolution
-    out = _out_dir(args)
-    write_json_report(out / "resolved_config.json",
-                      {"command": "chain", **resolved})
-
-    grid = MeasureGrid(kernel.space_size, resolution)
+    grid = MeasureGrid(n, resolution)
+    # A custom kernel is validated here only, on the chain's own grid; a
+    # failure is a usage error, as KernelValidationError is a ValueError.
     try:
         validation = validate(kernel, grid)
     except KernelValidationError as exc:
         if resolved["kernel"] == "custom":
-            raise UsageError(str(exc))
+            raise
         print(f"kernel validation failed: {exc}", file=sys.stderr)
         return 1
+    out = _begin(args, "chain", resolved)
 
     cert = certify(kernel, grid)
     mu0 = (
@@ -244,9 +297,9 @@ def _run_chain(args) -> int:
         else DiscreteMeasure.uniform(kernel.space_size)
     )
     if mu0.size != kernel.space_size:
-        raise UsageError("mu0 length does not match the kernel state space")
+        raise ValueError("mu0 length does not match the kernel state space")
 
-    traj = evolve(kernel, mu0, int(resolved["steps"]))
+    traj = evolve(kernel, mu0, resolved["steps"])
     write_csv(
         out / "trajectory.csv",
         ["n", *[f"p{i + 1}" for i in range(kernel.space_size)], "step_tv"],
@@ -257,10 +310,9 @@ def _run_chain(args) -> int:
     claims = [
         Claim("kernel rows are stochastic on the grid", True, validation),
     ]
-    exit_code = 0
     details = {"certificate": cert.to_dict()}
     if cert.regime in ("fast", "slow"):
-        rate = check_rate(kernel, cert, mu0, int(resolved["steps"]))
+        rate = check_rate(kernel, cert, mu0, resolved["steps"])
         write_csv(out / "rate.csv", ["n", "measured", "bound", "margin"],
                   rate.csv_rows(), "rate-report")
         write_json_report(out / "rate_report.json", rate.to_dict())
@@ -271,241 +323,169 @@ def _run_chain(args) -> int:
                 {"violations": len(rate.violations), "falsified": rate.falsified},
             )
         )
-        if not rate.passed:
-            exit_code = 1
     parameters = {**resolved, "kernel-file": provenance} if provenance else resolved
-    doc = report_document("chain", parameters, claims, details)
-    write_json_report(out / "report.json", doc)
-    print(f"regime: {cert.regime} (alpha_hat={cert.alpha_hat:.6g}, "
-          f"lambda_hat={cert.lambda_hat:.6g}) -> {out}")
-    return exit_code
+    return _finish(out, report_document("chain", parameters, claims, details),
+                   f"regime: {cert.regime} (alpha_hat={cert.alpha_hat:.6g}, "
+                   f"lambda_hat={cert.lambda_hat:.6g}) -> {out}")
 
 
 # ---------------------------------------------------------------------------
 # counterexample
 
+# Tables hold no library function: each is called by its module-global
+# name, so a benchmark span or a test double that replaces it is seen.
+_REPLAYS = {
+    "oscillation": lambda c: verify_oscillation(c["gamma"], c["a"], c["steps"]),
+    "continuum": lambda c: verify_continuum(c["alpha"], c["lam"], n_steps=c["steps"]),
+    "no-invariant": lambda c: verify_no_invariant_recursion(
+        c["alpha"], c["lam"], c["n-max"]),
+}
 
-def _run_counterexample(args) -> int:
-    defaults = {
-        "gamma": 0.5,
-        "a": 0.3,
-        "alpha": 0.2,
-        "lam": 0.8,
-        "steps": 50,
-        "n-max": 50,
-    }
-    resolved = _merge(defaults, _load_config(args.config), args,
-                      ["gamma", "a", "alpha", "lam", "steps", "n-max"])
+
+def _run_counterexample(args, resolved: dict) -> int:
     kind = args.which
-    out = _out_dir(args)
-    write_json_report(out / "resolved_config.json",
-                      {"command": f"counterexample/{kind}", **resolved})
-    try:
-        if kind == "oscillation":
-            report = verify_oscillation(
-                resolved["gamma"], resolved["a"], int(resolved["steps"])
-            )
-        elif kind == "continuum":
-            report = verify_continuum(
-                resolved["alpha"], resolved["lam"], n_steps=int(resolved["steps"])
-            )
-        else:
-            report = verify_no_invariant_recursion(
-                resolved["alpha"], resolved["lam"], int(resolved["n-max"])
-            )
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    write_json_report(out / "report.json", report.to_document())
+    out = _begin(args, f"counterexample/{kind}", resolved)
+    report = _REPLAYS[kind](resolved)
     status = "reproduced" if report.passed else "FALSIFIED"
-    print(f"counterexample {kind}: {status} -> {out}")
-    return 0 if report.passed else 1
+    return _finish(out, report.to_document(), f"counterexample {kind}: {status} -> {out}")
 
 
 # ---------------------------------------------------------------------------
 # smve
 
 
-def _smve_spec(resolved: dict):
-    if resolved["preset"] == "ou":
-        return make_ou_spec()
-    if resolved["preset"] == "vh":
-        return make_vh_spec(
-            r=resolved["r"],
-            M=resolved["m-ball"],
-            D=resolved["d-bound"],
-            epsilon=resolved["epsilon"],
-        )
-    raise UsageError(f"unknown preset {resolved['preset']!r}")
+def _run_smve(args, c: dict) -> int:
+    if c["h"] <= 0:
+        raise ValueError("h must be positive")
+    if c["n"] < 100:
+        raise ValueError("n must be at least 100")
+    if c["epsilon"] < 0:
+        raise ValueError("epsilon must be nonnegative")
+    out = _begin(args, f"smve/{args.action}", c)
+    binning = Binning(c["bin-lo"], c["bin-hi"], c["bins"])
+    spec = make_ou_spec() if c["preset"] == "ou" else make_vh_spec(
+        r=c["r"], M=c["m-ball"], D=c["d-bound"], epsilon=c["epsilon"])
+    times = _floats(c["times"], "times") if c["times"] else None
+    return _SMVE_RUNNERS[args.action](c, out, spec, binning, float(c["h"]),
+                                      float(c["horizon"]), times)
 
 
-def _run_smve(args) -> int:
-    defaults = {
-        "preset": "vh",
-        "r": 1.0,
-        "m-ball": 1.0,
-        "d-bound": 1.0,
-        "epsilon": 0.05,
-        "n": 10_000,
-        "h": 0.01,
-        "horizon": 20.0,
-        "times": "",
-        "seed": 7,
-        "bins": 200,
-        "bin-lo": -10.0,
-        "bin-hi": 10.0,
-        "mu0": "point:0",
-        "nu0": "gauss:2,1",
-        "tv0": 0.2,
-        "noise-floor": -1.0,
-        "allowance": -1.0,
-        "calibration-pairs": 5,
-        "radius": 1.0,
-        "t": 1.0,
-        "n-sims": 100_000,
-        "x-grid": "",
-        "lag": 1.0,
-    }
-    resolved = _merge(defaults, _load_config(args.config), args, list(defaults))
-    action = args.action
-    if resolved["h"] <= 0:
-        raise UsageError("h must be positive")
-    if resolved["n"] < 100:
-        raise UsageError("n must be at least 100")
-    if resolved["epsilon"] < 0:
-        raise UsageError("epsilon must be nonnegative")
+def _smve_simulate(c: dict, out: Path, spec, binning, h, horizon, times) -> int:
+    snaps = simulate(spec, _sampler(c["mu0"], "mu0"), c["n"], h, horizon, c["seed"],
+                     times or [0.0, horizon])
+    rows = []
+    for s in snaps:
+        x = s.positions[:, 0]
+        rows.append((s.time, float(x.mean()), float(x.var(ddof=1)),
+                     float(x.min()), float(x.max())))
+    write_csv(out / "snapshots.csv",
+              ["time", "mean", "variance", "min", "max"], rows, "snapshots")
+    doc = report_document("smve/simulate", c,
+                          [Claim("run completed without blow-up", True,
+                                 {"snapshots": len(snaps)})])
+    return _finish(out, doc, f"simulated {c['n']} particles to t={horizon:g} -> {out}")
 
-    out = _out_dir(args)
-    write_json_report(out / "resolved_config.json",
-                      {"command": f"smve/{action}", **resolved})
 
-    binning = Binning(resolved["bin-lo"], resolved["bin-hi"], int(resolved["bins"]))
-    spec = _smve_spec(resolved)
-    seed = int(resolved["seed"])
-    n, h, horizon = int(resolved["n"]), float(resolved["h"]), float(resolved["horizon"])
-    times = _floats(resolved["times"], "times") if resolved["times"] else None
+def _calibrated(c: dict, key: str, spec, mu, times, h, binning) -> float:
+    """``c[key]``, or the calibrated noise floor of ``mu`` if negative."""
+    if c[key] >= 0:
+        return c[key]
+    return calibrate_tv_allowance(spec, mu, times, c["n"], h, c["seed"] + 1000,
+                                  binning, n_pairs=c["calibration-pairs"])
 
-    if action == "simulate":
-        snaps = simulate(spec, _sampler(resolved["mu0"], "mu0"), n, h, horizon,
-                         seed, times or [0.0, horizon])
-        rows = []
-        for s in snaps:
-            x = s.positions[:, 0]
-            rows.append((s.time, float(x.mean()), float(x.var(ddof=1)),
-                         float(x.min()), float(x.max())))
-        write_csv(out / "snapshots.csv",
-                  ["time", "mean", "variance", "min", "max"], rows, "snapshots")
-        doc = report_document("smve/simulate", resolved,
-                              [Claim("run completed without blow-up", True,
-                                     {"snapshots": len(snaps)})])
-        write_json_report(out / "report.json", doc)
-        print(f"simulated {n} particles to t={horizon:g} -> {out}")
-        return 0
 
-    if action == "decay":
-        times = times or np.linspace(0.0, horizon, 21).tolist()
-        mu = _sampler(resolved["mu0"], "mu0")
-        nu = _sampler(resolved["nu0"], "nu0")
-        floor = resolved["noise-floor"]
-        if floor < 0:
-            floor = calibrate_tv_allowance(
-                spec, mu, times, n, h, seed + 1000, binning,
-                n_pairs=int(resolved["calibration-pairs"]))
-        run_a, run_b = simulate_runs(spec, [(mu, seed), (nu, seed + 1)], n, h,
-                                     horizon, times)
-        try:
-            fit = fit_decay(run_a, run_b, binning, floor)
-        except DecayFitError as exc:
-            doc = report_document(
-                "smve/decay", resolved,
-                [Claim("enough distance points above the noise floor", False,
-                       {"usable": exc.usable, "noise_floor": floor,
-                        "tv_values": exc.tv_values})])
-            write_json_report(out / "report.json", doc)
-            print(f"decay fit rejected: {exc}", file=sys.stderr)
-            return 1
-        claims = [
-            Claim("fitted decay rate is positive", fit.theta > 0,
-                  {"theta": fit.theta}),
-            Claim("decay rate is positive at the 95 percent level",
-                  fit.theta_lower > 0,
-                  {"theta_lower": fit.theta_lower, "theta_upper": fit.theta_upper}),
-        ]
-        doc = report_document("smve/decay", resolved, claims,
-                              {"fit": fit.to_dict(), "noise_floor": floor})
-        write_json_report(out / "report.json", doc)
-        write_csv(out / "decay.csv", ["time", "tv"],
-                  zip(fit.times, fit.tv_values), "decay")
-        ok = all(c.passed for c in claims)
-        print(f"theta = {fit.theta:.6g} [{fit.theta_lower:.6g}, "
-              f"{fit.theta_upper:.6g}] -> {out}")
-        return 0 if ok else 1
-
-    if action == "girsanov-check":
-        times = times or [0.5, 1.0, 2.0]
-        mu = _sampler(resolved["mu0"], "mu0")
-        nu = _sampler(resolved["nu0"], "nu0")
-        allowance = resolved["allowance"]
-        if allowance < 0:
-            allowance = calibrate_tv_allowance(
-                spec, mu, times, n, h, seed + 1000, binning,
-                n_pairs=int(resolved["calibration-pairs"]))
-        report = girsanov_bound_check(
-            spec, mu, nu, resolved["tv0"], times, n, h, seed, binning, allowance)
+def _smve_decay(c: dict, out: Path, spec, binning, h, horizon, times) -> int:
+    times = times or np.linspace(0.0, horizon, 21).tolist()
+    mu = _sampler(c["mu0"], "mu0")
+    nu = _sampler(c["nu0"], "nu0")
+    floor = _calibrated(c, "noise-floor", spec, mu, times, h, binning)
+    run_a, run_b = simulate_runs(spec, [(mu, c["seed"]), (nu, c["seed"] + 1)],
+                                 c["n"], h, horizon, times)
+    try:
+        fit = fit_decay(run_a, run_b, binning, floor)
+    except DecayFitError as exc:
         doc = report_document(
-            "smve/girsanov-check", resolved,
-            [Claim("coupled runs stay within the coupling bound",
-                   report.passed,
-                   {"violations": [list(v) for v in report.violations],
-                    "allowance": allowance})],
-            {"report": report.to_dict()})
-        write_json_report(out / "report.json", doc)
-        write_csv(out / "girsanov.csv", ["time", "estimate", "bound", "margin"],
-                  report.csv_rows(), "girsanov-check")
-        print(f"girsanov check: {'ok' if report.passed else 'VIOLATED'} -> {out}")
-        return 0 if report.passed else 1
+            "smve/decay", c,
+            [Claim("enough distance points above the noise floor", False,
+                   {"usable": exc.usable, "noise_floor": floor,
+                    "tv_values": exc.tv_values})])
+        return _finish(out, doc, f"decay fit rejected: {exc}", sys.stderr)
+    claims = [
+        Claim("fitted decay rate is positive", fit.theta > 0,
+              {"theta": fit.theta}),
+        Claim("decay rate is positive at the 95 percent level",
+              fit.theta_lower > 0,
+              {"theta_lower": fit.theta_lower, "theta_upper": fit.theta_upper}),
+    ]
+    write_csv(out / "decay.csv", ["time", "tv"],
+              zip(fit.times, fit.tv_values), "decay")
+    doc = report_document("smve/decay", c, claims,
+                          {"fit": fit.to_dict(), "noise_floor": floor})
+    return _finish(out, doc, f"theta = {fit.theta:.6g} [{fit.theta_lower:.6g}, "
+                             f"{fit.theta_upper:.6g}] -> {out}")
 
-    if action == "local-alpha":
-        b1 = (radial_confinement_drift(resolved["r"], resolved["m-ball"])
-              if resolved["preset"] == "vh" else (lambda x: -x))
-        x_grid = (np.array(_floats(resolved["x-grid"], "x-grid"))
-                  if resolved["x-grid"] else None)
-        try:
-            alpha_hat = estimate_local_alpha(
-                b1, resolved["radius"], resolved["t"], int(resolved["n-sims"]),
-                binning, x_grid, step_size=h, seed=seed)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        doc = report_document(
-            "smve/local-alpha", resolved,
-            [Claim("local overlap estimate is positive", alpha_hat > 0,
-                   {"alpha_hat": alpha_hat})])
-        write_json_report(out / "report.json", doc)
-        print(f"alpha_hat({resolved['radius']:g}, {resolved['t']:g}) "
-              f"= {alpha_hat:.6g} -> {out}")
-        return 0 if alpha_hat > 0 else 1
 
-    if action == "lyapunov":
-        lag = float(resolved["lag"])
-        if lag <= 0:
-            raise UsageError("lag must be positive")
-        k_max = int(horizon / lag)
-        if k_max < 2:
-            raise UsageError("horizon must cover at least two lags")
-        snap_times = [k * lag for k in range(k_max + 1)]
-        snaps = simulate(spec, _sampler(resolved["nu0"], "nu0"), n, h, horizon,
-                         seed, snap_times)
-        V = make_weight_function(resolved["r"], resolved["m-ball"])
-        fit = lyapunov_diagnostic(snaps, V, lag)
-        ok = fit.degenerate or (fit.gamma_hat < 1.0)
-        doc = report_document(
-            "smve/lyapunov", resolved,
-            [Claim("mean weight contracts per lag", ok, fit.to_dict())])
-        write_json_report(out / "report.json", doc)
-        print(f"gamma_hat = {fit.gamma_hat:.6g} "
-              f"(predicted {fit.predicted_gamma:.6g}) -> {out}")
-        return 0 if ok else 1
+def _smve_girsanov_check(c: dict, out: Path, spec, binning, h, horizon, times) -> int:
+    times = times or [0.5, 1.0, 2.0]
+    mu = _sampler(c["mu0"], "mu0")
+    nu = _sampler(c["nu0"], "nu0")
+    allowance = _calibrated(c, "allowance", spec, mu, times, h, binning)
+    report = girsanov_bound_check(spec, mu, nu, c["tv0"], times, c["n"], h,
+                                  c["seed"], binning, allowance)
+    write_csv(out / "girsanov.csv", ["time", "estimate", "bound", "margin"],
+              report.csv_rows(), "girsanov-check")
+    doc = report_document(
+        "smve/girsanov-check", c,
+        [Claim("coupled runs stay within the coupling bound",
+               report.passed,
+               {"violations": [list(v) for v in report.violations],
+                "allowance": allowance})],
+        {"report": report.to_dict()})
+    return _finish(out, doc,
+                   f"girsanov check: {'ok' if report.passed else 'VIOLATED'} -> {out}")
 
-    raise UsageError(f"unknown action {action!r}")
+
+def _smve_local_alpha(c: dict, out: Path, spec, binning, h, horizon, times) -> int:
+    b1 = (radial_confinement_drift(c["r"], c["m-ball"])
+          if c["preset"] == "vh" else (lambda x: -x))
+    x_grid = np.array(_floats(c["x-grid"], "x-grid")) if c["x-grid"] else None
+    alpha_hat = estimate_local_alpha(b1, c["radius"], c["t"], c["n-sims"],
+                                     binning, x_grid, step_size=h, seed=c["seed"])
+    doc = report_document(
+        "smve/local-alpha", c,
+        [Claim("local overlap estimate is positive", alpha_hat > 0,
+               {"alpha_hat": alpha_hat})])
+    return _finish(out, doc, f"alpha_hat({c['radius']:g}, {c['t']:g}) "
+                             f"= {alpha_hat:.6g} -> {out}")
+
+
+def _smve_lyapunov(c: dict, out: Path, spec, binning, h, horizon, times) -> int:
+    lag = float(c["lag"])
+    if lag <= 0:
+        raise ValueError("lag must be positive")
+    k_max = int(horizon / lag)
+    if k_max < 2:
+        raise ValueError("horizon must cover at least two lags")
+    snap_times = [k * lag for k in range(k_max + 1)]
+    snaps = simulate(spec, _sampler(c["nu0"], "nu0"), c["n"], h, horizon,
+                     c["seed"], snap_times)
+    V = make_weight_function(c["r"], c["m-ball"])
+    fit = lyapunov_diagnostic(snaps, V, lag)
+    ok = fit.degenerate or (fit.gamma_hat < 1.0)
+    doc = report_document(
+        "smve/lyapunov", c,
+        [Claim("mean weight contracts per lag", ok, fit.to_dict())])
+    return _finish(out, doc, f"gamma_hat = {fit.gamma_hat:.6g} "
+                             f"(predicted {fit.predicted_gamma:.6g}) -> {out}")
+
+
+_SMVE_RUNNERS = {
+    "simulate": _smve_simulate,
+    "decay": _smve_decay,
+    "girsanov-check": _smve_girsanov_check,
+    "local-alpha": _smve_local_alpha,
+    "lyapunov": _smve_lyapunov,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -517,84 +497,33 @@ def _build_parser() -> argparse.ArgumentParser:
         description="nonlinear Markov chain certificates and mean-field diagnostics",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, help_text, positional, run in (
+        ("chain", "certify a kernel and check its rate bound", None, _run_chain),
+        ("counterexample", "replay one sharpness construction",
+         ("which", _REPLAYS), _run_counterexample),
+        ("smve", "mean-field particle runs and diagnostics",
+         ("action", _SMVE_RUNNERS), _run_smve),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        if positional:
+            p.add_argument(positional[0], choices=list(positional[1]))
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="output directory (default $NLMARKOV_OUT)")
-
-    p = sub.add_parser("chain", help="certify a kernel and check its rate bound")
-    common(p)
-    p.add_argument("--kernel", choices=["oscillating", "continuum", "markov-example",
-                                        "mixture", "no-invariant", "custom"])
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lam", type=float, help="measure sensitivity parameter")
-    p.add_argument("--mix-lam", type=float, dest="mix_lam")
-    p.add_argument("--space", type=int, choices=[2, 5])
-    p.add_argument("--truncation", type=int)
-    p.add_argument("--kernel-file", dest="kernel_file")
-    p.add_argument("--mu0", help="comma-separated initial weights")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--resolution", type=int)
-    p.set_defaults(run=_run_chain)
-
-    p = sub.add_parser("counterexample", help="replay one sharpness construction")
-    p.add_argument("which", choices=["oscillation", "continuum", "no-invariant"])
-    common(p)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--a", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.set_defaults(run=_run_counterexample)
-
-    p = sub.add_parser("smve", help="mean-field particle runs and diagnostics")
-    p.add_argument("action", choices=["simulate", "decay", "girsanov-check",
-                                      "local-alpha", "lyapunov"])
-    common(p)
-    p.add_argument("--preset", choices=["ou", "vh"])
-    p.add_argument("--r", type=float)
-    p.add_argument("--m-ball", type=float, dest="m_ball")
-    p.add_argument("--d-bound", type=float, dest="d_bound")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--h", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--times", help="comma-separated snapshot times")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--bin-lo", type=float, dest="bin_lo")
-    p.add_argument("--bin-hi", type=float, dest="bin_hi")
-    p.add_argument("--mu0", help="point:x | gauss:mean,std | mix:x0,x1,w0")
-    p.add_argument("--nu0", help="same mini-language as --mu0")
-    p.add_argument("--tv0", type=float)
-    p.add_argument("--noise-floor", type=float, dest="noise_floor")
-    p.add_argument("--allowance", type=float)
-    p.add_argument("--calibration-pairs", type=int, dest="calibration_pairs")
-    p.add_argument("--radius", type=float)
-    p.add_argument("--t", type=float)
-    p.add_argument("--n-sims", type=int, dest="n_sims")
-    p.add_argument("--x-grid", dest="x_grid")
-    p.add_argument("--lag", type=float)
-    p.set_defaults(run=_run_smve)
-
+        for name, option in OPTIONS[command].items():
+            p.add_argument(f"--{name}", type=type(option.default),
+                           choices=option.choices, help=option.help)
+        p.set_defaults(run=run)
     return top
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
-    except UsageError as exc:
+        return args.run(args, _resolve(args))
+    except (ValueError, SimulationBlowUp, DriftBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SimulationBlowUp, DriftBoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        # a ValueError is a usage error; the other two are numerical failures
+        return 2 if isinstance(exc, ValueError) else 3
 
 
 if __name__ == "__main__":

@@ -37,7 +37,8 @@ import numpy as np
 
 from .kernels import MeasureGrid, NonlinearKernel, validate
 
-__all__ = ["parse_entry_expression", "load_kernel_spec", "KernelSpecError"]
+__all__ = ["parse_entry_expression", "compile_kernel_spec", "load_kernel_spec",
+           "KernelSpecError"]
 
 
 class KernelSpecError(ValueError):
@@ -170,10 +171,10 @@ def parse_entry_expression(text: str, space_size: int) -> Callable[[np.ndarray],
     return lambda w: _run(compiler.code, np.asarray(w, dtype=float))[root][()]
 
 
-def load_kernel_spec(source, grid: MeasureGrid | None = None) -> NonlinearKernel:
+def compile_kernel_spec(source) -> NonlinearKernel:
     """Build a NonlinearKernel from a JSON file ``Path``, JSON text, or
-    an already-parsed dict, then validate it on ``grid`` (default grid
-    for the declared space size).  Invalid rows reject the whole file.
+    an already-parsed dict, without validating its rows; a caller that
+    validates on its own grid uses this to validate once.
     """
     if isinstance(source, Path):
         source = source.read_text()
@@ -209,6 +210,14 @@ def load_kernel_spec(source, grid: MeasureGrid | None = None) -> NonlinearKernel
         vals = _run(compiler.code, w)
         return np.array([vals[r] for r in roots]).T.reshape(-1, n, n)
 
-    kernel = NonlinearKernel(n, rows, label)
-    validate(kernel, grid or MeasureGrid.default(n))
+    return NonlinearKernel(n, rows, label)
+
+
+def load_kernel_spec(source, grid: MeasureGrid | None = None) -> NonlinearKernel:
+    """``compile_kernel_spec``, then validate the kernel on ``grid``
+    (default grid for the declared space size).  Invalid rows reject
+    the whole file.
+    """
+    kernel = compile_kernel_spec(source)
+    validate(kernel, grid)
     return kernel

@@ -65,6 +65,7 @@ __all__ = [
     "estimate_lambda",
     "certify",
     "default_resolution",
+    "largest_resolution",
 ]
 
 
@@ -115,10 +116,20 @@ def default_resolution(space_size: int) -> int:
     presets = {1: 1, 2: 50, 3: 20, 4: 12, 5: 8}
     if space_size in presets:
         return presets[space_size]
-    r = 1
-    while math.comb(r + space_size, space_size - 1) <= 1000:
-        r += 1
-    return r
+    return max(1, largest_resolution(space_size, 1000))
+
+
+def largest_resolution(space_size: int, max_points: int) -> int:
+    """The largest R whose grid has at most ``max_points`` measures, or
+    0 if none has; for two or more states, by bisection on R."""
+    lo, hi = 0, max_points + 1  # C(R + n - 1, n - 1) > R for n >= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.comb(mid + space_size - 1, space_size - 1) <= max_points:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @dataclass(frozen=True)

@@ -573,7 +573,10 @@ def _euler(
         snapshots.append(ParticleEnsemble(x, 0.0, step_size, seed, 0))
 
     drift_h = np.empty_like(x)
-    with noise_source(seed, n_steps, x.shape, math.sqrt(step_size)) as draws:
+    # The finiteness check after each step reports a blow-up as
+    # SimulationBlowUp, so numpy's overflow warnings would only repeat it.
+    with (noise_source(seed, n_steps, x.shape, math.sqrt(step_size)) as draws,
+          np.errstate(over="ignore", invalid="ignore")):
         for k in range(1, n_steps + 1):
             noise = draws.take(k)
             np.multiply(spec.drift(positions, law), step_size, out=drift_h)

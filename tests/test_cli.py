@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nlmarkov
-from nlmarkov import cli
+from nlmarkov import cli, kernel_spec, kernels
 from nlmarkov.cli import main
 from nlmarkov.mckean_vlasov import DriftBoundError
 
@@ -142,6 +142,51 @@ class TestChain:
             assert "config field 'steps' must be int" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("command, field, value", [
+        (["chain"], "kernel", "bogus"),
+        (["chain"], "space", 3),
+        (["smve", "simulate"], "preset", "bogus"),
+    ])
+    def test_config_values_must_be_among_choices(self, tmp_path, capsys,
+                                                 command, field, value):
+        # checked with the types, before the output directory is made
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        out = tmp_path / "x"
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config field {field!r} must be one of" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_custom_kernel_is_validated_once_on_the_chain_grid(self, tmp_path,
+                                                                monkeypatch):
+        calls, validate = [], kernels.validate
+
+        def counted(kernel, grid=None):
+            calls.append(grid)
+            return validate(kernel, grid)
+
+        for module in (kernels, kernel_spec, cli):
+            monkeypatch.setattr(module, "validate", counted)
+        kfile = tmp_path / "kernel.json"
+        kfile.write_text(json.dumps(
+            {"space_size": 2, "entries": [["0.7", "0.3"], ["0.4", "0.6"]]}))
+        out = tmp_path / "run"
+        assert main(["chain", "--kernel", "custom", "--kernel-file", str(kfile),
+                     "--resolution", "7", "--steps", "5", "--out", str(out)]) == 0
+        assert [grid.resolution for grid in calls] == [7]
+        witness = read_json(out / "report.json")["claims"][0]["witness"]
+        assert witness["grid_points"] == 8
+
+    def test_grid_over_memory_budget_is_refused(self, tmp_path, capsys):
+        # G = C(53, 49) = 292,825 measures: a (G, 50, 50) stack of 5.9 GB
+        out = tmp_path / "x"
+        assert main(["chain", "--kernel", "no-invariant", "--resolution", "4",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: resolution 4 gives 292825 grid measures")
+        assert err.endswith("the largest resolution that fits is 3\n")
+        assert not out.exists()
+
     def test_bad_kernel_choice_exits_via_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["chain", "--kernel", "bogus", "--out", str(tmp_path / "x")])
@@ -245,14 +290,20 @@ class TestSmve:
         rep = read_json(out / "report.json")
         assert rep["claims"][0]["witness"]["gamma_hat"] < 1.0
 
-    def test_blow_up_exits_three_with_one_error_line(self, tmp_path, capsys):
-        # the first calibration run blows up (in a worker process where
-        # there are two CPUs); its message reaches the error line intact
-        assert main(["smve", "decay", "--preset", "ou", "--h", "5",
-                     "--horizon", "5000", "--out", str(tmp_path / "run")]) == 3
-        err = capsys.readouterr().err.splitlines()
-        assert [line for line in err if line.startswith("error:")] == [
-            "error: ou: non-finite position at step 512"]
+    def test_blow_up_exits_three_with_one_error_line(self, tmp_path):
+        # simulate steps with its noise thread; in decay the first
+        # calibration run blows up, in a worker process where there are
+        # two CPUs.  A fresh interpreter, because pytest records numpy's
+        # warnings instead of printing them: no overflow warning may
+        # precede the one error line.
+        src = str(Path(nlmarkov.__file__).resolve().parents[1])
+        for action in ("simulate", "decay"):
+            done = subprocess.run(
+                [sys.executable, "-m", "nlmarkov.cli", "smve", action, "--preset", "ou",
+                 "--h", "5", "--horizon", "5000", "--out", str(tmp_path / action)],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+            assert done.returncode == 3
+            assert done.stderr == "error: ou: non-finite position at step 512\n"
 
     def test_drift_bound_error_exits_three(self, tmp_path, capsys, monkeypatch):
         def exceeded(*args, **kwargs):

@@ -30,6 +30,7 @@ from nlmarkov.kernels import (
     default_resolution,
     estimate_alpha,
     estimate_lambda,
+    largest_resolution,
     markov_example_kernel,
     markov_kernel,
     mixture_kernel,
@@ -73,6 +74,14 @@ def test_default_resolution_presets_and_budget():
         r = default_resolution(n)
         assert math.comb(r + n - 1, n - 1) <= 1000
         assert math.comb(r + n, n - 1) > 1000 or n in (2, 3, 4, 5)
+
+
+def test_largest_resolution_is_the_last_that_fits():
+    for n, max_points in [(2, 1), (2, 33), (3, 1000), (30, 29), (50, 2**30 // 20_000)]:
+        r = largest_resolution(n, max_points)
+        assert math.comb(r + n - 1, n - 1) <= max_points
+        assert math.comb(r + n, n - 1) > max_points
+    assert largest_resolution(50, 2**30 // 20_000) == 3
 
 
 # ---------------------------------------------------------------------------
