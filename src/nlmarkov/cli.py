@@ -299,20 +299,32 @@ def _run_chain(args, resolved: dict) -> int:
     if mu0.size != kernel.space_size:
         raise ValueError("mu0 length does not match the kernel state space")
 
-    traj = evolve(kernel, mu0, resolved["steps"])
+    # The rate check steps the orbit once and hands its trajectory back.
+    # The trajectory is written first: a failure of the rate check is
+    # raised after it, unless stepping the trajectory itself fails first.
+    rate = failure = None
+    if cert.regime in ("fast", "slow"):
+        try:
+            rate = check_rate(kernel, cert, mu0, resolved["steps"])
+        except ValueError as exc:
+            failure = exc
+    traj = rate.trajectory if rate is not None else None
+    if traj is None:
+        traj = evolve(kernel, mu0, resolved["steps"])
     write_csv(
         out / "trajectory.csv",
         ["n", *[f"p{i + 1}" for i in range(kernel.space_size)], "step_tv"],
         traj.csv_rows(),
         "trajectory",
     )
+    if failure is not None:
+        raise failure
 
     claims = [
         Claim("kernel rows are stochastic on the grid", True, validation),
     ]
     details = {"certificate": cert.to_dict()}
-    if cert.regime in ("fast", "slow"):
-        rate = check_rate(kernel, cert, mu0, resolved["steps"])
+    if rate is not None:
         write_csv(out / "rate.csv", ["n", "measured", "bound", "margin"],
                   rate.csv_rows(), "rate-report")
         write_json_report(out / "rate_report.json", rate.to_dict())

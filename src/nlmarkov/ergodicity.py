@@ -19,7 +19,8 @@ Lyapunov function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -61,25 +62,34 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A finite run of the chain: measures mu_0 ... mu_n and the total
-    variation of each step."""
+    """A finite run of the chain: the weights of mu_0 ... mu_n as one
+    read-only (n + 1, states) array and the total variation of each
+    step."""
 
     kernel_label: str
-    measures: tuple
+    weights: np.ndarray
     step_distances: tuple
+    mu0: DiscreteMeasure = field(repr=False, compare=False)
 
     @property
     def steps(self) -> int:
-        return len(self.measures) - 1
+        return len(self.weights) - 1
+
+    @cached_property
+    def measures(self) -> tuple:
+        """mu_0 as given, then each later iterate as a DiscreteMeasure
+        with the tolerance ``evolve`` checked it against."""
+        later = (DiscreteMeasure(w, tol=MASS_TOL * (k + 1))
+                 for k, w in enumerate(self.weights[1:], 1))
+        return (self.mu0, *later)
 
     @property
     def final(self) -> DiscreteMeasure:
         return self.measures[-1]
 
     def csv_rows(self):
-        for k, mu in enumerate(self.measures):
-            dist = self.step_distances[k - 1] if k > 0 else 0.0
-            yield (k, *mu.weights.tolist(), dist)
+        for k, row in enumerate(self.weights.tolist()):
+            yield (k, *row, self.step_distances[k - 1] if k > 0 else 0.0)
 
 
 def _step(kernel: NonlinearKernel, weights: np.ndarray, k: int) -> np.ndarray:
@@ -95,28 +105,151 @@ def _step(kernel: NonlinearKernel, weights: np.ndarray, k: int) -> np.ndarray:
     return (weights[..., None, :] @ mats)[..., 0, :]
 
 
+# Iterates kept past an orbit's stored prefix: the fixed-point search
+# reads the last ten and scans MAX_CYCLE_PERIOD back for a cycle.
+_WINDOW = MAX_CYCLE_PERIOD + 10
+
+
+class _Orbit:
+    """The iterates w_0, w_1, ... of mu_{k+1} = mu_k P_{mu_k} from one
+    start, stepped on demand and read by ``evolve``, ``find_invariant``
+    and ``check_rate`` alike.
+
+    The first ``keep`` iterates are stored in one array, later ones in a
+    ring of the last ``_WINDOW``, so memory is O((keep + _WINDOW) n)
+    however far a search runs.  The ring serves one search read forward:
+    reading an iterate that has left it raises IndexError.  A step is a
+    pure function of the bytes of its input, so once a new iterate has
+    the bytes of w_j, one of the last MAX_CYCLE_PERIOD, the orbit is
+    periodic from j on: w_{m+p} = w_m for m >= j.  From then on no step
+    calls the kernel, and every iterate and step distance is read by
+    index.  Bytes, not ``==``: 0.0 == -0.0, and a kernel may see the
+    sign of a zero.
+    """
+
+    def __init__(self, kernel: NonlinearKernel, mu0: DiscreteMeasure, keep: int):
+        self.kernel, self.mu0, self.keep = kernel, mu0, keep
+        self._w = np.empty((keep + _WINDOW, mu0.size))
+        self._w[0] = mu0.weights
+        # _d[slot(j)] = ||w_{j+1} - w_j||_1 once w_{j+1} is known
+        self._d = np.empty(keep + _WINDOW)
+        self.size = 1  # w_0 ... w_{size-1} are stepped
+        self.start = self.period = None  # set when the orbit closes
+        self._recent = {mu0.weights.tobytes(): 0}
+
+    def _slot(self, i: int) -> int:
+        if self.period is not None and i >= self.size:
+            i = self.start + (i - self.start) % self.period
+        if i < self.keep:
+            return i
+        if i < self.size - _WINDOW:
+            raise IndexError(f"iterate {i} has left the orbit's window")
+        return self.keep + (i - self.keep) % _WINDOW
+
+    def at(self, i: int) -> np.ndarray:
+        """w_i, which must be stepped already or repeat a stored iterate."""
+        return self._w[self._slot(i)]
+
+    def distance(self, j: int, label: int) -> float:
+        """||w_{j+1} - w_j||_1, first stepping to w_{j+1} if it is the
+        next iterate; ``label`` is the step number a row-check error
+        names."""
+        if j + 1 == self.size and self.period is None:
+            return self._advance(label)
+        return float(self._d[self._slot(j)])
+
+    def _advance(self, label: int) -> float:
+        """Step from the last iterate and return the step's distance;
+        close the orbit instead of storing the new iterate if it repeats
+        one of the last MAX_CYCLE_PERIOD."""
+        k = self.size - 1
+        slot = self._slot(k)
+        w = self._w[slot]
+        nxt = _step(self.kernel, w, label)
+        self._d[slot] = dist = float(np.abs(nxt - w).sum())
+        key = nxt.tobytes()
+        j = self._recent.get(key)
+        if j is not None:
+            self.start, self.period = j, k + 1 - j
+            return dist
+        self._w[self._slot(k + 1)] = nxt
+        self.size += 1
+        self._recent[key] = k + 1
+        if len(self._recent) > MAX_CYCLE_PERIOD:
+            del self._recent[next(iter(self._recent))]  # the oldest
+        return dist
+
+    def trajectory(self, steps: int) -> Trajectory:
+        """The first ``steps`` steps (``steps < keep``), each iterate
+        checked as a DiscreteMeasure before the next step is taken."""
+        if steps < 0:
+            raise ValueError("steps must be nonnegative")
+        if self.mu0.size != self.kernel.space_size:
+            raise ValueError("initial measure does not match kernel state space")
+        k = 1
+        while k <= steps:
+            if k == self.size and self.period is None:
+                self._advance(k - 1)
+            if k == self.size:  # w_k repeats an earlier iterate
+                break
+            DiscreteMeasure(self._w[k], tol=MASS_TOL * (k + 1))
+            k += 1
+        if k <= steps:
+            for a, end in ((self._w, steps + 1), (self._d, steps)):
+                idx = np.arange(k, end)
+                a[k:end] = a[self.start + (idx - self.start) % self.period]
+            # A repeat of w_m, m >= 1, passed with a smaller tolerance; the
+            # first repeat of w_0 (here w_k) has not been checked at all.
+            if self.start == 0:
+                DiscreteMeasure(self._w[k], tol=MASS_TOL * (k + 1))
+        weights = self._w[:steps + 1]
+        weights.flags.writeable = False
+        return Trajectory(self.kernel.label, weights,
+                          tuple(self._d[:steps].tolist()), self.mu0)
+
+    def fixed_point(self, tol: float, max_iter: int) -> "FixedPointResult":
+        """The search of ``find_invariant``, in its step numbering."""
+        if tol <= 0 or max_iter < 1:
+            raise ValueError("tol must be positive and max_iter at least 1")
+        resid0 = self.distance(0, 0)
+        if resid0 < tol:
+            return FixedPointResult(True, self.mu0, 0, resid0)
+        for k in range(1, max_iter + 1):
+            if self.period is not None and k - 1 - self.period >= self.start:
+                # (d_{k-1}, d_k) and every later pair repeat one tried already
+                break
+            if self.distance(k - 1, k) < tol:
+                # the residual is the authoritative check: small successive
+                # steps alone can be a slowly drifting or periodic orbit
+                resid = self.distance(k, k)
+                if resid < tol:
+                    pi = DiscreteMeasure(self.at(k), tol=MASS_TOL * (k + 2))
+                    return FixedPointResult(True, pi, k, resid)
+
+        last = self.at(max_iter)
+        period = next(
+            (p for p in range(1, min(MAX_CYCLE_PERIOD, max_iter) + 1)
+             if np.abs(last - self.at(max_iter - p)).sum() < max(tol, 1e-9)),
+            None,
+        )
+        kept = tuple(
+            DiscreteMeasure(self.at(i), tol=MASS_TOL * (max_iter + 1))
+            for i in range(max(0, max_iter - 9), max_iter + 1)
+        )
+        resid = self.distance(max_iter, max_iter)
+        return FixedPointResult(False, None, max_iter, resid, kept, period)
+
+
 def evolve(kernel: NonlinearKernel, mu0: DiscreteMeasure, steps: int) -> Trajectory:
     """Run ``steps`` applications of the chain from ``mu0``.
 
     Normalization drifts by at most a few machine epsilons per step;
     the measures are re-validated with a tolerance that grows linearly
-    in the step count, never renormalized.
+    in the step count, never renormalized.  Once an iterate repeats one
+    of the last MAX_CYCLE_PERIOD bit for bit, the rest of the run is
+    read by index instead of stepped.
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if mu0.size != kernel.space_size:
-        raise ValueError("initial measure does not match kernel state space")
-    measures = [mu0]
-    dists = []
-    w = mu0.weights
-    for k in range(steps):
-        nxt = _step(kernel, w, k)
-        dists.append(float(np.abs(nxt - w).sum()))
-        # mu_{k+1} may drift from exact normalization by a few ulps per
-        # step; budget grows linearly, never renormalize
-        measures.append(DiscreteMeasure(nxt, tol=MASS_TOL * (k + 2)))
-        w = nxt
-    return Trajectory(kernel.label, tuple(measures), tuple(dists))
+    return _Orbit(kernel, mu0, max(steps, 0) + 1).trajectory(steps)
 
 
 @dataclass(frozen=True)
@@ -154,42 +287,11 @@ def find_invariant(
 ) -> FixedPointResult:
     """Iterate the chain until it sits still, or give up after
     ``max_iter`` steps and report the last stretch of the orbit with a
-    detected cycle period (up to 8) if there is one."""
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter at least 1")
+    detected cycle period (up to 8) if there is one.  An orbit that
+    repeats bit for bit is not stepped past its first repeat: the rest
+    of the search is read from the cycle."""
     mu0 = mu0 or DiscreteMeasure.uniform(kernel.space_size)
-    w = mu0.weights
-    resid0 = float(np.abs(_step(kernel, w, 0) - w).sum())
-    if resid0 < tol:
-        return FixedPointResult(True, mu0, 0, resid0)
-
-    tail = [w]
-    for k in range(1, max_iter + 1):
-        nxt = _step(kernel, w, k)
-        succ = float(np.abs(nxt - w).sum())
-        if succ < tol:
-            # the residual is the authoritative check: small successive
-            # steps alone can be a slowly drifting or periodic orbit
-            resid = float(np.abs(_step(kernel, nxt, k) - nxt).sum())
-            if resid < tol:
-                pi = DiscreteMeasure(nxt, tol=MASS_TOL * (k + 2))
-                return FixedPointResult(True, pi, k, resid)
-        w = nxt
-        tail.append(w)
-        if len(tail) > 10 + MAX_CYCLE_PERIOD:
-            tail.pop(0)
-
-    period = None
-    last = tail[-1]
-    for p in range(1, MAX_CYCLE_PERIOD + 1):
-        if len(tail) > p and np.abs(last - tail[-1 - p]).sum() < max(tol, 1e-9):
-            period = p
-            break
-    kept = tuple(
-        DiscreteMeasure(t, tol=MASS_TOL * (max_iter + 1)) for t in tail[-10:]
-    )
-    resid = float(np.abs(_step(kernel, last, max_iter) - last).sum())
-    return FixedPointResult(False, None, max_iter, resid, kept, period)
+    return _Orbit(kernel, mu0, 1).fixed_point(tol, max_iter)
 
 
 def verify_invariant(kernel: NonlinearKernel, pi: DiscreteMeasure) -> float:
@@ -296,6 +398,8 @@ class RateReport:
     fixed_point_iterations: int
     # slow-regime bounds start at n = 1 (Eq. undefined at n = 0)
     first_step: int = 0
+    # the run the distances were read from; None when falsified
+    trajectory: Trajectory | None = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -331,7 +435,9 @@ def check_rate(
 ) -> RateReport:
     """Evolve from mu0 and compare every d_tv(mu_n, pi) with the regime
     bound.  A certified kernel whose fixed-point search fails is
-    reported as falsified rather than skipped.
+    reported as falsified rather than skipped.  The search and the
+    trajectory read one orbit, stepped once from mu0; the report hands
+    the trajectory back.
 
     In the fast regime the reference fixed point is resolved two orders
     of magnitude below the numerical floor; otherwise the estimation
@@ -340,7 +446,8 @@ def check_rate(
     if certificate.regime not in ("fast", "slow"):
         raise ValueError("rate check needs a fast or slow certificate")
     fp_tol = tol if certificate.regime == "slow" else min(tol, numerical_floor / 100.0)
-    fp = find_invariant(kernel, mu0, tol=fp_tol)
+    orbit = _Orbit(kernel, mu0, max(steps, 0) + 1)
+    fp = orbit.fixed_point(fp_tol, DEFAULT_MAX_ITER)
     if not fp.converged:
         return RateReport(
             kernel_label=kernel.label,
@@ -354,29 +461,27 @@ def check_rate(
             fixed_point_iterations=fp.iterations,
         )
     pi = fp.measure.weights
-    traj = evolve(kernel, mu0, steps)
+    traj = orbit.trajectory(steps)
     first = 0 if certificate.regime == "fast" else 1
-    distances, bounds, violations = [], [], []
-    for n, mu in enumerate(traj.measures):
-        if n < first:
-            continue
-        d = float(np.abs(mu.weights - pi).sum())
-        b = rate_bound(certificate, n)
-        distances.append(d)
-        bounds.append(b)
-        if d > max(b, numerical_floor):
-            violations.append((n, d, b))
+    steps_n = range(first, steps + 1)
+    distances = tuple(np.abs(traj.weights[first:] - pi).sum(axis=1).tolist())
+    bounds = tuple(rate_bound(certificate, n) for n in steps_n)
+    violations = tuple(
+        (n, d, b) for n, d, b in zip(steps_n, distances, bounds)
+        if d > max(b, numerical_floor)
+    )
     return RateReport(
         kernel_label=kernel.label,
         certificate=certificate,
-        distances=tuple(distances),
-        bounds=tuple(bounds),
+        distances=distances,
+        bounds=bounds,
         numerical_floor=numerical_floor,
-        violations=tuple(violations),
+        violations=violations,
         falsified=False,
         invariant=tuple(pi.tolist()),
         fixed_point_iterations=fp.iterations,
         first_step=first,
+        trajectory=traj,
     )
 
 

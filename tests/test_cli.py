@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nlmarkov
@@ -193,6 +194,53 @@ class TestChain:
 
     def test_nonpositive_steps_rejected(self, tmp_path):
         assert main(["chain", "--steps", "0", "--out", str(tmp_path / "x")]) == 2
+
+    # Q = [[0.7, 0.3], [0.4, 0.6]] with a bump on entry (1, 1) that only
+    # the orbit from the uniform law meets, at its fourth iterate, between
+    # grid points: the kernel validates and certifies fast.
+    BUMP = {"space_size": 2, "label": "bump", "entries": [
+        ["0.7 + max(0, 0.001 - max(nu(1) - 0.571, 0.571 - nu(1)))", "0.3"],
+        ["0.4", "0.6"]]}
+
+    @pytest.mark.parametrize("steps, step, trajectory_written", [
+        (200, 4, False),  # the trajectory fails first, in evolve's numbering
+        (3, 5, True),     # it is written; the fixed-point search fails next
+    ])
+    def test_first_failure_of_a_chain_run(self, tmp_path, capsys, steps, step,
+                                          trajectory_written):
+        kfile = tmp_path / "bump.json"
+        kfile.write_text(json.dumps(self.BUMP))
+        out = tmp_path / "run"
+        assert main(["chain", "--kernel", "custom", "--kernel-file", str(kfile),
+                     "--steps", str(steps), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: bump: non-stochastic rows at step {step}\n"
+        assert (out / "trajectory.csv").exists() == trajectory_written
+        assert not (out / "report.json").exists()
+
+
+SPEC5 = Path(__file__).resolve().parents[1] / "bench" / "spec5.json"
+
+
+@pytest.mark.parametrize("argv, most", [
+    (["chain"], 40),
+    (["chain", "--kernel", "mixture"], 50),
+    (["chain", "--kernel", "custom", "--kernel-file", str(SPEC5)], 10),
+    (["counterexample", "oscillation"], 10),
+    (["counterexample", "continuum"], 20),
+])
+def test_each_orbit_is_stepped_once(tmp_path, monkeypatch, argv, most):
+    # The trajectory, the fixed-point search and the rate check share one
+    # orbit per start, which stops calling the kernel once it repeats.
+    calls = [0]
+    original = kernels.NonlinearKernel.matrix
+
+    def counted(self, nu):
+        calls[0] += np.ndim(nu) == 1
+        return original(self, nu)
+
+    monkeypatch.setattr(kernels.NonlinearKernel, "matrix", counted)
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 0
+    assert 0 < calls[0] <= most
 
 
 class TestCounterexample:

@@ -10,9 +10,17 @@ from nlmarkov.counterexamples import (
     verify_no_invariant_recursion,
     verify_oscillation,
 )
-from nlmarkov.ergodicity import evolve
-from nlmarkov.kernels import oscillating_kernel
+from nlmarkov.ergodicity import evolve, find_invariant
+from nlmarkov.kernels import continuum_kernel, oscillating_kernel
 from nlmarkov.measures import DiscreteMeasure, tv_distance
+
+
+def replay(kernel, mu0, steps):
+    """The orbit from mu0 as rows, one kernel evaluation per step."""
+    w = [mu0.weights]
+    for _ in range(steps):
+        w.append((w[-1][None, :] @ kernel.matrix(w[-1]))[0])
+    return np.array(w)
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +49,29 @@ def test_oscillation_period_two_exactly():
         assert tv_distance(traj.measures[n], pi) == pytest.approx(
             2 * abs(a - 0.5), abs=1e-15
         )
+
+
+@pytest.mark.parametrize("gamma, a, n_steps", [
+    (0.4, 0.3, 50), (0.1, 0.06, 7), (0.8, 0.5, 2), (0.5, 0.75, 33),
+])
+def test_oscillation_report_matches_a_step_by_step_replay(gamma, a, n_steps):
+    # The trajectory and the fixed-point search each stop stepping at the
+    # orbit's 2-cycle.
+    kernel = oscillating_kernel(gamma)
+    mu0, swapped = DiscreteMeasure.two_point(a), DiscreteMeasure.two_point(1.0 - a)
+    w = replay(kernel, mu0, n_steps)
+    doc = verify_oscillation(gamma, a, n_steps).to_document()
+    period, dist = doc["claims"][0]["witness"], doc["claims"][1]["witness"]
+    assert period["worst_deviation"] == max(
+        tv_distance(x, mu0 if k % 2 == 0 else swapped) for k, x in enumerate(w))
+    assert dist["worst_deviation"] == max(
+        abs(tv_distance(x, DiscreteMeasure.two_point(0.5)) - dist["target"]) for x in w)
+    assert doc["details"]["trajectory_head"] == w[:6].tolist()
+    fp = find_invariant(kernel, mu0, max_iter=64)
+    search = doc["claims"][4]["witness"]
+    assert search["converged"] == fp.converged
+    assert search.get("cycle_period", fp.cycle_period) == fp.cycle_period
+    assert search.get("iterations", fp.iterations) == fp.iterations
 
 
 def test_oscillation_parameter_guards():
@@ -74,6 +105,22 @@ def test_continuum_report_passes():
 def test_continuum_custom_samples():
     report = verify_continuum(0.2, 0.8, a_samples=(0.125, 0.3, 0.5, 0.7, 0.875))
     assert report.passed
+
+
+@pytest.mark.parametrize("samples", [
+    None, (0.125, 0.3, 0.5, 0.7, 0.875), (0.3, 0.3, 0.6), (0.875, 0.125), (0.4,),
+])
+def test_continuum_pairs_match_a_step_by_step_replay(samples):
+    # Each start is stepped once and read by both pairs it belongs to.
+    kernel = continuum_kernel(0.2, 0.8)
+    report = verify_continuum(0.2, 0.8, a_samples=samples, n_steps=60)
+    a = sorted(report.parameters["a_samples"])
+    runs = [replay(kernel, DiscreteMeasure.two_point(x), 60) for x in a]
+    want = 0.0
+    for a1, a2, w1, w2 in zip(a, a[1:], runs, runs[1:]):
+        target = 2.0 * abs(a1 - a2)
+        want = max(want, max(abs(tv_distance(x, y) - target) for x, y in zip(w1, w2)))
+    assert report.claims[1].witness["worst_deviation"] == want
 
 
 def test_continuum_rejects_bad_parameters():

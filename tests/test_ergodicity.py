@@ -7,14 +7,22 @@ matrix with V = 2^i satisfies QV <= 0.8 V + 2 with certified factor
 lambda_w = 0.72 at beta = 2 over the grid used below.
 """
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlmarkov import ergodicity
 from nlmarkov.ergodicity import (
+    MAX_CYCLE_PERIOD,
     CertificationError,
     DriftConditionError,
+    FixedPointResult,
+    RateReport,
+    _step,
     certify_hm_contraction,
     check_contraction_inequality,
     check_rate,
@@ -36,7 +44,8 @@ from nlmarkov.kernels import (
     no_invariant_kernel,
     oscillating_kernel,
 )
-from nlmarkov.measures import DiscreteMeasure, weighted_tv_distance
+from nlmarkov.kernel_spec import compile_kernel_spec
+from nlmarkov.measures import MASS_TOL, DiscreteMeasure, weighted_tv_distance
 
 MIX_Q = np.array([[0.8, 0.2], [0.1, 0.9]])
 
@@ -319,6 +328,383 @@ def test_rate_report_round_trip():
     assert d["first_step"] == 0
     assert len(d["distances"]) == 11
     assert d["certificate"]["regime"] == "fast"
+
+
+# ---------------------------------------------------------------------------
+# One orbit per start.  The loops below step the chain with one kernel
+# call per step and never read a repeated iterate by index: evolve,
+# find_invariant and check_rate must match them bit for bit, failures
+# included.
+
+
+def reference_evolve(kernel, mu0, steps):
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if mu0.size != kernel.space_size:
+        raise ValueError("initial measure does not match kernel state space")
+    measures, dists, w = [mu0], [], mu0.weights
+    for k in range(steps):
+        nxt = _step(kernel, w, k)
+        dists.append(float(np.abs(nxt - w).sum()))
+        measures.append(DiscreteMeasure(nxt, tol=MASS_TOL * (k + 2)))
+        w = nxt
+    return measures, dists
+
+
+def reference_find_invariant(kernel, mu0=None, tol=1e-10, max_iter=100_000):
+    if tol <= 0 or max_iter < 1:
+        raise ValueError("tol must be positive and max_iter at least 1")
+    mu0 = mu0 or DiscreteMeasure.uniform(kernel.space_size)
+    w = mu0.weights
+    resid0 = float(np.abs(_step(kernel, w, 0) - w).sum())
+    if resid0 < tol:
+        return FixedPointResult(True, mu0, 0, resid0)
+    tail = [w]
+    for k in range(1, max_iter + 1):
+        nxt = _step(kernel, w, k)
+        succ = float(np.abs(nxt - w).sum())
+        if succ < tol:
+            resid = float(np.abs(_step(kernel, nxt, k) - nxt).sum())
+            if resid < tol:
+                pi = DiscreteMeasure(nxt, tol=MASS_TOL * (k + 2))
+                return FixedPointResult(True, pi, k, resid)
+        w = nxt
+        tail.append(w)
+        if len(tail) > 10 + MAX_CYCLE_PERIOD:
+            tail.pop(0)
+    period = None
+    last = tail[-1]
+    for p in range(1, MAX_CYCLE_PERIOD + 1):
+        if len(tail) > p and np.abs(last - tail[-1 - p]).sum() < max(tol, 1e-9):
+            period = p
+            break
+    kept = tuple(
+        DiscreteMeasure(t, tol=MASS_TOL * (max_iter + 1)) for t in tail[-10:]
+    )
+    resid = float(np.abs(_step(kernel, last, max_iter) - last).sum())
+    return FixedPointResult(False, None, max_iter, resid, kept, period)
+
+
+def reference_check_rate(kernel, certificate, mu0, steps, max_iter=100_000,
+                         numerical_floor=1e-12, tol=1e-10):
+    if certificate.regime not in ("fast", "slow"):
+        raise ValueError("rate check needs a fast or slow certificate")
+    fp_tol = tol if certificate.regime == "slow" else min(tol, numerical_floor / 100.0)
+    fp = reference_find_invariant(kernel, mu0, tol=fp_tol, max_iter=max_iter)
+    if not fp.converged:
+        return RateReport(kernel.label, certificate, (), (), numerical_floor, (),
+                          True, None, fp.iterations)
+    pi = fp.measure.weights
+    measures, _ = reference_evolve(kernel, mu0, steps)
+    first = 0 if certificate.regime == "fast" else 1
+    distances, bounds, violations = [], [], []
+    for n, mu in enumerate(measures):
+        if n < first:
+            continue
+        d = float(np.abs(mu.weights - pi).sum())
+        b = rate_bound(certificate, n)
+        distances.append(d)
+        bounds.append(b)
+        if d > max(b, numerical_floor):
+            violations.append((n, d, b))
+    return RateReport(kernel.label, certificate, tuple(distances), tuple(bounds),
+                      numerical_floor, tuple(violations), False, tuple(pi.tolist()),
+                      fp.iterations, first)
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except Exception as exc:  # the failure itself is what is compared
+        return type(exc), str(exc)
+
+
+def measure_bits(measures):
+    return [(m.weights.tobytes(), m.tol) for m in measures]
+
+
+def fixed_point_bits(fp):
+    measure = None if fp.measure is None else measure_bits([fp.measure])
+    return (fp.converged, measure, fp.iterations, np.float64(fp.residual).tobytes(),
+            measure_bits(fp.tail), fp.cycle_period)
+
+
+def assert_same_trajectory(got, want):
+    if want[0] != "ok":
+        assert got == want
+        return
+    traj, (measures, dists) = got[1], want[1]
+    assert traj.weights.tobytes() == np.stack([m.weights for m in measures]).tobytes()
+    assert traj.weights.shape == (len(measures), measures[0].size)
+    assert np.array(traj.step_distances).tobytes() == np.array(dists).tobytes()
+    assert measure_bits(traj.measures) == measure_bits(measures)
+    assert traj.measures[0] is measures[0]
+    assert list(traj.csv_rows()) == [
+        (k, *m.weights.tolist(), dists[k - 1] if k else 0.0)
+        for k, m in enumerate(measures)
+    ]
+
+
+def assert_same_fixed_point(got, want):
+    if want[0] != "ok":
+        assert got == want
+    else:
+        assert got[0] == "ok", got
+        assert fixed_point_bits(got[1]) == fixed_point_bits(want[1])
+
+
+def assert_same_rate(got, want):
+    if want[0] != "ok":
+        assert got == want
+        return
+    assert got[0] == "ok", got
+    # repr tells every float's bits apart, -0.0 from 0.0 included
+    assert repr(got[1].to_dict()) == repr(want[1].to_dict())
+    if not want[1].falsified:
+        assert np.array(got[1].distances).tobytes() == np.array(want[1].distances).tobytes()
+
+
+def random_stochastic(n, seed):
+    return np.random.default_rng(seed).dirichlet(np.ones(n), size=n)
+
+
+def clamped_spec(n, seed):
+    """Off-diagonal entries max(min(c + s*nu(k), hi), lo), each diagonal 1
+    minus the rest of its row: clamps put kinks in the orbit."""
+    rng = np.random.default_rng(seed)
+    cap = 1.0 / (n - 1)
+    entries = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                lo, hi = sorted(rng.uniform(0.0, cap, 2).tolist())
+                c, slope = float(rng.uniform(lo, hi)), float(rng.uniform(-2, 2))
+                k = int(rng.integers(1, n + 1))
+                entries[i][j] = f"max(min({c!r} + {slope!r}*nu({k}), {hi!r}), {lo!r})"
+        entries[i][i] = " - ".join(["1", *(f"({entries[i][j]})" for j in range(n) if j != i)])
+    return compile_kernel_spec({"space_size": n, "label": f"spec{seed}", "entries": entries})
+
+
+SWAP = markov_kernel(np.array([[0.0, 1.0], [1.0, 0.0]]), "swap")
+
+
+@st.composite
+def chains(draw):
+    """(kernel, mu0): a random mixture or clamped spec kernel, a kernel
+    whose orbits jump onto a fixed point, cycle or stand still, or one
+    whose orbits do not repeat within a few hundred steps; from a random
+    start, a vertex, the uniform law or a two-point law."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["mixture", "spec", "rank-one", "swap", "oscillating",
+                                 "continuum", "no-invariant"]))
+    if kind == "rank-one":
+        # every row is one law: the orbit jumps onto its fixed point
+        row = np.random.default_rng(seed).dirichlet(np.ones(draw(st.integers(2, 4))))
+        kernel = markov_kernel(np.tile(row, (row.size, 1)), "rank-one")
+    elif kind == "mixture":
+        n = draw(st.integers(2, 5))
+        kernel = mixture_kernel(random_stochastic(n, seed), draw(st.floats(0.0, 1.0)))
+    elif kind == "spec":
+        kernel = clamped_spec(draw(st.integers(2, 4)), seed)
+    elif kind == "swap":
+        kernel = SWAP
+    elif kind == "oscillating":
+        kernel = oscillating_kernel(draw(st.sampled_from([0.2, 0.4, 0.5])))
+    elif kind == "continuum":
+        kernel = continuum_kernel(0.2, 0.8)
+    else:
+        kernel = no_invariant_kernel(0.3, 0.6, draw(st.sampled_from([8, 30, 50])))
+    n = kernel.space_size
+    start = draw(st.sampled_from(["random", "vertex", "uniform", "two-point"]))
+    if start == "random":
+        mu0 = DiscreteMeasure(np.random.default_rng(seed + 1).dirichlet(np.ones(n)))
+    elif start == "vertex":
+        mu0 = DiscreteMeasure.dirac(draw(st.integers(0, n - 1)), n)
+    elif start == "two-point" and n == 2:
+        mu0 = DiscreteMeasure.two_point(draw(st.sampled_from([0.05, 0.125, 0.3, 0.5, 0.7])))
+    else:
+        mu0 = DiscreteMeasure.uniform(n)
+    return kernel, mu0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    chain=chains(),
+    steps=st.integers(0, 80),
+    tol=st.sampled_from([1e-14, 1e-12, 1e-10, 1e-6, 1e-3]),
+    max_iter=st.integers(1, 120),
+    regime=st.sampled_from(["fast", "slow"]),
+)
+def test_orbit_matches_the_step_by_step_loops(chain, steps, tol, max_iter, regime):
+    kernel, mu0 = chain
+    got = outcome(evolve, kernel, mu0, steps)
+    assert_same_trajectory(got, outcome(reference_evolve, kernel, mu0, steps))
+    want_fp = outcome(reference_find_invariant, kernel, mu0, tol, max_iter)
+    assert_same_fixed_point(outcome(find_invariant, kernel, mu0, tol, max_iter), want_fp)
+    cert = (fast_cert(0.6, 0.1) if regime == "fast"
+            else ErgodicityCertificate(0.5, 0.5, "slow", grid_resolution=50))
+    # check_rate searches up to DEFAULT_MAX_ITER steps; a smaller bound
+    # keeps the reference loop short on orbits that never converge
+    with mock.patch.object(ergodicity, "DEFAULT_MAX_ITER", max_iter):
+        rate = outcome(check_rate, kernel, cert, mu0, steps)
+    assert_same_rate(rate, outcome(reference_check_rate, kernel, cert, mu0, steps, max_iter))
+    if rate[0] == "ok" and not rate[1].falsified:
+        assert_same_trajectory(("ok", rate[1].trajectory), outcome(reference_evolve, kernel, mu0, steps))
+
+
+def test_fixed_point_search_reads_a_closed_orbit_by_index():
+    mu0 = DiscreteMeasure.dirac(0, 2)
+    assert_same_fixed_point(outcome(find_invariant, SWAP, mu0, max_iter=10_000),
+                            outcome(reference_find_invariant, SWAP, mu0, max_iter=10_000))
+
+
+def test_rate_check_reads_its_trajectory_after_a_search_past_the_window():
+    # check_rate searches the orbit to its fixed point at step 26, past
+    # the steps + 1 stored iterates and, for few steps, the ring behind
+    # them, before it reads the trajectory from the stored ones.
+    kernel, mu0, cert = markov_example_kernel(), DiscreteMeasure.uniform(2), fast_cert(0.6, 0.1)
+    for steps in (0, 1, 5, 13, 40):
+        rate = outcome(check_rate, kernel, cert, mu0, steps)
+        assert_same_rate(rate, outcome(reference_check_rate, kernel, cert, mu0, steps))
+        assert_same_trajectory(("ok", rate[1].trajectory), outcome(reference_evolve, kernel, mu0, steps))
+
+
+def test_an_orbit_refuses_an_iterate_that_has_left_its_window():
+    # Searched to its fixed point at step 26, an orbit storing 6 iterates
+    # has written later ones over w_6 ... w_9 in its ring: reading those
+    # again, or searching again, raises instead of returning other bits.
+    orbit = ergodicity._Orbit(markov_example_kernel(), DiscreteMeasure.uniform(2), 6)
+    assert orbit.fixed_point(1e-14, 1_000).iterations == 26
+    assert orbit.size == 10 + ergodicity._WINDOW
+    for read in (lambda: orbit.at(6), lambda: orbit.distance(9, 10),
+                 lambda: orbit.fixed_point(1e-14, 500)):
+        with pytest.raises(IndexError, match="left the orbit's window"):
+            read()
+    measures, _ = reference_evolve(markov_example_kernel(), DiscreteMeasure.uniform(2), 10)
+    assert orbit.at(5).tobytes() == measures[5].weights.tobytes()
+    assert orbit.at(10).tobytes() == measures[10].weights.tobytes()
+
+
+def test_row_sums_have_the_bits_of_one_dimensional_sums():
+    # Trajectories, rate distances and the iterate checks sum rows of
+    # (m, n) arrays where the step-by-step loops summed 1-D arrays.
+    rng = np.random.default_rng(3)
+    for n in (2, 5, 8, 9, 16, 30, 50, 129, 1000):
+        a = rng.dirichlet(np.ones(n), size=40) * rng.choice([1e-3, 1.0, 1e5], size=(40, 1))
+        b = rng.dirichlet(np.ones(n), size=40)
+        rows = np.abs(a - b).sum(axis=1)
+        assert rows.tobytes() == np.array([float(np.abs(x - y).sum()) for x, y in zip(a, b)]).tobytes()
+        assert a.sum(axis=1).tobytes() == np.array([float(x.sum()) for x in a]).tobytes()
+    for m in (30, 50):
+        k = no_invariant_kernel(0.3, 0.6, m)
+        mu0 = DiscreteMeasure.dirac(0, m)
+        assert_same_trajectory(outcome(evolve, k, mu0, 120), outcome(reference_evolve, k, mu0, 120))
+
+
+def matrix_calls(monkeypatch):
+    """Count NonlinearKernel.matrix calls on single measures."""
+    count = [0]
+    original = NonlinearKernel.matrix
+
+    def counted(self, nu):
+        count[0] += np.ndim(nu) == 1
+        return original(self, nu)
+
+    monkeypatch.setattr(NonlinearKernel, "matrix", counted)
+    return count
+
+
+def test_fixed_point_search_stops_stepping_a_cycle(monkeypatch):
+    calls = matrix_calls(monkeypatch)
+    fp = find_invariant(SWAP, DiscreteMeasure.dirac(0, 2), max_iter=100_000)
+    assert calls[0] <= 3
+    assert (fp.converged, fp.iterations, fp.cycle_period, fp.residual) == (False, 100_000, 2, 2.0)
+    assert [m.weights.tolist() for m in fp.tail[-2:]] == [[0.0, 1.0], [1.0, 0.0]]
+
+
+def test_fixed_point_search_keeps_a_bounded_window():
+    # an irrational rotation of the first weight never repeats, so the
+    # search steps all max_iter times and must not keep its iterates
+    def rows(w):
+        a = (w[:, :1] + 0.6180339887498949) % 1.0
+        return np.repeat(np.concatenate([a, 1.0 - a], axis=1)[:, None], 2, axis=1)
+
+    k = NonlinearKernel(2, rows, "rotation")
+    tracemalloc.start()
+    try:
+        fp = find_invariant(k, max_iter=5_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not fp.converged and fp.iterations == 5_000
+    assert peak < 40_000  # 5,000 iterates of 2 floats would take 80 kB
+
+
+def bump_kernel(delta, where):
+    """Q = [[0.7, 0.3], [0.4, 0.6]] with ``delta`` added to entry (0, 0)
+    wherever the first weight is below ``where``: from (1, 0) the orbit
+    1, 0.7, 0.61, 0.583, ... crosses 0.6 at its third iterate."""
+    q = np.array([[0.7, 0.3], [0.4, 0.6]])
+
+    def rows(w):
+        mats = np.repeat(q[None], len(w), axis=0)
+        mats[:, 0, 0] += np.where(w[:, 0] < where, delta, 0.0)
+        return mats
+
+    return NonlinearKernel(2, rows, "bump")
+
+
+def negative_kernel():
+    """Rows sum to 1 with a negative entry inside the row check's
+    tolerance, so an iterate can carry a negative weight."""
+    q = np.array([[1.0 + 1e-11, -1e-11], [0.4, 0.6]])
+    return NonlinearKernel(2, lambda w: np.repeat(q[None], len(w), axis=0), "negative")
+
+
+@pytest.mark.parametrize("kernel, pattern", [
+    (bump_kernel(0.5, 0.6), "non-stochastic rows at step"),   # row check, mid-run
+    (bump_kernel(5e-11, 2.0), "weights sum to"),              # mass drifts every step
+    (negative_kernel(), "nonnegative"),
+])
+def test_failures_match_the_step_by_step_loops(kernel, pattern):
+    mu0 = DiscreteMeasure.dirac(0, 2)
+    for steps in (2, 20):
+        got = outcome(evolve, kernel, mu0, steps)
+        assert_same_trajectory(got, outcome(reference_evolve, kernel, mu0, steps))
+    assert pattern in got[1]
+    for max_iter in (2, 3, 100):
+        assert_same_fixed_point(outcome(find_invariant, kernel, mu0, max_iter=max_iter),
+                                outcome(reference_find_invariant, kernel, mu0, max_iter=max_iter))
+    cert = fast_cert(0.6, 0.1)
+    with mock.patch.object(ergodicity, "DEFAULT_MAX_ITER", 200):
+        rate = outcome(check_rate, kernel, cert, mu0, 20)
+    assert_same_rate(rate, outcome(reference_check_rate, kernel, cert, mu0, 20, 200))
+
+
+def test_orbit_compares_bytes_not_values():
+    # w_1 = (0.0, 1.0) equals w_0 = (-0.0, 1.0) but is not the same
+    # input: this kernel sends them to different laws
+    def rows(w):
+        row = np.where(np.signbit(w[:, :1]), [0.0, 1.0], [0.5, 0.5])
+        return np.repeat(row[:, None], 2, axis=1)
+
+    k = NonlinearKernel(2, rows, "sign-of-zero")
+    mu0 = DiscreteMeasure(np.array([-0.0, 1.0]))
+    got = outcome(evolve, k, mu0, 4)
+    assert_same_trajectory(got, outcome(reference_evolve, k, mu0, 4))
+    assert got[1].weights[2].tolist() == [0.5, 0.5]
+    assert_same_fixed_point(outcome(find_invariant, k, mu0, max_iter=5),
+                            outcome(reference_find_invariant, k, mu0, max_iter=5))
+
+
+def test_a_repeat_of_the_start_is_checked_as_a_later_iterate():
+    # mu_0 passed its own looser tolerance; as iterate 1 it must pass 2e-12
+    mu0 = DiscreteMeasure(np.array([0.5, 0.5 + 1e-9]), tol=1e-6)
+    identity = markov_kernel(np.eye(2), "identity")
+    got = outcome(evolve, identity, mu0, 5)
+    assert_same_trajectory(got, outcome(reference_evolve, identity, mu0, 5))
+    assert got[0] is ValueError and "within 2e-12" in got[1]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ The closed forms used as oracles:
 
 import math
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -53,6 +54,37 @@ def test_grid_enumerates_all_compositions():
     # vertices present
     for i in range(3):
         assert any(np.array_equal(w, np.eye(3)[i]) for w in g.weights)
+
+
+def compositions(total, parts):
+    """Weak compositions of ``total`` into ``parts`` parts, in the
+    lexicographic order of their divider positions: the grid's order."""
+    for dividers in combinations(range(total + parts - 1), parts - 1):
+        prev, comp = -1, []
+        for d in dividers:
+            comp.append(d - prev - 1)
+            prev = d
+        comp.append(total + parts - 2 - prev)
+        yield comp
+
+
+def test_grid_matches_the_composition_generator():
+    for n in range(1, 7):
+        for r in range(1, 9):
+            want = np.array(list(compositions(r, n)), dtype=float) / r
+            got = MeasureGrid(n, r).weights
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_grid_memory_stays_near_its_weights():
+    tracemalloc.start()
+    try:
+        weights = MeasureGrid(2, 1_000_000).weights
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weights.nbytes == 16_000_016
+    assert peak < 3 * weights.nbytes
 
 
 def test_grid_measures_are_valid():
@@ -429,7 +461,7 @@ def test_sweeps_match_pairwise_on_clamped_spec_kernels(spec):
 
 def test_grid_ranks_reproduce_grid_order():
     for n in range(1, 7):
-        for r in range(1, 7):
+        for r in range(1, 9):
             g = MeasureGrid(n, r)
             counts = np.rint(g.weights * r).astype(np.int64)
             assert np.array_equal(_grid_ranks(counts, r), np.arange(g.size))
