@@ -25,7 +25,13 @@ from .measures import (
     histogram_of,
     tv_between_histograms,
 )
-from .mckean_vlasov import ParticleEnsemble, SMVESpec, simulate, simulate_runs
+from .mckean_vlasov import (
+    ParticleEnsemble,
+    SMVESpec,
+    WeightFunction,
+    simulate,
+    simulate_runs,
+)
 
 __all__ = [
     "Binning",
@@ -175,7 +181,9 @@ def lyapunov_diagnostic(
 
     Needs snapshots at times 0, lag, 2 lag, ...; at least three of them.
     A flat series (already at equilibrium, or a frozen ensemble) cannot
-    identify gamma and comes back flagged degenerate.
+    identify gamma and comes back flagged degenerate.  ``predicted_gamma``
+    is V's own decay factor per lag when V is a ``WeightFunction``, and
+    None otherwise.
     """
     if lag <= 0:
         raise ValueError("lag must be positive")
@@ -189,6 +197,7 @@ def lyapunov_diagnostic(
             f"need at least 3 snapshots at lag multiples, found {len(wanted)}"
         )
     wanted.sort(key=lambda s: s.time)
+    predicted = V.predicted_gamma(lag) if isinstance(V, WeightFunction) else None
     m = np.array([float(np.mean(V(s.positions))) for s in wanted])
 
     prev, nxt = m[:-1], m[1:]
@@ -200,7 +209,7 @@ def lyapunov_diagnostic(
             n_points=len(m),
             residual_rms=0.0,
             degenerate=True,
-            predicted_gamma=_predicted_gamma(V, lag),
+            predicted_gamma=predicted,
         )
     slope, intercept = np.polyfit(prev, nxt, 1)
     resid = nxt - (slope * prev + intercept)
@@ -211,17 +220,8 @@ def lyapunov_diagnostic(
         n_points=len(m),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
         degenerate=False,
-        predicted_gamma=_predicted_gamma(V, lag),
+        predicted_gamma=predicted,
     )
-
-
-def _predicted_gamma(V, lag: float) -> float | None:
-    # Exponential weights decay like exp(-kappa * r * t / 4) per lag t.
-    r = getattr(V, "r", None)
-    kappa = getattr(V, "kappa", None)
-    if r is None or kappa is None:
-        return None
-    return math.exp(-kappa * r * lag / 4.0)
 
 
 # ---------------------------------------------------------------------------

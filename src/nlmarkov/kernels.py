@@ -21,8 +21,14 @@ exact identity that avoids materialising the pairs:
   spread ``max_a s.r_a - min_a s.r_a`` over sign vectors s in {-1, +1}^n
   with s_1 = +1, because ``||v||_1 = max_s s.v`` and s, -s give the same
   spread.  That is one (G*n x n) by (n x 2^(n-1)) product instead of
-  (G*n)^2 row differences; with more sign vectors than rows it falls
-  back to the pairwise maximum in fixed-size tiles.
+  (G*n)^2 row differences.  With more sign vectors than rows it first
+  finds a far pair with two farthest-row sweeps.  Since |x - y| =
+  x + y - 2 min(x, y) for any reals, no two rows are more than
+  2 max_a sum(r_a) - 2 sum_i min_a r_ai apart (the floor bound); when
+  the pair found meets it, as for the no-invariant kernel, whose rows
+  all put alpha on state 1, that pair is the answer.  Otherwise (as
+  with dense rows, which share no floor) it takes the pairwise maximum
+  in fixed-size tiles.
 * lambda: two grid measures are joined by unit moves (e_j - e_i)/R
   through grid measures whose TV lengths add up to exactly their own
   distance, so by the triangle inequality the largest ratio over all
@@ -46,8 +52,9 @@ TIE_TOLERANCE = 1e-6
 NEGLIGIBLE_TV = 1e-9
 SWEEP_BLOCK_BYTES = 16 * 2**20
 # Tiles of the pairwise L1 sweep stay in a core's L2 cache.  On
-# no-invariant rows (30 and 50 states at R=1, 20 at R=2) 512 KiB was the
-# fastest of 128 KiB to 1 MiB, at 0.55-0.75x the time of 16 MiB tiles.
+# Dirichlet(1) rows (900 x 30 and 2500 x 50), which the floor bound of
+# _l1_diameter does not settle, 512 KiB was the fastest of 128 KiB to
+# 1 MiB, at 0.55-0.60x the time of 16 MiB tiles.
 PAIRWISE_TILE_BYTES = 512 * 2**10
 
 __all__ = [
@@ -420,8 +427,15 @@ def _l1_diameter(rows: np.ndarray) -> float:
             np.maximum(hi, proj.max(axis=0), out=hi)
             np.minimum(lo, proj.min(axis=0), out=lo)
         return float((hi - lo).max())
-    # More sign vectors than rows: pairwise differences in square tiles,
-    # upper triangle only.
+    # More sign vectors than rows.  Two farthest-row sweeps find a pair;
+    # if no pair can be farther, that pair is the answer.
+    chunk = max(1, SWEEP_BLOCK_BYTES // (8 * n))
+    _, far = _farthest(rows, 0, chunk)
+    best, _ = _farthest(rows, far, chunk)
+    top = max(rows[s:s + chunk].sum(axis=1).max() for s in range(0, m, chunk))
+    if 2.0 * (top - rows.min(axis=0).sum()) <= best:
+        return best
+    # Otherwise pairwise differences in square tiles, upper triangle only.
     step = max(1, math.isqrt(PAIRWISE_TILE_BYTES // (8 * n)))
     worst = 0.0
     for s in range(0, m, step):
@@ -429,6 +443,17 @@ def _l1_diameter(rows: np.ndarray) -> float:
             diff = rows[s:s + step, None, :] - rows[None, t:t + step, :]
             worst = max(worst, float(np.abs(diff, out=diff).sum(axis=2).max()))
     return worst
+
+
+def _farthest(rows: np.ndarray, a: int, chunk: int) -> tuple[float, int]:
+    """Largest ||r_a - r_b||_1 over rows b, and the first b reaching it."""
+    best, far = 0.0, a
+    for s in range(0, rows.shape[0], chunk):
+        dist = np.abs(rows[s:s + chunk] - rows[a]).sum(axis=1)
+        i = int(dist.argmax())
+        if dist[i] > best:
+            best, far = float(dist[i]), s + i
+    return best, far
 
 
 def _grid_ranks(counts: np.ndarray, resolution: int) -> np.ndarray:
@@ -494,8 +519,19 @@ def estimate_alpha(
     the pair max and the sign max commute, and s and -s give the same
     spread.  Cost O(G n^2 2^(n-1)) time for the projections; when
     2^(n-1) > G*n the pairwise sweep is cheaper and runs instead in tiles
-    of about ``PAIRWISE_TILE_BYTES``, O((G n)^2 n) time.  Memory is
-    O(G n^2) plus temporaries of about ``SWEEP_BLOCK_BYTES`` each.
+    of about ``PAIRWISE_TILE_BYTES``, O((G n)^2 n) time.  Two
+    farthest-row sweeps come first, O(G n^2) time, and when the pair they
+    find is as far apart as the floor bound
+    2 max_a sum(r_a) - 2 sum_i min_a r_ai allows, no tile is compared;
+    the no-invariant kernel is settled this way.  Rows with no shared
+    column floor, such as dense rows, are rarely settled and pay the
+    full sweep.
+    The skip can only lower the diameter, so only raise alpha_hat, and
+    only where the computed bound rounds below the true diameter: by at
+    most the rounding of the bound and of one n-term distance, about
+    n * eps times the largest row sum, far below ``TIE_TOLERANCE``.
+    Memory is O(G n^2) plus temporaries of about ``SWEEP_BLOCK_BYTES``
+    each.
     """
     grid = grid or MeasureGrid.default(kernel.space_size)
     rows = kernel.matrix(grid.weights).reshape(-1, kernel.space_size)

@@ -118,6 +118,11 @@ class WeightFunction:
             )
         return out
 
+    def predicted_gamma(self, lag: float) -> float:
+        """Decay factor of the mean weight per ``lag``: exponential
+        weights decay like exp(-kappa * r * t / 4) over time t."""
+        return math.exp(-self.kappa * self.r * lag / 4.0)
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:

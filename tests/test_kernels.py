@@ -39,7 +39,7 @@ from nlmarkov.kernels import (
     oscillating_kernel,
     validate,
 )
-from nlmarkov.kernels import _grid_ranks
+from nlmarkov.kernels import _grid_ranks, _l1_diameter
 from nlmarkov.measures import DiscreteMeasure
 
 
@@ -404,8 +404,37 @@ def test_sweeps_match_pairwise_on_mixture_kernels(case):
                 MeasureGrid(12, 1)))
 @example(case=(mixture_kernel(birth_death_jitter_matrix(size=7), 0.3),
                 MeasureGrid(7, 2)))
+@example(case=(no_invariant_kernel(0.2, 0.8, 12), MeasureGrid(12, 1)))
+@example(case=(no_invariant_kernel(0.2, 0.8, 12), MeasureGrid(12, 2)))
 def test_sweeps_match_pairwise_across_the_sign_vector_cutoff(case):
     assert_matches_pairwise(*case)
+
+
+def lattice_rows(n, m, seed, floor_low, bump_low, density):
+    """(m, n) rows on a lattice of quarters, so distances tie exactly: a
+    shared column floor from floor_low/4 up, plus bumps from bump_low/4
+    up in a share ``density`` of the entries."""
+    rng = np.random.default_rng(seed)
+    floor = rng.integers(floor_low, 5, n) / 4.0
+    bumps = rng.integers(bump_low, 5, (m, n))
+    bumps *= rng.random((m, n)) < density
+    return floor + bumps / 4.0
+
+
+# 9 to 14 columns and m < 256 rows send every case to the pairwise
+# branch, whose tiles hold 68 to 85 rows: up to four tiles, the last
+# one short for most m.
+@settings(max_examples=100, deadline=None)
+@given(rows=st.builds(lattice_rows, st.integers(9, 14), st.integers(1, 255),
+                      st.integers(0, 2**32 - 1), st.integers(-4, 0),
+                      st.integers(-4, 0), st.floats(0.0, 1.0)))
+@example(rows=lattice_rows(9, 1, 0, -4, -4, 0.5))
+@example(rows=lattice_rows(9, 2, 0, -4, -4, 0.5))
+# one bump of 1 per row: the floor bound, 2, ties the first pair found
+@example(rows=lattice_rows(12, 100, 0, -4, 4, 0.08))
+def test_l1_diameter_matches_all_pairs(rows):
+    dist = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
+    assert abs(_l1_diameter(rows) - dist.max()) <= 1e-12
 
 
 @st.composite
