@@ -64,10 +64,10 @@ from .measures import DiscreteMeasure
 from .mckean_vlasov import (
     DriftBoundError,
     SimulationBlowUp,
+    WeightFunction,
     gaussian_sampler,
     make_ou_spec,
     make_vh_spec,
-    make_weight_function,
     point_mass_sampler,
     radial_confinement_drift,
     simulate,
@@ -323,11 +323,11 @@ def _run_chain(args, resolved: dict) -> int:
     claims = [
         Claim("kernel rows are stochastic on the grid", True, validation),
     ]
-    details = {"certificate": cert.to_dict()}
+    details = {"certificate": cert}
     if rate is not None:
         write_csv(out / "rate.csv", ["n", "measured", "bound", "margin"],
                   rate.csv_rows(), "rate-report")
-        write_json_report(out / "rate_report.json", rate.to_dict())
+        write_json_report(out / "rate_report.json", rate)
         claims.append(
             Claim(
                 "measured distances stay within the certified bound",
@@ -432,7 +432,7 @@ def _smve_decay(c: dict, out: Path, spec, binning, h, horizon, times) -> int:
     write_csv(out / "decay.csv", ["time", "tv"],
               zip(fit.times, fit.tv_values), "decay")
     doc = report_document("smve/decay", c, claims,
-                          {"fit": fit.to_dict(), "noise_floor": floor})
+                          {"fit": fit, "noise_floor": floor})
     return _finish(out, doc, f"theta = {fit.theta:.6g} [{fit.theta_lower:.6g}, "
                              f"{fit.theta_upper:.6g}] -> {out}")
 
@@ -450,9 +450,9 @@ def _smve_girsanov_check(c: dict, out: Path, spec, binning, h, horizon, times) -
         "smve/girsanov-check", c,
         [Claim("coupled runs stay within the coupling bound",
                report.passed,
-               {"violations": [list(v) for v in report.violations],
+               {"violations": report.violations,
                 "allowance": allowance})],
-        {"report": report.to_dict()})
+        {"report": report})
     return _finish(out, doc,
                    f"girsanov check: {'ok' if report.passed else 'VIOLATED'} -> {out}")
 
@@ -481,12 +481,12 @@ def _smve_lyapunov(c: dict, out: Path, spec, binning, h, horizon, times) -> int:
     snap_times = [k * lag for k in range(k_max + 1)]
     snaps = simulate(spec, _sampler(c["nu0"], "nu0"), c["n"], h, horizon,
                      c["seed"], snap_times)
-    V = make_weight_function(c["r"], c["m-ball"])
+    V = WeightFunction(c["r"], c["m-ball"])
     fit = lyapunov_diagnostic(snaps, V, lag)
     ok = fit.degenerate or (fit.gamma_hat < 1.0)
     doc = report_document(
         "smve/lyapunov", c,
-        [Claim("mean weight contracts per lag", ok, fit.to_dict())])
+        [Claim("mean weight contracts per lag", ok, fit)])
     return _finish(out, doc, f"gamma_hat = {fit.gamma_hat:.6g} "
                              f"(predicted {fit.predicted_gamma:.6g}) -> {out}")
 

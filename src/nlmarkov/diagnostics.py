@@ -32,10 +32,10 @@ from .mckean_vlasov import (
     simulate,
     simulate_runs,
 )
+from .reporting import Record
 
 __all__ = [
     "Binning",
-    "DEFAULT_BINNING",
     "LyapunovFit",
     "DecayFit",
     "DecayFitError",
@@ -49,7 +49,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Binning:
+class Binning(Record):
     """Shared histogram grid: [lower, upper] split into ``bins`` bins
     per axis."""
 
@@ -71,12 +71,6 @@ class Binning:
             np.full(d, self.bins),
         )
 
-    def to_dict(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper, "bins": self.bins}
-
-
-DEFAULT_BINNING = Binning()
-
 
 def _ensemble_tv(a: ParticleEnsemble, b: ParticleEnsemble, binning: Binning) -> float:
     return tv_between_histograms(
@@ -93,7 +87,7 @@ def estimate_local_alpha(
     R: float,
     t: float,
     n_sims: int,
-    binning: Binning = DEFAULT_BINNING,
+    binning: Binning = Binning(),
     x_grid: np.ndarray | None = None,
     step_size: float = 0.01,
     seed: int = 101,
@@ -148,7 +142,7 @@ def estimate_local_alpha(
 
 
 @dataclass(frozen=True)
-class LyapunovFit:
+class LyapunovFit(Record):
     """Least squares fit of mean-weight recursion m_{k+1} = gamma m_k + K
     across snapshots one lag apart."""
 
@@ -159,17 +153,6 @@ class LyapunovFit:
     residual_rms: float
     degenerate: bool
     predicted_gamma: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma_hat": self.gamma_hat,
-            "K_hat": self.K_hat,
-            "lag": self.lag,
-            "n_points": self.n_points,
-            "residual_rms": self.residual_rms,
-            "degenerate": self.degenerate,
-            "predicted_gamma": self.predicted_gamma,
-        }
 
 
 def lyapunov_diagnostic(
@@ -229,7 +212,7 @@ def lyapunov_diagnostic(
 
 
 @dataclass(frozen=True)
-class GirsanovReport:
+class GirsanovReport(Record):
     """Histogram distances between two coupled runs against the
     exponential coupling bound sqrt(2) tv0 exp(4 eps^2 L^2 t)."""
 
@@ -246,19 +229,6 @@ class GirsanovReport:
     def passed(self) -> bool:
         return len(self.violations) == 0
 
-    def to_dict(self) -> dict:
-        return {
-            "times": list(self.times),
-            "estimates": list(self.estimates),
-            "bounds": list(self.bounds),
-            "allowance": self.allowance,
-            "tv0": self.tv0,
-            "epsilon": self.epsilon,
-            "lipschitz_L": self.lipschitz_L,
-            "violations": [list(v) for v in self.violations],
-            "passed": self.passed,
-        }
-
     def csv_rows(self):
         for t, est, b in zip(self.times, self.estimates, self.bounds):
             yield (t, est, b, b + self.allowance - est)
@@ -273,7 +243,7 @@ def girsanov_bound_check(
     n_particles: int,
     step_size: float,
     seed: int,
-    binning: Binning = DEFAULT_BINNING,
+    binning: Binning = Binning(),
     allowance: float = 0.0,
 ) -> GirsanovReport:
     """Run the same noise through two initial laws and compare their
@@ -322,7 +292,7 @@ def calibrate_tv_allowance(
     n_particles: int,
     step_size: float,
     seed: int,
-    binning: Binning = DEFAULT_BINNING,
+    binning: Binning = Binning(),
     n_pairs: int = 5,
     percentile: float = 99.0,
 ) -> float:
@@ -363,7 +333,7 @@ class DecayFitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DecayFit:
+class DecayFit(Record):
     """Least squares fit of log tv(t) = log C - theta t on the points
     above the noise floor, with a 95 percent band on theta."""
 
@@ -376,23 +346,11 @@ class DecayFit:
     tv_values: tuple
     noise_floor: float
 
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "theta_lower": self.theta_lower,
-            "theta_upper": self.theta_upper,
-            "log_c": self.log_c,
-            "n_used": self.n_used,
-            "times": list(self.times),
-            "tv_values": list(self.tv_values),
-            "noise_floor": self.noise_floor,
-        }
-
 
 def fit_decay(
     run_a: Sequence[ParticleEnsemble],
     run_b: Sequence[ParticleEnsemble],
-    binning: Binning = DEFAULT_BINNING,
+    binning: Binning = Binning(),
     noise_floor: float = 0.0,
 ) -> DecayFit:
     """Exponential decay rate of the histogram distance between two

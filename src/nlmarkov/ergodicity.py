@@ -28,6 +28,7 @@ import numpy as np
 from .kernels import ErgodicityCertificate, KernelValidationError, NonlinearKernel
 from .kernels import ROW_SUM_TOL, markov_kernel, row_faults
 from .measures import DiscreteMeasure, MASS_TOL
+from .reporting import Record
 
 MAX_CYCLE_PERIOD = 8
 DEFAULT_TOL = 1e-10
@@ -253,7 +254,7 @@ def evolve(kernel: NonlinearKernel, mu0: DiscreteMeasure, steps: int) -> Traject
 
 
 @dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(Record):
     """Outcome of fixed-point iteration.
 
     Acceptance needs both the successive distance and the fixed-point
@@ -266,17 +267,8 @@ class FixedPointResult:
     measure: DiscreteMeasure | None
     iterations: int
     residual: float
-    tail: tuple = ()
+    tail: tuple = field(default=(), metadata={"key": None})
     cycle_period: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "measure": None if self.measure is None else self.measure.weights.tolist(),
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "cycle_period": self.cycle_period,
-        }
 
 
 def find_invariant(
@@ -300,7 +292,7 @@ def verify_invariant(kernel: NonlinearKernel, pi: DiscreteMeasure) -> float:
 
 
 @dataclass(frozen=True)
-class ContractionCheck:
+class ContractionCheck(Record):
     """Result of sweeping the one-step contraction inequality over
     measure pairs."""
 
@@ -313,18 +305,6 @@ class ContractionCheck:
     @property
     def passed(self) -> bool:
         return self.n_violations == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "n_pairs": self.n_pairs,
-            "n_violations": self.n_violations,
-            "max_excess": self.max_excess,
-            "worst_pair": None
-            if self.worst_pair is None
-            else [list(self.worst_pair[0]), list(self.worst_pair[1])],
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
 
 
 def check_contraction_inequality(
@@ -376,7 +356,7 @@ def rate_bound(certificate: ErgodicityCertificate, n: int) -> float:
 
 
 @dataclass(frozen=True)
-class RateReport:
+class RateReport(Record):
     """Measured distances to the fixed point against the certified decay
     bound.
 
@@ -387,7 +367,7 @@ class RateReport:
     Violations therefore count only where measured > max(bound, floor).
     """
 
-    kernel_label: str
+    kernel_label: str = field(metadata={"key": "kernel"})
     certificate: ErgodicityCertificate
     distances: tuple
     bounds: tuple
@@ -399,26 +379,12 @@ class RateReport:
     # slow-regime bounds start at n = 1 (Eq. undefined at n = 0)
     first_step: int = 0
     # the run the distances were read from; None when falsified
-    trajectory: Trajectory | None = field(default=None, repr=False, compare=False)
+    trajectory: Trajectory | None = field(default=None, repr=False, compare=False,
+                                          metadata={"key": None})
 
     @property
     def passed(self) -> bool:
         return not self.falsified and len(self.violations) == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel_label,
-            "certificate": self.certificate.to_dict(),
-            "first_step": self.first_step,
-            "distances": list(self.distances),
-            "bounds": list(self.bounds),
-            "numerical_floor": self.numerical_floor,
-            "violations": [list(v) for v in self.violations],
-            "falsified": self.falsified,
-            "invariant": None if self.invariant is None else list(self.invariant),
-            "fixed_point_iterations": self.fixed_point_iterations,
-            "passed": self.passed,
-        }
 
     def csv_rows(self):
         for i, (d, b) in enumerate(zip(self.distances, self.bounds)):
@@ -491,7 +457,7 @@ def check_rate(
 
 
 @dataclass(frozen=True)
-class HMCertificate:
+class HMCertificate(Record):
     """Certified contraction of a Markov kernel in the weighted metric
     d_{1+beta V}: applying the kernel shrinks the metric by lambda_w < 1.
 
@@ -508,20 +474,7 @@ class HMCertificate:
     sublevel_threshold: float
     sublevel_states: tuple
     n_test_pairs: int
-    kernel_label: str = "kernel"
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "K": self.K,
-            "alpha_local": self.alpha_local,
-            "beta": self.beta,
-            "lambda_w": self.lambda_w,
-            "sublevel_threshold": self.sublevel_threshold,
-            "sublevel_states": list(self.sublevel_states),
-            "n_test_pairs": self.n_test_pairs,
-            "kernel": self.kernel_label,
-        }
+    kernel_label: str = field(default="kernel", metadata={"key": "kernel"})
 
 
 def certify_hm_contraction(

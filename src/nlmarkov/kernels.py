@@ -47,6 +47,8 @@ from typing import Callable
 
 import numpy as np
 
+from .reporting import Record
+
 ROW_SUM_TOL = 1e-10
 TIE_TOLERANCE = 1e-6
 NEGLIGIBLE_TV = 1e-9
@@ -189,7 +191,7 @@ class MeasureGrid:
 
 
 @dataclass(frozen=True)
-class ErgodicityCertificate:
+class ErgodicityCertificate(Record):
     """Outcome of the grid sweep: estimated overlap and sensitivity plus
     the regime they imply.
 
@@ -203,17 +205,7 @@ class ErgodicityCertificate:
     regime: str
     grid_resolution: int
     tie_tolerance: float = TIE_TOLERANCE
-    kernel_label: str = "kernel"
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "lambda_hat": self.lambda_hat,
-            "regime": self.regime,
-            "grid_resolution": self.grid_resolution,
-            "tie_tolerance": self.tie_tolerance,
-            "kernel": self.kernel_label,
-        }
+    kernel_label: str = field(default="kernel", metadata={"key": "kernel"})
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +420,11 @@ def _l1_diameter(rows: np.ndarray) -> float:
             np.minimum(lo, proj.min(axis=0), out=lo)
         return float((hi - lo).max())
     # More sign vectors than rows.  Two farthest-row sweeps find a pair;
-    # if no pair can be farther, that pair is the answer.
+    # if no pair can be farther, that pair is the answer.  The sweeps and
+    # tiles below lose NaN distances in their comparisons, so a NaN entry
+    # is answered here with NaN, as the sign-vector branch answers it.
+    if np.isnan(rows).any():
+        return float("nan")
     chunk = max(1, SWEEP_BLOCK_BYTES // (8 * n))
     _, far = _farthest(rows, 0, chunk)
     best, _ = _farthest(rows, far, chunk)

@@ -29,10 +29,10 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .measures import EmpiricalMeasure
+from .reporting import Record
 
 __all__ = [
     "WeightFunction",
-    "make_weight_function",
     "SMVESpec",
     "ParticleEnsemble",
     "VHReport",
@@ -130,10 +130,6 @@ class WeightFunction:
         if x.ndim == 1:
             return self.radial(np.abs(x))
         return self.radial(np.linalg.norm(x, axis=-1))
-
-
-def make_weight_function(r: float, M: float) -> WeightFunction:
-    return WeightFunction(r, M)
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +309,12 @@ def two_point_mixture_sampler(x0, x1, weight0: float) -> Callable:
 
 
 @dataclass(frozen=True)
-class VHReport:
+class VHReport(Record):
     passed: bool
     worst_margin: float
     worst_point: list
     n_points: int
     tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_margin": self.worst_margin,
-            "worst_point": self.worst_point,
-            "n_points": self.n_points,
-            "tolerance": self.tolerance,
-        }
 
 
 def verify_vh(

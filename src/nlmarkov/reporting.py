@@ -11,6 +11,14 @@ Every verifier and CLI run produces the same JSON shape:
       "details": {...}
     }
 
+Result dataclasses derive from ``Record`` and serialize through one
+rule: each field goes out under its own name, unless its metadata says
+otherwise -- ``metadata={"key": "kernel"}`` renames it and
+``metadata={"key": None}`` drops it -- and a ``passed`` property, when
+the class has one, is added as a key of its own.  Nested records, numpy
+scalars and arrays (and anything with ``__array__``, such as a
+``DiscreteMeasure``) become plain JSON values.
+
 Documents contain no timestamps, floats serialize via repr (exact
 round-trip), and keys are sorted, so a rerun with the same inputs is
 byte-identical.  CSV files open with a schema comment line and print
@@ -20,7 +28,7 @@ floats with 17 significant digits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,6 +38,7 @@ REPORT_SCHEMA = "nlmarkov.report/1"
 CSV_SCHEMA = "nlmarkov.csv/1"
 
 __all__ = [
+    "Record",
     "Claim",
     "report_document",
     "write_json_report",
@@ -38,36 +47,42 @@ __all__ = [
 ]
 
 
+class Record:
+    """Base of the result dataclasses that serialize by the module's rule."""
+
+    def to_dict(self) -> dict:
+        return _plain(self)
+
+
 @dataclass(frozen=True)
-class Claim:
+class Claim(Record):
     """One named pass/fail assertion with the numbers that back it."""
 
     name: str
     passed: bool
     witness: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "witness": _plain(self.witness),
-        }
-
 
 def _plain(value):
-    """Recursively convert numpy scalars/arrays so json can emit them."""
+    """Recursively convert records and numpy values so json can emit them."""
+    if isinstance(value, Record):
+        out = {}
+        for f in fields(value):
+            key = f.metadata.get("key", f.name)
+            if key is not None:
+                out[key] = _plain(getattr(value, f.name))
+        if isinstance(getattr(type(value), "passed", None), property):
+            out["passed"] = _plain(value.passed)
+        return out
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+    # numpy scalars have __array__ too, so they are caught first
+    if isinstance(value, np.generic):
+        return value.item()
+    if hasattr(value, "__array__"):
+        return np.asarray(value).tolist()
     return value
 
 
@@ -81,7 +96,7 @@ def report_document(
         "schema": REPORT_SCHEMA,
         "kind": kind,
         "parameters": _plain(parameters),
-        "claims": [c.to_dict() for c in claims],
+        "claims": _plain(list(claims)),
         "passed": all(c.passed for c in claims),
     }
     if details is not None:
@@ -89,7 +104,7 @@ def report_document(
     return doc
 
 
-def write_json_report(path, doc: dict) -> Path:
+def write_json_report(path, doc: dict | Record) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(_plain(doc), sort_keys=True, indent=2) + "\n")

@@ -43,11 +43,11 @@ from nlmarkov.measures import (
     weighted_tv_distance,
 )
 from nlmarkov.mckean_vlasov import (
+    WeightFunction,
     epsilon_zero,
     gaussian_sampler,
     make_ou_spec,
     make_vh_spec,
-    make_weight_function,
     ou_drift,
     point_mass_sampler,
     simulate,
@@ -355,7 +355,7 @@ def run_criterion_09(out):
         BINNING.histogram(run_a[-1].empirical()),
         BINNING.histogram(run_b[-1].empirical()))
     fit = fit_decay(run_a, run_b, binning=BINNING, noise_floor=0.05)
-    lyap = lyapunov_diagnostic(run_b, make_weight_function(1.0, 1.0), lag=2.0)
+    lyap = lyapunov_diagnostic(run_b, WeightFunction(1.0, 1.0), lag=2.0)
     claims = [
         Claim("interaction strength is inside the smallness regime",
               spec.epsilon <= epsilon_zero(1.0, 1.0, 1.0),

@@ -19,8 +19,8 @@ from nlmarkov.diagnostics import (
 from nlmarkov.measures import EmpiricalMeasure
 from nlmarkov.mckean_vlasov import (
     ParticleEnsemble,
+    WeightFunction,
     make_ou_spec,
-    make_weight_function,
     ou_drift,
     point_mass_sampler,
 )
@@ -99,7 +99,7 @@ class TestLyapunovDiagnostic:
         assert fit.predicted_gamma is None
 
     def test_weight_function_supplies_predicted_rate(self):
-        V = make_weight_function(2.0, 1.0)
+        V = WeightFunction(2.0, 1.0)
         snaps = [constant_snapshot(float(10 - k), float(k)) for k in range(4)]
         fit = lyapunov_diagnostic(snaps, V, lag=1.0)
         assert fit.predicted_gamma == pytest.approx(math.exp(-V.kappa * V.r / 4.0))

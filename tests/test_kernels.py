@@ -437,6 +437,14 @@ def test_l1_diameter_matches_all_pairs(rows):
     assert abs(_l1_diameter(rows) - dist.max()) <= 1e-12
 
 
+# 20 x 3 takes the sign-vector branch, 200 x 12 the pairwise one
+@pytest.mark.parametrize("m, n", [(20, 3), (200, 12)])
+def test_l1_diameter_is_nan_on_a_nan_entry(m, n):
+    rows = np.random.default_rng(0).dirichlet(np.ones(n), size=m)
+    rows[m // 2, 1] = np.nan
+    assert np.isnan(_l1_diameter(rows))
+
+
 @st.composite
 def clamped_specs(draw):
     """(n, R, terms): off-diagonal entry (i, j) is

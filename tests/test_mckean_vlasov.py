@@ -21,11 +21,11 @@ from nlmarkov.mckean_vlasov import (
     DriftBoundError,
     SMVESpec,
     SimulationBlowUp,
+    WeightFunction,
     epsilon_zero,
     gaussian_sampler,
     make_ou_spec,
     make_vh_spec,
-    make_weight_function,
     mean_attraction_coupling,
     ou_drift,
     point_mass_sampler,
@@ -50,19 +50,19 @@ def brownian_spec():
 
 class TestWeightFunction:
     def test_kappa_is_quarter_r_clamped_at_one(self):
-        assert make_weight_function(1.0, 1.0).kappa == 0.25
-        assert make_weight_function(4.0, 1.0).kappa == 1.0
-        assert make_weight_function(8.0, 1.0).kappa == 1.0
+        assert WeightFunction(1.0, 1.0).kappa == 0.25
+        assert WeightFunction(4.0, 1.0).kappa == 1.0
+        assert WeightFunction(8.0, 1.0).kappa == 1.0
 
     def test_pure_exponential_outside_the_ball(self):
-        V = make_weight_function(4.0, 1.0)
+        V = WeightFunction(4.0, 1.0)
         xs = np.array([1.0, 1.5, 2.0, 5.0])
         np.testing.assert_allclose(V(xs), np.exp(xs), rtol=1e-14)
 
     def test_plateau_inside_blend_start(self):
         # blend starts at M - 1 = 2, so V is flat at e^{0.5 * 2} = e
         # on [0, 2] and equals the exponential from M = 3 onward.
-        V = make_weight_function(2.0, 3.0)
+        V = WeightFunction(2.0, 3.0)
         assert V(0.0) == pytest.approx(math.e, rel=1e-14)
         assert V(np.array([1.0]))[0] == pytest.approx(math.e, rel=1e-14)
         assert V(np.array([2.0]))[0] == pytest.approx(math.e, rel=1e-14)
@@ -70,13 +70,13 @@ class TestWeightFunction:
 
     def test_at_least_one_and_nondecreasing(self):
         for r, M in [(1.0, 1.0), (2.0, 3.0), (0.5, 0.25)]:
-            V = make_weight_function(r, M)
+            V = WeightFunction(r, M)
             vals = V(np.linspace(0.0, 6.0 * M, 400))
             assert vals.min() >= 1.0 - 1e-12
             assert np.all(np.diff(vals) >= -1e-12)
 
     def test_blend_is_c1_and_c2_at_both_knots(self):
-        V = make_weight_function(2.0, 3.0)
+        V = WeightFunction(2.0, 3.0)
 
         def d1(x, h=1e-6):
             return (V(np.array([x + h]))[0] - V(np.array([x - h]))[0]) / (2 * h)
@@ -91,15 +91,15 @@ class TestWeightFunction:
             assert abs(d2(knot - 1e-4) - d2(knot + 1e-4)) < 2e-2
 
     def test_two_dimensional_input_uses_row_norms(self):
-        V = make_weight_function(4.0, 1.0)
+        V = WeightFunction(4.0, 1.0)
         pts = np.array([[3.0, 4.0], [0.0, 2.0]])
         np.testing.assert_allclose(V(pts), [math.exp(5.0), math.exp(2.0)], rtol=1e-13)
 
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(ValueError):
-            make_weight_function(0.0, 1.0)
+            WeightFunction(0.0, 1.0)
         with pytest.raises(ValueError):
-            make_weight_function(1.0, -2.0)
+            WeightFunction(1.0, -2.0)
 
 
 class TestVerifyVH:

@@ -5,6 +5,17 @@ import json
 import numpy as np
 import pytest
 
+from nlmarkov.diagnostics import Binning, DecayFit, GirsanovReport, LyapunovFit
+from nlmarkov.ergodicity import (
+    ContractionCheck,
+    FixedPointResult,
+    HMCertificate,
+    RateReport,
+    evolve,
+)
+from nlmarkov.kernels import ErgodicityCertificate, markov_example_kernel
+from nlmarkov.measures import DiscreteMeasure
+from nlmarkov.mckean_vlasov import VHReport
 from nlmarkov.reporting import (
     CSV_SCHEMA,
     Claim,
@@ -14,6 +25,49 @@ from nlmarkov.reporting import (
     write_csv,
     write_json_report,
 )
+
+CERT = ErgodicityCertificate(0.7, 0.0, "fast", 50, kernel_label="demo")
+HALF = DiscreteMeasure.two_point(0.5)
+
+# (record, its exact key set); each passed is given as, or computed to,
+# an np.bool_ where the class allows it
+RECORDS = {
+    "Claim": (Claim("c", np.bool_(True), {"x": np.float64(1.5)}),
+              {"name", "passed", "witness"}),
+    "Binning": (Binning(), {"lower", "upper", "bins"}),
+    "LyapunovFit": (LyapunovFit(0.5, 1.0, 2.0, 5, 0.01, False, 0.9),
+                    {"gamma_hat", "K_hat", "lag", "n_points", "residual_rms",
+                     "degenerate", "predicted_gamma"}),
+    "GirsanovReport": (GirsanovReport((0.5,), (0.1,), (0.3,), 0.0, 0.2, 0.1, 1.0,
+                                      ((0.5, 0.4, 0.3),)),
+                       {"times", "estimates", "bounds", "allowance", "tv0",
+                        "epsilon", "lipschitz_L", "violations", "passed"}),
+    "DecayFit": (DecayFit(0.6, 0.5, 0.7, 0.1, 3, (0.0, 1.0, 2.0), (1.0, 0.5, 0.25),
+                          0.01),
+                 {"theta", "theta_lower", "theta_upper", "log_c", "n_used",
+                  "times", "tv_values", "noise_floor"}),
+    "FixedPointResult": (FixedPointResult(True, HALF, 3, 0.0, (HALF, HALF), None),
+                         {"converged", "measure", "iterations", "residual",
+                          "cycle_period"}),
+    "ContractionCheck": (ContractionCheck(2, np.int64(0), -0.1,
+                                          ([1.0, 0.0], [0.0, 1.0]), 1e-12),
+                         {"n_pairs", "n_violations", "max_excess", "worst_pair",
+                          "tolerance", "passed"}),
+    "RateReport": (RateReport("demo", CERT, (0.5, 0.1), (2.0, 0.6), 1e-15, (),
+                              np.bool_(True), (0.5, 0.5), 4,
+                              trajectory=evolve(markov_example_kernel(), HALF, 2)),
+                   {"kernel", "certificate", "first_step", "distances", "bounds",
+                    "numerical_floor", "violations", "falsified", "invariant",
+                    "fixed_point_iterations", "passed"}),
+    "HMCertificate": (HMCertificate(0.5, 1.0, 0.3, 0.1, 0.9, 4.0, (0, 1), 10),
+                      {"gamma", "K", "alpha_local", "beta", "lambda_w",
+                       "sublevel_threshold", "sublevel_states", "n_test_pairs",
+                       "kernel"}),
+    "ErgodicityCertificate": (CERT, {"alpha_hat", "lambda_hat", "regime",
+                                     "grid_resolution", "tie_tolerance", "kernel"}),
+    "VHReport": (VHReport(np.bool_(False), -0.5, [1.0], 10, 1e-9),
+                 {"passed", "worst_margin", "worst_point", "n_points", "tolerance"}),
+}
 
 
 class TestReportDocument:
@@ -51,6 +105,28 @@ class TestReportDocument:
         assert parsed["parameters"]["i"] == 7
         assert parsed["parameters"]["b"] is True
         assert parsed["parameters"]["nested"]["inner"] == [2.0]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_serializes_by_field_name(name, tmp_path):
+    record, keys = RECORDS[name]
+    d = record.to_dict()
+    assert set(d) == keys
+    assert not {"kernel_label", "trajectory", "tail"} & set(d)
+    text = write_json_report(tmp_path / "r.json", record).read_text()
+    assert json.loads(text) == d
+    if "passed" in d:
+        assert type(d["passed"]) is bool
+        assert f'"passed": {json.dumps(bool(record.passed))}' in text
+
+
+def test_record_renames_drops_and_nests():
+    assert RECORDS["FixedPointResult"][0].to_dict()["measure"] == [0.5, 0.5]
+    d = RECORDS["RateReport"][0].to_dict()
+    assert d["kernel"] == "demo"
+    assert d["certificate"] == CERT.to_dict()
+    assert d["certificate"]["kernel"] == "demo"
+    assert d["passed"] is False
 
 
 class TestWriters:
