@@ -4,7 +4,10 @@ Three subcommands:
 
     nlmarkov chain ...            grid certificate + trajectory + rate check
     nlmarkov counterexample ...   one of the three sharpness verifiers
-    nlmarkov smve ...             particle runs and their diagnostics
+    nlmarkov smve ACTION ...      particle runs and their diagnostics
+
+Each command, and each smve action, takes only the options it reads
+(``OPTIONS``); girsanov-check derives tv0 from --mu0 and --nu0.
 
 Every run writes ``resolved_config.json`` (all defaults materialized)
 and a ``report.json`` in the shared schema, plus CSV tables where
@@ -98,8 +101,46 @@ _KERNELS = {
     "no-invariant": lambda c: no_invariant_kernel(c["alpha"], c["lam"], c["truncation"]),
 }
 
-# Every option of every command, declared once: in this order they
-# become the command's flags and the keys of resolved_config.json.
+# Every smve option, and so every smve flag, declared once.
+_SMVE = {
+    "preset": Option("vh", choices=("ou", "vh")),
+    "r": Option(1.0),
+    "m-ball": Option(1.0),
+    "d-bound": Option(1.0),
+    "epsilon": Option(0.05),
+    "n": Option(10_000),
+    "h": Option(0.01),
+    "horizon": Option(20.0),
+    "times": Option("", "comma-separated snapshot times"),
+    "seed": Option(7),
+    "bins": Option(200),
+    "bin-lo": Option(-10.0),
+    "bin-hi": Option(10.0),
+    "mu0": Option("point:0", "point:x | gauss:mean,std | mix:x0,x1,w0"),
+    "nu0": Option("gauss:2,1", "same mini-language as --mu0"),
+    "noise-floor": Option(-1.0),
+    "allowance": Option(-1.0),
+    "calibration-pairs": Option(5),
+    "radius": Option(1.0),
+    "t": Option(1.0),
+    "n-sims": Option(100_000),
+    "x-grid": Option(""),
+    "lag": Option(1.0),
+}
+_MODEL = "preset r m-ball d-bound epsilon"  # the SMVESpec
+_BINNING = "bins bin-lo bin-hi"
+
+
+def _smve_table(*names: str, **defaults) -> dict:
+    """The smve options named in ``names`` (space-separated), in order;
+    ``defaults`` overrides some of their defaults for one action."""
+    return {k: _SMVE[k]._replace(default=defaults.get(k, _SMVE[k].default))
+            for k in " ".join(names).split()}
+
+
+# Every option of every command, declared once in _SMVE or here: in
+# this order they become the command's flags and the keys of
+# resolved_config.json; an smve action's table holds the keys of its own.
 OPTIONS = {
     "chain": {
         "kernel": Option("markov-example", choices=(*_KERNELS, "custom")),
@@ -123,41 +164,29 @@ OPTIONS = {
         "n-max": Option(50),
     },
     "smve": {
-        "preset": Option("vh", choices=("ou", "vh")),
-        "r": Option(1.0),
-        "m-ball": Option(1.0),
-        "d-bound": Option(1.0),
-        "epsilon": Option(0.05),
-        "n": Option(10_000),
-        "h": Option(0.01),
-        "horizon": Option(20.0),
-        "times": Option("", "comma-separated snapshot times"),
-        "seed": Option(7),
-        "bins": Option(200),
-        "bin-lo": Option(-10.0),
-        "bin-hi": Option(10.0),
-        "mu0": Option("point:0", "point:x | gauss:mean,std | mix:x0,x1,w0"),
-        "nu0": Option("gauss:2,1", "same mini-language as --mu0"),
-        "tv0": Option(0.2),
-        "noise-floor": Option(-1.0),
-        "allowance": Option(-1.0),
-        "calibration-pairs": Option(5),
-        "radius": Option(1.0),
-        "t": Option(1.0),
-        "n-sims": Option(100_000),
-        "x-grid": Option(""),
-        "lag": Option(1.0),
+        "simulate": _smve_table(_MODEL, "n h horizon times seed mu0"),
+        "decay": _smve_table(_MODEL, "n h horizon times seed", _BINNING,
+                             "mu0 nu0 noise-floor calibration-pairs"),
+        "girsanov-check": _smve_table(_MODEL, "n h times seed", _BINNING,
+                                      "mu0 nu0 allowance calibration-pairs",
+                                      nu0="mix:0,2,0.9"),  # TV 0.2 from point:0
+        "local-alpha": _smve_table("preset r m-ball h seed", _BINNING,
+                                   "radius t n-sims x-grid"),
+        "lyapunov": _smve_table(_MODEL, "n h horizon seed nu0 lag"),
     },
 }
 
 
 def _resolve(args) -> dict:
-    """The command's options: defaults, overridden by --config file
-    entries, overridden by flags given on the command line.  A config
-    value must have its option's type (a float field also takes an
-    int; a bool is never a number) and be one of its choices; it is
-    kept as given, not coerced."""
-    options, config = OPTIONS[args.command], {}
+    """The options of the command, or of its smve action: defaults,
+    overridden by --config file entries, overridden by flags given on
+    the command line.  A flag or config field outside that table is
+    refused.  A config value must have its option's type (a float
+    field also takes an int; a bool is never a number) and be one of
+    its choices; it is kept as given, not coerced."""
+    options, name, config = OPTIONS[args.command], args.command, {}
+    if args.command == "smve":
+        options, name = options[args.action], f"smve {args.action}"
     if args.config:
         try:
             config = json.loads(Path(args.config).read_text())
@@ -169,7 +198,7 @@ def _resolve(args) -> dict:
             raise ValueError("config file must hold a JSON object")
     for k, v in config.items():
         if k not in options:
-            raise ValueError(f"unknown config field {k!r}")
+            raise ValueError(f"unknown config field {k!r} for {name}")
         kind, choices = type(options[k].default), options[k].choices
         if kind in (int, float) and type(v) not in (int, kind):
             raise ValueError(
@@ -179,8 +208,10 @@ def _resolve(args) -> dict:
                              f"{', '.join(map(str, choices))}; got {v!r}")
     resolved = {k: option.default for k, option in options.items()}
     resolved.update(config)
-    for k in options:
+    for k in _SMVE if args.command == "smve" else options:
         v = getattr(args, k.replace("-", "_"))
+        if v is not None and k not in options:
+            raise ValueError(f"unknown option --{k} for {name}")
         if v is not None:
             resolved[k] = v
     return resolved
@@ -217,8 +248,6 @@ def _floats(value, field: str) -> list:
 
 def _sampler(desc, field: str):
     """Initial law mini-language: point:x | gauss:mean,std | mix:x0,x1,w0."""
-    if callable(desc):
-        return desc
     text = str(desc)
     kind, _, rest = text.partition(":")
     vals = _floats(rest, field) if rest else []
@@ -234,6 +263,36 @@ def _sampler(desc, field: str):
     raise ValueError(
         f"{field} must be point:x, gauss:mean,std or mix:x0,x1,w0; got {text!r}"
     )
+
+
+def _law_tv(mu0: str, nu0: str) -> float:
+    """Exact total variation distance, in [0, 2], between two laws that
+    ``_sampler`` accepts: the sum of |mass differences| over the atoms of
+    point and mix laws, 2 between atoms and a gauss, and 2 (1 - overlap)
+    between two gauss laws.  Masses are summed as fractions of the
+    descriptors' decimal text, so point:0 against mix:0,2,0.9 is 0.2."""
+    from fractions import Fraction
+
+    laws = []
+    for desc in (mu0, nu0):
+        kind, _, rest = str(desc).partition(":")
+        vals = [tok for tok in rest.split(",") if tok != ""]
+        if kind == "gauss":
+            laws.append(tuple(map(float, vals)))
+            continue
+        w0 = Fraction(vals[2]) if kind == "mix" else Fraction(1)
+        atoms = {}
+        for x, mass in zip(map(float, vals), (w0, 1 - w0)):
+            atoms[x] = atoms.get(x, 0) + mass
+        laws.append(atoms)
+    a, b = laws
+    if isinstance(a, dict) and isinstance(b, dict):
+        return float(sum(abs(a.get(x, 0) - b.get(x, 0)) for x in a.keys() | b.keys()))
+    if isinstance(a, dict) or isinstance(b, dict):
+        return 2.0
+    from statistics import NormalDist
+
+    return 2.0 * (1.0 - NormalDist(*a).overlap(NormalDist(*b)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,22 +428,24 @@ def _run_counterexample(args, resolved: dict) -> int:
 def _run_smve(args, c: dict) -> int:
     if c["h"] <= 0:
         raise ValueError("h must be positive")
+    return _SMVE_RUNNERS[args.action](args, c)
+
+
+def _spec(c: dict):
+    """The model options' particle system, once they and n are checked."""
     if c["n"] < 100:
         raise ValueError("n must be at least 100")
     if c["epsilon"] < 0:
         raise ValueError("epsilon must be nonnegative")
-    out = _begin(args, f"smve/{args.action}", c)
-    binning = Binning(c["bin-lo"], c["bin-hi"], c["bins"])
-    spec = make_ou_spec() if c["preset"] == "ou" else make_vh_spec(
+    return make_ou_spec() if c["preset"] == "ou" else make_vh_spec(
         r=c["r"], M=c["m-ball"], D=c["d-bound"], epsilon=c["epsilon"])
-    times = _floats(c["times"], "times") if c["times"] else None
-    return _SMVE_RUNNERS[args.action](c, out, spec, binning, float(c["h"]),
-                                      float(c["horizon"]), times)
 
 
-def _smve_simulate(c: dict, out: Path, spec, binning, h, horizon, times) -> int:
-    snaps = simulate(spec, _sampler(c["mu0"], "mu0"), c["n"], h, horizon, c["seed"],
-                     times or [0.0, horizon])
+def _smve_simulate(args, c: dict) -> int:
+    spec, mu, horizon = _spec(c), _sampler(c["mu0"], "mu0"), float(c["horizon"])
+    times = _floats(c["times"], "times") or [0.0, horizon]
+    out = _begin(args, "smve/simulate", c)
+    snaps = simulate(spec, mu, c["n"], float(c["h"]), horizon, c["seed"], times)
     rows = []
     for s in snaps:
         x = s.positions[:, 0]
@@ -398,21 +459,23 @@ def _smve_simulate(c: dict, out: Path, spec, binning, h, horizon, times) -> int:
     return _finish(out, doc, f"simulated {c['n']} particles to t={horizon:g} -> {out}")
 
 
-def _calibrated(c: dict, key: str, spec, mu, times, h, binning) -> float:
+def _calibrated(c: dict, key: str, spec, mu, times, binning) -> float:
     """``c[key]``, or the calibrated noise floor of ``mu`` if negative."""
     if c[key] >= 0:
         return c[key]
-    return calibrate_tv_allowance(spec, mu, times, c["n"], h, c["seed"] + 1000,
-                                  binning, n_pairs=c["calibration-pairs"])
+    return calibrate_tv_allowance(spec, mu, times, c["n"], float(c["h"]),
+                                  c["seed"] + 1000, binning, n_pairs=c["calibration-pairs"])
 
 
-def _smve_decay(c: dict, out: Path, spec, binning, h, horizon, times) -> int:
-    times = times or np.linspace(0.0, horizon, 21).tolist()
-    mu = _sampler(c["mu0"], "mu0")
-    nu = _sampler(c["nu0"], "nu0")
-    floor = _calibrated(c, "noise-floor", spec, mu, times, h, binning)
+def _smve_decay(args, c: dict) -> int:
+    spec, binning = _spec(c), Binning(c["bin-lo"], c["bin-hi"], c["bins"])
+    mu, nu = _sampler(c["mu0"], "mu0"), _sampler(c["nu0"], "nu0")
+    horizon = float(c["horizon"])
+    times = _floats(c["times"], "times") or np.linspace(0.0, horizon, 21).tolist()
+    out = _begin(args, "smve/decay", c)
+    floor = _calibrated(c, "noise-floor", spec, mu, times, binning)
     run_a, run_b = simulate_runs(spec, [(mu, c["seed"]), (nu, c["seed"] + 1)],
-                                 c["n"], h, horizon, times)
+                                 c["n"], float(c["h"]), horizon, times)
     try:
         fit = fit_decay(run_a, run_b, binning, floor)
     except DecayFitError as exc:
@@ -437,13 +500,14 @@ def _smve_decay(c: dict, out: Path, spec, binning, h, horizon, times) -> int:
                              f"{fit.theta_upper:.6g}] -> {out}")
 
 
-def _smve_girsanov_check(c: dict, out: Path, spec, binning, h, horizon, times) -> int:
-    times = times or [0.5, 1.0, 2.0]
-    mu = _sampler(c["mu0"], "mu0")
-    nu = _sampler(c["nu0"], "nu0")
-    allowance = _calibrated(c, "allowance", spec, mu, times, h, binning)
-    report = girsanov_bound_check(spec, mu, nu, c["tv0"], times, c["n"], h,
-                                  c["seed"], binning, allowance)
+def _smve_girsanov_check(args, c: dict) -> int:
+    spec, binning = _spec(c), Binning(c["bin-lo"], c["bin-hi"], c["bins"])
+    mu, nu = _sampler(c["mu0"], "mu0"), _sampler(c["nu0"], "nu0")
+    times = _floats(c["times"], "times") or [0.5, 1.0, 2.0]
+    out = _begin(args, "smve/girsanov-check", c)
+    allowance = _calibrated(c, "allowance", spec, mu, times, binning)
+    report = girsanov_bound_check(spec, mu, nu, _law_tv(c["mu0"], c["nu0"]), times,
+                                  c["n"], float(c["h"]), c["seed"], binning, allowance)
     write_csv(out / "girsanov.csv", ["time", "estimate", "bound", "margin"],
               report.csv_rows(), "girsanov-check")
     doc = report_document(
@@ -457,12 +521,14 @@ def _smve_girsanov_check(c: dict, out: Path, spec, binning, h, horizon, times) -
                    f"girsanov check: {'ok' if report.passed else 'VIOLATED'} -> {out}")
 
 
-def _smve_local_alpha(c: dict, out: Path, spec, binning, h, horizon, times) -> int:
+def _smve_local_alpha(args, c: dict) -> int:
     b1 = (radial_confinement_drift(c["r"], c["m-ball"])
           if c["preset"] == "vh" else (lambda x: -x))
+    binning = Binning(c["bin-lo"], c["bin-hi"], c["bins"])
     x_grid = np.array(_floats(c["x-grid"], "x-grid")) if c["x-grid"] else None
-    alpha_hat = estimate_local_alpha(b1, c["radius"], c["t"], c["n-sims"],
-                                     binning, x_grid, step_size=h, seed=c["seed"])
+    out = _begin(args, "smve/local-alpha", c)
+    alpha_hat = estimate_local_alpha(b1, c["radius"], c["t"], c["n-sims"], binning,
+                                     x_grid, step_size=float(c["h"]), seed=c["seed"])
     doc = report_document(
         "smve/local-alpha", c,
         [Claim("local overlap estimate is positive", alpha_hat > 0,
@@ -471,16 +537,17 @@ def _smve_local_alpha(c: dict, out: Path, spec, binning, h, horizon, times) -> i
                              f"= {alpha_hat:.6g} -> {out}")
 
 
-def _smve_lyapunov(c: dict, out: Path, spec, binning, h, horizon, times) -> int:
-    lag = float(c["lag"])
+def _smve_lyapunov(args, c: dict) -> int:
+    spec, nu = _spec(c), _sampler(c["nu0"], "nu0")
+    horizon, lag = float(c["horizon"]), float(c["lag"])
     if lag <= 0:
         raise ValueError("lag must be positive")
     k_max = int(horizon / lag)
     if k_max < 2:
         raise ValueError("horizon must cover at least two lags")
-    snap_times = [k * lag for k in range(k_max + 1)]
-    snaps = simulate(spec, _sampler(c["nu0"], "nu0"), c["n"], h, horizon,
-                     c["seed"], snap_times)
+    out = _begin(args, "smve/lyapunov", c)
+    snaps = simulate(spec, nu, c["n"], float(c["h"]), horizon, c["seed"],
+                     [k * lag for k in range(k_max + 1)])
     V = WeightFunction(c["r"], c["m-ball"])
     fit = lyapunov_diagnostic(snaps, V, lag)
     ok = fit.degenerate or (fit.gamma_hat < 1.0)
@@ -521,7 +588,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(positional[0], choices=list(positional[1]))
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="output directory (default $NLMARKOV_OUT)")
-        for name, option in OPTIONS[command].items():
+        for name, option in (_SMVE if command == "smve" else OPTIONS[command]).items():
             p.add_argument(f"--{name}", type=type(option.default),
                            choices=option.choices, help=option.help)
         p.set_defaults(run=run)

@@ -10,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlmarkov
 from nlmarkov import cli, kernel_spec, kernels
 from nlmarkov.cli import main
+from nlmarkov.measures import tv_distance
 from nlmarkov.mckean_vlasov import DriftBoundError
 
 
@@ -305,7 +308,7 @@ class TestSmve:
         out = tmp_path / "g"
         assert main(["smve", "girsanov-check", "--preset", "ou",
                      "--mu0", "mix:-0.5,0.5,0.5", "--nu0", "mix:-0.5,0.5,0.6",
-                     "--tv0", "0.2", "--times", "0.5,1", "--n", "500",
+                     "--times", "0.5,1", "--n", "500",
                      "--h", "0.02", "--bins", "50", "--allowance", "0.1",
                      "--seed", "3", "--out", str(out)]) == 0
         rep = read_json(out / "report.json")
@@ -313,13 +316,25 @@ class TestSmve:
         assert (out / "girsanov.csv").exists()
 
     def test_girsanov_violation_exits_one(self, tmp_path):
+        # exact tv0 = 0.0052 gives a bound of 0.00735 at t=0.5, but the
+        # 200-particle split rounds to one differing particle: 0.010
         out = tmp_path / "g"
         assert main(["smve", "girsanov-check", "--preset", "ou",
-                     "--mu0", "point:-0.5", "--nu0", "point:0.5",
-                     "--tv0", "0", "--times", "0.5", "--n", "200",
+                     "--mu0", "mix:-0.5,0.5,0.5", "--nu0", "mix:-0.5,0.5,0.5026",
+                     "--times", "0.5", "--n", "200",
                      "--h", "0.05", "--bins", "50", "--allowance", "0",
                      "--seed", "3", "--out", str(out)]) == 1
-        assert not read_json(out / "report.json")["passed"]
+        rep = read_json(out / "report.json")
+        assert not rep["passed"]
+        assert rep["details"]["report"]["tv0"] == 0.0052
+
+    def test_girsanov_check_passes_at_its_defaults(self, tmp_path):
+        # point:0 against mix:0,2,0.9: the exact initial TV is 0.2
+        out = tmp_path / "g"
+        assert main(["smve", "girsanov-check", "--out", str(out)]) == 0
+        rep = read_json(out / "report.json")
+        assert rep["passed"]
+        assert rep["details"]["report"]["tv0"] == 0.2
 
     def test_local_alpha_smoke(self, tmp_path):
         out = tmp_path / "la"
@@ -374,7 +389,7 @@ class TestSmve:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bins": 2.5}))
         out = tmp_path / "x"
-        assert main(["smve", "simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["smve", "decay", "--config", str(cfg), "--out", str(out)]) == 2
         assert "config field 'bins' must be int" in capsys.readouterr().err
         assert not out.exists()
 
@@ -383,6 +398,110 @@ class TestSmve:
         assert main(["smve", "simulate", "--mu0", "gauss:0", "--out", out]) == 2
         assert main(["smve", "simulate", "--mu0", "mix:0,1,1.5", "--out", out]) == 2
         assert main(["smve", "simulate", "--mu0", "point:a,b", "--out", out]) == 2
+
+
+# A small run of each smve action, in options of its own table, with
+# the number of options that table holds.
+SMALL_SMVE_RUNS = {
+    "simulate": (11, ["--preset", "ou", "--n", "100", "--h", "0.1", "--horizon", "0.2"]),
+    "decay": (17, ["--preset", "ou", "--n", "100", "--h", "0.1", "--horizon", "0.2",
+                   "--bins", "20", "--noise-floor", "0.05"]),
+    "girsanov-check": (16, ["--preset", "ou", "--n", "100", "--h", "0.1",
+                            "--times", "0.1", "--bins", "20", "--allowance", "0.5"]),
+    "local-alpha": (12, ["--preset", "ou", "--t", "0.1", "--n-sims", "100",
+                         "--h", "0.05", "--bins", "20"]),
+    "lyapunov": (11, ["--preset", "ou", "--n", "100", "--h", "0.1", "--horizon", "0.2",
+                      "--lag", "0.1"]),
+}
+
+
+@pytest.mark.parametrize("action", SMALL_SMVE_RUNS)
+def test_smve_action_records_exactly_its_own_options(tmp_path, action):
+    size, argv = SMALL_SMVE_RUNS[action]
+    table = cli.OPTIONS["smve"][action]
+    assert len(table) == size
+    out = tmp_path / "run"
+    assert main(["smve", action, *argv, "--out", str(out)]) in (0, 1)
+    assert read_json(out / "resolved_config.json").keys() == {"command", *table}
+    assert read_json(out / "report.json")["parameters"].keys() == table.keys()
+
+
+@pytest.mark.parametrize("action", SMALL_SMVE_RUNS)
+def test_smve_action_refuses_other_actions_options(tmp_path, capsys, action):
+    name = next(k for k in cli._SMVE if k not in cli.OPTIONS["smve"][action])
+    value = cli._SMVE[name].default
+    out = tmp_path / "x"
+    assert main(["smve", action, f"--{name}", str(value), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: unknown option --{name} for smve {action}\n"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: value}))
+    assert main(["smve", action, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: unknown config field {name!r} for smve {action}\n")
+    assert not out.exists()
+
+
+def test_tv0_is_no_longer_an_option(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["smve", "girsanov-check", "--tv0", "0.2", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+
+
+def _atoms(desc):
+    """Atom masses of a point or mix law, in floats."""
+    kind, _, rest = desc.partition(":")
+    vals = [float(v) for v in rest.split(",")]
+    masses = [1.0] if kind == "point" else [vals[2], 1.0 - vals[2]]
+    atoms = {}
+    for x, m in zip(vals, masses):
+        atoms[x] = atoms.get(x, 0.0) + m
+    return atoms
+
+
+_POSITIONS = st.sampled_from([-1.5, -0.5, 0.0, 0.5, 2.0])
+_ATOMIC_LAWS = st.one_of(
+    st.builds("point:{!r}".format, _POSITIONS),
+    st.builds("mix:{!r},{!r},{!r}".format, _POSITIONS, _POSITIONS,
+              st.floats(0.0, 1.0)),
+)
+_GAUSS_LAWS = st.builds("gauss:{!r},{!r}".format, st.floats(-3.0, 3.0),
+                        st.floats(0.5, 3.0))
+_LAWS = st.one_of(_ATOMIC_LAWS, _GAUSS_LAWS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LAWS, _LAWS)
+def test_law_tv_is_a_symmetric_distance_in_0_2(a, b):
+    tv = cli._law_tv(a, b)
+    assert 0.0 <= tv <= 2.0
+    assert tv == cli._law_tv(b, a)
+    assert cli._law_tv(a, a) == 0.0
+    if (a.startswith("gauss")) != (b.startswith("gauss")):
+        assert tv == 2.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ATOMIC_LAWS, _ATOMIC_LAWS)
+def test_law_tv_of_atoms_is_tv_distance(a, b):
+    pa, pb = _atoms(a), _atoms(b)
+    support = sorted(pa.keys() | pb.keys())
+    expected = tv_distance(np.array([pa.get(x, 0.0) for x in support]),
+                           np.array([pb.get(x, 0.0) for x in support]))
+    assert cli._law_tv(a, b) == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_GAUSS_LAWS, _GAUSS_LAWS)
+def test_law_tv_of_gauss_laws_is_the_integral_of_density_differences(a, b):
+    (m1, s1), (m2, s2) = ([float(v) for v in d[6:].split(",")] for d in (a, b))
+    reach = 12.0 * max(s1, s2)
+    x = np.linspace(min(m1, m2) - reach, max(m1, m2) + reach, 400_001)
+
+    def phi(m, s):
+        return np.exp(-0.5 * ((x - m) / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
+
+    integral = np.trapezoid(np.abs(phi(m1, s1) - phi(m2, s2)), x)
+    assert cli._law_tv(a, b) == pytest.approx(integral, abs=1e-6)
 
 
 class TestOutputDirResolution:
