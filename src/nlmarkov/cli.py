@@ -183,7 +183,8 @@ def _resolve(args) -> dict:
     the command line.  A flag or config field outside that table is
     refused.  A config value must have its option's type (a float
     field also takes an int; a bool is never a number) and be one of
-    its choices; it is kept as given, not coerced."""
+    its choices; it is kept as given, not coerced.  No float option
+    may be NaN or infinite."""
     options, name, config = OPTIONS[args.command], args.command, {}
     if args.command == "smve":
         options, name = options[args.action], f"smve {args.action}"
@@ -214,6 +215,9 @@ def _resolve(args) -> dict:
             raise ValueError(f"unknown option --{k} for {name}")
         if v is not None:
             resolved[k] = v
+    for k, v in resolved.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{k} must be finite, got {v}")
     return resolved
 
 
@@ -237,13 +241,17 @@ def _finish(out: Path, doc: dict, line: str, file=None) -> int:
 def _floats(value, field: str) -> list:
     if isinstance(value, (list, tuple)):
         try:
-            return [float(v) for v in value]
+            vals = [float(v) for v in value]
         except (TypeError, ValueError):
             raise ValueError(f"{field} must hold numbers, got {value!r}")
-    try:
-        return [float(tok) for tok in str(value).split(",") if tok != ""]
-    except ValueError:
-        raise ValueError(f"{field} must be comma-separated numbers, got {value!r}")
+    else:
+        try:
+            vals = [float(tok) for tok in str(value).split(",") if tok != ""]
+        except ValueError:
+            raise ValueError(f"{field} must be comma-separated numbers, got {value!r}")
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"{field} must hold finite numbers, got {value!r}")
+    return vals
 
 
 def _sampler(desc, field: str):
@@ -347,9 +355,6 @@ def _run_chain(args, resolved: dict) -> int:
             raise
         print(f"kernel validation failed: {exc}", file=sys.stderr)
         return 1
-    out = _begin(args, "chain", resolved)
-
-    cert = certify(kernel, grid)
     mu0 = (
         DiscreteMeasure(np.array(_floats(resolved["mu0"], "mu0")))
         if resolved["mu0"]
@@ -357,6 +362,9 @@ def _run_chain(args, resolved: dict) -> int:
     )
     if mu0.size != kernel.space_size:
         raise ValueError("mu0 length does not match the kernel state space")
+    out = _begin(args, "chain", resolved)
+
+    cert = certify(kernel, grid)
 
     # The rate check steps the orbit once and hands its trajectory back.
     # The trajectory is written first: a failure of the rate check is
@@ -418,7 +426,9 @@ def _run_counterexample(args, resolved: dict) -> int:
     out = _begin(args, f"counterexample/{kind}", resolved)
     report = _REPLAYS[kind](resolved)
     status = "reproduced" if report.passed else "FALSIFIED"
-    return _finish(out, report.to_document(), f"counterexample {kind}: {status} -> {out}")
+    doc = report_document(f"counterexample/{kind}", report.parameters, report.claims,
+                          report.details)
+    return _finish(out, doc, f"counterexample {kind}: {status} -> {out}")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .kernels import (
     oscillating_kernel,
 )
 from .measures import DiscreteMeasure
-from .reporting import Claim, report_document
+from .reporting import Claim
 
 EXACT_TOL = 1e-12
 
@@ -51,11 +51,6 @@ class CounterexampleReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.claims)
-
-    def to_document(self) -> dict:
-        return report_document(
-            f"counterexample/{self.name}", self.parameters, self.claims, self.details
-        )
 
 
 def verify_oscillation(gamma: float, a: float, n_steps: int = 50) -> CounterexampleReport:

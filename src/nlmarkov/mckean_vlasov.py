@@ -272,8 +272,8 @@ def point_mass_sampler(x0) -> Callable:
 
 def gaussian_sampler(mean, std: float) -> Callable:
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    if std <= 0:
-        raise ValueError("std must be positive")
+    if not 0 < std < math.inf:
+        raise ValueError("std must be finite and positive")
 
     def sample(rng: Generator, n: int, d: int) -> np.ndarray:
         if mean.size != d:
@@ -396,9 +396,6 @@ class ParticleEnsemble:
     @property
     def dimension(self) -> int:
         return int(self.positions.shape[1])
-
-    def empirical(self) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.positions)
 
 
 def _stream(seed: int, tag: int, reuse: Generator | None = None) -> Generator:

@@ -39,7 +39,6 @@ from nlmarkov.kernels import (
 )
 from nlmarkov.measures import (
     DiscreteMeasure,
-    tv_between_histograms,
     weighted_tv_distance,
 )
 from nlmarkov.mckean_vlasov import (
@@ -136,8 +135,7 @@ def run_criterion_02(out):
         "acceptance/continuum-of-invariants",
         {"alpha": 0.2, "lam": 0.8, "a_samples": list(CONTINUUM_SAMPLES),
          "n_steps": 100, "tolerance": EXACT_TOL},
-        [Claim(c["name"], c["passed"], c["witness"])
-         for c in rep.to_document()["claims"]],
+        rep.claims,
     )
     write_json_report(out / "criterion_02.json", doc)
     return doc
@@ -351,9 +349,8 @@ def run_criterion_09(out):
                      seed=900, snapshot_times=list(MERGE_TIMES))
     run_b = simulate(spec, gaussian_sampler(2.0, 1.0), N_PARTICLES, STEP, 20.0,
                      seed=901, snapshot_times=list(MERGE_TIMES))
-    tv_final = tv_between_histograms(
-        BINNING.histogram(run_a[-1].empirical()),
-        BINNING.histogram(run_b[-1].empirical()))
+    tv_final = BINNING.tv(BINNING.masses(run_a[-1].positions),
+                          BINNING.masses(run_b[-1].positions))
     fit = fit_decay(run_a, run_b, binning=BINNING, noise_floor=0.05)
     lyap = lyapunov_diagnostic(run_b, WeightFunction(1.0, 1.0), lag=2.0)
     claims = [

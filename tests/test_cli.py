@@ -447,6 +447,28 @@ def test_tv0_is_no_longer_an_option(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["smve", "simulate", "--mu0", "gauss:0,nan"], "mu0"),
+    (["smve", "simulate", "--mu0", "gauss:nan,1"], "mu0"),
+    (["smve", "simulate", "--mu0", "point:inf"], "mu0"),
+    (["smve", "simulate", "--times", "nan"], "times"),
+    (["smve", "girsanov-check", "--nu0", "gauss:0,inf"], "nu0"),
+    (["smve", "local-alpha", "--x-grid", "0,-inf"], "x-grid"),
+    (["chain", "--mu0", "nan,1"], "mu0"),
+    (["smve", "simulate", "--h", "nan"], "h"),
+    (["smve", "simulate", "--horizon", "inf"], "horizon"),
+    (["smve", "decay", "--bin-lo", "nan"], "bin-lo"),
+    (["chain", "--gamma=-inf"], "gamma"),
+])
+def test_non_finite_values_are_refused_before_any_output(tmp_path, capsys, argv, option):
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} must ") and "finite" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def _atoms(desc):
     """Atom masses of a point or mix law, in floats."""
     kind, _, rest = desc.partition(":")

@@ -13,6 +13,7 @@ from nlmarkov.counterexamples import (
 from nlmarkov.ergodicity import evolve, find_invariant
 from nlmarkov.kernels import continuum_kernel, oscillating_kernel
 from nlmarkov.measures import DiscreteMeasure, tv_distance
+from nlmarkov.reporting import report_document
 
 
 def replay(kernel, mu0, steps):
@@ -21,6 +22,12 @@ def replay(kernel, mu0, steps):
     for _ in range(steps):
         w.append((w[-1][None, :] @ kernel.matrix(w[-1]))[0])
     return np.array(w)
+
+
+def document(report):
+    """The report document that ``nlmarkov counterexample`` writes."""
+    return report_document(f"counterexample/{report.name}", report.parameters,
+                           report.claims, report.details)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +67,7 @@ def test_oscillation_report_matches_a_step_by_step_replay(gamma, a, n_steps):
     kernel = oscillating_kernel(gamma)
     mu0, swapped = DiscreteMeasure.two_point(a), DiscreteMeasure.two_point(1.0 - a)
     w = replay(kernel, mu0, n_steps)
-    doc = verify_oscillation(gamma, a, n_steps).to_document()
+    doc = document(verify_oscillation(gamma, a, n_steps))
     period, dist = doc["claims"][0]["witness"], doc["claims"][1]["witness"]
     assert period["worst_deviation"] == max(
         tv_distance(x, mu0 if k % 2 == 0 else swapped) for k, x in enumerate(w))
@@ -84,7 +91,7 @@ def test_oscillation_parameter_guards():
 
 
 def test_oscillation_document_shape():
-    doc = verify_oscillation(0.4, 0.3).to_document()
+    doc = document(verify_oscillation(0.4, 0.3))
     assert doc["kind"] == "counterexample/oscillation"
     assert doc["passed"] is True
     assert doc["schema"].startswith("nlmarkov.report/")

@@ -16,7 +16,6 @@ from nlmarkov.diagnostics import (
     girsanov_bound_check,
     lyapunov_diagnostic,
 )
-from nlmarkov.measures import EmpiricalMeasure
 from nlmarkov.mckean_vlasov import (
     ParticleEnsemble,
     WeightFunction,
@@ -43,12 +42,14 @@ class TestBinning:
             Binning(1.0, 0.0, 10)
         with pytest.raises(ValueError):
             Binning(0.0, 1.0, 0)
+        for lower, upper in ((np.nan, 1.0), (0.0, np.nan), (-np.inf, 1.0), (0.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                Binning(lower, upper, 10)
 
     def test_histogram_shares_the_grid(self):
         bn = Binning(-1.0, 1.0, 4)
-        h = bn.histogram(EmpiricalMeasure(np.array([[-0.9], [0.1], [0.9]])))
-        assert h.masses.shape == (4,)
-        assert h.masses.sum() + h.overflow == pytest.approx(1.0)
+        assert bn.masses(np.array([[-0.9], [0.1], [0.9]])).shape == (5,)
+        assert bn.masses(np.zeros((3, 2))).shape == (17,)  # 4 x 4 cells + overflow
         assert bn.to_dict() == {"lower": -1.0, "upper": 1.0, "bins": 4}
 
 

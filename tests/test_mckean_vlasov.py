@@ -149,8 +149,9 @@ class TestSamplers:
         assert x.shape == (50_000, 1)
         assert float(x.mean()) == pytest.approx(1.0, abs=0.05)
         assert float(x.std()) == pytest.approx(2.0, abs=0.05)
-        with pytest.raises(ValueError):
-            gaussian_sampler(0.0, 0.0)
+        for std in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                gaussian_sampler(0.0, std)
 
     def test_mixture_split_is_deterministic(self):
         x = two_point_mixture_sampler(-0.5, 0.5, 0.6)(np.random.default_rng(0), 10, 1)

@@ -1,17 +1,17 @@
 """Distances and measure containers, checked against hand-computed and
 brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlmarkov.diagnostics import Binning
 from nlmarkov.measures import (
     DiscreteMeasure,
     EmpiricalMeasure,
-    HistogramDensity,
-    histogram_of,
-    tv_between_histograms,
     tv_distance,
     weighted_tv_distance,
 )
@@ -125,13 +125,16 @@ def test_tv_distance_overlap_identity(pair):
 
 
 # ---------------------------------------------------------------------------
-# Histograms
+# Histograms: binned clouds and their TV, through diagnostics.Binning
+
+
+def cloud(*values):
+    return np.array(values, dtype=float).reshape(len(values), -1)
 
 
 def test_empirical_measure_shapes():
     e = EmpiricalMeasure(np.array([1.0, 2.0, 3.0]))
     assert e.points.shape == (3, 1)
-    assert e.n_samples == 3 and e.dimension == 1
     assert e.mean()[0] == pytest.approx(2.0)
     with pytest.raises(ValueError):
         EmpiricalMeasure(np.array([np.inf]))
@@ -140,57 +143,81 @@ def test_empirical_measure_shapes():
 
 
 def test_histogram_basic_binning():
-    e = EmpiricalMeasure(np.array([0.1, 0.1, 0.9, 1.4]))
-    h = histogram_of(e, (0.0, 1.0), 2)
-    assert h.masses.tolist() == [0.5, 0.25]
-    assert h.overflow == pytest.approx(0.25)
-    assert h.masses.sum() + h.overflow == pytest.approx(1.0)
+    m = Binning(0.0, 1.0, 2).masses(cloud(0.1, 0.1, 0.9, 1.4))
+    assert m.tolist() == [0.5, 0.25, 0.25]  # two cells, then the overflow
+    with pytest.raises(ValueError, match="finite"):
+        Binning(0.0, 1.0, 2).masses(cloud(0.1, np.nan))
 
 
 def test_histogram_upper_edge_is_overflow():
-    # bins are half-open [l, u); the upper bound itself is outside
-    h = histogram_of(EmpiricalMeasure(np.array([1.0])), (0.0, 1.0), 4)
-    assert h.overflow == 1.0
-    assert h.masses.sum() == 0.0
-    h2 = histogram_of(EmpiricalMeasure(np.array([0.0])), (0.0, 1.0), 4)
-    assert h2.masses[0] == 1.0 and h2.overflow == 0.0
+    # cells are half-open [l, u); the upper bound itself is outside
+    assert Binning(0.0, 1.0, 4).masses(cloud(1.0)).tolist() == [0, 0, 0, 0, 1]
+    assert Binning(0.0, 1.0, 4).masses(cloud(0.0)).tolist() == [1, 0, 0, 0, 0]
+    # the float just below the bound is clamped into the top cell
+    assert Binning(0.0, 1.0, 4).masses(cloud(np.nextafter(1.0, 0.0)))[3] == 1.0
 
 
 def test_histogram_two_dimensional():
-    pts = np.array([[0.5, 0.5], [1.5, 0.5], [2.5, 2.5]])
-    h = histogram_of(EmpiricalMeasure(pts), (0.0, 2.0), 2)
-    assert h.masses.shape == (2, 2)
-    assert h.masses[0, 0] == pytest.approx(1 / 3)
-    assert h.masses[1, 0] == pytest.approx(1 / 3)
-    assert h.overflow == pytest.approx(1 / 3)
-
-
-def test_histogram_density_validates_mass():
-    with pytest.raises(ValueError):
-        HistogramDensity(0.0, 1.0, (2,), np.array([0.5, 0.4]), 0.0)
-    with pytest.raises(ValueError):
-        HistogramDensity(0.0, 1.0, (2,), np.array([0.5, 0.5]), -0.1)
-    with pytest.raises(ValueError):
-        HistogramDensity(1.0, 0.0, (2,), np.array([0.5, 0.5]), 0.0)
+    pts = cloud([0.5, 0.5], [1.5, 0.5], [2.5, 2.5])
+    m = Binning(0.0, 2.0, 2).masses(pts)
+    # cells (0, 0), (0, 1), (1, 0), (1, 1) in C order, then the overflow
+    assert m.tolist() == pytest.approx([1 / 3, 0, 1 / 3, 0, 1 / 3])
 
 
 def test_tv_between_histograms_singular_clouds():
-    lo, hi = 0.0, 1.0
-    a = histogram_of(EmpiricalMeasure(np.full(10, 0.1)), (lo, hi), 2)
-    b = histogram_of(EmpiricalMeasure(np.full(10, 0.9)), (lo, hi), 2)
-    assert tv_between_histograms(a, b) == pytest.approx(2.0)
-    assert tv_between_histograms(a, a) == 0.0
+    bn = Binning(0.0, 1.0, 2)
+    a, b = bn.masses(cloud(*[0.1] * 10)), bn.masses(cloud(*[0.9] * 10))
+    assert bn.tv(a, b) == 2.0
+    assert bn.tv(a, a) == 0.0
 
 
 def test_tv_between_histograms_counts_overflow():
-    a = histogram_of(EmpiricalMeasure(np.array([0.5, 0.5])), (0.0, 1.0), 1)
-    b = histogram_of(EmpiricalMeasure(np.array([0.5, 9.0])), (0.0, 1.0), 1)
+    bn = Binning(0.0, 1.0, 1)
     # half the mass moved out of the box
-    assert tv_between_histograms(a, b) == pytest.approx(1.0)
+    assert bn.tv(bn.masses(cloud(0.5, 0.5)), bn.masses(cloud(0.5, 9.0))) == 1.0
 
 
-def test_tv_between_histograms_requires_same_binning():
-    a = histogram_of(EmpiricalMeasure(np.array([0.5])), (0.0, 1.0), 2)
-    b = histogram_of(EmpiricalMeasure(np.array([0.5])), (0.0, 1.0), 4)
-    with pytest.raises(ValueError):
-        tv_between_histograms(a, b)
+def _cell_counts(points, bn):
+    """Per-point pure-Python oracle of Binning.masses, as counts."""
+    d = points.shape[1]
+    counts = [0] * (bn.bins**d + 1)
+    width = (bn.upper - bn.lower) / bn.bins
+    for x in points.tolist():
+        if all(bn.lower <= v < bn.upper for v in x):
+            flat = 0
+            for v in x:
+                flat = flat * bn.bins + min(math.floor((v - bn.lower) / width), bn.bins - 1)
+            counts[flat] += 1
+        else:
+            counts[-1] += 1
+    return counts
+
+
+@st.composite
+def binned_clouds(draw):
+    d = draw(st.sampled_from([1, 2]))
+    bins = draw(st.integers(1, 12))
+    lower = draw(st.floats(-5.0, 5.0))
+    upper = lower + draw(st.floats(0.01, 10.0))
+    bn = Binning(lower, upper, bins)
+    edges = [lower, upper, np.nextafter(upper, lower)] + [
+        lower + k * (upper - lower) / bins for k in range(bins)]
+    coord = st.one_of(st.sampled_from(edges), st.floats(lower - 2.0, upper + 2.0))
+    n = draw(st.integers(1, 20))
+    clouds = [np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                     min_size=n, max_size=n))) for _ in range(2)]
+    return bn, clouds
+
+
+@settings(max_examples=200, deadline=None)
+@given(binned_clouds())
+def test_binned_tv_properties(case):
+    bn, (a, b) = case
+    p, q = bn.masses(a), bn.masses(b)
+    for pts, m in ((a, p), (b, q)):
+        assert m.sum() == pytest.approx(1.0)
+        assert (m * len(pts)).round().astype(int).tolist() == _cell_counts(pts, bn)
+    assert bn.tv(p, q) == bn.tv(q, p)
+    # in [0, 2] up to the rounding of the float sum, which can pass 2 by an ulp
+    assert 0.0 <= bn.tv(p, q) <= 2.0 + 1e-12
+    assert bn.tv(p, bn.masses(a.copy())) == 0.0
