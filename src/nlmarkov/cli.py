@@ -300,7 +300,10 @@ def _law_tv(mu0: str, nu0: str) -> float:
         return 2.0
     from statistics import NormalDist
 
-    return 2.0 * (1.0 - NormalDist(*a).overlap(NormalDist(*b)))
+    try:
+        return 2.0 * (1.0 - NormalDist(*a).overlap(NormalDist(*b)))
+    except ValueError as exc:  # a variance that underflows to 0
+        raise ValueError(f"mu0 {mu0!r} and nu0 {nu0!r}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +358,14 @@ def _run_chain(args, resolved: dict) -> int:
             raise
         print(f"kernel validation failed: {exc}", file=sys.stderr)
         return 1
-    mu0 = (
-        DiscreteMeasure(np.array(_floats(resolved["mu0"], "mu0")))
-        if resolved["mu0"]
-        else DiscreteMeasure.uniform(kernel.space_size)
-    )
+    if not resolved["mu0"]:
+        mu0 = DiscreteMeasure.uniform(kernel.space_size)
+    else:
+        weights = np.array(_floats(resolved["mu0"], "mu0"))
+        try:
+            mu0 = DiscreteMeasure(weights)
+        except ValueError as exc:
+            raise ValueError(f"mu0: {exc}")
     if mu0.size != kernel.space_size:
         raise ValueError("mu0 length does not match the kernel state space")
     out = _begin(args, "chain", resolved)
@@ -514,9 +520,10 @@ def _smve_girsanov_check(args, c: dict) -> int:
     spec, binning = _spec(c), Binning(c["bin-lo"], c["bin-hi"], c["bins"])
     mu, nu = _sampler(c["mu0"], "mu0"), _sampler(c["nu0"], "nu0")
     times = _floats(c["times"], "times") or [0.5, 1.0, 2.0]
+    tv0 = _law_tv(c["mu0"], c["nu0"])
     out = _begin(args, "smve/girsanov-check", c)
     allowance = _calibrated(c, "allowance", spec, mu, times, binning)
-    report = girsanov_bound_check(spec, mu, nu, _law_tv(c["mu0"], c["nu0"]), times,
+    report = girsanov_bound_check(spec, mu, nu, tv0, times,
                                   c["n"], float(c["h"]), c["seed"], binning, allowance)
     write_csv(out / "girsanov.csv", ["time", "estimate", "bound", "margin"],
               report.csv_rows(), "girsanov-check")

@@ -126,10 +126,10 @@ def estimate_local_alpha(
         raise ValueError("x_grid must lie inside the R-ball")
 
     k, d = x_grid.shape
-    starts = np.repeat(x_grid, n_sims, axis=0)
 
     def sampler(rng, n, dim):
-        return starts
+        # built when called, so the starts are not kept for the whole run
+        return np.repeat(x_grid, n_sims, axis=0)
 
     probe = SMVESpec(d, b1, None, 0.0, 0.0, 0.0, "local-alpha-probe")
     final = simulate(probe, sampler, k * n_sims, step_size, t, seed, [t])[-1]

@@ -31,14 +31,12 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .kernels import MeasureGrid, NonlinearKernel, validate
 
-__all__ = ["parse_entry_expression", "compile_kernel_spec", "load_kernel_spec",
-           "KernelSpecError"]
+__all__ = ["compile_kernel_spec", "load_kernel_spec", "KernelSpecError"]
 
 
 class KernelSpecError(ValueError):
@@ -159,16 +157,6 @@ def _run(code: dict, w: np.ndarray) -> list:
         else:
             vals.append(_BINARY[op](vals[a], vals[b]))
     return vals
-
-
-def parse_entry_expression(text: str, space_size: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile one matrix-entry expression to a function of the measure
-    weights: (n,) weights give a scalar, (B, n) weights a (B,) array.
-    Raises KernelSpecError on any syntax or range problem.
-    """
-    compiler = _Compiler(space_size)
-    root = compiler.compile(text)
-    return lambda w: _run(compiler.code, np.asarray(w, dtype=float))[root][()]
 
 
 def compile_kernel_spec(source) -> NonlinearKernel:

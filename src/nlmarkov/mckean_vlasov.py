@@ -193,6 +193,19 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.linalg.norm(v, axis=1, keepdims=True)
 
 
+# The Euler step and the radial drift work through the particles a block
+# of rows at a time, so their scratch is one block of about this many
+# bytes, which stays in cache, instead of a particle-sized array.
+_BLOCK_BYTES = 2**17
+
+
+def _row_blocks(n_rows: int, d: int) -> list[slice]:
+    """Slices covering rows 0..n_rows in order, each of at most
+    max(1, _BLOCK_BYTES // (8 d)) rows."""
+    size = max(1, _BLOCK_BYTES // (8 * d))
+    return [slice(i, min(i + size, n_rows)) for i in range(0, n_rows, size)]
+
+
 def ou_drift() -> Callable[[np.ndarray], np.ndarray]:
     """b1(x) = -x; its invariant law in one dimension is N(0, 1/2)."""
     return lambda x: -x
@@ -205,11 +218,15 @@ def radial_confinement_drift(r: float, M: float) -> Callable[[np.ndarray], np.nd
         raise ValueError("r and M must be positive")
 
     def b1(x: np.ndarray) -> np.ndarray:
-        # -r x / max(|x|, M), with the same roundings, in two fresh arrays
-        scale = _row_norms(x)
-        np.maximum(scale, M, out=scale)
-        out = x * -r
-        out /= scale
+        # -r x / max(|x|, M) into one fresh array, a block of rows at a
+        # time, with the same roundings
+        out = np.empty(x.shape)
+        for rows in _row_blocks(*x.shape):
+            scale = _row_norms(x[rows])
+            np.maximum(scale, M, out=scale)
+            part = out[rows]
+            np.multiply(x[rows], -r, out=part)
+            part /= scale
         return out
 
     return b1
@@ -561,18 +578,32 @@ def _euler(
     if 0 in snap_set:
         snapshots.append(ParticleEnsemble(x, 0.0, step_size, seed, 0))
 
-    drift_h = np.empty_like(x)
+    # x += drift * h; x += noise, and the finiteness check, one block of
+    # rows at a time through one block of scratch
+    blocks = _row_blocks(n_particles, d)
+    scratch = np.empty((blocks[0].stop, d))
+    finite = np.empty(scratch.shape, dtype=bool)
     # The finiteness check after each step reports a blow-up as
     # SimulationBlowUp, so numpy's overflow warnings would only repeat it.
     with (noise_source(seed, n_steps, x.shape, math.sqrt(step_size)) as draws,
           np.errstate(over="ignore", invalid="ignore")):
         for k in range(1, n_steps + 1):
             noise = draws.take(k)
-            np.multiply(spec.drift(positions, law), step_size, out=drift_h)
-            x += drift_h
-            x += noise
-            if not np.isfinite(x).all():
-                raise SimulationBlowUp(f"{spec.label}: non-finite position at step {k}")
+            drift = spec.drift(positions, law)
+            if np.shape(drift) != x.shape or np.may_share_memory(drift, x):
+                # read whole before any row moves: a drift that broadcasts,
+                # or that views the particles in another row order
+                drift = np.broadcast_to(drift, x.shape).copy()
+            for rows in blocks:
+                xb = x[rows]
+                part = scratch[:len(xb)]
+                np.multiply(drift[rows], step_size, out=part)
+                xb += part
+                xb += noise[rows]
+                if not np.isfinite(xb, out=finite[:len(xb)]).all():
+                    raise SimulationBlowUp(
+                        f"{spec.label}: non-finite position at step {k}")
+            del drift  # before a snapshot copies x
             if k in snap_set:
                 snapshots.append(ParticleEnsemble(x, k * step_size, step_size, seed, k))
     return snapshots

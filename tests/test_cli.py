@@ -469,6 +469,23 @@ def test_non_finite_values_are_refused_before_any_output(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, options", [
+    # weights that sum to 1.1
+    (["chain", "--mu0", "0.5,0.6"], ["mu0"]),
+    # a std whose variance underflows to 0, so the exact tv0 is undefined
+    (["smve", "girsanov-check", "--mu0", "gauss:0,1e-300", "--nu0", "gauss:0,1",
+      "--allowance", "1"], ["mu0", "nu0"]),
+])
+def test_bad_initial_laws_are_named_before_any_output(tmp_path, capsys, argv, options):
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {options[0]}")
+    assert all(option in err for option in options)
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def _atoms(desc):
     """Atom masses of a point or mix law, in floats."""
     kind, _, rest = desc.partition(":")

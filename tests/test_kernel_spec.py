@@ -8,13 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlmarkov.kernel_spec import (
-    MAX_NESTING,
-    KernelSpecError,
-    load_kernel_spec,
-    parse_entry_expression,
-)
+from nlmarkov import kernel_spec
+from nlmarkov.kernel_spec import MAX_NESTING, KernelSpecError, load_kernel_spec
 from nlmarkov.kernels import MeasureGrid
+
+
+def parse_entry_expression(text: str, space_size: int):
+    """One matrix-entry expression compiled on its own, as a function of
+    the measure weights: (n,) weights give a scalar, (B, n) weights a
+    (B,) array.  The grammar's oracle, and the per-entry reference for
+    kernels whose entries compile into one shared program."""
+    compiler = kernel_spec._Compiler(space_size)
+    root = compiler.compile(text)
+    return lambda w: kernel_spec._run(compiler.code, np.asarray(w, dtype=float))[root][()]
+
 
 MIXTURE_DOC = {
     "space_size": 2,

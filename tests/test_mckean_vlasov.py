@@ -7,6 +7,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -420,6 +421,72 @@ def test_simulate_matches_reference_euler_loop(model, n, steps, seed, h):
     assert len(got) == len(want) == len(set(times))
     for ens, ref in zip(got, want):
         assert ens.positions.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("drift", ["reversed", "broadcast"])
+def test_simulate_reads_an_aliased_or_broadcast_drift_whole(drift, d):
+    # the step moves a block of rows at a time: a drift that views the
+    # particles in reverse row order, or one row broadcast to all, must
+    # still be read as it was before the step
+    if drift == "reversed":
+        b1 = lambda x: x[::-1]
+    else:
+        b1 = lambda x: np.linspace(-1.0, 1.0, d)
+    spec = SMVESpec(d, b1, None, 0.0, 0.0, 0.0, drift)
+    sampler = gaussian_sampler([0.3] * d, 1.0)
+    times = [0.0, 0.02, 0.03]
+    got = simulate(spec, sampler, 140_000, 0.01, 0.03, 5, times)
+    want = _reference_simulate(b1, None, 0.0, 0.0, drift, d,
+                               sampler, 140_000, 0.01, 0.03, 5, times)
+    for ens, ref in zip(got, want, strict=True):
+        assert ens.positions.tobytes() == ref.tobytes()
+
+
+def _traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+WIDE = 200_000
+
+
+def _wide_bound(drift_arrays: int) -> int:
+    """What a run of WIDE particles in one dimension may hold at its
+    peak: x, a noise ring of two steps, the drift arrays, and at most
+    four blocks of scratch (the step's block and its finiteness mask, and
+    the radial drift's per-block norms, two of which are alive while the
+    next is made), never a particle-sized scratch array."""
+    assert 8 * WIDE > mckean_vlasov._LOOKAHEAD_BYTES  # so the ring holds two steps
+    return (3 + drift_arrays) * 8 * WIDE + 4 * mckean_vlasov._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("model, drift_arrays", [
+    ("probe", 1),  # b1's output
+    ("vh", 3),  # b1's output, b2's, and the combined drift
+])
+def test_wide_simulate_allocates_no_particle_sized_scratch(model, drift_arrays):
+    if model == "vh":
+        spec = make_vh_spec()
+    else:
+        spec = SMVESpec(1, radial_confinement_drift(1.0, 1.0), None, 0.0, 0.0, 0.0)
+    sampler = gaussian_sampler([0.3], 1.0)
+    peak = _traced_peak(lambda: simulate(spec, sampler, WIDE, 0.01, 0.05, 7, [0.05]))
+    assert peak <= _wide_bound(drift_arrays)
+
+
+def test_local_alpha_allocates_no_particle_sized_scratch():
+    from nlmarkov.diagnostics import estimate_local_alpha
+
+    # five starts of WIDE / 5 particles each, stepped as one run
+    peak = _traced_peak(lambda: estimate_local_alpha(
+        radial_confinement_drift(1.0, 1.0), R=1.0, t=0.05, n_sims=WIDE // 5))
+    assert peak <= _wide_bound(1)
 
 
 @pytest.mark.parametrize("shape", [(1,), (7,), (100, 3), (1_001, 2)])
