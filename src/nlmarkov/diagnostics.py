@@ -298,10 +298,9 @@ def calibrate_tv_allowance(
     seed: int,
     binning: Binning = Binning(),
     n_pairs: int = 5,
-    percentile: float = 99.0,
 ) -> float:
     """Noise floor of the histogram distance: run independent pairs of
-    ensembles from the same law and take a high percentile of their
+    ensembles from the same law and take the 99th percentile of their
     distances over the requested times (t = 0 excluded; initial data has
     no Monte Carlo noise when samplers are deterministic)."""
     times = [float(t) for t in times if t > 0.0]
@@ -320,7 +319,7 @@ def calibrate_tv_allowance(
             for a, b in zip(run_a, run_b):
                 samples.append(_ensemble_tv(a, b, binning))
             del run_a, run_b
-    return float(np.percentile(samples, percentile))
+    return float(np.percentile(samples, 99.0))
 
 
 # ---------------------------------------------------------------------------

@@ -396,8 +396,6 @@ def check_rate(
     certificate: ErgodicityCertificate,
     mu0: DiscreteMeasure,
     steps: int,
-    numerical_floor: float = NUMERICAL_FLOOR,
-    tol: float = DEFAULT_TOL,
 ) -> RateReport:
     """Evolve from mu0 and compare every d_tv(mu_n, pi) with the regime
     bound.  A certified kernel whose fixed-point search fails is
@@ -411,7 +409,7 @@ def check_rate(
     geometric bound underflows the floor."""
     if certificate.regime not in ("fast", "slow"):
         raise ValueError("rate check needs a fast or slow certificate")
-    fp_tol = tol if certificate.regime == "slow" else min(tol, numerical_floor / 100.0)
+    fp_tol = DEFAULT_TOL if certificate.regime == "slow" else NUMERICAL_FLOOR / 100.0
     orbit = _Orbit(kernel, mu0, max(steps, 0) + 1)
     fp = orbit.fixed_point(fp_tol, DEFAULT_MAX_ITER)
     if not fp.converged:
@@ -420,7 +418,7 @@ def check_rate(
             certificate=certificate,
             distances=(),
             bounds=(),
-            numerical_floor=numerical_floor,
+            numerical_floor=NUMERICAL_FLOOR,
             violations=(),
             falsified=True,
             invariant=None,
@@ -434,14 +432,14 @@ def check_rate(
     bounds = tuple(rate_bound(certificate, n) for n in steps_n)
     violations = tuple(
         (n, d, b) for n, d, b in zip(steps_n, distances, bounds)
-        if d > max(b, numerical_floor)
+        if d > max(b, NUMERICAL_FLOOR)
     )
     return RateReport(
         kernel_label=kernel.label,
         certificate=certificate,
         distances=distances,
         bounds=bounds,
-        numerical_floor=numerical_floor,
+        numerical_floor=NUMERICAL_FLOOR,
         violations=violations,
         falsified=False,
         invariant=tuple(pi.tolist()),

@@ -438,99 +438,6 @@ def _stream(seed: int, tag: int, reuse: Generator | None = None) -> Generator:
     return reuse
 
 
-# How far the noise worker may run ahead of the Euler loop: about 1 MB
-# of buffers, and never less than one step.
-_LOOKAHEAD_BYTES = 2**20
-
-
-class _NoiseAhead:
-    """Euler noise sqrt(h) * xi for steps 1..n_steps, step k drawn from
-    the (seed, k) stream on one worker thread while the caller computes
-    drifts.
-
-    The worker fills a ring of buffers: as many as fit in
-    _LOOKAHEAD_BYTES, at least two, and no more than there are steps.
-    It calls no public nlmarkov function, so traced spans stay on the
-    caller's thread.  An exception in the worker is raised by ``take``
-    at the step that hit it.  Leaving the ``with`` block stops the
-    worker and joins it, on every exit path.
-    """
-
-    def __init__(self, seed: int, n_steps: int, shape: tuple, scale: float):
-        step_bytes = 8 * shape[0] * shape[1]
-        depth = min(n_steps, max(2, _LOOKAHEAD_BYTES // step_bytes))
-        self._buffers = [np.empty(shape) for _ in range(depth)]
-        self._free = threading.Semaphore(depth)
-        self._ready = threading.Semaphore(0)
-        self._stop = False
-        self._failed_step = 0
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._draw, args=(seed, n_steps, scale),
-            name="nlmarkov-noise", daemon=True,
-        )
-
-    def __enter__(self) -> "_NoiseAhead":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop = True
-        self._free.release()
-        self._thread.join()
-
-    def _draw(self, seed: int, n_steps: int, scale: float) -> None:
-        generator = None
-        for k in range(1, n_steps + 1):
-            self._free.acquire()
-            if self._stop:
-                return
-            try:
-                generator = _stream(seed, k, generator)
-                out = self._buffers[k % len(self._buffers)]
-                generator.standard_normal(out=out)
-                out *= scale
-            except BaseException as exc:
-                self._error, self._failed_step = exc, k
-                self._ready.release()
-                return
-            self._ready.release()
-
-    def take(self, k: int) -> np.ndarray:
-        """Step k's noise, valid until the call for step k + 1, which
-        hands its buffer back to the worker.  Steps come in order."""
-        if k > 1:
-            self._free.release()
-        self._ready.acquire()
-        if k == self._failed_step:
-            raise self._error
-        return self._buffers[k % len(self._buffers)]
-
-
-class _NoiseInline:
-    """The same noise as ``_NoiseAhead``, drawn by the caller in ``take``
-    into one reused buffer.  For processes whose CPUs are all busy
-    stepping particles, where a noise thread would only contend."""
-
-    def __init__(self, seed: int, n_steps: int, shape: tuple, scale: float):
-        self._seed, self._scale = seed, scale
-        self._out = np.empty(shape)
-        self._generator: Generator | None = None
-
-    def __enter__(self) -> "_NoiseInline":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-    def take(self, k: int) -> np.ndarray:
-        """Step k's noise, valid until the call for step k + 1."""
-        self._generator = _stream(self._seed, k, self._generator)
-        self._generator.standard_normal(out=self._out)
-        self._out *= self._scale
-        return self._out
-
-
 def _plan(n_particles: int, step_size: float, horizon: float,
           snapshot_times: Sequence[float] | None) -> tuple[int, list[int]]:
     """Check one run's arguments; return its step count and the sorted
@@ -557,10 +464,11 @@ def _euler(
     step_size: float,
     seed: int,
     plan: tuple[int, list[int]],
-    noise_source: type,
 ) -> list[ParticleEnsemble]:
-    """The Euler loop of ``simulate``, with its noise drawn by
-    ``noise_source`` (``_NoiseAhead`` or ``_NoiseInline``)."""
+    """The Euler loop of ``simulate``.  Step k rewinds one generator to
+    the (seed, k) stream before its drift, then draws its noise
+    sqrt(h) * xi a block of rows at a time, in row order, into one
+    reused block."""
     n_steps, snap_steps = plan
     d = spec.dimension
     # An owned C-ordered copy: the loop writes into it.
@@ -579,16 +487,19 @@ def _euler(
         snapshots.append(ParticleEnsemble(x, 0.0, step_size, seed, 0))
 
     # x += drift * h; x += noise, and the finiteness check, one block of
-    # rows at a time through one block of scratch
+    # rows at a time through one block of scratch and one of noise.  The
+    # stream's draws are the same in blocks as in one call.
     blocks = _row_blocks(n_particles, d)
     scratch = np.empty((blocks[0].stop, d))
+    noise = np.empty(scratch.shape)
     finite = np.empty(scratch.shape, dtype=bool)
+    scale = math.sqrt(step_size)
+    generator = None
     # The finiteness check after each step reports a blow-up as
     # SimulationBlowUp, so numpy's overflow warnings would only repeat it.
-    with (noise_source(seed, n_steps, x.shape, math.sqrt(step_size)) as draws,
-          np.errstate(over="ignore", invalid="ignore")):
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            noise = draws.take(k)
+            generator = _stream(seed, k, generator)
             drift = spec.drift(positions, law)
             if np.shape(drift) != x.shape or np.may_share_memory(drift, x):
                 # read whole before any row moves: a drift that broadcasts,
@@ -599,7 +510,10 @@ def _euler(
                 part = scratch[:len(xb)]
                 np.multiply(drift[rows], step_size, out=part)
                 xb += part
-                xb += noise[rows]
+                dw = noise[:len(xb)]
+                generator.standard_normal(out=dw)
+                dw *= scale
+                xb += dw
                 if not np.isfinite(xb, out=finite[:len(xb)]).all():
                     raise SimulationBlowUp(
                         f"{spec.label}: non-finite position at step {k}")
@@ -625,15 +539,15 @@ def simulate(
 
     Noise for step k is drawn from a counter-based stream keyed by
     (seed, k), so runs are bit-reproducible and independent of any
-    worker layout; initial positions use the (seed, 0) stream.  One
-    worker thread draws the noise ahead of the steps (``_NoiseAhead``);
-    the drift stays on the calling thread, once per step, and the
-    particles are stepped in place.  Raises ValueError if the initial
-    sample is not finite and SimulationBlowUp if positions leave the
-    finite range.
+    worker layout; initial positions use the (seed, 0) stream.  Each
+    step calls the drift once on the whole array, then draws its noise
+    and steps the particles in place a block of rows at a time, in the
+    calling thread.  Raises ValueError
+    if the initial sample is not finite and SimulationBlowUp if
+    positions leave the finite range.
     """
     plan = _plan(n_particles, step_size, horizon, snapshot_times)
-    return _euler(spec, initial_sampler, n_particles, step_size, seed, plan, _NoiseAhead)
+    return _euler(spec, initial_sampler, n_particles, step_size, seed, plan)
 
 
 def simulate_runs(
@@ -650,10 +564,9 @@ def simulate_runs(
 
     The runs are independent, so they are spread round-robin over forked
     worker processes, one per usable CPU.  A worker steps its runs one
-    after another, draws each step's noise inline (``_NoiseInline``) and
-    sends each run back as soon as it is done; while the caller waits
-    for the next run it drains every worker's pipe, and it holds only
-    the runs it has not yet yielded.  The runs go in
+    after another and sends each run back as soon as it is done; while
+    the caller waits for the next run it drains every worker's pipe, and
+    it holds only the runs it has not yet yielded.  The runs go in
     order in this process, through ``simulate``, when there is one run
     or one usable CPU, off Linux, or when other threads are alive, since
     forking a threaded process is unsafe.
@@ -749,8 +662,7 @@ def _run_worker(writer, spec, runs, first, stride, n_particles, step_size, plan)
     for i in range(first, len(runs), stride):
         sampler, seed = runs[i]
         try:
-            snapshots = _euler(spec, sampler, n_particles, step_size, seed, plan,
-                               _NoiseInline)
+            snapshots = _euler(spec, sampler, n_particles, step_size, seed, plan)
         except BaseException as exc:
             writer.send_bytes(_pickled_failure(i, exc))
             return

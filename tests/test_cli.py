@@ -3,14 +3,16 @@ files, config precedence, and byte-identical reruns."""
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlmarkov
@@ -354,7 +356,7 @@ class TestSmve:
         assert rep["claims"][0]["witness"]["gamma_hat"] < 1.0
 
     def test_blow_up_exits_three_with_one_error_line(self, tmp_path):
-        # simulate steps with its noise thread; in decay the first
+        # simulate steps in this process; in decay the first
         # calibration run blows up, in a worker process where there are
         # two CPUs.  A fresh interpreter, because pytest records numpy's
         # warnings instead of printing them: no overflow warning may
@@ -472,9 +474,6 @@ def test_non_finite_values_are_refused_before_any_output(tmp_path, capsys, argv,
 @pytest.mark.parametrize("argv, options", [
     # weights that sum to 1.1
     (["chain", "--mu0", "0.5,0.6"], ["mu0"]),
-    # a std whose variance underflows to 0, so the exact tv0 is undefined
-    (["smve", "girsanov-check", "--mu0", "gauss:0,1e-300", "--nu0", "gauss:0,1",
-      "--allowance", "1"], ["mu0", "nu0"]),
 ])
 def test_bad_initial_laws_are_named_before_any_output(tmp_path, capsys, argv, options):
     out = tmp_path / "x"
@@ -543,6 +542,35 @@ def test_law_tv_of_gauss_laws_is_the_integral_of_density_differences(a, b):
     assert cli._law_tv(a, b) == pytest.approx(integral, abs=1e-6)
 
 
+def _gauss(m, s):
+    return f"gauss:{m!r},{s!r}"
+
+
+_MEANS = st.integers(-3000, 3000).map(lambda i: i / 1000)
+_STDS = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MEANS, _STDS, _MEANS, _STDS, st.integers(-1000, 1000))
+@example(0.0, 1.0, 0.0, 2.0, -532)  # stds near 1e-160 and 2e-160
+@example(0.0, 1e-3, 0.0, 1.0, -987)  # both variances underflow to 0
+@example(-2.5, 1e-3, 2.5, 1e-3, 1000)  # equal stds, means 5,000 stds apart
+def test_gauss_law_tv_is_scale_free_and_matches_normal_dist(m1, s1, m2, s2, k):
+    tv = cli._law_tv(_gauss(m1, s1), _gauss(m2, s2))
+    scaled = [math.ldexp(v, k) for v in (m1, s1, m2, s2)]
+    assert cli._law_tv(_gauss(*scaled[:2]), _gauss(*scaled[2:])) == tv
+    # NormalDist.overlap cancels in s2^2 - s1^2 when the stds nearly agree
+    if s1 == s2 or abs(s1 - s2) >= 1e-3 * max(s1, s2):
+        overlap = NormalDist(m1, s1).overlap(NormalDist(m2, s2))
+        assert tv == pytest.approx(2.0 * (1.0 - overlap), rel=0, abs=4e-15)
+
+
+def test_gauss_law_tv_of_a_vanishing_std_is_2():
+    assert cli._law_tv("gauss:0,1e-300", "gauss:0,1") == 2.0
+    assert cli._law_tv("gauss:0,5e-324", "gauss:0,1e300") == 2.0
+    assert cli._law_tv("gauss:-1e308,1", "gauss:1e308,2") == 2.0
+
+
 class TestOutputDirResolution:
     def test_env_var_is_honored(self, tmp_path, monkeypatch):
         target = tmp_path / "from-env"
@@ -572,8 +600,8 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_does_not_load_concurrent_futures():
-    # the particle simulator's noise worker is a bare threading.Thread;
-    # concurrent.futures would add about 8 ms to every CLI start
+    # nothing the CLI runs needs concurrent.futures, which would add
+    # about 8 ms to every CLI start
     src = str(Path(nlmarkov.__file__).resolve().parents[1])
     code = "import sys, nlmarkov.cli; print('concurrent.futures' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -458,12 +458,11 @@ WIDE = 200_000
 
 def _wide_bound(drift_arrays: int) -> int:
     """What a run of WIDE particles in one dimension may hold at its
-    peak: x, a noise ring of two steps, the drift arrays, and at most
-    four blocks of scratch (the step's block and its finiteness mask, and
-    the radial drift's per-block norms, two of which are alive while the
-    next is made), never a particle-sized scratch array."""
-    assert 8 * WIDE > mckean_vlasov._LOOKAHEAD_BYTES  # so the ring holds two steps
-    return (3 + drift_arrays) * 8 * WIDE + 4 * mckean_vlasov._BLOCK_BYTES
+    peak: x, the drift arrays, and at most five blocks of scratch (the
+    step's block, its noise and its finiteness mask, and the radial
+    drift's per-block norms, two of which are alive while the next is
+    made), never a particle-sized scratch or noise array."""
+    return (1 + drift_arrays) * 8 * WIDE + 5 * mckean_vlasov._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("model, drift_arrays", [
