@@ -17,7 +17,8 @@ rerun with the same configuration is byte-identical.
 
 Exit codes: 0 all claims hold, 1 a certified claim was falsified,
 2 usage or configuration error, 3 numerical failure (a particle run
-blew up or its interaction exceeded its declared bound).
+blew up or its interaction exceeded its declared bound, a stock kernel
+failed validation, or a chain orbit met a non-stochastic row).
 """
 
 from __future__ import annotations
@@ -324,7 +325,8 @@ def _law_tv(mu0: str, nu0: str) -> float:
 
 
 # The largest (G, n, n) float64 stack of kernel matrices a chain run
-# may build: validation evaluates the kernel on the whole grid at once.
+# may build (validation evaluates the kernel on the whole grid at once),
+# and the largest histogram masses array an smve action may bin into.
 GRID_BUDGET_BYTES = 2**30
 
 
@@ -362,15 +364,15 @@ def _run_chain(args, resolved: dict) -> int:
             f"the largest resolution that fits is {fits}")
     resolved["resolution"] = resolution
     grid = MeasureGrid(n, resolution)
-    # A custom kernel is validated here only, on the chain's own grid; a
-    # failure is a usage error, as KernelValidationError is a ValueError.
+    # A custom kernel is validated here only, on the chain's own grid, and
+    # its failure is a usage error.  A stock kernel's failure, like a row
+    # fault met along an orbit later on, is a numerical failure.
     try:
         validation = validate(kernel, grid)
     except KernelValidationError as exc:
         if resolved["kernel"] == "custom":
-            raise
-        print(f"kernel validation failed: {exc}", file=sys.stderr)
-        return 1
+            raise ValueError(str(exc)) from None
+        raise KernelValidationError(f"kernel validation failed: {exc}") from None
     if not resolved["mu0"]:
         mu0 = DiscreteMeasure.uniform(kernel.space_size)
     else:
@@ -496,8 +498,20 @@ def _calibrated(c: dict, key: str, spec, mu, times, binning) -> float:
                                   c["seed"] + 1000, binning, n_pairs=c["calibration-pairs"])
 
 
+def _binning(c: dict) -> Binning:
+    """The action's binning, refused if its masses array (bins + 1
+    floats, in one dimension) would exceed GRID_BUDGET_BYTES."""
+    fits = GRID_BUDGET_BYTES // 8 - 1
+    if c["bins"] > fits:
+        raise ValueError(
+            f"bins {c['bins']} gives a masses array of {c['bins'] + 1} floats, over "
+            f"the {GRID_BUDGET_BYTES >> 30} GiB budget; the largest bins that fits "
+            f"is {fits}")
+    return Binning(c["bin-lo"], c["bin-hi"], c["bins"])
+
+
 def _smve_decay(args, c: dict) -> int:
-    spec, binning = _spec(c), Binning(c["bin-lo"], c["bin-hi"], c["bins"])
+    spec, binning = _spec(c), _binning(c)
     mu, nu = _sampler(c["mu0"], "mu0"), _sampler(c["nu0"], "nu0")
     horizon = float(c["horizon"])
     times = _floats(c["times"], "times") or np.linspace(0.0, horizon, 21).tolist()
@@ -530,7 +544,7 @@ def _smve_decay(args, c: dict) -> int:
 
 
 def _smve_girsanov_check(args, c: dict) -> int:
-    spec, binning = _spec(c), Binning(c["bin-lo"], c["bin-hi"], c["bins"])
+    spec, binning = _spec(c), _binning(c)
     mu, nu = _sampler(c["mu0"], "mu0"), _sampler(c["nu0"], "nu0")
     times = _floats(c["times"], "times") or [0.5, 1.0, 2.0]
     tv0 = _law_tv(c["mu0"], c["nu0"])
@@ -554,7 +568,7 @@ def _smve_girsanov_check(args, c: dict) -> int:
 def _smve_local_alpha(args, c: dict) -> int:
     b1 = (radial_confinement_drift(c["r"], c["m-ball"])
           if c["preset"] == "vh" else (lambda x: -x))
-    binning = Binning(c["bin-lo"], c["bin-hi"], c["bins"])
+    binning = _binning(c)
     x_grid = np.array(_floats(c["x-grid"], "x-grid")) if c["x-grid"] else None
     out = _begin(args, "smve/local-alpha", c)
     alpha_hat = estimate_local_alpha(b1, c["radius"], c["t"], c["n-sims"], binning,
@@ -631,8 +645,10 @@ def main(argv=None) -> int:
         return args.run(args, _resolve(args))
     except (ValueError, SimulationBlowUp, DriftBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # a ValueError is a usage error; the other two are numerical failures
-        return 2 if isinstance(exc, ValueError) else 3
+        # a ValueError is a usage error, but a kernel's non-stochastic row
+        # is a numerical failure, as are the other two
+        usage = isinstance(exc, ValueError) and not isinstance(exc, KernelValidationError)
+        return 2 if usage else 3
 
 
 if __name__ == "__main__":

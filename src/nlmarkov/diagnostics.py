@@ -23,6 +23,7 @@ from .mckean_vlasov import (
     ParticleEnsemble,
     SMVESpec,
     WeightFunction,
+    _row_blocks,
     simulate,
     simulate_runs,
 )
@@ -61,20 +62,25 @@ class Binning(Record):
     def masses(self, points: np.ndarray) -> np.ndarray:
         """Masses of an (n, d) cloud: the ``bins**d`` cells in C order,
         then the overflow, the mass outside the box.  A point exactly at
-        the upper bound is outside."""
+        the upper bound is outside.  The cloud is binned a block of rows
+        at a time, and the blocks' integer counts are summed."""
         n, d = points.shape
-        if not np.all(np.isfinite(points)):
-            raise ValueError("points must be finite")
         width = (self.upper - self.lower) / self.bins
-        # clamping at bins - 1 guards against rounding at the topmost
-        # float below the upper bound (the bound itself is outside); at 0,
-        # it keeps far outside points castable
-        cells = np.clip(np.floor((points - self.lower) / width), 0,
-                        self.bins - 1).astype(int)
-        inside = np.all((points >= self.lower) & (points < self.upper), axis=1)
-        flat = np.where(inside, cells @ self.bins ** np.arange(d - 1, -1, -1),
-                        self.bins**d)
-        return np.bincount(flat, minlength=self.bins**d + 1) / n
+        strides = self.bins ** np.arange(d - 1, -1, -1)
+        counts = np.zeros(self.bins**d + 1, dtype=np.int64)
+        for rows in _row_blocks(n, d):
+            block = points[rows]
+            if not np.all(np.isfinite(block)):
+                raise ValueError("points must be finite")
+            # clamping at bins - 1 guards against rounding at the topmost
+            # float below the upper bound (the bound itself is outside); at
+            # 0, it keeps far outside points castable
+            cells = np.clip(np.floor((block - self.lower) / width), 0,
+                            self.bins - 1).astype(int)
+            inside = np.all((block >= self.lower) & (block < self.upper), axis=1)
+            part = np.bincount(np.where(inside, cells @ strides, self.bins**d))
+            counts[:len(part)] += part
+        return counts / n
 
     @staticmethod
     def tv(p: np.ndarray, q: np.ndarray) -> float:
@@ -127,9 +133,9 @@ def estimate_local_alpha(
 
     k, d = x_grid.shape
 
-    def sampler(rng, n, dim):
-        # built when called, so the starts are not kept for the whole run
-        return np.repeat(x_grid, n_sims, axis=0)
+    def sampler(rng, x):
+        # n_sims rows at each start, in grid order
+        x.reshape(k, n_sims, d)[:] = x_grid[:, None, :]
 
     probe = SMVESpec(d, b1, None, 0.0, 0.0, 0.0, "local-alpha-probe")
     final = simulate(probe, sampler, k * n_sims, step_size, t, seed, [t])[-1]

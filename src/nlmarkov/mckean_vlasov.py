@@ -140,17 +140,22 @@ class WeightFunction:
 class SMVESpec:
     """Coefficients and constants of one mean-field model.
 
-    ``b1`` maps positions (n, d) to drifts (n, d); ``b2`` additionally
-    receives the previous-step empirical measure and must stay within
-    ``bound_D`` in Euclidean norm (checked at runtime).  ``lipschitz_L``
-    is the constant used in perturbation bounds; for the shipped
-    coefficients it is derived by hand, not fitted.
+    ``b1`` is the confining drift, a function of each position alone: it
+    maps an (m, d) block of rows to their (m, d) drifts, and ``simulate``
+    calls it on one block of rows at a time.  ``b2`` is the interaction:
+    it maps the whole (n, d) array and its empirical measure to (n, d)
+    drifts, once per step, and must stay within ``bound_D`` in Euclidean
+    norm (checked at runtime).  ``lipschitz_L`` is the constant used in
+    perturbation bounds; for the shipped coefficients it is derived by
+    hand, not fitted.
 
-    Neither coefficient may modify the positions: ``simulate`` passes a
-    read-only view of the particles it steps in place, and ``law`` is a
+    Neither coefficient may modify the positions: ``simulate`` passes
+    read-only views of the particles it steps in place, and ``law`` is a
     read-only view of the same array, with ``.points`` and ``.mean()``,
     valid for the duration of the call.  Either may return its input or
-    a view of it; ``simulate`` never writes into what they return.
+    a view of it, or an array that broadcasts to its input's shape;
+    ``simulate`` never writes into what they return.  A step holds the
+    positions, b2's output when eps > 0, and a few blocks of rows.
     """
 
     dimension: int
@@ -171,18 +176,6 @@ class SMVESpec:
         if self.epsilon > 0 and self.b2 is None:
             raise ValueError("epsilon > 0 requires an interaction term")
 
-    def drift(self, positions: np.ndarray, law: EmpiricalMeasure) -> np.ndarray:
-        total = self.b1(positions)
-        if self.b2 is not None and self.epsilon > 0:
-            inter = self.b2(positions, law)
-            worst = float(_row_norms(inter).max())
-            if worst > self.bound_D + 1e-9:
-                raise DriftBoundError(
-                    f"{self.label}: |b2| = {worst:.17g} exceeds D = {self.bound_D:g}"
-                )
-            total = total + self.epsilon * inter
-        return total
-
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of an (n, d) array, as an (n, 1)
@@ -193,9 +186,9 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.linalg.norm(v, axis=1, keepdims=True)
 
 
-# The Euler step and the radial drift work through the particles a block
-# of rows at a time, so their scratch is one block of about this many
-# bytes, which stays in cache, instead of a particle-sized array.
+# The Euler step, b1 and the histogram masses work through the particles
+# a block of rows at a time, so their scratch is one block of about this
+# many bytes, which stays in cache, instead of a particle-sized array.
 _BLOCK_BYTES = 2**17
 
 
@@ -218,15 +211,10 @@ def radial_confinement_drift(r: float, M: float) -> Callable[[np.ndarray], np.nd
         raise ValueError("r and M must be positive")
 
     def b1(x: np.ndarray) -> np.ndarray:
-        # -r x / max(|x|, M) into one fresh array, a block of rows at a
-        # time, with the same roundings
-        out = np.empty(x.shape)
-        for rows in _row_blocks(*x.shape):
-            scale = _row_norms(x[rows])
-            np.maximum(scale, M, out=scale)
-            part = out[rows]
-            np.multiply(x[rows], -r, out=part)
-            part /= scale
+        scale = _row_norms(x)
+        np.maximum(scale, M, out=scale)
+        out = np.multiply(x, -r)
+        out /= scale
         return out
 
     return b1
@@ -272,17 +260,19 @@ def make_vh_spec(
 
 
 # ---------------------------------------------------------------------------
-# Initial conditions.
+# Initial conditions.  A sampler writes the start positions into the
+# (n, d) array it is given, in place, drawing from ``rng`` if it needs
+# randomness.
 
 
 def point_mass_sampler(x0) -> Callable:
     """All particles start at x0."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
 
-    def sample(rng: Generator, n: int, d: int) -> np.ndarray:
-        if x0.size != d:
+    def sample(rng: Generator, x: np.ndarray) -> None:
+        if x0.size != x.shape[1]:
             raise ValueError("x0 dimension mismatch")
-        return np.tile(x0, (n, 1))
+        x[:] = x0
 
     return sample
 
@@ -292,10 +282,12 @@ def gaussian_sampler(mean, std: float) -> Callable:
     if not 0 < std < math.inf:
         raise ValueError("std must be finite and positive")
 
-    def sample(rng: Generator, n: int, d: int) -> np.ndarray:
-        if mean.size != d:
+    def sample(rng: Generator, x: np.ndarray) -> None:
+        if mean.size != x.shape[1]:
             raise ValueError("mean dimension mismatch")
-        return mean[None, :] + std * rng.standard_normal((n, d))
+        rng.standard_normal(out=x)
+        x *= std
+        x += mean
 
     return sample
 
@@ -309,14 +301,12 @@ def two_point_mixture_sampler(x0, x1, weight0: float) -> Callable:
     a = np.atleast_1d(np.asarray(x0, dtype=float))
     b = np.atleast_1d(np.asarray(x1, dtype=float))
 
-    def sample(rng: Generator, n: int, d: int) -> np.ndarray:
-        if a.size != d or b.size != d:
+    def sample(rng: Generator, x: np.ndarray) -> None:
+        if a.size != x.shape[1] or b.size != x.shape[1]:
             raise ValueError("point dimension mismatch")
-        n0 = int(round(weight0 * n))
-        out = np.empty((n, d))
-        out[:n0] = a
-        out[n0:] = b
-        return out
+        n0 = int(round(weight0 * len(x)))
+        x[:n0] = a
+        x[n0:] = b
 
     return sample
 
@@ -390,6 +380,8 @@ class ParticleEnsemble:
 
     ``stream_offset`` is the Euler step index at which the snapshot was
     taken; together with ``seed`` it pins down the noise stream exactly.
+    The positions are kept as a read-only copy, except that a read-only
+    float array that owns its data is taken over as it is.
     """
 
     positions: np.ndarray
@@ -402,8 +394,9 @@ class ParticleEnsemble:
         pts = np.asarray(self.positions, dtype=float)
         if pts.ndim != 2:
             raise ValueError("positions must be (n, d)")
-        pts = pts.copy()
-        pts.flags.writeable = False
+        if pts.flags.writeable or not pts.flags.owndata:
+            pts = pts.copy()
+            pts.flags.writeable = False
         object.__setattr__(self, "positions", pts)
 
     @property
@@ -457,6 +450,29 @@ def _plan(n_particles: int, step_size: float, horizon: float,
     return n_steps, snap_steps
 
 
+def _interaction(spec: SMVESpec, positions: np.ndarray, law: EmpiricalMeasure,
+                 x: np.ndarray) -> np.ndarray:
+    """b2 on the whole array, checked against D, as an (n, d) array that
+    shares no memory with the particles ``x``."""
+    inter = spec.b2(positions, law)
+    if np.shape(inter) != x.shape:
+        inter = np.broadcast_to(inter, x.shape)
+    # the largest row norm by reductions; NaN if b2 gave a NaN
+    if x.shape[1] == 1:
+        worst = max(float(inter.max()), -float(inter.min()))
+    else:
+        worst = float(np.max([_row_norms(inter[rows]).max()
+                              for rows in _row_blocks(*x.shape)]))
+    if worst > spec.bound_D + 1e-9:
+        raise DriftBoundError(
+            f"{spec.label}: |b2| = {worst:.17g} exceeds D = {spec.bound_D:g}")
+    if np.may_share_memory(inter, x):
+        # read whole before any row moves: b2 may view the particles in
+        # another row order
+        inter = inter.copy()
+    return inter
+
+
 def _euler(
     spec: SMVESpec,
     initial_sampler: Callable,
@@ -466,16 +482,24 @@ def _euler(
     plan: tuple[int, list[int]],
 ) -> list[ParticleEnsemble]:
     """The Euler loop of ``simulate``.  Step k rewinds one generator to
-    the (seed, k) stream before its drift, then draws its noise
-    sqrt(h) * xi a block of rows at a time, in row order, into one
-    reused block."""
+    the (seed, k) stream before its drift, then computes b1, the step
+    and its noise sqrt(h) * xi a block of rows at a time, in row order,
+    through reused blocks."""
     n_steps, snap_steps = plan
     d = spec.dimension
-    # An owned C-ordered copy: the loop writes into it.
-    x = np.array(initial_sampler(_stream(seed, 0), n_particles, d), dtype=float, order="C")
-    if x.shape != (n_particles, d):
-        raise ValueError("initial sampler returned the wrong shape")
-    if not np.isfinite(x).all():
+    blocks = _row_blocks(n_particles, d)
+    scratch = np.empty((blocks[0].stop, d))
+    noise = np.empty(scratch.shape)
+    finite = np.empty(scratch.shape, dtype=bool)
+
+    def all_finite(rows: slice) -> bool:
+        return bool(np.isfinite(x[rows], out=finite[:rows.stop - rows.start]).all())
+
+    # The run's one particle-sized array: the sampler fills it, the loop
+    # steps it in place, and the last snapshot takes it over.
+    x = np.zeros((n_particles, d))
+    initial_sampler(_stream(seed, 0), x)
+    if not all(map(all_finite, blocks)):
         raise ValueError("points must be finite")
     positions = x.view()
     positions.flags.writeable = False
@@ -486,39 +510,39 @@ def _euler(
     if 0 in snap_set:
         snapshots.append(ParticleEnsemble(x, 0.0, step_size, seed, 0))
 
-    # x += drift * h; x += noise, and the finiteness check, one block of
-    # rows at a time through one block of scratch and one of noise.  The
-    # stream's draws are the same in blocks as in one call.
-    blocks = _row_blocks(n_particles, d)
-    scratch = np.empty((blocks[0].stop, d))
-    noise = np.empty(scratch.shape)
-    finite = np.empty(scratch.shape, dtype=bool)
+    # x += (b1 + eps b2) * h; x += noise, and the finiteness check, one
+    # block of rows at a time.  The stream's draws are the same in blocks
+    # as in one call.
     scale = math.sqrt(step_size)
-    generator = None
+    generator = inter = None
     # The finiteness check after each step reports a blow-up as
     # SimulationBlowUp, so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             generator = _stream(seed, k, generator)
-            drift = spec.drift(positions, law)
-            if np.shape(drift) != x.shape or np.may_share_memory(drift, x):
-                # read whole before any row moves: a drift that broadcasts,
-                # or that views the particles in another row order
-                drift = np.broadcast_to(drift, x.shape).copy()
+            if spec.epsilon > 0:
+                inter = _interaction(spec, positions, law, x)
             for rows in blocks:
                 xb = x[rows]
                 part = scratch[:len(xb)]
-                np.multiply(drift[rows], step_size, out=part)
+                if inter is None:
+                    np.multiply(spec.b1(positions[rows]), step_size, out=part)
+                else:
+                    np.multiply(inter[rows], spec.epsilon, out=part)
+                    np.add(spec.b1(positions[rows]), part, out=part)
+                    part *= step_size
                 xb += part
                 dw = noise[:len(xb)]
                 generator.standard_normal(out=dw)
                 dw *= scale
                 xb += dw
-                if not np.isfinite(xb, out=finite[:len(xb)]).all():
+                if not all_finite(rows):
                     raise SimulationBlowUp(
                         f"{spec.label}: non-finite position at step {k}")
-            del drift  # before a snapshot copies x
+            inter = None  # before the next b2 call or a snapshot copy
             if k in snap_set:
+                if k == n_steps:
+                    x.flags.writeable = False  # the last snapshot takes x over
                 snapshots.append(ParticleEnsemble(x, k * step_size, step_size, seed, k))
     return snapshots
 
@@ -539,12 +563,15 @@ def simulate(
 
     Noise for step k is drawn from a counter-based stream keyed by
     (seed, k), so runs are bit-reproducible and independent of any
-    worker layout; initial positions use the (seed, 0) stream.  Each
-    step calls the drift once on the whole array, then draws its noise
-    and steps the particles in place a block of rows at a time, in the
-    calling thread.  Raises ValueError
-    if the initial sample is not finite and SimulationBlowUp if
-    positions leave the finite range.
+    worker layout; initial positions use the (seed, 0) stream.
+
+    ``initial_sampler(rng, x)`` writes the start positions into x, the
+    zeroed (n_particles, d) float array that the run then steps in
+    place; the last snapshot takes x over.  Each step calls b2 once on
+    the whole array, then calls b1, draws the noise and steps the
+    particles a block of rows at a time, in the calling thread.  Raises
+    ValueError if the initial sample is not finite and SimulationBlowUp
+    if positions leave the finite range.
     """
     plan = _plan(n_particles, step_size, horizon, snapshot_times)
     return _euler(spec, initial_sampler, n_particles, step_size, seed, plan)

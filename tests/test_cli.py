@@ -216,11 +216,34 @@ class TestChain:
         kfile = tmp_path / "bump.json"
         kfile.write_text(json.dumps(self.BUMP))
         out = tmp_path / "run"
+        # a row fault met along an orbit is a numerical failure
         assert main(["chain", "--kernel", "custom", "--kernel-file", str(kfile),
-                     "--steps", str(steps), "--out", str(out)]) == 2
+                     "--steps", str(steps), "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"error: bump: non-stochastic rows at step {step}\n"
         assert (out / "trajectory.csv").exists() == trajectory_written
         assert not (out / "report.json").exists()
+
+    def test_stock_kernel_that_fails_validation_exits_3(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # no stock kernel's parameters reach a faulty row: stand one in
+        faulty = kernels.NonlinearKernel(
+            2, lambda w: np.full((len(w), 2, 2), 0.6), "faulty")
+        monkeypatch.setitem(cli._KERNELS, "markov-example", lambda c: faulty)
+        out = tmp_path / "run"
+        assert main(["chain", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: kernel validation failed: faulty: row 0 sums to 1.2 at nu=[0.0, 1.0]\n")
+        assert not out.exists()
+
+    def test_custom_kernel_that_fails_validation_exits_2(self, tmp_path, capsys):
+        kfile = tmp_path / "heavy.json"
+        kfile.write_text(json.dumps(
+            {"space_size": 2, "label": "heavy", "entries": [["0.7", "0.4"], ["0.4", "0.6"]]}))
+        out = tmp_path / "run"
+        assert main(["chain", "--kernel", "custom", "--kernel-file", str(kfile),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: heavy: row 0 sums to 1.1")
+        assert not out.exists()
 
 
 SPEC5 = Path(__file__).resolve().parents[1] / "bench" / "spec5.json"
@@ -386,6 +409,27 @@ class TestSmve:
         assert main(["smve", "lyapunov", "--lag", "0", "--out", out]) == 2
         assert main(["smve", "lyapunov", "--horizon", "1", "--lag", "1",
                      "--out", out]) == 2
+
+    @pytest.mark.parametrize("action", ["decay", "girsanov-check", "local-alpha"])
+    def test_bins_over_the_memory_budget_are_refused(self, tmp_path, capsys,
+                                                     monkeypatch, action):
+        class Began(Exception):
+            pass
+
+        def began(*args):
+            raise Began
+
+        # nothing past the check runs, so nothing is binned or allocated
+        monkeypatch.setattr(cli, "_begin", began)
+        fits = cli.GRID_BUDGET_BYTES // 8 - 1
+        out = tmp_path / "x"
+        assert main(["smve", action, "--bins", str(fits + 1), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bins {fits + 1} gives a masses array of {fits + 2} floats, over "
+            f"the 1 GiB budget; the largest bins that fits is {fits}\n")
+        assert not out.exists()
+        with pytest.raises(Began):
+            main(["smve", action, "--bins", str(fits), "--out", str(out)])
 
     def test_float_bins_in_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

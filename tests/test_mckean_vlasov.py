@@ -135,18 +135,25 @@ class TestVerifyVH:
         assert set(d) == {"passed", "worst_margin", "worst_point", "n_points", "tolerance"}
 
 
+def _sample(sampler, rng, n, d):
+    """The (n, d) positions that ``sampler`` writes into a fresh array."""
+    x = np.full((n, d), np.nan)
+    assert sampler(rng, x) is None
+    return x
+
+
 class TestSamplers:
     def test_point_mass_tiles_the_location(self):
-        x = point_mass_sampler(2.5)(np.random.default_rng(0), 7, 1)
+        x = _sample(point_mass_sampler(2.5), np.random.default_rng(0), 7, 1)
         assert x.shape == (7, 1)
         assert np.all(x == 2.5)
 
     def test_point_mass_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            point_mass_sampler([1.0, 2.0])(np.random.default_rng(0), 4, 1)
+            _sample(point_mass_sampler([1.0, 2.0]), np.random.default_rng(0), 4, 1)
 
     def test_gaussian_sampler_moments_and_guard(self):
-        x = gaussian_sampler(1.0, 2.0)(np.random.default_rng(3), 50_000, 1)
+        x = _sample(gaussian_sampler(1.0, 2.0), np.random.default_rng(3), 50_000, 1)
         assert x.shape == (50_000, 1)
         assert float(x.mean()) == pytest.approx(1.0, abs=0.05)
         assert float(x.std()) == pytest.approx(2.0, abs=0.05)
@@ -154,8 +161,14 @@ class TestSamplers:
             with pytest.raises(ValueError, match="finite and positive"):
                 gaussian_sampler(0.0, std)
 
+    def test_gaussian_sampler_matches_one_out_of_place_draw(self):
+        # in place, the draws and roundings of mean + std * z
+        got = _sample(gaussian_sampler([0.3, -1.0], 1.7), np.random.default_rng(5), 999, 2)
+        z = np.random.default_rng(5).standard_normal((999, 2))
+        assert got.tobytes() == (np.array([0.3, -1.0])[None, :] + 1.7 * z).tobytes()
+
     def test_mixture_split_is_deterministic(self):
-        x = two_point_mixture_sampler(-0.5, 0.5, 0.6)(np.random.default_rng(0), 10, 1)
+        x = _sample(two_point_mixture_sampler(-0.5, 0.5, 0.6), np.random.default_rng(0), 10, 1)
         assert int(np.sum(x < 0)) == 6
         assert int(np.sum(x > 0)) == 4
         with pytest.raises(ValueError):
@@ -324,10 +337,31 @@ class TestSimulate:
         assert seen == [False] * 6
 
     def test_sampler_output_is_not_written_to(self):
+        # the sampler copies the caller's array into the run's own array,
+        # which is the only one the run writes
         start = np.zeros((100, 1))
-        simulate(make_ou_spec(), lambda rng, n, d: start, n_particles=100,
+
+        def sampler(rng, x):
+            x[:] = start
+
+        simulate(make_ou_spec(), sampler, n_particles=100,
                  step_size=0.01, horizon=0.1, seed=3)
         assert not start.any()
+
+    def test_sampler_fills_the_array_the_last_snapshot_takes_over(self):
+        filled = []
+
+        def sampler(rng, x):
+            filled.append(x)
+            x[:] = 0.5
+
+        first, last = simulate(make_ou_spec(), sampler, n_particles=100,
+                               step_size=0.01, horizon=0.1, seed=3)
+        assert len(filled) == 1 and filled[0].shape == (100, 1)
+        assert not np.shares_memory(first.positions, filled[0])
+        assert np.all(first.positions == 0.5)
+        assert last.positions is filled[0]
+        assert not last.positions.flags.writeable
 
 
 def _reference_simulate(b1, b2, epsilon, bound_D, label, d,
@@ -337,8 +371,8 @@ def _reference_simulate(b1, b2, epsilon, bound_D, label, d,
     step, norm-based bound check, out-of-place update."""
     n_steps = int(round(horizon / h))
     snap_steps = sorted({int(round(t / h)) for t in times})
-    x = np.asarray(sampler(Generator(Philox(key=np.array([seed, 0], dtype=np.uint64))),
-                           n, d), dtype=float)
+    x = np.zeros((n, d))
+    sampler(Generator(Philox(key=np.array([seed, 0], dtype=np.uint64))), x)
     out = [x.copy()] if 0 in snap_steps else []
     for k in range(n_steps):
         law = EmpiricalMeasure(x)
@@ -426,18 +460,19 @@ def test_simulate_matches_reference_euler_loop(model, n, steps, seed, h):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("drift", ["reversed", "broadcast"])
 def test_simulate_reads_an_aliased_or_broadcast_drift_whole(drift, d):
-    # the step moves a block of rows at a time: a drift that views the
-    # particles in reverse row order, or one row broadcast to all, must
-    # still be read as it was before the step
+    # the step moves a block of rows at a time: b2, which reads the whole
+    # law, may view the particles in reverse row order, and b1 may return
+    # one row broadcast to its rows; each must be read as it was before
+    # the step
     if drift == "reversed":
-        b1 = lambda x: x[::-1]
+        b1, b2, eps = (lambda x: -x), (lambda x, law: law.points[::-1]), 0.5
     else:
-        b1 = lambda x: np.linspace(-1.0, 1.0, d)
-    spec = SMVESpec(d, b1, None, 0.0, 0.0, 0.0, drift)
+        b1, b2, eps = (lambda x: np.linspace(-1.0, 1.0, d)), None, 0.0
+    spec = SMVESpec(d, b1, b2, eps, 1e6, 1.0, drift)
     sampler = gaussian_sampler([0.3] * d, 1.0)
     times = [0.0, 0.02, 0.03]
     got = simulate(spec, sampler, 140_000, 0.01, 0.03, 5, times)
-    want = _reference_simulate(b1, None, 0.0, 0.0, drift, d,
+    want = _reference_simulate(b1, b2, eps, 1e6, drift, d,
                                sampler, 140_000, 0.01, 0.03, 5, times)
     for ens, ref in zip(got, want, strict=True):
         assert ens.positions.tobytes() == ref.tobytes()
@@ -456,36 +491,84 @@ def _traced_peak(call) -> int:
 WIDE = 200_000
 
 
-def _wide_bound(drift_arrays: int) -> int:
+def _wide_bound(particle_arrays: int) -> int:
     """What a run of WIDE particles in one dimension may hold at its
-    peak: x, the drift arrays, and at most five blocks of scratch (the
-    step's block, its noise and its finiteness mask, and the radial
-    drift's per-block norms, two of which are alive while the next is
-    made), never a particle-sized scratch or noise array."""
-    return (1 + drift_arrays) * 8 * WIDE + 5 * mckean_vlasov._BLOCK_BYTES
+    peak: x (and b2's output, if it has one) and at most five blocks (the
+    step's scratch, its noise and its finiteness mask, and b1's output
+    and its per-row norms for one block), never a particle-sized copy,
+    drift or noise array."""
+    return particle_arrays * 8 * WIDE + 5 * mckean_vlasov._BLOCK_BYTES
 
 
-@pytest.mark.parametrize("model, drift_arrays", [
-    ("probe", 1),  # b1's output
-    ("vh", 3),  # b1's output, b2's, and the combined drift
+@pytest.mark.parametrize("model, particle_arrays", [
+    ("probe", 1),  # x
+    ("vh", 2),  # x and b2's output
 ])
-def test_wide_simulate_allocates_no_particle_sized_scratch(model, drift_arrays):
+def test_wide_simulate_allocates_no_particle_sized_scratch(model, particle_arrays):
     if model == "vh":
         spec = make_vh_spec()
     else:
         spec = SMVESpec(1, radial_confinement_drift(1.0, 1.0), None, 0.0, 0.0, 0.0)
     sampler = gaussian_sampler([0.3], 1.0)
     peak = _traced_peak(lambda: simulate(spec, sampler, WIDE, 0.01, 0.05, 7, [0.05]))
-    assert peak <= _wide_bound(drift_arrays)
+    assert peak <= _wide_bound(particle_arrays)
 
 
 def test_local_alpha_allocates_no_particle_sized_scratch():
     from nlmarkov.diagnostics import estimate_local_alpha
 
-    # five starts of WIDE / 5 particles each, stepped as one run
+    # five starts of WIDE / 5 particles each, stepped as one run and
+    # binned a block at a time
     peak = _traced_peak(lambda: estimate_local_alpha(
         radial_confinement_drift(1.0, 1.0), R=1.0, t=0.05, n_sims=WIDE // 5))
     assert peak <= _wide_bound(1)
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_wide_run_starts_in_the_array_the_sampler_fills():
+    # at the first b1 call the run holds x, filled and checked in place,
+    # and its three blocks: no copy of a sampler's output
+    peaks = []
+
+    def b1(x):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        raise _Stop
+
+    spec = SMVESpec(1, b1, None, 0.0, 0.0, 0.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Stop):
+            simulate(spec, gaussian_sampler([0.3], 1.0), WIDE, 0.01, 0.05, 7, [0.05])
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] <= 8 * WIDE + 3 * mckean_vlasov._BLOCK_BYTES
+
+
+def test_wide_run_hands_x_to_the_last_snapshot():
+    # from b1's last call to the run's return, the run allocates b1's
+    # output block and no copy of x for the last snapshot
+    last_call = 2 * len(mckean_vlasov._row_blocks(WIDE, 1))  # two steps
+    calls, held = [], []
+
+    def b1(x):
+        calls.append(1)
+        if len(calls) == last_call:
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+        return -x
+
+    spec = SMVESpec(1, b1, None, 0.0, 0.0, 0.0)
+    tracemalloc.start()
+    try:
+        snaps = simulate(spec, gaussian_sampler([0.3], 1.0), WIDE, 0.01, 0.02, 7, [0.02])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == last_call and len(snaps) == 1
+    assert peak - held[0] <= 2 * mckean_vlasov._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("shape", [(1,), (7,), (100, 3), (1_001, 2)])
@@ -663,7 +746,7 @@ def _late_blow_up_spec():
     return SMVESpec(1, b1, None, 0.0, 0.0, 0.0, "late")
 
 
-def _fails_at_once(rng, n, d):
+def _fails_at_once(rng, x):
     raise ValueError("no initial sample")
 
 
@@ -706,7 +789,7 @@ def test_unpicklable_failure_becomes_a_runtime_error(no_leftovers):
     class LocalError(Exception):
         pass
 
-    def sampler(rng, n, d):
+    def sampler(rng, x):
         raise LocalError("cannot cross a pipe")
 
     runs = [(sampler, 1), (point_mass_sampler(0.0), 2)]
@@ -719,10 +802,9 @@ def test_killed_worker_raises_instead_of_hanging(no_leftovers):
     # the last worker started dies in its first run's sampler
     parent = os.getpid()
 
-    def killed_in_worker(rng, n, d):
+    def killed_in_worker(rng, x):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return np.zeros((n, d))
 
     spec = make_ou_spec()
     runs = [(point_mass_sampler(0.0), 1), (killed_in_worker, 2), (point_mass_sampler(0.0), 3)]

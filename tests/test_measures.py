@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nlmarkov import mckean_vlasov
 from nlmarkov.diagnostics import Binning
 from nlmarkov.measures import (
     DiscreteMeasure,
@@ -221,3 +222,38 @@ def test_binned_tv_properties(case):
     # in [0, 2] up to the rounding of the float sum, which can pass 2 by an ulp
     assert 0.0 <= bn.tv(p, q) <= 2.0 + 1e-12
     assert bn.tv(p, bn.masses(a.copy())) == 0.0
+
+
+def _one_shot_masses(bn, points):
+    """Binning.masses binned in one pass over the whole cloud, as it was
+    before the blocked version: the blocked version's reference."""
+    n, d = points.shape
+    width = (bn.upper - bn.lower) / bn.bins
+    cells = np.clip(np.floor((points - bn.lower) / width), 0, bn.bins - 1).astype(int)
+    inside = np.all((points >= bn.lower) & (points < bn.upper), axis=1)
+    flat = np.where(inside, cells @ bn.bins ** np.arange(d - 1, -1, -1), bn.bins**d)
+    return np.bincount(flat, minlength=bn.bins**d + 1) / n
+
+
+@settings(max_examples=200, deadline=None)
+@given(binned_clouds(), st.integers(1, 8))
+def test_blocked_masses_equal_one_shot_masses(case, block_rows):
+    # blocks of at most 8 rows, so a cloud of up to 20 points spans many
+    bn, clouds = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mckean_vlasov, "_BLOCK_BYTES", 8 * block_rows)
+        for pts in clouds:
+            assert bn.masses(pts).tobytes() == _one_shot_masses(bn, pts).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_blocked_masses_of_a_wide_cloud(d):
+    # several blocks of the real size, with points on both bounds and
+    # outside the box
+    bn = Binning(-1.0, 1.0, 7)
+    pts = np.random.default_rng(d).normal(0.0, 1.0, (50_000, d))
+    pts[::97] = -1.0
+    pts[::89] = 1.0
+    pts[::83] = np.nextafter(1.0, 0.0)
+    assert len(mckean_vlasov._row_blocks(*pts.shape)) > 3
+    assert bn.masses(pts).tobytes() == _one_shot_masses(bn, pts).tobytes()
