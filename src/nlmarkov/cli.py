@@ -40,6 +40,7 @@ from .counterexamples import (
     verify_oscillation,
 )
 from .diagnostics import (
+    LOCAL_ALPHA_STARTS,
     Binning,
     DecayFitError,
     calibrate_tv_allowance,
@@ -326,7 +327,7 @@ def _law_tv(mu0: str, nu0: str) -> float:
 
 # The largest (G, n, n) float64 stack of kernel matrices a chain run
 # may build (validation evaluates the kernel on the whole grid at once),
-# and the largest histogram masses array an smve action may bin into.
+# and the most histogram arrays an smve action may hold at once.
 GRID_BUDGET_BYTES = 2**30
 
 
@@ -498,20 +499,26 @@ def _calibrated(c: dict, key: str, spec, mu, times, binning) -> float:
                                   c["seed"] + 1000, binning, n_pairs=c["calibration-pairs"])
 
 
-def _binning(c: dict) -> Binning:
-    """The action's binning, refused if its masses array (bins + 1
-    floats, in one dimension) would exceed GRID_BUDGET_BYTES."""
-    fits = GRID_BUDGET_BYTES // 8 - 1
+def _binning(c: dict, held: int) -> Binning:
+    """The action's binning, refused if the ``held`` histogram arrays
+    (bins + 1 floats each, in one dimension) that it holds at once
+    would exceed GRID_BUDGET_BYTES."""
+    fits = GRID_BUDGET_BYTES // (8 * held) - 1
     if c["bins"] > fits:
         raise ValueError(
-            f"bins {c['bins']} gives a masses array of {c['bins'] + 1} floats, over "
-            f"the {GRID_BUDGET_BYTES >> 30} GiB budget; the largest bins that fits "
-            f"is {fits}")
+            f"bins {c['bins']} needs {held} histogram arrays of {c['bins'] + 1} "
+            f"floats at once, over the {GRID_BUDGET_BYTES >> 30} GiB budget; the "
+            f"largest bins that fits is {fits}")
     return Binning(c["bin-lo"], c["bin-hi"], c["bins"])
 
 
+# A distance between two clouds holds both masses and Binning.tv's one
+# temporary; local alpha holds every start's masses and that temporary.
+_PAIR_HELD = 3
+
+
 def _smve_decay(args, c: dict) -> int:
-    spec, binning = _spec(c), _binning(c)
+    spec, binning = _spec(c), _binning(c, _PAIR_HELD)
     mu, nu = _sampler(c["mu0"], "mu0"), _sampler(c["nu0"], "nu0")
     horizon = float(c["horizon"])
     times = _floats(c["times"], "times") or np.linspace(0.0, horizon, 21).tolist()
@@ -544,7 +551,7 @@ def _smve_decay(args, c: dict) -> int:
 
 
 def _smve_girsanov_check(args, c: dict) -> int:
-    spec, binning = _spec(c), _binning(c)
+    spec, binning = _spec(c), _binning(c, _PAIR_HELD)
     mu, nu = _sampler(c["mu0"], "mu0"), _sampler(c["nu0"], "nu0")
     times = _floats(c["times"], "times") or [0.5, 1.0, 2.0]
     tv0 = _law_tv(c["mu0"], c["nu0"])
@@ -568,8 +575,9 @@ def _smve_girsanov_check(args, c: dict) -> int:
 def _smve_local_alpha(args, c: dict) -> int:
     b1 = (radial_confinement_drift(c["r"], c["m-ball"])
           if c["preset"] == "vh" else (lambda x: -x))
-    binning = _binning(c)
     x_grid = np.array(_floats(c["x-grid"], "x-grid")) if c["x-grid"] else None
+    starts = LOCAL_ALPHA_STARTS if x_grid is None else len(x_grid)
+    binning = _binning(c, starts + 1)
     out = _begin(args, "smve/local-alpha", c)
     alpha_hat = estimate_local_alpha(b1, c["radius"], c["t"], c["n-sims"], binning,
                                      x_grid, step_size=float(c["h"]), seed=c["seed"])

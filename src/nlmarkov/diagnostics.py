@@ -36,6 +36,7 @@ __all__ = [
     "DecayFitError",
     "GirsanovReport",
     "estimate_local_alpha",
+    "LOCAL_ALPHA_STARTS",
     "lyapunov_diagnostic",
     "girsanov_bound_check",
     "calibrate_tv_allowance",
@@ -63,11 +64,12 @@ class Binning(Record):
         """Masses of an (n, d) cloud: the ``bins**d`` cells in C order,
         then the overflow, the mass outside the box.  A point exactly at
         the upper bound is outside.  The cloud is binned a block of rows
-        at a time, and the blocks' integer counts are summed."""
+        at a time into the one float array returned, whose counts stay
+        exact integers until they are divided by n."""
         n, d = points.shape
         width = (self.upper - self.lower) / self.bins
         strides = self.bins ** np.arange(d - 1, -1, -1)
-        counts = np.zeros(self.bins**d + 1, dtype=np.int64)
+        masses = np.zeros(self.bins**d + 1)
         for rows in _row_blocks(n, d):
             block = points[rows]
             if not np.all(np.isfinite(block)):
@@ -78,15 +80,18 @@ class Binning(Record):
             cells = np.clip(np.floor((block - self.lower) / width), 0,
                             self.bins - 1).astype(int)
             inside = np.all((block >= self.lower) & (block < self.upper), axis=1)
-            part = np.bincount(np.where(inside, cells @ strides, self.bins**d))
-            counts[:len(part)] += part
-        return counts / n
+            np.add.at(masses, np.where(inside, cells @ strides, self.bins**d), 1.0)
+        masses /= n
+        return masses
 
     @staticmethod
     def tv(p: np.ndarray, q: np.ndarray) -> float:
         """Total variation between two ``masses`` of one binning: the sum
-        of |mass differences| over the cells plus the overflow difference."""
-        return float(np.abs(p[:-1] - q[:-1]).sum() + abs(p[-1] - q[-1]))
+        of |mass differences| over the cells plus the overflow difference.
+        Holds one temporary the size of p."""
+        diff = np.subtract(p, q)
+        np.abs(diff, out=diff)
+        return float(diff[:-1].sum() + diff[-1])
 
 
 def _ensemble_tv(a: ParticleEnsemble, b: ParticleEnsemble, binning: Binning) -> float:
@@ -95,6 +100,11 @@ def _ensemble_tv(a: ParticleEnsemble, b: ParticleEnsemble, binning: Binning) -> 
 
 # ---------------------------------------------------------------------------
 # Local overlap of transition laws.
+
+
+# The default start grid of estimate_local_alpha: this many points
+# evenly spaced on [-R, R].
+LOCAL_ALPHA_STARTS = 5
 
 
 def estimate_local_alpha(
@@ -123,7 +133,7 @@ def estimate_local_alpha(
     if n_sims < 100:
         raise ValueError("need at least 100 simulations per start")
     if x_grid is None:
-        x_grid = np.linspace(-R, R, 5)[:, None]
+        x_grid = np.linspace(-R, R, LOCAL_ALPHA_STARTS)[:, None]
     else:
         x_grid = np.asarray(x_grid, dtype=float)
         if x_grid.ndim == 1:

@@ -457,12 +457,9 @@ def _interaction(spec: SMVESpec, positions: np.ndarray, law: EmpiricalMeasure,
     inter = spec.b2(positions, law)
     if np.shape(inter) != x.shape:
         inter = np.broadcast_to(inter, x.shape)
-    # the largest row norm by reductions; NaN if b2 gave a NaN
-    if x.shape[1] == 1:
-        worst = max(float(inter.max()), -float(inter.min()))
-    else:
-        worst = float(np.max([_row_norms(inter[rows]).max()
-                              for rows in _row_blocks(*x.shape)]))
+    # the largest row norm, a block at a time; NaN if b2 gave a NaN
+    worst = float(np.max([_row_norms(inter[rows]).max()
+                          for rows in _row_blocks(*x.shape)]))
     if worst > spec.bound_D + 1e-9:
         raise DriftBoundError(
             f"{spec.label}: |b2| = {worst:.17g} exceeds D = {spec.bound_D:g}")
@@ -498,7 +495,8 @@ def _euler(
     # The run's one particle-sized array: the sampler fills it, the loop
     # steps it in place, and the last snapshot takes it over.
     x = np.zeros((n_particles, d))
-    initial_sampler(_stream(seed, 0), x)
+    if initial_sampler(_stream(seed, 0), x) is not None:
+        raise ValueError("initial sampler must fill x in place and return None")
     if not all(map(all_finite, blocks)):
         raise ValueError("points must be finite")
     positions = x.view()
@@ -567,10 +565,11 @@ def simulate(
 
     ``initial_sampler(rng, x)`` writes the start positions into x, the
     zeroed (n_particles, d) float array that the run then steps in
-    place; the last snapshot takes x over.  Each step calls b2 once on
+    place, and returns None; the last snapshot takes x over.  Each step calls b2 once on
     the whole array, then calls b1, draws the noise and steps the
     particles a block of rows at a time, in the calling thread.  Raises
-    ValueError if the initial sample is not finite and SimulationBlowUp
+    ValueError if the sampler returns a value or the initial sample is
+    not finite, and SimulationBlowUp
     if positions leave the finite range.
     """
     plan = _plan(n_particles, step_size, horizon, snapshot_times)

@@ -410,9 +410,14 @@ class TestSmve:
         assert main(["smve", "lyapunov", "--horizon", "1", "--lag", "1",
                      "--out", out]) == 2
 
-    @pytest.mark.parametrize("action", ["decay", "girsanov-check", "local-alpha"])
+    @pytest.mark.parametrize("action, extra, held", [
+        ("decay", [], 3),
+        ("girsanov-check", [], 3),
+        ("local-alpha", [], 6),
+        ("local-alpha", ["--x-grid=-1,1"], 3),
+    ], ids=["decay", "girsanov-check", "local-alpha", "local-alpha-two-starts"])
     def test_bins_over_the_memory_budget_are_refused(self, tmp_path, capsys,
-                                                     monkeypatch, action):
+                                                     monkeypatch, action, extra, held):
         class Began(Exception):
             pass
 
@@ -421,15 +426,17 @@ class TestSmve:
 
         # nothing past the check runs, so nothing is binned or allocated
         monkeypatch.setattr(cli, "_begin", began)
-        fits = cli.GRID_BUDGET_BYTES // 8 - 1
+        fits = cli.GRID_BUDGET_BYTES // (8 * held) - 1
         out = tmp_path / "x"
-        assert main(["smve", action, "--bins", str(fits + 1), "--out", str(out)]) == 2
+        argv = ["smve", action, *extra, "--out", str(out)]
+        assert main([*argv, "--bins", str(fits + 1)]) == 2
         assert capsys.readouterr().err == (
-            f"error: bins {fits + 1} gives a masses array of {fits + 2} floats, over "
-            f"the 1 GiB budget; the largest bins that fits is {fits}\n")
+            f"error: bins {fits + 1} needs {held} histogram arrays of {fits + 2} "
+            f"floats at once, over the 1 GiB budget; the largest bins that fits "
+            f"is {fits}\n")
         assert not out.exists()
         with pytest.raises(Began):
-            main(["smve", action, "--bins", str(fits), "--out", str(out)])
+            main([*argv, "--bins", str(fits)])
 
     def test_float_bins_in_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

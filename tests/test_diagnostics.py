@@ -2,12 +2,15 @@
 Lyapunov and decay regressions, and the coupled-run bound check."""
 
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
+from nlmarkov import cli
 from nlmarkov.diagnostics import (
+    LOCAL_ALPHA_STARTS,
     Binning,
     DecayFitError,
     calibrate_tv_allowance,
@@ -82,6 +85,39 @@ class TestEstimateLocalAlpha:
         with pytest.raises(ValueError, match="ball"):
             estimate_local_alpha(ou_drift(), R=1.0, t=1.0, n_sims=500,
                                  x_grid=np.array([0.0, 2.0]))
+
+
+def _peak(call) -> int:
+    """The tracemalloc peak, in bytes, of call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestHistogramArraysHeld:
+    # Arrays of 2**18 + 1 floats (2 MB) dwarf the clouds of a few hundred
+    # points and their blocks, so a peak counts the histogram arrays held
+    # at once: the counts the smve CLI budgets --bins by.
+    binning = Binning(bins=2**18)
+    array = 8 * (2**18 + 1)
+    slack = 2**20
+
+    def test_a_cloud_distance_holds_both_masses_and_one_temporary(self):
+        run_a, run_b = ([make_snapshot(np.full((300, 1), v), float(k))
+                         for k in range(3)] for v in (0.0, 5.0))
+        peak = _peak(lambda: fit_decay(run_a, run_b, self.binning))
+        held = cli._PAIR_HELD
+        assert (held - 1) * self.array < peak <= held * self.array + self.slack
+
+    def test_local_alpha_holds_every_starts_masses_and_one_temporary(self):
+        peak = _peak(lambda: estimate_local_alpha(
+            ou_drift(), R=1.0, t=0.02, n_sims=100, binning=self.binning,
+            step_size=0.01))
+        held = LOCAL_ALPHA_STARTS + 1
+        assert (held - 1) * self.array < peak <= held * self.array + self.slack
 
 
 class TestLyapunovDiagnostic:

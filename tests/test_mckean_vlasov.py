@@ -348,6 +348,11 @@ class TestSimulate:
                  step_size=0.01, horizon=0.1, seed=3)
         assert not start.any()
 
+    def test_sampler_that_returns_its_positions_is_refused(self):
+        with pytest.raises(ValueError, match="fill x in place and return None"):
+            simulate(make_ou_spec(), lambda rng, x: np.ones_like(x), n_particles=100,
+                     step_size=0.01, horizon=0.1, seed=3)
+
     def test_sampler_fills_the_array_the_last_snapshot_takes_over(self):
         filled = []
 
