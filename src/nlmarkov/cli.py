@@ -65,19 +65,17 @@ from .kernels import (
     oscillating_kernel,
     validate,
 )
+from . import laws
 from .measures import DiscreteMeasure
 from .mckean_vlasov import (
     DriftBoundError,
     SimulationBlowUp,
     WeightFunction,
-    gaussian_sampler,
     make_ou_spec,
     make_vh_spec,
-    point_mass_sampler,
     radial_confinement_drift,
     simulate,
     simulate_runs,
-    two_point_mixture_sampler,
 )
 from .reporting import Claim, report_document, write_csv, write_json_report
 
@@ -118,8 +116,8 @@ _SMVE = {
     "bins": Option(200),
     "bin-lo": Option(-10.0),
     "bin-hi": Option(10.0),
-    "mu0": Option("point:0", "point:x | gauss:mean,std | mix:x0,x1,w0"),
-    "nu0": Option("gauss:2,1", "same mini-language as --mu0"),
+    "mu0": Option("point:0", laws.FORMS),
+    "nu0": Option("gauss:2,1", laws.FORMS),
     "noise-floor": Option(-1.0),
     "allowance": Option(-1.0),
     "calibration-pairs": Option(5),
@@ -240,87 +238,6 @@ def _finish(out: Path, doc: dict, line: str, file=None) -> int:
     return 0 if doc["passed"] else 1
 
 
-def _floats(value, field: str) -> list:
-    if isinstance(value, (list, tuple)):
-        try:
-            vals = [float(v) for v in value]
-        except (TypeError, ValueError):
-            raise ValueError(f"{field} must hold numbers, got {value!r}")
-    else:
-        try:
-            vals = [float(tok) for tok in str(value).split(",") if tok != ""]
-        except ValueError:
-            raise ValueError(f"{field} must be comma-separated numbers, got {value!r}")
-    if not all(map(math.isfinite, vals)):
-        raise ValueError(f"{field} must hold finite numbers, got {value!r}")
-    return vals
-
-
-def _sampler(desc, field: str):
-    """Initial law mini-language: point:x | gauss:mean,std | mix:x0,x1,w0."""
-    text = str(desc)
-    kind, _, rest = text.partition(":")
-    vals = _floats(rest, field) if rest else []
-    try:
-        if kind == "point" and len(vals) == 1:
-            return point_mass_sampler(vals[0])
-        if kind == "gauss" and len(vals) == 2:
-            return gaussian_sampler(vals[0], vals[1])
-        if kind == "mix" and len(vals) == 3:
-            return two_point_mixture_sampler(vals[0], vals[1], vals[2])
-    except ValueError as exc:
-        raise ValueError(f"{field}: {exc}")
-    raise ValueError(
-        f"{field} must be point:x, gauss:mean,std or mix:x0,x1,w0; got {text!r}"
-    )
-
-
-def _law_tv(mu0: str, nu0: str) -> float:
-    """Exact total variation distance, in [0, 2], between two laws that
-    ``_sampler`` accepts: the sum of |mass differences| over the atoms of
-    point and mix laws, 2 between atoms and a gauss, and for two gauss
-    laws twice the narrow law's mass minus the wide law's mass where the
-    narrow density is the larger.  Masses are summed as fractions of the
-    descriptors' decimal text, so point:0 against mix:0,2,0.9 is 0.2."""
-    from fractions import Fraction
-
-    laws = []
-    for desc in (mu0, nu0):
-        kind, _, rest = str(desc).partition(":")
-        vals = [tok for tok in rest.split(",") if tok != ""]
-        if kind == "gauss":
-            laws.append(tuple(map(float, vals)))
-            continue
-        w0 = Fraction(vals[2]) if kind == "mix" else Fraction(1)
-        atoms = {}
-        for x, mass in zip(map(float, vals), (w0, 1 - w0)):
-            atoms[x] = atoms.get(x, 0) + mass
-        laws.append(atoms)
-    a, b = laws
-    if isinstance(a, dict) and isinstance(b, dict):
-        return float(sum(abs(a.get(x, 0) - b.get(x, 0)) for x in a.keys() | b.keys()))
-    if isinstance(a, dict) or isinstance(b, dict):
-        return 2.0
-    from statistics import NormalDist
-
-    # Scale-free: r = s_narrow / s_wide and d = |dm| / s_wide.  In the
-    # narrow law's z-units u the wide law's CDF is Phi(d + r u), and the
-    # narrow density is the larger between the roots of
-    # (1 - r^2) u^2 - 2 d r u - d^2 - 2 ln(1/r).
-    (m1, s1), (m2, s2) = sorted(laws, key=lambda law: law[1])
-    r, d = s1 / s2, abs(m1 - m2) / s2
-    phi = NormalDist().cdf
-    if r == 1.0:
-        return 2.0 * (2.0 * phi(d / 2.0) - 1.0)
-    curvature, log_ratio = (1.0 - r) * (1.0 + r), math.log(s2 / s1)
-    q = d * r + math.hypot(d, math.sqrt(2.0 * curvature * log_ratio))
-    if not math.isfinite(q):  # d or 1/r overflowed: the laws are disjoint
-        return 2.0
-    # u1 u2 = -(d^2 + 2 ln(1/r)) / (1 - r^2) gives u1 free of cancellation
-    u1, u2 = -(d * (d / q) + 2.0 * log_ratio / q), q / curvature
-    return 2.0 * ((phi(u2) - phi(u1)) - (phi(d + r * u2) - phi(d + r * u1)))
-
-
 # ---------------------------------------------------------------------------
 # chain
 
@@ -377,7 +294,7 @@ def _run_chain(args, resolved: dict) -> int:
     if not resolved["mu0"]:
         mu0 = DiscreteMeasure.uniform(kernel.space_size)
     else:
-        weights = np.array(_floats(resolved["mu0"], "mu0"))
+        weights = np.array(laws.floats(resolved["mu0"], "mu0"))
         try:
             mu0 = DiscreteMeasure(weights)
         except ValueError as exc:
@@ -474,8 +391,8 @@ def _spec(c: dict):
 
 
 def _smve_simulate(args, c: dict) -> int:
-    spec, mu, horizon = _spec(c), _sampler(c["mu0"], "mu0"), float(c["horizon"])
-    times = _floats(c["times"], "times") or [0.0, horizon]
+    spec, mu, horizon = _spec(c), laws.parse(c["mu0"], "mu0"), float(c["horizon"])
+    times = laws.floats(c["times"], "times") or [0.0, horizon]
     out = _begin(args, "smve/simulate", c)
     snaps = simulate(spec, mu, c["n"], float(c["h"]), horizon, c["seed"], times)
     rows = []
@@ -519,9 +436,9 @@ _PAIR_HELD = 3
 
 def _smve_decay(args, c: dict) -> int:
     spec, binning = _spec(c), _binning(c, _PAIR_HELD)
-    mu, nu = _sampler(c["mu0"], "mu0"), _sampler(c["nu0"], "nu0")
+    mu, nu = laws.parse(c["mu0"], "mu0"), laws.parse(c["nu0"], "nu0")
     horizon = float(c["horizon"])
-    times = _floats(c["times"], "times") or np.linspace(0.0, horizon, 21).tolist()
+    times = laws.floats(c["times"], "times") or np.linspace(0.0, horizon, 21).tolist()
     out = _begin(args, "smve/decay", c)
     floor = _calibrated(c, "noise-floor", spec, mu, times, binning)
     run_a, run_b = simulate_runs(spec, [(mu, c["seed"]), (nu, c["seed"] + 1)],
@@ -552,9 +469,9 @@ def _smve_decay(args, c: dict) -> int:
 
 def _smve_girsanov_check(args, c: dict) -> int:
     spec, binning = _spec(c), _binning(c, _PAIR_HELD)
-    mu, nu = _sampler(c["mu0"], "mu0"), _sampler(c["nu0"], "nu0")
-    times = _floats(c["times"], "times") or [0.5, 1.0, 2.0]
-    tv0 = _law_tv(c["mu0"], c["nu0"])
+    mu, nu = laws.parse(c["mu0"], "mu0"), laws.parse(c["nu0"], "nu0")
+    times = laws.floats(c["times"], "times") or [0.5, 1.0, 2.0]
+    tv0 = laws.tv(mu, nu)
     out = _begin(args, "smve/girsanov-check", c)
     allowance = _calibrated(c, "allowance", spec, mu, times, binning)
     report = girsanov_bound_check(spec, mu, nu, tv0, times,
@@ -575,7 +492,7 @@ def _smve_girsanov_check(args, c: dict) -> int:
 def _smve_local_alpha(args, c: dict) -> int:
     b1 = (radial_confinement_drift(c["r"], c["m-ball"])
           if c["preset"] == "vh" else (lambda x: -x))
-    x_grid = np.array(_floats(c["x-grid"], "x-grid")) if c["x-grid"] else None
+    x_grid = np.array(laws.floats(c["x-grid"], "x-grid")) if c["x-grid"] else None
     starts = LOCAL_ALPHA_STARTS if x_grid is None else len(x_grid)
     binning = _binning(c, starts + 1)
     out = _begin(args, "smve/local-alpha", c)
@@ -590,7 +507,7 @@ def _smve_local_alpha(args, c: dict) -> int:
 
 
 def _smve_lyapunov(args, c: dict) -> int:
-    spec, nu = _spec(c), _sampler(c["nu0"], "nu0")
+    spec, nu = _spec(c), laws.parse(c["nu0"], "nu0")
     horizon, lag = float(c["horizon"]), float(c["lag"])
     if lag <= 0:
         raise ValueError("lag must be positive")

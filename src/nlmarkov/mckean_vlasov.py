@@ -29,16 +29,13 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .measures import EmpiricalMeasure
-from .reporting import Record
 
 __all__ = [
     "WeightFunction",
     "SMVESpec",
     "ParticleEnsemble",
-    "VHReport",
     "SimulationBlowUp",
     "DriftBoundError",
-    "verify_vh",
     "simulate",
     "simulate_runs",
     "epsilon_zero",
@@ -47,9 +44,6 @@ __all__ = [
     "mean_attraction_coupling",
     "make_ou_spec",
     "make_vh_spec",
-    "point_mass_sampler",
-    "gaussian_sampler",
-    "two_point_mixture_sampler",
 ]
 
 
@@ -256,117 +250,6 @@ def make_vh_spec(
         D,
         D,
         f"vh(r={r:g},M={M:g},D={D:g},eps={epsilon:g})",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Initial conditions.  A sampler writes the start positions into the
-# (n, d) array it is given, in place, drawing from ``rng`` if it needs
-# randomness.
-
-
-def point_mass_sampler(x0) -> Callable:
-    """All particles start at x0."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-
-    def sample(rng: Generator, x: np.ndarray) -> None:
-        if x0.size != x.shape[1]:
-            raise ValueError("x0 dimension mismatch")
-        x[:] = x0
-
-    return sample
-
-
-def gaussian_sampler(mean, std: float) -> Callable:
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    if not 0 < std < math.inf:
-        raise ValueError("std must be finite and positive")
-
-    def sample(rng: Generator, x: np.ndarray) -> None:
-        if mean.size != x.shape[1]:
-            raise ValueError("mean dimension mismatch")
-        rng.standard_normal(out=x)
-        x *= std
-        x += mean
-
-    return sample
-
-
-def two_point_mixture_sampler(x0, x1, weight0: float) -> Callable:
-    """Deterministic split: round(weight0 * n) particles at x0, the rest
-    at x1.  Keeps the initial total variation against a point mass at
-    exactly 2 (1 - weight0)."""
-    if not 0.0 <= weight0 <= 1.0:
-        raise ValueError("weight0 must lie in [0, 1]")
-    a = np.atleast_1d(np.asarray(x0, dtype=float))
-    b = np.atleast_1d(np.asarray(x1, dtype=float))
-
-    def sample(rng: Generator, x: np.ndarray) -> None:
-        if a.size != x.shape[1] or b.size != x.shape[1]:
-            raise ValueError("point dimension mismatch")
-        n0 = int(round(weight0 * len(x)))
-        x[:n0] = a
-        x[n0:] = b
-
-    return sample
-
-
-# ---------------------------------------------------------------------------
-# Drift condition check.
-
-
-@dataclass(frozen=True)
-class VHReport(Record):
-    passed: bool
-    worst_margin: float
-    worst_point: list
-    n_points: int
-    tolerance: float
-
-
-def verify_vh(
-    b1: Callable[[np.ndarray], np.ndarray],
-    r: float,
-    M: float,
-    sample_points: np.ndarray | None = None,
-    dimension: int = 1,
-    tol: float = 1e-9,
-) -> VHReport:
-    """Check <b1(x), x> <= -r |x| on sample points with |x| in [M, 10M].
-
-    The default sample is a signed radial grid (one dimension) or random
-    directions at graded radii (higher dimensions); pass explicit points
-    to probe specific regions.  The worst point is named in the report.
-    """
-    if r <= 0 or M <= 0:
-        raise ValueError("r and M must be positive")
-    if sample_points is None:
-        radii = np.linspace(M, 10.0 * M, 200)
-        if dimension == 1:
-            pts = np.concatenate([radii, -radii])[:, None]
-        else:
-            rng = Generator(Philox(key=np.array([17, 0], dtype=np.uint64)))
-            dirs = rng.standard_normal((radii.size * 4, dimension))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-            pts = dirs * np.tile(radii, 4)[:, None]
-    else:
-        pts = np.asarray(sample_points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        norms = np.linalg.norm(pts, axis=1)
-        if np.any(norms < M - 1e-12):
-            raise ValueError("sample points must have |x| >= M")
-
-    drift = b1(pts)
-    inner = (drift * pts).sum(axis=1)
-    margins = inner + r * np.linalg.norm(pts, axis=1)
-    worst = int(np.argmax(margins))
-    return VHReport(
-        passed=bool(margins[worst] <= tol),
-        worst_margin=float(margins[worst]),
-        worst_point=pts[worst].tolist(),
-        n_points=int(pts.shape[0]),
-        tolerance=tol,
     )
 
 

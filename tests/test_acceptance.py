@@ -37,6 +37,7 @@ from nlmarkov.kernels import (
     markov_example_kernel,
     mixture_kernel,
 )
+from nlmarkov.laws import Gauss, Mix, Point
 from nlmarkov.measures import (
     DiscreteMeasure,
     weighted_tv_distance,
@@ -44,13 +45,10 @@ from nlmarkov.measures import (
 from nlmarkov.mckean_vlasov import (
     WeightFunction,
     epsilon_zero,
-    gaussian_sampler,
     make_ou_spec,
     make_vh_spec,
     ou_drift,
-    point_mass_sampler,
     simulate,
-    two_point_mixture_sampler,
 )
 from nlmarkov.reporting import Claim, report_document, write_json_report
 
@@ -276,7 +274,7 @@ def run_criterion_06(out):
 
 
 def run_criterion_07(out):
-    snaps = simulate(make_ou_spec(), point_mass_sampler(0.0), N_PARTICLES,
+    snaps = simulate(make_ou_spec(), Point(0.0), N_PARTICLES,
                      STEP, 10.0, seed=2026, snapshot_times=[10.0])
     x = snaps[-1].positions[:, 0]
     s2 = float(np.var(x, ddof=1))
@@ -307,8 +305,8 @@ def run_criterion_07(out):
 
 
 def run_criterion_08(out):
-    mu0 = two_point_mixture_sampler(-0.5, 0.5, 0.5)
-    nu0 = two_point_mixture_sampler(-0.5, 0.5, 0.6)
+    mu0 = Mix(-0.5, 0.5, 0.5)
+    nu0 = Mix(-0.5, 0.5, 0.6)
     claims = []
     details = {}
     for eps in GIRSANOV_EPSILONS:
@@ -343,9 +341,9 @@ def run_criterion_08(out):
 
 def run_criterion_09(out):
     spec = make_vh_spec()  # r = M = D = 1, eps = 0.05
-    run_a = simulate(spec, point_mass_sampler(0.0), N_PARTICLES, STEP, 20.0,
+    run_a = simulate(spec, Point(0.0), N_PARTICLES, STEP, 20.0,
                      seed=900, snapshot_times=list(MERGE_TIMES))
-    run_b = simulate(spec, gaussian_sampler(2.0, 1.0), N_PARTICLES, STEP, 20.0,
+    run_b = simulate(spec, Gauss(2.0, 1.0), N_PARTICLES, STEP, 20.0,
                      seed=901, snapshot_times=list(MERGE_TIMES))
     tv_final = BINNING.tv(BINNING.masses(run_a[-1].positions),
                           BINNING.masses(run_b[-1].positions))

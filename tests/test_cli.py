@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from statistics import NormalDist
 
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlmarkov
-from nlmarkov import cli, kernel_spec, kernels
+from nlmarkov import cli, kernel_spec, kernels, laws
 from nlmarkov.cli import main
 from nlmarkov.measures import tv_distance
 from nlmarkov.mckean_vlasov import DriftBoundError
@@ -536,6 +537,10 @@ def test_bad_initial_laws_are_named_before_any_output(tmp_path, capsys, argv, op
     assert not out.exists()
 
 
+def _law_tv(a, b):
+    return laws.tv(laws.parse(a, "a"), laws.parse(b, "b"))
+
+
 def _atoms(desc):
     """Atom masses of a point or mix law, in floats."""
     kind, _, rest = desc.partition(":")
@@ -561,10 +566,10 @@ _LAWS = st.one_of(_ATOMIC_LAWS, _GAUSS_LAWS)
 @settings(max_examples=200, deadline=None)
 @given(_LAWS, _LAWS)
 def test_law_tv_is_a_symmetric_distance_in_0_2(a, b):
-    tv = cli._law_tv(a, b)
+    tv = _law_tv(a, b)
     assert 0.0 <= tv <= 2.0
-    assert tv == cli._law_tv(b, a)
-    assert cli._law_tv(a, a) == 0.0
+    assert tv == _law_tv(b, a)
+    assert _law_tv(a, a) == 0.0
     if (a.startswith("gauss")) != (b.startswith("gauss")):
         assert tv == 2.0
 
@@ -576,7 +581,7 @@ def test_law_tv_of_atoms_is_tv_distance(a, b):
     support = sorted(pa.keys() | pb.keys())
     expected = tv_distance(np.array([pa.get(x, 0.0) for x in support]),
                            np.array([pb.get(x, 0.0) for x in support]))
-    assert cli._law_tv(a, b) == pytest.approx(expected, abs=1e-12)
+    assert _law_tv(a, b) == pytest.approx(expected, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -590,7 +595,7 @@ def test_law_tv_of_gauss_laws_is_the_integral_of_density_differences(a, b):
         return np.exp(-0.5 * ((x - m) / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
 
     integral = np.trapezoid(np.abs(phi(m1, s1) - phi(m2, s2)), x)
-    assert cli._law_tv(a, b) == pytest.approx(integral, abs=1e-6)
+    assert _law_tv(a, b) == pytest.approx(integral, abs=1e-6)
 
 
 def _gauss(m, s):
@@ -607,9 +612,9 @@ _STDS = st.floats(1e-3, 1e3)
 @example(0.0, 1e-3, 0.0, 1.0, -987)  # both variances underflow to 0
 @example(-2.5, 1e-3, 2.5, 1e-3, 1000)  # equal stds, means 5,000 stds apart
 def test_gauss_law_tv_is_scale_free_and_matches_normal_dist(m1, s1, m2, s2, k):
-    tv = cli._law_tv(_gauss(m1, s1), _gauss(m2, s2))
+    tv = _law_tv(_gauss(m1, s1), _gauss(m2, s2))
     scaled = [math.ldexp(v, k) for v in (m1, s1, m2, s2)]
-    assert cli._law_tv(_gauss(*scaled[:2]), _gauss(*scaled[2:])) == tv
+    assert _law_tv(_gauss(*scaled[:2]), _gauss(*scaled[2:])) == tv
     # NormalDist.overlap cancels in s2^2 - s1^2 when the stds nearly agree
     if s1 == s2 or abs(s1 - s2) >= 1e-3 * max(s1, s2):
         overlap = NormalDist(m1, s1).overlap(NormalDist(m2, s2))
@@ -617,9 +622,35 @@ def test_gauss_law_tv_is_scale_free_and_matches_normal_dist(m1, s1, m2, s2, k):
 
 
 def test_gauss_law_tv_of_a_vanishing_std_is_2():
-    assert cli._law_tv("gauss:0,1e-300", "gauss:0,1") == 2.0
-    assert cli._law_tv("gauss:0,5e-324", "gauss:0,1e300") == 2.0
-    assert cli._law_tv("gauss:-1e308,1", "gauss:1e308,2") == 2.0
+    assert _law_tv("gauss:0,1e-300", "gauss:0,1") == 2.0
+    assert _law_tv("gauss:0,5e-324", "gauss:0,1e300") == 2.0
+    assert _law_tv("gauss:-1e308,1", "gauss:1e308,2") == 2.0
+
+
+_ANY_POSITION = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_ANY_WEIGHT = st.one_of(st.floats(0.0, 1.0).map(repr),
+                        st.decimals(0, 1, allow_nan=False).map(str))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.builds("point:{}".format, _ANY_POSITION),
+                 st.builds("mix:{},{},{}".format, _ANY_POSITION, _ANY_POSITION,
+                           _ANY_WEIGHT)),
+       st.integers(1, 5000))
+@example("mix:0,2,0.333333333333333333", 10_000)
+@example("mix:0,2,1e-5", 10_000)
+@example("mix:0,1,0.1_5", 10)
+# 0.1176203451407811 * 1101 is just under 129.5, but rounds to 129.5 in floats
+@example("mix:0,1,0.1176203451407811", 1101)
+def test_filled_cloud_is_within_tv_1_over_n_of_its_law(desc, n):
+    # the round(w0 n) split puts at most half a particle off w0 n
+    law = laws.parse(desc, "law")
+    x = np.full((n, 1), np.nan)
+    law(np.random.default_rng(0), x)
+    values, counts = np.unique(x[:, 0], return_counts=True)
+    cloud = laws.Point(float(values[0])) if len(values) == 1 else laws.Mix(
+        float(values[0]), float(values[1]), Fraction(int(counts[0]), n))
+    assert laws.tv(law, cloud) <= 1 / n
 
 
 class TestOutputDirResolution:

@@ -19,12 +19,12 @@ from nlmarkov.diagnostics import (
     girsanov_bound_check,
     lyapunov_diagnostic,
 )
+from nlmarkov.laws import Point
 from nlmarkov.mckean_vlasov import (
     ParticleEnsemble,
     WeightFunction,
     make_ou_spec,
     ou_drift,
-    point_mass_sampler,
 )
 
 
@@ -225,7 +225,7 @@ class TestGirsanovBoundCheck:
         # Same sampler and seed: the two runs coincide, the estimate is
         # zero, and the bound is sqrt(2) tv0 at every time.
         rep = girsanov_bound_check(
-            make_ou_spec(), point_mass_sampler(0.0), point_mass_sampler(0.0),
+            make_ou_spec(), Point(0.0), Point(0.0),
             tv0=0.2, times=[0.1, 0.2], n_particles=200, step_size=0.01,
             seed=9, binning=self.binning)
         assert rep.passed
@@ -236,7 +236,7 @@ class TestGirsanovBoundCheck:
 
     def test_understated_tv0_is_caught(self):
         rep = girsanov_bound_check(
-            make_ou_spec(), point_mass_sampler(-0.5), point_mass_sampler(0.5),
+            make_ou_spec(), Point(-0.5), Point(0.5),
             tv0=0.0, times=[0.1], n_particles=200, step_size=0.01,
             seed=9, binning=self.binning)
         assert not rep.passed
@@ -244,7 +244,7 @@ class TestGirsanovBoundCheck:
         assert t == 0.1 and bound == 0.0 and est > 1.0
 
     def test_guards(self):
-        args = (make_ou_spec(), point_mass_sampler(0.0), point_mass_sampler(0.0))
+        args = (make_ou_spec(), Point(0.0), Point(0.0))
         with pytest.raises(ValueError):
             girsanov_bound_check(*args, tv0=2.5, times=[0.1],
                                  n_particles=200, step_size=0.01, seed=1)
@@ -257,7 +257,7 @@ class TestGirsanovBoundCheck:
 
     def test_to_dict_has_passed_flag(self):
         rep = girsanov_bound_check(
-            make_ou_spec(), point_mass_sampler(0.0), point_mass_sampler(0.0),
+            make_ou_spec(), Point(0.0), Point(0.0),
             tv0=0.2, times=[0.1], n_particles=200, step_size=0.01,
             seed=9, binning=self.binning)
         d = rep.to_dict()
@@ -269,15 +269,15 @@ class TestCalibrateTvAllowance:
     def test_positive_and_deterministic(self):
         kw = dict(times=[0.2], n_particles=500, step_size=0.05, seed=1,
                   binning=Binning(-10.0, 10.0, 50), n_pairs=2)
-        a = calibrate_tv_allowance(make_ou_spec(), point_mass_sampler(0.0), **kw)
-        b = calibrate_tv_allowance(make_ou_spec(), point_mass_sampler(0.0), **kw)
+        a = calibrate_tv_allowance(make_ou_spec(), Point(0.0), **kw)
+        b = calibrate_tv_allowance(make_ou_spec(), Point(0.0), **kw)
         assert a == b
         assert 0.0 < a < 0.5
 
     def test_guards(self):
         with pytest.raises(ValueError, match="positive time"):
-            calibrate_tv_allowance(make_ou_spec(), point_mass_sampler(0.0),
+            calibrate_tv_allowance(make_ou_spec(), Point(0.0),
                                    [0.0], 500, 0.05, seed=1)
         with pytest.raises(ValueError):
-            calibrate_tv_allowance(make_ou_spec(), point_mass_sampler(0.0),
+            calibrate_tv_allowance(make_ou_spec(), Point(0.0),
                                    [0.2], 500, 0.05, seed=1, n_pairs=0)

@@ -1,4 +1,4 @@
-"""Tests for the particle SDE layer: weight functions, drift checks,
+"""Tests for the particle SDE layer: weight functions, initial laws,
 simulation determinism, and the perturbation threshold."""
 
 import math
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from nlmarkov import mckean_vlasov
+from nlmarkov.laws import Gauss, Mix, Point
 from nlmarkov.measures import EmpiricalMeasure
 from nlmarkov.mckean_vlasov import (
     DriftBoundError,
@@ -24,17 +25,12 @@ from nlmarkov.mckean_vlasov import (
     SimulationBlowUp,
     WeightFunction,
     epsilon_zero,
-    gaussian_sampler,
     make_ou_spec,
     make_vh_spec,
     mean_attraction_coupling,
-    ou_drift,
-    point_mass_sampler,
     radial_confinement_drift,
     simulate,
     simulate_runs,
-    two_point_mixture_sampler,
-    verify_vh,
 )
 
 
@@ -103,38 +99,6 @@ class TestWeightFunction:
             WeightFunction(1.0, -2.0)
 
 
-class TestVerifyVH:
-    def test_radial_confinement_is_exactly_tight(self):
-        rep = verify_vh(radial_confinement_drift(2.0, 3.0), r=2.0, M=3.0)
-        assert rep.passed
-        assert rep.worst_margin == pytest.approx(0.0, abs=1e-12)
-        assert rep.n_points > 100
-
-    def test_linear_pull_passes_with_slack(self):
-        rep = verify_vh(ou_drift(), r=1.0, M=1.0)
-        assert rep.passed
-        # <-x, x> = -|x|^2 <= -|x| for |x| >= 1, tight only at |x| = 1
-        assert rep.worst_margin <= 0.0
-
-    def test_zero_drift_fails(self):
-        rep = verify_vh(lambda x: np.zeros_like(x), r=1.0, M=1.0)
-        assert not rep.passed
-        assert rep.worst_margin > 0
-        assert len(rep.worst_point) == 1
-
-    def test_custom_points_must_lie_outside_the_ball(self):
-        with pytest.raises(ValueError, match="M"):
-            verify_vh(ou_drift(), r=1.0, M=1.0, sample_points=np.array([[0.5]]))
-
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            verify_vh(ou_drift(), r=0.0, M=1.0)
-
-    def test_to_dict_round_trip(self):
-        d = verify_vh(ou_drift(), r=1.0, M=1.0).to_dict()
-        assert set(d) == {"passed", "worst_margin", "worst_point", "n_points", "tolerance"}
-
-
 def _sample(sampler, rng, n, d):
     """The (n, d) positions that ``sampler`` writes into a fresh array."""
     x = np.full((n, d), np.nan)
@@ -144,35 +108,35 @@ def _sample(sampler, rng, n, d):
 
 class TestSamplers:
     def test_point_mass_tiles_the_location(self):
-        x = _sample(point_mass_sampler(2.5), np.random.default_rng(0), 7, 1)
+        x = _sample(Point(2.5), np.random.default_rng(0), 7, 1)
         assert x.shape == (7, 1)
         assert np.all(x == 2.5)
 
     def test_point_mass_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            _sample(point_mass_sampler([1.0, 2.0]), np.random.default_rng(0), 4, 1)
+            _sample(Point([1.0, 2.0]), np.random.default_rng(0), 4, 1)
 
     def test_gaussian_sampler_moments_and_guard(self):
-        x = _sample(gaussian_sampler(1.0, 2.0), np.random.default_rng(3), 50_000, 1)
+        x = _sample(Gauss(1.0, 2.0), np.random.default_rng(3), 50_000, 1)
         assert x.shape == (50_000, 1)
         assert float(x.mean()) == pytest.approx(1.0, abs=0.05)
         assert float(x.std()) == pytest.approx(2.0, abs=0.05)
         for std in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="finite and positive"):
-                gaussian_sampler(0.0, std)
+                Gauss(0.0, std)
 
     def test_gaussian_sampler_matches_one_out_of_place_draw(self):
         # in place, the draws and roundings of mean + std * z
-        got = _sample(gaussian_sampler([0.3, -1.0], 1.7), np.random.default_rng(5), 999, 2)
+        got = _sample(Gauss([0.3, -1.0], 1.7), np.random.default_rng(5), 999, 2)
         z = np.random.default_rng(5).standard_normal((999, 2))
         assert got.tobytes() == (np.array([0.3, -1.0])[None, :] + 1.7 * z).tobytes()
 
     def test_mixture_split_is_deterministic(self):
-        x = _sample(two_point_mixture_sampler(-0.5, 0.5, 0.6), np.random.default_rng(0), 10, 1)
+        x = _sample(Mix(-0.5, 0.5, 0.6), np.random.default_rng(0), 10, 1)
         assert int(np.sum(x < 0)) == 6
         assert int(np.sum(x > 0)) == 4
         with pytest.raises(ValueError):
-            two_point_mixture_sampler(0.0, 1.0, 1.5)
+            Mix(0.0, 1.0, 1.5)
 
 
 class TestSpecConstruction:
@@ -186,7 +150,7 @@ class TestSpecConstruction:
                        b2=lambda x, law: np.full_like(x, 5.0),
                        epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
         with pytest.raises(DriftBoundError, match="exceeds"):
-            simulate(bad, point_mass_sampler(0.0), n_particles=100,
+            simulate(bad, Point(0.0), n_particles=100,
                      step_size=0.01, horizon=0.1, seed=1)
 
     def test_shipped_specs_have_consistent_constants(self):
@@ -210,27 +174,27 @@ class TestSimulate:
         bm = brownian_spec()
         kw = dict(n_particles=500, step_size=0.01, horizon=0.5,
                   snapshot_times=[0.25, 0.5])
-        a = simulate(bm, point_mass_sampler(0.0), seed=11, **kw)
-        b = simulate(bm, point_mass_sampler(0.0), seed=11, **kw)
+        a = simulate(bm, Point(0.0), seed=11, **kw)
+        b = simulate(bm, Point(0.0), seed=11, **kw)
         assert all(np.array_equal(x.positions, y.positions) for x, y in zip(a, b))
-        c = simulate(bm, point_mass_sampler(0.0), seed=12, **kw)
+        c = simulate(bm, Point(0.0), seed=12, **kw)
         assert not np.array_equal(a[-1].positions, c[-1].positions)
 
     def test_brownian_variance_grows_linearly(self):
-        res = simulate(brownian_spec(), point_mass_sampler(0.0),
+        res = simulate(brownian_spec(), Point(0.0),
                        n_particles=4000, step_size=0.01, horizon=1.0,
                        seed=11, snapshot_times=[0.5, 1.0])
         assert float(np.var(res[0].positions)) == pytest.approx(0.5, abs=0.05)
         assert float(np.var(res[1].positions)) == pytest.approx(1.0, abs=0.08)
 
     def test_ou_approaches_half_variance(self):
-        res = simulate(make_ou_spec(), gaussian_sampler(0.0, 1.0),
+        res = simulate(make_ou_spec(), Gauss(0.0, 1.0),
                        n_particles=2000, step_size=0.01, horizon=5.0,
                        seed=5, snapshot_times=[5.0])
         assert float(np.var(res[-1].positions)) == pytest.approx(0.5, abs=0.08)
 
     def test_snapshot_bookkeeping(self):
-        res = simulate(brownian_spec(), point_mass_sampler(0.0),
+        res = simulate(brownian_spec(), Point(0.0),
                        n_particles=100, step_size=0.01, horizon=0.5, seed=2)
         assert [e.time for e in res] == [0.0, 0.5]
         assert res[0].stream_offset == 0
@@ -240,7 +204,7 @@ class TestSimulate:
 
     def test_input_validation(self):
         bm = brownian_spec()
-        s = point_mass_sampler(0.0)
+        s = Point(0.0)
         with pytest.raises(ValueError):
             simulate(bm, s, n_particles=50, step_size=0.01, horizon=1.0, seed=0)
         with pytest.raises(ValueError):
@@ -259,7 +223,7 @@ class TestSimulate:
             warnings.simplefilter("ignore")
             with pytest.raises(SimulationBlowUp,
                                match=r"^smve: non-finite position at step 1$"):
-                simulate(expl, point_mass_sampler(1e200), n_particles=100,
+                simulate(expl, Point(1e200), n_particles=100,
                          step_size=0.01, horizon=0.5, seed=1)
         assert threading.active_count() == threads
 
@@ -270,14 +234,14 @@ class TestSimulate:
         threads = threading.active_count()
         with pytest.raises(DriftBoundError,
                            match=r"^smve: \|b2\| = 5 exceeds D = 1$"):
-            simulate(bad, point_mass_sampler(0.0), n_particles=100,
+            simulate(bad, Point(0.0), n_particles=100,
                      step_size=0.01, horizon=0.1, seed=1)
         assert threading.active_count() == threads
 
     def test_nonfinite_initial_sample_is_a_value_error(self):
         threads = threading.active_count()
         with pytest.raises(ValueError, match="finite"):
-            simulate(make_ou_spec(), point_mass_sampler(np.inf), n_particles=100,
+            simulate(make_ou_spec(), Point(np.inf), n_particles=100,
                      step_size=0.01, horizon=0.5, seed=1)
         assert threading.active_count() == threads
 
@@ -303,7 +267,7 @@ class TestSimulate:
 
         def run():
             try:
-                simulate(spec, point_mass_sampler(0.0), n_particles=100,
+                simulate(spec, Point(0.0), n_particles=100,
                          step_size=0.01, horizon=0.5, seed=3)
             except RuntimeError as exc:
                 outcome["error"] = exc
@@ -332,7 +296,7 @@ class TestSimulate:
 
         spec = SMVESpec(dimension=2, b1=b1, b2=b2, epsilon=0.1,
                         bound_D=1.0, lipschitz_L=1.0)
-        simulate(spec, point_mass_sampler([0.0, 1.0]), n_particles=100,
+        simulate(spec, Point([0.0, 1.0]), n_particles=100,
                  step_size=0.01, horizon=0.03, seed=3)
         assert seen == [False] * 6
 
@@ -453,7 +417,7 @@ def test_simulate_matches_reference_euler_loop(model, n, steps, seed, h):
     d = spec.dimension
     horizon = steps * h
     times = [0.0, (steps // 2) * h, horizon]
-    sampler = gaussian_sampler([0.3] * d, 1.0)
+    sampler = Gauss([0.3] * d, 1.0)
     got = simulate(spec, sampler, n, h, horizon, seed, times)
     want = _reference_simulate(b1, b2, eps, bound, spec.label, d,
                                sampler, n, h, horizon, seed, times)
@@ -474,7 +438,7 @@ def test_simulate_reads_an_aliased_or_broadcast_drift_whole(drift, d):
     else:
         b1, b2, eps = (lambda x: np.linspace(-1.0, 1.0, d)), None, 0.0
     spec = SMVESpec(d, b1, b2, eps, 1e6, 1.0, drift)
-    sampler = gaussian_sampler([0.3] * d, 1.0)
+    sampler = Gauss([0.3] * d, 1.0)
     times = [0.0, 0.02, 0.03]
     got = simulate(spec, sampler, 140_000, 0.01, 0.03, 5, times)
     want = _reference_simulate(b1, b2, eps, 1e6, drift, d,
@@ -514,7 +478,7 @@ def test_wide_simulate_allocates_no_particle_sized_scratch(model, particle_array
         spec = make_vh_spec()
     else:
         spec = SMVESpec(1, radial_confinement_drift(1.0, 1.0), None, 0.0, 0.0, 0.0)
-    sampler = gaussian_sampler([0.3], 1.0)
+    sampler = Gauss([0.3], 1.0)
     peak = _traced_peak(lambda: simulate(spec, sampler, WIDE, 0.01, 0.05, 7, [0.05]))
     assert peak <= _wide_bound(particle_arrays)
 
@@ -546,7 +510,7 @@ def test_wide_run_starts_in_the_array_the_sampler_fills():
     tracemalloc.start()
     try:
         with pytest.raises(_Stop):
-            simulate(spec, gaussian_sampler([0.3], 1.0), WIDE, 0.01, 0.05, 7, [0.05])
+            simulate(spec, Gauss([0.3], 1.0), WIDE, 0.01, 0.05, 7, [0.05])
     finally:
         tracemalloc.stop()
     assert peaks[0] <= 8 * WIDE + 3 * mckean_vlasov._BLOCK_BYTES
@@ -568,7 +532,7 @@ def test_wide_run_hands_x_to_the_last_snapshot():
     spec = SMVESpec(1, b1, None, 0.0, 0.0, 0.0)
     tracemalloc.start()
     try:
-        snaps = simulate(spec, gaussian_sampler([0.3], 1.0), WIDE, 0.01, 0.02, 7, [0.02])
+        snaps = simulate(spec, Gauss([0.3], 1.0), WIDE, 0.01, 0.02, 7, [0.02])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -648,10 +612,10 @@ def _sequential(spec, runs, n, h, horizon, times):
 
 def _sampler(name, d):
     if name == "point":
-        return point_mass_sampler([0.5] * d)
+        return Point([0.5] * d)
     if name == "gauss":
-        return gaussian_sampler([0.3] * d, 1.0)
-    return two_point_mixture_sampler([-1.0] * d, [2.0] * d, 0.4)
+        return Gauss([0.3] * d, 1.0)
+    return Mix([-1.0] * d, [2.0] * d, 0.4)
 
 
 @settings(max_examples=25, deadline=None)
@@ -679,7 +643,7 @@ def test_simulate_runs_matches_simulate(model, runs, n, steps):
 
 
 def _two_runs():
-    return make_vh_spec(), [(gaussian_sampler(0.0, 1.0), 4), (point_mass_sampler(1.0), 5)]
+    return make_vh_spec(), [(Gauss(0.0, 1.0), 4), (Point(1.0), 5)]
 
 
 @TWO_CPUS
@@ -758,8 +722,8 @@ def _fails_at_once(rng, x):
 def test_first_failing_run_in_list_order_wins(no_leftovers):
     # run 0 blows up late; run 1 fails at once; run 2 would pass
     spec = _late_blow_up_spec()
-    runs = [(point_mass_sampler(1e250), 1), (_fails_at_once, 2),
-            (point_mass_sampler(0.0), 3)]
+    runs = [(Point(1e250), 1), (_fails_at_once, 2),
+            (Point(0.0), 3)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(SimulationBlowUp) as want:
@@ -773,7 +737,7 @@ def test_first_failing_run_in_list_order_wins(no_leftovers):
 
 def test_runs_before_the_failure_are_yielded(no_leftovers):
     spec = make_ou_spec()
-    runs = [(point_mass_sampler(0.0), 1), (_fails_at_once, 2), (point_mass_sampler(0.0), 3)]
+    runs = [(Point(0.0), 1), (_fails_at_once, 2), (Point(0.0), 3)]
     results = simulate_runs(spec, runs, 100, 0.01, 0.5)
     _same_runs([next(results)], _sequential(spec, runs[:1], 100, 0.01, 0.5, None))
     with pytest.raises(ValueError, match="^no initial sample$"):
@@ -784,7 +748,7 @@ def test_worker_failure_keeps_its_type_and_message(no_leftovers):
     bad = SMVESpec(dimension=1, b1=lambda x: -x,
                    b2=lambda x, law: np.full_like(x, 5.0),
                    epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
-    runs = [(point_mass_sampler(0.0), 1), (point_mass_sampler(0.0), 2)]
+    runs = [(Point(0.0), 1), (Point(0.0), 2)]
     with pytest.raises(DriftBoundError, match=r"^smve: \|b2\| = 5 exceeds D = 1$"):
         list(simulate_runs(bad, runs, 100, 0.01, 0.1))
 
@@ -797,7 +761,7 @@ def test_unpicklable_failure_becomes_a_runtime_error(no_leftovers):
     def sampler(rng, x):
         raise LocalError("cannot cross a pipe")
 
-    runs = [(sampler, 1), (point_mass_sampler(0.0), 2)]
+    runs = [(sampler, 1), (Point(0.0), 2)]
     with pytest.raises(RuntimeError, match="^LocalError: cannot cross a pipe$"):
         list(simulate_runs(make_ou_spec(), runs, 100, 0.01, 0.1))
 
@@ -812,7 +776,7 @@ def test_killed_worker_raises_instead_of_hanging(no_leftovers):
             os.kill(os.getpid(), signal.SIGKILL)
 
     spec = make_ou_spec()
-    runs = [(point_mass_sampler(0.0), 1), (killed_in_worker, 2), (point_mass_sampler(0.0), 3)]
+    runs = [(Point(0.0), 1), (killed_in_worker, 2), (Point(0.0), 3)]
     results = simulate_runs(spec, runs, 100, 0.01, 0.1)
     _same_runs([next(results)], _sequential(spec, runs[:1], 100, 0.01, 0.1, None))
     with pytest.raises(RuntimeError, match=r"^particle run 1: worker process exited "
@@ -831,8 +795,8 @@ def _slow_far_out_spec():
 
 
 # runs 1 and 2 take 10 s each, runs 0 and 3 a few milliseconds
-_FAST_AND_SLOW = [(point_mass_sampler(0.0), 1), (point_mass_sampler(1000.0), 2),
-                  (point_mass_sampler(1000.0), 3), (point_mass_sampler(0.0), 4)]
+_FAST_AND_SLOW = [(Point(0.0), 1), (Point(1000.0), 2),
+                  (Point(1000.0), 3), (Point(0.0), 4)]
 
 
 def test_consumer_that_stops_early_leaves_no_worker(no_leftovers):

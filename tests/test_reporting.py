@@ -15,7 +15,6 @@ from nlmarkov.ergodicity import (
 )
 from nlmarkov.kernels import ErgodicityCertificate, markov_example_kernel
 from nlmarkov.measures import DiscreteMeasure
-from nlmarkov.mckean_vlasov import VHReport
 from nlmarkov.reporting import (
     CSV_SCHEMA,
     Claim,
@@ -65,8 +64,6 @@ RECORDS = {
                        "kernel"}),
     "ErgodicityCertificate": (CERT, {"alpha_hat", "lambda_hat", "regime",
                                      "grid_resolution", "tie_tolerance", "kernel"}),
-    "VHReport": (VHReport(np.bool_(False), -0.5, [1.0], 10, 1e-9),
-                 {"passed", "worst_margin", "worst_point", "n_points", "tolerance"}),
 }
 
 
