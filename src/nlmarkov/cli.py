@@ -71,6 +71,7 @@ from .mckean_vlasov import (
     DriftBoundError,
     SimulationBlowUp,
     WeightFunction,
+    _plan,
     make_ou_spec,
     make_vh_spec,
     radial_confinement_drift,
@@ -244,7 +245,7 @@ def _finish(out: Path, doc: dict, line: str, file=None) -> int:
 
 # The largest (G, n, n) float64 stack of kernel matrices a chain run
 # may build (validation evaluates the kernel on the whole grid at once),
-# and the most histogram arrays an smve action may hold at once.
+# and the most histogram or particle arrays an smve action holds at once.
 GRID_BUDGET_BYTES = 2**30
 
 
@@ -380,19 +381,36 @@ def _run_smve(args, c: dict) -> int:
     return _SMVE_RUNNERS[args.action](args, c)
 
 
-def _spec(c: dict):
-    """The model options' particle system, once they and n are checked."""
+def _budget(c: dict, key: str, kind: str, held: int, extra: int = 0) -> None:
+    """Refuse ``c[key]`` if ``held`` arrays of c[key] + extra floats exceed the budget."""
+    fits = GRID_BUDGET_BYTES // (8 * held) - extra
+    if c[key] > fits:
+        raise ValueError(
+            f"{key} {c[key]} needs {held} {kind} arrays of {c[key] + extra} "
+            f"floats at once, over the {GRID_BUDGET_BYTES >> 30} GiB budget; the "
+            f"largest {key} that fits is {fits}")
+
+
+def _spec(c: dict, horizon: float, times, runs: int = 1, extra: int = 1):
+    """The model options' particle system, once they and n are checked.
+    n is budgeted by the particle arrays the action holds at once in this
+    process: the snapshots of its ``runs`` runs, x if the last snapshot
+    does not take it over, and ``extra`` more, b2's output or temporaries
+    of what reads the snapshots; forked workers hold their runs besides."""
     if c["n"] < 100:
         raise ValueError("n must be at least 100")
     if c["epsilon"] < 0:
         raise ValueError("epsilon must be nonnegative")
+    n_steps, snaps = _plan(c["n"], float(c["h"]), horizon, times)
+    _budget(c, "n", "particle", runs * len(snaps) + (snaps[-1] < n_steps) + extra)
     return make_ou_spec() if c["preset"] == "ou" else make_vh_spec(
         r=c["r"], M=c["m-ball"], D=c["d-bound"], epsilon=c["epsilon"])
 
 
 def _smve_simulate(args, c: dict) -> int:
-    spec, mu, horizon = _spec(c), laws.parse(c["mu0"], "mu0"), float(c["horizon"])
+    mu, horizon = laws.parse(c["mu0"], "mu0"), float(c["horizon"])
     times = laws.floats(c["times"], "times") or [0.0, horizon]
+    spec = _spec(c, horizon, times)  # extra: b2's output, or the variance's temporary
     out = _begin(args, "smve/simulate", c)
     snaps = simulate(spec, mu, c["n"], float(c["h"]), horizon, c["seed"], times)
     rows = []
@@ -417,15 +435,8 @@ def _calibrated(c: dict, key: str, spec, mu, times, binning) -> float:
 
 
 def _binning(c: dict, held: int) -> Binning:
-    """The action's binning, refused if the ``held`` histogram arrays
-    (bins + 1 floats each, in one dimension) that it holds at once
-    would exceed GRID_BUDGET_BYTES."""
-    fits = GRID_BUDGET_BYTES // (8 * held) - 1
-    if c["bins"] > fits:
-        raise ValueError(
-            f"bins {c['bins']} needs {held} histogram arrays of {c['bins'] + 1} "
-            f"floats at once, over the {GRID_BUDGET_BYTES >> 30} GiB budget; the "
-            f"largest bins that fits is {fits}")
+    """The action's binning, its ``held`` arrays of bins + 1 floats budgeted."""
+    _budget(c, "bins", "histogram", held, 1)
     return Binning(c["bin-lo"], c["bin-hi"], c["bins"])
 
 
@@ -435,10 +446,10 @@ _PAIR_HELD = 3
 
 
 def _smve_decay(args, c: dict) -> int:
-    spec, binning = _spec(c), _binning(c, _PAIR_HELD)
     mu, nu = laws.parse(c["mu0"], "mu0"), laws.parse(c["nu0"], "nu0")
     horizon = float(c["horizon"])
     times = laws.floats(c["times"], "times") or np.linspace(0.0, horizon, 21).tolist()
+    spec, binning = _spec(c, horizon, times, runs=2), _binning(c, _PAIR_HELD)
     out = _begin(args, "smve/decay", c)
     floor = _calibrated(c, "noise-floor", spec, mu, times, binning)
     run_a, run_b = simulate_runs(spec, [(mu, c["seed"]), (nu, c["seed"] + 1)],
@@ -468,10 +479,10 @@ def _smve_decay(args, c: dict) -> int:
 
 
 def _smve_girsanov_check(args, c: dict) -> int:
-    spec, binning = _spec(c), _binning(c, _PAIR_HELD)
     mu, nu = laws.parse(c["mu0"], "mu0"), laws.parse(c["nu0"], "nu0")
     times = laws.floats(c["times"], "times") or [0.5, 1.0, 2.0]
-    tv0 = laws.tv(mu, nu)
+    spec = _spec(c, max(*times, c["h"]), times, runs=2)
+    binning, tv0 = _binning(c, _PAIR_HELD), laws.tv(mu, nu)
     out = _begin(args, "smve/girsanov-check", c)
     allowance = _calibrated(c, "allowance", spec, mu, times, binning)
     report = girsanov_bound_check(spec, mu, nu, tv0, times,
@@ -495,6 +506,7 @@ def _smve_local_alpha(args, c: dict) -> int:
     x_grid = np.array(laws.floats(c["x-grid"], "x-grid")) if c["x-grid"] else None
     starts = LOCAL_ALPHA_STARTS if x_grid is None else len(x_grid)
     binning = _binning(c, starts + 1)
+    _budget(c, "n-sims", "particle", starts)  # x: n-sims rows per start
     out = _begin(args, "smve/local-alpha", c)
     alpha_hat = estimate_local_alpha(b1, c["radius"], c["t"], c["n-sims"], binning,
                                      x_grid, step_size=float(c["h"]), seed=c["seed"])
@@ -507,16 +519,16 @@ def _smve_local_alpha(args, c: dict) -> int:
 
 
 def _smve_lyapunov(args, c: dict) -> int:
-    spec, nu = _spec(c), laws.parse(c["nu0"], "nu0")
-    horizon, lag = float(c["horizon"]), float(c["lag"])
+    nu, horizon, lag = laws.parse(c["nu0"], "nu0"), float(c["horizon"]), float(c["lag"])
     if lag <= 0:
         raise ValueError("lag must be positive")
     k_max = int(horizon / lag)
     if k_max < 2:
         raise ValueError("horizon must cover at least two lags")
+    times = [k * lag for k in range(k_max + 1)]
+    spec = _spec(c, horizon, times, extra=4)  # the weight's temporaries on a snapshot
     out = _begin(args, "smve/lyapunov", c)
-    snaps = simulate(spec, nu, c["n"], float(c["h"]), horizon, c["seed"],
-                     [k * lag for k in range(k_max + 1)])
+    snaps = simulate(spec, nu, c["n"], float(c["h"]), horizon, c["seed"], times)
     V = WeightFunction(c["r"], c["m-ball"])
     fit = lyapunov_diagnostic(snaps, V, lag)
     ok = fit.degenerate or (fit.gamma_hat < 1.0)

@@ -326,14 +326,14 @@ def calibrate_tv_allowance(
         raise ValueError("n_pairs must be positive")
     samples = []
     # Pair j is the runs at seeds seed + 2j + 1 and seed + 2j + 2.  Each
-    # pair is reduced to its distances and dropped before the next pair
-    # is received, so at most about three runs are held at once.
+    # pair is reduced to its distances and dropped before the next run
+    # is received, so at most two runs are held at once.
     runs = [(sampler, seed + k) for k in range(1, 2 * n_pairs + 1)]
     with closing(simulate_runs(spec, runs, n_particles, step_size, max(times),
                                times)) as results:
-        for run_a, run_b in zip(results, results):
-            for a, b in zip(run_a, run_b):
-                samples.append(_ensemble_tv(a, b, binning))
+        for run_a in results:
+            run_b = next(results)
+            samples += [_ensemble_tv(a, b, binning) for a, b in zip(run_a, run_b)]
             del run_a, run_b
     return float(np.percentile(samples, 99.0))
 

@@ -20,7 +20,6 @@ Lyapunov function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -70,23 +69,10 @@ class Trajectory:
     kernel_label: str
     weights: np.ndarray
     step_distances: tuple
-    mu0: DiscreteMeasure = field(repr=False, compare=False)
 
     @property
     def steps(self) -> int:
         return len(self.weights) - 1
-
-    @cached_property
-    def measures(self) -> tuple:
-        """mu_0 as given, then each later iterate as a DiscreteMeasure
-        with the tolerance ``evolve`` checked it against."""
-        later = (DiscreteMeasure(w, tol=MASS_TOL * (k + 1))
-                 for k, w in enumerate(self.weights[1:], 1))
-        return (self.mu0, *later)
-
-    @property
-    def final(self) -> DiscreteMeasure:
-        return self.measures[-1]
 
     def csv_rows(self):
         for k, row in enumerate(self.weights.tolist()):
@@ -206,7 +192,7 @@ class _Orbit:
         weights = self._w[:steps + 1]
         weights.flags.writeable = False
         return Trajectory(self.kernel.label, weights,
-                          tuple(self._d[:steps].tolist()), self.mu0)
+                          tuple(self._d[:steps].tolist()))
 
     def fixed_point(self, tol: float, max_iter: int) -> "FixedPointResult":
         """The search of ``find_invariant``, in its step numbering."""

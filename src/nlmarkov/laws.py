@@ -103,6 +103,9 @@ def parse(text, field: str) -> Point | Gauss | Mix:
         if kind == "mix" and len(vals) == 3:
             from fractions import Fraction
             w0 = [tok for tok in rest.split(",") if tok != ""][2]
+            # Fraction expands the exponent; 4300 is CPython's int digit limit
+            if abs(int(w0.lower().partition("e")[2] or 0)) > 4300:
+                raise ValueError(f"weight0 {w0!r} has an exponent over 4300 in magnitude")
             return Mix(vals[0], vals[1], Fraction(w0))
     except ValueError as exc:
         raise ValueError(f"{field}: {exc}")

@@ -28,8 +28,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .measures import EmpiricalMeasure
-
 __all__ = [
     "WeightFunction",
     "SMVESpec",
@@ -58,12 +56,11 @@ class DriftBoundError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Lyapunov weight.
 
-# Quintic Hermite basis on [0, 1]: value, first and second derivative
-# at each end.
+# The quintic Hermite basis functions on [0, 1] the blend uses: value
+# at 0, then value, first and second derivative at 1 (the plateau has
+# no slope or curvature at 0).
 _H = (
     lambda u: 1.0 - 10.0 * u**3 + 15.0 * u**4 - 6.0 * u**5,
-    lambda u: u - 6.0 * u**3 + 8.0 * u**4 - 3.0 * u**5,
-    lambda u: 0.5 * (u**2 - 3.0 * u**3 + 3.0 * u**4 - u**5),
     lambda u: 10.0 * u**3 - 15.0 * u**4 + 6.0 * u**5,
     lambda u: -4.0 * u**3 + 7.0 * u**4 - 3.0 * u**5,
     lambda u: 0.5 * (u**3 - 2.0 * u**4 + u**5),
@@ -106,9 +103,9 @@ class WeightFunction:
             v1 = math.exp(k * m)
             out[mid] = (
                 v0 * _H[0](u)
-                + v1 * _H[3](u)
-                + w * (k * v1) * _H[4](u)
-                + w * w * (k * k * v1) * _H[5](u)
+                + v1 * _H[1](u)
+                + w * (k * v1) * _H[2](u)
+                + w * w * (k * k * v1) * _H[3](u)
             )
         return out
 
@@ -137,24 +134,24 @@ class SMVESpec:
     ``b1`` is the confining drift, a function of each position alone: it
     maps an (m, d) block of rows to their (m, d) drifts, and ``simulate``
     calls it on one block of rows at a time.  ``b2`` is the interaction:
-    it maps the whole (n, d) array and its empirical measure to (n, d)
-    drifts, once per step, and must stay within ``bound_D`` in Euclidean
-    norm (checked at runtime).  ``lipschitz_L`` is the constant used in
-    perturbation bounds; for the shipped coefficients it is derived by
-    hand, not fitted.
+    it maps the whole (n, d) array of positions, which is the empirical
+    law mu of the particles, to the (n, d) drifts b2(x_i, mu), once per
+    step, and must stay within ``bound_D`` in Euclidean norm (checked at
+    runtime).  ``lipschitz_L`` is the constant used in perturbation
+    bounds; for the shipped coefficients it is derived by hand, not
+    fitted.
 
     Neither coefficient may modify the positions: ``simulate`` passes
-    read-only views of the particles it steps in place, and ``law`` is a
-    read-only view of the same array, with ``.points`` and ``.mean()``,
-    valid for the duration of the call.  Either may return its input or
-    a view of it, or an array that broadcasts to its input's shape;
+    read-only views of the particles it steps in place, valid for the
+    duration of the call.  Either may return its input or a view of it,
+    or an array that broadcasts to its input's shape;
     ``simulate`` never writes into what they return.  A step holds the
     positions, b2's output when eps > 0, and a few blocks of rows.
     """
 
     dimension: int
     b1: Callable[[np.ndarray], np.ndarray]
-    b2: Callable[[np.ndarray, EmpiricalMeasure], np.ndarray] | None
+    b2: Callable[[np.ndarray], np.ndarray] | None
     epsilon: float
     bound_D: float
     lipschitz_L: float
@@ -214,14 +211,14 @@ def radial_confinement_drift(r: float, M: float) -> Callable[[np.ndarray], np.nd
     return b1
 
 
-def mean_attraction_coupling(D: float) -> Callable[[np.ndarray, EmpiricalMeasure], np.ndarray]:
+def mean_attraction_coupling(D: float) -> Callable[[np.ndarray], np.ndarray]:
     """b2(x, mu) = (D / sqrt(d)) tanh(mean(mu) - x), bounded by D in
-    Euclidean norm for any dimension."""
+    Euclidean norm for any dimension; mu is the cloud x itself."""
     if D <= 0:
         raise ValueError("D must be positive")
 
-    def b2(x: np.ndarray, law: EmpiricalMeasure) -> np.ndarray:
-        out = np.subtract(law.mean(), x)
+    def b2(x: np.ndarray) -> np.ndarray:
+        out = np.subtract(x.mean(axis=0), x)
         np.tanh(out, out=out)
         out *= D / math.sqrt(x.shape[1])
         return out
@@ -282,14 +279,6 @@ class ParticleEnsemble:
             pts.flags.writeable = False
         object.__setattr__(self, "positions", pts)
 
-    @property
-    def n_particles(self) -> int:
-        return int(self.positions.shape[0])
-
-    @property
-    def dimension(self) -> int:
-        return int(self.positions.shape[1])
-
 
 def _stream(seed: int, tag: int, reuse: Generator | None = None) -> Generator:
     """The counter-based stream keyed by (seed, tag): a new Generator, or
@@ -333,13 +322,10 @@ def _plan(n_particles: int, step_size: float, horizon: float,
     return n_steps, snap_steps
 
 
-def _interaction(spec: SMVESpec, positions: np.ndarray, law: EmpiricalMeasure,
-                 x: np.ndarray) -> np.ndarray:
+def _interaction(spec: SMVESpec, positions: np.ndarray, x: np.ndarray) -> np.ndarray:
     """b2 on the whole array, checked against D, as an (n, d) array that
     shares no memory with the particles ``x``."""
-    inter = spec.b2(positions, law)
-    if np.shape(inter) != x.shape:
-        inter = np.broadcast_to(inter, x.shape)
+    inter = np.broadcast_to(spec.b2(positions), x.shape)
     # the largest row norm, a block at a time; NaN if b2 gave a NaN
     worst = float(np.max([_row_norms(inter[rows]).max()
                           for rows in _row_blocks(*x.shape)]))
@@ -384,7 +370,6 @@ def _euler(
         raise ValueError("points must be finite")
     positions = x.view()
     positions.flags.writeable = False
-    law = EmpiricalMeasure.view(positions)
 
     snapshots = []
     snap_set = set(snap_steps)
@@ -402,7 +387,7 @@ def _euler(
         for k in range(1, n_steps + 1):
             generator = _stream(seed, k, generator)
             if spec.epsilon > 0:
-                inter = _interaction(spec, positions, law, x)
+                inter = _interaction(spec, positions, x)
             for rows in blocks:
                 xb = x[rows]
                 part = scratch[:len(xb)]
@@ -448,12 +433,12 @@ def simulate(
 
     ``initial_sampler(rng, x)`` writes the start positions into x, the
     zeroed (n_particles, d) float array that the run then steps in
-    place, and returns None; the last snapshot takes x over.  Each step calls b2 once on
-    the whole array, then calls b1, draws the noise and steps the
-    particles a block of rows at a time, in the calling thread.  Raises
-    ValueError if the sampler returns a value or the initial sample is
-    not finite, and SimulationBlowUp
-    if positions leave the finite range.
+    place, and returns None; the last snapshot takes x over.  Each step
+    calls b2 once on the whole array, then calls b1, draws the noise and
+    steps the particles a block of rows at a time, in the calling
+    thread.  Raises ValueError if the sampler returns a value or the
+    initial sample is not finite, and SimulationBlowUp if positions
+    leave the finite range.
     """
     plan = _plan(n_particles, step_size, horizon, snapshot_times)
     return _euler(spec, initial_sampler, n_particles, step_size, seed, plan)

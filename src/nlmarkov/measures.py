@@ -1,5 +1,5 @@
-"""Probability measures on finite state spaces and on R^d, with the
-distances used throughout the package.
+"""Probability measures on finite state spaces, with the distances used
+throughout the package.
 
 Total variation here follows the convention
 
@@ -20,7 +20,6 @@ MASS_TOL = 1e-12
 
 __all__ = [
     "DiscreteMeasure",
-    "EmpiricalMeasure",
     "tv_distance",
     "weighted_tv_distance",
 ]
@@ -79,43 +78,6 @@ class DiscreteMeasure:
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.weights, dtype=dtype)
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Uniform empirical measure carried by a cloud of sample points.
-
-    ``points`` has shape (n, d); one-dimensional input is reshaped to
-    a column.
-    """
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("points must be a nonempty (n, d) array")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
-        pts = pts.copy()
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def view(cls, points: np.ndarray) -> "EmpiricalMeasure":
-        """Wrap ``points`` as they are, without the copy and the checks:
-        the caller guarantees a finite, read-only (n, d) float array.  The
-        measure follows the array, so whoever owns the data may change it
-        between uses; ``simulate`` passes its particles to the drift this
-        way while it steps them in place."""
-        law = object.__new__(cls)
-        object.__setattr__(law, "points", points)
-        return law
-
-    def mean(self) -> np.ndarray:
-        return self.points.mean(axis=0)
 
 
 def _as_weights(mu) -> np.ndarray:

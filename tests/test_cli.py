@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from statistics import NormalDist
@@ -439,6 +441,39 @@ class TestSmve:
         with pytest.raises(Began):
             main([*argv, "--bins", str(fits)])
 
+    @pytest.mark.parametrize("action, extra, key, held", [
+        ("simulate", [], "n", 3),  # snapshots at 0 and the horizon, b2's output
+        ("simulate", ["--times", "0,1"], "n", 4),  # and x, which no snapshot takes over
+        ("decay", [], "n", 43),  # two runs of 21 snapshots
+        ("girsanov-check", [], "n", 7),  # two runs of 3 snapshots
+        ("lyapunov", [], "n", 25),  # 21 snapshots and the weight's 4 temporaries
+        ("local-alpha", [], "n-sims", 5),  # x, of n-sims rows per start
+        ("local-alpha", ["--x-grid=-1,1"], "n-sims", 2),
+    ], ids=["simulate", "simulate-late-snapshot", "decay", "girsanov-check",
+            "lyapunov", "local-alpha", "local-alpha-two-starts"])
+    def test_particles_over_the_memory_budget_are_refused(self, tmp_path, capsys,
+                                                          monkeypatch, action, extra,
+                                                          key, held):
+        class Began(Exception):
+            pass
+
+        def began(*args):
+            raise Began
+
+        # nothing past the check runs, so no particle array is allocated
+        monkeypatch.setattr(cli, "_begin", began)
+        fits = cli.GRID_BUDGET_BYTES // (8 * held)
+        out = tmp_path / "x"
+        argv = ["smve", action, *extra, "--out", str(out)]
+        assert main([*argv, f"--{key}", str(fits + 1)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {key} {fits + 1} needs {held} particle arrays of {fits + 1} "
+            f"floats at once, over the 1 GiB budget; the largest {key} that fits "
+            f"is {fits}\n")
+        assert not out.exists()
+        with pytest.raises(Began):
+            main([*argv, f"--{key}", str(fits)])
+
     def test_float_bins_in_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bins": 2.5}))
@@ -452,6 +487,42 @@ class TestSmve:
         assert main(["smve", "simulate", "--mu0", "gauss:0", "--out", out]) == 2
         assert main(["smve", "simulate", "--mu0", "mix:0,1,1.5", "--out", out]) == 2
         assert main(["smve", "simulate", "--mu0", "point:a,b", "--out", out]) == 2
+
+
+# Runs whose particle arrays (2.4 MB each at WIDE floats) dwarf the rest
+# of what they hold, with the count of those arrays that the smve budget
+# refuses an oversized n by.
+WIDE = 300_000
+PARTICLE_RUNS = {
+    "simulate": (["simulate", "--horizon", "0.05"], "n", 3),
+    "simulate-ou": (["simulate", "--preset", "ou", "--horizon", "0.05"], "n", 3),
+    "simulate-late-snapshot": (["simulate", "--horizon", "0.05", "--times", "0,0.02"],
+                               "n", 4),
+    "decay": (["decay", "--horizon", "0.1", "--calibration-pairs", "1"], "n", 23),
+    "girsanov-check": (["girsanov-check", "--times", "0.01,0.02,0.03",
+                        "--calibration-pairs", "2"], "n", 7),
+    "lyapunov": (["lyapunov", "--horizon", "0.1", "--lag", "0.02"], "n", 10),
+    "local-alpha": (["local-alpha", "--t", "0.05"], "n-sims", 5),
+}
+
+
+@pytest.mark.parametrize("run", PARTICLE_RUNS)
+def test_particle_budget_counts_the_arrays_a_run_holds(tmp_path, capsys, monkeypatch,
+                                                        run):
+    argv, key, held = PARTICLE_RUNS[run]
+    # the runs go in order in this process, as they do on one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(["smve", *argv, f"--{key}", str(10**12), "--out",
+                 str(tmp_path / "big")]) == 2
+    assert f" needs {held} particle arrays " in capsys.readouterr().err
+    tracemalloc.start()
+    try:
+        main(["smve", *argv, f"--{key}", str(WIDE), "--out", str(tmp_path / "x")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    array = 8 * WIDE
+    assert (held - 1) * array < peak <= held * array + 2**21
 
 
 # A small run of each smve action, in options of its own table, with
@@ -535,6 +606,21 @@ def test_bad_initial_laws_are_named_before_any_output(tmp_path, capsys, argv, op
     assert all(option in err for option in options)
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_a_mix_weight_exponent_over_4300_is_refused_at_once(tmp_path, capsys):
+    # Fraction expands a decimal exponent into an integer: 1e-9999999
+    # would take far longer than a second
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert main(["smve", "simulate", "--mu0", "mix:0,1,1e-9999999",
+                 "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: mu0: weight0 '1e-9999999' has an exponent over 4300 in magnitude\n")
+    assert not out.exists()
+    assert laws.parse("mix:0,1,1e-300", "mu0").w0 == Fraction(1, 10**300)
+    assert laws.parse("mix:0,1,1e-4300", "mu0").w0 == Fraction(1, 10**4300)
 
 
 def _law_tv(a, b):
@@ -700,3 +786,24 @@ def test_cli_import_does_not_load_multiprocessing():
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "False"
+
+
+def test_names_the_benchmark_tracer_reads_still_exist():
+    # bench/tracer.py counts the items of its spans through these result
+    # attributes and parameter names; a rename would silently empty them
+    import inspect
+
+    from nlmarkov.ergodicity import check_contraction_inequality, evolve, find_invariant
+    from nlmarkov.measures import DiscreteMeasure
+    from nlmarkov.mckean_vlasov import simulate
+
+    kernel, mu = kernels.markov_example_kernel(), DiscreteMeasure.uniform(2)
+    assert evolve(kernel, mu, 3).steps == 3
+    assert find_invariant(kernel, mu).iterations >= 1
+    pairs = [[mu.weights, DiscreteMeasure.dirac(0, 2).weights]]
+    assert check_contraction_inequality(kernel, 0.1, 0.1, pairs).n_pairs == 1
+    params = inspect.signature(simulate).parameters
+    assert {"n_particles", "horizon", "step_size"} <= params.keys()
+    for sweep in (kernels.estimate_alpha, kernels.estimate_lambda):
+        assert list(inspect.signature(sweep).parameters) == ["kernel", "grid"]
+    assert kernels.MeasureGrid.default(2).size == 51

@@ -52,8 +52,8 @@ def test_oscillation_period_two_exactly():
     traj = evolve(oscillating_kernel(gamma), DiscreteMeasure.two_point(a), 20)
     pi = DiscreteMeasure.two_point(0.5)
     for n in range(19):
-        assert tv_distance(traj.measures[n], traj.measures[n + 2]) == 0.0
-        assert tv_distance(traj.measures[n], pi) == pytest.approx(
+        assert tv_distance(traj.weights[n], traj.weights[n + 2]) == 0.0
+        assert tv_distance(traj.weights[n], pi) == pytest.approx(
             2 * abs(a - 0.5), abs=1e-15
         )
 

@@ -18,7 +18,6 @@ from numpy.random import Generator, Philox
 
 from nlmarkov import mckean_vlasov
 from nlmarkov.laws import Gauss, Mix, Point
-from nlmarkov.measures import EmpiricalMeasure
 from nlmarkov.mckean_vlasov import (
     DriftBoundError,
     SMVESpec,
@@ -147,7 +146,7 @@ class TestSpecConstruction:
 
     def test_drift_bound_is_enforced_at_runtime(self):
         bad = SMVESpec(dimension=1, b1=lambda x: -x,
-                       b2=lambda x, law: np.full_like(x, 5.0),
+                       b2=lambda x: np.full_like(x, 5.0),
                        epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
         with pytest.raises(DriftBoundError, match="exceeds"):
             simulate(bad, Point(0.0), n_particles=100,
@@ -162,10 +161,8 @@ class TestSpecConstruction:
 
     def test_mean_attraction_is_bounded_by_D(self):
         b2 = mean_attraction_coupling(1.0)
-        from nlmarkov.measures import EmpiricalMeasure
-        law = EmpiricalMeasure(np.zeros((10, 2)))
-        x = np.array([[100.0, -100.0], [0.0, 0.0]])
-        norms = np.linalg.norm(b2(x, law), axis=1)
+        x = np.array([[100.0, -100.0], [0.0, 0.0], [-100.0, 100.0]])
+        norms = np.linalg.norm(b2(x), axis=1)
         assert np.all(norms <= 1.0 + 1e-12)
 
 
@@ -229,7 +226,7 @@ class TestSimulate:
 
     def test_drift_bound_error_keeps_its_message(self):
         bad = SMVESpec(dimension=1, b1=lambda x: -x,
-                       b2=lambda x, law: np.full_like(x, 5.0),
+                       b2=lambda x: np.full_like(x, 5.0),
                        epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
         threads = threading.active_count()
         with pytest.raises(DriftBoundError,
@@ -289,9 +286,9 @@ class TestSimulate:
             seen.append(x.flags.writeable)
             return -x
 
-        def b2(x, law):
-            seen.append(law.points.flags.writeable)
-            assert law.points.shape == x.shape
+        def b2(x):
+            seen.append(x.flags.writeable)
+            assert x.shape == (100, 2)
             return np.zeros_like(x)
 
         spec = SMVESpec(dimension=2, b1=b1, b2=b2, epsilon=0.1,
@@ -336,20 +333,19 @@ class TestSimulate:
 def _reference_simulate(b1, b2, epsilon, bound_D, label, d,
                         sampler, n, h, horizon, seed, times):
     """The Euler loop as it stood before the noise moved to a worker
-    thread: a fresh EmpiricalMeasure and a fresh Philox Generator per
-    step, norm-based bound check, out-of-place update."""
+    thread: a fresh Philox Generator per step, norm-based bound check,
+    out-of-place update."""
     n_steps = int(round(horizon / h))
     snap_steps = sorted({int(round(t / h)) for t in times})
     x = np.zeros((n, d))
     sampler(Generator(Philox(key=np.array([seed, 0], dtype=np.uint64))), x)
     out = [x.copy()] if 0 in snap_steps else []
     for k in range(n_steps):
-        law = EmpiricalMeasure(x)
         key = np.array([seed, k + 1], dtype=np.uint64)
         noise = Generator(Philox(key=key)).standard_normal((n, d))
         total = b1(x)
         if b2 is not None and epsilon > 0:
-            inter = b2(x, law)
+            inter = b2(x)
             worst = float(np.linalg.norm(inter, axis=1).max())
             if worst > bound_D + 1e-9:
                 raise DriftBoundError(f"{label}: |b2| exceeds D")
@@ -366,7 +362,7 @@ def _old_radial(r, M):
 
 
 def _old_mean_attraction(D):
-    return lambda x, law: (D / math.sqrt(x.shape[1])) * np.tanh(law.mean()[None, :] - x)
+    return lambda x: (D / math.sqrt(x.shape[1])) * np.tanh(x.mean(axis=0)[None, :] - x)
 
 
 # (spec, the same coefficients as the reference loop evaluated them)
@@ -388,7 +384,7 @@ def _model(name, d):
     # b1 returns its input and b2 a reversed view of the positions, so a
     # write into either would change the particles
     b1 = lambda x: x
-    b2 = lambda x, law: law.points[::-1]
+    b2 = lambda x: x[::-1]
     spec = SMVESpec(d, b1, b2, 0.5, 1e6, 1.0, "alias")
     return spec, (b1, b2, 0.5, 1e6)
 
@@ -434,7 +430,7 @@ def test_simulate_reads_an_aliased_or_broadcast_drift_whole(drift, d):
     # one row broadcast to its rows; each must be read as it was before
     # the step
     if drift == "reversed":
-        b1, b2, eps = (lambda x: -x), (lambda x, law: law.points[::-1]), 0.5
+        b1, b2, eps = (lambda x: -x), (lambda x: x[::-1]), 0.5
     else:
         b1, b2, eps = (lambda x: np.linspace(-1.0, 1.0, d)), None, 0.0
     spec = SMVESpec(d, b1, b2, eps, 1e6, 1.0, drift)
@@ -746,7 +742,7 @@ def test_runs_before_the_failure_are_yielded(no_leftovers):
 
 def test_worker_failure_keeps_its_type_and_message(no_leftovers):
     bad = SMVESpec(dimension=1, b1=lambda x: -x,
-                   b2=lambda x, law: np.full_like(x, 5.0),
+                   b2=lambda x: np.full_like(x, 5.0),
                    epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
     runs = [(Point(0.0), 1), (Point(0.0), 2)]
     with pytest.raises(DriftBoundError, match=r"^smve: \|b2\| = 5 exceeds D = 1$"):

@@ -12,7 +12,6 @@ from nlmarkov import mckean_vlasov
 from nlmarkov.diagnostics import Binning
 from nlmarkov.measures import (
     DiscreteMeasure,
-    EmpiricalMeasure,
     tv_distance,
     weighted_tv_distance,
 )
@@ -131,16 +130,6 @@ def test_tv_distance_overlap_identity(pair):
 
 def cloud(*values):
     return np.array(values, dtype=float).reshape(len(values), -1)
-
-
-def test_empirical_measure_shapes():
-    e = EmpiricalMeasure(np.array([1.0, 2.0, 3.0]))
-    assert e.points.shape == (3, 1)
-    assert e.mean()[0] == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(np.array([np.inf]))
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(np.empty((0, 1)))
 
 
 def test_histogram_basic_binning():
