@@ -522,11 +522,16 @@ def _smve_lyapunov(args, c: dict) -> int:
     nu, horizon, lag = laws.parse(c["nu0"], "nu0"), float(c["horizon"]), float(c["lag"])
     if lag <= 0:
         raise ValueError("lag must be positive")
-    k_max = int(horizon / lag)
-    if k_max < 2:
+    lags = horizon / lag
+    if lags < 2:
         raise ValueError("horizon must cover at least two lags")
-    times = [k * lag for k in range(k_max + 1)]
-    spec = _spec(c, horizon, times, extra=4)  # the weight's temporaries on a snapshot
+    most = GRID_BUDGET_BYTES // (8 * 100) - 2  # with x and the weights, at n = 100
+    if lags >= most:
+        raise ValueError(
+            f"horizon {horizon:g} at lag {lag:g} takes more than the {most} snapshots "
+            f"that fit the {GRID_BUDGET_BYTES >> 30} GiB budget at the smallest n, 100")
+    times = [k * lag for k in range(int(lags) + 1)]
+    spec = _spec(c, horizon, times)  # extra: the weights of a snapshot
     out = _begin(args, "smve/lyapunov", c)
     snaps = simulate(spec, nu, c["n"], float(c["h"]), horizon, c["seed"], times)
     V = WeightFunction(c["r"], c["m-ball"])

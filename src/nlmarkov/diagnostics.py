@@ -175,6 +175,15 @@ class LyapunovFit(Record):
     predicted_gamma: float | None = None
 
 
+def _mean_weight(V: Callable, points: np.ndarray) -> float:
+    """The mean of V at each point, V evaluated into one array a block
+    of rows at a time."""
+    weights = np.empty(len(points))
+    for rows in _row_blocks(*points.shape):
+        weights[rows] = np.reshape(V(points[rows]), -1)
+    return float(np.mean(weights))
+
+
 def lyapunov_diagnostic(
     snapshots: Sequence[ParticleEnsemble],
     V: Callable,
@@ -201,7 +210,7 @@ def lyapunov_diagnostic(
         )
     wanted.sort(key=lambda s: s.time)
     predicted = V.predicted_gamma(lag) if isinstance(V, WeightFunction) else None
-    m = np.array([float(np.mean(V(s.positions))) for s in wanted])
+    m = np.array([_mean_weight(V, s.positions) for s in wanted])
 
     prev, nxt = m[:-1], m[1:]
     if float(np.var(prev)) < 1e-14 * (1.0 + float(np.mean(prev)) ** 2):

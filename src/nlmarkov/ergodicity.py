@@ -495,8 +495,8 @@ def certify_hm_contraction(
     v = np.asarray(V, dtype=float)
     if v.shape != (n,):
         raise ValueError("V must have one value per state")
-    if np.any(v < 1.0 - 1e-12):
-        raise ValueError("V must be at least 1 everywhere")
+    if not np.all((v >= 1.0 - 1e-12) & (v < np.inf)):
+        raise ValueError("V must be finite and at least 1 everywhere")
     if not 0.0 < gamma < 1.0 or K <= 0.0:
         raise ValueError("need 0 < gamma < 1 and K > 0")
     if not 0.0 < alpha_local <= 1.0:

@@ -22,21 +22,21 @@ measure.  The expression grammar (states are 1-based in ``nu(k)``):
 No division, no exponentiation, no free variables, and at most
 ``MAX_NESTING`` levels of nesting.  The n^2 entries compile into one
 program of numpy ufuncs over a batch of measures, with each repeated
-subexpression evaluated once.  Loading validates the kernel on a simplex
-grid and rejects it if any row fails to be a probability vector there.
+subexpression evaluated once.  ``kernels.validate`` then checks the
+kernel on a simplex grid and rejects it if any row fails to be a
+probability vector there.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from pathlib import Path
 
 import numpy as np
 
-from .kernels import MeasureGrid, NonlinearKernel, validate
+from .kernels import NonlinearKernel
 
-__all__ = ["compile_kernel_spec", "load_kernel_spec", "KernelSpecError"]
+__all__ = ["compile_kernel_spec", "KernelSpecError"]
 
 
 class KernelSpecError(ValueError):
@@ -159,23 +159,14 @@ def _run(code: dict, w: np.ndarray) -> list:
     return vals
 
 
-def compile_kernel_spec(source) -> NonlinearKernel:
-    """Build a NonlinearKernel from a JSON file ``Path``, JSON text, or
-    an already-parsed dict, without validating its rows; a caller that
-    validates on its own grid uses this to validate once.
+def compile_kernel_spec(text: str) -> NonlinearKernel:
+    """Build a NonlinearKernel from the JSON text of a kernel file,
+    without validating its rows: the caller validates it on its own grid.
     """
-    if isinstance(source, Path):
-        source = source.read_text()
-    if isinstance(source, str):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise KernelSpecError(f"not valid JSON: {exc}") from exc
-    elif isinstance(source, dict):
-        doc = source
-    else:
-        raise KernelSpecError("source must be a Path, JSON text, or dict")
-
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise KernelSpecError(f"not valid JSON: {exc}") from exc
     try:
         n = int(doc["space_size"])
         entries = doc["entries"]
@@ -192,20 +183,10 @@ def compile_kernel_spec(source) -> NonlinearKernel:
         raise KernelSpecError(f"entries must be an {n} x {n} matrix of strings")
 
     compiler = _Compiler(n)
-    roots = [compiler.compile(text) for row in entries for text in row]
+    roots = [compiler.compile(entry) for row in entries for entry in row]
 
     def rows(w: np.ndarray) -> np.ndarray:
         vals = _run(compiler.code, w)
         return np.array([vals[r] for r in roots]).T.reshape(-1, n, n)
 
     return NonlinearKernel(n, rows, label)
-
-
-def load_kernel_spec(source, grid: MeasureGrid | None = None) -> NonlinearKernel:
-    """``compile_kernel_spec``, then validate the kernel on ``grid``
-    (default grid for the declared space size).  Invalid rows reject
-    the whole file.
-    """
-    kernel = compile_kernel_spec(source)
-    validate(kernel, grid)
-    return kernel

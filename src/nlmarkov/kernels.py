@@ -300,7 +300,8 @@ def markov_kernel(matrix, label: str = "markov") -> NonlinearKernel:
     q = np.asarray(matrix, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("matrix must be square")
-    if np.any(q < 0) or np.any(np.abs(q.sum(axis=1) - 1.0) > ROW_SUM_TOL):
+    # in this form a NaN entry fails, and an infinite one fails its row sum
+    if not (np.all(q >= 0) and np.all(np.abs(q.sum(axis=1) - 1.0) <= ROW_SUM_TOL)):
         raise ValueError("matrix rows must be probability vectors")
     q = q.copy()
     q.flags.writeable = False

@@ -258,8 +258,6 @@ def make_vh_spec(
 class ParticleEnsemble:
     """Snapshot of the particle system.
 
-    ``stream_offset`` is the Euler step index at which the snapshot was
-    taken; together with ``seed`` it pins down the noise stream exactly.
     The positions are kept as a read-only copy, except that a read-only
     float array that owns its data is taken over as it is.
     """
@@ -267,8 +265,6 @@ class ParticleEnsemble:
     positions: np.ndarray
     time: float
     step_size: float
-    seed: int
-    stream_offset: int
 
     def __post_init__(self):
         pts = np.asarray(self.positions, dtype=float)
@@ -374,7 +370,7 @@ def _euler(
     snapshots = []
     snap_set = set(snap_steps)
     if 0 in snap_set:
-        snapshots.append(ParticleEnsemble(x, 0.0, step_size, seed, 0))
+        snapshots.append(ParticleEnsemble(x, 0.0, step_size))
 
     # x += (b1 + eps b2) * h; x += noise, and the finiteness check, one
     # block of rows at a time.  The stream's draws are the same in blocks
@@ -409,7 +405,7 @@ def _euler(
             if k in snap_set:
                 if k == n_steps:
                     x.flags.writeable = False  # the last snapshot takes x over
-                snapshots.append(ParticleEnsemble(x, k * step_size, step_size, seed, k))
+                snapshots.append(ParticleEnsemble(x, k * step_size, step_size))
     return snapshots
 
 
@@ -457,13 +453,16 @@ def simulate_runs(
     in list order and bit for bit the same.
 
     The runs are independent, so they are spread round-robin over forked
-    worker processes, one per usable CPU.  A worker steps its runs one
-    after another and sends each run back as soon as it is done; while
-    the caller waits for the next run it drains every worker's pipe, and
-    it holds only the runs it has not yet yielded.  The runs go in
-    order in this process, through ``simulate``, when there is one run
-    or one usable CPU, off Linux, or when other threads are alive, since
-    forking a threaded process is unsafe.
+    worker processes, one per usable CPU: with W workers, worker w
+    steps runs w, w + W, ... one after another and sends each down its
+    own pipe, and the caller reads run i from worker i mod W alone.  A
+    worker's write blocks while the caller reads an earlier run, so it
+    is at most one finished run ahead and the caller holds only the run
+    it is reading; the runs share one plan, so they are the same length
+    and a worker stalls at most the time to receive one run.  The runs
+    go in order in this process, through ``simulate``, when there is
+    one run or one usable CPU, off Linux, or when other threads are
+    alive, since forking a threaded process is unsafe.
 
     The arguments are checked before any fork.  The exception of the
     first failing run in list order is raised with its type and message
@@ -491,7 +490,6 @@ def _dispatch(spec, runs, n_particles, step_size, horizon, snapshot_times, plan)
 
 def _forked_runs(spec, runs, n_particles, step_size, plan, n_workers):
     import multiprocessing
-    from multiprocessing.connection import wait
 
     context = multiprocessing.get_context("fork")
     workers = []  # (process, read end of its pipe)
@@ -501,38 +499,30 @@ def _forked_runs(spec, runs, n_particles, step_size, plan, n_workers):
             reader, writer = context.Pipe(duplex=False)
             process = context.Process(
                 target=_run_worker, name=f"nlmarkov-runs-{w}", daemon=True,
-                args=(writer, spec, runs, w, n_workers, n_particles, step_size, plan),
+                args=(writer, spec, runs[w::n_workers], n_particles, step_size, plan),
             )
             workers.append((process, reader))
             process.start()
             # closed before the next fork, so only worker w holds it and
             # its exit shows as end-of-file
             writer.close()
-        open_readers = [reader for _, reader in workers]
-        partial = {}  # run index -> its snapshots received so far
-        received = {}  # run index -> its snapshots, or the exception it raised
         for i in range(len(runs)):
-            process, owner = workers[i % n_workers]
-            while i not in received:
-                if owner not in open_readers:
+            process, reader = workers[i % n_workers]
+            snapshots = []
+            while True:
+                try:
+                    item = pickle.loads(reader.recv_bytes())
+                except EOFError:
                     process.join()
                     raise RuntimeError(
                         f"particle run {i}: worker process exited with code "
-                        f"{process.exitcode} without reporting it")
-                for reader in wait(open_readers):
-                    try:
-                        j, item = pickle.loads(reader.recv_bytes())
-                    except EOFError:
-                        open_readers.remove(reader)
-                    else:
-                        if isinstance(item, ParticleEnsemble):
-                            partial.setdefault(j, []).append(item)
-                        else:
-                            received[j] = partial.pop(j) if item is None else item
-            result = received.pop(i)
-            if isinstance(result, BaseException):
-                raise result
-            yield result
+                        f"{process.exitcode} without reporting it") from None
+                if not isinstance(item, ParticleEnsemble):
+                    break
+                snapshots.append(item)
+            if item is not None:
+                raise item
+            yield snapshots
         finished = True
     finally:
         for process, reader in workers:
@@ -544,33 +534,31 @@ def _forked_runs(spec, runs, n_particles, step_size, plan, n_workers):
             reader.close()
 
 
-def _run_worker(writer, spec, runs, first, stride, n_particles, step_size, plan):
-    """Worker body: runs first, first + stride, ... in order, and stops
-    at the first failure.  Each message is one pickle: (i, snapshot) for
-    each snapshot of run i in time order, then (i, None) when run i is
-    done, or (i, exception) when it failed.  One message per snapshot
-    keeps the caller's allocations the size of a snapshot, as they are
-    when the runs go in order in one process.  Ctrl-C reaches the
-    parent, which terminates the workers."""
+def _run_worker(writer, spec, runs, n_particles, step_size, plan):
+    """Worker body: its runs in order, stopping at the first failure.
+    Each message is one pickle: each snapshot of a run in time order,
+    then None when the run is done, or the exception when it failed.
+    One message per snapshot keeps the caller's allocations the size of
+    a snapshot, as they are when the runs go in order in one process.
+    Ctrl-C reaches the parent, which terminates the workers."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for i in range(first, len(runs), stride):
-        sampler, seed = runs[i]
+    for sampler, seed in runs:
         try:
             snapshots = _euler(spec, sampler, n_particles, step_size, seed, plan)
         except BaseException as exc:
-            writer.send_bytes(_pickled_failure(i, exc))
+            writer.send_bytes(_pickled_failure(exc))
             return
         for snapshot in snapshots:
-            writer.send_bytes(pickle.dumps((i, snapshot), protocol=5))
-        writer.send_bytes(pickle.dumps((i, None)))
+            writer.send_bytes(pickle.dumps(snapshot, protocol=5))
+        writer.send_bytes(pickle.dumps(None))
 
 
-def _pickled_failure(i: int, exc: BaseException) -> bytes:
+def _pickled_failure(exc: BaseException) -> bytes:
     try:
-        payload = pickle.dumps((i, exc), protocol=5)
+        payload = pickle.dumps(exc, protocol=5)
         pickle.loads(payload)
     except Exception:
-        payload = pickle.dumps((i, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
     return payload
 
 

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlmarkov
-from nlmarkov import cli, kernel_spec, kernels, laws
+from nlmarkov import cli, kernels, laws
 from nlmarkov.cli import main
 from nlmarkov.measures import tv_distance
 from nlmarkov.mckean_vlasov import DriftBoundError
@@ -174,7 +174,7 @@ class TestChain:
             calls.append(grid)
             return validate(kernel, grid)
 
-        for module in (kernels, kernel_spec, cli):
+        for module in (kernels, cli):
             monkeypatch.setattr(module, "validate", counted)
         kfile = tmp_path / "kernel.json"
         kfile.write_text(json.dumps(
@@ -446,7 +446,7 @@ class TestSmve:
         ("simulate", ["--times", "0,1"], "n", 4),  # and x, which no snapshot takes over
         ("decay", [], "n", 43),  # two runs of 21 snapshots
         ("girsanov-check", [], "n", 7),  # two runs of 3 snapshots
-        ("lyapunov", [], "n", 25),  # 21 snapshots and the weight's 4 temporaries
+        ("lyapunov", [], "n", 22),  # 21 snapshots and the weights of one
         ("local-alpha", [], "n-sims", 5),  # x, of n-sims rows per start
         ("local-alpha", ["--x-grid=-1,1"], "n-sims", 2),
     ], ids=["simulate", "simulate-late-snapshot", "decay", "girsanov-check",
@@ -473,6 +473,27 @@ class TestSmve:
         assert not out.exists()
         with pytest.raises(Began):
             main([*argv, f"--{key}", str(fits)])
+
+    def test_lyapunov_snapshots_over_the_memory_budget_are_refused(self, tmp_path,
+                                                                   capsys, monkeypatch):
+        out = tmp_path / "x"
+        start = time.perf_counter()
+        assert main(["smve", "lyapunov", "--horizon", "1e9", "--lag", "1e-3",
+                     "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: horizon 1e+09 at lag 0.001 takes more than the 1342175 snapshots "
+            "that fit the 1 GiB budget at the smallest n, 100\n")
+        assert not out.exists()
+        # a budget of 50 arrays at n = 100 holds 48 snapshots beside x and the
+        # weights: 48 lags are refused, and 47 leave the refusal to the n budget
+        monkeypatch.setattr(cli, "GRID_BUDGET_BYTES", 8 * 100 * 50)
+        argv = ["smve", "lyapunov", "--lag", "0.5", "--out", str(out)]
+        assert main([*argv, "--horizon", "24"]) == 2
+        assert "takes more than the 48 snapshots" in capsys.readouterr().err
+        assert main([*argv, "--horizon", "23.5"]) == 2
+        assert capsys.readouterr().err.endswith(" the largest n that fits is 102\n")
+        assert not out.exists()
 
     def test_float_bins_in_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -501,7 +522,7 @@ PARTICLE_RUNS = {
     "decay": (["decay", "--horizon", "0.1", "--calibration-pairs", "1"], "n", 23),
     "girsanov-check": (["girsanov-check", "--times", "0.01,0.02,0.03",
                         "--calibration-pairs", "2"], "n", 7),
-    "lyapunov": (["lyapunov", "--horizon", "0.1", "--lag", "0.02"], "n", 10),
+    "lyapunov": (["lyapunov", "--horizon", "0.1", "--lag", "0.02"], "n", 7),
     "local-alpha": (["local-alpha", "--t", "0.05"], "n-sims", 5),
 }
 

@@ -29,10 +29,7 @@ from nlmarkov.mckean_vlasov import (
 
 
 def make_snapshot(positions, time, step_size=0.01):
-    return ParticleEnsemble(
-        positions, time, step_size, seed=0,
-        stream_offset=int(round(time / step_size)),
-    )
+    return ParticleEnsemble(positions, time, step_size)
 
 
 def constant_snapshot(value, time, n=50):

@@ -7,6 +7,7 @@ matrix with V = 2^i satisfies QV <= 0.8 V + 2 with certified factor
 lambda_w = 0.72 at beta = 2 over the grid used below.
 """
 
+import json
 import tracemalloc
 from unittest import mock
 
@@ -480,7 +481,8 @@ def clamped_spec(n, seed):
                 k = int(rng.integers(1, n + 1))
                 entries[i][j] = f"max(min({c!r} + {slope!r}*nu({k}), {hi!r}), {lo!r})"
         entries[i][i] = " - ".join(["1", *(f"({entries[i][j]})" for j in range(n) if j != i)])
-    return compile_kernel_spec({"space_size": n, "label": f"spec{seed}", "entries": entries})
+    return compile_kernel_spec(json.dumps(
+        {"space_size": n, "label": f"spec{seed}", "entries": entries}))
 
 
 SWAP = markov_kernel(np.array([[0.0, 1.0], [1.0, 0.0]]), "swap")
@@ -772,6 +774,22 @@ def test_hm_no_certifiable_beta():
             q, np.array([1.0, 1.0, 8.0]), gamma=0.8, K=6.5,
             alpha_local=0.1, beta_grid=[1.0],
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hm_certifier_refuses_a_non_finite_matrix_entry(bad):
+    q = birth_death_jitter_matrix()
+    q[1, 2] = bad
+    with pytest.raises(ValueError, match="^matrix rows must be probability vectors$"):
+        certify_hm_contraction(q, V5, 0.8, 2.0, 0.1, BETAS)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hm_certifier_refuses_a_non_finite_weight(bad):
+    V = V5.copy()
+    V[3] = bad
+    with pytest.raises(ValueError, match="^V must be finite and at least 1 everywhere$"):
+        certify_hm_contraction(birth_death_jitter_matrix(), V, 0.8, 2.0, 0.1, BETAS)
 
 
 def test_hm_input_guards():

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlmarkov import kernel_spec
-from nlmarkov.kernel_spec import MAX_NESTING, KernelSpecError, load_kernel_spec
-from nlmarkov.kernels import MeasureGrid
+from nlmarkov.kernel_spec import MAX_NESTING, KernelSpecError, compile_kernel_spec
+from nlmarkov.kernels import MeasureGrid, validate
 
 
 def parse_entry_expression(text: str, space_size: int):
@@ -85,8 +85,8 @@ def test_expression_rejections():
             parse_entry_expression(text, 2)
 
 
-def test_load_from_dict_builds_working_kernel():
-    k = load_kernel_spec(MIXTURE_DOC)
+def test_compile_builds_working_kernel():
+    k = compile_kernel_spec(json.dumps(MIXTURE_DOC))
     assert k.space_size == 2
     assert k.label == "half-mix"
     mat = k.matrix([1.0, 0.0])
@@ -114,27 +114,17 @@ def test_repeated_subexpressions_compile_once():
     assert len(compiler.code) == 48
 
 
-def test_load_from_json_text_and_file(tmp_path):
-    text = json.dumps(MIXTURE_DOC)
-    k1 = load_kernel_spec(text)
-    path = tmp_path / "kernel.json"
-    path.write_text(text)
-    k2 = load_kernel_spec(path)
-    mu = [0.3, 0.7]
-    assert np.array_equal(k1.matrix(mu), k2.matrix(mu))
-
-
 def test_load_rejects_malformed_documents():
-    with pytest.raises(KernelSpecError):
-        load_kernel_spec("{not json")
-    with pytest.raises(KernelSpecError):
-        load_kernel_spec({"entries": [["1"]]})  # missing space_size
-    with pytest.raises(KernelSpecError):
-        load_kernel_spec({"space_size": 2, "entries": [["1", "0"]]})  # not 2x2
-    with pytest.raises(KernelSpecError):
-        load_kernel_spec({"space_size": 0, "entries": []})
-    with pytest.raises(KernelSpecError):
-        load_kernel_spec(42)
+    for text in (
+        "{not json",
+        '{"entries": [["1"]]}',  # missing space_size
+        '{"space_size": 2, "entries": [["1", "0"]]}',  # not 2x2
+        '{"space_size": 0, "entries": []}',
+        "42",
+        '["space_size"]',
+    ):
+        with pytest.raises(KernelSpecError):
+            compile_kernel_spec(text)
 
 
 def test_load_validates_rows_on_the_grid():
@@ -145,8 +135,9 @@ def test_load_validates_rows_on_the_grid():
         "space_size": 2,
         "entries": [["nu(1)", "nu(1)"], ["0.5", "0.5"]],
     }
+    kernel = compile_kernel_spec(json.dumps(doc))
     with pytest.raises(KernelValidationError, match="row"):
-        load_kernel_spec(doc)
+        validate(kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +258,8 @@ def test_batched_spec_kernel_matches_scalar_reference(case):
     n, entries, w = case
     doc = {"space_size": n,
            "entries": [[render(t)[0] for t in row] for row in entries]}
-    kernel = load_kernel_spec(doc, MeasureGrid(n, 2))
+    kernel = compile_kernel_spec(json.dumps(doc))
+    validate(kernel, MeasureGrid(n, 2))
     want = np.array([[[reference(t, x) for t in row] for row in entries] for x in w])
     assert kernel.matrix(w).tobytes() == want.tobytes()
     assert kernel.matrix(w[0]).tobytes() == want[0].tobytes()

@@ -11,6 +11,7 @@ The closed forms used as oracles:
   Q, lambda_hat = lam, both attained at simplex vertices.
 """
 
+import json
 import math
 import tracemalloc
 from itertools import combinations
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nlmarkov.kernel_spec import load_kernel_spec
+from nlmarkov.kernel_spec import compile_kernel_spec
 from nlmarkov.kernels import (
     KernelValidationError,
     MeasureGrid,
@@ -472,7 +473,9 @@ def clamped_spec_kernel(n, terms, grid):
                 entries[i][j] = f"max(min({c!r} + {slope!r}*nu({k}), {hi!r}), {lo!r})"
         others = [f"({entries[i][j]})" for j in range(n) if j != i]
         entries[i][i] = " - ".join(["1", *others])
-    return load_kernel_spec({"space_size": n, "entries": entries}, grid)
+    kernel = compile_kernel_spec(json.dumps({"space_size": n, "entries": entries}))
+    validate(kernel, grid)
+    return kernel
 
 
 # Row 1 loses mass on both off-diagonal entries when mass moves from state 1
