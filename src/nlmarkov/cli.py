@@ -43,7 +43,7 @@ from .diagnostics import (
     LOCAL_ALPHA_STARTS,
     Binning,
     DecayFitError,
-    calibrate_tv_allowance,
+    bootstrap_floor,
     estimate_local_alpha,
     fit_decay,
     girsanov_bound_check,
@@ -119,9 +119,8 @@ _SMVE = {
     "bin-hi": Option(10.0),
     "mu0": Option("point:0", laws.FORMS),
     "nu0": Option("gauss:2,1", laws.FORMS),
-    "noise-floor": Option(-1.0),
-    "allowance": Option(-1.0),
-    "calibration-pairs": Option(5),
+    "noise-floor": Option(-1.0, "negative: the bootstrap floor of the mu0 run"),
+    "allowance": Option(-1.0, "negative: the bootstrap floor of the mu0 run"),
     "radius": Option(1.0),
     "t": Option(1.0),
     "n-sims": Option(100_000),
@@ -167,9 +166,9 @@ OPTIONS = {
     "smve": {
         "simulate": _smve_table(_MODEL, "n h horizon times seed mu0"),
         "decay": _smve_table(_MODEL, "n h horizon times seed", _BINNING,
-                             "mu0 nu0 noise-floor calibration-pairs"),
+                             "mu0 nu0 noise-floor"),
         "girsanov-check": _smve_table(_MODEL, "n h times seed", _BINNING,
-                                      "mu0 nu0 allowance calibration-pairs",
+                                      "mu0 nu0 allowance",
                                       nu0="mix:0,2,0.9"),  # TV 0.2 from point:0
         "local-alpha": _smve_table("preset r m-ball h seed", _BINNING,
                                    "radius t n-sims x-grid"),
@@ -426,14 +425,6 @@ def _smve_simulate(args, c: dict) -> int:
     return _finish(out, doc, f"simulated {c['n']} particles to t={horizon:g} -> {out}")
 
 
-def _calibrated(c: dict, key: str, spec, mu, times, binning) -> float:
-    """``c[key]``, or the calibrated noise floor of ``mu`` if negative."""
-    if c[key] >= 0:
-        return c[key]
-    return calibrate_tv_allowance(spec, mu, times, c["n"], float(c["h"]),
-                                  c["seed"] + 1000, binning, n_pairs=c["calibration-pairs"])
-
-
 def _binning(c: dict, held: int) -> Binning:
     """The action's binning, its ``held`` arrays of bins + 1 floats budgeted."""
     _budget(c, "bins", "histogram", held, 1)
@@ -451,9 +442,11 @@ def _smve_decay(args, c: dict) -> int:
     times = laws.floats(c["times"], "times") or np.linspace(0.0, horizon, 21).tolist()
     spec, binning = _spec(c, horizon, times, runs=2), _binning(c, _PAIR_HELD)
     out = _begin(args, "smve/decay", c)
-    floor = _calibrated(c, "noise-floor", spec, mu, times, binning)
     run_a, run_b = simulate_runs(spec, [(mu, c["seed"]), (nu, c["seed"] + 1)],
                                  c["n"], float(c["h"]), horizon, times)
+    floor = c["noise-floor"]
+    if floor < 0:
+        floor = bootstrap_floor(run_a, binning, c["seed"])
     try:
         fit = fit_decay(run_a, run_b, binning, floor)
     except DecayFitError as exc:
@@ -484,9 +477,9 @@ def _smve_girsanov_check(args, c: dict) -> int:
     spec = _spec(c, max(*times, c["h"]), times, runs=2)
     binning, tv0 = _binning(c, _PAIR_HELD), laws.tv(mu, nu)
     out = _begin(args, "smve/girsanov-check", c)
-    allowance = _calibrated(c, "allowance", spec, mu, times, binning)
-    report = girsanov_bound_check(spec, mu, nu, tv0, times,
-                                  c["n"], float(c["h"]), c["seed"], binning, allowance)
+    report = girsanov_bound_check(spec, mu, nu, tv0, times, c["n"], float(c["h"]),
+                                  c["seed"], binning,
+                                  None if c["allowance"] < 0 else c["allowance"])
     write_csv(out / "girsanov.csv", ["time", "estimate", "bound", "margin"],
               report.csv_rows(), "girsanov-check")
     doc = report_document(
@@ -494,7 +487,7 @@ def _smve_girsanov_check(args, c: dict) -> int:
         [Claim("coupled runs stay within the coupling bound",
                report.passed,
                {"violations": report.violations,
-                "allowance": allowance})],
+                "allowance": report.allowance})],
         {"report": report})
     return _finish(out, doc,
                    f"girsanov check: {'ok' if report.passed else 'VIOLATED'} -> {out}")
@@ -530,6 +523,10 @@ def _smve_lyapunov(args, c: dict) -> int:
         raise ValueError(
             f"horizon {horizon:g} at lag {lag:g} takes more than the {most} snapshots "
             f"that fit the {GRID_BUDGET_BYTES >> 30} GiB budget at the smallest n, 100")
+    # the snapshots one lag apart must fall on steps one lag apart
+    steps = lag / c["h"]
+    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValueError(f"--lag {lag:g} is not a whole number of --h {c['h']:g} steps")
     times = [k * lag for k in range(int(lags) + 1)]
     spec = _spec(c, horizon, times)  # extra: the weights of a snapshot
     out = _begin(args, "smve/lyapunov", c)

@@ -6,8 +6,8 @@ All total variation estimates here go through a fixed shared binning,
 declared once per experiment, because comparing histograms with
 different bins estimates nothing.  Monte Carlo noise gives the
 estimates a positive floor; checks that compare against theoretical
-bounds therefore carry an explicit calibrated allowance instead of
-pretending the estimator is exact.
+bounds therefore carry an explicit allowance, bootstrapped from a run
+they already made, instead of pretending the estimator is exact.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from .mckean_vlasov import (
     ParticleEnsemble,
     SMVESpec,
     WeightFunction,
+    _BLOCK_BYTES,
     _row_blocks,
+    _stream,
     simulate,
     simulate_runs,
 )
@@ -39,6 +41,8 @@ __all__ = [
     "LOCAL_ALPHA_STARTS",
     "lyapunov_diagnostic",
     "girsanov_bound_check",
+    "BOOTSTRAP_PAIRS",
+    "bootstrap_floor",
     "calibrate_tv_allowance",
     "fit_decay",
 ]
@@ -273,18 +277,18 @@ def girsanov_bound_check(
     step_size: float,
     seed: int,
     binning: Binning = Binning(),
-    allowance: float = 0.0,
+    allowance: float | None = 0.0,
 ) -> GirsanovReport:
     """Run the same noise through two initial laws and compare their
     histogram distance with sqrt(2) tv0 exp(4 eps^2 L^2 t) + allowance.
 
     ``tv0`` is the total variation between the exact initial laws (not
-    estimated from particles); the allowance should come from
-    calibrate_tv_allowance with the same binning and particle count.
+    estimated from particles).  With ``allowance`` None, the allowance
+    is the bootstrap_floor of the mu0 run, drawn at ``seed``.
     """
     if not 0.0 <= tv0 <= 2.0:
         raise ValueError("tv0 must lie in [0, 2]")
-    if allowance < 0.0:
+    if allowance is not None and allowance < 0.0:
         raise ValueError("allowance must be nonnegative")
     times = sorted(float(t) for t in times)
     if not times:
@@ -292,6 +296,8 @@ def girsanov_bound_check(
     horizon = max(times[-1], step_size)
     run_a, run_b = simulate_runs(spec, [(mu0_sampler, seed), (nu0_sampler, seed)],
                                  n_particles, step_size, horizon, times)
+    if allowance is None:
+        allowance = bootstrap_floor(run_a, binning, seed)
 
     rate = 4.0 * spec.epsilon**2 * spec.lipschitz_L**2
     estimates, bounds, violations = [], [], []
@@ -314,6 +320,73 @@ def girsanov_bound_check(
     )
 
 
+# ---------------------------------------------------------------------------
+# Noise floors.
+
+
+# The pairs of count vectors bootstrap_floor draws at each snapshot, and
+# the most it draws in one call.
+BOOTSTRAP_PAIRS = 200
+_BOOTSTRAP_CHUNK = 25
+
+
+def bootstrap_floor(run: Sequence[ParticleEnsemble], binning: Binning,
+                    seed: int) -> float:
+    """Noise floor of the histogram distance between two independent
+    runs from the law of ``run``, taken from ``run`` alone: a parametric
+    bootstrap (B. Efron, Ann. Statist. 7 (1979)).
+
+    At each snapshot with t > 0, with cell masses p over its n
+    particles, draw BOOTSTRAP_PAIRS pairs of multinomial(n, p) count
+    vectors and take each pair's distance, the sum of |count
+    differences| over n.  The floor is the 99th percentile of all those
+    distances, the quantile calibrate_tv_allowance takes over its runs.
+
+    The bootstrap is exact for independent particles.  Mean-field
+    particles are not independent: they are exchangeable and interact
+    only through the empirical law, here its mean, so that they become
+    independent as n grows (propagation of chaos; A.-S. Sznitman,
+    Topics in propagation of chaos, 1991).  The floor assumes they are
+    independent already at the simulated n.
+
+    The draws come from the (seed, 2**64 - 1) stream, which no step of
+    any run uses, so the floor is a function of the run's positions,
+    the binning and the seed, whatever the worker layout.  A cell of
+    mass 0 always counts 0 and is left out of the draws, so a draw holds
+    at most min(n, cells) counts.
+    """
+    snapshots = [s for s in run if s.time > 0.0]
+    if not snapshots:
+        raise ValueError("the bootstrap needs a snapshot at a positive time")
+    rng = _stream(seed, 2**64 - 1)  # a run's stream tags are its steps
+    samples = np.empty((len(snapshots), BOOTSTRAP_PAIRS))
+    for row, snap in zip(samples, snapshots):
+        n = len(snap.positions)
+        p = binning.masses(snap.positions)
+        p = p[p > 0.0]
+        # a chunk of pairs stays within a block of memory, or is one pair
+        chunk = max(1, min(_BOOTSTRAP_CHUNK, _BLOCK_BYTES // (16 * len(p))))
+        for start in range(0, BOOTSTRAP_PAIRS, chunk):
+            draws = rng.multinomial(n, p, size=(min(chunk, BOOTSTRAP_PAIRS - start), 2))
+            diff = np.subtract(draws[:, 0], draws[:, 1], out=draws[:, 0])
+            np.abs(diff, out=diff)
+            row[start:start + len(draws)] = diff.sum(axis=1) / n
+    return _percentile_99(samples)
+
+
+def _percentile_99(samples) -> float:
+    """``np.percentile(samples, 99.0)`` with numpy's default linear rule,
+    computed from ``np.sort``: np.percentile imports numpy.ma on its
+    first call, which holds its memory for the rest of the process."""
+    x = np.sort(samples, axis=None)
+    index = (x.size - 1) * 0.99
+    low = math.floor(index)
+    if low >= x.size - 1:
+        return float(x[-1])
+    gamma, a, b = index - low, x[low], x[low + 1]
+    return float(b - (b - a) * (1.0 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
+
+
 def calibrate_tv_allowance(
     spec: SMVESpec,
     sampler: Callable,
@@ -327,7 +400,9 @@ def calibrate_tv_allowance(
     """Noise floor of the histogram distance: run independent pairs of
     ensembles from the same law and take the 99th percentile of their
     distances over the requested times (t = 0 excluded; initial data has
-    no Monte Carlo noise when samplers are deterministic)."""
+    no Monte Carlo noise when samplers are deterministic).  It costs
+    2 n_pairs runs; the commands take bootstrap_floor of a run they
+    make anyway, and the tests compare the two."""
     times = [float(t) for t in times if t > 0.0]
     if not times:
         raise ValueError("calibration needs at least one positive time")
@@ -344,7 +419,7 @@ def calibrate_tv_allowance(
             run_b = next(results)
             samples += [_ensemble_tv(a, b, binning) for a, b in zip(run_a, run_b)]
             del run_a, run_b
-    return float(np.percentile(samples, 99.0))
+    return _percentile_99(samples)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlmarkov
-from nlmarkov import cli, kernels, laws
+from nlmarkov import cli, kernels, laws, mckean_vlasov
 from nlmarkov.cli import main
 from nlmarkov.measures import tv_distance
 from nlmarkov.mckean_vlasov import DriftBoundError
@@ -382,11 +382,10 @@ class TestSmve:
         assert rep["claims"][0]["witness"]["gamma_hat"] < 1.0
 
     def test_blow_up_exits_three_with_one_error_line(self, tmp_path):
-        # simulate steps in this process; in decay the first
-        # calibration run blows up, in a worker process where there are
-        # two CPUs.  A fresh interpreter, because pytest records numpy's
-        # warnings instead of printing them: no overflow warning may
-        # precede the one error line.
+        # simulate steps in this process; in decay the mu0 run blows up,
+        # in a worker process where there are two CPUs.  A fresh
+        # interpreter, because pytest records numpy's warnings instead of
+        # printing them: no overflow warning may precede the one error line.
         src = str(Path(nlmarkov.__file__).resolve().parents[1])
         for action in ("simulate", "decay"):
             done = subprocess.run(
@@ -495,6 +494,19 @@ class TestSmve:
         assert capsys.readouterr().err.endswith(" the largest n that fits is 102\n")
         assert not out.exists()
 
+    def test_lyapunov_lag_off_the_step_grid_is_refused(self, tmp_path, capsys):
+        # lag 0.001 at h 0.01 would put every snapshot on step 0
+        out = tmp_path / "x"
+        assert main(["smve", "lyapunov", "--lag", "0.001", "--h", "0.01",
+                     "--horizon", "0.05", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --lag 0.001 is not a whole number of --h 0.01 steps\n")
+        assert not out.exists()
+        assert main(["smve", "lyapunov", "--lag", "0.015", "--h", "0.01",
+                     "--horizon", "0.05", "--out", str(out)]) == 2
+        assert main(["smve", "lyapunov", "--lag", "0.3", "--h", "0.1", "--n", "100",
+                     "--horizon", "0.6", "--out", str(out)]) in (0, 1)
+
     def test_float_bins_in_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bins": 2.5}))
@@ -519,9 +531,8 @@ PARTICLE_RUNS = {
     "simulate-ou": (["simulate", "--preset", "ou", "--horizon", "0.05"], "n", 3),
     "simulate-late-snapshot": (["simulate", "--horizon", "0.05", "--times", "0,0.02"],
                                "n", 4),
-    "decay": (["decay", "--horizon", "0.1", "--calibration-pairs", "1"], "n", 23),
-    "girsanov-check": (["girsanov-check", "--times", "0.01,0.02,0.03",
-                        "--calibration-pairs", "2"], "n", 7),
+    "decay": (["decay", "--horizon", "0.1"], "n", 23),
+    "girsanov-check": (["girsanov-check", "--times", "0.01,0.02,0.03"], "n", 7),
     "lyapunov": (["lyapunov", "--horizon", "0.1", "--lag", "0.02"], "n", 7),
     "local-alpha": (["local-alpha", "--t", "0.05"], "n-sims", 5),
 }
@@ -550,9 +561,9 @@ def test_particle_budget_counts_the_arrays_a_run_holds(tmp_path, capsys, monkeyp
 # the number of options that table holds.
 SMALL_SMVE_RUNS = {
     "simulate": (11, ["--preset", "ou", "--n", "100", "--h", "0.1", "--horizon", "0.2"]),
-    "decay": (17, ["--preset", "ou", "--n", "100", "--h", "0.1", "--horizon", "0.2",
+    "decay": (16, ["--preset", "ou", "--n", "100", "--h", "0.1", "--horizon", "0.2",
                    "--bins", "20", "--noise-floor", "0.05"]),
-    "girsanov-check": (16, ["--preset", "ou", "--n", "100", "--h", "0.1",
+    "girsanov-check": (15, ["--preset", "ou", "--n", "100", "--h", "0.1",
                             "--times", "0.1", "--bins", "20", "--allowance", "0.5"]),
     "local-alpha": (12, ["--preset", "ou", "--t", "0.1", "--n-sims", "100",
                          "--h", "0.05", "--bins", "20"]),
@@ -775,6 +786,63 @@ class TestOutputDirResolution:
                      "--a", "0.3", "--steps", "10", "--out", str(out)]) == 0
         assert (out / "report.json").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+# Small decay and girsanov-check runs that take their noise floor from
+# the bootstrap of their mu0 run.
+FLOOR_RUNS = {
+    "decay": ["decay", "--n", "1000", "--h", "0.05", "--horizon", "2", "--bins", "50"],
+    "girsanov-check": ["girsanov-check", "--n", "1000", "--h", "0.05", "--bins", "50"],
+}
+
+
+@pytest.mark.parametrize("action", FLOOR_RUNS)
+def test_noise_floor_costs_no_particle_run(tmp_path, monkeypatch, action):
+    # in this process, as on one CPU: the two runs the action compares
+    # are all it steps
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    calls = []
+    real = mckean_vlasov.simulate
+
+    def counted(*args, **kwargs):
+        calls.append(args[5])  # the seed
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mckean_vlasov, "simulate", counted)
+    assert main(["smve", *FLOOR_RUNS[action], "--seed", "3",
+                 "--out", str(tmp_path / "x")]) == 0
+    assert calls == ([3, 4] if action == "decay" else [3, 3])
+
+
+@pytest.mark.parametrize("action", FLOOR_RUNS)
+def test_noise_floor_is_the_same_at_one_worker_and_two(tmp_path, monkeypatch, action):
+    reports = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out = tmp_path / str(len(cpus))
+        assert main(["smve", *FLOOR_RUNS[action], "--seed", "3", "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    doc = json.loads(reports[0])
+    floor = (doc["details"]["noise_floor"] if action == "decay"
+             else doc["claims"][0]["witness"]["allowance"])
+    assert 0.0 < floor < 1.0
+
+
+def test_smve_runs_do_not_load_numpy_ma(tmp_path):
+    # np.percentile imports numpy.ma on its first call, and its memory
+    # stays: no noise floor may take that path
+    src = str(Path(nlmarkov.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "from nlmarkov.cli import main\n"
+            "for argv in sys.argv[1:]:\n"
+            "    main(argv.split())\n"
+            "print('numpy.ma' in sys.modules)")
+    runs = [" ".join(["smve", *argv, "--out", str(tmp_path / argv[0])])
+            for argv in FLOOR_RUNS.values()]
+    done = subprocess.run([sys.executable, "-c", code, *runs], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_import_does_not_load_scipy():
