@@ -390,16 +390,35 @@ def _budget(c: dict, key: str, kind: str, held: int, extra: int = 0) -> None:
             f"largest {key} that fits is {fits}")
 
 
+def _on_grid(c: dict, key: str, value: float) -> None:
+    """Refuse ``value`` of option ``key`` unless it is a whole number of
+    --h steps, since a run's steps and snapshots fall on that grid."""
+    steps = value / c["h"]
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * abs(steps):
+        raise ValueError(f"--{key} {value:g} is not a whole number of --h {c['h']:g} steps")
+
+
+def _times(c: dict, default: list) -> list:
+    """The snapshot times of --times, each on the step grid, or ``default``."""
+    times = laws.floats(c["times"], "times")
+    for t in times:
+        _on_grid(c, "times", t)
+    return times or default
+
+
 def _spec(c: dict, horizon: float, times, runs: int = 1, extra: int = 1):
-    """The model options' particle system, once they and n are checked.
-    n is budgeted by the particle arrays the action holds at once in this
-    process: the snapshots of its ``runs`` runs, x if the last snapshot
-    does not take it over, and ``extra`` more, b2's output or temporaries
-    of what reads the snapshots; forked workers hold their runs besides."""
+    """The model options' particle system, once they, --horizon and n
+    are checked.  n is budgeted by the particle arrays the action holds
+    at once in this process: the snapshots of its ``runs`` runs, x if the
+    last snapshot does not take it over, and ``extra`` more, b2's output
+    or temporaries of what reads the snapshots; forked workers hold their
+    runs besides."""
     if c["n"] < 100:
         raise ValueError("n must be at least 100")
     if c["epsilon"] < 0:
         raise ValueError("epsilon must be nonnegative")
+    if "horizon" in c:
+        _on_grid(c, "horizon", horizon)
     n_steps, snaps = _plan(c["n"], float(c["h"]), horizon, times)
     _budget(c, "n", "particle", runs * len(snaps) + (snaps[-1] < n_steps) + extra)
     return make_ou_spec() if c["preset"] == "ou" else make_vh_spec(
@@ -408,7 +427,7 @@ def _spec(c: dict, horizon: float, times, runs: int = 1, extra: int = 1):
 
 def _smve_simulate(args, c: dict) -> int:
     mu, horizon = laws.parse(c["mu0"], "mu0"), float(c["horizon"])
-    times = laws.floats(c["times"], "times") or [0.0, horizon]
+    times = _times(c, [0.0, horizon])
     spec = _spec(c, horizon, times)  # extra: b2's output, or the variance's temporary
     out = _begin(args, "smve/simulate", c)
     snaps = simulate(spec, mu, c["n"], float(c["h"]), horizon, c["seed"], times)
@@ -439,7 +458,7 @@ _PAIR_HELD = 3
 def _smve_decay(args, c: dict) -> int:
     mu, nu = laws.parse(c["mu0"], "mu0"), laws.parse(c["nu0"], "nu0")
     horizon = float(c["horizon"])
-    times = laws.floats(c["times"], "times") or np.linspace(0.0, horizon, 21).tolist()
+    times = _times(c, np.linspace(0.0, horizon, 21).tolist())
     spec, binning = _spec(c, horizon, times, runs=2), _binning(c, _PAIR_HELD)
     out = _begin(args, "smve/decay", c)
     run_a, run_b = simulate_runs(spec, [(mu, c["seed"]), (nu, c["seed"] + 1)],
@@ -473,7 +492,7 @@ def _smve_decay(args, c: dict) -> int:
 
 def _smve_girsanov_check(args, c: dict) -> int:
     mu, nu = laws.parse(c["mu0"], "mu0"), laws.parse(c["nu0"], "nu0")
-    times = laws.floats(c["times"], "times") or [0.5, 1.0, 2.0]
+    times = _times(c, [0.5, 1.0, 2.0])
     spec = _spec(c, max(*times, c["h"]), times, runs=2)
     binning, tv0 = _binning(c, _PAIR_HELD), laws.tv(mu, nu)
     out = _begin(args, "smve/girsanov-check", c)
@@ -498,6 +517,7 @@ def _smve_local_alpha(args, c: dict) -> int:
           if c["preset"] == "vh" else (lambda x: -x))
     x_grid = np.array(laws.floats(c["x-grid"], "x-grid")) if c["x-grid"] else None
     starts = LOCAL_ALPHA_STARTS if x_grid is None else len(x_grid)
+    _on_grid(c, "t", c["t"])
     binning = _binning(c, starts + 1)
     _budget(c, "n-sims", "particle", starts)  # x: n-sims rows per start
     out = _begin(args, "smve/local-alpha", c)
@@ -523,10 +543,7 @@ def _smve_lyapunov(args, c: dict) -> int:
         raise ValueError(
             f"horizon {horizon:g} at lag {lag:g} takes more than the {most} snapshots "
             f"that fit the {GRID_BUDGET_BYTES >> 30} GiB budget at the smallest n, 100")
-    # the snapshots one lag apart must fall on steps one lag apart
-    steps = lag / c["h"]
-    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
-        raise ValueError(f"--lag {lag:g} is not a whole number of --h {c['h']:g} steps")
+    _on_grid(c, "lag", lag)  # the snapshots one lag apart fall on steps one lag apart
     times = [k * lag for k in range(int(lags) + 1)]
     spec = _spec(c, horizon, times)  # extra: the weights of a snapshot
     out = _begin(args, "smve/lyapunov", c)

@@ -133,7 +133,8 @@ class SMVESpec:
 
     ``b1`` is the confining drift, a function of each position alone: it
     maps an (m, d) block of rows to their (m, d) drifts, and ``simulate``
-    calls it on one block of rows at a time.  ``b2`` is the interaction:
+    calls it on one block of rows at a time, and may call it on disjoint
+    blocks from several threads at once.  ``b2`` is the interaction:
     it maps the whole (n, d) array of positions, which is the empirical
     law mu of the particles, to the (n, d) drifts b2(x_i, mu), once per
     step, and must stay within ``bound_D`` in Euclidean norm (checked at
@@ -276,21 +277,27 @@ class ParticleEnsemble:
         object.__setattr__(self, "positions", pts)
 
 
-def _stream(seed: int, tag: int, reuse: Generator | None = None) -> Generator:
-    """The counter-based stream keyed by (seed, tag): a new Generator, or
-    ``reuse`` (a Philox Generator) rewound to that stream's first draw.
+def _stream(seed: int, tag: int, reuse: Generator | None = None,
+            block: int = 0) -> Generator:
+    """The counter-based stream keyed by (seed, tag) from Philox counter
+    (0, block, 0, 0): a new Generator, or ``reuse`` (a Philox Generator)
+    rewound to that draw.
 
-    The (seed, tag) pair fully determines the block of draws,
-    independent of how work is scheduled.  Rewinding sets the key, a
-    zero counter and an empty buffer, which is the whole state of a new
-    Philox, at a tenth of the cost of building one.
+    The (seed, tag) pair fully determines the draws, independent of how
+    work is scheduled, and block b's substream starts 2^64 Philox blocks
+    after block b - 1's, so no run reaches the next.  Block 0 is the
+    stream from its first draw.  Rewinding sets the key, the counter and
+    an empty buffer, which is the whole state of a new Philox, at a
+    tenth of the cost of building one.
     """
     key = (seed % 2**64, tag % 2**64)
+    counter = (0, block, 0, 0)
     if reuse is None:
-        return Generator(Philox(key=np.array(key, dtype=np.uint64)))
+        return Generator(Philox(key=np.array(key, dtype=np.uint64),
+                                counter=np.array(counter, dtype=np.uint64)))
     reuse.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "state": {"counter": counter, "key": key},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -342,27 +349,28 @@ def _euler(
     step_size: float,
     seed: int,
     plan: tuple[int, list[int]],
+    lanes: int = 1,
 ) -> list[ParticleEnsemble]:
-    """The Euler loop of ``simulate``.  Step k rewinds one generator to
-    the (seed, k) stream before its drift, then computes b1, the step
-    and its noise sqrt(h) * xi a block of rows at a time, in row order,
-    through reused blocks."""
+    """The Euler loop of ``simulate``, in ``lanes`` lanes (at most one
+    per row block): the calling thread and lanes - 1 threads, started
+    once per run.  Step k computes b2 on the calling thread; then lane j
+    steps blocks j, j + lanes, ... in row order: b1, the step and its
+    noise sqrt(h) * xi, drawn from block c's substream of the (seed, k)
+    stream, and the finiteness check, through blocks of its own.  The
+    lanes meet at a barrier before and after the blocks of each step, and
+    after it the exception of the lowest-numbered failing block is
+    raised.  Every lane thread is joined on every exit path."""
     n_steps, snap_steps = plan
     d = spec.dimension
     blocks = _row_blocks(n_particles, d)
-    scratch = np.empty((blocks[0].stop, d))
-    noise = np.empty(scratch.shape)
-    finite = np.empty(scratch.shape, dtype=bool)
-
-    def all_finite(rows: slice) -> bool:
-        return bool(np.isfinite(x[rows], out=finite[:rows.stop - rows.start]).all())
+    lanes = min(lanes, len(blocks))
 
     # The run's one particle-sized array: the sampler fills it, the loop
     # steps it in place, and the last snapshot takes it over.
     x = np.zeros((n_particles, d))
     if initial_sampler(_stream(seed, 0), x) is not None:
         raise ValueError("initial sampler must fill x in place and return None")
-    if not all(map(all_finite, blocks)):
+    if not all(np.isfinite(x[rows]).all() for rows in blocks):
         raise ValueError("points must be finite")
     positions = x.view()
     positions.flags.writeable = False
@@ -372,19 +380,23 @@ def _euler(
     if 0 in snap_set:
         snapshots.append(ParticleEnsemble(x, 0.0, step_size))
 
-    # x += (b1 + eps b2) * h; x += noise, and the finiteness check, one
-    # block of rows at a time.  The stream's draws are the same in blocks
-    # as in one call.
     scale = math.sqrt(step_size)
-    generator = inter = None
-    # The finiteness check after each step reports a blow-up as
-    # SimulationBlowUp, so numpy's overflow warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            generator = _stream(seed, k, generator)
-            if spec.epsilon > 0:
-                inter = _interaction(spec, positions, x)
-            for rows in blocks:
+    inter = None  # b2's output in the current step, if eps > 0
+    failed = [None] * lanes  # per lane: (block, exception) of this step
+    # per lane: its step scratch, noise and finiteness mask blocks, and
+    # its generator, rewound to each block's substream
+    own = [(np.empty((blocks[0].stop, d)), np.empty((blocks[0].stop, d)),
+            np.empty((blocks[0].stop, d), dtype=bool), _stream(seed, 0))
+           for _ in range(lanes)]
+
+    def step(j: int, k: int) -> None:
+        # lane j's blocks of step k, in row order, until one fails:
+        # x += (b1 + eps b2) * h; x += noise, and the finiteness check
+        scratch, noise, finite, generator = own[j]
+        for c in range(j, len(blocks), lanes):
+            rows = blocks[c]
+            try:
+                _stream(seed, k, generator, c)
                 xb = x[rows]
                 part = scratch[:len(xb)]
                 if inter is None:
@@ -398,14 +410,57 @@ def _euler(
                 generator.standard_normal(out=dw)
                 dw *= scale
                 xb += dw
-                if not all_finite(rows):
+                if not np.isfinite(xb, out=finite[:len(xb)]).all():
                     raise SimulationBlowUp(
                         f"{spec.label}: non-finite position at step {k}")
-            inter = None  # before the next b2 call or a snapshot copy
-            if k in snap_set:
-                if k == n_steps:
-                    x.flags.writeable = False  # the last snapshot takes x over
-                snapshots.append(ParticleEnsemble(x, k * step_size, step_size))
+            except Exception as exc:
+                failed[j] = (c, exc)
+                return
+
+    barrier = threading.Barrier(lanes)
+
+    def follow(j: int) -> None:
+        # lane j's thread: its blocks of each step between two barrier waits
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for k in range(1, n_steps + 1):
+                    barrier.wait()
+                    step(j, k)
+                    barrier.wait()
+            except threading.BrokenBarrierError:
+                pass  # the run stopped early
+            except BaseException:
+                barrier.abort()  # so the caller does not wait for this lane
+                raise
+
+    threads = []
+    try:
+        for j in range(1, lanes):
+            thread = threading.Thread(target=follow, args=(j,), daemon=True)
+            thread.start()
+            threads.append(thread)
+        # The finiteness check after each step reports a blow-up as
+        # SimulationBlowUp, so numpy's overflow warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, n_steps + 1):
+                if spec.epsilon > 0:
+                    inter = _interaction(spec, positions, x)
+                if threads:
+                    barrier.wait()
+                step(0, k)
+                if threads:
+                    barrier.wait()
+                inter = None  # before the next b2 call or a snapshot copy
+                if any(failed):
+                    raise min(filter(None, failed), key=lambda f: f[0])[1]
+                if k in snap_set:
+                    if k == n_steps:
+                        x.flags.writeable = False  # the last snapshot takes x over
+                    snapshots.append(ParticleEnsemble(x, k * step_size, step_size))
+    finally:
+        barrier.abort()
+        for thread in threads:
+            thread.join()
     return snapshots
 
 
@@ -424,20 +479,37 @@ def simulate(
         X_i <- (X_i + (b1(X_i) + eps b2(X_i, mu_prev)) h) + sqrt(h) xi_i.
 
     Noise for step k is drawn from a counter-based stream keyed by
-    (seed, k), so runs are bit-reproducible and independent of any
-    worker layout; initial positions use the (seed, 0) stream.
+    (seed, k); initial positions use the (seed, 0) stream.  The rows are
+    stepped in blocks of max(1, _BLOCK_BYTES // (8 d)) rows, and block c
+    draws its normals from the (seed, k) stream at Philox counter
+    (0, c, 0, 0), its own substream.  So a run is bit-reproducible and
+    independent of the thread count or any worker layout, and
+    ``_BLOCK_BYTES`` is part of what fixes the outputs of a run of more
+    than one block; a one-block run (n d <= 16,384) draws the (seed, k)
+    stream from its start.
 
     ``initial_sampler(rng, x)`` writes the start positions into x, the
     zeroed (n_particles, d) float array that the run then steps in
     place, and returns None; the last snapshot takes x over.  Each step
-    calls b2 once on the whole array, then calls b1, draws the noise and
-    steps the particles a block of rows at a time, in the calling
-    thread.  Raises ValueError if the sampler returns a value or the
-    initial sample is not finite, and SimulationBlowUp if positions
-    leave the finite range.
+    calls b2 once on the whole array in the calling thread, then calls
+    b1, draws the noise and steps the particles a block of rows at a
+    time, with the blocks dealt round-robin to one lane per usable CPU
+    (the calling thread and threads of this run).  Raises ValueError if
+    the sampler returns a value or the initial sample is not finite,
+    SimulationBlowUp if positions leave the finite range, and otherwise
+    the exception of the first failing block in row order, as a run in
+    one lane would.
     """
     plan = _plan(n_particles, step_size, horizon, snapshot_times)
-    return _euler(spec, initial_sampler, n_particles, step_size, seed, plan)
+    return _euler(spec, initial_sampler, n_particles, step_size, seed, plan,
+                  _usable_cpus())
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def simulate_runs(
@@ -478,7 +550,7 @@ def simulate_runs(
 
 def _dispatch(spec, runs, n_particles, step_size, horizon, snapshot_times, plan):
     # decided at the first item, which is when the workers would fork
-    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+    cpus = _usable_cpus() if sys.platform == "linux" else 1
     if len(runs) < 2 or cpus < 2 or threading.active_count() > 1:
         for sampler, seed in runs:
             yield simulate(spec, sampler, n_particles, step_size, horizon, seed,
@@ -535,7 +607,8 @@ def _forked_runs(spec, runs, n_particles, step_size, plan, n_workers):
 
 
 def _run_worker(writer, spec, runs, n_particles, step_size, plan):
-    """Worker body: its runs in order, stopping at the first failure.
+    """Worker body: its runs in order, each in one lane since the other
+    workers use the other CPUs, stopping at the first failure.
     Each message is one pickle: each snapshot of a run in time order,
     then None when the run is done, or the exception when it failed.
     One message per snapshot keeps the caller's allocations the size of

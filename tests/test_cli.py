@@ -507,6 +507,38 @@ class TestSmve:
         assert main(["smve", "lyapunov", "--lag", "0.3", "--h", "0.1", "--n", "100",
                      "--horizon", "0.6", "--out", str(out)]) in (0, 1)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--horizon", "0.015"], "--horizon 0.015"),
+        (["decay", "--horizon", "2.005"], "--horizon 2.005"),
+        (["lyapunov", "--horizon", "3.001"], "--horizon 3.001"),
+        (["local-alpha", "--t", "0.015"], "--t 0.015"),
+        (["simulate", "--horizon", "0.05", "--times", "0,0.025"], "--times 0.025"),
+        (["girsanov-check", "--times", "0.5,1.005"], "--times 1.005"),
+    ], ids=["simulate", "decay", "lyapunov", "local-alpha", "times", "girsanov-times"])
+    def test_time_off_the_step_grid_is_refused(self, tmp_path, capsys, argv, message):
+        # simulate --horizon 0.015 at h 0.01 would run to t = 0.02
+        out = tmp_path / "x"
+        assert main(["smve", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {message} is not a whole number of --h 0.01 steps\n")
+        assert not out.exists()
+
+    def test_step_count_past_the_float_range_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["smve", "simulate", "--horizon", "1e308", "--h", "1e-300",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --horizon 1e+308 is not a whole number of --h 1e-300 steps\n")
+        assert not out.exists()
+
+    def test_times_on_the_step_grid_are_accepted(self, tmp_path):
+        # 0.07 / 0.01 is 7.000000000000001 in floats
+        out = tmp_path / "x"
+        assert main(["smve", "simulate", "--n", "100", "--horizon", "0.07",
+                     "--times", "0,0.03,0.07", "--out", str(out)]) == 0
+        rows = (out / "snapshots.csv").read_text().splitlines()[2:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.0, 3 * 0.01, 7 * 0.01]
+
     def test_float_bins_in_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bins": 2.5}))

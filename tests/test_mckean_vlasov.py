@@ -1,10 +1,12 @@
 """Tests for the particle SDE layer: weight functions, initial laws,
 simulation determinism, and the perturbation threshold."""
 
+import hashlib
 import math
 import multiprocessing
 import os
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -244,10 +246,10 @@ class TestSimulate:
     def test_noise_worker_failure_reaches_the_caller_at_its_step(self, monkeypatch):
         real = mckean_vlasov._stream
 
-        def failing(seed, tag, reuse=None):
+        def failing(seed, tag, reuse=None, block=0):
             if tag == 7:
                 raise RuntimeError("no draws for step 7")
-            return real(seed, tag, reuse)
+            return real(seed, tag, reuse, block)
 
         monkeypatch.setattr(mckean_vlasov, "_stream", failing)
         calls = []
@@ -329,19 +331,32 @@ class TestSimulate:
         assert not last.positions.flags.writeable
 
 
+def _step_noise(seed, k, n, d, whole_stream=False):
+    """Step k's (n, d) normals: row block c of ``_row_blocks(n, d)``
+    drawn from a fresh Philox Generator keyed by (seed, k) at counter
+    (0, c, 0, 0), or, with ``whole_stream``, all rows from counter 0 in
+    one call."""
+    key = np.array([seed, k], dtype=np.uint64)
+    if whole_stream:
+        return Generator(Philox(key=key)).standard_normal((n, d))
+    return np.concatenate([
+        Generator(Philox(key=key, counter=np.array([0, c, 0, 0], dtype=np.uint64)))
+        .standard_normal((rows.stop - rows.start, d))
+        for c, rows in enumerate(mckean_vlasov._row_blocks(n, d))])
+
+
 def _reference_simulate(b1, b2, epsilon, bound_D, label, d,
-                        sampler, n, h, horizon, seed, times):
+                        sampler, n, h, horizon, seed, times, whole_stream=False):
     """The Euler loop as it stood before the noise moved to a worker
-    thread: a fresh Philox Generator per step, norm-based bound check,
-    out-of-place update."""
+    thread: fresh Philox Generators per step, norm-based bound check,
+    out-of-place update, one thread."""
     n_steps = int(round(horizon / h))
     snap_steps = sorted({int(round(t / h)) for t in times})
     x = np.zeros((n, d))
     sampler(Generator(Philox(key=np.array([seed, 0], dtype=np.uint64))), x)
     out = [x.copy()] if 0 in snap_steps else []
     for k in range(n_steps):
-        key = np.array([seed, k + 1], dtype=np.uint64)
-        noise = Generator(Philox(key=key)).standard_normal((n, d))
+        noise = _step_noise(seed, k + 1, n, d, whole_stream)
         total = b1(x)
         if b2 is not None and epsilon > 0:
             inter = b2(x)
@@ -442,6 +457,182 @@ def test_simulate_reads_an_aliased_or_broadcast_drift_whole(drift, d):
         assert ens.positions.tobytes() == ref.tobytes()
 
 
+# ---------------------------------------------------------------------------
+# Row blocks stepped in lanes.
+
+
+def _in_lanes(spec, sampler, n, h, horizon, seed, times, lanes):
+    plan = mckean_vlasov._plan(n, h, horizon, times)
+    return mckean_vlasov._euler(spec, sampler, n, h, seed, plan, lanes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    model=st.sampled_from(["ou", "vh", "alias"]),
+    d=st.sampled_from([1, 2]),
+    # one block is 16,384 rows in one dimension and 8,192 in two
+    n=st.sampled_from([100, 8_192, 8_193, 16_384, 16_385, 24_577, 40_000]),
+    steps=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+)
+@example(model="vh", d=1, n=40_000, steps=3, seed=7)
+@example(model="alias", d=2, n=24_577, steps=2, seed=1)
+def test_outputs_are_the_same_in_one_two_and_three_lanes(model, d, n, steps, seed):
+    threads = threading.active_count()
+    spec, _ = _model(model, d)
+    h = 0.01
+    times = [0.0, (steps // 2) * h, steps * h]
+    sampler = Gauss([0.3] * d, 1.0)
+    one, *more = [_in_lanes(spec, sampler, n, h, steps * h, seed, times, lanes)
+                  for lanes in (1, 2, 3)]
+    for run in more:
+        _same_runs([run], [one])
+    assert threading.active_count() == threads
+
+
+# sha256 of the last positions of a one-block vh run, as the whole
+# (seed, k) streams gave them before the blocks had substreams
+_ONE_BLOCK_DIGESTS = {
+    1: "f8c594a2124e549ebca0ccb17f587e0ae366b1917227d095ca8e20a76e0a7a82",
+    2: "c25e664d5dc763dd10087d13a5da29e091a49212aa259507efb2bcbf7de11239",
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_one_block_run_draws_the_whole_step_stream(d):
+    n = 16_384 // d
+    assert len(mckean_vlasov._row_blocks(n, d)) == 1
+    spec, (b1, b2, eps, bound) = _model("vh", d)
+    sampler = Gauss([0.3] * d, 1.0)
+    got = simulate(spec, sampler, n, 0.01, 0.2, 7)
+    want = _reference_simulate(b1, b2, eps, bound, spec.label, d, sampler,
+                               n, 0.01, 0.2, 7, [0.0, 0.2], whole_stream=True)
+    for ens, ref in zip(got, want, strict=True):
+        assert ens.positions.tobytes() == ref.tobytes()
+    digest = hashlib.sha256(got[-1].positions.tobytes()).hexdigest()
+    assert digest == _ONE_BLOCK_DIGESTS[d]
+
+
+def test_wide_run_steps_its_blocks_in_one_lane_per_usable_cpu(monkeypatch):
+    _use_cpus(monkeypatch, 3)
+    callers = set()
+
+    def b1(x):
+        callers.add(threading.current_thread().name)
+        return -x
+
+    threads = threading.active_count()
+    spec = SMVESpec(1, b1, None, 0.0, 0.0, 0.0)
+    simulate(spec, Point(0.0), 40_000, 0.01, 0.05, 3)  # three blocks
+    assert len(callers) == 3 and threading.current_thread().name in callers
+    assert threading.active_count() == threads
+    callers.clear()
+    simulate(spec, Point(0.0), 16_385, 0.01, 0.05, 3)  # two blocks, two lanes
+    assert len(callers) == 2
+
+
+def _row_index_sampler(rng, x):
+    x[:, 0] = np.arange(len(x))
+
+
+def _refusing_b1(first_row):
+    # b1 raises on every block from row first_row on; at step 1 a
+    # block's first position is its first row's index
+    def b1(x):
+        if x[0, 0] >= first_row:
+            raise LookupError(f"b1 refused the block from row {x[0, 0]:.0f}")
+        return -x
+
+    return b1
+
+
+def _stream_failing_at_step_7(seed, tag, reuse=None, block=0, real=mckean_vlasov._stream):
+    if tag == 7:
+        raise RuntimeError(f"no draws for step 7, block {block}")
+    return real(seed, tag, reuse, block)
+
+
+# (spec, sampler, the failure in any number of lanes); 57,344 particles
+# make 4 blocks of 16,384 rows (the last short), so three lanes take
+# blocks 0 and 3, 1, and 2
+LANE_FAILURES = {
+    "blow-up in block 1": (
+        SMVESpec(1, lambda x: 50.0 * x, None, 0.0, 0.0, 0.0, "late"),
+        lambda rng, x: x.__setitem__(slice(16_384, None), 1e306),
+        SimulationBlowUp, r"^late: non-finite position at step \d+$"),
+    "drift bound": (
+        SMVESpec(1, lambda x: -x, lambda x: np.full_like(x, 5.0), 0.1, 1.0, 1.0),
+        Point(0.0), DriftBoundError, r"^smve: \|b2\| = 5 exceeds D = 1$"),
+    "b1 from block 1 on": (
+        SMVESpec(1, _refusing_b1(10_000), None, 0.0, 0.0, 0.0),
+        _row_index_sampler, LookupError, r"^b1 refused the block from row 16384$"),
+    "b1 from block 2 on": (
+        SMVESpec(1, _refusing_b1(20_000), None, 0.0, 0.0, 0.0),
+        _row_index_sampler, LookupError, r"^b1 refused the block from row 32768$"),
+    "stream at step 7": (
+        SMVESpec(1, lambda x: -x, None, 0.0, 0.0, 0.0),
+        Point(0.0), RuntimeError, r"^no draws for step 7, block 0$"),
+}
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+@pytest.mark.parametrize("failure", LANE_FAILURES)
+def test_lane_failure_reaches_the_caller_as_in_one_lane(failure, lanes, monkeypatch,
+                                                        no_leftovers):
+    spec, sampler, kind, message = LANE_FAILURES[failure]
+    if failure == "stream at step 7":
+        monkeypatch.setattr(mckean_vlasov, "_stream", _stream_failing_at_step_7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning from any lane
+        with pytest.raises(kind, match=message) as caught:
+            _in_lanes(spec, sampler, 57_344, 0.01, 0.2, 1, None, lanes)
+    if failure == "blow-up in block 1":
+        step = caught.value.args[0].rsplit(" ", 1)[1]
+        assert 1 < int(step) < 20
+
+
+def test_more_lanes_than_cpus_at_a_short_switch_interval_match_one_lane(no_leftovers):
+    # five lanes on the six blocks of a wide vh run, switching threads
+    # every microsecond: a lost or early update of the positions, of b2's
+    # output or of a lane's failure slot would change the bytes
+    spec, _ = _model("vh", 2)
+    sampler = Gauss([0.3, 0.3], 1.0)
+    want = _in_lanes(spec, sampler, 45_000, 0.01, 0.05, 3, None, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _in_lanes(spec, sampler, 45_000, 0.01, 0.05, 3, None, 5)
+    finally:
+        sys.setswitchinterval(interval)
+    _same_runs([got], [want])
+
+
+def test_interrupt_during_a_wide_run_leaves_no_lane_thread(monkeypatch):
+    _use_cpus(monkeypatch, 3)
+
+    def b1(x):
+        time.sleep(0.002)
+        return -x
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    spec = SMVESpec(1, b1, None, 0.0, 0.0, 0.0)
+    threads = threading.active_count()
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.perf_counter()
+    signal.setitimer(signal.ITIMER_REAL, 0.3)
+    try:
+        # three blocks of 2 ms a step for 2,000 steps, were it not stopped
+        with pytest.raises(KeyboardInterrupt):
+            simulate(spec, Point(0.0), 40_000, 0.01, 20.0, 3)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 5.0
+    assert threading.active_count() == threads
+
+
 def _traced_peak(call) -> int:
     """The tracemalloc peak, in bytes, of call()."""
     tracemalloc.start()
@@ -455,46 +646,75 @@ def _traced_peak(call) -> int:
 WIDE = 200_000
 
 
-def _wide_bound(particle_arrays: int) -> int:
+def _use_cpus(monkeypatch, count):
+    """Make ``simulate`` see ``count`` usable CPUs, so it steps a wide
+    run in that many lanes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def _wide_bound(particle_arrays: int, lanes: int = 1) -> int:
     """What a run of WIDE particles in one dimension may hold at its
-    peak: x (and b2's output, if it has one) and at most five blocks (the
-    step's scratch, its noise and its finiteness mask, and b1's output
-    and its per-row norms for one block), never a particle-sized copy,
-    drift or noise array."""
-    return particle_arrays * 8 * WIDE + 5 * mckean_vlasov._BLOCK_BYTES
+    peak: x (and b2's output, if it has one) and at most five blocks per
+    lane (the step's scratch, its noise and its finiteness mask, and b1's
+    output and its per-row norms for one block), never a particle-sized
+    copy, drift or noise array."""
+    return particle_arrays * 8 * WIDE + 5 * lanes * mckean_vlasov._BLOCK_BYTES
 
 
-@pytest.mark.parametrize("model, particle_arrays", [
+# (model, the particle arrays a wide run of it holds)
+WIDE_MODELS = [
     ("probe", 1),  # x
     ("vh", 2),  # x and b2's output
-])
-def test_wide_simulate_allocates_no_particle_sized_scratch(model, particle_arrays):
+]
+
+
+def _wide_simulate_peak(model) -> int:
     if model == "vh":
         spec = make_vh_spec()
     else:
         spec = SMVESpec(1, radial_confinement_drift(1.0, 1.0), None, 0.0, 0.0, 0.0)
     sampler = Gauss([0.3], 1.0)
-    peak = _traced_peak(lambda: simulate(spec, sampler, WIDE, 0.01, 0.05, 7, [0.05]))
-    assert peak <= _wide_bound(particle_arrays)
+    return _traced_peak(lambda: simulate(spec, sampler, WIDE, 0.01, 0.05, 7, [0.05]))
 
 
-def test_local_alpha_allocates_no_particle_sized_scratch():
+@pytest.mark.parametrize("model, particle_arrays", WIDE_MODELS)
+def test_wide_simulate_allocates_no_particle_sized_scratch(model, particle_arrays,
+                                                           monkeypatch):
+    _use_cpus(monkeypatch, 1)
+    assert _wide_simulate_peak(model) <= _wide_bound(particle_arrays)
+
+
+@pytest.mark.parametrize("model, particle_arrays", WIDE_MODELS)
+def test_wide_simulate_holds_five_blocks_per_lane(model, particle_arrays, monkeypatch):
+    _use_cpus(monkeypatch, 3)
+    assert _wide_simulate_peak(model) <= _wide_bound(particle_arrays, lanes=3)
+
+
+def _local_alpha_peak() -> int:
     from nlmarkov.diagnostics import estimate_local_alpha
 
     # five starts of WIDE / 5 particles each, stepped as one run and
     # binned a block at a time
-    peak = _traced_peak(lambda: estimate_local_alpha(
+    return _traced_peak(lambda: estimate_local_alpha(
         radial_confinement_drift(1.0, 1.0), R=1.0, t=0.05, n_sims=WIDE // 5))
-    assert peak <= _wide_bound(1)
+
+
+def test_local_alpha_allocates_no_particle_sized_scratch(monkeypatch):
+    _use_cpus(monkeypatch, 1)
+    assert _local_alpha_peak() <= _wide_bound(1)
+
+
+def test_local_alpha_holds_five_blocks_per_lane(monkeypatch):
+    _use_cpus(monkeypatch, 3)
+    assert _local_alpha_peak() <= _wide_bound(1, lanes=3)
 
 
 class _Stop(Exception):
     pass
 
 
-def test_wide_run_starts_in_the_array_the_sampler_fills():
-    # at the first b1 call the run holds x, filled and checked in place,
-    # and its three blocks: no copy of a sampler's output
+def _peak_at_first_b1_call() -> int:
     peaks = []
 
     def b1(x):
@@ -508,7 +728,20 @@ def test_wide_run_starts_in_the_array_the_sampler_fills():
             simulate(spec, Gauss([0.3], 1.0), WIDE, 0.01, 0.05, 7, [0.05])
     finally:
         tracemalloc.stop()
-    assert peaks[0] <= 8 * WIDE + 3 * mckean_vlasov._BLOCK_BYTES
+    return peaks[0]
+
+
+def test_wide_run_starts_in_the_array_the_sampler_fills(monkeypatch):
+    # at the first b1 call the run holds x, filled and checked in place,
+    # and its three blocks: no copy of a sampler's output
+    _use_cpus(monkeypatch, 1)
+    assert _peak_at_first_b1_call() <= 8 * WIDE + 3 * mckean_vlasov._BLOCK_BYTES
+
+
+def test_wide_run_in_lanes_starts_in_the_array_the_sampler_fills(monkeypatch):
+    # and three blocks for each lane
+    _use_cpus(monkeypatch, 3)
+    assert _peak_at_first_b1_call() <= 8 * WIDE + 3 * 3 * mckean_vlasov._BLOCK_BYTES
 
 
 def test_wide_run_hands_x_to_the_last_snapshot():
