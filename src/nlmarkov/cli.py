@@ -406,13 +406,12 @@ def _times(c: dict, default: list) -> list:
     return times or default
 
 
-def _spec(c: dict, horizon: float, times, runs: int = 1, extra: int = 1):
+def _spec(c: dict, horizon: float, times, runs: int = 1, extra: int = 0):
     """The model options' particle system, once they, --horizon and n
     are checked.  n is budgeted by the particle arrays the action holds
     at once in this process: the snapshots of its ``runs`` runs, x if the
-    last snapshot does not take it over, and ``extra`` more, b2's output
-    or temporaries of what reads the snapshots; forked workers hold their
-    runs besides."""
+    last snapshot does not take it over, and ``extra`` temporaries of
+    what reads the snapshots; forked workers hold their runs besides."""
     if c["n"] < 100:
         raise ValueError("n must be at least 100")
     if c["epsilon"] < 0:
@@ -428,7 +427,7 @@ def _spec(c: dict, horizon: float, times, runs: int = 1, extra: int = 1):
 def _smve_simulate(args, c: dict) -> int:
     mu, horizon = laws.parse(c["mu0"], "mu0"), float(c["horizon"])
     times = _times(c, [0.0, horizon])
-    spec = _spec(c, horizon, times)  # extra: b2's output, or the variance's temporary
+    spec = _spec(c, horizon, times, extra=1)  # the variance's temporary
     out = _begin(args, "smve/simulate", c)
     snaps = simulate(spec, mu, c["n"], float(c["h"]), horizon, c["seed"], times)
     rows = []
@@ -494,6 +493,10 @@ def _smve_girsanov_check(args, c: dict) -> int:
     mu, nu = laws.parse(c["mu0"], "mu0"), laws.parse(c["nu0"], "nu0")
     times = _times(c, [0.5, 1.0, 2.0])
     spec = _spec(c, max(*times, c["h"]), times, runs=2)
+    eps, lip, t = spec.epsilon, spec.lipschitz_L, max(times)
+    if not 4.0 * eps * eps * lip * lip * t <= math.log(sys.float_info.max):  # inf on overflow
+        raise ValueError(f"--epsilon {c['epsilon']:g}, --d-bound {c['d-bound']:g} and --times "
+                         f"up to {t:g} put exp(4 eps^2 D^2 t) past the float range")
     binning, tv0 = _binning(c, _PAIR_HELD), laws.tv(mu, nu)
     out = _begin(args, "smve/girsanov-check", c)
     report = girsanov_bound_check(spec, mu, nu, tv0, times, c["n"], float(c["h"]),
@@ -515,8 +518,14 @@ def _smve_girsanov_check(args, c: dict) -> int:
 def _smve_local_alpha(args, c: dict) -> int:
     b1 = (radial_confinement_drift(c["r"], c["m-ball"])
           if c["preset"] == "vh" else (lambda x: -x))
+    for key in ("radius", "t"):
+        if c[key] <= 0:
+            raise ValueError(f"--{key} must be positive, got {c[key]:g}")
     x_grid = np.array(laws.floats(c["x-grid"], "x-grid")) if c["x-grid"] else None
     starts = LOCAL_ALPHA_STARTS if x_grid is None else len(x_grid)
+    if starts < 2 or x_grid is not None and np.any(np.abs(x_grid) > c["radius"] + 1e-12):
+        raise ValueError(f"--x-grid needs two or more starts in the --radius "
+                         f"{c['radius']:g} ball, got {c['x-grid']!r}")
     _on_grid(c, "t", c["t"])
     binning = _binning(c, starts + 1)
     _budget(c, "n-sims", "particle", starts)  # x: n-sims rows per start
@@ -545,10 +554,12 @@ def _smve_lyapunov(args, c: dict) -> int:
             f"that fit the {GRID_BUDGET_BYTES >> 30} GiB budget at the smallest n, 100")
     _on_grid(c, "lag", lag)  # the snapshots one lag apart fall on steps one lag apart
     times = [k * lag for k in range(int(lags) + 1)]
-    spec = _spec(c, horizon, times)  # extra: the weights of a snapshot
+    spec = _spec(c, horizon, times, extra=1)  # the weights of a snapshot
+    V = WeightFunction(c["r"], c["m-ball"])
+    if V.kappa * V.M > math.log(sys.float_info.max):
+        raise ValueError(f"--m-ball {c['m-ball']:g} puts exp(kappa M) past the float range")
     out = _begin(args, "smve/lyapunov", c)
     snaps = simulate(spec, nu, c["n"], float(c["h"]), horizon, c["seed"], times)
-    V = WeightFunction(c["r"], c["m-ball"])
     fit = lyapunov_diagnostic(snaps, V, lag)
     ok = fit.degenerate or (fit.gamma_hat < 1.0)
     doc = report_document(

@@ -131,28 +131,26 @@ class WeightFunction:
 class SMVESpec:
     """Coefficients and constants of one mean-field model.
 
-    ``b1`` is the confining drift, a function of each position alone: it
-    maps an (m, d) block of rows to their (m, d) drifts, and ``simulate``
-    calls it on one block of rows at a time, and may call it on disjoint
-    blocks from several threads at once.  ``b2`` is the interaction:
-    it maps the whole (n, d) array of positions, which is the empirical
-    law mu of the particles, to the (n, d) drifts b2(x_i, mu), once per
-    step, and must stay within ``bound_D`` in Euclidean norm (checked at
-    runtime).  ``lipschitz_L`` is the constant used in perturbation
-    bounds; for the shipped coefficients it is derived by hand, not
-    fitted.
+    ``b1`` is the confining drift: it maps an (m, d) block of rows to
+    their (m, d) drifts.  ``b2`` is the interaction b2(x, mu), curried:
+    it maps the (n, d) positions, the empirical law mu, to the row map
+    x -> b2(x, mu) of (m, d) blocks.  Each step, ``simulate`` calls b2
+    once, then b1 and the row map on one block of rows at a time,
+    possibly on disjoint blocks from several threads at once.  |b2| must
+    stay within ``bound_D`` (checked at runtime); ``lipschitz_L`` is the
+    constant of the perturbation bounds, derived by hand, not fitted,
+    for the shipped coefficients.
 
-    Neither coefficient may modify the positions: ``simulate`` passes
+    No coefficient may modify the positions: ``simulate`` passes
     read-only views of the particles it steps in place, valid for the
-    duration of the call.  Either may return its input or a view of it,
-    or an array that broadcasts to its input's shape;
-    ``simulate`` never writes into what they return.  A step holds the
-    positions, b2's output when eps > 0, and a few blocks of rows.
+    duration of the call.  b1 and the row map may return their input, a
+    view of it, or an array that broadcasts to its shape (a 2-d one for
+    the row map); ``simulate`` never writes into what they return.
     """
 
     dimension: int
     b1: Callable[[np.ndarray], np.ndarray]
-    b2: Callable[[np.ndarray], np.ndarray] | None
+    b2: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]] | None
     epsilon: float
     bound_D: float
     lipschitz_L: float
@@ -212,17 +210,17 @@ def radial_confinement_drift(r: float, M: float) -> Callable[[np.ndarray], np.nd
     return b1
 
 
-def mean_attraction_coupling(D: float) -> Callable[[np.ndarray], np.ndarray]:
+def mean_attraction_coupling(D: float) -> Callable:
     """b2(x, mu) = (D / sqrt(d)) tanh(mean(mu) - x), bounded by D in
-    Euclidean norm for any dimension; mu is the cloud x itself."""
+    Euclidean norm for any dimension; mu is the cloud of positions."""
     if D <= 0:
         raise ValueError("D must be positive")
 
-    def b2(x: np.ndarray) -> np.ndarray:
-        out = np.subtract(x.mean(axis=0), x)
-        np.tanh(out, out=out)
-        out *= D / math.sqrt(x.shape[1])
-        return out
+    def b2(positions: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        mean, scale = positions.mean(axis=0), D / math.sqrt(positions.shape[1])
+        # the row map: tanh(mean - x) * scale, in the one block subtract makes
+        return lambda x: np.multiply(np.tanh(t := np.subtract(mean, x), out=t),
+                                     scale, out=t)
 
     return b2
 
@@ -325,23 +323,6 @@ def _plan(n_particles: int, step_size: float, horizon: float,
     return n_steps, snap_steps
 
 
-def _interaction(spec: SMVESpec, positions: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """b2 on the whole array, checked against D, as an (n, d) array that
-    shares no memory with the particles ``x``."""
-    inter = np.broadcast_to(spec.b2(positions), x.shape)
-    # the largest row norm, a block at a time; NaN if b2 gave a NaN
-    worst = float(np.max([_row_norms(inter[rows]).max()
-                          for rows in _row_blocks(*x.shape)]))
-    if worst > spec.bound_D + 1e-9:
-        raise DriftBoundError(
-            f"{spec.label}: |b2| = {worst:.17g} exceeds D = {spec.bound_D:g}")
-    if np.may_share_memory(inter, x):
-        # read whole before any row moves: b2 may view the particles in
-        # another row order
-        inter = inter.copy()
-    return inter
-
-
 def _euler(
     spec: SMVESpec,
     initial_sampler: Callable,
@@ -353,13 +334,14 @@ def _euler(
 ) -> list[ParticleEnsemble]:
     """The Euler loop of ``simulate``, in ``lanes`` lanes (at most one
     per row block): the calling thread and lanes - 1 threads, started
-    once per run.  Step k computes b2 on the calling thread; then lane j
-    steps blocks j, j + lanes, ... in row order: b1, the step and its
-    noise sqrt(h) * xi, drawn from block c's substream of the (seed, k)
-    stream, and the finiteness check, through blocks of its own.  The
-    lanes meet at a barrier before and after the blocks of each step, and
-    after it the exception of the lowest-numbered failing block is
-    raised.  Every lane thread is joined on every exit path."""
+    once per run.  Step k calls b2 on the calling thread; then lane j
+    steps blocks j, j + lanes, ... in row order: b2's row map and its
+    bound, b1, the step and its noise sqrt(h) * xi, drawn from block c's
+    substream of the (seed, k) stream, and the finiteness check, through
+    blocks of its own.  The lanes meet at a barrier before and after the
+    blocks of each step; after it, |b2| > D on any block raises first,
+    then the lowest-numbered failing block.  Every lane thread is joined
+    on every exit path."""
     n_steps, snap_steps = plan
     d = spec.dimension
     blocks = _row_blocks(n_particles, d)
@@ -381,8 +363,8 @@ def _euler(
         snapshots.append(ParticleEnsemble(x, 0.0, step_size))
 
     scale = math.sqrt(step_size)
-    inter = None  # b2's output in the current step, if eps > 0
     failed = [None] * lanes  # per lane: (block, exception) of this step
+    worst = [0.0] * lanes  # per lane: its largest |b2| in this step
     # per lane: its step scratch, noise and finiteness mask blocks, and
     # its generator, rewound to each block's substream
     own = [(np.empty((blocks[0].stop, d)), np.empty((blocks[0].stop, d)),
@@ -390,19 +372,25 @@ def _euler(
            for _ in range(lanes)]
 
     def step(j: int, k: int) -> None:
-        # lane j's blocks of step k, in row order, until one fails:
-        # x += (b1 + eps b2) * h; x += noise, and the finiteness check
+        # lane j's blocks of step k, in row order, until one fails; b2's
+        # bound is still checked on the rest
         scratch, noise, finite, generator = own[j]
         for c in range(j, len(blocks), lanes):
             rows = blocks[c]
             try:
+                if row_map is not None:
+                    inter = row_map(positions[rows])
+                    # a NaN norm never counts
+                    worst[j] = max(worst[j], np.fmax.reduce(_row_norms(inter)).item())
+                if failed[j]:
+                    continue
                 _stream(seed, k, generator, c)
                 xb = x[rows]
                 part = scratch[:len(xb)]
-                if inter is None:
+                if row_map is None:
                     np.multiply(spec.b1(positions[rows]), step_size, out=part)
                 else:
-                    np.multiply(inter[rows], spec.epsilon, out=part)
+                    np.multiply(inter, spec.epsilon, out=part)
                     np.add(spec.b1(positions[rows]), part, out=part)
                     part *= step_size
                 xb += part
@@ -414,8 +402,7 @@ def _euler(
                     raise SimulationBlowUp(
                         f"{spec.label}: non-finite position at step {k}")
             except Exception as exc:
-                failed[j] = (c, exc)
-                return
+                failed[j] = failed[j] or (c, exc)
 
     barrier = threading.Barrier(lanes)
 
@@ -443,14 +430,15 @@ def _euler(
         # SimulationBlowUp, so numpy's overflow warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, n_steps + 1):
-                if spec.epsilon > 0:
-                    inter = _interaction(spec, positions, x)
+                row_map = spec.b2(positions) if spec.epsilon > 0 else None
                 if threads:
                     barrier.wait()
                 step(0, k)
                 if threads:
                     barrier.wait()
-                inter = None  # before the next b2 call or a snapshot copy
+                if max(worst) > spec.bound_D + 1e-9:
+                    raise DriftBoundError(f"{spec.label}: |b2| = {max(worst):.17g} "
+                                          f"exceeds D = {spec.bound_D:g}")
                 if any(failed):
                     raise min(filter(None, failed), key=lambda f: f[0])[1]
                 if k in snap_set:
@@ -491,14 +479,14 @@ def simulate(
     ``initial_sampler(rng, x)`` writes the start positions into x, the
     zeroed (n_particles, d) float array that the run then steps in
     place, and returns None; the last snapshot takes x over.  Each step
-    calls b2 once on the whole array in the calling thread, then calls
-    b1, draws the noise and steps the particles a block of rows at a
-    time, with the blocks dealt round-robin to one lane per usable CPU
-    (the calling thread and threads of this run).  Raises ValueError if
-    the sampler returns a value or the initial sample is not finite,
-    SimulationBlowUp if positions leave the finite range, and otherwise
-    the exception of the first failing block in row order, as a run in
-    one lane would.
+    calls b2 once in the calling thread, then b1 and b2's row map, draws
+    the noise and steps the particles a block of rows at a time, with
+    the blocks dealt round-robin to one lane per usable CPU (the calling
+    thread and threads of this run).  Raises ValueError if the sampler
+    returns a value or the initial sample is not finite, DriftBoundError
+    with the step's largest |b2| if any exceeds D, SimulationBlowUp if
+    positions leave the finite range, and otherwise the exception of the
+    first failing block in row order, as a run in one lane would.
     """
     plan = _plan(n_particles, step_size, horizon, snapshot_times)
     return _euler(spec, initial_sampler, n_particles, step_size, seed, plan,

@@ -441,10 +441,11 @@ class TestSmve:
             main([*argv, "--bins", str(fits)])
 
     @pytest.mark.parametrize("action, extra, key, held", [
-        ("simulate", [], "n", 3),  # snapshots at 0 and the horizon, b2's output
+        # snapshots at 0 and the horizon, the variance's temporary
+        ("simulate", [], "n", 3),
         ("simulate", ["--times", "0,1"], "n", 4),  # and x, which no snapshot takes over
-        ("decay", [], "n", 43),  # two runs of 21 snapshots
-        ("girsanov-check", [], "n", 7),  # two runs of 3 snapshots
+        ("decay", [], "n", 42),  # two runs of 21 snapshots
+        ("girsanov-check", [], "n", 6),  # two runs of 3 snapshots
         ("lyapunov", [], "n", 22),  # 21 snapshots and the weights of one
         ("local-alpha", [], "n-sims", 5),  # x, of n-sims rows per start
         ("local-alpha", ["--x-grid=-1,1"], "n-sims", 2),
@@ -531,6 +532,65 @@ class TestSmve:
             "error: --horizon 1e+308 is not a whole number of --h 1e-300 steps\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--x-grid", "0"], "--x-grid needs two or more starts in the --radius 1 ball, "
+                            "got '0'"),
+        (["--x-grid", ","], "--x-grid needs two or more starts in the --radius 1 ball, "
+                            "got ','"),
+        (["--x-grid=-1,2"], "--x-grid needs two or more starts in the --radius 1 ball, "
+                            "got '-1,2'"),
+        (["--radius", "0"], "--radius must be positive, got 0"),
+        (["--radius=-1"], "--radius must be positive, got -1"),
+        (["--t", "0"], "--t must be positive, got 0"),
+        (["--t=-1"], "--t must be positive, got -1"),
+    ], ids=["one-start", "no-start", "start-outside", "radius-0", "radius-negative",
+            "t-0", "t-negative"])
+    def test_local_alpha_options_are_checked_before_any_output(self, tmp_path, capsys,
+                                                               argv, message):
+        out = tmp_path / "x"
+        assert main(["smve", "local-alpha", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["girsanov-check", "--epsilon", "1e30"],
+         "--epsilon 1e+30, --d-bound 1 and --times up to 2 put exp(4 eps^2 D^2 t) "
+         "past the float range"),
+        (["girsanov-check", "--d-bound", "1e308"],
+         "--epsilon 0.05, --d-bound 1e+308 and --times up to 2 put exp(4 eps^2 D^2 t) "
+         "past the float range"),
+        # 4 * 2.1^2 * 40 = 705.6 is in range; 4 * 2.1^2 * 41 = 723.2 is not
+        (["girsanov-check", "--epsilon", "2.1", "--times", "0.5,41"],
+         "--epsilon 2.1, --d-bound 1 and --times up to 41 put exp(4 eps^2 D^2 t) "
+         "past the float range"),
+        (["lyapunov", "--m-ball", "1e30"],
+         "--m-ball 1e+30 puts exp(kappa M) past the float range"),
+        # kappa = 1 at r = 4: M = 709 is in range, 710 is not
+        (["lyapunov", "--r", "4", "--m-ball", "710"],
+         "--m-ball 710 puts exp(kappa M) past the float range"),
+    ], ids=["girsanov-epsilon", "girsanov-d-bound", "girsanov-times", "lyapunov",
+            "lyapunov-just-past"])
+    def test_bounds_past_the_float_range_are_refused_before_any_output(
+            self, tmp_path, capsys, argv, message):
+        # each was an OverflowError traceback after resolved_config.json
+        out = tmp_path / "x"
+        assert main(["smve", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_bounds_just_inside_the_float_range_run(self, tmp_path, monkeypatch):
+        class Began(Exception):
+            pass
+
+        def began(*args):
+            raise Began
+
+        monkeypatch.setattr(cli, "_begin", began)
+        for argv in (["girsanov-check", "--epsilon", "2.1", "--times", "0.5,40"],
+                     ["lyapunov", "--r", "4", "--m-ball", "709"]):
+            with pytest.raises(Began):
+                main(["smve", *argv, "--out", str(tmp_path / "x")])
+
     def test_times_on_the_step_grid_are_accepted(self, tmp_path):
         # 0.07 / 0.01 is 7.000000000000001 in floats
         out = tmp_path / "x"
@@ -563,8 +623,8 @@ PARTICLE_RUNS = {
     "simulate-ou": (["simulate", "--preset", "ou", "--horizon", "0.05"], "n", 3),
     "simulate-late-snapshot": (["simulate", "--horizon", "0.05", "--times", "0,0.02"],
                                "n", 4),
-    "decay": (["decay", "--horizon", "0.1"], "n", 23),
-    "girsanov-check": (["girsanov-check", "--times", "0.01,0.02,0.03"], "n", 7),
+    "decay": (["decay", "--horizon", "0.1"], "n", 22),
+    "girsanov-check": (["girsanov-check", "--times", "0.01,0.02,0.03"], "n", 6),
     "lyapunov": (["lyapunov", "--horizon", "0.1", "--lag", "0.02"], "n", 7),
     "local-alpha": (["local-alpha", "--t", "0.05"], "n-sims", 5),
 }

@@ -148,7 +148,7 @@ class TestSpecConstruction:
 
     def test_drift_bound_is_enforced_at_runtime(self):
         bad = SMVESpec(dimension=1, b1=lambda x: -x,
-                       b2=lambda x: np.full_like(x, 5.0),
+                       b2=lambda positions: lambda x: np.full_like(x, 5.0),
                        epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
         with pytest.raises(DriftBoundError, match="exceeds"):
             simulate(bad, Point(0.0), n_particles=100,
@@ -164,7 +164,7 @@ class TestSpecConstruction:
     def test_mean_attraction_is_bounded_by_D(self):
         b2 = mean_attraction_coupling(1.0)
         x = np.array([[100.0, -100.0], [0.0, 0.0], [-100.0, 100.0]])
-        norms = np.linalg.norm(b2(x), axis=1)
+        norms = np.linalg.norm(b2(x)(x), axis=1)
         assert np.all(norms <= 1.0 + 1e-12)
 
 
@@ -227,7 +227,7 @@ class TestSimulate:
 
     def test_drift_bound_error_keeps_its_message(self):
         bad = SMVESpec(dimension=1, b1=lambda x: -x,
-                       b2=lambda x: np.full_like(x, 5.0),
+                       b2=lambda positions: lambda x: np.full_like(x, 5.0),
                        epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
         threads = threading.active_count()
         with pytest.raises(DriftBoundError,
@@ -287,16 +287,21 @@ class TestSimulate:
             seen.append(x.flags.writeable)
             return -x
 
-        def b2(x):
-            seen.append(x.flags.writeable)
-            assert x.shape == (100, 2)
-            return np.zeros_like(x)
+        def b2(positions):
+            seen.append(positions.flags.writeable)
+            assert positions.shape == (100, 2)
+
+            def row_map(x):
+                seen.append(x.flags.writeable)
+                return np.zeros_like(x)
+
+            return row_map
 
         spec = SMVESpec(dimension=2, b1=b1, b2=b2, epsilon=0.1,
                         bound_D=1.0, lipschitz_L=1.0)
         simulate(spec, Point([0.0, 1.0]), n_particles=100,
                  step_size=0.01, horizon=0.03, seed=3)
-        assert seen == [False] * 6
+        assert seen == [False] * 9
 
     def test_sampler_output_is_not_written_to(self):
         # the sampler copies the caller's array into the run's own array,
@@ -348,8 +353,8 @@ def _step_noise(seed, k, n, d, whole_stream=False):
 def _reference_simulate(b1, b2, epsilon, bound_D, label, d,
                         sampler, n, h, horizon, seed, times, whole_stream=False):
     """The Euler loop as it stood before the noise moved to a worker
-    thread: fresh Philox Generators per step, norm-based bound check,
-    out-of-place update, one thread."""
+    thread: fresh Philox Generators per step, b2 on the whole array,
+    norm-based bound check, out-of-place update, one thread."""
     n_steps = int(round(horizon / h))
     snap_steps = sorted({int(round(t / h)) for t in times})
     x = np.zeros((n, d))
@@ -379,6 +384,11 @@ def _old_mean_attraction(D):
     return lambda x: (D / math.sqrt(x.shape[1])) * np.tanh(x.mean(axis=0)[None, :] - x)
 
 
+def _whole(b2):
+    """A row map's b2 as the reference loop calls it: on the whole array."""
+    return lambda x: b2(x)(x)
+
+
 # (spec, the same coefficients as the reference loop evaluated them)
 def _model(name, d):
     if name == "ou":
@@ -395,12 +405,12 @@ def _model(name, d):
         cache = {}
         b1 = lambda x: cache.setdefault(x.shape, np.full(x.shape, -0.5))
         return SMVESpec(d, b1, None, 0.0, 0.0, 0.0, "cached"), (b1, None, 0.0, 0.0)
-    # b1 returns its input and b2 a reversed view of the positions, so a
-    # write into either would change the particles
+    # b1 returns its input and b2's row map a view of its rows with the
+    # coordinates reversed, so a write into either would change the particles
     b1 = lambda x: x
-    b2 = lambda x: x[::-1]
+    b2 = lambda positions: lambda x: x[:, ::-1]
     spec = SMVESpec(d, b1, b2, 0.5, 1e6, 1.0, "alias")
-    return spec, (b1, b2, 0.5, 1e6)
+    return spec, (b1, _whole(b2), 0.5, 1e6)
 
 
 @settings(max_examples=40, deadline=None)
@@ -437,17 +447,20 @@ def test_simulate_matches_reference_euler_loop(model, n, steps, seed, h):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("drift", ["reversed", "broadcast"])
+@pytest.mark.parametrize("drift", ["broadcast", "broadcast-interaction"])
 def test_simulate_reads_an_aliased_or_broadcast_drift_whole(drift, d):
-    # the step moves a block of rows at a time: b2, which reads the whole
-    # law, may view the particles in reverse row order, and b1 may return
-    # one row broadcast to its rows; each must be read as it was before
-    # the step
-    if drift == "reversed":
-        b1, b2, eps = (lambda x: -x), (lambda x: x[::-1]), 0.5
-    else:
+    # the step moves a block of rows at a time: b1, and b2's row map, may
+    # return one row broadcast to the rows they are given
+    if drift == "broadcast":
         b1, b2, eps = (lambda x: np.linspace(-1.0, 1.0, d)), None, 0.0
-    spec = SMVESpec(d, b1, b2, eps, 1e6, 1.0, drift)
+        spec = SMVESpec(d, b1, b2, eps, 1e6, 1.0, drift)
+    else:
+        # b2 pulls every row by the same (1, d) row: 0.5 (mean - 1)
+        b1, eps = (lambda x: -x), 0.5
+        row = lambda positions: 0.5 * (positions.mean(axis=0, keepdims=True) - 1.0)
+        spec = SMVESpec(d, b1, lambda positions: lambda x, m=row(positions): m,
+                        eps, 1e6, 1.0, drift)
+        b2 = lambda x: np.broadcast_to(row(x), x.shape)
     sampler = Gauss([0.3] * d, 1.0)
     times = [0.0, 0.02, 0.03]
     got = simulate(spec, sampler, 140_000, 0.01, 0.03, 5, times)
@@ -561,7 +574,8 @@ LANE_FAILURES = {
         lambda rng, x: x.__setitem__(slice(16_384, None), 1e306),
         SimulationBlowUp, r"^late: non-finite position at step \d+$"),
     "drift bound": (
-        SMVESpec(1, lambda x: -x, lambda x: np.full_like(x, 5.0), 0.1, 1.0, 1.0),
+        SMVESpec(1, lambda x: -x, lambda positions: lambda x: np.full_like(x, 5.0),
+                 0.1, 1.0, 1.0),
         Point(0.0), DriftBoundError, r"^smve: \|b2\| = 5 exceeds D = 1$"),
     "b1 from block 1 on": (
         SMVESpec(1, _refusing_b1(10_000), None, 0.0, 0.0, 0.0),
@@ -591,10 +605,55 @@ def test_lane_failure_reaches_the_caller_as_in_one_lane(failure, lanes, monkeypa
         assert 1 < int(step) < 20
 
 
+def _b2_by_block(block_values):
+    """A b2 whose row map gives each row the value of its block in
+    ``block_values`` (blocks of 16,384 rows), read off the row index
+    that ``_row_index_sampler`` puts at step 1."""
+    values = np.array(block_values)
+    return lambda positions: lambda x: values[(x // 16_384).astype(int)]
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+@pytest.mark.parametrize("norms", [(4.0, 3.0), (3.0, 4.0)])
+def test_drift_bound_beats_a_blow_up_and_carries_the_largest_norm(norms, lanes,
+                                                                 no_leftovers):
+    # block 0 blows up at step 1; blocks 1 and 2, in different lanes at
+    # two and three lanes, exceed D.  In two lanes, lane 0 checks block
+    # 2 after block 0 failed.
+    def b1(x):
+        return np.full_like(x, np.inf) if x[0, 0] < 16_384 else -x
+
+    spec = SMVESpec(1, b1, _b2_by_block([0.0, *norms, 0.0]), 0.1, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DriftBoundError, match=r"^smve: \|b2\| = 4 exceeds D = 1$"):
+            _in_lanes(spec, _row_index_sampler, 57_344, 0.01, 0.2, 1, None, lanes)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+@pytest.mark.parametrize("where", ["same block", "other block"])
+def test_a_nan_interaction_hides_no_norm_over_the_bound(where, lanes, no_leftovers):
+    # a NaN |b2| never counts, and never hides |b2| > D elsewhere in the
+    # step: before the bound check moved into the blocks, a NaN anywhere
+    # made the step's largest norm NaN, and the run ended in SimulationBlowUp
+    def b2(positions):
+        def row_map(x):
+            out = np.where(x < 16_384, np.nan, 0.0)
+            out[(x == 40_000) if where == "other block" else (x == 5)] = 5.0
+            return out
+        return row_map
+
+    spec = SMVESpec(1, lambda x: -x, b2, 0.1, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DriftBoundError, match=r"^smve: \|b2\| = 5 exceeds D = 1$"):
+            _in_lanes(spec, _row_index_sampler, 57_344, 0.01, 0.2, 1, None, lanes)
+
+
 def test_more_lanes_than_cpus_at_a_short_switch_interval_match_one_lane(no_leftovers):
     # five lanes on the six blocks of a wide vh run, switching threads
     # every microsecond: a lost or early update of the positions, of b2's
-    # output or of a lane's failure slot would change the bytes
+    # row map or of a lane's failure slot would change the bytes
     spec, _ = _model("vh", 2)
     sampler = Gauss([0.3, 0.3], 1.0)
     want = _in_lanes(spec, sampler, 45_000, 0.01, 0.05, 3, None, 1)
@@ -653,19 +712,20 @@ def _use_cpus(monkeypatch, count):
                         raising=False)
 
 
-def _wide_bound(particle_arrays: int, lanes: int = 1) -> int:
+def _wide_bound(particle_arrays: int, lanes: int = 1, interaction: bool = False) -> int:
     """What a run of WIDE particles in one dimension may hold at its
-    peak: x (and b2's output, if it has one) and at most five blocks per
-    lane (the step's scratch, its noise and its finiteness mask, and b1's
-    output and its per-row norms for one block), never a particle-sized
-    copy, drift or noise array."""
-    return particle_arrays * 8 * WIDE + 5 * lanes * mckean_vlasov._BLOCK_BYTES
+    peak: x and at most five blocks per lane (the step's scratch, its
+    noise and its finiteness mask, and b1's output and its per-row norms
+    for one block), and a sixth, b2's output for that block, with an
+    ``interaction``; never a particle-sized copy, drift or noise array."""
+    blocks = 6 if interaction else 5
+    return particle_arrays * 8 * WIDE + blocks * lanes * mckean_vlasov._BLOCK_BYTES
 
 
 # (model, the particle arrays a wide run of it holds)
 WIDE_MODELS = [
     ("probe", 1),  # x
-    ("vh", 2),  # x and b2's output
+    ("vh", 1),  # x; b2's row map gives one block at a time
 ]
 
 
@@ -682,13 +742,16 @@ def _wide_simulate_peak(model) -> int:
 def test_wide_simulate_allocates_no_particle_sized_scratch(model, particle_arrays,
                                                            monkeypatch):
     _use_cpus(monkeypatch, 1)
-    assert _wide_simulate_peak(model) <= _wide_bound(particle_arrays)
+    assert _wide_simulate_peak(model) <= _wide_bound(particle_arrays,
+                                                     interaction=model == "vh")
 
 
 @pytest.mark.parametrize("model, particle_arrays", WIDE_MODELS)
 def test_wide_simulate_holds_five_blocks_per_lane(model, particle_arrays, monkeypatch):
+    # and a sixth with an interaction
     _use_cpus(monkeypatch, 3)
-    assert _wide_simulate_peak(model) <= _wide_bound(particle_arrays, lanes=3)
+    assert _wide_simulate_peak(model) <= _wide_bound(particle_arrays, lanes=3,
+                                                     interaction=model == "vh")
 
 
 def _local_alpha_peak() -> int:
@@ -972,7 +1035,7 @@ def test_runs_before_the_failure_are_yielded(no_leftovers):
 
 def test_worker_failure_keeps_its_type_and_message(no_leftovers):
     bad = SMVESpec(dimension=1, b1=lambda x: -x,
-                   b2=lambda x: np.full_like(x, 5.0),
+                   b2=lambda positions: lambda x: np.full_like(x, 5.0),
                    epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
     runs = [(Point(0.0), 1), (Point(0.0), 2)]
     with pytest.raises(DriftBoundError, match=r"^smve: \|b2\| = 5 exceeds D = 1$"):
