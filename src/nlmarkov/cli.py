@@ -15,6 +15,11 @@ applicable, into --out (or $NLMARKOV_OUT, or ./nlmarkov-out).  Outputs
 carry no timestamps and floats are printed in full precision, so a
 rerun with the same configuration is byte-identical.
 
+``import nlmarkov.cli`` loads the chain half (kernels, kernel_spec,
+ergodicity, counterexamples, measures), laws and reporting, with numpy;
+an smve action imports the particle half (mckean_vlasov, diagnostics,
+and numpy.random through them) when it runs.
+
 Exit codes: 0 all claims hold, 1 a certified claim was falsified,
 2 usage or configuration error, 3 numerical failure (a particle run
 blew up or its interaction exceeded its declared bound, a stock kernel
@@ -39,16 +44,6 @@ from .counterexamples import (
     verify_no_invariant_recursion,
     verify_oscillation,
 )
-from .diagnostics import (
-    LOCAL_ALPHA_STARTS,
-    Binning,
-    DecayFitError,
-    bootstrap_floor,
-    estimate_local_alpha,
-    fit_decay,
-    girsanov_bound_check,
-    lyapunov_diagnostic,
-)
 from .ergodicity import check_rate, evolve
 from .kernel_spec import compile_kernel_spec
 from .kernels import (
@@ -67,18 +62,8 @@ from .kernels import (
 )
 from . import laws
 from .measures import DiscreteMeasure
-from .mckean_vlasov import (
-    DriftBoundError,
-    SimulationBlowUp,
-    WeightFunction,
-    _plan,
-    make_ou_spec,
-    make_vh_spec,
-    radial_confinement_drift,
-    simulate,
-    simulate_runs,
-)
-from .reporting import Claim, report_document, write_csv, write_json_report
+from .reporting import (Claim, NumericalFailure, report_document, write_csv,
+                        write_json_report)
 
 
 class Option(NamedTuple):
@@ -246,6 +231,9 @@ def _finish(out: Path, doc: dict, line: str, file=None) -> int:
 # may build (validation evaluates the kernel on the whole grid at once),
 # and the most histogram or particle arrays an smve action holds at once.
 GRID_BUDGET_BYTES = 2**30
+# The most particle-steps (particles times Euler steps, summed over its
+# runs) an smve action may take.
+STEP_BUDGET = 10**11
 
 
 def _run_chain(args, resolved: dict) -> int:
@@ -375,6 +363,9 @@ def _run_counterexample(args, resolved: dict) -> int:
 
 
 def _run_smve(args, c: dict) -> int:
+    """Run the smve action.  The particle half (mckean_vlasov, diagnostics
+    and, through them, numpy.random) is imported by the functions below
+    when they run, so a chain or counterexample run never loads it."""
     if c["h"] <= 0:
         raise ValueError("h must be positive")
     return _SMVE_RUNNERS[args.action](args, c)
@@ -388,6 +379,16 @@ def _budget(c: dict, key: str, kind: str, held: int, extra: int = 0) -> None:
             f"{key} {c[key]} needs {held} {kind} arrays of {c[key] + extra} "
             f"floats at once, over the {GRID_BUDGET_BYTES >> 30} GiB budget; the "
             f"largest {key} that fits is {fits}")
+
+
+def _step_budget(option: str, particles: int, steps: int) -> None:
+    """Refuse a run of ``particles`` through ``steps`` Euler steps over
+    the step budget; ``option`` names the option that set the steps."""
+    if particles * steps > STEP_BUDGET:
+        raise ValueError(
+            f"{option} takes {particles} particles through {steps:g} steps, over the "
+            f"budget of {STEP_BUDGET:g} particle-steps; at most "
+            f"{STEP_BUDGET // particles} steps fit")
 
 
 def _on_grid(c: dict, key: str, value: float) -> None:
@@ -411,7 +412,10 @@ def _spec(c: dict, horizon: float, times, runs: int = 1, extra: int = 0):
     are checked.  n is budgeted by the particle arrays the action holds
     at once in this process: the snapshots of its ``runs`` runs, x if the
     last snapshot does not take it over, and ``extra`` temporaries of
-    what reads the snapshots; forked workers hold their runs besides."""
+    what reads the snapshots; forked workers hold their runs besides.
+    The runs' particle-steps are budgeted too."""
+    from .mckean_vlasov import _plan, make_ou_spec, make_vh_spec
+
     if c["n"] < 100:
         raise ValueError("n must be at least 100")
     if c["epsilon"] < 0:
@@ -420,11 +424,15 @@ def _spec(c: dict, horizon: float, times, runs: int = 1, extra: int = 0):
         _on_grid(c, "horizon", horizon)
     n_steps, snaps = _plan(c["n"], float(c["h"]), horizon, times)
     _budget(c, "n", "particle", runs * len(snaps) + (snaps[-1] < n_steps) + extra)
+    _step_budget(f"--{'horizon' if 'horizon' in c else 'times'} {horizon:g}",
+                 runs * c["n"], n_steps)
     return make_ou_spec() if c["preset"] == "ou" else make_vh_spec(
         r=c["r"], M=c["m-ball"], D=c["d-bound"], epsilon=c["epsilon"])
 
 
 def _smve_simulate(args, c: dict) -> int:
+    from .mckean_vlasov import simulate
+
     mu, horizon = laws.parse(c["mu0"], "mu0"), float(c["horizon"])
     times = _times(c, [0.0, horizon])
     spec = _spec(c, horizon, times, extra=1)  # the variance's temporary
@@ -443,8 +451,10 @@ def _smve_simulate(args, c: dict) -> int:
     return _finish(out, doc, f"simulated {c['n']} particles to t={horizon:g} -> {out}")
 
 
-def _binning(c: dict, held: int) -> Binning:
+def _binning(c: dict, held: int):
     """The action's binning, its ``held`` arrays of bins + 1 floats budgeted."""
+    from .diagnostics import Binning
+
     _budget(c, "bins", "histogram", held, 1)
     return Binning(c["bin-lo"], c["bin-hi"], c["bins"])
 
@@ -455,6 +465,9 @@ _PAIR_HELD = 3
 
 
 def _smve_decay(args, c: dict) -> int:
+    from .diagnostics import DecayFitError, bootstrap_floor, fit_decay
+    from .mckean_vlasov import simulate_runs
+
     mu, nu = laws.parse(c["mu0"], "mu0"), laws.parse(c["nu0"], "nu0")
     horizon = float(c["horizon"])
     times = _times(c, np.linspace(0.0, horizon, 21).tolist())
@@ -490,11 +503,14 @@ def _smve_decay(args, c: dict) -> int:
 
 
 def _smve_girsanov_check(args, c: dict) -> int:
+    from .diagnostics import girsanov_bound_check, girsanov_rate
+
     mu, nu = laws.parse(c["mu0"], "mu0"), laws.parse(c["nu0"], "nu0")
     times = _times(c, [0.5, 1.0, 2.0])
     spec = _spec(c, max(*times, c["h"]), times, runs=2)
-    eps, lip, t = spec.epsilon, spec.lipschitz_L, max(times)
-    if not 4.0 * eps * eps * lip * lip * t <= math.log(sys.float_info.max):  # inf on overflow
+    t = max(times)
+    # the bound's largest exponent, as girsanov_bound_check computes it
+    if not girsanov_rate(spec.epsilon, spec.lipschitz_L) * t <= math.log(sys.float_info.max):
         raise ValueError(f"--epsilon {c['epsilon']:g}, --d-bound {c['d-bound']:g} and --times "
                          f"up to {t:g} put exp(4 eps^2 D^2 t) past the float range")
     binning, tv0 = _binning(c, _PAIR_HELD), laws.tv(mu, nu)
@@ -516,6 +532,9 @@ def _smve_girsanov_check(args, c: dict) -> int:
 
 
 def _smve_local_alpha(args, c: dict) -> int:
+    from .diagnostics import LOCAL_ALPHA_STARTS, estimate_local_alpha
+    from .mckean_vlasov import radial_confinement_drift
+
     b1 = (radial_confinement_drift(c["r"], c["m-ball"])
           if c["preset"] == "vh" else (lambda x: -x))
     for key in ("radius", "t"):
@@ -529,6 +548,7 @@ def _smve_local_alpha(args, c: dict) -> int:
     _on_grid(c, "t", c["t"])
     binning = _binning(c, starts + 1)
     _budget(c, "n-sims", "particle", starts)  # x: n-sims rows per start
+    _step_budget(f"--t {c['t']:g}", starts * c["n-sims"], round(c["t"] / c["h"]))
     out = _begin(args, "smve/local-alpha", c)
     alpha_hat = estimate_local_alpha(b1, c["radius"], c["t"], c["n-sims"], binning,
                                      x_grid, step_size=float(c["h"]), seed=c["seed"])
@@ -541,6 +561,9 @@ def _smve_local_alpha(args, c: dict) -> int:
 
 
 def _smve_lyapunov(args, c: dict) -> int:
+    from .diagnostics import lyapunov_diagnostic
+    from .mckean_vlasov import WeightFunction, simulate
+
     nu, horizon, lag = laws.parse(c["nu0"], "nu0"), float(c["horizon"]), float(c["lag"])
     if lag <= 0:
         raise ValueError("lag must be positive")
@@ -610,10 +633,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args, _resolve(args))
-    except (ValueError, SimulationBlowUp, DriftBoundError) as exc:
+    except (ValueError, NumericalFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # a ValueError is a usage error, but a kernel's non-stochastic row
-        # is a numerical failure, as are the other two
+        # is a numerical failure, as is a particle run's blow-up or
+        # exceeded interaction bound
         usage = isinstance(exc, ValueError) and not isinstance(exc, KernelValidationError)
         return 2 if usage else 3
 

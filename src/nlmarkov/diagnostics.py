@@ -41,6 +41,7 @@ __all__ = [
     "LOCAL_ALPHA_STARTS",
     "lyapunov_diagnostic",
     "girsanov_bound_check",
+    "girsanov_rate",
     "BOOTSTRAP_PAIRS",
     "bootstrap_floor",
     "calibrate_tv_allowance",
@@ -146,6 +147,8 @@ def estimate_local_alpha(
         raise ValueError("x_grid must lie inside the R-ball")
 
     k, d = x_grid.shape
+    if k < 2:
+        raise ValueError(f"x_grid needs two or more starts, got {k}")
 
     def sampler(rng, x):
         # n_sims rows at each start, in grid order
@@ -267,6 +270,13 @@ class GirsanovReport(Record):
             yield (t, est, b, b + self.allowance - est)
 
 
+def girsanov_rate(epsilon: float, lipschitz_L: float) -> float:
+    """The rate 4 eps^2 L^2 of the coupling bound, as 4 (eps L)(eps L): it
+    overflows only when the rate itself does, however large eps or L."""
+    el = epsilon * lipschitz_L
+    return 4.0 * el * el
+
+
 def girsanov_bound_check(
     spec: SMVESpec,
     mu0_sampler: Callable,
@@ -299,7 +309,7 @@ def girsanov_bound_check(
     if allowance is None:
         allowance = bootstrap_floor(run_a, binning, seed)
 
-    rate = 4.0 * spec.epsilon**2 * spec.lipschitz_L**2
+    rate = girsanov_rate(spec.epsilon, spec.lipschitz_L)
     estimates, bounds, violations = [], [], []
     for a, b in zip(run_a, run_b):
         est = _ensemble_tv(a, b, binning)

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator
 
 __all__ = ["FORMS", "Point", "Gauss", "Mix", "floats", "parse", "tv"]
 
@@ -23,7 +22,7 @@ class Point:
 
     x0: float | tuple
 
-    def __call__(self, rng: Generator, x: np.ndarray) -> None:
+    def __call__(self, rng: np.random.Generator, x: np.ndarray) -> None:
         x[:] = np.reshape(self.x0, x.shape[1])
 
     def atoms(self) -> dict:
@@ -41,7 +40,7 @@ class Gauss:
         if not 0 < self.std < math.inf:
             raise ValueError("std must be finite and positive")
 
-    def __call__(self, rng: Generator, x: np.ndarray) -> None:
+    def __call__(self, rng: np.random.Generator, x: np.ndarray) -> None:
         rng.standard_normal(out=x)
         x *= self.std
         x += np.reshape(self.mean, x.shape[1])
@@ -61,7 +60,7 @@ class Mix:
         if not 0 <= self.w0 <= 1:
             raise ValueError("weight0 must lie in [0, 1]")
 
-    def __call__(self, rng: Generator, x: np.ndarray) -> None:
+    def __call__(self, rng: np.random.Generator, x: np.ndarray) -> None:
         n0 = round(self.w0 * len(x))
         x[:n0] = np.reshape(self.x0, x.shape[1])
         x[n0:] = np.reshape(self.x1, x.shape[1])

@@ -28,6 +28,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .reporting import NumericalFailure
+
 __all__ = [
     "WeightFunction",
     "SMVESpec",
@@ -45,11 +47,11 @@ __all__ = [
 ]
 
 
-class SimulationBlowUp(RuntimeError):
+class SimulationBlowUp(NumericalFailure):
     """A particle reached a non-finite position."""
 
 
-class DriftBoundError(RuntimeError):
+class DriftBoundError(NumericalFailure):
     """The interaction term exceeded its declared bound at runtime."""
 
 

@@ -40,6 +40,7 @@ CSV_SCHEMA = "nlmarkov.csv/1"
 __all__ = [
     "Record",
     "Claim",
+    "NumericalFailure",
     "report_document",
     "write_json_report",
     "write_csv",
@@ -61,6 +62,10 @@ class Claim(Record):
     name: str
     passed: bool
     witness: dict = field(default_factory=dict)
+
+
+class NumericalFailure(RuntimeError):
+    """A run failed numerically; the CLI exits 3 with its one-line message."""
 
 
 def _plain(value):

@@ -399,9 +399,18 @@ class TestSmve:
         def exceeded(*args, **kwargs):
             raise DriftBoundError("vh: |b2| = 5 exceeds D = 1")
 
-        monkeypatch.setattr(cli, "simulate", exceeded)
+        monkeypatch.setattr(mckean_vlasov, "simulate", exceeded)
         assert main(["smve", "simulate", "--out", str(tmp_path / "run")]) == 3
         assert capsys.readouterr().err == "error: vh: |b2| = 5 exceeds D = 1\n"
+
+    def test_other_runtime_errors_are_not_numerical_failures(self, tmp_path, monkeypatch):
+        # such as a forked worker that died without reporting its run
+        def died(*args, **kwargs):
+            raise RuntimeError("worker 1 exited with code -9")
+
+        monkeypatch.setattr(mckean_vlasov, "simulate", died)
+        with pytest.raises(RuntimeError, match="worker 1 exited"):
+            main(["smve", "simulate", "--out", str(tmp_path / "run")])
 
     def test_usage_errors(self, tmp_path):
         out = str(tmp_path / "x")
@@ -533,6 +542,43 @@ class TestSmve:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--horizon", "1e30"],
+         "--horizon 1e+30 takes 10000 particles through 1e+32 steps"),
+        (["decay", "--horizon", "1e30"],
+         "--horizon 1e+30 takes 20000 particles through 1e+32 steps"),
+        (["girsanov-check", "--times", "0.5,1e30"],
+         "--times 1e+30 takes 20000 particles through 1e+32 steps"),
+        (["lyapunov", "--horizon", "1e30", "--lag", "1e29"],
+         "--horizon 1e+30 takes 10000 particles through 1e+32 steps"),
+        (["local-alpha", "--t", "1e30"],
+         "--t 1e+30 takes 500000 particles through 1e+32 steps"),
+        # 10^11 particle-steps fit: 1000 particles through 10^8 steps
+        (["simulate", "--n", "1001", "--horizon", "1e6"],
+         "--horizon 1e+06 takes 1001 particles through 1e+08 steps"),
+    ], ids=["simulate", "decay", "girsanov-check", "lyapunov", "local-alpha",
+            "simulate-just-past"])
+    def test_runs_over_the_step_budget_are_refused_before_any_output(
+            self, tmp_path, capsys, argv, message):
+        # each ran on, after making its output directory, with no end in sight
+        out = tmp_path / "x"
+        assert main(["smve", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}, over the budget of 1e+11 particle-steps")
+        assert not out.exists()
+
+    def test_runs_at_the_step_budget_are_accepted(self, tmp_path, monkeypatch):
+        class Began(Exception):
+            pass
+
+        def began(*args):
+            raise Began
+
+        monkeypatch.setattr(cli, "_begin", began)
+        with pytest.raises(Began):
+            main(["smve", "simulate", "--n", "1000", "--horizon", "1e6",
+                  "--out", str(tmp_path / "x")])
+
+    @pytest.mark.parametrize("argv, message", [
         (["--x-grid", "0"], "--x-grid needs two or more starts in the --radius 1 ball, "
                             "got '0'"),
         (["--x-grid", ","], "--x-grid needs two or more starts in the --radius 1 ball, "
@@ -590,6 +636,16 @@ class TestSmve:
                      ["lyapunov", "--r", "4", "--m-ball", "709"]):
             with pytest.raises(Began):
                 main(["smve", *argv, "--out", str(tmp_path / "x")])
+
+    def test_girsanov_check_runs_with_a_finite_rate_of_huge_factors(self, tmp_path):
+        # eps = 1e200 and D = 1e-200 give the rate 4 (eps D)^2 = 4, although
+        # eps^2 alone overflows
+        out = tmp_path / "x"
+        assert main(["smve", "girsanov-check", "--epsilon", "1e200", "--d-bound", "1e-200",
+                     "--n", "100", "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["details"]["report"]["bounds"][-1] == pytest.approx(
+            math.sqrt(2.0) * 0.2 * math.exp(4.0 * 2.0))
 
     def test_times_on_the_step_grid_are_accepted(self, tmp_path):
         # 0.07 / 0.01 is 7.000000000000001 in floats
@@ -937,36 +993,46 @@ def test_smve_runs_do_not_load_numpy_ma(tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
-def test_cli_import_does_not_load_scipy():
-    # numpy is the only runtime dependency: a fresh interpreter that
-    # imports the entry point must not pull scipy in
+# The particle half, and the random numbers only it draws: an smve action
+# imports them when it runs.  (numpy before 2.0 loads numpy.random itself.)
+PARTICLE_MODULES = ("numpy.random", "nlmarkov.mckean_vlasov", "nlmarkov.diagnostics")
+
+
+# What a fresh interpreter that imports the entry point must not load
+# beyond what numpy loads: scipy, since numpy is the only runtime
+# dependency; concurrent.futures, which nothing the CLI runs needs and
+# which would add about 8 ms to every start; multiprocessing, which
+# simulate_runs imports when it first forks workers; and the particle
+# modules.
+@pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "multiprocessing",
+                                    *PARTICLE_MODULES])
+def test_cli_import_does_not_load(module):
     src = str(Path(nlmarkov.__file__).resolve().parents[1])
-    code = "import sys, nlmarkov.cli; print('scipy' in sys.modules)"
+    code = (f"import sys, numpy; before = {module!r} in sys.modules\n"
+            f"import nlmarkov.cli; print({module!r} in sys.modules and not before)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "False"
 
 
-def test_cli_import_does_not_load_concurrent_futures():
-    # nothing the CLI runs needs concurrent.futures, which would add
-    # about 8 ms to every CLI start
+def test_only_an_smve_run_loads_the_particle_modules(tmp_path):
     src = str(Path(nlmarkov.__file__).resolve().parents[1])
-    code = "import sys, nlmarkov.cli; print('concurrent.futures' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.strip() == "False"
-
-
-def test_cli_import_does_not_load_multiprocessing():
-    # simulate_runs imports multiprocessing when it first forks workers
-    src = str(Path(nlmarkov.__file__).resolve().parents[1])
-    code = "import sys, nlmarkov.cli; print('multiprocessing' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.strip() == "False"
+    code = ("import sys, numpy\n"
+            f"modules = [m for m in {PARTICLE_MODULES!r} if m not in sys.modules]\n"
+            "from nlmarkov.cli import main\n"
+            "for argv in sys.argv[1:]:\n"
+            "    assert main(argv.split()) == 0, argv\n"
+            "    loaded = [m in sys.modules for m in modules]\n"
+            "    print('all' if all(loaded) else 'some' if any(loaded) else 'none',\n"
+            "          file=sys.stderr)")
+    runs = ["chain", "counterexample oscillation", "counterexample continuum",
+            "counterexample no-invariant", "smve local-alpha --n-sims 100"]
+    argv = [f"{run} --out {tmp_path / str(i)}" for i, run in enumerate(runs)]
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    loaded = done.stderr.splitlines()
+    assert loaded == ["none"] * 4 + ["all"]
 
 
 def test_names_the_benchmark_tracer_reads_still_exist():

@@ -22,6 +22,7 @@ from nlmarkov.diagnostics import (
     estimate_local_alpha,
     fit_decay,
     girsanov_bound_check,
+    girsanov_rate,
     lyapunov_diagnostic,
 )
 from nlmarkov.laws import Gauss, Point
@@ -89,6 +90,18 @@ class TestEstimateLocalAlpha:
         with pytest.raises(ValueError, match="ball"):
             estimate_local_alpha(ou_drift(), R=1.0, t=1.0, n_sims=500,
                                  x_grid=np.array([0.0, 2.0]))
+
+    @pytest.mark.parametrize("x_grid", [[0.0], []], ids=["one-start", "no-start"])
+    def test_fewer_than_two_starts_are_refused_before_the_run(self, monkeypatch, x_grid):
+        # with one start there is no pair to compare; the run used to be
+        # made first, then max() failed over no pairs
+        def unreached(*args, **kwargs):
+            raise AssertionError("simulate was called")
+
+        monkeypatch.setattr(diagnostics, "simulate", unreached)
+        with pytest.raises(ValueError, match="x_grid needs two or more starts"):
+            estimate_local_alpha(ou_drift(), R=1.0, t=1.0, n_sims=500,
+                                 x_grid=np.array(x_grid))
 
 
 def _peak(call) -> int:
@@ -266,6 +279,16 @@ class TestGirsanovBoundCheck:
             seed=9, binning=self.binning, allowance=None)
         run = simulate(make_ou_spec(), Point(0.0), 200, 0.01, 0.2, 9, [0.1, 0.2])
         assert rep.allowance == bootstrap_floor(run, self.binning, 9) > 0.0
+
+    def test_rate_is_finite_whenever_eps_times_l_is(self):
+        assert girsanov_rate(0.05, 1.0) == 0.010000000000000002  # the defaults
+        assert girsanov_rate(1e200, 1e-200) == pytest.approx(4.0)  # eps**2 overflows
+        assert girsanov_rate(1e200, 1.0) == math.inf  # the rate itself overflows
+        rep = girsanov_bound_check(
+            make_vh_spec(D=1e-200, epsilon=1e200), Point(0.0), Point(0.0),
+            tv0=0.2, times=[0.1], n_particles=200, step_size=0.01,
+            seed=9, binning=self.binning)
+        assert rep.bounds[0] == pytest.approx(math.sqrt(2.0) * 0.2 * math.exp(0.4))
 
     def test_to_dict_has_passed_flag(self):
         rep = girsanov_bound_check(
