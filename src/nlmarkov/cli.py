@@ -229,11 +229,19 @@ def _finish(out: Path, doc: dict, line: str, file=None) -> int:
 
 # The largest (G, n, n) float64 stack of kernel matrices a chain run
 # may build (validation evaluates the kernel on the whole grid at once),
-# and the most histogram or particle arrays an smve action holds at once.
+# and the most histogram, particle or step arrays a run holds at once.
 GRID_BUDGET_BYTES = 2**30
 # The most particle-steps (particles times Euler steps, summed over its
 # runs) an smve action may take.
 STEP_BUDGET = 10**11
+# The floats a step holds at most, by which --steps is budgeted like n:
+# 25 + 10 n for an n-state chain (its orbit row, Python floats and the CSV
+# lines write_csv joins; tracemalloc over 10^5 steps measured 340, 462,
+# 730 and 1,596 bytes at n = 2, 5, 10, 20), and 20 for the oscillation or
+# continuum replay (96 and 136 bytes measured).  The no-invariant replay
+# sums n - 1 profile terms at each n up to --n-max: 5 x 10^7 terms took
+# 4.7 s on a 2-CPU x86 host, so at most NO_INVARIANT_TERMS.
+CHAIN_STEP_FLOATS, REPLAY_STEP_FLOATS, NO_INVARIANT_TERMS = (25, 10), 20, 10**8
 
 
 def _run_chain(args, resolved: dict) -> int:
@@ -260,6 +268,7 @@ def _run_chain(args, resolved: dict) -> int:
         kernel = compile_kernel_spec(raw.decode("utf-8"))
 
     n = kernel.space_size
+    _budget(resolved, "steps", "step", CHAIN_STEP_FLOATS[0] + CHAIN_STEP_FLOATS[1] * n)
     resolution = resolved["resolution"] or default_resolution(n)
     size = math.comb(resolution + n - 1, n - 1)
     if size * n * n * 8 > GRID_BUDGET_BYTES:
@@ -350,6 +359,14 @@ _REPLAYS = {
 
 def _run_counterexample(args, resolved: dict) -> int:
     kind = args.which
+    n_max = resolved["n-max"]
+    if kind != "no-invariant":
+        _budget(resolved, "steps", "step", REPLAY_STEP_FLOATS)
+    elif n_max * (n_max - 1) // 2 > NO_INVARIANT_TERMS:
+        raise ValueError(
+            f"n-max {n_max} sums {n_max * (n_max - 1) // 2} profile terms, over the "
+            f"budget of {NO_INVARIANT_TERMS:g}; the largest n-max that fits is "
+            f"{(1 + math.isqrt(1 + 8 * NO_INVARIANT_TERMS)) // 2}")
     out = _begin(args, f"counterexample/{kind}", resolved)
     report = _REPLAYS[kind](resolved)
     status = "reproduced" if report.passed else "FALSIFIED"
@@ -408,12 +425,11 @@ def _times(c: dict, default: list) -> list:
 
 
 def _spec(c: dict, horizon: float, times, runs: int = 1, extra: int = 0):
-    """The model options' particle system, once they, --horizon and n
-    are checked.  n is budgeted by the particle arrays the action holds
-    at once in this process: the snapshots of its ``runs`` runs, x if the
-    last snapshot does not take it over, and ``extra`` temporaries of
-    what reads the snapshots; forked workers hold their runs besides.
-    The runs' particle-steps are budgeted too."""
+    """The model options' particle system and its runs' snapshot count,
+    once they, --horizon and n are checked.  n is budgeted by the
+    particle arrays the action holds at once in this process: x, and
+    ``extra`` temporaries of its observer; forked workers hold an x
+    each.  The ``runs`` runs' particle-steps are budgeted too."""
     from .mckean_vlasov import _plan, make_ou_spec, make_vh_spec
 
     if c["n"] < 100:
@@ -423,28 +439,28 @@ def _spec(c: dict, horizon: float, times, runs: int = 1, extra: int = 0):
     if "horizon" in c:
         _on_grid(c, "horizon", horizon)
     n_steps, snaps = _plan(c["n"], float(c["h"]), horizon, times)
-    _budget(c, "n", "particle", runs * len(snaps) + (snaps[-1] < n_steps) + extra)
+    _budget(c, "n", "particle", 1 + extra)
     _step_budget(f"--{'horizon' if 'horizon' in c else 'times'} {horizon:g}",
                  runs * c["n"], n_steps)
     return make_ou_spec() if c["preset"] == "ou" else make_vh_spec(
-        r=c["r"], M=c["m-ball"], D=c["d-bound"], epsilon=c["epsilon"])
+        r=c["r"], M=c["m-ball"], D=c["d-bound"], epsilon=c["epsilon"]), len(snaps)
 
 
 def _smve_simulate(args, c: dict) -> int:
     from .mckean_vlasov import simulate
 
+    def moments(x):
+        x = x[:, 0]
+        return float(x.mean()), float(x.var(ddof=1)), float(x.min()), float(x.max())
+
     mu, horizon = laws.parse(c["mu0"], "mu0"), float(c["horizon"])
     times = _times(c, [0.0, horizon])
-    spec = _spec(c, horizon, times, extra=1)  # the variance's temporary
+    spec, _ = _spec(c, horizon, times, extra=1)  # the variance's temporary
     out = _begin(args, "smve/simulate", c)
-    snaps = simulate(spec, mu, c["n"], float(c["h"]), horizon, c["seed"], times)
-    rows = []
-    for s in snaps:
-        x = s.positions[:, 0]
-        rows.append((s.time, float(x.mean()), float(x.var(ddof=1)),
-                     float(x.min()), float(x.max())))
-    write_csv(out / "snapshots.csv",
-              ["time", "mean", "variance", "min", "max"], rows, "snapshots")
+    snaps = simulate(spec, mu, c["n"], float(c["h"]), horizon, c["seed"], times,
+                     observe=moments)
+    write_csv(out / "snapshots.csv", ["time", "mean", "variance", "min", "max"],
+              [(t, *m) for t, m in snaps], "snapshots")
     doc = report_document("smve/simulate", c,
                           [Claim("run completed without blow-up", True,
                                  {"snapshots": len(snaps)})])
@@ -452,16 +468,14 @@ def _smve_simulate(args, c: dict) -> int:
 
 
 def _binning(c: dict, held: int):
-    """The action's binning, its ``held`` arrays of bins + 1 floats budgeted."""
+    """The action's binning, its ``held`` arrays of bins + 1 floats budgeted.
+    A pair of runs of s snapshots holds 3 s + 1: both runs' masses, a
+    third run's worth while the second is unpickled from a worker, and a
+    temporary of the distance or the bootstrap."""
     from .diagnostics import Binning
 
     _budget(c, "bins", "histogram", held, 1)
     return Binning(c["bin-lo"], c["bin-hi"], c["bins"])
-
-
-# A distance between two clouds holds both masses and Binning.tv's one
-# temporary; local alpha holds every start's masses and that temporary.
-_PAIR_HELD = 3
 
 
 def _smve_decay(args, c: dict) -> int:
@@ -471,15 +485,17 @@ def _smve_decay(args, c: dict) -> int:
     mu, nu = laws.parse(c["mu0"], "mu0"), laws.parse(c["nu0"], "nu0")
     horizon = float(c["horizon"])
     times = _times(c, np.linspace(0.0, horizon, 21).tolist())
-    spec, binning = _spec(c, horizon, times, runs=2), _binning(c, _PAIR_HELD)
+    spec, snaps = _spec(c, horizon, times, runs=2)
+    binning = _binning(c, 3 * snaps + 1)
     out = _begin(args, "smve/decay", c)
     run_a, run_b = simulate_runs(spec, [(mu, c["seed"]), (nu, c["seed"] + 1)],
-                                 c["n"], float(c["h"]), horizon, times)
+                                 c["n"], float(c["h"]), horizon, times,
+                                 observe=binning.masses)
     floor = c["noise-floor"]
     if floor < 0:
-        floor = bootstrap_floor(run_a, binning, c["seed"])
+        floor = bootstrap_floor(run_a, c["n"], c["seed"])
     try:
-        fit = fit_decay(run_a, run_b, binning, floor)
+        fit = fit_decay(run_a, run_b, floor)
     except DecayFitError as exc:
         doc = report_document(
             "smve/decay", c,
@@ -507,13 +523,13 @@ def _smve_girsanov_check(args, c: dict) -> int:
 
     mu, nu = laws.parse(c["mu0"], "mu0"), laws.parse(c["nu0"], "nu0")
     times = _times(c, [0.5, 1.0, 2.0])
-    spec = _spec(c, max(*times, c["h"]), times, runs=2)
+    spec, snaps = _spec(c, max(*times, c["h"]), times, runs=2)
     t = max(times)
     # the bound's largest exponent, as girsanov_bound_check computes it
     if not girsanov_rate(spec.epsilon, spec.lipschitz_L) * t <= math.log(sys.float_info.max):
         raise ValueError(f"--epsilon {c['epsilon']:g}, --d-bound {c['d-bound']:g} and --times "
                          f"up to {t:g} put exp(4 eps^2 D^2 t) past the float range")
-    binning, tv0 = _binning(c, _PAIR_HELD), laws.tv(mu, nu)
+    binning, tv0 = _binning(c, 3 * snaps + 1), laws.tv(mu, nu)
     out = _begin(args, "smve/girsanov-check", c)
     report = girsanov_bound_check(spec, mu, nu, tv0, times, c["n"], float(c["h"]),
                                   c["seed"], binning,
@@ -561,7 +577,7 @@ def _smve_local_alpha(args, c: dict) -> int:
 
 
 def _smve_lyapunov(args, c: dict) -> int:
-    from .diagnostics import lyapunov_diagnostic
+    from .diagnostics import lyapunov_diagnostic, mean_weight
     from .mckean_vlasov import WeightFunction, simulate
 
     nu, horizon, lag = laws.parse(c["nu0"], "nu0"), float(c["horizon"]), float(c["lag"])
@@ -570,19 +586,23 @@ def _smve_lyapunov(args, c: dict) -> int:
     lags = horizon / lag
     if lags < 2:
         raise ValueError("horizon must cover at least two lags")
-    most = GRID_BUDGET_BYTES // (8 * 100) - 2  # with x and the weights, at n = 100
+    # The snapshot times are listed before any other check, so their count
+    # is bounded: by the snapshots of 100 particles that fit the budget
+    # beside x and the weights, from when each snapshot held its particles.
+    most = GRID_BUDGET_BYTES // (8 * 100) - 2
     if lags >= most:
         raise ValueError(
             f"horizon {horizon:g} at lag {lag:g} takes more than the {most} snapshots "
             f"that fit the {GRID_BUDGET_BYTES >> 30} GiB budget at the smallest n, 100")
     _on_grid(c, "lag", lag)  # the snapshots one lag apart fall on steps one lag apart
     times = [k * lag for k in range(int(lags) + 1)]
-    spec = _spec(c, horizon, times, extra=1)  # the weights of a snapshot
+    spec, _ = _spec(c, horizon, times, extra=1)  # the weights of a snapshot
     V = WeightFunction(c["r"], c["m-ball"])
     if V.kappa * V.M > math.log(sys.float_info.max):
         raise ValueError(f"--m-ball {c['m-ball']:g} puts exp(kappa M) past the float range")
     out = _begin(args, "smve/lyapunov", c)
-    snaps = simulate(spec, nu, c["n"], float(c["h"]), horizon, c["seed"], times)
+    snaps = simulate(spec, nu, c["n"], float(c["h"]), horizon, c["seed"], times,
+                     observe=lambda x: mean_weight(V, x))
     fit = lyapunov_diagnostic(snaps, V, lag)
     ok = fit.degenerate or (fit.gamma_hat < 1.0)
     doc = report_document(

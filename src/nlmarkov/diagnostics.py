@@ -13,6 +13,7 @@ they already made, instead of pretending the estimator is exact.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -20,7 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mckean_vlasov import (
-    ParticleEnsemble,
     SMVESpec,
     WeightFunction,
     _BLOCK_BYTES,
@@ -29,7 +29,7 @@ from .mckean_vlasov import (
     simulate,
     simulate_runs,
 )
-from .reporting import Record
+from .reporting import NumericalFailure, Record
 
 __all__ = [
     "Binning",
@@ -40,6 +40,7 @@ __all__ = [
     "estimate_local_alpha",
     "LOCAL_ALPHA_STARTS",
     "lyapunov_diagnostic",
+    "mean_weight",
     "girsanov_bound_check",
     "girsanov_rate",
     "BOOTSTRAP_PAIRS",
@@ -79,13 +80,21 @@ class Binning(Record):
             block = points[rows]
             if not np.all(np.isfinite(block)):
                 raise ValueError("points must be finite")
+            inside = np.all((block >= self.lower) & (block < self.upper), axis=1)
             # clamping at bins - 1 guards against rounding at the topmost
             # float below the upper bound (the bound itself is outside); at
-            # 0, it keeps far outside points castable
-            cells = np.clip(np.floor((block - self.lower) / width), 0,
-                            self.bins - 1).astype(int)
-            inside = np.all((block >= self.lower) & (block < self.upper), axis=1)
-            np.add.at(masses, np.where(inside, cells @ strides, self.bins**d), 1.0)
+            # 0, it keeps far outside points castable.  In place, and each
+            # block's scratch dropped before the next, so that binning beside
+            # a run's own blocks holds at most two blocks more.
+            scaled = np.subtract(block, self.lower)
+            scaled /= width
+            np.floor(scaled, out=scaled)
+            cells = np.clip(scaled, 0, self.bins - 1, out=scaled).astype(int)
+            del scaled
+            cells = cells @ strides
+            cells[~inside] = self.bins**d
+            np.add.at(masses, cells, 1.0)
+            del cells, inside
         masses /= n
         return masses
 
@@ -97,10 +106,6 @@ class Binning(Record):
         diff = np.subtract(p, q)
         np.abs(diff, out=diff)
         return float(diff[:-1].sum() + diff[-1])
-
-
-def _ensemble_tv(a: ParticleEnsemble, b: ParticleEnsemble, binning: Binning) -> float:
-    return binning.tv(binning.masses(a.positions), binning.masses(b.positions))
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +159,12 @@ def estimate_local_alpha(
         # n_sims rows at each start, in grid order
         x.reshape(k, n_sims, d)[:] = x_grid[:, None, :]
 
-    probe = SMVESpec(d, b1, None, 0.0, 0.0, 0.0, "local-alpha-probe")
-    final = simulate(probe, sampler, k * n_sims, step_size, t, seed, [t])[-1]
+    def per_start(x):
+        return [binning.masses(x[i * n_sims:(i + 1) * n_sims]) for i in range(k)]
 
-    masses = [binning.masses(final.positions[i * n_sims:(i + 1) * n_sims])
-              for i in range(k)]
+    probe = SMVESpec(d, b1, None, 0.0, 0.0, 0.0, "local-alpha-probe")
+    [(_, masses)] = simulate(probe, sampler, k * n_sims, step_size, t, seed, [t],
+                             observe=per_start)
     worst = max(binning.tv(masses[i], masses[j])
                 for i in range(k) for j in range(i + 1, k))
     return 1.0 - worst / 2.0
@@ -182,65 +188,58 @@ class LyapunovFit(Record):
     predicted_gamma: float | None = None
 
 
-def _mean_weight(V: Callable, points: np.ndarray) -> float:
-    """The mean of V at each point, V evaluated into one array a block
-    of rows at a time."""
+def mean_weight(V: Callable, points: np.ndarray) -> float:
+    """The mean of V over an (n, d) cloud, V evaluated into one array a
+    block of rows at a time; inf where V overflows, with no warning."""
     weights = np.empty(len(points))
-    for rows in _row_blocks(*points.shape):
-        weights[rows] = np.reshape(V(points[rows]), -1)
-    return float(np.mean(weights))
+    with np.errstate(over="ignore"):
+        for rows in _row_blocks(*points.shape):
+            weights[rows] = np.reshape(V(points[rows]), -1)
+        return float(np.mean(weights))
 
 
 def lyapunov_diagnostic(
-    snapshots: Sequence[ParticleEnsemble],
+    snapshots: Sequence[tuple[float, float]],
     V: Callable,
     lag: float,
 ) -> LyapunovFit:
     """Regress the mean weight along the trajectory at lag multiples.
 
-    Needs snapshots at times 0, lag, 2 lag, ...; at least three of them.
-    A flat series (already at equilibrium, or a frozen ensemble) cannot
-    identify gamma and comes back flagged degenerate.  ``predicted_gamma``
-    is V's own decay factor per lag when V is a ``WeightFunction``, and
-    None otherwise.
+    ``snapshots`` holds (time, mean of V) pairs, as a run observing
+    ``mean_weight(V, x)`` returns them.  Needs pairs at times 0, lag,
+    2 lag, ... (within a relative 1e-9); at least three of them.  A flat
+    series (already at equilibrium, or a frozen ensemble) cannot identify
+    gamma and comes back flagged degenerate.  ``predicted_gamma`` is V's
+    own decay factor per lag when V is a ``WeightFunction``, and None
+    otherwise.  A mean weight that is not finite, or too large for the
+    fit to square, raises NumericalFailure naming its time.
     """
     if lag <= 0:
         raise ValueError("lag must be positive")
-    wanted = []
-    for snap in snapshots:
-        ratio = snap.time / lag
-        if abs(ratio - round(ratio)) * lag <= snap.step_size / 2 + 1e-12:
-            wanted.append(snap)
+    wanted = sorted((t, m) for t, m in snapshots
+                    if abs(t / lag - round(t / lag)) <= 1e-9 * max(1.0, t / lag))
     if len(wanted) < 3:
         raise ValueError(
             f"need at least 3 snapshots at lag multiples, found {len(wanted)}"
         )
-    wanted.sort(key=lambda s: s.time)
+    most = math.sqrt(sys.float_info.max / len(wanted))  # the fit sums their squares
+    for time, weight in wanted:
+        if not weight <= most:
+            raise NumericalFailure(f"lyapunov: the mean weight at t = {time:g} is "
+                                   f"{weight:.6g}, over the {most:.6g} a fit can square")
     predicted = V.predicted_gamma(lag) if isinstance(V, WeightFunction) else None
-    m = np.array([_mean_weight(V, s.positions) for s in wanted])
+    m = np.array([weight for _, weight in wanted])
 
     prev, nxt = m[:-1], m[1:]
+    fit = dict(lag=lag, n_points=len(m), predicted_gamma=predicted)
     if float(np.var(prev)) < 1e-14 * (1.0 + float(np.mean(prev)) ** 2):
-        return LyapunovFit(
-            gamma_hat=float("nan"),
-            K_hat=float(np.mean(nxt)),
-            lag=lag,
-            n_points=len(m),
-            residual_rms=0.0,
-            degenerate=True,
-            predicted_gamma=predicted,
-        )
+        return LyapunovFit(gamma_hat=float("nan"), K_hat=float(np.mean(nxt)),
+                           residual_rms=0.0, degenerate=True, **fit)
     slope, intercept = np.polyfit(prev, nxt, 1)
     resid = nxt - (slope * prev + intercept)
-    return LyapunovFit(
-        gamma_hat=float(slope),
-        K_hat=float(intercept),
-        lag=lag,
-        n_points=len(m),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        degenerate=False,
-        predicted_gamma=predicted,
-    )
+    return LyapunovFit(gamma_hat=float(slope), K_hat=float(intercept),
+                       residual_rms=float(np.sqrt(np.mean(resid**2))), degenerate=False,
+                       **fit)
 
 
 # ---------------------------------------------------------------------------
@@ -305,23 +304,21 @@ def girsanov_bound_check(
         raise ValueError("need at least one time")
     horizon = max(times[-1], step_size)
     run_a, run_b = simulate_runs(spec, [(mu0_sampler, seed), (nu0_sampler, seed)],
-                                 n_particles, step_size, horizon, times)
+                                 n_particles, step_size, horizon, times,
+                                 observe=binning.masses)
     if allowance is None:
-        allowance = bootstrap_floor(run_a, binning, seed)
+        allowance = bootstrap_floor(run_a, n_particles, seed)
 
     rate = girsanov_rate(spec.epsilon, spec.lipschitz_L)
-    estimates, bounds, violations = [], [], []
-    for a, b in zip(run_a, run_b):
-        est = _ensemble_tv(a, b, binning)
-        bound = math.sqrt(2.0) * tv0 * math.exp(rate * a.time)
-        estimates.append(est)
-        bounds.append(bound)
-        if est > bound + allowance:
-            violations.append((a.time, est, bound))
+    snap_times = tuple(t for t, _ in run_a)
+    estimates = tuple(Binning.tv(p, q) for (_, p), (_, q) in zip(run_a, run_b))
+    bounds = tuple(math.sqrt(2.0) * tv0 * math.exp(rate * t) for t in snap_times)
+    violations = [(t, est, bound) for t, est, bound in zip(snap_times, estimates, bounds)
+                  if est > bound + allowance]
     return GirsanovReport(
-        times=tuple(a.time for a in run_a),
-        estimates=tuple(estimates),
-        bounds=tuple(bounds),
+        times=snap_times,
+        estimates=estimates,
+        bounds=bounds,
         allowance=allowance,
         tv0=tv0,
         epsilon=spec.epsilon,
@@ -340,17 +337,19 @@ BOOTSTRAP_PAIRS = 200
 _BOOTSTRAP_CHUNK = 25
 
 
-def bootstrap_floor(run: Sequence[ParticleEnsemble], binning: Binning,
+def bootstrap_floor(run: Sequence[tuple[float, np.ndarray]], n: int,
                     seed: int) -> float:
     """Noise floor of the histogram distance between two independent
     runs from the law of ``run``, taken from ``run`` alone: a parametric
-    bootstrap (B. Efron, Ann. Statist. 7 (1979)).
+    bootstrap (B. Efron, Ann. Statist. 7 (1979)).  ``run`` holds the
+    (time, cell masses) pairs of a run observing ``Binning.masses`` of
+    its n particles.
 
-    At each snapshot with t > 0, with cell masses p over its n
-    particles, draw BOOTSTRAP_PAIRS pairs of multinomial(n, p) count
-    vectors and take each pair's distance, the sum of |count
-    differences| over n.  The floor is the 99th percentile of all those
-    distances, the quantile calibrate_tv_allowance takes over its runs.
+    At each snapshot with t > 0, with cell masses p, draw
+    BOOTSTRAP_PAIRS pairs of multinomial(n, p) count vectors and take
+    each pair's distance, the sum of |count differences| over n.  The
+    floor is the 99th percentile of all those distances, the quantile
+    calibrate_tv_allowance takes over its runs.
 
     The bootstrap is exact for independent particles.  Mean-field
     particles are not independent: they are exchangeable and interact
@@ -360,19 +359,17 @@ def bootstrap_floor(run: Sequence[ParticleEnsemble], binning: Binning,
     independent already at the simulated n.
 
     The draws come from the (seed, 2**64 - 1) stream, which no step of
-    any run uses, so the floor is a function of the run's positions,
-    the binning and the seed, whatever the worker layout.  A cell of
+    any run uses, so the floor is a function of the run's masses, n and
+    the seed, whatever the worker layout.  A cell of
     mass 0 always counts 0 and is left out of the draws, so a draw holds
     at most min(n, cells) counts.
     """
-    snapshots = [s for s in run if s.time > 0.0]
+    snapshots = [p for t, p in run if t > 0.0]
     if not snapshots:
         raise ValueError("the bootstrap needs a snapshot at a positive time")
     rng = _stream(seed, 2**64 - 1)  # a run's stream tags are its steps
     samples = np.empty((len(snapshots), BOOTSTRAP_PAIRS))
-    for row, snap in zip(samples, snapshots):
-        n = len(snap.positions)
-        p = binning.masses(snap.positions)
+    for row, p in zip(samples, snapshots):
         p = p[p > 0.0]
         # a chunk of pairs stays within a block of memory, or is one pair
         chunk = max(1, min(_BOOTSTRAP_CHUNK, _BLOCK_BYTES // (16 * len(p))))
@@ -419,16 +416,14 @@ def calibrate_tv_allowance(
     if n_pairs < 1:
         raise ValueError("n_pairs must be positive")
     samples = []
-    # Pair j is the runs at seeds seed + 2j + 1 and seed + 2j + 2.  Each
-    # pair is reduced to its distances and dropped before the next run
-    # is received, so at most two runs are held at once.
+    # Pair j is the runs at seeds seed + 2j + 1 and seed + 2j + 2, each
+    # observed as its cell masses.
     runs = [(sampler, seed + k) for k in range(1, 2 * n_pairs + 1)]
     with closing(simulate_runs(spec, runs, n_particles, step_size, max(times),
-                               times)) as results:
+                               times, observe=binning.masses)) as results:
         for run_a in results:
             run_b = next(results)
-            samples += [_ensemble_tv(a, b, binning) for a, b in zip(run_a, run_b)]
-            del run_a, run_b
+            samples += [Binning.tv(p, q) for (_, p), (_, q) in zip(run_a, run_b)]
     return _percentile_99(samples)
 
 
@@ -461,13 +456,13 @@ class DecayFit(Record):
 
 
 def fit_decay(
-    run_a: Sequence[ParticleEnsemble],
-    run_b: Sequence[ParticleEnsemble],
-    binning: Binning = Binning(),
+    run_a: Sequence[tuple[float, np.ndarray]],
+    run_b: Sequence[tuple[float, np.ndarray]],
     noise_floor: float = 0.0,
 ) -> DecayFit:
     """Exponential decay rate of the histogram distance between two
-    trajectories sharing snapshot times.
+    trajectories sharing snapshot times, given as (time, cell masses)
+    pairs of one binning.
 
     Points at or below ``noise_floor`` carry no rate information and are
     dropped; fewer than three survivors raise DecayFitError (identical
@@ -476,11 +471,11 @@ def fit_decay(
     if len(run_a) != len(run_b):
         raise ValueError("trajectories have different snapshot counts")
     times, tvs = [], []
-    for a, b in zip(run_a, run_b):
-        if abs(a.time - b.time) > 1e-9:
+    for (t, p), (u, q) in zip(run_a, run_b):
+        if abs(t - u) > 1e-9:
             raise ValueError("snapshot times differ between trajectories")
-        times.append(a.time)
-        tvs.append(_ensemble_tv(a, b, binning))
+        times.append(t)
+        tvs.append(Binning.tv(p, q))
     keep = [i for i, v in enumerate(tvs) if v > noise_floor]
     if len(keep) < 3:
         raise DecayFitError(

@@ -33,7 +33,6 @@ from .reporting import NumericalFailure
 __all__ = [
     "WeightFunction",
     "SMVESpec",
-    "ParticleEnsemble",
     "SimulationBlowUp",
     "DriftBoundError",
     "simulate",
@@ -255,28 +254,6 @@ def make_vh_spec(
 # Euler scheme.
 
 
-@dataclass(frozen=True)
-class ParticleEnsemble:
-    """Snapshot of the particle system.
-
-    The positions are kept as a read-only copy, except that a read-only
-    float array that owns its data is taken over as it is.
-    """
-
-    positions: np.ndarray
-    time: float
-    step_size: float
-
-    def __post_init__(self):
-        pts = np.asarray(self.positions, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError("positions must be (n, d)")
-        if pts.flags.writeable or not pts.flags.owndata:
-            pts = pts.copy()
-            pts.flags.writeable = False
-        object.__setattr__(self, "positions", pts)
-
-
 def _stream(seed: int, tag: int, reuse: Generator | None = None,
             block: int = 0) -> Generator:
     """The counter-based stream keyed by (seed, tag) from Philox counter
@@ -332,8 +309,9 @@ def _euler(
     step_size: float,
     seed: int,
     plan: tuple[int, list[int]],
+    observe: Callable[[np.ndarray], object],
     lanes: int = 1,
-) -> list[ParticleEnsemble]:
+) -> list[tuple[float, object]]:
     """The Euler loop of ``simulate``, in ``lanes`` lanes (at most one
     per row block): the calling thread and lanes - 1 threads, started
     once per run.  Step k calls b2 on the calling thread; then lane j
@@ -342,15 +320,17 @@ def _euler(
     substream of the (seed, k) stream, and the finiteness check, through
     blocks of its own.  The lanes meet at a barrier before and after the
     blocks of each step; after it, |b2| > D on any block raises first,
-    then the lowest-numbered failing block.  Every lane thread is joined
-    on every exit path."""
+    then the lowest-numbered failing block.  At each snapshot the lanes
+    wait at the barrier while ``observe`` reads the positions, under the
+    caller's numpy error state.  Every lane thread is joined on every
+    exit path."""
     n_steps, snap_steps = plan
     d = spec.dimension
     blocks = _row_blocks(n_particles, d)
     lanes = min(lanes, len(blocks))
 
     # The run's one particle-sized array: the sampler fills it, the loop
-    # steps it in place, and the last snapshot takes it over.
+    # steps it in place, and the observer reads it.
     x = np.zeros((n_particles, d))
     if initial_sampler(_stream(seed, 0), x) is not None:
         raise ValueError("initial sampler must fill x in place and return None")
@@ -361,8 +341,9 @@ def _euler(
 
     snapshots = []
     snap_set = set(snap_steps)
+    caller_errors = np.geterr()
     if 0 in snap_set:
-        snapshots.append(ParticleEnsemble(x, 0.0, step_size))
+        snapshots.append((0.0, observe(positions)))
 
     scale = math.sqrt(step_size)
     failed = [None] * lanes  # per lane: (block, exception) of this step
@@ -444,9 +425,8 @@ def _euler(
                 if any(failed):
                     raise min(filter(None, failed), key=lambda f: f[0])[1]
                 if k in snap_set:
-                    if k == n_steps:
-                        x.flags.writeable = False  # the last snapshot takes x over
-                    snapshots.append(ParticleEnsemble(x, k * step_size, step_size))
+                    with np.errstate(**caller_errors):
+                        snapshots.append((k * step_size, observe(positions)))
     finally:
         barrier.abort()
         for thread in threads:
@@ -462,7 +442,9 @@ def simulate(
     horizon: float,
     seed: int,
     snapshot_times: Sequence[float] | None = None,
-) -> list[ParticleEnsemble]:
+    *,
+    observe: Callable[[np.ndarray], object],
+) -> list[tuple[float, object]]:
     """Synchronous Euler update with the previous step's empirical
     measure:
 
@@ -480,7 +462,11 @@ def simulate(
 
     ``initial_sampler(rng, x)`` writes the start positions into x, the
     zeroed (n_particles, d) float array that the run then steps in
-    place, and returns None; the last snapshot takes x over.  Each step
+    place, and returns None.  At each snapshot time t (by default 0 and
+    the horizon), in time order, the run calls ``observe(x)`` with a
+    read-only view of x, valid only for that call, and returns the
+    pairs (t, observe(x)): nothing the size of x leaves the run unless
+    the observer makes it.  Each step
     calls b2 once in the calling thread, then b1 and b2's row map, draws
     the noise and steps the particles a block of rows at a time, with
     the blocks dealt round-robin to one lane per usable CPU (the calling
@@ -492,7 +478,7 @@ def simulate(
     """
     plan = _plan(n_particles, step_size, horizon, snapshot_times)
     return _euler(spec, initial_sampler, n_particles, step_size, seed, plan,
-                  _usable_cpus())
+                  observe, _usable_cpus())
 
 
 def _usable_cpus() -> int:
@@ -509,48 +495,43 @@ def simulate_runs(
     step_size: float,
     horizon: float,
     snapshot_times: Sequence[float] | None = None,
-) -> Iterator[list[ParticleEnsemble]]:
+    *,
+    observe: Callable[[np.ndarray], object],
+) -> Iterator[list[tuple[float, object]]]:
     """``simulate(spec, sampler, n_particles, step_size, horizon, seed,
-    snapshot_times)`` for each ``(sampler, seed)`` in ``runs``, yielded
-    in list order and bit for bit the same.
+    snapshot_times, observe=observe)`` for each ``(sampler, seed)`` in
+    ``runs``, yielded in list order and equal to it.
 
     The runs are independent, so they are spread round-robin over forked
     worker processes, one per usable CPU: with W workers, worker w
-    steps runs w, w + W, ... one after another and sends each down its
-    own pipe, and the caller reads run i from worker i mod W alone.  A
-    worker's write blocks while the caller reads an earlier run, so it
-    is at most one finished run ahead and the caller holds only the run
-    it is reading; the runs share one plan, so they are the same length
-    and a worker stalls at most the time to receive one run.  The runs
-    go in order in this process, through ``simulate``, when there is
-    one run or one usable CPU, off Linux, or when other threads are
-    alive, since forking a threaded process is unsafe.
+    steps runs w, w + W, ... one after another and sends each run's
+    pairs down its own pipe as one pickle, so observations must pickle;
+    the caller reads run i from worker i mod W alone.  A worker's write
+    blocks while the caller reads an earlier run, so it is at most one
+    finished run ahead.  The runs go in order in this process, through
+    ``simulate``, when there is one run or one usable CPU, off Linux, or
+    when other threads are alive, since forking a threaded process is
+    unsafe.
 
     The arguments are checked before any fork.  The exception of the
-    first failing run in list order is raised with its type and message
-    (as a RuntimeError naming both if it cannot be pickled); a worker
-    that exits without reporting its run raises RuntimeError with its
-    exit code.  Every worker is joined, or terminated and joined, when
-    the iterator finishes, fails or is closed.
+    first failing run in list order, an observer's included, is raised
+    with its type and message (as a RuntimeError naming both if it
+    cannot be pickled); a worker that exits without reporting its run
+    raises RuntimeError with its exit code.  Every worker is joined, or
+    terminated and joined, when the iterator finishes, fails or is
+    closed.
     """
     plan = _plan(n_particles, step_size, horizon, snapshot_times)
     runs = [(sampler, seed) for sampler, seed in runs]
-    return _dispatch(spec, runs, n_particles, step_size, horizon, snapshot_times, plan)
-
-
-def _dispatch(spec, runs, n_particles, step_size, horizon, snapshot_times, plan):
-    # decided at the first item, which is when the workers would fork
     cpus = _usable_cpus() if sys.platform == "linux" else 1
     if len(runs) < 2 or cpus < 2 or threading.active_count() > 1:
-        for sampler, seed in runs:
-            yield simulate(spec, sampler, n_particles, step_size, horizon, seed,
-                           snapshot_times)
-        return
-    yield from _forked_runs(spec, runs, n_particles, step_size, plan,
-                            min(len(runs), cpus))
+        return (simulate(spec, sampler, n_particles, step_size, horizon, seed,
+                         snapshot_times, observe=observe) for sampler, seed in runs)
+    return _forked_runs(spec, runs, n_particles, step_size, plan, observe,
+                        min(len(runs), cpus))
 
 
-def _forked_runs(spec, runs, n_particles, step_size, plan, n_workers):
+def _forked_runs(spec, runs, n_particles, step_size, plan, observe, n_workers):
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
@@ -561,7 +542,8 @@ def _forked_runs(spec, runs, n_particles, step_size, plan, n_workers):
             reader, writer = context.Pipe(duplex=False)
             process = context.Process(
                 target=_run_worker, name=f"nlmarkov-runs-{w}", daemon=True,
-                args=(writer, spec, runs[w::n_workers], n_particles, step_size, plan),
+                args=(writer, spec, runs[w::n_workers], n_particles, step_size, plan,
+                      observe),
             )
             workers.append((process, reader))
             process.start()
@@ -570,21 +552,16 @@ def _forked_runs(spec, runs, n_particles, step_size, plan, n_workers):
             writer.close()
         for i in range(len(runs)):
             process, reader = workers[i % n_workers]
-            snapshots = []
-            while True:
-                try:
-                    item = pickle.loads(reader.recv_bytes())
-                except EOFError:
-                    process.join()
-                    raise RuntimeError(
-                        f"particle run {i}: worker process exited with code "
-                        f"{process.exitcode} without reporting it") from None
-                if not isinstance(item, ParticleEnsemble):
-                    break
-                snapshots.append(item)
-            if item is not None:
+            try:
+                item = pickle.loads(reader.recv_bytes())
+            except EOFError:
+                process.join()
+                raise RuntimeError(
+                    f"particle run {i}: worker process exited with code "
+                    f"{process.exitcode} without reporting it") from None
+            if not isinstance(item, list):
                 raise item
-            yield snapshots
+            yield item
         finished = True
     finally:
         for process, reader in workers:
@@ -596,24 +573,22 @@ def _forked_runs(spec, runs, n_particles, step_size, plan, n_workers):
             reader.close()
 
 
-def _run_worker(writer, spec, runs, n_particles, step_size, plan):
+def _run_worker(writer, spec, runs, n_particles, step_size, plan, observe):
     """Worker body: its runs in order, each in one lane since the other
-    workers use the other CPUs, stopping at the first failure.
-    Each message is one pickle: each snapshot of a run in time order,
-    then None when the run is done, or the exception when it failed.
-    One message per snapshot keeps the caller's allocations the size of
-    a snapshot, as they are when the runs go in order in one process.
-    Ctrl-C reaches the parent, which terminates the workers."""
+    workers use the other CPUs, stopping at the first failure.  Each
+    message is one pickle: a run's list of (time, observation) pairs, or
+    the exception when it failed.  Ctrl-C reaches the parent, which
+    terminates the workers."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for sampler, seed in runs:
         try:
-            snapshots = _euler(spec, sampler, n_particles, step_size, seed, plan)
+            message = pickle.dumps(
+                _euler(spec, sampler, n_particles, step_size, seed, plan, observe),
+                protocol=5)
         except BaseException as exc:
             writer.send_bytes(_pickled_failure(exc))
             return
-        for snapshot in snapshots:
-            writer.send_bytes(pickle.dumps(snapshot, protocol=5))
-        writer.send_bytes(pickle.dumps(None))
+        writer.send_bytes(message)
 
 
 def _pickled_failure(exc: BaseException) -> bytes:

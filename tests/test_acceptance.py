@@ -25,6 +25,7 @@ from nlmarkov.diagnostics import (
     fit_decay,
     girsanov_bound_check,
     lyapunov_diagnostic,
+    mean_weight,
 )
 from nlmarkov.ergodicity import (
     certify_hm_contraction,
@@ -274,11 +275,10 @@ def run_criterion_06(out):
 
 
 def run_criterion_07(out):
-    snaps = simulate(make_ou_spec(), Point(0.0), N_PARTICLES,
-                     STEP, 10.0, seed=2026, snapshot_times=[10.0])
-    x = snaps[-1].positions[:, 0]
-    s2 = float(np.var(x, ddof=1))
-    se = s2 * math.sqrt(2.0 / (len(x) - 1))
+    [(_, s2)] = simulate(make_ou_spec(), Point(0.0), N_PARTICLES, STEP, 10.0,
+                         seed=2026, snapshot_times=[10.0],
+                         observe=lambda x: float(np.var(x[:, 0], ddof=1)))
+    se = s2 * math.sqrt(2.0 / (N_PARTICLES - 1))
     z = abs(s2 - 0.5) / se
 
     sigma = math.sqrt((1.0 - math.exp(-2.0)) / 2.0)
@@ -341,14 +341,17 @@ def run_criterion_08(out):
 
 def run_criterion_09(out):
     spec = make_vh_spec()  # r = M = D = 1, eps = 0.05
-    run_a = simulate(spec, Point(0.0), N_PARTICLES, STEP, 20.0,
-                     seed=900, snapshot_times=list(MERGE_TIMES))
-    run_b = simulate(spec, Gauss(2.0, 1.0), N_PARTICLES, STEP, 20.0,
-                     seed=901, snapshot_times=list(MERGE_TIMES))
-    tv_final = BINNING.tv(BINNING.masses(run_a[-1].positions),
-                          BINNING.masses(run_b[-1].positions))
-    fit = fit_decay(run_a, run_b, binning=BINNING, noise_floor=0.05)
-    lyap = lyapunov_diagnostic(run_b, WeightFunction(1.0, 1.0), lag=2.0)
+    V = WeightFunction(1.0, 1.0)
+    # each snapshot observed as its cell masses and its mean weight
+    observe = lambda x: (BINNING.masses(x), mean_weight(V, x))
+    obs_a = simulate(spec, Point(0.0), N_PARTICLES, STEP, 20.0, seed=900,
+                     snapshot_times=list(MERGE_TIMES), observe=observe)
+    obs_b = simulate(spec, Gauss(2.0, 1.0), N_PARTICLES, STEP, 20.0, seed=901,
+                     snapshot_times=list(MERGE_TIMES), observe=observe)
+    run_a, run_b = ([(t, masses) for t, (masses, _) in obs] for obs in (obs_a, obs_b))
+    tv_final = BINNING.tv(run_a[-1][1], run_b[-1][1])
+    fit = fit_decay(run_a, run_b, noise_floor=0.05)
+    lyap = lyapunov_diagnostic([(t, m) for t, (_, m) in obs_b], V, lag=2.0)
     claims = [
         Claim("interaction strength is inside the smallness regime",
               spec.epsilon <= epsilon_zero(1.0, 1.0, 1.0),

@@ -294,6 +294,71 @@ class TestCounterexample:
         assert read_json(out / "report.json")["passed"]
 
 
+class _Began(Exception):
+    pass
+
+
+def _no_begin(*args):
+    raise _Began
+
+
+# Each chain-side size over its budget, with what it holds and the most
+# that fits: the first three ended in an _ArrayMemoryError traceback
+# after resolved_config.json, and the last ran on, quadratic in --n-max.
+CHAIN_SIZES = {
+    "chain": (["chain"], "steps", "needs 45 step arrays of 1000000000 floats at once, "
+              "over the 1 GiB budget", 2**30 // (8 * 45)),
+    "oscillation": (["counterexample", "oscillation"], "steps",
+                    "needs 20 step arrays of 1000000000 floats at once, over the 1 GiB "
+                    "budget", 2**30 // (8 * 20)),
+    "continuum": (["counterexample", "continuum"], "steps",
+                  "needs 20 step arrays of 1000000000 floats at once, over the 1 GiB "
+                  "budget", 2**30 // (8 * 20)),
+    "no-invariant": (["counterexample", "no-invariant"], "n-max",
+                     "sums 499999999500000000 profile terms, over the budget of 1e+08",
+                     14142),
+}
+
+
+@pytest.mark.parametrize("run", CHAIN_SIZES)
+def test_chain_side_sizes_over_their_budget_are_refused(tmp_path, capsys, monkeypatch,
+                                                       run):
+    argv, key, holds, fits = CHAIN_SIZES[run]
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert main([*argv, f"--{key}", "1000000000", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: {key} 1000000000 {holds}; the largest {key} that fits is {fits}\n")
+    assert not out.exists()
+    assert main([*argv, f"--{key}", str(fits + 1), "--out", str(out)]) == 2
+    assert not out.exists()
+    monkeypatch.setattr(cli, "_begin", _no_begin)
+    with pytest.raises(_Began):
+        main([*argv, f"--{key}", str(fits), "--out", str(out)])
+
+
+def test_chain_step_budget_grows_with_the_state_count(tmp_path, capsys):
+    # 5 states: 25 + 10 * 5 floats a step
+    out = tmp_path / "x"
+    assert main(["chain", "--kernel", "mixture", "--space", "5", "--steps", "10000000",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: steps 10000000 needs 75 step arrays of 10000000 floats at once, over "
+        f"the 1 GiB budget; the largest steps that fits is {2**30 // (8 * 75)}\n")
+    assert not out.exists()
+
+
+def test_chain_side_defaults_are_far_from_their_budgets():
+    chain, replay = cli.OPTIONS["chain"], cli.OPTIONS["counterexample"]
+    states = chain["truncation"].default  # the largest stock kernel's
+    per_step = 8 * (cli.CHAIN_STEP_FLOATS[0] + cli.CHAIN_STEP_FLOATS[1] * states)
+    assert 100 * chain["steps"].default < cli.GRID_BUDGET_BYTES // per_step
+    assert 100 * replay["steps"].default < cli.GRID_BUDGET_BYTES // (
+        8 * cli.REPLAY_STEP_FLOATS)
+    assert 100 * replay["n-max"].default < math.isqrt(2 * cli.NO_INVARIANT_TERMS)
+
+
 class TestSmve:
     def test_simulate_writes_snapshot_table(self, tmp_path):
         out = tmp_path / "sim"
@@ -395,6 +460,20 @@ class TestSmve:
             assert done.returncode == 3
             assert done.stderr == "error: ou: non-finite position at step 512\n"
 
+    @pytest.mark.parametrize("option", ["--r", "--epsilon"])
+    def test_lyapunov_weight_overflow_exits_three_with_one_error_line(self, tmp_path,
+                                                                      option):
+        # V = exp(kappa |x|) overflowed, and np.polyfit failed in LAPACK:
+        # DLASCL lines and RuntimeWarnings, then exit 2 naming no option
+        src = str(Path(nlmarkov.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "nlmarkov.cli", "smve", "lyapunov", option, "1e30",
+             "--n", "100", "--out", str(tmp_path / "x")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 3
+        assert done.stderr == ("error: lyapunov: the mean weight at t = 1 is inf, over "
+                               "the 2.92582e+153 a fit can square\n")
+
     def test_drift_bound_error_exits_three(self, tmp_path, capsys, monkeypatch):
         def exceeded(*args, **kwargs):
             raise DriftBoundError("vh: |b2| = 5 exceeds D = 1")
@@ -422,8 +501,8 @@ class TestSmve:
                      "--out", out]) == 2
 
     @pytest.mark.parametrize("action, extra, held", [
-        ("decay", [], 3),
-        ("girsanov-check", [], 3),
+        ("decay", [], 64),  # three runs' worth of 21 snapshots, and a temporary
+        ("girsanov-check", [], 10),  # three runs' worth of 3 snapshots, and one
         ("local-alpha", [], 6),
         ("local-alpha", ["--x-grid=-1,1"], 3),
     ], ids=["decay", "girsanov-check", "local-alpha", "local-alpha-two-starts"])
@@ -450,12 +529,12 @@ class TestSmve:
             main([*argv, "--bins", str(fits)])
 
     @pytest.mark.parametrize("action, extra, key, held", [
-        # snapshots at 0 and the horizon, the variance's temporary
-        ("simulate", [], "n", 3),
-        ("simulate", ["--times", "0,1"], "n", 4),  # and x, which no snapshot takes over
-        ("decay", [], "n", 42),  # two runs of 21 snapshots
-        ("girsanov-check", [], "n", 6),  # two runs of 3 snapshots
-        ("lyapunov", [], "n", 22),  # 21 snapshots and the weights of one
+        # short runs, so that the largest n that fits is within the step budget
+        ("simulate", ["--horizon", "1"], "n", 2),  # x and the variance's temporary
+        ("simulate", ["--horizon", "1", "--times", "0,0.5"], "n", 2),
+        ("decay", ["--horizon", "1"], "n", 1),  # x, observed as its cell masses
+        ("girsanov-check", [], "n", 1),
+        ("lyapunov", ["--horizon", "2"], "n", 2),  # x and its weights
         ("local-alpha", [], "n-sims", 5),  # x, of n-sims rows per start
         ("local-alpha", ["--x-grid=-1,1"], "n-sims", 2),
     ], ids=["simulate", "simulate-late-snapshot", "decay", "girsanov-check",
@@ -494,14 +573,15 @@ class TestSmve:
             "error: horizon 1e+09 at lag 0.001 takes more than the 1342175 snapshots "
             "that fit the 1 GiB budget at the smallest n, 100\n")
         assert not out.exists()
-        # a budget of 50 arrays at n = 100 holds 48 snapshots beside x and the
-        # weights: 48 lags are refused, and 47 leave the refusal to the n budget
+        # a budget of 50 arrays at n = 100 lists 48 snapshot times: 48 lags
+        # are refused, and 47 leave the refusal to the n budget of x and
+        # the weights
         monkeypatch.setattr(cli, "GRID_BUDGET_BYTES", 8 * 100 * 50)
         argv = ["smve", "lyapunov", "--lag", "0.5", "--out", str(out)]
         assert main([*argv, "--horizon", "24"]) == 2
         assert "takes more than the 48 snapshots" in capsys.readouterr().err
         assert main([*argv, "--horizon", "23.5"]) == 2
-        assert capsys.readouterr().err.endswith(" the largest n that fits is 102\n")
+        assert capsys.readouterr().err.endswith(" the largest n that fits is 2500\n")
         assert not out.exists()
 
     def test_lyapunov_lag_off_the_step_grid_is_refused(self, tmp_path, capsys):
@@ -672,16 +752,17 @@ class TestSmve:
 
 # Runs whose particle arrays (2.4 MB each at WIDE floats) dwarf the rest
 # of what they hold, with the count of those arrays that the smve budget
-# refuses an oversized n by.
+# refuses an oversized n by: x, and a temporary of simulate's and
+# lyapunov's observers.
 WIDE = 300_000
 PARTICLE_RUNS = {
-    "simulate": (["simulate", "--horizon", "0.05"], "n", 3),
-    "simulate-ou": (["simulate", "--preset", "ou", "--horizon", "0.05"], "n", 3),
+    "simulate": (["simulate", "--horizon", "0.05"], "n", 2),
+    "simulate-ou": (["simulate", "--preset", "ou", "--horizon", "0.05"], "n", 2),
     "simulate-late-snapshot": (["simulate", "--horizon", "0.05", "--times", "0,0.02"],
-                               "n", 4),
-    "decay": (["decay", "--horizon", "0.1"], "n", 22),
-    "girsanov-check": (["girsanov-check", "--times", "0.01,0.02,0.03"], "n", 6),
-    "lyapunov": (["lyapunov", "--horizon", "0.1", "--lag", "0.02"], "n", 7),
+                               "n", 2),
+    "decay": (["decay", "--horizon", "0.1"], "n", 1),
+    "girsanov-check": (["girsanov-check", "--times", "0.01,0.02,0.03"], "n", 1),
+    "lyapunov": (["lyapunov", "--horizon", "0.1", "--lag", "0.02"], "n", 2),
     "local-alpha": (["local-alpha", "--t", "0.05"], "n-sims", 5),
 }
 

@@ -2,7 +2,10 @@
 Lyapunov and decay regressions, and the coupled-run bound check."""
 
 import math
+import os
+import sys
 import tracemalloc
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
-from nlmarkov import cli, diagnostics
+from nlmarkov import diagnostics
 from nlmarkov.diagnostics import (
     BOOTSTRAP_PAIRS,
     LOCAL_ALPHA_STARTS,
@@ -24,24 +27,22 @@ from nlmarkov.diagnostics import (
     girsanov_bound_check,
     girsanov_rate,
     lyapunov_diagnostic,
+    mean_weight,
 )
 from nlmarkov.laws import Gauss, Point
 from nlmarkov.mckean_vlasov import (
-    ParticleEnsemble,
     WeightFunction,
     make_ou_spec,
     make_vh_spec,
     ou_drift,
     simulate,
 )
+from nlmarkov.reporting import NumericalFailure
 
 
-def make_snapshot(positions, time, step_size=0.01):
-    return ParticleEnsemble(positions, time, step_size)
-
-
-def constant_snapshot(value, time, n=50):
-    return make_snapshot(np.full((n, 1), value), time)
+def constant_snapshot(value, time, V=lambda x: x, n=50):
+    """The (time, mean weight) pair of n particles at ``value``."""
+    return (time, mean_weight(V, np.full((n, 1), value)))
 
 
 class TestBinning:
@@ -123,10 +124,25 @@ class TestHistogramArraysHeld:
     slack = 2**20
 
     def test_a_cloud_distance_holds_both_masses_and_one_temporary(self):
-        run_a, run_b = ([make_snapshot(np.full((300, 1), v), float(k))
-                         for k in range(3)] for v in (0.0, 5.0))
-        peak = _peak(lambda: fit_decay(run_a, run_b, self.binning))
-        held = cli._PAIR_HELD
+        a, b = np.zeros((300, 1)), np.full((300, 1), 5.0)
+        peak = _peak(lambda: self.binning.tv(self.binning.masses(a),
+                                             self.binning.masses(b)))
+        assert 2 * self.array < peak <= 3 * self.array + self.slack
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "workers"])
+    @pytest.mark.parametrize("allowance", [0.5, None], ids=["given", "bootstrap"])
+    def test_a_pair_of_runs_holds_their_masses_and_one_temporary(self, monkeypatch,
+                                                                 allowance, cpus):
+        # both runs' masses, then one temporary of the distance or the
+        # bootstrap; unpickling the second run from a worker holds a third
+        # run's worth: the 3 s + 1 arrays the CLI budgets --bins by
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        times = [0.01, 0.02, 0.03]
+        peak = _peak(lambda: girsanov_bound_check(
+            make_ou_spec(), Point(0.0), Point(1.0), 0.2, times, 300, 0.01, 1,
+            self.binning, allowance))
+        held = 2 * len(times) + 1 if cpus == 1 else 3 * len(times)
         assert (held - 1) * self.array < peak <= held * self.array + self.slack
 
     def test_local_alpha_holds_every_starts_masses_and_one_temporary(self):
@@ -154,7 +170,7 @@ class TestLyapunovDiagnostic:
 
     def test_weight_function_supplies_predicted_rate(self):
         V = WeightFunction(2.0, 1.0)
-        snaps = [constant_snapshot(float(10 - k), float(k)) for k in range(4)]
+        snaps = [constant_snapshot(float(10 - k), float(k), V) for k in range(4)]
         fit = lyapunov_diagnostic(snaps, V, lag=1.0)
         assert fit.predicted_gamma == pytest.approx(math.exp(-V.kappa * V.r / 4.0))
 
@@ -177,6 +193,34 @@ class TestLyapunovDiagnostic:
         with pytest.raises(ValueError):
             lyapunov_diagnostic([], lambda x: x, lag=0.0)
 
+    def test_mean_weight_past_the_float_range_is_a_numerical_failure(self):
+        # V = exp(|x|) overflows at 1e30: the mean is inf, with no warning,
+        # and the fit is refused naming the time instead of failing in LAPACK
+        V = WeightFunction(4.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            snaps = [constant_snapshot(v, float(k), V) for k, v in
+                     enumerate([1.0, 2.0, 1e30, 3.0])]
+        assert snaps[2][1] == math.inf
+        with pytest.raises(NumericalFailure, match=r"^lyapunov: the mean weight at "
+                                                   r"t = 2 is inf, over the 6\.7\d+e\+153 "
+                                                   r"a fit can square$"):
+            lyapunov_diagnostic(snaps, V, lag=1.0)
+        with pytest.raises(NumericalFailure, match="t = 1 is nan"):
+            lyapunov_diagnostic([(0.0, 1.0), (1.0, math.nan), (2.0, 1.0)], V, lag=1.0)
+
+    def test_mean_weight_too_large_to_square_is_a_numerical_failure(self):
+        # finite, but its square overflows: the fit once raised OverflowError
+        most = math.sqrt(sys.float_info.max / 3)
+        snaps = [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
+        assert not lyapunov_diagnostic(snaps, lambda x: x, lag=1.0).degenerate
+        with pytest.raises(NumericalFailure, match="t = 1 is 1e\\+200, over the"):
+            lyapunov_diagnostic([(0.0, 1.0), (1.0, 1e200), (2.0, 3.0)], lambda x: x,
+                                lag=1.0)
+        fit = lyapunov_diagnostic([(0.0, most), (1.0, most / 2), (2.0, most / 4)],
+                                  lambda x: x, lag=1.0)
+        assert fit.gamma_hat == pytest.approx(0.5)
+
 
 class TestFitDecay:
     # Ensembles concentrated in two far-apart bins: the histogram
@@ -184,11 +228,11 @@ class TestFitDecay:
     # rate is planted by the particle counts alone.
     binning = Binning(-10.0, 10.0, 50)
 
-    @staticmethod
-    def two_bin(n_far, time, n=1000):
+    @classmethod
+    def two_bin(cls, n_far, time, n=1000):
         pos = np.full((n, 1), 0.05)
         pos[:n_far, 0] = 5.0
-        return make_snapshot(pos, time)
+        return (time, cls.binning.masses(pos))
 
     def planted_runs(self, theta=0.7, steps=5):
         run_a = [self.two_bin(0, float(k)) for k in range(steps)]
@@ -200,7 +244,7 @@ class TestFitDecay:
 
     def test_recovers_planted_rate(self):
         run_a, run_b = self.planted_runs()
-        fit = fit_decay(run_a, run_b, binning=self.binning)
+        fit = fit_decay(run_a, run_b)
         assert fit.theta == pytest.approx(0.7, abs=0.01)
         assert fit.theta_lower < fit.theta < fit.theta_upper
         assert fit.theta_lower > 0.6
@@ -209,28 +253,28 @@ class TestFitDecay:
 
     def test_noise_floor_drops_points(self):
         run_a, run_b = self.planted_runs()
-        fit = fit_decay(run_a, run_b, binning=self.binning, noise_floor=0.15)
+        fit = fit_decay(run_a, run_b, noise_floor=0.15)
         assert fit.n_used == 4
         assert fit.theta == pytest.approx(0.7, abs=0.01)
 
     def test_identical_runs_cannot_be_fit(self):
         run_a, _ = self.planted_runs()
         with pytest.raises(DecayFitError) as info:
-            fit_decay(run_a, run_a, binning=self.binning)
+            fit_decay(run_a, run_a)
         assert info.value.usable == 0
         assert all(v == 0.0 for v in info.value.tv_values)
 
     def test_mismatched_runs_rejected(self):
         run_a, run_b = self.planted_runs()
         with pytest.raises(ValueError, match="counts"):
-            fit_decay(run_a, run_b[:-1], binning=self.binning)
+            fit_decay(run_a, run_b[:-1])
         shifted = [self.two_bin(0, float(k) + 0.5) for k in range(5)]
         with pytest.raises(ValueError, match="times"):
-            fit_decay(run_a, shifted, binning=self.binning)
+            fit_decay(run_a, shifted)
 
     def test_to_dict_round_trip(self):
         run_a, run_b = self.planted_runs()
-        d = fit_decay(run_a, run_b, binning=self.binning).to_dict()
+        d = fit_decay(run_a, run_b).to_dict()
         assert d["n_used"] == 5
         assert len(d["times"]) == len(d["tv_values"]) == 5
 
@@ -277,8 +321,9 @@ class TestGirsanovBoundCheck:
             make_ou_spec(), Point(0.0), Point(0.5),
             tv0=2.0, times=[0.1, 0.2], n_particles=200, step_size=0.01,
             seed=9, binning=self.binning, allowance=None)
-        run = simulate(make_ou_spec(), Point(0.0), 200, 0.01, 0.2, 9, [0.1, 0.2])
-        assert rep.allowance == bootstrap_floor(run, self.binning, 9) > 0.0
+        run = simulate(make_ou_spec(), Point(0.0), 200, 0.01, 0.2, 9, [0.1, 0.2],
+                       observe=self.binning.masses)
+        assert rep.allowance == bootstrap_floor(run, 200, 9) > 0.0
 
     def test_rate_is_finite_whenever_eps_times_l_is(self):
         assert girsanov_rate(0.05, 1.0) == 0.010000000000000002  # the defaults
@@ -332,8 +377,9 @@ class TestBootstrapFloor:
         # percentile of 15 distances is close to their maximum.
         ratios = []
         for seed in (1, 2, 3, 4):
-            run = simulate(spec, Point(0.0), 2_000, 0.05, 2.0, seed, self.times)
-            floor = bootstrap_floor(run, self.binning, seed)
+            run = simulate(spec, Point(0.0), 2_000, 0.05, 2.0, seed, self.times,
+                           observe=self.binning.masses)
+            floor = bootstrap_floor(run, 2_000, seed)
             calibrated = calibrate_tv_allowance(spec, Point(0.0), self.times, 2_000,
                                                 0.05, seed + 1000, self.binning)
             ratios.append(floor / calibrated)
@@ -345,20 +391,21 @@ class TestBootstrapFloor:
         # positive mass, from the (seed, 2**64 - 1) stream, and numpy's
         # percentile; chunks of any size draw the same numbers
         monkeypatch.setattr(diagnostics, "_BOOTSTRAP_CHUNK", chunk)
-        run = simulate(make_vh_spec(), Gauss(2.0, 1.0), 1_000, 0.05, 2.0, 5, self.times)
+        run = simulate(make_vh_spec(), Gauss(2.0, 1.0), 1_000, 0.05, 2.0, 5, self.times,
+                       observe=self.binning.masses)
         rng = Generator(Philox(key=np.array([5, 2**64 - 1], dtype=np.uint64)))
         distances = []
-        for snap in run[1:]:
-            p = self.binning.masses(snap.positions)
+        for _, p in run[1:]:
             for _ in range(BOOTSTRAP_PAIRS):
                 a, b = rng.multinomial(1_000, p[p > 0], size=2)
                 distances.append(np.abs(a - b).sum() / 1_000)
-        assert bootstrap_floor(run, self.binning, 5) == np.percentile(distances, 99.0)
+        assert bootstrap_floor(run, 1_000, 5) == np.percentile(distances, 99.0)
 
     def test_needs_a_positive_time(self):
-        run = simulate(make_ou_spec(), Point(0.0), 200, 0.05, 0.1, 1, [0.0])
+        run = simulate(make_ou_spec(), Point(0.0), 200, 0.05, 0.1, 1, [0.0],
+                       observe=self.binning.masses)
         with pytest.raises(ValueError, match="positive time"):
-            bootstrap_floor(run, self.binning, 1)
+            bootstrap_floor(run, 200, 1)
 
 
 @settings(max_examples=200, deadline=None)

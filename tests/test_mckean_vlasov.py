@@ -35,6 +35,11 @@ from nlmarkov.mckean_vlasov import (
 )
 
 
+def _positions(x):
+    """An observer that keeps a copy of the positions."""
+    return x.copy()
+
+
 def brownian_spec():
     return SMVESpec(
         dimension=1,
@@ -152,7 +157,7 @@ class TestSpecConstruction:
                        epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
         with pytest.raises(DriftBoundError, match="exceeds"):
             simulate(bad, Point(0.0), n_particles=100,
-                     step_size=0.01, horizon=0.1, seed=1)
+                     step_size=0.01, horizon=0.1, seed=1, observe=_positions)
 
     def test_shipped_specs_have_consistent_constants(self):
         ou = make_ou_spec()
@@ -173,45 +178,52 @@ class TestSimulate:
         bm = brownian_spec()
         kw = dict(n_particles=500, step_size=0.01, horizon=0.5,
                   snapshot_times=[0.25, 0.5])
-        a = simulate(bm, Point(0.0), seed=11, **kw)
-        b = simulate(bm, Point(0.0), seed=11, **kw)
-        assert all(np.array_equal(x.positions, y.positions) for x, y in zip(a, b))
-        c = simulate(bm, Point(0.0), seed=12, **kw)
-        assert not np.array_equal(a[-1].positions, c[-1].positions)
+        a = simulate(bm, Point(0.0), seed=11, **kw, observe=_positions)
+        b = simulate(bm, Point(0.0), seed=11, **kw, observe=_positions)
+        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(a, b))
+        c = simulate(bm, Point(0.0), seed=12, **kw, observe=_positions)
+        assert not np.array_equal(a[-1][1], c[-1][1])
 
     def test_brownian_variance_grows_linearly(self):
         res = simulate(brownian_spec(), Point(0.0),
                        n_particles=4000, step_size=0.01, horizon=1.0,
-                       seed=11, snapshot_times=[0.5, 1.0])
-        assert float(np.var(res[0].positions)) == pytest.approx(0.5, abs=0.05)
-        assert float(np.var(res[1].positions)) == pytest.approx(1.0, abs=0.08)
+                       seed=11, snapshot_times=[0.5, 1.0], observe=_positions)
+        assert float(np.var(res[0][1])) == pytest.approx(0.5, abs=0.05)
+        assert float(np.var(res[1][1])) == pytest.approx(1.0, abs=0.08)
 
     def test_ou_approaches_half_variance(self):
         res = simulate(make_ou_spec(), Gauss(0.0, 1.0),
                        n_particles=2000, step_size=0.01, horizon=5.0,
-                       seed=5, snapshot_times=[5.0])
-        assert float(np.var(res[-1].positions)) == pytest.approx(0.5, abs=0.08)
+                       seed=5, snapshot_times=[5.0], observe=_positions)
+        assert float(np.var(res[-1][1])) == pytest.approx(0.5, abs=0.08)
 
     def test_snapshot_bookkeeping(self):
-        res = simulate(brownian_spec(), Point(0.0),
-                       n_particles=100, step_size=0.01, horizon=0.5, seed=2)
-        assert [e.time for e in res] == [0.0, 0.5]
-        assert [e.step_size for e in res] == [0.01, 0.01]
-        assert res[0].positions.shape == (100, 1)
-        assert not res[0].positions.flags.writeable
+        seen = []
+
+        def observe(x):
+            seen.append((x.shape, x.flags.writeable))
+            return len(seen)
+
+        res = simulate(brownian_spec(), Point(0.0), n_particles=100, step_size=0.01,
+                       horizon=0.5, seed=2, observe=observe)
+        assert res == [(0.0, 1), (0.5, 2)]
+        assert seen == [((100, 1), False)] * 2
 
     def test_input_validation(self):
         bm = brownian_spec()
         s = Point(0.0)
         with pytest.raises(ValueError):
-            simulate(bm, s, n_particles=50, step_size=0.01, horizon=1.0, seed=0)
+            simulate(bm, s, n_particles=50, step_size=0.01, horizon=1.0, seed=0,
+                     observe=_positions)
         with pytest.raises(ValueError):
-            simulate(bm, s, n_particles=100, step_size=0.0, horizon=1.0, seed=0)
+            simulate(bm, s, n_particles=100, step_size=0.0, horizon=1.0, seed=0,
+                     observe=_positions)
         with pytest.raises(ValueError):
-            simulate(bm, s, n_particles=100, step_size=0.01, horizon=0.001, seed=0)
+            simulate(bm, s, n_particles=100, step_size=0.01, horizon=0.001, seed=0,
+                     observe=_positions)
         with pytest.raises(ValueError):
             simulate(bm, s, n_particles=100, step_size=0.01, horizon=1.0,
-                     seed=0, snapshot_times=[2.0])
+                     seed=0, snapshot_times=[2.0], observe=_positions)
 
     def test_nonfinite_positions_raise(self):
         expl = SMVESpec(dimension=1, b1=lambda x: x**3, b2=None,
@@ -222,7 +234,7 @@ class TestSimulate:
             with pytest.raises(SimulationBlowUp,
                                match=r"^smve: non-finite position at step 1$"):
                 simulate(expl, Point(1e200), n_particles=100,
-                         step_size=0.01, horizon=0.5, seed=1)
+                         step_size=0.01, horizon=0.5, seed=1, observe=_positions)
         assert threading.active_count() == threads
 
     def test_drift_bound_error_keeps_its_message(self):
@@ -233,14 +245,14 @@ class TestSimulate:
         with pytest.raises(DriftBoundError,
                            match=r"^smve: \|b2\| = 5 exceeds D = 1$"):
             simulate(bad, Point(0.0), n_particles=100,
-                     step_size=0.01, horizon=0.1, seed=1)
+                     step_size=0.01, horizon=0.1, seed=1, observe=_positions)
         assert threading.active_count() == threads
 
     def test_nonfinite_initial_sample_is_a_value_error(self):
         threads = threading.active_count()
         with pytest.raises(ValueError, match="finite"):
             simulate(make_ou_spec(), Point(np.inf), n_particles=100,
-                     step_size=0.01, horizon=0.5, seed=1)
+                     step_size=0.01, horizon=0.5, seed=1, observe=_positions)
         assert threading.active_count() == threads
 
     def test_noise_worker_failure_reaches_the_caller_at_its_step(self, monkeypatch):
@@ -266,7 +278,7 @@ class TestSimulate:
         def run():
             try:
                 simulate(spec, Point(0.0), n_particles=100,
-                         step_size=0.01, horizon=0.5, seed=3)
+                         step_size=0.01, horizon=0.5, seed=3, observe=_positions)
             except RuntimeError as exc:
                 outcome["error"] = exc
 
@@ -300,7 +312,7 @@ class TestSimulate:
         spec = SMVESpec(dimension=2, b1=b1, b2=b2, epsilon=0.1,
                         bound_D=1.0, lipschitz_L=1.0)
         simulate(spec, Point([0.0, 1.0]), n_particles=100,
-                 step_size=0.01, horizon=0.03, seed=3)
+                 step_size=0.01, horizon=0.03, seed=3, observe=_positions)
         assert seen == [False] * 9
 
     def test_sampler_output_is_not_written_to(self):
@@ -312,28 +324,42 @@ class TestSimulate:
             x[:] = start
 
         simulate(make_ou_spec(), sampler, n_particles=100,
-                 step_size=0.01, horizon=0.1, seed=3)
+                 step_size=0.01, horizon=0.1, seed=3, observe=_positions)
         assert not start.any()
 
     def test_sampler_that_returns_its_positions_is_refused(self):
         with pytest.raises(ValueError, match="fill x in place and return None"):
             simulate(make_ou_spec(), lambda rng, x: np.ones_like(x), n_particles=100,
-                     step_size=0.01, horizon=0.1, seed=3)
+                     step_size=0.01, horizon=0.1, seed=3, observe=_positions)
 
-    def test_sampler_fills_the_array_the_last_snapshot_takes_over(self):
-        filled = []
+    def test_sampler_fills_the_array_the_observer_reads(self):
+        filled, seen = [], []
 
         def sampler(rng, x):
             filled.append(x)
             x[:] = 0.5
 
-        first, last = simulate(make_ou_spec(), sampler, n_particles=100,
-                               step_size=0.01, horizon=0.1, seed=3)
+        def observe(x):
+            seen.append(x)
+            return x.copy()
+
+        [(_, first), (_, last)] = simulate(make_ou_spec(), sampler, n_particles=100,
+                                           step_size=0.01, horizon=0.1, seed=3,
+                                           observe=observe)
         assert len(filled) == 1 and filled[0].shape == (100, 1)
-        assert not np.shares_memory(first.positions, filled[0])
-        assert np.all(first.positions == 0.5)
-        assert last.positions is filled[0]
-        assert not last.positions.flags.writeable
+        assert np.all(first == 0.5)
+        assert np.array_equal(last, filled[0])
+        assert all(x.base is filled[0] and not x.flags.writeable for x in seen)
+
+    def test_an_observer_that_writes_into_x_is_refused(self):
+        def observe(x):
+            x[0, 0] = 1.0
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="read-only"):
+            simulate(make_ou_spec(), Point(0.0), n_particles=100, step_size=0.01,
+                     horizon=0.1, seed=3, observe=observe)
+        assert threading.active_count() == threads
 
 
 def _step_noise(seed, k, n, d, whole_stream=False):
@@ -438,12 +464,12 @@ def test_simulate_matches_reference_euler_loop(model, n, steps, seed, h):
     horizon = steps * h
     times = [0.0, (steps // 2) * h, horizon]
     sampler = Gauss([0.3] * d, 1.0)
-    got = simulate(spec, sampler, n, h, horizon, seed, times)
+    got = simulate(spec, sampler, n, h, horizon, seed, times, observe=_positions)
     want = _reference_simulate(b1, b2, eps, bound, spec.label, d,
                                sampler, n, h, horizon, seed, times)
     assert len(got) == len(want) == len(set(times))
-    for ens, ref in zip(got, want):
-        assert ens.positions.tobytes() == ref.tobytes()
+    for (_, pos), ref in zip(got, want):
+        assert pos.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -463,11 +489,11 @@ def test_simulate_reads_an_aliased_or_broadcast_drift_whole(drift, d):
         b2 = lambda x: np.broadcast_to(row(x), x.shape)
     sampler = Gauss([0.3] * d, 1.0)
     times = [0.0, 0.02, 0.03]
-    got = simulate(spec, sampler, 140_000, 0.01, 0.03, 5, times)
+    got = simulate(spec, sampler, 140_000, 0.01, 0.03, 5, times, observe=_positions)
     want = _reference_simulate(b1, b2, eps, 1e6, drift, d,
                                sampler, 140_000, 0.01, 0.03, 5, times)
-    for ens, ref in zip(got, want, strict=True):
-        assert ens.positions.tobytes() == ref.tobytes()
+    for (_, pos), ref in zip(got, want, strict=True):
+        assert pos.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +502,7 @@ def test_simulate_reads_an_aliased_or_broadcast_drift_whole(drift, d):
 
 def _in_lanes(spec, sampler, n, h, horizon, seed, times, lanes):
     plan = mckean_vlasov._plan(n, h, horizon, times)
-    return mckean_vlasov._euler(spec, sampler, n, h, seed, plan, lanes)
+    return mckean_vlasov._euler(spec, sampler, n, h, seed, plan, _positions, lanes)
 
 
 @settings(max_examples=25, deadline=None)
@@ -517,12 +543,12 @@ def test_one_block_run_draws_the_whole_step_stream(d):
     assert len(mckean_vlasov._row_blocks(n, d)) == 1
     spec, (b1, b2, eps, bound) = _model("vh", d)
     sampler = Gauss([0.3] * d, 1.0)
-    got = simulate(spec, sampler, n, 0.01, 0.2, 7)
+    got = simulate(spec, sampler, n, 0.01, 0.2, 7, observe=_positions)
     want = _reference_simulate(b1, b2, eps, bound, spec.label, d, sampler,
                                n, 0.01, 0.2, 7, [0.0, 0.2], whole_stream=True)
-    for ens, ref in zip(got, want, strict=True):
-        assert ens.positions.tobytes() == ref.tobytes()
-    digest = hashlib.sha256(got[-1].positions.tobytes()).hexdigest()
+    for (_, pos), ref in zip(got, want, strict=True):
+        assert pos.tobytes() == ref.tobytes()
+    digest = hashlib.sha256(got[-1][1].tobytes()).hexdigest()
     assert digest == _ONE_BLOCK_DIGESTS[d]
 
 
@@ -536,11 +562,11 @@ def test_wide_run_steps_its_blocks_in_one_lane_per_usable_cpu(monkeypatch):
 
     threads = threading.active_count()
     spec = SMVESpec(1, b1, None, 0.0, 0.0, 0.0)
-    simulate(spec, Point(0.0), 40_000, 0.01, 0.05, 3)  # three blocks
+    simulate(spec, Point(0.0), 40_000, 0.01, 0.05, 3, observe=len)  # three blocks
     assert len(callers) == 3 and threading.current_thread().name in callers
     assert threading.active_count() == threads
     callers.clear()
-    simulate(spec, Point(0.0), 16_385, 0.01, 0.05, 3)  # two blocks, two lanes
+    simulate(spec, Point(0.0), 16_385, 0.01, 0.05, 3, observe=len)  # two lanes
     assert len(callers) == 2
 
 
@@ -684,7 +710,7 @@ def test_interrupt_during_a_wide_run_leaves_no_lane_thread(monkeypatch):
     try:
         # three blocks of 2 ms a step for 2,000 steps, were it not stopped
         with pytest.raises(KeyboardInterrupt):
-            simulate(spec, Point(0.0), 40_000, 0.01, 20.0, 3)
+            simulate(spec, Point(0.0), 40_000, 0.01, 20.0, 3, observe=len)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -735,7 +761,8 @@ def _wide_simulate_peak(model) -> int:
     else:
         spec = SMVESpec(1, radial_confinement_drift(1.0, 1.0), None, 0.0, 0.0, 0.0)
     sampler = Gauss([0.3], 1.0)
-    return _traced_peak(lambda: simulate(spec, sampler, WIDE, 0.01, 0.05, 7, [0.05]))
+    return _traced_peak(lambda: simulate(spec, sampler, WIDE, 0.01, 0.05, 7, [0.05],
+                                         observe=len))
 
 
 @pytest.mark.parametrize("model, particle_arrays", WIDE_MODELS)
@@ -788,7 +815,7 @@ def _peak_at_first_b1_call() -> int:
     tracemalloc.start()
     try:
         with pytest.raises(_Stop):
-            simulate(spec, Gauss([0.3], 1.0), WIDE, 0.01, 0.05, 7, [0.05])
+            simulate(spec, Gauss([0.3], 1.0), WIDE, 0.01, 0.05, 7, [0.05], observe=len)
     finally:
         tracemalloc.stop()
     return peaks[0]
@@ -807,9 +834,9 @@ def test_wide_run_in_lanes_starts_in_the_array_the_sampler_fills(monkeypatch):
     assert _peak_at_first_b1_call() <= 8 * WIDE + 3 * 3 * mckean_vlasov._BLOCK_BYTES
 
 
-def test_wide_run_hands_x_to_the_last_snapshot():
+def test_wide_run_lets_the_observer_read_x_in_place():
     # from b1's last call to the run's return, the run allocates b1's
-    # output block and no copy of x for the last snapshot
+    # output block and no copy of x for the observer
     last_call = 2 * len(mckean_vlasov._row_blocks(WIDE, 1))  # two steps
     calls, held = [], []
 
@@ -823,7 +850,8 @@ def test_wide_run_hands_x_to_the_last_snapshot():
     spec = SMVESpec(1, b1, None, 0.0, 0.0, 0.0)
     tracemalloc.start()
     try:
-        snaps = simulate(spec, Gauss([0.3], 1.0), WIDE, 0.01, 0.02, 7, [0.02])
+        snaps = simulate(spec, Gauss([0.3], 1.0), WIDE, 0.01, 0.02, 7, [0.02],
+                         observe=len)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -888,15 +916,15 @@ def _same_runs(got, want):
     assert len(got) == len(want)
     for run, ref in zip(got, want):
         assert len(run) == len(ref)
-        for ens, expected in zip(run, ref):
-            assert ens.positions.tobytes() == expected.positions.tobytes()
-            assert ens.positions.shape == expected.positions.shape
-            assert not ens.positions.flags.writeable
-            assert (ens.time, ens.step_size) == (expected.time, expected.step_size)
+        for (t, pos), (expected_t, expected) in zip(run, ref):
+            assert t == expected_t
+            assert pos.tobytes() == expected.tobytes()
+            assert pos.shape == expected.shape
 
 
 def _sequential(spec, runs, n, h, horizon, times):
-    return [simulate(spec, sampler, n, h, horizon, seed, times) for sampler, seed in runs]
+    return [simulate(spec, sampler, n, h, horizon, seed, times, observe=_positions)
+            for sampler, seed in runs]
 
 
 def _sampler(name, d):
@@ -925,7 +953,7 @@ def test_simulate_runs_matches_simulate(model, runs, n, steps):
     horizon = steps * h
     times = [0.0, (steps // 2) * h, horizon]
     pairs = [(_sampler(name, d), seed) for name, seed in runs]
-    got = list(simulate_runs(spec, pairs, n, h, horizon, times))
+    got = list(simulate_runs(spec, pairs, n, h, horizon, times, observe=_positions))
     _same_runs(got, _sequential(spec, pairs, n, h, horizon, times))
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads
@@ -944,7 +972,7 @@ def test_runs_go_to_worker_processes(monkeypatch, no_leftovers):
         raise AssertionError("a run went through simulate in this process")
 
     monkeypatch.setattr(mckean_vlasov, "simulate", in_process)
-    _same_runs(list(simulate_runs(spec, runs, 1_000, 0.01, 0.2)), want)
+    _same_runs(list(simulate_runs(spec, runs, 1_000, 0.01, 0.2, observe=_positions)), want)
 
 
 def _counting_simulate(monkeypatch):
@@ -964,7 +992,8 @@ def test_one_cpu_runs_in_order_in_process(monkeypatch, no_leftovers):
     want = _sequential(spec, runs, 1_000, 0.01, 0.2, [0.1, 0.2])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     calls = _counting_simulate(monkeypatch)
-    _same_runs(list(simulate_runs(spec, runs, 1_000, 0.01, 0.2, [0.1, 0.2])), want)
+    _same_runs(list(simulate_runs(spec, runs, 1_000, 0.01, 0.2, [0.1, 0.2],
+                                  observe=_positions)), want)
     assert len(calls) == 2
 
 
@@ -976,7 +1005,7 @@ def test_live_threads_keep_the_runs_in_process(monkeypatch):
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        got = list(simulate_runs(spec, runs, 1_000, 0.01, 0.2))
+        got = list(simulate_runs(spec, runs, 1_000, 0.01, 0.2, observe=_positions))
     finally:
         release.set()
         other.join()
@@ -991,8 +1020,8 @@ def test_bad_arguments_raise_before_any_run(no_leftovers):
                    dict(horizon=0.001), dict(snapshot_times=[2.0])):
         args = dict(n_particles=100, step_size=0.01, horizon=1.0) | kwargs
         with pytest.raises(ValueError):
-            simulate_runs(spec, runs, **args)
-    assert list(simulate_runs(spec, [], 100, 0.01, 1.0)) == []
+            simulate_runs(spec, runs, **args, observe=_positions)
+    assert list(simulate_runs(spec, [], 100, 0.01, 1.0, observe=_positions)) == []
 
 
 def _late_blow_up_spec():
@@ -1017,7 +1046,7 @@ def test_first_failing_run_in_list_order_wins(no_leftovers):
         warnings.simplefilter("ignore")
         with pytest.raises(SimulationBlowUp) as want:
             _sequential(spec, runs, 100, 0.1, 20.0, None)
-        results = simulate_runs(spec, runs, 100, 0.1, 20.0)
+        results = simulate_runs(spec, runs, 100, 0.1, 20.0, observe=_positions)
         with pytest.raises(SimulationBlowUp) as got:
             next(results)
     assert str(got.value) == str(want.value)
@@ -1027,7 +1056,7 @@ def test_first_failing_run_in_list_order_wins(no_leftovers):
 def test_runs_before_the_failure_are_yielded(no_leftovers):
     spec = make_ou_spec()
     runs = [(Point(0.0), 1), (_fails_at_once, 2), (Point(0.0), 3)]
-    results = simulate_runs(spec, runs, 100, 0.01, 0.5)
+    results = simulate_runs(spec, runs, 100, 0.01, 0.5, observe=_positions)
     _same_runs([next(results)], _sequential(spec, runs[:1], 100, 0.01, 0.5, None))
     with pytest.raises(ValueError, match="^no initial sample$"):
         next(results)
@@ -1039,7 +1068,41 @@ def test_worker_failure_keeps_its_type_and_message(no_leftovers):
                    epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
     runs = [(Point(0.0), 1), (Point(0.0), 2)]
     with pytest.raises(DriftBoundError, match=r"^smve: \|b2\| = 5 exceeds D = 1$"):
-        list(simulate_runs(bad, runs, 100, 0.01, 0.1))
+        list(simulate_runs(bad, runs, 100, 0.01, 0.1, observe=_positions))
+
+
+class _ObserverError(Exception):
+    pass
+
+
+def _failing_observer(x):
+    raise _ObserverError(f"observer refused {len(x)} particles")
+
+
+@TWO_CPUS
+def test_observer_failure_in_a_worker_reaches_the_caller(monkeypatch, no_leftovers):
+    def in_process(*args, **kwargs):
+        raise AssertionError("a run went through simulate in this process")
+
+    monkeypatch.setattr(mckean_vlasov, "simulate", in_process)
+    spec, runs = _two_runs()
+    with pytest.raises(_ObserverError, match="^observer refused 100 particles$"):
+        list(simulate_runs(spec, runs, 100, 0.01, 0.1, observe=_failing_observer))
+
+
+def test_observer_failure_in_a_wide_run_joins_every_lane(monkeypatch, no_leftovers):
+    # the observer fails at the last snapshot, after lanes stepped blocks
+    _use_cpus(monkeypatch, 3)
+    calls = []
+
+    def observe(x):
+        calls.append(1)
+        if len(calls) == 2:
+            _failing_observer(x)
+
+    with pytest.raises(_ObserverError, match="^observer refused 40000 particles$"):
+        simulate(make_vh_spec(), Point(0.0), 40_000, 0.01, 0.05, 3, observe=observe)
+    assert len(calls) == 2
 
 
 @TWO_CPUS
@@ -1052,7 +1115,7 @@ def test_unpicklable_failure_becomes_a_runtime_error(no_leftovers):
 
     runs = [(sampler, 1), (Point(0.0), 2)]
     with pytest.raises(RuntimeError, match="^LocalError: cannot cross a pipe$"):
-        list(simulate_runs(make_ou_spec(), runs, 100, 0.01, 0.1))
+        list(simulate_runs(make_ou_spec(), runs, 100, 0.01, 0.1, observe=_positions))
 
 
 @TWO_CPUS
@@ -1066,7 +1129,7 @@ def test_killed_worker_raises_instead_of_hanging(no_leftovers):
 
     spec = make_ou_spec()
     runs = [(Point(0.0), 1), (killed_in_worker, 2), (Point(0.0), 3)]
-    results = simulate_runs(spec, runs, 100, 0.01, 0.1)
+    results = simulate_runs(spec, runs, 100, 0.01, 0.1, observe=_positions)
     _same_runs([next(results)], _sequential(spec, runs[:1], 100, 0.01, 0.1, None))
     with pytest.raises(RuntimeError, match=r"^particle run 1: worker process exited "
                                            r"with code -9 without reporting it$"):
@@ -1089,14 +1152,16 @@ _FAST_AND_SLOW = [(Point(0.0), 1), (Point(1000.0), 2),
 
 
 def test_consumer_that_stops_early_leaves_no_worker(no_leftovers):
-    results = simulate_runs(_slow_far_out_spec(), _FAST_AND_SLOW, 100, 0.01, 20.0)
+    results = simulate_runs(_slow_far_out_spec(), _FAST_AND_SLOW, 100, 0.01, 20.0,
+                            observe=len)
     next(results)
     start = time.perf_counter()
     results.close()
     # the workers were terminated, not waited for
     assert time.perf_counter() - start < 5.0
     # and one that never starts
-    simulate_runs(_slow_far_out_spec(), _FAST_AND_SLOW, 100, 0.01, 20.0).close()
+    simulate_runs(_slow_far_out_spec(), _FAST_AND_SLOW, 100, 0.01, 20.0,
+                  observe=len).close()
 
 
 def test_interrupt_while_waiting_leaves_no_worker(no_leftovers):
@@ -1108,7 +1173,8 @@ def test_interrupt_while_waiting_leaves_no_worker(no_leftovers):
     signal.setitimer(signal.ITIMER_REAL, 0.3)
     try:
         with pytest.raises(KeyboardInterrupt):
-            list(simulate_runs(_slow_far_out_spec(), _FAST_AND_SLOW, 100, 0.01, 20.0))
+            list(simulate_runs(_slow_far_out_spec(), _FAST_AND_SLOW, 100, 0.01, 20.0,
+                               observe=len))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
