@@ -15,10 +15,11 @@ applicable, into --out (or $NLMARKOV_OUT, or ./nlmarkov-out).  Outputs
 carry no timestamps and floats are printed in full precision, so a
 rerun with the same configuration is byte-identical.
 
-``import nlmarkov.cli`` loads the chain half (kernels, kernel_spec,
-ergodicity, counterexamples, measures), laws and reporting, with numpy;
-an smve action imports the particle half (mckean_vlasov, diagnostics,
-and numpy.random through them) when it runs.
+``import nlmarkov.cli`` loads the chain half (kernels, ergodicity,
+counterexamples, measures), laws and reporting, with numpy; ``chain
+--kernel custom`` imports kernel_spec and hashlib, and an smve action
+the particle half (mckean_vlasov, diagnostics, and numpy.random through
+them), when it runs.
 
 Exit codes: 0 all claims hold, 1 a certified claim was falsified,
 2 usage or configuration error, 3 numerical failure (a particle run
@@ -29,7 +30,6 @@ failed validation, or a chain orbit met a non-stochastic row).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -40,12 +40,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .counterexamples import (
+    check_replay,
     verify_continuum,
     verify_no_invariant_recursion,
     verify_oscillation,
 )
 from .ergodicity import check_rate, evolve
-from .kernel_spec import compile_kernel_spec
 from .kernels import (
     KernelValidationError,
     MeasureGrid,
@@ -108,7 +108,6 @@ _SMVE = {
     "allowance": Option(-1.0, "negative: the bootstrap floor of the mu0 run"),
     "radius": Option(1.0),
     "t": Option(1.0),
-    "n-sims": Option(100_000),
     "x-grid": Option(""),
     "lag": Option(1.0),
 }
@@ -156,7 +155,7 @@ OPTIONS = {
                                       "mu0 nu0 allowance",
                                       nu0="mix:0,2,0.9"),  # TV 0.2 from point:0
         "local-alpha": _smve_table("preset r m-ball h seed", _BINNING,
-                                   "radius t n-sims x-grid"),
+                                   "radius t x-grid"),
         "lyapunov": _smve_table(_MODEL, "n h horizon seed nu0 lag"),
     },
 }
@@ -234,6 +233,12 @@ GRID_BUDGET_BYTES = 2**30
 # The most particle-steps (particles times Euler steps, summed over its
 # runs) an smve action may take.
 STEP_BUDGET = 10**11
+# The most cell-taps (grid nodes times noise taps, summed over the steps
+# and laws of local-alpha's grid at dx; the rerun at 2 dx adds a quarter)
+# local-alpha may take: 1.6 x 10^8 at its defaults, 5 laws through 100
+# steps on 1,961 nodes with 161 taps.  Beside its laws, a propagation
+# holds GRID_LAW_ARRAYS arrays the size of the grid.
+CELL_TAP_BUDGET, GRID_LAW_ARRAYS = 10**11, 8
 # The floats a step holds at most, by which --steps is budgeted like n:
 # 25 + 10 n for an n-state chain (its orbit row, Python floats and the CSV
 # lines write_csv joins; tracemalloc over 10^5 steps measured 340, 462,
@@ -259,6 +264,10 @@ def _run_chain(args, resolved: dict) -> int:
     elif not resolved["kernel-file"]:
         raise ValueError("kernel custom requires --kernel-file")
     else:
+        import hashlib
+
+        from .kernel_spec import compile_kernel_spec
+
         path = Path(resolved["kernel-file"])
         try:
             raw = path.read_bytes()
@@ -360,6 +369,7 @@ _REPLAYS = {
 def _run_counterexample(args, resolved: dict) -> int:
     kind = args.which
     n_max = resolved["n-max"]
+    check_replay(kind, resolved)
     if kind != "no-invariant":
         _budget(resolved, "steps", "step", REPLAY_STEP_FLOATS)
     elif n_max * (n_max - 1) // 2 > NO_INVARIANT_TERMS:
@@ -416,6 +426,13 @@ def _on_grid(c: dict, key: str, value: float) -> None:
         raise ValueError(f"--{key} {value:g} is not a whole number of --h {c['h']:g} steps")
 
 
+def _positive(c: dict, *keys: str) -> None:
+    """Refuse each option of ``keys`` that is not positive."""
+    for key in keys:
+        if not c[key] > 0:
+            raise ValueError(f"--{key} must be positive, got {c[key]:g}")
+
+
 def _times(c: dict, default: list) -> list:
     """The snapshot times of --times, each on the step grid, or ``default``."""
     times = laws.floats(c["times"], "times")
@@ -436,6 +453,8 @@ def _spec(c: dict, horizon: float, times, runs: int = 1, extra: int = 0):
         raise ValueError("n must be at least 100")
     if c["epsilon"] < 0:
         raise ValueError("epsilon must be nonnegative")
+    if c["preset"] == "vh":
+        _positive(c, "r", "m-ball", "d-bound")
     if "horizon" in c:
         _on_grid(c, "horizon", horizon)
     n_steps, snaps = _plan(c["n"], float(c["h"]), horizon, times)
@@ -523,6 +542,10 @@ def _smve_girsanov_check(args, c: dict) -> int:
 
     mu, nu = laws.parse(c["mu0"], "mu0"), laws.parse(c["nu0"], "nu0")
     times = _times(c, [0.5, 1.0, 2.0])
+    _on_grid(c, "times", max(times))  # the default times too: the run's last step
+    if c["allowance"] < 0 and not max(times) > 0:
+        raise ValueError("--times needs a positive time for the bootstrap floor of a "
+                         "negative --allowance")
     spec, snaps = _spec(c, max(*times, c["h"]), times, runs=2)
     t = max(times)
     # the bound's largest exponent, as girsanov_bound_check computes it
@@ -548,14 +571,17 @@ def _smve_girsanov_check(args, c: dict) -> int:
 
 
 def _smve_local_alpha(args, c: dict) -> int:
-    from .diagnostics import LOCAL_ALPHA_STARTS, estimate_local_alpha
-    from .mckean_vlasov import radial_confinement_drift
+    """The overlap of the start laws, computed on a grid: --seed is
+    recorded but unused, since nothing is sampled."""
+    from .diagnostics import (GRID_CELLS, GRID_REACH, LOCAL_ALPHA_STARTS,
+                              estimate_local_alpha, euler_grid)
+    from .mckean_vlasov import ou_drift, radial_confinement_drift
 
-    b1 = (radial_confinement_drift(c["r"], c["m-ball"])
-          if c["preset"] == "vh" else (lambda x: -x))
-    for key in ("radius", "t"):
-        if c[key] <= 0:
-            raise ValueError(f"--{key} must be positive, got {c[key]:g}")
+    b1 = ou_drift()
+    if c["preset"] == "vh":
+        _positive(c, "r", "m-ball")
+        b1 = radial_confinement_drift(c["r"], c["m-ball"])
+    _positive(c, "radius", "t")
     x_grid = np.array(laws.floats(c["x-grid"], "x-grid")) if c["x-grid"] else None
     starts = LOCAL_ALPHA_STARTS if x_grid is None else len(x_grid)
     if starts < 2 or x_grid is not None and np.any(np.abs(x_grid) > c["radius"] + 1e-12):
@@ -563,17 +589,28 @@ def _smve_local_alpha(args, c: dict) -> int:
                          f"{c['radius']:g} ball, got {c['x-grid']!r}")
     _on_grid(c, "t", c["t"])
     binning = _binning(c, starts + 1)
-    _budget(c, "n-sims", "particle", starts)  # x: n-sims rows per start
-    _step_budget(f"--t {c['t']:g}", starts * c["n-sims"], round(c["t"] / c["h"]))
+    reach = c["radius"] if x_grid is None else float(np.max(np.abs(x_grid)))
+    nodes = 2.0 * euler_grid(reach, c["t"], c["h"])[1] + 1.0
+    steps, taps = round(c["t"] / c["h"]), 2 * GRID_REACH * GRID_CELLS + 1
+    grid = (f"--radius {c['radius']:g}, --t {c['t']:g} and --h {c['h']:g} lay out "
+            f"{nodes:.6g} grid nodes")
+    held = starts + GRID_LAW_ARRAYS
+    if 8.0 * held * nodes > GRID_BUDGET_BYTES:
+        raise ValueError(f"{grid}, and {held} arrays of them exceed the "
+                         f"{GRID_BUDGET_BYTES >> 30} GiB budget")
+    if starts * steps * nodes * taps > CELL_TAP_BUDGET:
+        raise ValueError(f"{grid}; {starts} laws through {steps} steps of {taps} taps "
+                         f"take {starts * steps * nodes * taps:.3g} cell-taps, over the "
+                         f"budget of {CELL_TAP_BUDGET:g}")
     out = _begin(args, "smve/local-alpha", c)
-    alpha_hat = estimate_local_alpha(b1, c["radius"], c["t"], c["n-sims"], binning,
-                                     x_grid, step_size=float(c["h"]), seed=c["seed"])
+    overlap = estimate_local_alpha(b1, c["radius"], c["t"], binning, x_grid,
+                                   step_size=float(c["h"]))
     doc = report_document(
         "smve/local-alpha", c,
-        [Claim("local overlap estimate is positive", alpha_hat > 0,
-               {"alpha_hat": alpha_hat})])
+        [Claim("local overlap estimate is positive", overlap.alpha_hat > 0, overlap)])
     return _finish(out, doc, f"alpha_hat({c['radius']:g}, {c['t']:g}) "
-                             f"= {alpha_hat:.6g} -> {out}")
+                             f"= {overlap.alpha_hat:.6g} (grid tolerance "
+                             f"{overlap.grid_tolerance:.2g}) -> {out}")
 
 
 def _smve_lyapunov(args, c: dict) -> int:
@@ -597,6 +634,7 @@ def _smve_lyapunov(args, c: dict) -> int:
     _on_grid(c, "lag", lag)  # the snapshots one lag apart fall on steps one lag apart
     times = [k * lag for k in range(int(lags) + 1)]
     spec, _ = _spec(c, horizon, times, extra=1)  # the weights of a snapshot
+    _positive(c, "r", "m-ball")
     V = WeightFunction(c["r"], c["m-ball"])
     if V.kappa * V.M > math.log(sys.float_info.max):
         raise ValueError(f"--m-ball {c['m-ball']:g} puts exp(kappa M) past the float range")

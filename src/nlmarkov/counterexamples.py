@@ -35,6 +35,7 @@ EXACT_TOL = 1e-12
 
 __all__ = [
     "CounterexampleReport",
+    "check_replay",
     "verify_oscillation",
     "verify_continuum",
     "verify_no_invariant_recursion",
@@ -53,6 +54,31 @@ class CounterexampleReport:
         return all(c.passed for c in self.claims)
 
 
+def check_replay(replay: str, p: dict) -> None:
+    """Refuse out-of-range parameters of ``replay`` (oscillation,
+    continuum or no-invariant), given under the names of their
+    command-line options (gamma, a, alpha, lam, steps, n-max); each
+    message names its option with its --.  The verify functions check
+    here, and so does the CLI, before it writes any output."""
+    if replay == "oscillation":
+        gamma, a = p["gamma"], p["a"]
+        if not 0.0 < gamma < 1.0:
+            raise ValueError(f"--gamma must lie in (0, 1), got {gamma:g}")
+        if not gamma / 2.0 <= a <= 1.0 - gamma / 2.0:
+            raise ValueError(f"--a must lie in [gamma/2, 1 - gamma/2] = "
+                             f"[{gamma / 2.0:g}, {1.0 - gamma / 2.0:g}], got {a:g}")
+        if p["steps"] < 2:
+            raise ValueError(f"--steps must be at least 2, got {p['steps']}")
+        return
+    if not 0.0 < p["alpha"] < p["lam"] <= 1.0:
+        raise ValueError(f"--alpha and --lam need 0 < alpha < lam <= 1, got "
+                         f"{p['alpha']:g} and {p['lam']:g}")
+    if replay == "continuum" and p["steps"] < 0:
+        raise ValueError(f"--steps must be nonnegative, got {p['steps']}")
+    if replay == "no-invariant" and p["n-max"] < 2:
+        raise ValueError(f"--n-max must be at least 2, got {p['n-max']}")
+
+
 def verify_oscillation(gamma: float, a: float, n_steps: int = 50) -> CounterexampleReport:
     """Replay the oscillating kernel from (a, 1-a).
 
@@ -61,12 +87,7 @@ def verify_oscillation(gamma: float, a: float, n_steps: int = 50) -> Counterexam
     estimate equal to gamma, and that fixed-point iteration fails
     (detecting the 2-cycle) unless started symmetric.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    if not gamma / 2.0 <= a <= 1.0 - gamma / 2.0:
-        raise ValueError("a must lie in [gamma/2, 1 - gamma/2]")
-    if n_steps < 2:
-        raise ValueError("need at least 2 steps")
+    check_replay("oscillation", {"gamma": gamma, "a": a, "steps": n_steps})
 
     kernel = oscillating_kernel(gamma)
     mu0 = DiscreteMeasure.two_point(a)
@@ -143,8 +164,7 @@ def verify_continuum(
     fixed points never attract each other, and that the grid estimates
     bracket the construction (alpha_hat >= alpha, lambda_hat <= lam).
     """
-    if not (0.0 < alpha < lam <= 1.0):
-        raise ValueError("need 0 < alpha < lam <= 1")
+    check_replay("continuum", {"alpha": alpha, "lam": lam, "steps": n_steps})
     lo, hi = alpha / (2.0 * lam), 1.0 - alpha / (2.0 * lam)
     if a_samples is None:
         a_samples = np.linspace(lo, hi, 5).tolist()
@@ -225,10 +245,7 @@ def verify_no_invariant_recursion(
     degenerates (coefficient 1 - lambda vanishes) and the argument
     gives nothing; that boundary is flagged, not asserted.
     """
-    if not (0.0 < alpha < lam <= 1.0):
-        raise ValueError("need 0 < alpha < lam <= 1")
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    check_replay("no-invariant", {"alpha": alpha, "lam": lam, "n-max": n_max})
 
     if lam == 1.0:
         # Degenerate boundary: the shift term vanishes and rows equal the

@@ -1,20 +1,21 @@
 """Statistical diagnostics for the particle simulations: histogram
-total variation over time, exponential decay fits, local overlap of
-transition laws, Lyapunov regressions, and coupled-run bound checks.
+total variation over time, exponential decay fits, Lyapunov
+regressions and coupled-run bound checks; and the local overlap of
+transition laws, read from the Euler chain's laws on a grid.
 
 All total variation estimates here go through a fixed shared binning,
 declared once per experiment, because comparing histograms with
 different bins estimates nothing.  Monte Carlo noise gives the
-estimates a positive floor; checks that compare against theoretical
-bounds therefore carry an explicit allowance, bootstrapped from a run
-they already made, instead of pretending the estimator is exact.
+particle estimates a positive floor; checks that compare against
+theoretical bounds therefore carry an explicit allowance, bootstrapped
+from a run they already made, instead of pretending the estimator is
+exact.  The grid laws carry no noise, only a grid tolerance.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,7 +27,6 @@ from .mckean_vlasov import (
     _BLOCK_BYTES,
     _row_blocks,
     _stream,
-    simulate,
     simulate_runs,
 )
 from .reporting import NumericalFailure, Record
@@ -37,7 +37,12 @@ __all__ = [
     "DecayFit",
     "DecayFitError",
     "GirsanovReport",
+    "LocalAlpha",
     "estimate_local_alpha",
+    "euler_grid",
+    "euler_laws",
+    "GRID_CELLS",
+    "GRID_REACH",
     "LOCAL_ALPHA_STARTS",
     "lyapunov_diagnostic",
     "mean_weight",
@@ -45,7 +50,6 @@ __all__ = [
     "girsanov_rate",
     "BOOTSTRAP_PAIRS",
     "bootstrap_floor",
-    "calibrate_tv_allowance",
     "fit_decay",
 ]
 
@@ -53,8 +57,8 @@ __all__ = [
 @dataclass(frozen=True)
 class Binning(Record):
     """Shared histogram grid: [lower, upper) split into ``bins`` half-open
-    bins per axis.  The one place where particle clouds are binned and
-    their total variation is measured."""
+    bins per axis.  The one place where particle clouds and grid laws are
+    binned and their total variation is measured."""
 
     lower: float = -10.0
     upper: float = 10.0
@@ -98,6 +102,26 @@ class Binning(Record):
         masses /= n
         return masses
 
+    def grid_masses(self, first: float, dx: float, law: np.ndarray) -> np.ndarray:
+        """Masses of a one-dimensional law on the nodes first + j dx, in
+        the layout of ``masses``: node j's mass spread evenly over its cell
+        [first + (j - 1/2) dx, first + (j + 1/2) dx).  The law's cumulative
+        mass is then linear across each cell, so each bin edge reads it by
+        interpolation, a block of edges at a time; the overflow is the
+        rest of the law's mass."""
+        knots = first + dx * (np.arange(len(law) + 1) - 0.5)
+        cumulative = np.concatenate(([0.0], np.cumsum(law)))
+        width = (self.upper - self.lower) / self.bins
+        masses = np.empty(self.bins + 1)
+        below = bottom = float(np.interp(self.lower, knots, cumulative))
+        for rows in _row_blocks(self.bins, 1):
+            edges = self.lower + width * np.arange(rows.start + 1, rows.stop + 1)
+            at = np.interp(edges, knots, cumulative)
+            masses[rows] = np.diff(at, prepend=below)
+            below = float(at[-1])
+        masses[-1] = cumulative[-1] - (below - bottom)
+        return masses
+
     @staticmethod
     def tv(p: np.ndarray, q: np.ndarray) -> float:
         """Total variation between two ``masses`` of one binning: the sum
@@ -109,7 +133,131 @@ class Binning(Record):
 
 
 # ---------------------------------------------------------------------------
-# Local overlap of transition laws.
+# The Euler chain's law on a grid, and the local overlap of transition laws.
+
+
+# The grid step is dx = sqrt(h) / GRID_CELLS, and the noise kernel reaches
+# GRID_REACH sqrt(h) on each side: 2 GRID_REACH GRID_CELLS + 1 taps.
+GRID_CELLS, GRID_REACH = 10, 8
+# The most mass a law may lose off the grid's edges before its
+# propagation is a numerical failure.
+LOST_MASS_TOL = 1e-9
+
+
+def euler_grid(reach: float, horizon: float, step_size: float,
+               per_sqrt_h: int = GRID_CELLS) -> tuple[float, float]:
+    """The grid step dx = sqrt(h) / per_sqrt_h and the half-width J of the
+    grid that holds the Euler chain's laws from starts within ``reach``
+    of 0 up to ``horizon``: the nodes are j dx for |j| <= J, the first
+    J dx >= reach + GRID_REACH (sqrt(horizon) + sqrt(h)).  J is a float,
+    inf when it is past the float range, so a caller can budget the
+    2 J + 1 nodes before laying them out."""
+    dx = math.sqrt(step_size) / per_sqrt_h
+    half = (reach + GRID_REACH * (math.sqrt(horizon) + math.sqrt(step_size))) / dx
+    return dx, float(math.ceil(half)) if math.isfinite(half) else math.inf
+
+
+def _noise_taps(per_sqrt_h: int) -> np.ndarray:
+    """N(0, h) integrated over the cells [(m - 1/2) dx, (m + 1/2) dx),
+    |m| <= GRID_REACH per_sqrt_h, at dx = sqrt(h) / per_sqrt_h, and
+    renormalized for the tails past GRID_REACH sqrt(h) (about 1e-15).
+    The taps do not depend on h.  Each tail is taken from math.erfc of a
+    positive argument, so no tap loses its digits to cancellation."""
+    scale = per_sqrt_h * math.sqrt(2.0)
+    reach = GRID_REACH * per_sqrt_h
+    tails = [0.5 * math.erfc((m - 0.5) / scale) for m in range(1, reach + 2)]
+    half = np.subtract(tails[:-1], tails[1:])
+    taps = np.concatenate((half[::-1], [math.erf(0.5 / scale)], half))
+    return taps / taps.sum()
+
+
+def _split(y: np.ndarray, first: float, dx: float, n: int):
+    """For each position in y, the node i and the share f such that a mass
+    at y goes 1 - f to node i and f to node i + 1 of the n nodes
+    first + j dx; and the mask of the positions off the grid (or not
+    finite), whose i and f are 0."""
+    u = np.subtract(y, first) / dx
+    off = ~((u >= 0.0) & (u <= n - 1))
+    u[off] = 0.0
+    i = np.minimum(np.floor(u), n - 2).astype(np.intp)
+    return i, u - i, off
+
+
+def euler_laws(
+    b1: Callable[[np.ndarray], np.ndarray],
+    starts: Sequence[float],
+    step_size: float,
+    steps: int,
+    per_sqrt_h: int = GRID_CELLS,
+) -> tuple[float, float, np.ndarray]:
+    """The laws after ``steps`` steps of the one-dimensional Euler chain
+
+        Y <- Y + h b1(Y) + sqrt(h) xi,   xi ~ N(0, 1),
+
+    from each point of ``starts``, as masses on the nodes of
+    ``euler_grid(max |start|, steps h, h, per_sqrt_h)``.  Returns the
+    first node, dx and the (len(starts), nodes) array of the laws.
+
+    This is the Markov chain approximation of the diffusion on a grid
+    (H. J. Kushner and P. Dupuis, Numerical Methods for Stochastic
+    Control Problems in Continuous Time, 2nd ed., 2001), with no
+    particles and no random numbers.  A start's mass, and at each step
+    each node's mass pushed through x + h b1(x), is split linearly
+    between the two nodes around it (np.bincount); then the law is
+    convolved with ``_noise_taps`` (np.convolve).  The split adds about
+    f (1 - f) dx^2 of variance per step and the cell integration dx^2/12,
+    so the laws are second order in dx.  b1 does not read the law, so
+    the push map is computed once; a mean-field drift would recompute it
+    from each step's law.
+
+    Raises NumericalFailure, naming the step, once a law has lost more
+    than LOST_MASS_TOL of its mass off the grid, pushed past its edges
+    or spread across them.
+    """
+    starts = np.asarray(starts, dtype=float)
+    if steps < 1:
+        raise ValueError("the chain needs at least one step")
+    dx, half = euler_grid(float(np.max(np.abs(starts))), steps * step_size,
+                          step_size, per_sqrt_h)
+    n = 2 * int(half) + 1
+    first = -half * dx
+    nodes = first + dx * np.arange(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pushed = nodes + step_size * np.reshape(b1(nodes[:, None]), -1)
+        below, up, off = _split(pushed, first, dx, n)
+    del nodes, pushed
+    stay = np.where(off, 0.0, 1.0 - up)
+    up[off] = 0.0
+    above = below + 1
+    taps = _noise_taps(per_sqrt_h)
+    reach = len(taps) // 2
+
+    laws = np.zeros((len(starts), n))
+    at, share, _ = _split(starts, first, dx, n)  # every start is inside the grid
+    for law, i, f, x0 in zip(laws, at, share, starts):
+        law[i], law[i + 1] = 1.0 - f, f
+        for k in range(1, steps + 1):
+            moved = np.bincount(below, law * stay, n)
+            moved += np.bincount(above, law * up, n)
+            law[:] = np.convolve(moved, taps)[reach:reach + n]
+            lost = 1.0 - law.sum()
+            if not lost <= LOST_MASS_TOL:
+                raise NumericalFailure(
+                    f"the Euler chain's law from {x0:g} lost {lost:.3g} of its mass "
+                    f"off the grid [{first:g}, {-first:g}] by step {k}")
+    return first, dx, laws
+
+
+@dataclass(frozen=True)
+class LocalAlpha(Record):
+    """The local overlap 1 - max TV/2 of the start laws, its grid
+    tolerance, the grid step it was read at, and the pair of starts whose
+    laws are furthest apart."""
+
+    alpha_hat: float
+    grid_tolerance: float
+    grid_dx: float
+    worst_pair: tuple
 
 
 # The default start grid of estimate_local_alpha: this many points
@@ -121,53 +269,51 @@ def estimate_local_alpha(
     b1: Callable[[np.ndarray], np.ndarray],
     R: float,
     t: float,
-    n_sims: int,
     binning: Binning = Binning(),
     x_grid: np.ndarray | None = None,
     step_size: float = 0.01,
-    seed: int = 101,
-) -> float:
-    """Overlap of the time-t laws of dY = b1(Y) dt + dW across starting
-    points in the R-ball:
+) -> LocalAlpha:
+    """Overlap of the time-t laws of the Euler chain of
+    dY = b1(Y) dt + dW, in one dimension, across starting points in the
+    R-ball:
 
         alpha_hat(R, t) = 1 - (1/2) max over start pairs of
-                          tv between their histogram laws.
+                          tv between their binned laws,
 
-    Monte Carlo noise biases the histogram distance upward (pushing
-    alpha_hat down, toward caution); very coarse bins push the other way
-    by smearing the laws together.  With the default binning the noise
-    term dominates at practical n_sims.
+    each law propagated on a grid by ``euler_laws`` and binned by
+    ``binning.grid_masses``.  The starts are ``x_grid``, or
+    LOCAL_ALPHA_STARTS points evenly spaced on [-R, R].  The grid
+    tolerance is |alpha_hat - alpha_hat at 2 dx|: the error is second
+    order in dx, so the tolerance is about three times the error of
+    alpha_hat against the Euler chain's exact laws.
     """
-    if R <= 0 or t <= 0:
+    if not (R > 0 and t > 0):
         raise ValueError("R and t must be positive")
-    if n_sims < 100:
-        raise ValueError("need at least 100 simulations per start")
     if x_grid is None:
-        x_grid = np.linspace(-R, R, LOCAL_ALPHA_STARTS)[:, None]
-    else:
-        x_grid = np.asarray(x_grid, dtype=float)
-        if x_grid.ndim == 1:
-            x_grid = x_grid[:, None]
-    if np.any(np.linalg.norm(x_grid, axis=1) > R + 1e-12):
+        x_grid = np.linspace(-R, R, LOCAL_ALPHA_STARTS)
+    x_grid = np.asarray(x_grid, dtype=float)
+    if x_grid.ndim > 2 or x_grid.ndim == 2 and x_grid.shape[1] != 1:
+        raise ValueError(f"the grid holds laws in one dimension only; x_grid has "
+                         f"shape {x_grid.shape}")
+    x_grid = x_grid.reshape(-1)
+    if len(x_grid) < 2:
+        raise ValueError(f"x_grid needs two or more starts, got {len(x_grid)}")
+    if not np.all(np.abs(x_grid) <= R + 1e-12):
         raise ValueError("x_grid must lie inside the R-ball")
+    steps = int(round(t / step_size))
 
-    k, d = x_grid.shape
-    if k < 2:
-        raise ValueError(f"x_grid needs two or more starts, got {k}")
+    def overlap(per_sqrt_h):
+        first, dx, laws = euler_laws(b1, x_grid, step_size, steps, per_sqrt_h)
+        masses = [binning.grid_masses(first, dx, law) for law in laws]
+        pairs = [(i, j) for i in range(len(masses)) for j in range(i + 1, len(masses))]
+        tvs = [Binning.tv(masses[i], masses[j]) for i, j in pairs]
+        worst = int(np.argmax(tvs))
+        return 1.0 - tvs[worst] / 2.0, dx, pairs[worst]
 
-    def sampler(rng, x):
-        # n_sims rows at each start, in grid order
-        x.reshape(k, n_sims, d)[:] = x_grid[:, None, :]
-
-    def per_start(x):
-        return [binning.masses(x[i * n_sims:(i + 1) * n_sims]) for i in range(k)]
-
-    probe = SMVESpec(d, b1, None, 0.0, 0.0, 0.0, "local-alpha-probe")
-    [(_, masses)] = simulate(probe, sampler, k * n_sims, step_size, t, seed, [t],
-                             observe=per_start)
-    worst = max(binning.tv(masses[i], masses[j])
-                for i in range(k) for j in range(i + 1, k))
-    return 1.0 - worst / 2.0
+    alpha_hat, dx, (i, j) = overlap(GRID_CELLS)
+    coarse, _, _ = overlap(GRID_CELLS // 2)
+    return LocalAlpha(alpha_hat, abs(alpha_hat - coarse), dx,
+                      (float(x_grid[i]), float(x_grid[j])))
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +494,7 @@ def bootstrap_floor(run: Sequence[tuple[float, np.ndarray]], n: int,
     At each snapshot with t > 0, with cell masses p, draw
     BOOTSTRAP_PAIRS pairs of multinomial(n, p) count vectors and take
     each pair's distance, the sum of |count differences| over n.  The
-    floor is the 99th percentile of all those distances, the quantile
-    calibrate_tv_allowance takes over its runs.
+    floor is the 99th percentile of all those distances.
 
     The bootstrap is exact for independent particles.  Mean-field
     particles are not independent: they are exchangeable and interact
@@ -392,39 +537,6 @@ def _percentile_99(samples) -> float:
         return float(x[-1])
     gamma, a, b = index - low, x[low], x[low + 1]
     return float(b - (b - a) * (1.0 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
-
-
-def calibrate_tv_allowance(
-    spec: SMVESpec,
-    sampler: Callable,
-    times: Sequence[float],
-    n_particles: int,
-    step_size: float,
-    seed: int,
-    binning: Binning = Binning(),
-    n_pairs: int = 5,
-) -> float:
-    """Noise floor of the histogram distance: run independent pairs of
-    ensembles from the same law and take the 99th percentile of their
-    distances over the requested times (t = 0 excluded; initial data has
-    no Monte Carlo noise when samplers are deterministic).  It costs
-    2 n_pairs runs; the commands take bootstrap_floor of a run they
-    make anyway, and the tests compare the two."""
-    times = [float(t) for t in times if t > 0.0]
-    if not times:
-        raise ValueError("calibration needs at least one positive time")
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be positive")
-    samples = []
-    # Pair j is the runs at seeds seed + 2j + 1 and seed + 2j + 2, each
-    # observed as its cell masses.
-    runs = [(sampler, seed + k) for k in range(1, 2 * n_pairs + 1)]
-    with closing(simulate_runs(spec, runs, n_particles, step_size, max(times),
-                               times, observe=binning.masses)) as results:
-        for run_a in results:
-            run_b = next(results)
-            samples += [Binning.tv(p, q) for (_, p), (_, q) in zip(run_a, run_b)]
-    return _percentile_99(samples)
 
 
 # ---------------------------------------------------------------------------

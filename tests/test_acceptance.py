@@ -20,7 +20,6 @@ from nlmarkov.counterexamples import (
 )
 from nlmarkov.diagnostics import (
     Binning,
-    calibrate_tv_allowance,
     estimate_local_alpha,
     fit_decay,
     girsanov_bound_check,
@@ -283,8 +282,14 @@ def run_criterion_07(out):
 
     sigma = math.sqrt((1.0 - math.exp(-2.0)) / 2.0)
     alpha_exact = float(2.0 * NormalDist().cdf(-2.0 * math.exp(-1.0) / (2.0 * sigma)))
-    alpha_hat = estimate_local_alpha(ou_drift(), R=1.0, t=1.0,
-                                     n_sims=100_000, seed=101)
+    overlap = estimate_local_alpha(ou_drift(), R=1.0, t=1.0, step_size=STEP)
+    alpha_hat = overlap.alpha_hat
+    # The Euler chain's law from x0 after k steps is N(a x0, s^2), with
+    # a = (1 - h)^k and s^2 = h (1 - a^2) / (1 - (1 - h)^2); the worst
+    # pair of starts is (-1, 1).
+    a = (1.0 - STEP) ** round(1.0 / STEP)
+    s = math.sqrt(STEP * (1.0 - a * a) / (1.0 - (1.0 - STEP) ** 2))
+    alpha_euler = math.erfc(a / (s * math.sqrt(2.0)))
     claims = [
         Claim("stationary variance is within 3 standard errors of 1/2",
               z <= 3.0,
@@ -293,11 +298,16 @@ def run_criterion_07(out):
               abs(alpha_hat - alpha_exact) <= 0.05,
               {"alpha_hat": alpha_hat, "alpha_exact": alpha_exact,
                "abs_diff": abs(alpha_hat - alpha_exact)}),
+        Claim("local overlap is within its grid tolerance of the Euler chain's",
+              abs(alpha_hat - alpha_euler) <= overlap.grid_tolerance,
+              {"alpha_hat": alpha_hat, "alpha_euler": alpha_euler,
+               "abs_diff": abs(alpha_hat - alpha_euler),
+               "grid_tolerance": overlap.grid_tolerance, "grid_dx": overlap.grid_dx}),
     ]
     doc = report_document(
         "acceptance/ou-anchor",
         {"n_particles": N_PARTICLES, "step": STEP, "horizon": 10.0,
-         "seed": 2026, "n_sims": 100_000, "R": 1.0, "t": 1.0},
+         "seed": 2026, "R": 1.0, "t": 1.0},
         claims,
     )
     write_json_report(out / "criterion_07.json", doc)
@@ -311,18 +321,16 @@ def run_criterion_08(out):
     details = {}
     for eps in GIRSANOV_EPSILONS:
         spec = make_vh_spec(epsilon=eps)
-        allowance = calibrate_tv_allowance(
-            spec, mu0, GIRSANOV_TIMES, N_PARTICLES, STEP, seed=3000,
-            binning=BINNING, n_pairs=5)
+        # the allowance is the bootstrap floor of the mu0 run, as the CLI takes it
         rep = girsanov_bound_check(
             spec, mu0, nu0, 0.2, GIRSANOV_TIMES, N_PARTICLES, STEP,
-            seed=500, binning=BINNING, allowance=allowance)
+            seed=500, binning=BINNING, allowance=None)
         claims.append(
             Claim(
                 f"eps={eps:g}: estimates stay under sqrt(2) tv0 e^(4 eps^2 L^2 t)",
                 rep.passed,
                 {"estimates": list(rep.estimates), "bounds": list(rep.bounds),
-                 "allowance": allowance},
+                 "allowance": rep.allowance},
             )
         )
         details[f"eps={eps:g}"] = rep.to_dict()

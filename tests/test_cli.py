@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from statistics import NormalDist
@@ -294,6 +295,32 @@ class TestCounterexample:
         assert read_json(out / "report.json")["passed"]
 
 
+# Each out-of-range replay parameter, with its message: each exited 2
+# only after resolved_config.json, naming its parameter without the --.
+BAD_REPLAYS = {
+    "gamma": (["oscillation", "--gamma", "2"], "--gamma must lie in (0, 1), got 2"),
+    "a": (["oscillation", "--a", "0"],
+          "--a must lie in [gamma/2, 1 - gamma/2] = [0.25, 0.75], got 0"),
+    "oscillation-steps": (["oscillation", "--steps", "1"],
+                          "--steps must be at least 2, got 1"),
+    "continuum-steps": (["continuum", "--steps=-1"], "--steps must be nonnegative, got -1"),
+    "alpha": (["continuum", "--alpha", "0.9"],
+              "--alpha and --lam need 0 < alpha < lam <= 1, got 0.9 and 0.8"),
+    "lam": (["no-invariant", "--lam", "2"],
+            "--alpha and --lam need 0 < alpha < lam <= 1, got 0.2 and 2"),
+    "n-max": (["no-invariant", "--n-max", "1"], "--n-max must be at least 2, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_REPLAYS)
+def test_replay_parameters_are_named_before_any_output(tmp_path, capsys, case):
+    argv, message = BAD_REPLAYS[case]
+    out = tmp_path / "x"
+    assert main(["counterexample", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 class _Began(Exception):
     pass
 
@@ -432,11 +459,15 @@ class TestSmve:
     def test_local_alpha_smoke(self, tmp_path):
         out = tmp_path / "la"
         assert main(["smve", "local-alpha", "--preset", "ou", "--radius", "1",
-                     "--t", "0.5", "--n-sims", "200", "--bins", "20",
+                     "--t", "0.5", "--bins", "20",
                      "--bin-lo", "-6", "--bin-hi", "6", "--h", "0.02",
                      "--seed", "3", "--out", str(out)]) == 0
         rep = read_json(out / "report.json")
-        assert 0 < rep["claims"][0]["witness"]["alpha_hat"] <= 1
+        witness = rep["claims"][0]["witness"]
+        assert 0 < witness["alpha_hat"] <= 1
+        assert 0 <= witness["grid_tolerance"] < 0.01
+        assert witness["grid_dx"] == math.sqrt(0.02) / 10
+        assert witness["worst_pair"] == [-1.0, 1.0]
 
     def test_lyapunov_contracts(self, tmp_path):
         out = tmp_path / "ly"
@@ -535,10 +566,8 @@ class TestSmve:
         ("decay", ["--horizon", "1"], "n", 1),  # x, observed as its cell masses
         ("girsanov-check", [], "n", 1),
         ("lyapunov", ["--horizon", "2"], "n", 2),  # x and its weights
-        ("local-alpha", [], "n-sims", 5),  # x, of n-sims rows per start
-        ("local-alpha", ["--x-grid=-1,1"], "n-sims", 2),
     ], ids=["simulate", "simulate-late-snapshot", "decay", "girsanov-check",
-            "lyapunov", "local-alpha", "local-alpha-two-starts"])
+            "lyapunov"])
     def test_particles_over_the_memory_budget_are_refused(self, tmp_path, capsys,
                                                           monkeypatch, action, extra,
                                                           key, held):
@@ -630,13 +659,10 @@ class TestSmve:
          "--times 1e+30 takes 20000 particles through 1e+32 steps"),
         (["lyapunov", "--horizon", "1e30", "--lag", "1e29"],
          "--horizon 1e+30 takes 10000 particles through 1e+32 steps"),
-        (["local-alpha", "--t", "1e30"],
-         "--t 1e+30 takes 500000 particles through 1e+32 steps"),
         # 10^11 particle-steps fit: 1000 particles through 10^8 steps
         (["simulate", "--n", "1001", "--horizon", "1e6"],
          "--horizon 1e+06 takes 1001 particles through 1e+08 steps"),
-    ], ids=["simulate", "decay", "girsanov-check", "lyapunov", "local-alpha",
-            "simulate-just-past"])
+    ], ids=["simulate", "decay", "girsanov-check", "lyapunov", "simulate-just-past"])
     def test_runs_over_the_step_budget_are_refused_before_any_output(
             self, tmp_path, capsys, argv, message):
         # each ran on, after making its output directory, with no end in sight
@@ -677,6 +703,107 @@ class TestSmve:
         assert main(["smve", "local-alpha", *argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        # an OverflowError traceback from the step count of 2 / 1e-320
+        (["girsanov-check", "--h", "1e-320"],
+         "--times 2 is not a whole number of --h 9.99989e-321 steps"),
+        # refused late: every time rounded to step 0, and the bootstrap
+        # found no snapshot at a positive time
+        (["girsanov-check", "--h", "1e30"],
+         "--times 2 is not a whole number of --h 1e+30 steps"),
+        (["girsanov-check", "--times", "0"],
+         "--times needs a positive time for the bootstrap floor of a negative "
+         "--allowance"),
+        *[([action, "--d-bound", "0"], "--d-bound must be positive, got 0")
+          for action in ("simulate", "decay", "girsanov-check", "lyapunov")],
+        (["lyapunov", "--preset", "ou", "--r", "0"], "--r must be positive, got 0"),
+        (["local-alpha", "--m-ball=-1"], "--m-ball must be positive, got -1"),
+    ], ids=["girsanov-tiny-h", "girsanov-huge-h", "girsanov-time-0", "simulate-d-bound",
+            "decay-d-bound", "girsanov-d-bound", "lyapunov-d-bound", "lyapunov-r",
+            "local-alpha-m-ball"])
+    def test_model_and_time_options_are_named_before_any_output(self, tmp_path, capsys,
+                                                                argv, message):
+        out = tmp_path / "x"
+        assert main(["smve", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_local_alpha_grids_over_their_budgets_are_refused(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            # --radius 1e308 printed numpy's overflow warnings, then exited 2
+            # after the output directory was made
+            warnings.simplefilter("error")
+            assert main(["smve", "local-alpha", "--radius", "1e308",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --radius 1e+308, --t 1 and --h 0.01 lay out inf grid nodes, and 13 "
+            "arrays of them exceed the 1 GiB budget\n")
+        assert main(["smve", "local-alpha", "--t", "1e30", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --radius 1, --t 1e+30 and --h 0.01 lay out 1.6e+18 grid nodes, and 13 "
+            "arrays of them exceed the 1 GiB budget\n")
+        assert main(["smve", "local-alpha", "--radius", "30", "--t", "30", "--h", "1e-4",
+                     "--x-grid=-30,30", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --radius 30, --t 30 and --h 0.0001 lay out 147797 grid nodes; 2 laws "
+            "through 300000 steps of 161 taps take 1.43e+13 cell-taps, over the budget "
+            "of 1e+11\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", ["CELL_TAP_BUDGET", "GRID_BUDGET_BYTES"])
+    def test_local_alpha_grid_budgets_are_exact(self, tmp_path, capsys, monkeypatch,
+                                                budget):
+        from nlmarkov.diagnostics import euler_grid
+
+        nodes = 2 * int(euler_grid(1.0, 1.0, 0.01)[1]) + 1
+        # the default run: 5 laws through 100 steps of 161 taps, and 5 + 8
+        # arrays of the nodes
+        need = 5 * 100 * nodes * 161 if budget == "CELL_TAP_BUDGET" else 8 * 13 * nodes
+        monkeypatch.setattr(cli, "_begin", _no_begin)
+        monkeypatch.setattr(cli, budget, need)
+        with pytest.raises(_Began):
+            main(["smve", "local-alpha", "--out", str(tmp_path / "x")])
+        monkeypatch.setattr(cli, budget, need - 1)
+        assert main(["smve", "local-alpha", "--out", str(tmp_path / "x")]) == 2
+        assert "--radius 1, --t 1 and --h 0.01 lay out" in capsys.readouterr().err
+
+    def test_local_alpha_defaults_are_far_from_the_grid_budgets(self):
+        from nlmarkov.diagnostics import euler_grid
+
+        nodes = 2 * euler_grid(1.0, 1.0, 0.01)[1] + 1
+        assert 100 * 5 * 100 * nodes * 161 < cli.CELL_TAP_BUDGET
+        assert 100 * 8 * 13 * nodes < cli.GRID_BUDGET_BYTES
+
+    def test_local_alpha_law_off_the_grid_exits_three_with_one_error_line(self, tmp_path):
+        # ou at h = 2.5 maps x to -1.5 x.  A fresh interpreter, because
+        # pytest records numpy's warnings instead of printing them.
+        src = str(Path(nlmarkov.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "nlmarkov.cli", "smve", "local-alpha", "--preset", "ou",
+             "--h", "2.5", "--t", "500", "--out", str(tmp_path / "x")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 3
+        assert done.stderr == (
+            "error: the Euler chain's law from -1 lost 2.29e-06 of its mass off the grid "
+            "[-192.583, 192.583] by step 8\n")
+
+    def test_local_alpha_report_is_the_same_at_any_seed_and_cpu_count(self, tmp_path,
+                                                                     monkeypatch):
+        # --seed is recorded, but nothing is sampled
+        reports = []
+        for seed, cpus in ((1, {0}), (7, {0, 1}), (11, {0, 1, 2})):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out = tmp_path / str(seed)
+            assert main(["smve", "local-alpha", "--seed", str(seed),
+                         "--out", str(out)]) == 0
+            doc = read_json(out / "report.json")
+            assert doc["parameters"].pop("seed") == seed
+            reports.append(doc)
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0]["claims"][0]["witness"]["alpha_hat"] == pytest.approx(
+            0.5622374, abs=1e-7)
 
     @pytest.mark.parametrize("argv, message", [
         (["girsanov-check", "--epsilon", "1e30"],
@@ -763,7 +890,6 @@ PARTICLE_RUNS = {
     "decay": (["decay", "--horizon", "0.1"], "n", 1),
     "girsanov-check": (["girsanov-check", "--times", "0.01,0.02,0.03"], "n", 1),
     "lyapunov": (["lyapunov", "--horizon", "0.1", "--lag", "0.02"], "n", 2),
-    "local-alpha": (["local-alpha", "--t", "0.05"], "n-sims", 5),
 }
 
 
@@ -794,8 +920,7 @@ SMALL_SMVE_RUNS = {
                    "--bins", "20", "--noise-floor", "0.05"]),
     "girsanov-check": (15, ["--preset", "ou", "--n", "100", "--h", "0.1",
                             "--times", "0.1", "--bins", "20", "--allowance", "0.5"]),
-    "local-alpha": (12, ["--preset", "ou", "--t", "0.1", "--n-sims", "100",
-                         "--h", "0.05", "--bins", "20"]),
+    "local-alpha": (11, ["--preset", "ou", "--t", "0.1", "--h", "0.05", "--bins", "20"]),
     "lyapunov": (11, ["--preset", "ou", "--n", "100", "--h", "0.1", "--horizon", "0.2",
                       "--lag", "0.1"]),
 }
@@ -1083,9 +1208,11 @@ PARTICLE_MODULES = ("numpy.random", "nlmarkov.mckean_vlasov", "nlmarkov.diagnost
 # beyond what numpy loads: scipy, since numpy is the only runtime
 # dependency; concurrent.futures, which nothing the CLI runs needs and
 # which would add about 8 ms to every start; multiprocessing, which
-# simulate_runs imports when it first forks workers; and the particle
-# modules.
+# simulate_runs imports when it first forks workers; hashlib and
+# kernel_spec, which only chain --kernel custom needs (about 7 ms); and
+# the particle modules.
 @pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "multiprocessing",
+                                    "hashlib", "nlmarkov.kernel_spec",
                                     *PARTICLE_MODULES])
 def test_cli_import_does_not_load(module):
     src = str(Path(nlmarkov.__file__).resolve().parents[1])
@@ -1108,7 +1235,7 @@ def test_only_an_smve_run_loads_the_particle_modules(tmp_path):
             "    print('all' if all(loaded) else 'some' if any(loaded) else 'none',\n"
             "          file=sys.stderr)")
     runs = ["chain", "counterexample oscillation", "counterexample continuum",
-            "counterexample no-invariant", "smve local-alpha --n-sims 100"]
+            "counterexample no-invariant", "smve local-alpha"]
     argv = [f"{run} --out {tmp_path / str(i)}" for i, run in enumerate(runs)]
     done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": src})

@@ -1,5 +1,6 @@
-"""Tests for the simulation diagnostics: local overlap estimation,
-Lyapunov and decay regressions, and the coupled-run bound check."""
+"""Tests for the simulation diagnostics: the Euler chain's laws on a
+grid and the local overlap read from them, Lyapunov and decay
+regressions, and the coupled-run bound check."""
 
 import math
 import os
@@ -14,14 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
-from nlmarkov import diagnostics
+from nlmarkov import cli, diagnostics, mckean_vlasov
 from nlmarkov.diagnostics import (
     BOOTSTRAP_PAIRS,
     LOCAL_ALPHA_STARTS,
     Binning,
     DecayFitError,
     bootstrap_floor,
-    calibrate_tv_allowance,
     estimate_local_alpha,
     fit_decay,
     girsanov_bound_check,
@@ -31,11 +31,14 @@ from nlmarkov.diagnostics import (
 )
 from nlmarkov.laws import Gauss, Point
 from nlmarkov.mckean_vlasov import (
+    SMVESpec,
     WeightFunction,
     make_ou_spec,
     make_vh_spec,
     ou_drift,
+    radial_confinement_drift,
     simulate,
+    simulate_runs,
 )
 from nlmarkov.reporting import NumericalFailure
 
@@ -62,6 +65,15 @@ class TestBinning:
         assert bn.to_dict() == {"lower": -1.0, "upper": 1.0, "bins": 4}
 
 
+def _ou_euler_alpha(h: float, steps: int, R: float) -> float:
+    """The overlap of the ou Euler chain's laws from -R and R after
+    ``steps`` steps of h: each is N(+-a R, s^2), with a = (1 - h)^steps
+    and s^2 = h (1 - a^2) / (1 - (1 - h)^2)."""
+    a = (1.0 - h) ** steps
+    s = math.sqrt(h * (1.0 - a * a) / (1.0 - (1.0 - h) ** 2))
+    return math.erfc(abs(a) * R / (s * math.sqrt(2.0)))
+
+
 class TestEstimateLocalAlpha:
     def test_matches_gaussian_overlap_oracle(self):
         # Linear pull: the time-t law from x0 is N(x0 e^-t, (1-e^-2t)/2),
@@ -69,40 +81,163 @@ class TestEstimateLocalAlpha:
         R, t = 1.0, 1.0
         sigma = math.sqrt((1.0 - math.exp(-2.0 * t)) / 2.0)
         alpha_exact = 2.0 * NormalDist().cdf(-2.0 * R * math.exp(-t) / (2.0 * sigma))
-        est = estimate_local_alpha(ou_drift(), R=R, t=t, n_sims=1500,
-                                   binning=Binning(-6.0, 6.0, 40), seed=101)
-        assert abs(est - alpha_exact) < 0.05
+        est = estimate_local_alpha(ou_drift(), R=R, t=t, binning=Binning(-6.0, 6.0, 40))
+        assert abs(est.alpha_hat - alpha_exact) < 0.05
+        assert est.worst_pair == (-R, R)
+
+    # (h, steps, R), with a binning wide enough for every law.  Once the
+    # laws are all but disjoint both overlaps are rounding residues near
+    # 0, so 1e-14 of rounding is allowed beside the tolerance.
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.001, 1.5), st.integers(1, 40), st.floats(0.01, 3.0))
+    def test_ou_overlap_is_within_its_grid_tolerance_of_the_euler_chains(self, h, steps,
+                                                                        R):
+        est = estimate_local_alpha(ou_drift(), R=R, t=h * steps,
+                                   binning=Binning(-30.0, 30.0, 600), step_size=h)
+        exact = _ou_euler_alpha(h, steps, R)
+        assert abs(est.alpha_hat - exact) <= est.grid_tolerance + 1e-14
+        assert est.grid_dx == math.sqrt(h) / diagnostics.GRID_CELLS
+
+    def test_vh_matches_a_monte_carlo_oracle(self):
+        # The oracle steps 10^5 particles from each start through the same
+        # Euler chain and bins them.  Its noise is the spread of the overlap
+        # of multinomial(10^5) draws from the grid's binned laws: the
+        # Monte Carlo alpha lies in their 0.5-99.5 percent band, widened by
+        # the grid tolerance.
+        b1, n, k = radial_confinement_drift(1.0, 1.0), 100_000, LOCAL_ALPHA_STARTS
+        binning = Binning()
+        est = estimate_local_alpha(b1, R=1.0, t=1.0, binning=binning)
+        starts = np.linspace(-1.0, 1.0, k)
+
+        def sampler(rng, x):
+            x.reshape(k, n, 1)[:] = starts[:, None, None]
+
+        def per_start(x):
+            return [binning.masses(x[i * n:(i + 1) * n]) for i in range(k)]
+
+        probe = SMVESpec(1, b1, None, 0.0, 0.0, 0.0, "local-alpha-oracle")
+        [(_, clouds)] = simulate(probe, sampler, k * n, 0.01, 1.0, 101, [1.0],
+                                 observe=per_start)
+
+        def alpha(masses):
+            return 1.0 - max(Binning.tv(p, q) for i, p in enumerate(masses)
+                             for q in masses[i + 1:]) / 2.0
+
+        first, dx, laws = diagnostics.euler_laws(b1, starts, 0.01, 100)
+        grid = [binning.grid_masses(first, dx, law) for law in laws]
+        assert alpha(grid) == est.alpha_hat
+        rng = np.random.default_rng(5)
+
+        def cloud(p):
+            p = np.clip(p, 0.0, None)  # interpolation may round a cell below 0
+            return rng.multinomial(n, p / p.sum()) / n
+
+        draws = [alpha([cloud(p) for p in grid]) for _ in range(200)]
+        low, high = np.percentile(draws, [0.5, 99.5])
+        assert low - est.grid_tolerance <= alpha(clouds) <= high + est.grid_tolerance
 
     def test_identical_starts_overlap_up_to_noise(self):
-        # The two batches share a start but not noise, so the estimate
-        # sits a Monte Carlo floor below the exact overlap of 1.
-        est = estimate_local_alpha(ou_drift(), R=1.0, t=0.5, n_sims=400,
+        # The two starts share a grid law, and the grid has no noise: the
+        # overlap is exactly 1.
+        est = estimate_local_alpha(ou_drift(), R=1.0, t=0.5,
                                    x_grid=np.array([0.3, 0.3]),
-                                   binning=Binning(-6.0, 6.0, 20), seed=7)
-        assert 0.9 < est <= 1.0
+                                   binning=Binning(-6.0, 6.0, 20))
+        assert est.alpha_hat == 1.0 and est.grid_tolerance == 0.0
+
+    def test_runs_no_particles(self, monkeypatch):
+        def unreached(*args, **kwargs):
+            raise AssertionError("a particle run was made")
+
+        monkeypatch.setattr(mckean_vlasov, "simulate", unreached)
+        monkeypatch.setattr(mckean_vlasov, "_euler", unreached)
+        assert 0.0 < estimate_local_alpha(ou_drift(), R=1.0, t=1.0).alpha_hat < 1.0
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            estimate_local_alpha(ou_drift(), R=0.0, t=1.0, n_sims=500)
+            estimate_local_alpha(ou_drift(), R=0.0, t=1.0)
         with pytest.raises(ValueError):
-            estimate_local_alpha(ou_drift(), R=1.0, t=-1.0, n_sims=500)
-        with pytest.raises(ValueError):
-            estimate_local_alpha(ou_drift(), R=1.0, t=1.0, n_sims=50)
+            estimate_local_alpha(ou_drift(), R=1.0, t=-1.0)
         with pytest.raises(ValueError, match="ball"):
-            estimate_local_alpha(ou_drift(), R=1.0, t=1.0, n_sims=500,
-                                 x_grid=np.array([0.0, 2.0]))
+            estimate_local_alpha(ou_drift(), R=1.0, t=1.0, x_grid=np.array([0.0, 2.0]))
+
+    @pytest.mark.parametrize("x_grid", [np.zeros((2, 2)), np.zeros((2, 1, 1))],
+                             ids=["d-2", "3-d"])
+    def test_more_than_one_dimension_is_refused(self, monkeypatch, x_grid):
+        monkeypatch.setattr(diagnostics, "euler_laws", None)
+        with pytest.raises(ValueError, match="one dimension only"):
+            estimate_local_alpha(ou_drift(), R=1.0, t=1.0, x_grid=x_grid)
 
     @pytest.mark.parametrize("x_grid", [[0.0], []], ids=["one-start", "no-start"])
     def test_fewer_than_two_starts_are_refused_before_the_run(self, monkeypatch, x_grid):
         # with one start there is no pair to compare; the run used to be
         # made first, then max() failed over no pairs
         def unreached(*args, **kwargs):
-            raise AssertionError("simulate was called")
+            raise AssertionError("euler_laws was called")
 
-        monkeypatch.setattr(diagnostics, "simulate", unreached)
+        monkeypatch.setattr(diagnostics, "euler_laws", unreached)
         with pytest.raises(ValueError, match="x_grid needs two or more starts"):
-            estimate_local_alpha(ou_drift(), R=1.0, t=1.0, n_sims=500,
-                                 x_grid=np.array(x_grid))
+            estimate_local_alpha(ou_drift(), R=1.0, t=1.0, x_grid=np.array(x_grid))
+
+
+class TestEulerLaws:
+    def test_mass_pushed_off_the_grid_is_a_numerical_failure_naming_the_step(self):
+        # ou at h = 2.5 maps x to -1.5 x, so the laws leave any grid
+        with pytest.raises(NumericalFailure, match=r"from -1 lost .* by step 8$"):
+            diagnostics.euler_laws(ou_drift(), [-1.0, 1.0], 2.5, 200)
+
+    def test_a_confined_law_keeps_its_mass(self):
+        first, dx, laws = diagnostics.euler_laws(radial_confinement_drift(1.0, 1.0),
+                                                 [-1.0, 0.25, 1.0], 0.01, 300)
+        assert laws.shape[1] == 2 * round(-first / dx) + 1
+        assert np.all(laws >= 0.0)
+        assert np.abs(laws.sum(axis=1) - 1.0).max() <= 1e-12
+
+    def test_a_start_between_nodes_is_split_linearly(self):
+        # without drift, one step is the noise kernel around the start
+        first, dx, [law] = diagnostics.euler_laws(lambda x: 0.0 * x, [0.0025], 0.01, 1)
+        nodes = first + dx * np.arange(len(law))
+        assert np.sum(nodes * law) == pytest.approx(0.0025, abs=1e-15)
+        # the split's variance f (1 - f) dx^2 and the cells' dx^2 / 12
+        variance = np.sum(nodes**2 * law) - 0.0025**2
+        assert variance == pytest.approx(0.01 + 0.25 * 0.75 * dx**2 + dx**2 / 12, rel=1e-9)
+
+    @pytest.mark.parametrize("starts", [2, 5])
+    def test_a_propagation_holds_its_laws_and_eight_more_grid_arrays(self, starts):
+        # the arrays the CLI budgets local-alpha's grid by, beside the laws;
+        # 60,389 nodes, so that each array dwarfs the rest
+        dx, half = diagnostics.euler_grid(300.0, 0.02, 0.01)
+        array = 8 * (2 * half + 1)
+        peak = _peak(lambda: diagnostics.euler_laws(
+            radial_confinement_drift(1.0, 1.0), np.linspace(-300.0, 300.0, starts),
+            0.01, 2))
+        assert (starts + 6) * array < peak <= (starts + cli.GRID_LAW_ARRAYS) * array
+
+    def test_grid_reaches_past_the_noise_of_the_horizon(self):
+        dx, half = diagnostics.euler_grid(1.0, 1.0, 0.01)
+        assert dx == 0.01 and half * dx >= 1.0 + 8.0 * (1.0 + 0.1)
+        assert diagnostics.euler_grid(1e308, 1.0, 0.01)[1] == math.inf
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
+       st.integers(-40, 40), st.integers(1, 30), st.integers(1, 5))
+def test_grid_masses_split_each_cell_evenly(masses, offset, bins, cells_per_bin):
+    # bins whose edges are cell boundaries take their cells' masses whole;
+    # the overflow holds the rest of the law's mass
+    law, dx = np.array(masses), 0.25
+    first = offset * dx
+    lower = first - dx / 2.0
+    binning = Binning(lower, lower + bins * cells_per_bin * dx, bins)
+    got = binning.grid_masses(first, dx, law)
+    want = np.zeros(bins + 1)
+    for j, m in enumerate(law):
+        b = j // cells_per_bin
+        want[min(b, bins)] += m
+    assert got == pytest.approx(want, abs=1e-12)
+    # half a cell past a bin edge puts half that cell in each bin
+    shifted = Binning(lower + dx / 2.0, lower + dx / 2.0 + bins * dx, bins)
+    halves = shifted.grid_masses(first, dx, np.eye(1, len(law), 0)[0])
+    assert halves[0] == pytest.approx(0.5) and halves[-1] == pytest.approx(0.5)
 
 
 def _peak(call) -> int:
@@ -147,8 +282,7 @@ class TestHistogramArraysHeld:
 
     def test_local_alpha_holds_every_starts_masses_and_one_temporary(self):
         peak = _peak(lambda: estimate_local_alpha(
-            ou_drift(), R=1.0, t=0.02, n_sims=100, binning=self.binning,
-            step_size=0.01))
+            ou_drift(), R=1.0, t=0.02, binning=self.binning, step_size=0.01))
         held = LOCAL_ALPHA_STARTS + 1
         assert (held - 1) * self.array < peak <= held * self.array + self.slack
 
@@ -345,22 +479,18 @@ class TestGirsanovBoundCheck:
         assert d["violations"] == []
 
 
-class TestCalibrateTvAllowance:
-    def test_positive_and_deterministic(self):
-        kw = dict(times=[0.2], n_particles=500, step_size=0.05, seed=1,
-                  binning=Binning(-10.0, 10.0, 50), n_pairs=2)
-        a = calibrate_tv_allowance(make_ou_spec(), Point(0.0), **kw)
-        b = calibrate_tv_allowance(make_ou_spec(), Point(0.0), **kw)
-        assert a == b
-        assert 0.0 < a < 0.5
-
-    def test_guards(self):
-        with pytest.raises(ValueError, match="positive time"):
-            calibrate_tv_allowance(make_ou_spec(), Point(0.0),
-                                   [0.0], 500, 0.05, seed=1)
-        with pytest.raises(ValueError):
-            calibrate_tv_allowance(make_ou_spec(), Point(0.0),
-                                   [0.2], 500, 0.05, seed=1, n_pairs=0)
+def _calibrated_floor(spec, times, n, seed, binning, pairs=5) -> float:
+    """The oracle of the bootstrap floor: the 99th percentile of the
+    histogram distances of ``pairs`` pairs of independent runs from
+    point:0, at seeds seed + 1, seed + 2, ..., over the times past 0."""
+    times = [t for t in times if t > 0.0]
+    runs = simulate_runs(spec, [(Point(0.0), seed + k) for k in range(1, 2 * pairs + 1)],
+                         n, 0.05, max(times), times, observe=binning.masses)
+    distances = []
+    for run_a in runs:
+        run_b = next(runs)
+        distances += [Binning.tv(p, q) for (_, p), (_, q) in zip(run_a, run_b)]
+    return float(np.percentile(distances, 99.0))
 
 
 class TestBootstrapFloor:
@@ -380,8 +510,8 @@ class TestBootstrapFloor:
             run = simulate(spec, Point(0.0), 2_000, 0.05, 2.0, seed, self.times,
                            observe=self.binning.masses)
             floor = bootstrap_floor(run, 2_000, seed)
-            calibrated = calibrate_tv_allowance(spec, Point(0.0), self.times, 2_000,
-                                                0.05, seed + 1000, self.binning)
+            calibrated = _calibrated_floor(spec, self.times, 2_000, seed + 1000,
+                                           self.binning)
             ratios.append(floor / calibrated)
         assert 1.0 <= min(ratios) and max(ratios) <= 1.25, ratios
 

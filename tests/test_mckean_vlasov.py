@@ -781,23 +781,33 @@ def test_wide_simulate_holds_five_blocks_per_lane(model, particle_arrays, monkey
                                                      interaction=model == "vh")
 
 
-def _local_alpha_peak() -> int:
-    from nlmarkov.diagnostics import estimate_local_alpha
+def _five_start_peak() -> int:
+    from nlmarkov.diagnostics import Binning
 
     # five starts of WIDE / 5 particles each, stepped as one run and
-    # binned a block at a time
-    return _traced_peak(lambda: estimate_local_alpha(
-        radial_confinement_drift(1.0, 1.0), R=1.0, t=0.05, n_sims=WIDE // 5))
+    # binned a block at a time, start by start
+    k, n, binning = 5, WIDE // 5, Binning()
+    starts = np.linspace(-1.0, 1.0, k)
+
+    def sampler(rng, x):
+        x.reshape(k, n, 1)[:] = starts[:, None, None]
+
+    def per_start(x):
+        return [binning.masses(x[i * n:(i + 1) * n]) for i in range(k)]
+
+    spec = SMVESpec(1, radial_confinement_drift(1.0, 1.0), None, 0.0, 0.0, 0.0)
+    return _traced_peak(lambda: simulate(spec, sampler, WIDE, 0.01, 0.05, 101, [0.05],
+                                         observe=per_start))
 
 
-def test_local_alpha_allocates_no_particle_sized_scratch(monkeypatch):
+def test_five_start_wide_run_allocates_no_particle_sized_scratch(monkeypatch):
     _use_cpus(monkeypatch, 1)
-    assert _local_alpha_peak() <= _wide_bound(1)
+    assert _five_start_peak() <= _wide_bound(1)
 
 
-def test_local_alpha_holds_five_blocks_per_lane(monkeypatch):
+def test_five_start_wide_run_holds_five_blocks_per_lane(monkeypatch):
     _use_cpus(monkeypatch, 3)
-    assert _local_alpha_peak() <= _wide_bound(1, lanes=3)
+    assert _five_start_peak() <= _wide_bound(1, lanes=3)
 
 
 class _Stop(Exception):
