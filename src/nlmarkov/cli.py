@@ -53,7 +53,6 @@ from .kernels import (
     certify,
     continuum_kernel,
     default_resolution,
-    largest_resolution,
     markov_example_kernel,
     mixture_kernel,
     no_invariant_kernel,
@@ -223,30 +222,78 @@ def _finish(out: Path, doc: dict, line: str, file=None) -> int:
 
 
 # ---------------------------------------------------------------------------
+# budgets
+
+
+class Budget(NamedTuple):
+    """A row of BUDGETS: ``_check`` refuses a run whose ``options`` need
+    more than ``limit`` ``unit``.  An item costs ``cost`` units; a pair
+    (a, b) costs a + b k, at k states or start laws."""
+
+    options: str
+    limit: int
+    unit: str
+    cost: float | tuple
+
+
+# Every size and work limit of the CLI.  A bytes row counts the arrays a
+# run holds at once: 1 GiB of them.
+BUDGETS = {
+    # validate's (G, n, n) float64 stack of kernel matrices, 8 bytes an entry
+    "kernel-stack": Budget("chain --resolution", 2**30, "bytes", 8),
+    # 25 + 10 n floats a step for n states: the orbit row, Python floats and
+    # the CSV lines (tracemalloc over 10^5 steps measured 340, 462, 730 and
+    # 1,596 bytes at n = 2, 5, 10, 20)
+    "chain-step": Budget("chain --steps", 2**30, "bytes", (200, 80)),
+    # a chain step, replay step or no-invariant entry takes at most 15 us
+    # (2x10^6 chain steps at 2 states: 28 s on a 2-CPU x86 host) and 21
+    # floats (tracemalloc: 96 or 136 bytes a replay step, 166 an entry)
+    "rows": Budget("chain --steps, counterexample --steps, --n-max", 2 * 10**6, "rows", 1),
+    # a particle or a bin (and the overflow cell), in each array held at once
+    "particles": Budget("smve --n", 2**30, "bytes", 8),
+    "bins": Budget("smve --bins", 2**30, "bytes", 8),
+    "particle-steps": Budget("smve --n, --horizon or --times, --h", 10**11,
+                             "particle-steps", 1),
+    # a node, in each start law and 8 more grid-sized arrays of a propagation
+    "grid-nodes": Budget("smve local-alpha --radius, --t, --h", 2**30, "bytes", (64, 8)),
+    # nodes times taps over the steps and laws at dx (2 dx adds a quarter):
+    # 1.6 x 10^8 at the defaults, 5 laws, 100 steps, 1,961 nodes, 161 taps
+    "cell-taps": Budget("smve local-alpha --radius, --t, --h", 10**11, "cell-taps", 1),
+    # a lag's snapshot time, listed, planned, observed and fitted (tracemalloc
+    # measured 201 bytes a lag between 5,000 and 25,000 lags at n = 100)
+    "snapshot-times": Budget("smve lyapunov --horizon, --lag", 2**30, "bytes", 208),
+}
+
+
+def _check(what: str, needs: dict, c: dict | None = None, key: str = "") -> None:
+    """Refuse a run that needs more of a row of BUDGETS than its limit;
+    ``needs`` maps rows to the run's need, and ``what`` names the options
+    that set it with their --.  If one option c[key] sets it, each need is
+    a nondecreasing function of its value, and the largest value that fits
+    every row is named."""
+    def over(v) -> list:
+        return [row for row, need in needs.items()
+                if (need(v) if key else need) > BUDGETS[row].limit]
+
+    value, fits = c[key] if key else None, ""
+    if not over(value):
+        return
+    if key:
+        lo, hi = 0, value
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (lo, mid - 1) if over(mid) else (mid, hi)
+        value, fits = lo + 1, f"; the largest --{key} that fits is {lo}"
+    budget = BUDGETS[row := over(value)[0]]
+    need = needs[row](c[key]) if key else needs[row]
+    limit = (f"{budget.limit >> 30} GiB" if budget.unit == "bytes"
+             else f"{budget.limit:g} {budget.unit}")
+    raise ValueError(f"{what} needs {need if isinstance(need, int) else f'{need:.6g}'} "
+                     f"{budget.unit}, over the budget of {limit}{fits}")
+
+
+# ---------------------------------------------------------------------------
 # chain
-
-
-# The largest (G, n, n) float64 stack of kernel matrices a chain run
-# may build (validation evaluates the kernel on the whole grid at once),
-# and the most histogram, particle or step arrays a run holds at once.
-GRID_BUDGET_BYTES = 2**30
-# The most particle-steps (particles times Euler steps, summed over its
-# runs) an smve action may take.
-STEP_BUDGET = 10**11
-# The most cell-taps (grid nodes times noise taps, summed over the steps
-# and laws of local-alpha's grid at dx; the rerun at 2 dx adds a quarter)
-# local-alpha may take: 1.6 x 10^8 at its defaults, 5 laws through 100
-# steps on 1,961 nodes with 161 taps.  Beside its laws, a propagation
-# holds GRID_LAW_ARRAYS arrays the size of the grid.
-CELL_TAP_BUDGET, GRID_LAW_ARRAYS = 10**11, 8
-# The floats a step holds at most, by which --steps is budgeted like n:
-# 25 + 10 n for an n-state chain (its orbit row, Python floats and the CSV
-# lines write_csv joins; tracemalloc over 10^5 steps measured 340, 462,
-# 730 and 1,596 bytes at n = 2, 5, 10, 20), and 20 for the oscillation or
-# continuum replay (96 and 136 bytes measured).  The no-invariant replay
-# sums n - 1 profile terms at each n up to --n-max: 5 x 10^7 terms took
-# 4.7 s on a 2-CPU x86 host, so at most NO_INVARIANT_TERMS.
-CHAIN_STEP_FLOATS, REPLAY_STEP_FLOATS, NO_INVARIANT_TERMS = (25, 10), 20, 10**8
 
 
 def _run_chain(args, resolved: dict) -> int:
@@ -277,17 +324,15 @@ def _run_chain(args, resolved: dict) -> int:
         kernel = compile_kernel_spec(raw.decode("utf-8"))
 
     n = kernel.space_size
-    _budget(resolved, "steps", "step", CHAIN_STEP_FLOATS[0] + CHAIN_STEP_FLOATS[1] * n)
-    resolution = resolved["resolution"] or default_resolution(n)
-    size = math.comb(resolution + n - 1, n - 1)
-    if size * n * n * 8 > GRID_BUDGET_BYTES:
-        fits = largest_resolution(n, GRID_BUDGET_BYTES // (8 * n * n))
-        raise ValueError(
-            f"resolution {resolution} gives {size} grid measures, whose ({size}, {n}, "
-            f"{n}) matrix stack exceeds the {GRID_BUDGET_BYTES >> 30} GiB budget; "
-            f"the largest resolution that fits is {fits}")
-    resolved["resolution"] = resolution
-    grid = MeasureGrid(n, resolution)
+    (a, b), stack = BUDGETS["chain-step"].cost, BUDGETS["kernel-stack"].cost
+    _check(f"--steps {resolved['steps']} at {n} states",
+           {"chain-step": lambda v: (a + b * n) * v, "rows": lambda v: v},
+           resolved, "steps")
+    resolved["resolution"] = resolved["resolution"] or default_resolution(n)
+    _check(f"--resolution {resolved['resolution']} at {n} states",
+           {"kernel-stack": lambda v: stack * n * n * math.comb(v + n - 1, n - 1)},
+           resolved, "resolution")
+    grid = MeasureGrid(n, resolved["resolution"])
     # A custom kernel is validated here only, on the chain's own grid, and
     # its failure is a usage error.  A stock kernel's failure, like a row
     # fault met along an orbit later on, is a numerical failure.
@@ -298,14 +343,14 @@ def _run_chain(args, resolved: dict) -> int:
             raise ValueError(str(exc)) from None
         raise KernelValidationError(f"kernel validation failed: {exc}") from None
     if not resolved["mu0"]:
-        mu0 = DiscreteMeasure.uniform(kernel.space_size)
+        mu0 = DiscreteMeasure.uniform(n)
     else:
         weights = np.array(laws.floats(resolved["mu0"], "mu0"))
         try:
             mu0 = DiscreteMeasure(weights)
         except ValueError as exc:
             raise ValueError(f"mu0: {exc}")
-    if mu0.size != kernel.space_size:
+    if mu0.size != n:
         raise ValueError("mu0 length does not match the kernel state space")
     out = _begin(args, "chain", resolved)
 
@@ -323,30 +368,20 @@ def _run_chain(args, resolved: dict) -> int:
     traj = rate.trajectory if rate is not None else None
     if traj is None:
         traj = evolve(kernel, mu0, resolved["steps"])
-    write_csv(
-        out / "trajectory.csv",
-        ["n", *[f"p{i + 1}" for i in range(kernel.space_size)], "step_tv"],
-        traj.csv_rows(),
-        "trajectory",
-    )
+    write_csv(out / "trajectory.csv", ["n", *[f"p{i + 1}" for i in range(n)], "step_tv"],
+              traj.csv_rows(), "trajectory")
     if failure is not None:
         raise failure
 
-    claims = [
-        Claim("kernel rows are stochastic on the grid", True, validation),
-    ]
+    claims = [Claim("kernel rows are stochastic on the grid", True, validation)]
     details = {"certificate": cert}
     if rate is not None:
         write_csv(out / "rate.csv", ["n", "measured", "bound", "margin"],
                   rate.csv_rows(), "rate-report")
         write_json_report(out / "rate_report.json", rate)
-        claims.append(
-            Claim(
-                "measured distances stay within the certified bound",
-                rate.passed,
-                {"violations": len(rate.violations), "falsified": rate.falsified},
-            )
-        )
+        claims.append(Claim("measured distances stay within the certified bound",
+                            rate.passed, {"violations": len(rate.violations),
+                                          "falsified": rate.falsified}))
     parameters = {**resolved, "kernel-file": provenance} if provenance else resolved
     return _finish(out, report_document("chain", parameters, claims, details),
                    f"regime: {cert.regime} (alpha_hat={cert.alpha_hat:.6g}, "
@@ -368,15 +403,9 @@ _REPLAYS = {
 
 def _run_counterexample(args, resolved: dict) -> int:
     kind = args.which
-    n_max = resolved["n-max"]
     check_replay(kind, resolved)
-    if kind != "no-invariant":
-        _budget(resolved, "steps", "step", REPLAY_STEP_FLOATS)
-    elif n_max * (n_max - 1) // 2 > NO_INVARIANT_TERMS:
-        raise ValueError(
-            f"n-max {n_max} sums {n_max * (n_max - 1) // 2} profile terms, over the "
-            f"budget of {NO_INVARIANT_TERMS:g}; the largest n-max that fits is "
-            f"{(1 + math.isqrt(1 + 8 * NO_INVARIANT_TERMS)) // 2}")
+    key = "n-max" if kind == "no-invariant" else "steps"
+    _check(f"--{key} {resolved[key]}", {"rows": lambda v: v}, resolved, key)
     out = _begin(args, f"counterexample/{kind}", resolved)
     report = _REPLAYS[kind](resolved)
     status = "reproduced" if report.passed else "FALSIFIED"
@@ -393,29 +422,8 @@ def _run_smve(args, c: dict) -> int:
     """Run the smve action.  The particle half (mckean_vlasov, diagnostics
     and, through them, numpy.random) is imported by the functions below
     when they run, so a chain or counterexample run never loads it."""
-    if c["h"] <= 0:
-        raise ValueError("h must be positive")
+    _positive(c, "h")
     return _SMVE_RUNNERS[args.action](args, c)
-
-
-def _budget(c: dict, key: str, kind: str, held: int, extra: int = 0) -> None:
-    """Refuse ``c[key]`` if ``held`` arrays of c[key] + extra floats exceed the budget."""
-    fits = GRID_BUDGET_BYTES // (8 * held) - extra
-    if c[key] > fits:
-        raise ValueError(
-            f"{key} {c[key]} needs {held} {kind} arrays of {c[key] + extra} "
-            f"floats at once, over the {GRID_BUDGET_BYTES >> 30} GiB budget; the "
-            f"largest {key} that fits is {fits}")
-
-
-def _step_budget(option: str, particles: int, steps: int) -> None:
-    """Refuse a run of ``particles`` through ``steps`` Euler steps over
-    the step budget; ``option`` names the option that set the steps."""
-    if particles * steps > STEP_BUDGET:
-        raise ValueError(
-            f"{option} takes {particles} particles through {steps:g} steps, over the "
-            f"budget of {STEP_BUDGET:g} particle-steps; at most "
-            f"{STEP_BUDGET // particles} steps fit")
 
 
 def _on_grid(c: dict, key: str, value: float) -> None:
@@ -434,10 +442,15 @@ def _positive(c: dict, *keys: str) -> None:
 
 
 def _times(c: dict, default: list) -> list:
-    """The snapshot times of --times, each on the step grid, or ``default``."""
+    """The snapshot times of --times, each on the step grid and within
+    [0, --horizon] (or nonnegative, without --horizon), or ``default``."""
     times = laws.floats(c["times"], "times")
+    last = c["horizon"] / c["h"] if "horizon" in c else math.inf
     for t in times:
         _on_grid(c, "times", t)
+        if not 0 <= round(t / c["h"]) <= last + 0.5:
+            raise ValueError(f"--times {t:g} lies outside [0, --horizon {c['horizon']:g}]"
+                             if "horizon" in c else f"--times {t:g} is negative")
     return times or default
 
 
@@ -458,9 +471,11 @@ def _spec(c: dict, horizon: float, times, runs: int = 1, extra: int = 0):
     if "horizon" in c:
         _on_grid(c, "horizon", horizon)
     n_steps, snaps = _plan(c["n"], float(c["h"]), horizon, times)
-    _budget(c, "n", "particle", 1 + extra)
-    _step_budget(f"--{'horizon' if 'horizon' in c else 'times'} {horizon:g}",
-                 runs * c["n"], n_steps)
+    _check(f"{1 + extra} array{'s' * bool(extra)} of --n {c['n']} particles",
+           {"particles": lambda v: BUDGETS["particles"].cost * (1 + extra) * v}, c, "n")
+    _check(f"{runs} run{'s' * (runs > 1)} of --n {c['n']} particles to "
+           f"--{'horizon' if 'horizon' in c else 'times'} {horizon:g} at --h {c['h']:g}",
+           {"particle-steps": runs * c["n"] * float(n_steps)})
     return make_ou_spec() if c["preset"] == "ou" else make_vh_spec(
         r=c["r"], M=c["m-ball"], D=c["d-bound"], epsilon=c["epsilon"]), len(snaps)
 
@@ -487,13 +502,14 @@ def _smve_simulate(args, c: dict) -> int:
 
 
 def _binning(c: dict, held: int):
-    """The action's binning, its ``held`` arrays of bins + 1 floats budgeted.
+    """The action's binning, its ``held`` arrays of --bins + 1 floats budgeted.
     A pair of runs of s snapshots holds 3 s + 1: both runs' masses, a
     third run's worth while the second is unpickled from a worker, and a
     temporary of the distance or the bootstrap."""
     from .diagnostics import Binning
 
-    _budget(c, "bins", "histogram", held, 1)
+    _check(f"{held} histogram arrays of --bins {c['bins']} + 1 floats",
+           {"bins": lambda v: BUDGETS["bins"].cost * held * (v + 1)}, c, "bins")
     return Binning(c["bin-lo"], c["bin-hi"], c["bins"])
 
 
@@ -573,8 +589,7 @@ def _smve_girsanov_check(args, c: dict) -> int:
 def _smve_local_alpha(args, c: dict) -> int:
     """The overlap of the start laws, computed on a grid: --seed is
     recorded but unused, since nothing is sampled."""
-    from .diagnostics import (GRID_CELLS, GRID_REACH, LOCAL_ALPHA_STARTS,
-                              estimate_local_alpha, euler_grid)
+    from .diagnostics import LOCAL_ALPHA_STARTS, estimate_local_alpha, euler_grid
     from .mckean_vlasov import ou_drift, radial_confinement_drift
 
     b1 = ou_drift()
@@ -590,24 +605,17 @@ def _smve_local_alpha(args, c: dict) -> int:
     _on_grid(c, "t", c["t"])
     binning = _binning(c, starts + 1)
     reach = c["radius"] if x_grid is None else float(np.max(np.abs(x_grid)))
-    nodes = 2.0 * euler_grid(reach, c["t"], c["h"])[1] + 1.0
-    steps, taps = round(c["t"] / c["h"]), 2 * GRID_REACH * GRID_CELLS + 1
-    grid = (f"--radius {c['radius']:g}, --t {c['t']:g} and --h {c['h']:g} lay out "
-            f"{nodes:.6g} grid nodes")
-    held = starts + GRID_LAW_ARRAYS
-    if 8.0 * held * nodes > GRID_BUDGET_BYTES:
-        raise ValueError(f"{grid}, and {held} arrays of them exceed the "
-                         f"{GRID_BUDGET_BYTES >> 30} GiB budget")
-    if starts * steps * nodes * taps > CELL_TAP_BUDGET:
-        raise ValueError(f"{grid}; {starts} laws through {steps} steps of {taps} taps "
-                         f"take {starts * steps * nodes * taps:.3g} cell-taps, over the "
-                         f"budget of {CELL_TAP_BUDGET:g}")
+    _, half, taps = euler_grid(reach, c["t"], c["h"])
+    nodes, steps, (a, b) = 2 * half + 1, round(c["t"] / c["h"]), BUDGETS["grid-nodes"].cost
+    _check(f"a grid of {nodes:.6g} nodes and {taps} taps for {starts} laws through "
+           f"{steps:.6g} steps at --radius {c['radius']:g}, --t {c['t']:g} and --h "
+           f"{c['h']:g}", {"grid-nodes": (a + b * starts) * nodes,
+                           "cell-taps": starts * steps * nodes * taps})
     out = _begin(args, "smve/local-alpha", c)
     overlap = estimate_local_alpha(b1, c["radius"], c["t"], binning, x_grid,
                                    step_size=float(c["h"]))
-    doc = report_document(
-        "smve/local-alpha", c,
-        [Claim("local overlap estimate is positive", overlap.alpha_hat > 0, overlap)])
+    doc = report_document("smve/local-alpha", c, [
+        Claim("local overlap estimate is positive", overlap.alpha_hat > 0, overlap)])
     return _finish(out, doc, f"alpha_hat({c['radius']:g}, {c['t']:g}) "
                              f"= {overlap.alpha_hat:.6g} (grid tolerance "
                              f"{overlap.grid_tolerance:.2g}) -> {out}")
@@ -618,19 +626,14 @@ def _smve_lyapunov(args, c: dict) -> int:
     from .mckean_vlasov import WeightFunction, simulate
 
     nu, horizon, lag = laws.parse(c["nu0"], "nu0"), float(c["horizon"]), float(c["lag"])
-    if lag <= 0:
-        raise ValueError("lag must be positive")
+    _positive(c, "lag")
     lags = horizon / lag
     if lags < 2:
         raise ValueError("horizon must cover at least two lags")
-    # The snapshot times are listed before any other check, so their count
-    # is bounded: by the snapshots of 100 particles that fit the budget
-    # beside x and the weights, from when each snapshot held its particles.
-    most = GRID_BUDGET_BYTES // (8 * 100) - 2
-    if lags >= most:
-        raise ValueError(
-            f"horizon {horizon:g} at lag {lag:g} takes more than the {most} snapshots "
-            f"that fit the {GRID_BUDGET_BYTES >> 30} GiB budget at the smallest n, 100")
+    # the snapshot times are listed before any other check
+    _check(f"a list of {lags + 1:.6g} snapshot times for --horizon {horizon:g} at "
+           f"--lag {lag:g}",
+           {"snapshot-times": BUDGETS["snapshot-times"].cost * (lags + 1)})
     _on_grid(c, "lag", lag)  # the snapshots one lag apart fall on steps one lag apart
     times = [k * lag for k in range(int(lags) + 1)]
     spec, _ = _spec(c, horizon, times, extra=1)  # the weights of a snapshot
@@ -643,9 +646,8 @@ def _smve_lyapunov(args, c: dict) -> int:
                      observe=lambda x: mean_weight(V, x))
     fit = lyapunov_diagnostic(snaps, V, lag)
     ok = fit.degenerate or (fit.gamma_hat < 1.0)
-    doc = report_document(
-        "smve/lyapunov", c,
-        [Claim("mean weight contracts per lag", ok, fit)])
+    doc = report_document("smve/lyapunov", c,
+                          [Claim("mean weight contracts per lag", ok, fit)])
     return _finish(out, doc, f"gamma_hat = {fit.gamma_hat:.6g} "
                              f"(predicted {fit.predicted_gamma:.6g}) -> {out}")
 

@@ -284,19 +284,16 @@ def verify_no_invariant_recursion(
     # Hence mu({1}) = alpha, and n(mu) = 1 would need lam * alpha >= alpha.
     n1_infeasible = lam * alpha < alpha
 
-    solved = []
-    worst_abs = 0.0
-    worst_crossing_margin = -np.inf
-    for n in range(2, n_max + 1):
-        profile = alpha * (1.0 - lam) ** np.arange(n - 1)
-        f_prev = float(profile.sum())
-        numerator = alpha * (1.0 - lam) ** (n - 1) + lam * f_prev - alpha
-        mu_n = numerator / (1.0 - lam)
-        solved.append(mu_n)
-        worst_abs = max(worst_abs, abs(mu_n))
-        # With mu({n}) = 0 the running mass lam * F_n stays short of alpha,
-        # so n cannot be a first-crossing index at all.
-        worst_crossing_margin = max(worst_crossing_margin, lam * (f_prev + mu_n) - alpha)
+    # The balance at each n = 2..n_max solves for mu({n}) from the running
+    # profile mass F_{n-1}; the values are promised within EXACT_TOL.
+    profile = alpha * (1.0 - lam) ** np.arange(n_max)
+    f_prev = np.cumsum(profile[:-1])
+    mu = (profile[1:] + lam * f_prev - alpha) / (1.0 - lam)
+    solved = mu.tolist()
+    worst_abs = float(np.abs(mu).max())
+    # With mu({n}) = 0 the running mass lam * F_n stays short of alpha,
+    # so n cannot be a first-crossing index at all.
+    worst_crossing_margin = float(np.max(lam * (f_prev + mu) - alpha))
 
     claims = (
         Claim(

@@ -41,8 +41,6 @@ __all__ = [
     "estimate_local_alpha",
     "euler_grid",
     "euler_laws",
-    "GRID_CELLS",
-    "GRID_REACH",
     "LOCAL_ALPHA_STARTS",
     "lyapunov_diagnostic",
     "mean_weight",
@@ -145,16 +143,17 @@ LOST_MASS_TOL = 1e-9
 
 
 def euler_grid(reach: float, horizon: float, step_size: float,
-               per_sqrt_h: int = GRID_CELLS) -> tuple[float, float]:
-    """The grid step dx = sqrt(h) / per_sqrt_h and the half-width J of the
+               per_sqrt_h: int = GRID_CELLS) -> tuple[float, float, int]:
+    """The grid step dx = sqrt(h) / per_sqrt_h, the half-width J of the
     grid that holds the Euler chain's laws from starts within ``reach``
-    of 0 up to ``horizon``: the nodes are j dx for |j| <= J, the first
-    J dx >= reach + GRID_REACH (sqrt(horizon) + sqrt(h)).  J is a float,
-    inf when it is past the float range, so a caller can budget the
-    2 J + 1 nodes before laying them out."""
+    of 0 up to ``horizon``, and its noise kernel's taps: the nodes are
+    j dx for |j| <= J, the first J dx >= reach + GRID_REACH (sqrt(horizon)
+    + sqrt(h)).  J is a float, inf past the float range, so a caller can
+    budget the 2 J + 1 nodes before laying them out."""
     dx = math.sqrt(step_size) / per_sqrt_h
     half = (reach + GRID_REACH * (math.sqrt(horizon) + math.sqrt(step_size))) / dx
-    return dx, float(math.ceil(half)) if math.isfinite(half) else math.inf
+    return (dx, float(math.ceil(half)) if math.isfinite(half) else math.inf,
+            2 * GRID_REACH * per_sqrt_h + 1)
 
 
 def _noise_taps(per_sqrt_h: int) -> np.ndarray:
@@ -217,8 +216,8 @@ def euler_laws(
     starts = np.asarray(starts, dtype=float)
     if steps < 1:
         raise ValueError("the chain needs at least one step")
-    dx, half = euler_grid(float(np.max(np.abs(starts))), steps * step_size,
-                          step_size, per_sqrt_h)
+    dx, half, _ = euler_grid(float(np.max(np.abs(starts))), steps * step_size,
+                             step_size, per_sqrt_h)
     n = 2 * int(half) + 1
     first = -half * dx
     nodes = first + dx * np.arange(n)

@@ -193,8 +193,8 @@ class TestChain:
         assert main(["chain", "--kernel", "no-invariant", "--resolution", "4",
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: resolution 4 gives 292825 grid measures")
-        assert err.endswith("the largest resolution that fits is 3\n")
+        assert err == ("error: --resolution 4 at 50 states needs 5856500000 bytes, over "
+                       "the budget of 1 GiB; the largest --resolution that fits is 3\n")
         assert not out.exists()
 
     def test_bad_kernel_choice_exits_via_argparse(self, tmp_path):
@@ -329,61 +329,111 @@ def _no_begin(*args):
     raise _Began
 
 
-# Each chain-side size over its budget, with what it holds and the most
-# that fits: the first three ended in an _ArrayMemoryError traceback
-# after resolved_config.json, and the last ran on, quadratic in --n-max.
-CHAIN_SIZES = {
-    "chain": (["chain"], "steps", "needs 45 step arrays of 1000000000 floats at once, "
-              "over the 1 GiB budget", 2**30 // (8 * 45)),
-    "oscillation": (["counterexample", "oscillation"], "steps",
-                    "needs 20 step arrays of 1000000000 floats at once, over the 1 GiB "
-                    "budget", 2**30 // (8 * 20)),
-    "continuum": (["counterexample", "continuum"], "steps",
-                  "needs 20 step arrays of 1000000000 floats at once, over the 1 GiB "
-                  "budget", 2**30 // (8 * 20)),
-    "no-invariant": (["counterexample", "no-invariant"], "n-max",
-                     "sums 499999999500000000 profile terms, over the budget of 1e+08",
-                     14142),
-}
-
-
-@pytest.mark.parametrize("run", CHAIN_SIZES)
-def test_chain_side_sizes_over_their_budget_are_refused(tmp_path, capsys, monkeypatch,
-                                                       run):
-    argv, key, holds, fits = CHAIN_SIZES[run]
-    out = tmp_path / "x"
+def _assert_largest_fits(capsys, monkeypatch, out, argv, key, fits):
+    """A run whose --key is far past its budget is refused at once, naming
+    ``fits`` as the largest --key that fits; one more exits 2 with one
+    error line and no output directory, and ``fits`` itself reaches
+    _begin."""
     start = time.perf_counter()
-    assert main([*argv, f"--{key}", "1000000000", "--out", str(out)]) == 2
+    assert main([*argv, f"--{key}", str(10**18), "--out", str(out)]) == 2
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == (
-        f"error: {key} 1000000000 {holds}; the largest {key} that fits is {fits}\n")
-    assert not out.exists()
+    assert capsys.readouterr().err.endswith(
+        f"; the largest --{key} that fits is {fits}\n")
     assert main([*argv, f"--{key}", str(fits + 1), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"--{key} " in err
     assert not out.exists()
     monkeypatch.setattr(cli, "_begin", _no_begin)
     with pytest.raises(_Began):
         main([*argv, f"--{key}", str(fits), "--out", str(out)])
 
 
+# The nodes of local-alpha's grid at its defaults, euler_grid(1, 1, 0.01),
+# on which its 5 laws take 100 steps of 161 taps
+NODES = 2 * 980 + 1
+
+# One run at the boundary of each row of cli.BUDGETS.  A keyed row gives
+# the option it sizes and the largest value of it that fits, and may give
+# a limit to set the row to, so that a run at the boundary stays small.
+# The others give every option a refusal names, and what the run needs,
+# to which the test sets the row's limit.
+BOUNDARIES = {
+    "kernel-stack": (["chain", "--kernel", "mixture"], "resolution", 10, 8 * 4 * 11),
+    "chain-step": (["chain", "--kernel", "no-invariant"], "steps", 2**30 // 4200),
+    "rows": (["counterexample", "no-invariant"], "n-max", 2 * 10**6),
+    "particles": (["smve", "simulate", "--horizon", "0.01"], "n", 2**30 // 16),
+    "bins": (["smve", "local-alpha"], "bins", 2**30 // 48 - 1),
+    "particle-steps": (["smve", "simulate", "--n", "1000", "--horizon", "1e6"],
+                       "--n --horizon --h", 10**11),
+    "grid-nodes": (["smve", "local-alpha"], "--radius --t --h", 8 * 13 * NODES),
+    "cell-taps": (["smve", "local-alpha"], "--radius --t --h", 5 * 100 * 161 * NODES),
+    "snapshot-times": (["smve", "lyapunov", "--horizon", "2", "--lag", "1"],
+                       "--horizon --lag", 208 * 3),
+}
+
+
+def test_every_budget_row_has_a_boundary_case():
+    assert BOUNDARIES.keys() == cli.BUDGETS.keys()
+
+
+@pytest.mark.parametrize("row", BOUNDARIES)
+def test_budget_row_is_exact_at_its_boundary(tmp_path, capsys, monkeypatch, row):
+    argv, key, need, *limit = BOUNDARIES[row]
+    out = tmp_path / "x"
+    if not key.startswith("--"):
+        if limit:
+            monkeypatch.setitem(cli.BUDGETS, row, cli.BUDGETS[row]._replace(limit=limit[0]))
+        _assert_largest_fits(capsys, monkeypatch, out, argv, key, need)
+        return
+    monkeypatch.setitem(cli.BUDGETS, row, cli.BUDGETS[row]._replace(limit=need - 1))
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f" {cli.BUDGETS[row].unit}, over the budget of " in err
+    assert all(f"{flag} " in err for flag in key.split())
+    assert not out.exists()
+    monkeypatch.setitem(cli.BUDGETS, row, cli.BUDGETS[row]._replace(limit=need))
+    monkeypatch.setattr(cli, "_begin", _no_begin)
+    with pytest.raises(_Began):
+        main([*argv, "--out", str(out)])
+
+
+# The rows each chain-side run steps and writes, and their largest count
+# that fits: unbudgeted, the first three ended in an _ArrayMemoryError
+# traceback after resolved_config.json, and the last ran on, quadratic in
+# --n-max while the recursion rebuilt its profile at each n.
+CHAIN_SIZES = {
+    "chain": (["chain"], "steps", 2 * 10**6),
+    "oscillation": (["counterexample", "oscillation"], "steps", 2 * 10**6),
+    "continuum": (["counterexample", "continuum"], "steps", 2 * 10**6),
+    "no-invariant": (["counterexample", "no-invariant"], "n-max", 2 * 10**6),
+}
+
+
+@pytest.mark.parametrize("run", CHAIN_SIZES)
+def test_chain_side_sizes_over_their_budget_are_refused(tmp_path, capsys, monkeypatch,
+                                                       run):
+    _assert_largest_fits(capsys, monkeypatch, tmp_path / "x", *CHAIN_SIZES[run])
+
+
 def test_chain_step_budget_grows_with_the_state_count(tmp_path, capsys):
-    # 5 states: 25 + 10 * 5 floats a step
+    # 5 states: 25 + 10 * 5 floats a step, so the memory row binds first
     out = tmp_path / "x"
     assert main(["chain", "--kernel", "mixture", "--space", "5", "--steps", "10000000",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: steps 10000000 needs 75 step arrays of 10000000 floats at once, over "
-        f"the 1 GiB budget; the largest steps that fits is {2**30 // (8 * 75)}\n")
+        "error: --steps 10000000 at 5 states needs 6000000000 bytes, over the budget of "
+        f"1 GiB; the largest --steps that fits is {2**30 // (8 * 75)}\n")
     assert not out.exists()
 
 
 def test_chain_side_defaults_are_far_from_their_budgets():
     chain, replay = cli.OPTIONS["chain"], cli.OPTIONS["counterexample"]
     states = chain["truncation"].default  # the largest stock kernel's
-    per_step = 8 * (cli.CHAIN_STEP_FLOATS[0] + cli.CHAIN_STEP_FLOATS[1] * states)
-    assert 100 * chain["steps"].default < cli.GRID_BUDGET_BYTES // per_step
-    assert 100 * replay["steps"].default < cli.GRID_BUDGET_BYTES // (
-        8 * cli.REPLAY_STEP_FLOATS)
-    assert 100 * replay["n-max"].default < math.isqrt(2 * cli.NO_INVARIANT_TERMS)
+    a, b = cli.BUDGETS["chain-step"].cost
+    assert 100 * chain["steps"].default * (a + b * states) < cli.BUDGETS["chain-step"].limit
+    for steps in (chain["steps"], replay["steps"], replay["n-max"]):
+        assert 100 * steps.default < cli.BUDGETS["rows"].limit
 
 
 class TestSmve:
@@ -539,25 +589,10 @@ class TestSmve:
     ], ids=["decay", "girsanov-check", "local-alpha", "local-alpha-two-starts"])
     def test_bins_over_the_memory_budget_are_refused(self, tmp_path, capsys,
                                                      monkeypatch, action, extra, held):
-        class Began(Exception):
-            pass
-
-        def began(*args):
-            raise Began
-
         # nothing past the check runs, so nothing is binned or allocated
-        monkeypatch.setattr(cli, "_begin", began)
-        fits = cli.GRID_BUDGET_BYTES // (8 * held) - 1
-        out = tmp_path / "x"
-        argv = ["smve", action, *extra, "--out", str(out)]
-        assert main([*argv, "--bins", str(fits + 1)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: bins {fits + 1} needs {held} histogram arrays of {fits + 2} "
-            f"floats at once, over the 1 GiB budget; the largest bins that fits "
-            f"is {fits}\n")
-        assert not out.exists()
-        with pytest.raises(Began):
-            main([*argv, "--bins", str(fits)])
+        fits = 2**30 // (8 * held) - 1
+        _assert_largest_fits(capsys, monkeypatch, tmp_path / "x", ["smve", action, *extra],
+                             "bins", fits)
 
     @pytest.mark.parametrize("action, extra, key, held", [
         # short runs, so that the largest n that fits is within the step budget
@@ -571,46 +606,20 @@ class TestSmve:
     def test_particles_over_the_memory_budget_are_refused(self, tmp_path, capsys,
                                                           monkeypatch, action, extra,
                                                           key, held):
-        class Began(Exception):
-            pass
-
-        def began(*args):
-            raise Began
-
         # nothing past the check runs, so no particle array is allocated
-        monkeypatch.setattr(cli, "_begin", began)
-        fits = cli.GRID_BUDGET_BYTES // (8 * held)
-        out = tmp_path / "x"
-        argv = ["smve", action, *extra, "--out", str(out)]
-        assert main([*argv, f"--{key}", str(fits + 1)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {key} {fits + 1} needs {held} particle arrays of {fits + 1} "
-            f"floats at once, over the 1 GiB budget; the largest {key} that fits "
-            f"is {fits}\n")
-        assert not out.exists()
-        with pytest.raises(Began):
-            main([*argv, f"--{key}", str(fits)])
+        _assert_largest_fits(capsys, monkeypatch, tmp_path / "x", ["smve", action, *extra],
+                             key, 2**30 // (8 * held))
 
     def test_lyapunov_snapshots_over_the_memory_budget_are_refused(self, tmp_path,
-                                                                   capsys, monkeypatch):
+                                                                   capsys):
         out = tmp_path / "x"
         start = time.perf_counter()
         assert main(["smve", "lyapunov", "--horizon", "1e9", "--lag", "1e-3",
                      "--out", str(out)]) == 2
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == (
-            "error: horizon 1e+09 at lag 0.001 takes more than the 1342175 snapshots "
-            "that fit the 1 GiB budget at the smallest n, 100\n")
-        assert not out.exists()
-        # a budget of 50 arrays at n = 100 lists 48 snapshot times: 48 lags
-        # are refused, and 47 leave the refusal to the n budget of x and
-        # the weights
-        monkeypatch.setattr(cli, "GRID_BUDGET_BYTES", 8 * 100 * 50)
-        argv = ["smve", "lyapunov", "--lag", "0.5", "--out", str(out)]
-        assert main([*argv, "--horizon", "24"]) == 2
-        assert "takes more than the 48 snapshots" in capsys.readouterr().err
-        assert main([*argv, "--horizon", "23.5"]) == 2
-        assert capsys.readouterr().err.endswith(" the largest n that fits is 2500\n")
+            "error: a list of 1e+12 snapshot times for --horizon 1e+09 at --lag 0.001 "
+            "needs 2.08e+14 bytes, over the budget of 1 GiB\n")
         assert not out.exists()
 
     def test_lyapunov_lag_off_the_step_grid_is_refused(self, tmp_path, capsys):
@@ -642,6 +651,21 @@ class TestSmve:
             f"error: {message} is not a whole number of --h 0.01 steps\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--times=-1,1"], "--times -1 lies outside [0, --horizon 20]"),
+        (["simulate", "--times=30"], "--times 30 lies outside [0, --horizon 20]"),
+        (["decay", "--horizon", "2", "--times", "0,2.01"],
+         "--times 2.01 lies outside [0, --horizon 2]"),
+        (["girsanov-check", "--times=-1,1"], "--times -1 is negative"),
+    ], ids=["simulate-negative", "simulate-past-horizon", "decay-past-horizon",
+            "girsanov-negative"])
+    def test_times_out_of_range_are_named(self, tmp_path, capsys, argv, message):
+        # each was refused as "snapshot times must lie within [0, horizon]"
+        out = tmp_path / "x"
+        assert main(["smve", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_step_count_past_the_float_range_is_refused(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert main(["smve", "simulate", "--horizon", "1e308", "--h", "1e-300",
@@ -652,35 +676,29 @@ class TestSmve:
 
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--horizon", "1e30"],
-         "--horizon 1e+30 takes 10000 particles through 1e+32 steps"),
+         "1 run of --n 10000 particles to --horizon 1e+30 at --h 0.01 needs 1e+36"),
         (["decay", "--horizon", "1e30"],
-         "--horizon 1e+30 takes 20000 particles through 1e+32 steps"),
+         "2 runs of --n 10000 particles to --horizon 1e+30 at --h 0.01 needs 2e+36"),
         (["girsanov-check", "--times", "0.5,1e30"],
-         "--times 1e+30 takes 20000 particles through 1e+32 steps"),
+         "2 runs of --n 10000 particles to --times 1e+30 at --h 0.01 needs 2e+36"),
         (["lyapunov", "--horizon", "1e30", "--lag", "1e29"],
-         "--horizon 1e+30 takes 10000 particles through 1e+32 steps"),
+         "1 run of --n 10000 particles to --horizon 1e+30 at --h 0.01 needs 1e+36"),
         # 10^11 particle-steps fit: 1000 particles through 10^8 steps
         (["simulate", "--n", "1001", "--horizon", "1e6"],
-         "--horizon 1e+06 takes 1001 particles through 1e+08 steps"),
+         "1 run of --n 1001 particles to --horizon 1e+06 at --h 0.01 needs 1.001e+11"),
     ], ids=["simulate", "decay", "girsanov-check", "lyapunov", "simulate-just-past"])
     def test_runs_over_the_step_budget_are_refused_before_any_output(
             self, tmp_path, capsys, argv, message):
         # each ran on, after making its output directory, with no end in sight
         out = tmp_path / "x"
         assert main(["smve", *argv, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {message}, over the budget of 1e+11 particle-steps")
+        assert capsys.readouterr().err == (
+            f"error: {message} particle-steps, over the budget of 1e+11 particle-steps\n")
         assert not out.exists()
 
     def test_runs_at_the_step_budget_are_accepted(self, tmp_path, monkeypatch):
-        class Began(Exception):
-            pass
-
-        def began(*args):
-            raise Began
-
-        monkeypatch.setattr(cli, "_begin", began)
-        with pytest.raises(Began):
+        monkeypatch.setattr(cli, "_begin", _no_begin)
+        with pytest.raises(_Began):
             main(["smve", "simulate", "--n", "1000", "--horizon", "1e6",
                   "--out", str(tmp_path / "x")])
 
@@ -738,43 +756,30 @@ class TestSmve:
             assert main(["smve", "local-alpha", "--radius", "1e308",
                          "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: --radius 1e+308, --t 1 and --h 0.01 lay out inf grid nodes, and 13 "
-            "arrays of them exceed the 1 GiB budget\n")
+            "error: a grid of inf nodes and 161 taps for 5 laws through 100 steps at "
+            "--radius 1e+308, --t 1 and --h 0.01 needs inf bytes, over the budget of "
+            "1 GiB\n")
         assert main(["smve", "local-alpha", "--t", "1e30", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: --radius 1, --t 1e+30 and --h 0.01 lay out 1.6e+18 grid nodes, and 13 "
-            "arrays of them exceed the 1 GiB budget\n")
+            "error: a grid of 1.6e+18 nodes and 161 taps for 5 laws through 1e+32 steps "
+            "at --radius 1, --t 1e+30 and --h 0.01 needs 1.664e+20 bytes, over the "
+            "budget of 1 GiB\n")
         assert main(["smve", "local-alpha", "--radius", "30", "--t", "30", "--h", "1e-4",
                      "--x-grid=-30,30", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: --radius 30, --t 30 and --h 0.0001 lay out 147797 grid nodes; 2 laws "
-            "through 300000 steps of 161 taps take 1.43e+13 cell-taps, over the budget "
-            "of 1e+11\n")
+            "error: a grid of 147797 nodes and 161 taps for 2 laws through 300000 steps "
+            "at --radius 30, --t 30 and --h 0.0001 needs 1.42772e+13 cell-taps, over the "
+            "budget of 1e+11 cell-taps\n")
         assert not out.exists()
-
-    @pytest.mark.parametrize("budget", ["CELL_TAP_BUDGET", "GRID_BUDGET_BYTES"])
-    def test_local_alpha_grid_budgets_are_exact(self, tmp_path, capsys, monkeypatch,
-                                                budget):
-        from nlmarkov.diagnostics import euler_grid
-
-        nodes = 2 * int(euler_grid(1.0, 1.0, 0.01)[1]) + 1
-        # the default run: 5 laws through 100 steps of 161 taps, and 5 + 8
-        # arrays of the nodes
-        need = 5 * 100 * nodes * 161 if budget == "CELL_TAP_BUDGET" else 8 * 13 * nodes
-        monkeypatch.setattr(cli, "_begin", _no_begin)
-        monkeypatch.setattr(cli, budget, need)
-        with pytest.raises(_Began):
-            main(["smve", "local-alpha", "--out", str(tmp_path / "x")])
-        monkeypatch.setattr(cli, budget, need - 1)
-        assert main(["smve", "local-alpha", "--out", str(tmp_path / "x")]) == 2
-        assert "--radius 1, --t 1 and --h 0.01 lay out" in capsys.readouterr().err
 
     def test_local_alpha_defaults_are_far_from_the_grid_budgets(self):
         from nlmarkov.diagnostics import euler_grid
 
-        nodes = 2 * euler_grid(1.0, 1.0, 0.01)[1] + 1
-        assert 100 * 5 * 100 * nodes * 161 < cli.CELL_TAP_BUDGET
-        assert 100 * 8 * 13 * nodes < cli.GRID_BUDGET_BYTES
+        _, half, taps = euler_grid(1.0, 1.0, 0.01)
+        nodes, (a, b) = 2 * half + 1, cli.BUDGETS["grid-nodes"].cost
+        assert nodes == NODES and taps == 161
+        assert 100 * 5 * 100 * nodes * taps < cli.BUDGETS["cell-taps"].limit
+        assert 100 * (a + 5 * b) * nodes < cli.BUDGETS["grid-nodes"].limit
 
     def test_local_alpha_law_off_the_grid_exits_three_with_one_error_line(self, tmp_path):
         # ou at h = 2.5 maps x to -1.5 x.  A fresh interpreter, because
@@ -901,7 +906,8 @@ def test_particle_budget_counts_the_arrays_a_run_holds(tmp_path, capsys, monkeyp
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert main(["smve", *argv, f"--{key}", str(10**12), "--out",
                  str(tmp_path / "big")]) == 2
-    assert f" needs {held} particle arrays " in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        f"error: {held} array{'s' * (held > 1)} of --n ")
     tracemalloc.start()
     try:
         main(["smve", *argv, f"--{key}", str(WIDE), "--out", str(tmp_path / "x")])

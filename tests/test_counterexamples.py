@@ -4,8 +4,11 @@ self-contradictory."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlmarkov.counterexamples import (
+    EXACT_TOL,
     verify_continuum,
     verify_no_invariant_recursion,
     verify_oscillation,
@@ -161,6 +164,47 @@ def test_no_invariant_boundary_lambda_one():
     assert report.details["boundary_case"]
     # the boundary claim exhibits a stationary law instead of a contradiction
     assert any("stationary inputs exist" in c.name for c in report.claims)
+
+
+def quadratic_recursion(alpha, lam, n_max):
+    """The balance at each n = 2..n_max, its profile rebuilt and summed
+    at each n, as the replay once solved it: the solved masses, their
+    largest modulus and the largest crossing margin."""
+    solved, worst_abs, worst_margin = [], 0.0, -np.inf
+    for n in range(2, n_max + 1):
+        f_prev = float((alpha * (1.0 - lam) ** np.arange(n - 1)).sum())
+        mu_n = (alpha * (1.0 - lam) ** (n - 1) + lam * f_prev - alpha) / (1.0 - lam)
+        solved.append(mu_n)
+        worst_abs = max(worst_abs, abs(mu_n))
+        worst_margin = max(worst_margin, lam * (f_prev + mu_n) - alpha)
+    return solved, worst_abs, worst_margin
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.01, 0.9), st.floats(0.0, 1.0, exclude_max=True),
+       st.integers(2, 2000))
+def test_no_invariant_running_sum_matches_the_quadratic_oracle(alpha, share, n_max):
+    lam = alpha + share * (1.0 - alpha)  # in [alpha, 1)
+    if not alpha < lam < 1.0:
+        return
+    report = verify_no_invariant_recursion(alpha, lam, n_max)
+    solved, worst_abs, worst_margin = quadratic_recursion(alpha, lam, n_max)
+    # Each value sums the profile's roundings, at most eps alpha each, over
+    # 1 - lam.  Past about 36 / lam terms the profile is below eps times its
+    # sum, so the two orders of summation part by at most that many
+    # roundings: within EXACT_TOL unless lam is near 1 or near 0.
+    terms = min(n_max, 40.0 / lam)
+    rounding = terms * np.finfo(float).eps * alpha / (1.0 - lam)
+    assert np.max(np.abs(np.subtract(report.details["solved_boundary_masses"], solved))) \
+        <= rounding
+    if rounding <= EXACT_TOL:
+        assert np.allclose(report.details["solved_boundary_masses"], solved, rtol=0,
+                           atol=EXACT_TOL)
+    # so each claim agrees with the oracle's unless its value is within
+    # that rounding of the tolerance
+    for claim, value in zip(report.claims[2:], (worst_abs, worst_margin)):
+        if abs(value - EXACT_TOL) > rounding:
+            assert claim.passed == (value <= EXACT_TOL)
 
 
 def test_no_invariant_guards():

@@ -205,16 +205,17 @@ class TestEulerLaws:
     def test_a_propagation_holds_its_laws_and_eight_more_grid_arrays(self, starts):
         # the arrays the CLI budgets local-alpha's grid by, beside the laws;
         # 60,389 nodes, so that each array dwarfs the rest
-        dx, half = diagnostics.euler_grid(300.0, 0.02, 0.01)
-        array = 8 * (2 * half + 1)
+        dx, half, _ = diagnostics.euler_grid(300.0, 0.02, 0.01)
+        nodes, (a, b) = 2 * half + 1, cli.BUDGETS["grid-nodes"].cost
         peak = _peak(lambda: diagnostics.euler_laws(
             radial_confinement_drift(1.0, 1.0), np.linspace(-300.0, 300.0, starts),
             0.01, 2))
-        assert (starts + 6) * array < peak <= (starts + cli.GRID_LAW_ARRAYS) * array
+        assert 8 * (starts + 6) * nodes < peak <= (a + b * starts) * nodes
 
     def test_grid_reaches_past_the_noise_of_the_horizon(self):
-        dx, half = diagnostics.euler_grid(1.0, 1.0, 0.01)
+        dx, half, taps = diagnostics.euler_grid(1.0, 1.0, 0.01)
         assert dx == 0.01 and half * dx >= 1.0 + 8.0 * (1.0 + 0.1)
+        assert taps == len(diagnostics._noise_taps(diagnostics.GRID_CELLS)) == 161
         assert diagnostics.euler_grid(1e308, 1.0, 0.01)[1] == math.inf
 
 
