@@ -21,6 +21,13 @@ counterexamples, measures), laws and reporting, with numpy; ``chain
 the particle half (mckean_vlasov, diagnostics, and numpy.random through
 them), when it runs.
 
+The CLI sets OPENBLAS_THREAD_TIMEOUT to 4 before it imports numpy,
+unless the environment already sets it: an idle OpenBLAS worker then
+spins 2^4 cycles, not the default 2^28 (about 0.1 s of CPU a process),
+while the BLAS products keep their threads.  It takes effect when this
+module is the first to load numpy (the console script, ``python -m
+nlmarkov.cli``); set the variable to keep another value.
+
 Exit codes: 0 all claims hold, 1 a certified claim was falsified,
 2 usage or configuration error, 3 numerical failure (a particle run
 blew up or its interaction exceeded its declared bound, a stock kernel
@@ -36,6 +43,9 @@ import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
+
+# OpenBLAS reads this once, when numpy loads it: idle workers spin 2^4 cycles, not 2^28
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 import numpy as np
 
@@ -200,7 +210,7 @@ def _resolve(args) -> dict:
             resolved[k] = v
     for k, v in resolved.items():
         if isinstance(v, float) and not math.isfinite(v):
-            raise ValueError(f"{k} must be finite, got {v}")
+            raise ValueError(f"--{k} must be finite, got {v}")
     return resolved
 
 
@@ -228,7 +238,7 @@ def _finish(out: Path, doc: dict, line: str, file=None) -> int:
 class Budget(NamedTuple):
     """A row of BUDGETS: ``_check`` refuses a run whose ``options`` need
     more than ``limit`` ``unit``.  An item costs ``cost`` units; a pair
-    (a, b) costs a + b k, at k states or start laws."""
+    (a, b) costs a + b k, at k states, start laws or particles."""
 
     options: str
     limit: int
@@ -252,8 +262,12 @@ BUDGETS = {
     # a particle or a bin (and the overflow cell), in each array held at once
     "particles": Budget("smve --n", 2**30, "bytes", 8),
     "bins": Budget("smve --bins", 2**30, "bytes", 8),
+    # an Euler step of n particles costs n + 1000 particle-steps, its own
+    # overhead about 1,000 (2-CPU x86 host: 30-36 us a step at n = 100, 28 ns
+    # a particle-step at n = 10^4 and 37 at 10^5), so the largest admitted
+    # run takes about an hour at any n
     "particle-steps": Budget("smve --n, --horizon or --times, --h", 10**11,
-                             "particle-steps", 1),
+                             "particle-steps", (1000, 1)),
     # a node, in each start law and 8 more grid-sized arrays of a propagation
     "grid-nodes": Budget("smve local-alpha --radius, --t, --h", 2**30, "bytes", (64, 8)),
     # nodes times taps over the steps and laws at dx (2 dx adds a quarter):
@@ -297,10 +311,10 @@ def _check(what: str, needs: dict, c: dict | None = None, key: str = "") -> None
 
 
 def _run_chain(args, resolved: dict) -> int:
-    if resolved["steps"] < 1:
-        raise ValueError("steps must be positive")
+    _positive(resolved, "steps")
     if resolved["resolution"] < 0:
-        raise ValueError("resolution must be positive, or 0 for the default")
+        raise ValueError(f"--resolution must be positive, or 0 for the default, got "
+                         f"{resolved['resolution']}")
 
     # The report names a kernel file by its basename and the sha256 of
     # its bytes, so it does not depend on where the file lives;
@@ -463,19 +477,23 @@ def _spec(c: dict, horizon: float, times, runs: int = 1, extra: int = 0):
     from .mckean_vlasov import _plan, make_ou_spec, make_vh_spec
 
     if c["n"] < 100:
-        raise ValueError("n must be at least 100")
+        raise ValueError(f"--n must be at least 100, got {c['n']}")
     if c["epsilon"] < 0:
-        raise ValueError("epsilon must be nonnegative")
+        raise ValueError(f"--epsilon must be nonnegative, got {c['epsilon']:g}")
     if c["preset"] == "vh":
         _positive(c, "r", "m-ball", "d-bound")
     if "horizon" in c:
         _on_grid(c, "horizon", horizon)
+        if horizon < c["h"]:
+            raise ValueError(f"--horizon {horizon:g} must cover at least one --h "
+                             f"{c['h']:g} step")
     n_steps, snaps = _plan(c["n"], float(c["h"]), horizon, times)
     _check(f"{1 + extra} array{'s' * bool(extra)} of --n {c['n']} particles",
            {"particles": lambda v: BUDGETS["particles"].cost * (1 + extra) * v}, c, "n")
+    a, b = BUDGETS["particle-steps"].cost
     _check(f"{runs} run{'s' * (runs > 1)} of --n {c['n']} particles to "
            f"--{'horizon' if 'horizon' in c else 'times'} {horizon:g} at --h {c['h']:g}",
-           {"particle-steps": runs * c["n"] * float(n_steps)})
+           {"particle-steps": runs * (a + b * c["n"]) * float(n_steps)})
     return make_ou_spec() if c["preset"] == "ou" else make_vh_spec(
         r=c["r"], M=c["m-ball"], D=c["d-bound"], epsilon=c["epsilon"]), len(snaps)
 
@@ -485,7 +503,8 @@ def _smve_simulate(args, c: dict) -> int:
 
     def moments(x):
         x = x[:, 0]
-        return float(x.mean()), float(x.var(ddof=1)), float(x.min()), float(x.max())
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            return float(x.mean()), float(x.var(ddof=1)), float(x.min()), float(x.max())
 
     mu, horizon = laws.parse(c["mu0"], "mu0"), float(c["horizon"])
     times = _times(c, [0.0, horizon])
@@ -493,6 +512,10 @@ def _smve_simulate(args, c: dict) -> int:
     out = _begin(args, "smve/simulate", c)
     snaps = simulate(spec, mu, c["n"], float(c["h"]), horizon, c["seed"], times,
                      observe=moments)
+    for t, m in snaps:
+        if not all(map(math.isfinite, m)):
+            raise NumericalFailure(f"{spec.label}: the mean or variance at t = {t:g} is "
+                                   f"past the float range")
     write_csv(out / "snapshots.csv", ["time", "mean", "variance", "min", "max"],
               [(t, *m) for t, m in snaps], "snapshots")
     doc = report_document("smve/simulate", c,
@@ -508,6 +531,10 @@ def _binning(c: dict, held: int):
     temporary of the distance or the bootstrap."""
     from .diagnostics import Binning
 
+    _positive(c, "bins")
+    if not c["bin-lo"] < c["bin-hi"]:
+        raise ValueError(f"--bin-lo {c['bin-lo']:g} must lie below --bin-hi "
+                         f"{c['bin-hi']:g}")
     _check(f"{held} histogram arrays of --bins {c['bins']} + 1 floats",
            {"bins": lambda v: BUDGETS["bins"].cost * held * (v + 1)}, c, "bins")
     return Binning(c["bin-lo"], c["bin-hi"], c["bins"])
@@ -629,7 +656,8 @@ def _smve_lyapunov(args, c: dict) -> int:
     _positive(c, "lag")
     lags = horizon / lag
     if lags < 2:
-        raise ValueError("horizon must cover at least two lags")
+        raise ValueError(f"--horizon {horizon:g} must cover at least two --lag {lag:g} "
+                         f"lags")
     # the snapshot times are listed before any other check
     _check(f"a list of {lags + 1:.6g} snapshot times for --horizon {horizon:g} at "
            f"--lag {lag:g}",

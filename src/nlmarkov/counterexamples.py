@@ -285,12 +285,17 @@ def verify_no_invariant_recursion(
     n1_infeasible = lam * alpha < alpha
 
     # The balance at each n = 2..n_max solves for mu({n}) from the running
-    # profile mass F_{n-1}; the values are promised within EXACT_TOL.
+    # profile mass F_{n-1}.  Its numerator cancels to a rounding residue of
+    # the profile's terms, at most eps alpha each, which the division by
+    # 1 - lam amplifies; past about 36 / lam terms the profile is below eps
+    # times its sum.  The claims allow that bound on top of EXACT_TOL.
     profile = alpha * (1.0 - lam) ** np.arange(n_max)
     f_prev = np.cumsum(profile[:-1])
     mu = (profile[1:] + lam * f_prev - alpha) / (1.0 - lam)
     solved = mu.tolist()
     worst_abs = float(np.abs(mu).max())
+    terms = min(n_max, 40.0 / lam)
+    tolerance = EXACT_TOL + terms * float(np.finfo(float).eps) * alpha / (1.0 - lam)
     # With mu({n}) = 0 the running mass lam * F_n stays short of alpha,
     # so n cannot be a first-crossing index at all.
     worst_crossing_margin = float(np.max(lam * (f_prev + mu) - alpha))
@@ -309,13 +314,14 @@ def verify_no_invariant_recursion(
         ),
         Claim(
             "balance at every hypothetical crossing state solves to zero mass",
-            worst_abs <= EXACT_TOL,
-            {"worst_abs_solution": worst_abs, "n_range": [2, n_max]},
+            worst_abs <= tolerance,
+            {"worst_abs_solution": worst_abs, "n_range": [2, n_max],
+             "tolerance": tolerance},
         ),
         Claim(
             "zero solution contradicts the crossing definition",
-            worst_crossing_margin <= EXACT_TOL,
-            {"worst_margin": worst_crossing_margin},
+            worst_crossing_margin <= tolerance,
+            {"worst_margin": worst_crossing_margin, "tolerance": tolerance},
         ),
     )
     return CounterexampleReport(

@@ -87,9 +87,11 @@ class Binning(Record):
             # float below the upper bound (the bound itself is outside); at
             # 0, it keeps far outside points castable.  In place, and each
             # block's scratch dropped before the next, so that binning beside
-            # a run's own blocks holds at most two blocks more.
-            scaled = np.subtract(block, self.lower)
-            scaled /= width
+            # a run's own blocks holds at most two blocks more.  A point far
+            # outside may scale past the float range, to inf: it is outside.
+            with np.errstate(over="ignore"):
+                scaled = np.subtract(block, self.lower)
+                scaled /= width
             np.floor(scaled, out=scaled)
             cells = np.clip(scaled, 0, self.bins - 1, out=scaled).astype(int)
             del scaled

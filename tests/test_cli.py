@@ -288,6 +288,17 @@ class TestCounterexample:
         assert main(["counterexample", "no-invariant", "--alpha", "0.9",
                      "--lam", "0.2", "--out", str(tmp_path / "x")]) == 2
 
+    def test_no_invariant_near_lam_one_reproduces(self, tmp_path):
+        # each solved mass is a residue of about 1e-10 there, past
+        # EXACT_TOL but within the rounding its claims now allow: it
+        # exited 1, FALSIFIED
+        out = tmp_path / "noinv"
+        assert main(["counterexample", "no-invariant", "--alpha", "0.9",
+                     "--lam", "0.999999", "--out", str(out)]) == 0
+        claims = read_json(out / "report.json")["claims"]
+        assert claims[2]["witness"]["worst_abs_solution"] > 1e-12
+        assert all(c["witness"]["tolerance"] > 1e-12 for c in claims[2:])
+
     def test_continuum_runs(self, tmp_path):
         out = tmp_path / "cont"
         assert main(["counterexample", "continuum", "--alpha", "0.2",
@@ -317,6 +328,35 @@ def test_replay_parameters_are_named_before_any_output(tmp_path, capsys, case):
     argv, message = BAD_REPLAYS[case]
     out = tmp_path / "x"
     assert main(["counterexample", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# Refusals the CLI fuzzer (tests/test_cli_fuzz.py) found naming their
+# option without its --, or naming none: the bins and bin bounds, and
+# the smve horizon that covers no step, in the library's words.
+UNNAMED = {
+    "finite": (["chain", "--gamma", "nan"], "--gamma must be finite, got nan"),
+    "chain-steps": (["chain", "--steps", "0"], "--steps must be positive, got 0"),
+    "resolution": (["chain", "--resolution=-1"],
+                   "--resolution must be positive, or 0 for the default, got -1"),
+    "n": (["smve", "simulate", "--n", "0"], "--n must be at least 100, got 0"),
+    "epsilon": (["smve", "decay", "--epsilon=-1"], "--epsilon must be nonnegative, got -1"),
+    "horizon": (["smve", "simulate", "--horizon", "0"],
+                "--horizon 0 must cover at least one --h 0.01 step"),
+    "bins": (["smve", "local-alpha", "--bins", "0"], "--bins must be positive, got 0"),
+    "bin-lo": (["smve", "girsanov-check", "--bin-lo", "1e30"],
+               "--bin-lo 1e+30 must lie below --bin-hi 10"),
+    "lags": (["smve", "lyapunov", "--lag", "1e30"],
+             "--horizon 20 must cover at least two --lag 1e+30 lags"),
+}
+
+
+@pytest.mark.parametrize("case", UNNAMED)
+def test_usage_errors_name_their_option(tmp_path, capsys, case):
+    argv, message = UNNAMED[case]
+    out = tmp_path / "x"
+    assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
@@ -363,7 +403,7 @@ BOUNDARIES = {
     "rows": (["counterexample", "no-invariant"], "n-max", 2 * 10**6),
     "particles": (["smve", "simulate", "--horizon", "0.01"], "n", 2**30 // 16),
     "bins": (["smve", "local-alpha"], "bins", 2**30 // 48 - 1),
-    "particle-steps": (["smve", "simulate", "--n", "1000", "--horizon", "1e6"],
+    "particle-steps": (["smve", "simulate", "--n", "1000", "--horizon", "5e5"],
                        "--n --horizon --h", 10**11),
     "grid-nodes": (["smve", "local-alpha"], "--radius --t --h", 8 * 13 * NODES),
     "cell-taps": (["smve", "local-alpha"], "--radius --t --h", 5 * 100 * 161 * NODES),
@@ -541,6 +581,20 @@ class TestSmve:
             assert done.returncode == 3
             assert done.stderr == "error: ou: non-finite position at step 512\n"
 
+    @pytest.mark.parametrize("option", ["--d-bound", "--epsilon"])
+    def test_simulate_moments_past_the_float_range_exit_three(self, tmp_path, capsys,
+                                                              option):
+        # the positions stay finite, but their variance overflowed with a
+        # RuntimeWarning, and the run wrote it as inf
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["smve", "simulate", option, "1e308", "--n", "100",
+                         "--horizon", "0.1", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.endswith(
+            ": the mean or variance at t = 0.1 is past the float range\n")
+        assert not (out / "snapshots.csv").exists()
+
     @pytest.mark.parametrize("option", ["--r", "--epsilon"])
     def test_lyapunov_weight_overflow_exits_three_with_one_error_line(self, tmp_path,
                                                                       option):
@@ -676,17 +730,23 @@ class TestSmve:
 
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--horizon", "1e30"],
-         "1 run of --n 10000 particles to --horizon 1e+30 at --h 0.01 needs 1e+36"),
+         "1 run of --n 10000 particles to --horizon 1e+30 at --h 0.01 needs 1.1e+36"),
         (["decay", "--horizon", "1e30"],
-         "2 runs of --n 10000 particles to --horizon 1e+30 at --h 0.01 needs 2e+36"),
+         "2 runs of --n 10000 particles to --horizon 1e+30 at --h 0.01 needs 2.2e+36"),
         (["girsanov-check", "--times", "0.5,1e30"],
-         "2 runs of --n 10000 particles to --times 1e+30 at --h 0.01 needs 2e+36"),
+         "2 runs of --n 10000 particles to --times 1e+30 at --h 0.01 needs 2.2e+36"),
         (["lyapunov", "--horizon", "1e30", "--lag", "1e29"],
-         "1 run of --n 10000 particles to --horizon 1e+30 at --h 0.01 needs 1e+36"),
-        # 10^11 particle-steps fit: 1000 particles through 10^8 steps
-        (["simulate", "--n", "1001", "--horizon", "1e6"],
-         "1 run of --n 1001 particles to --horizon 1e+06 at --h 0.01 needs 1.001e+11"),
-    ], ids=["simulate", "decay", "girsanov-check", "lyapunov", "simulate-just-past"])
+         "1 run of --n 10000 particles to --horizon 1e+30 at --h 0.01 needs 1.1e+36"),
+        # a step of n particles costs n + 1000 particle-steps, so 10^11 fit
+        # 1000 particles through 5 x 10^7 steps
+        (["simulate", "--n", "1001", "--horizon", "5e5"],
+         "1 run of --n 1001 particles to --horizon 500000 at --h 0.01 needs 1.0005e+11"),
+        # 10^9 steps of 100 particles, about 10 hours of per-step overhead,
+        # were admitted as 10^11 particle-steps
+        (["simulate", "--n", "100", "--horizon", "1e7"],
+         "1 run of --n 100 particles to --horizon 1e+07 at --h 0.01 needs 1.1e+12"),
+    ], ids=["simulate", "decay", "girsanov-check", "lyapunov", "simulate-just-past",
+            "simulate-narrow-long"])
     def test_runs_over_the_step_budget_are_refused_before_any_output(
             self, tmp_path, capsys, argv, message):
         # each ran on, after making its output directory, with no end in sight
@@ -699,7 +759,7 @@ class TestSmve:
     def test_runs_at_the_step_budget_are_accepted(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_begin", _no_begin)
         with pytest.raises(_Began):
-            main(["smve", "simulate", "--n", "1000", "--horizon", "1e6",
+            main(["smve", "simulate", "--n", "1000", "--horizon", "5e5",
                   "--out", str(tmp_path / "x")])
 
     @pytest.mark.parametrize("argv, message", [
@@ -981,7 +1041,10 @@ def test_non_finite_values_are_refused_before_any_output(tmp_path, capsys, argv,
     out = tmp_path / "x"
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {option} must ") and "finite" in err
+    # a number is refused by cli._resolve, naming its flag; a law text by laws
+    table = cli._SMVE if argv[0] == "smve" else cli.OPTIONS[argv[0]]
+    named = f"--{option}" if isinstance(table[option].default, float) else option
+    assert err.startswith(f"error: {named} must ") and "finite" in err
     assert err.count("\n") == 1
     assert not out.exists()
 
@@ -1228,6 +1291,45 @@ def test_cli_import_does_not_load(module):
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "False"
+
+
+def _spin_env(spin):
+    """The environment of a fresh CLI interpreter with OPENBLAS_THREAD_TIMEOUT
+    set to ``spin``, or unset if it is None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = str(Path(nlmarkov.__file__).resolve().parents[1])
+    return env if spin is None else {**env, "OPENBLAS_THREAD_TIMEOUT": spin}
+
+
+@pytest.mark.parametrize("spin, seen", [(None, "4"), ("28", "28")], ids=["unset", "kept"])
+def test_cli_import_sets_the_openblas_spin_before_numpy_loads(spin, seen):
+    # an idle OpenBLAS worker spun 2^28 cycles, about 0.1 s of CPU, in every
+    # CLI process; OpenBLAS reads the variable once, as numpy loads it
+    code = ("import os, sys\n"
+            "class Watch:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+            "sys.meta_path.insert(0, Watch())\n"
+            "import nlmarkov.cli")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=_spin_env(spin))
+    assert done.stdout.splitlines()[0] == seen
+
+
+def test_outputs_do_not_depend_on_the_openblas_spin(tmp_path):
+    runs = {"spec5": ["chain", "--kernel", "custom", "--kernel-file", str(SPEC5)],
+            "oscillation": ["counterexample", "oscillation"],
+            "simulate": ["smve", "simulate"]}
+    for spin in ("28", None):
+        for name, argv in runs.items():
+            subprocess.run([sys.executable, "-m", "nlmarkov.cli", *argv,
+                            "--out", str(tmp_path / str(spin) / name)],
+                           capture_output=True, check=True, env=_spin_env(spin))
+    files = sorted(p.relative_to(tmp_path / "28") for p in (tmp_path / "28").rglob("*.*"))
+    assert len(files) == 10
+    for f in files:
+        assert (tmp_path / "28" / f).read_bytes() == (tmp_path / "None" / f).read_bytes(), f
 
 
 def test_only_an_smve_run_loads_the_particle_modules(tmp_path):

@@ -207,6 +207,19 @@ def test_no_invariant_running_sum_matches_the_quadratic_oracle(alpha, share, n_m
             assert claim.passed == (value <= EXACT_TOL)
 
 
+@pytest.mark.parametrize("alpha, lam", [(0.9, 0.999999), (0.2, 0.8)])
+def test_no_invariant_claims_allow_the_rounding_of_their_computation(alpha, lam):
+    # at lam = 0.999999 the solved masses are residues of about 1e-10, and
+    # the replay falsified itself against EXACT_TOL alone
+    report = verify_no_invariant_recursion(alpha, lam)
+    assert report.passed
+    rounding = min(50, 40.0 / lam) * np.finfo(float).eps * alpha / (1.0 - lam)
+    for claim in report.claims[2:]:
+        assert claim.witness["tolerance"] == pytest.approx(EXACT_TOL + rounding)
+    worst = report.claims[2].witness["worst_abs_solution"]
+    assert worst <= EXACT_TOL + rounding and (worst > EXACT_TOL) == (lam > 0.99)
+
+
 def test_no_invariant_guards():
     with pytest.raises(ValueError):
         verify_no_invariant_recursion(0.6, 0.3)

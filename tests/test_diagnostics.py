@@ -64,6 +64,13 @@ class TestBinning:
         assert bn.masses(np.zeros((3, 2))).shape == (17,)  # 4 x 4 cells + overflow
         assert bn.to_dict() == {"lower": -1.0, "upper": 1.0, "bins": 4}
 
+    def test_points_scaled_past_the_float_range_are_outside_without_a_warning(self):
+        # (1e308 + 10) / 0.1 overflowed with a RuntimeWarning on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            masses = Binning(-10.0, 10.0, 200).masses(np.array([[1e308], [-1e308], [0.0]]))
+        assert masses[-1] == 2 / 3 and masses[100] == 1 / 3
+
 
 def _ou_euler_alpha(h: float, steps: int, R: float) -> float:
     """The overlap of the ou Euler chain's laws from -R and R after
