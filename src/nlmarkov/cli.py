@@ -50,6 +50,7 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 import numpy as np
 
 from .counterexamples import (
+    check_alpha_lam,
     check_replay,
     verify_continuum,
     verify_no_invariant_recursion,
@@ -283,8 +284,8 @@ def _check(what: str, needs: dict, c: dict | None = None, key: str = "") -> None
     """Refuse a run that needs more of a row of BUDGETS than its limit;
     ``needs`` maps rows to the run's need, and ``what`` names the options
     that set it with their --.  If one option c[key] sets it, each need is
-    a nondecreasing function of its value, and the largest value that fits
-    every row is named."""
+    a nondecreasing function of its value, and the largest positive value
+    that fits every row is named, or that none does."""
     def over(v) -> list:
         return [row for row, need in needs.items()
                 if (need(v) if key else need) > BUDGETS[row].limit]
@@ -297,9 +298,13 @@ def _check(what: str, needs: dict, c: dict | None = None, key: str = "") -> None
         while lo < hi:
             mid = (lo + hi + 1) // 2
             lo, hi = (lo, mid - 1) if over(mid) else (mid, hi)
-        value, fits = lo + 1, f"; the largest --{key} that fits is {lo}"
+        value, fits = lo + 1, (f"; the largest --{key} that fits is {lo}" if lo
+                               else f"; no --{key} fits")
     budget = BUDGETS[row := over(value)[0]]
     need = needs[row](c[key]) if key else needs[row]
+    if isinstance(need, int) and need.bit_length() > 14_000:  # past int's 4,300 digits
+        from decimal import Decimal
+        need = Decimal(need)
     limit = (f"{budget.limit >> 30} GiB" if budget.unit == "bytes"
              else f"{budget.limit:g} {budget.unit}")
     raise ValueError(f"{what} needs {need if isinstance(need, int) else f'{need:.6g}'} "
@@ -308,6 +313,20 @@ def _check(what: str, needs: dict, c: dict | None = None, key: str = "") -> None
 
 # ---------------------------------------------------------------------------
 # chain
+
+
+def _check_kernel(c: dict) -> None:
+    """Refuse out-of-range options of the stock kernel c["kernel"], named
+    with their --, before it is built; its constructor checks them too."""
+    kind = c["kernel"]
+    if kind == "oscillating" and not 0.0 < c["gamma"] < 1.0:
+        raise ValueError(f"--gamma must lie in (0, 1), got {c['gamma']:g}")
+    if kind == "mixture" and not 0.0 <= c["mix-lam"] <= 1.0:
+        raise ValueError(f"--mix-lam must lie in [0, 1], got {c['mix-lam']:g}")
+    if kind in ("continuum", "no-invariant"):
+        check_alpha_lam(c)
+    if kind == "no-invariant" and c["truncation"] < 3:
+        raise ValueError(f"--truncation must be at least 3, got {c['truncation']}")
 
 
 def _run_chain(args, resolved: dict) -> int:
@@ -321,6 +340,7 @@ def _run_chain(args, resolved: dict) -> int:
     # resolved_config.json keeps the path as given.
     provenance = None
     if resolved["kernel"] != "custom":
+        _check_kernel(resolved)
         kernel = _KERNELS[resolved["kernel"]](resolved)
     elif not resolved["kernel-file"]:
         raise ValueError("kernel custom requires --kernel-file")
@@ -339,11 +359,15 @@ def _run_chain(args, resolved: dict) -> int:
 
     n = kernel.space_size
     (a, b), stack = BUDGETS["chain-step"].cost, BUDGETS["kernel-stack"].cost
+    if resolved["kernel"] == "no-invariant":  # its coarsest grid holds n^3 entries
+        _check(f"--truncation {n} at --resolution 1",
+               {"kernel-stack": lambda v: stack * v**3}, resolved, "truncation")
     _check(f"--steps {resolved['steps']} at {n} states",
            {"chain-step": lambda v: (a + b * n) * v, "rows": lambda v: v},
            resolved, "steps")
     resolved["resolution"] = resolved["resolution"] or default_resolution(n)
-    _check(f"--resolution {resolved['resolution']} at {n} states",
+    source = f" of --kernel-file {resolved['kernel-file']}" if provenance else ""
+    _check(f"--resolution {resolved['resolution']} at {n} states{source}",
            {"kernel-stack": lambda v: stack * n * n * math.comb(v + n - 1, n - 1)},
            resolved, "resolution")
     grid = MeasureGrid(n, resolved["resolution"])
@@ -359,13 +383,13 @@ def _run_chain(args, resolved: dict) -> int:
     if not resolved["mu0"]:
         mu0 = DiscreteMeasure.uniform(n)
     else:
-        weights = np.array(laws.floats(resolved["mu0"], "mu0"))
+        weights = np.array(laws.floats(resolved["mu0"], "--mu0"))
         try:
             mu0 = DiscreteMeasure(weights)
         except ValueError as exc:
-            raise ValueError(f"mu0: {exc}")
+            raise ValueError(f"--mu0: {exc}")
     if mu0.size != n:
-        raise ValueError("mu0 length does not match the kernel state space")
+        raise ValueError(f"--mu0 has {mu0.size} weights for the kernel's {n} states")
     out = _begin(args, "chain", resolved)
 
     cert = certify(kernel, grid)
@@ -458,7 +482,7 @@ def _positive(c: dict, *keys: str) -> None:
 def _times(c: dict, default: list) -> list:
     """The snapshot times of --times, each on the step grid and within
     [0, --horizon] (or nonnegative, without --horizon), or ``default``."""
-    times = laws.floats(c["times"], "times")
+    times = laws.floats(c["times"], "--times")
     last = c["horizon"] / c["h"] if "horizon" in c else math.inf
     for t in times:
         _on_grid(c, "times", t)
@@ -502,11 +526,10 @@ def _smve_simulate(args, c: dict) -> int:
     from .mckean_vlasov import simulate
 
     def moments(x):
-        x = x[:, 0]
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             return float(x.mean()), float(x.var(ddof=1)), float(x.min()), float(x.max())
 
-    mu, horizon = laws.parse(c["mu0"], "mu0"), float(c["horizon"])
+    mu, horizon = laws.parse(c["mu0"], "--mu0"), float(c["horizon"])
     times = _times(c, [0.0, horizon])
     spec, _ = _spec(c, horizon, times, extra=1)  # the variance's temporary
     out = _begin(args, "smve/simulate", c)
@@ -544,7 +567,7 @@ def _smve_decay(args, c: dict) -> int:
     from .diagnostics import DecayFitError, bootstrap_floor, fit_decay
     from .mckean_vlasov import simulate_runs
 
-    mu, nu = laws.parse(c["mu0"], "mu0"), laws.parse(c["nu0"], "nu0")
+    mu, nu = laws.parse(c["mu0"], "--mu0"), laws.parse(c["nu0"], "--nu0")
     horizon = float(c["horizon"])
     times = _times(c, np.linspace(0.0, horizon, 21).tolist())
     spec, snaps = _spec(c, horizon, times, runs=2)
@@ -583,7 +606,7 @@ def _smve_decay(args, c: dict) -> int:
 def _smve_girsanov_check(args, c: dict) -> int:
     from .diagnostics import girsanov_bound_check, girsanov_rate
 
-    mu, nu = laws.parse(c["mu0"], "mu0"), laws.parse(c["nu0"], "nu0")
+    mu, nu = laws.parse(c["mu0"], "--mu0"), laws.parse(c["nu0"], "--nu0")
     times = _times(c, [0.5, 1.0, 2.0])
     _on_grid(c, "times", max(times))  # the default times too: the run's last step
     if c["allowance"] < 0 and not max(times) > 0:
@@ -624,7 +647,7 @@ def _smve_local_alpha(args, c: dict) -> int:
         _positive(c, "r", "m-ball")
         b1 = radial_confinement_drift(c["r"], c["m-ball"])
     _positive(c, "radius", "t")
-    x_grid = np.array(laws.floats(c["x-grid"], "x-grid")) if c["x-grid"] else None
+    x_grid = np.array(laws.floats(c["x-grid"], "--x-grid")) if c["x-grid"] else None
     starts = LOCAL_ALPHA_STARTS if x_grid is None else len(x_grid)
     if starts < 2 or x_grid is not None and np.any(np.abs(x_grid) > c["radius"] + 1e-12):
         raise ValueError(f"--x-grid needs two or more starts in the --radius "
@@ -652,7 +675,7 @@ def _smve_lyapunov(args, c: dict) -> int:
     from .diagnostics import lyapunov_diagnostic, mean_weight
     from .mckean_vlasov import WeightFunction, simulate
 
-    nu, horizon, lag = laws.parse(c["nu0"], "nu0"), float(c["horizon"]), float(c["lag"])
+    nu, horizon, lag = laws.parse(c["nu0"], "--nu0"), float(c["horizon"]), float(c["lag"])
     _positive(c, "lag")
     lags = horizon / lag
     if lags < 2:

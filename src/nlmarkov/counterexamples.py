@@ -35,6 +35,7 @@ EXACT_TOL = 1e-12
 
 __all__ = [
     "CounterexampleReport",
+    "check_alpha_lam",
     "check_replay",
     "verify_oscillation",
     "verify_continuum",
@@ -54,6 +55,14 @@ class CounterexampleReport:
         return all(c.passed for c in self.claims)
 
 
+def check_alpha_lam(p: dict) -> None:
+    """Refuse p["alpha"] and p["lam"], named with their --, unless 0 <
+    alpha < lam <= 1: the continuum and no-invariant constructions'."""
+    if not 0.0 < p["alpha"] < p["lam"] <= 1.0:
+        raise ValueError(f"--alpha and --lam need 0 < alpha < lam <= 1, got "
+                         f"{p['alpha']:g} and {p['lam']:g}")
+
+
 def check_replay(replay: str, p: dict) -> None:
     """Refuse out-of-range parameters of ``replay`` (oscillation,
     continuum or no-invariant), given under the names of their
@@ -70,9 +79,7 @@ def check_replay(replay: str, p: dict) -> None:
         if p["steps"] < 2:
             raise ValueError(f"--steps must be at least 2, got {p['steps']}")
         return
-    if not 0.0 < p["alpha"] < p["lam"] <= 1.0:
-        raise ValueError(f"--alpha and --lam need 0 < alpha < lam <= 1, got "
-                         f"{p['alpha']:g} and {p['lam']:g}")
+    check_alpha_lam(p)
     if replay == "continuum" and p["steps"] < 0:
         raise ValueError(f"--steps must be nonnegative, got {p['steps']}")
     if replay == "no-invariant" and p["n-max"] < 2:

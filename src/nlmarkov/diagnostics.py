@@ -55,8 +55,8 @@ __all__ = [
 @dataclass(frozen=True)
 class Binning(Record):
     """Shared histogram grid: [lower, upper) split into ``bins`` half-open
-    bins per axis.  The one place where particle clouds and grid laws are
-    binned and their total variation is measured."""
+    bins.  The one place where particle clouds and grid laws are binned
+    and their total variation is measured."""
 
     lower: float = -10.0
     upper: float = 10.0
@@ -69,20 +69,18 @@ class Binning(Record):
             raise ValueError("bins must be positive")
 
     def masses(self, points: np.ndarray) -> np.ndarray:
-        """Masses of an (n, d) cloud: the ``bins**d`` cells in C order,
-        then the overflow, the mass outside the box.  A point exactly at
-        the upper bound is outside.  The cloud is binned a block of rows
-        at a time into the one float array returned, whose counts stay
-        exact integers until they are divided by n."""
-        n, d = points.shape
+        """Masses of a flat cloud of n points: the ``bins`` cells in
+        order, then the overflow, the mass outside [lower, upper).  A
+        point exactly at the upper bound is outside.  The cloud is binned
+        a block at a time into the one float array returned, whose counts
+        stay exact integers until they are divided by n."""
         width = (self.upper - self.lower) / self.bins
-        strides = self.bins ** np.arange(d - 1, -1, -1)
-        masses = np.zeros(self.bins**d + 1)
-        for rows in _row_blocks(n, d):
+        masses = np.zeros(self.bins + 1)
+        for rows in _row_blocks(len(points)):
             block = points[rows]
             if not np.all(np.isfinite(block)):
                 raise ValueError("points must be finite")
-            inside = np.all((block >= self.lower) & (block < self.upper), axis=1)
+            inside = (block >= self.lower) & (block < self.upper)
             # clamping at bins - 1 guards against rounding at the topmost
             # float below the upper bound (the bound itself is outside); at
             # 0, it keeps far outside points castable.  In place, and each
@@ -95,11 +93,10 @@ class Binning(Record):
             np.floor(scaled, out=scaled)
             cells = np.clip(scaled, 0, self.bins - 1, out=scaled).astype(int)
             del scaled
-            cells = cells @ strides
-            cells[~inside] = self.bins**d
+            cells[~inside] = self.bins
             np.add.at(masses, cells, 1.0)
             del cells, inside
-        masses /= n
+        masses /= len(points)
         return masses
 
     def grid_masses(self, first: float, dx: float, law: np.ndarray) -> np.ndarray:
@@ -114,7 +111,7 @@ class Binning(Record):
         width = (self.upper - self.lower) / self.bins
         masses = np.empty(self.bins + 1)
         below = bottom = float(np.interp(self.lower, knots, cumulative))
-        for rows in _row_blocks(self.bins, 1):
+        for rows in _row_blocks(self.bins):
             edges = self.lower + width * np.arange(rows.start + 1, rows.stop + 1)
             at = np.interp(edges, knots, cumulative)
             masses[rows] = np.diff(at, prepend=below)
@@ -224,7 +221,7 @@ def euler_laws(
     first = -half * dx
     nodes = first + dx * np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        pushed = nodes + step_size * np.reshape(b1(nodes[:, None]), -1)
+        pushed = nodes + step_size * b1(nodes)
         below, up, off = _split(pushed, first, dx, n)
     del nodes, pushed
     stay = np.where(off, 0.0, 1.0 - up)
@@ -293,10 +290,9 @@ def estimate_local_alpha(
     if x_grid is None:
         x_grid = np.linspace(-R, R, LOCAL_ALPHA_STARTS)
     x_grid = np.asarray(x_grid, dtype=float)
-    if x_grid.ndim > 2 or x_grid.ndim == 2 and x_grid.shape[1] != 1:
+    if x_grid.ndim != 1:
         raise ValueError(f"the grid holds laws in one dimension only; x_grid has "
                          f"shape {x_grid.shape}")
-    x_grid = x_grid.reshape(-1)
     if len(x_grid) < 2:
         raise ValueError(f"x_grid needs two or more starts, got {len(x_grid)}")
     if not np.all(np.abs(x_grid) <= R + 1e-12):
@@ -336,12 +332,12 @@ class LyapunovFit(Record):
 
 
 def mean_weight(V: Callable, points: np.ndarray) -> float:
-    """The mean of V over an (n, d) cloud, V evaluated into one array a
-    block of rows at a time; inf where V overflows, with no warning."""
+    """The mean of V over a flat cloud, V evaluated into one array a
+    block at a time; inf where V overflows, with no warning."""
     weights = np.empty(len(points))
     with np.errstate(over="ignore"):
-        for rows in _row_blocks(*points.shape):
-            weights[rows] = np.reshape(V(points[rows]), -1)
+        for rows in _row_blocks(len(points)):
+            weights[rows] = V(points[rows])
         return float(np.mean(weights))
 
 

@@ -1,8 +1,8 @@
 """Initial laws of a particle run.  ``parse`` reads one of the ``FORMS``
 into a ``Point``, ``Gauss`` or ``Mix`` record: the sampler that
-``simulate`` takes, ``law(rng, x)`` filling the (n, d) array x in place
-at positions of d numbers (or one number when d = 1).  ``tv`` is the
-exact total variation distance between two laws."""
+``simulate`` takes, ``law(rng, x)`` filling the flat float array x of
+positions in place.  ``tv`` is the exact total variation distance
+between two laws."""
 
 from __future__ import annotations
 
@@ -20,10 +20,10 @@ FORMS = "point:x, gauss:mean,std or mix:x0,x1,w0"
 class Point:
     """Every particle at x0."""
 
-    x0: float | tuple
+    x0: float
 
     def __call__(self, rng: np.random.Generator, x: np.ndarray) -> None:
-        x[:] = np.reshape(self.x0, x.shape[1])
+        x[:] = self.x0
 
     def atoms(self) -> dict:
         return {self.x0: 1}
@@ -33,7 +33,7 @@ class Point:
 class Gauss:
     """Independent draws mean + std * z, z standard normal."""
 
-    mean: float | tuple
+    mean: float
     std: float
 
     def __post_init__(self):
@@ -43,7 +43,7 @@ class Gauss:
     def __call__(self, rng: np.random.Generator, x: np.ndarray) -> None:
         rng.standard_normal(out=x)
         x *= self.std
-        x += np.reshape(self.mean, x.shape[1])
+        x += self.mean
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ class Mix:
     round(w0 n) of the n particles at x0, the rest at x1.  The split and
     ``tv`` work in w0's own arithmetic; a Fraction keeps both exact."""
 
-    x0: float | tuple
-    x1: float | tuple
+    x0: float
+    x1: float
     w0: float
 
     def __post_init__(self):
@@ -62,8 +62,8 @@ class Mix:
 
     def __call__(self, rng: np.random.Generator, x: np.ndarray) -> None:
         n0 = round(self.w0 * len(x))
-        x[:n0] = np.reshape(self.x0, x.shape[1])
-        x[n0:] = np.reshape(self.x1, x.shape[1])
+        x[:n0] = self.x0
+        x[n0:] = self.x1
 
     def atoms(self) -> dict:
         atoms = {self.x0: self.w0}

@@ -87,9 +87,9 @@ class WeightFunction:
         object.__setattr__(self, "kappa", min(self.r / 4.0, 1.0))
         object.__setattr__(self, "blend_start", max(self.M - 1.0, 0.0))
 
-    def radial(self, s):
-        """V as a function of the radius s = |x| (array friendly)."""
-        s = np.asarray(s, dtype=float)
+    def __call__(self, x):
+        """V at each point of x (array friendly)."""
+        s = np.abs(np.asarray(x, dtype=float))
         k, m, s0 = self.kappa, self.M, self.blend_start
         out = np.empty_like(s)
         plateau = s <= s0
@@ -115,14 +115,6 @@ class WeightFunction:
         weights decay like exp(-kappa * r * t / 4) over time t."""
         return math.exp(-self.kappa * self.r * lag / 4.0)
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return float(self.radial(abs(float(x))))
-        if x.ndim == 1:
-            return self.radial(np.abs(x))
-        return self.radial(np.linalg.norm(x, axis=-1))
-
 
 # ---------------------------------------------------------------------------
 # Model spec and shipped coefficients.
@@ -132,24 +124,23 @@ class WeightFunction:
 class SMVESpec:
     """Coefficients and constants of one mean-field model.
 
-    ``b1`` is the confining drift: it maps an (m, d) block of rows to
-    their (m, d) drifts.  ``b2`` is the interaction b2(x, mu), curried:
-    it maps the (n, d) positions, the empirical law mu, to the row map
-    x -> b2(x, mu) of (m, d) blocks.  Each step, ``simulate`` calls b2
-    once, then b1 and the row map on one block of rows at a time,
-    possibly on disjoint blocks from several threads at once.  |b2| must
-    stay within ``bound_D`` (checked at runtime); ``lipschitz_L`` is the
-    constant of the perturbation bounds, derived by hand, not fitted,
-    for the shipped coefficients.
+    A position is one float.  ``b1`` is the confining drift: it maps a
+    block of m positions to their m drifts.  ``b2`` is the interaction
+    b2(x, mu), curried: it maps the n positions, the empirical law mu, to
+    the row map x -> b2(x, mu) of blocks.  Each step, ``simulate`` calls
+    b2 once, then b1 and the row map on one block at a time, possibly on
+    disjoint blocks from several threads at once.  |b2| must stay within
+    ``bound_D`` (checked at runtime); ``lipschitz_L`` is the constant of
+    the perturbation bounds, derived by hand, not fitted, for the shipped
+    coefficients.
 
     No coefficient may modify the positions: ``simulate`` passes
     read-only views of the particles it steps in place, valid for the
     duration of the call.  b1 and the row map may return their input, a
-    view of it, or an array that broadcasts to its shape (a 2-d one for
-    the row map); ``simulate`` never writes into what they return.
+    view of it, or an array that broadcasts to its shape; ``simulate``
+    never writes into what they return.
     """
 
-    dimension: int
     b1: Callable[[np.ndarray], np.ndarray]
     b2: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]] | None
     epsilon: float
@@ -158,8 +149,6 @@ class SMVESpec:
     label: str = "smve"
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         if self.bound_D < 0 or self.lipschitz_L < 0:
@@ -168,41 +157,32 @@ class SMVESpec:
             raise ValueError("epsilon > 0 requires an interaction term")
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (n, d) array, as an (n, 1)
-    column.  In one dimension this is |v|, which equals the norm exactly
-    unless v**2 under- or overflows (the norm then reads 0 or inf)."""
-    if v.shape[1] == 1:
-        return np.abs(v)
-    return np.linalg.norm(v, axis=1, keepdims=True)
-
-
 # The Euler step, b1 and the histogram masses work through the particles
-# a block of rows at a time, so their scratch is one block of about this
-# many bytes, which stays in cache, instead of a particle-sized array.
+# a block at a time, so their scratch is one block of about this many
+# bytes, which stays in cache, instead of a particle-sized array.
 _BLOCK_BYTES = 2**17
 
 
-def _row_blocks(n_rows: int, d: int) -> list[slice]:
+def _row_blocks(n_rows: int) -> list[slice]:
     """Slices covering rows 0..n_rows in order, each of at most
-    max(1, _BLOCK_BYTES // (8 d)) rows."""
-    size = max(1, _BLOCK_BYTES // (8 * d))
+    _BLOCK_BYTES // 8 rows."""
+    size = _BLOCK_BYTES // 8
     return [slice(i, min(i + size, n_rows)) for i in range(0, n_rows, size)]
 
 
 def ou_drift() -> Callable[[np.ndarray], np.ndarray]:
-    """b1(x) = -x; its invariant law in one dimension is N(0, 1/2)."""
+    """b1(x) = -x; its invariant law is N(0, 1/2)."""
     return lambda x: -x
 
 
 def radial_confinement_drift(r: float, M: float) -> Callable[[np.ndarray], np.ndarray]:
-    """b1(x) = -r x / max(|x|, M): linear pull inside the M-ball, and
-    <b1(x), x> = -r |x| exactly outside it."""
+    """b1(x) = -r x / max(|x|, M): linear pull inside [-M, M], and
+    b1(x) x = -r |x| exactly outside it."""
     if r <= 0 or M <= 0:
         raise ValueError("r and M must be positive")
 
     def b1(x: np.ndarray) -> np.ndarray:
-        scale = _row_norms(x)
+        scale = np.abs(x)
         np.maximum(scale, M, out=scale)
         out = np.multiply(x, -r)
         out /= scale
@@ -212,42 +192,30 @@ def radial_confinement_drift(r: float, M: float) -> Callable[[np.ndarray], np.nd
 
 
 def mean_attraction_coupling(D: float) -> Callable:
-    """b2(x, mu) = (D / sqrt(d)) tanh(mean(mu) - x), bounded by D in
-    Euclidean norm for any dimension; mu is the cloud of positions."""
+    """b2(x, mu) = D tanh(mean(mu) - x), bounded by D; mu is the cloud
+    of positions."""
     if D <= 0:
         raise ValueError("D must be positive")
 
     def b2(positions: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        mean, scale = positions.mean(axis=0), D / math.sqrt(positions.shape[1])
-        # the row map: tanh(mean - x) * scale, in the one block subtract makes
+        mean = positions.mean()
+        # the row map: tanh(mean - x) * D, in the one block subtract makes
         return lambda x: np.multiply(np.tanh(t := np.subtract(mean, x), out=t),
-                                     scale, out=t)
+                                     D, out=t)
 
     return b2
 
 
-def make_ou_spec(dimension: int = 1) -> SMVESpec:
-    return SMVESpec(dimension, ou_drift(), None, 0.0, 0.0, 0.0, "ou")
+def make_ou_spec() -> SMVESpec:
+    return SMVESpec(ou_drift(), None, 0.0, 0.0, 0.0, "ou")
 
 
-def make_vh_spec(
-    r: float = 1.0,
-    M: float = 1.0,
-    D: float = 1.0,
-    epsilon: float = 0.05,
-    dimension: int = 1,
-) -> SMVESpec:
+def make_vh_spec(r: float = 1.0, M: float = 1.0, D: float = 1.0,
+                 epsilon: float = 0.05) -> SMVESpec:
     """Radially confined drift plus bounded mean-attraction, with the
     hand Lipschitz constant L = D of the interaction."""
-    return SMVESpec(
-        dimension,
-        radial_confinement_drift(r, M),
-        mean_attraction_coupling(D),
-        epsilon,
-        D,
-        D,
-        f"vh(r={r:g},M={M:g},D={D:g},eps={epsilon:g})",
-    )
+    return SMVESpec(radial_confinement_drift(r, M), mean_attraction_coupling(D), epsilon,
+                    D, D, f"vh(r={r:g},M={M:g},D={D:g},eps={epsilon:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +293,12 @@ def _euler(
     caller's numpy error state.  Every lane thread is joined on every
     exit path."""
     n_steps, snap_steps = plan
-    d = spec.dimension
-    blocks = _row_blocks(n_particles, d)
+    blocks = _row_blocks(n_particles)
     lanes = min(lanes, len(blocks))
 
     # The run's one particle-sized array: the sampler fills it, the loop
     # steps it in place, and the observer reads it.
-    x = np.zeros((n_particles, d))
+    x = np.zeros(n_particles)
     if initial_sampler(_stream(seed, 0), x) is not None:
         raise ValueError("initial sampler must fill x in place and return None")
     if not all(np.isfinite(x[rows]).all() for rows in blocks):
@@ -350,8 +317,8 @@ def _euler(
     worst = [0.0] * lanes  # per lane: its largest |b2| in this step
     # per lane: its step scratch, noise and finiteness mask blocks, and
     # its generator, rewound to each block's substream
-    own = [(np.empty((blocks[0].stop, d)), np.empty((blocks[0].stop, d)),
-            np.empty((blocks[0].stop, d), dtype=bool), _stream(seed, 0))
+    own = [(np.empty(blocks[0].stop), np.empty(blocks[0].stop),
+            np.empty(blocks[0].stop, dtype=bool), _stream(seed, 0))
            for _ in range(lanes)]
 
     def step(j: int, k: int) -> None:
@@ -363,8 +330,8 @@ def _euler(
             try:
                 if row_map is not None:
                     inter = row_map(positions[rows])
-                    # a NaN norm never counts
-                    worst[j] = max(worst[j], np.fmax.reduce(_row_norms(inter)).item())
+                    # a NaN |b2| never counts
+                    worst[j] = max(worst[j], np.fmax.reduce(np.abs(inter)).item())
                 if failed[j]:
                     continue
                 _stream(seed, k, generator, c)
@@ -451,18 +418,18 @@ def simulate(
         X_i <- (X_i + (b1(X_i) + eps b2(X_i, mu_prev)) h) + sqrt(h) xi_i.
 
     Noise for step k is drawn from a counter-based stream keyed by
-    (seed, k); initial positions use the (seed, 0) stream.  The rows are
-    stepped in blocks of max(1, _BLOCK_BYTES // (8 d)) rows, and block c
+    (seed, k); initial positions use the (seed, 0) stream.  The particles
+    are stepped in blocks of _BLOCK_BYTES // 8 = 16,384 rows, and block c
     draws its normals from the (seed, k) stream at Philox counter
     (0, c, 0, 0), its own substream.  So a run is bit-reproducible and
     independent of the thread count or any worker layout, and
     ``_BLOCK_BYTES`` is part of what fixes the outputs of a run of more
-    than one block; a one-block run (n d <= 16,384) draws the (seed, k)
+    than one block; a one-block run (n <= 16,384) draws the (seed, k)
     stream from its start.
 
     ``initial_sampler(rng, x)`` writes the start positions into x, the
-    zeroed (n_particles, d) float array that the run then steps in
-    place, and returns None.  At each snapshot time t (by default 0 and
+    zeroed float array of n_particles that the run then steps in place,
+    and returns None.  At each snapshot time t (by default 0 and
     the horizon), in time order, the run calls ``observe(x)`` with a
     read-only view of x, valid only for that call, and returns the
     pairs (t, observe(x)): nothing the size of x leaves the run unless

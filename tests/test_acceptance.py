@@ -276,7 +276,7 @@ def run_criterion_06(out):
 def run_criterion_07(out):
     [(_, s2)] = simulate(make_ou_spec(), Point(0.0), N_PARTICLES, STEP, 10.0,
                          seed=2026, snapshot_times=[10.0],
-                         observe=lambda x: float(np.var(x[:, 0], ddof=1)))
+                         observe=lambda x: float(np.var(x, ddof=1)))
     se = s2 * math.sqrt(2.0 / (N_PARTICLES - 1))
     z = abs(s2 - 0.5) / se
 

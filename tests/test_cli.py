@@ -334,7 +334,12 @@ def test_replay_parameters_are_named_before_any_output(tmp_path, capsys, case):
 
 # Refusals the CLI fuzzer (tests/test_cli_fuzz.py) found naming their
 # option without its --, or naming none: the bins and bin bounds, and
-# the smve horizon that covers no step, in the library's words.
+# the smve horizon that covers no step, in the library's words.  And a
+# stock kernel's parameters, which its constructor named without their
+# -- (mixture's "lam" is --mix-lam), and a --truncation whose coarsest
+# grid, 8 m^3 bytes, is over the budget, which was blamed on
+# --resolution (600) or --steps (10^30), each said to fit at 0.  A need
+# past int's 4,300 decimal digits failed to print, naming nothing.
 UNNAMED = {
     "finite": (["chain", "--gamma", "nan"], "--gamma must be finite, got nan"),
     "chain-steps": (["chain", "--steps", "0"], "--steps must be positive, got 0"),
@@ -349,6 +354,23 @@ UNNAMED = {
                "--bin-lo 1e+30 must lie below --bin-hi 10"),
     "lags": (["smve", "lyapunov", "--lag", "1e30"],
              "--horizon 20 must cover at least two --lag 1e+30 lags"),
+    "mix-lam": (["chain", "--kernel", "mixture", "--mix-lam", "2"],
+                "--mix-lam must lie in [0, 1], got 2"),
+    "gamma": (["chain", "--kernel", "oscillating", "--gamma", "2"],
+              "--gamma must lie in (0, 1), got 2"),
+    "truncation": (["chain", "--kernel", "no-invariant", "--truncation", "2"],
+                   "--truncation must be at least 3, got 2"),
+    "alpha-lam": (["chain", "--kernel", "continuum", "--alpha", "0.9"],
+                  "--alpha and --lam need 0 < alpha < lam <= 1, got 0.9 and 0.8"),
+    "truncation-grid": (["chain", "--kernel", "no-invariant", "--truncation", "600"],
+                        "--truncation 600 at --resolution 1 needs 1728000000 bytes, over "
+                        "the budget of 1 GiB; the largest --truncation that fits is 512"),
+    "truncation-steps": (["chain", "--kernel", "no-invariant", "--truncation", str(10**30)],
+                         f"--truncation {10**30} at --resolution 1 needs {8 * 10**90} bytes, "
+                         f"over the budget of 1 GiB; the largest --truncation that fits is 512"),
+    "need-digits": (["chain", "--kernel", "no-invariant", "--resolution", str(10**308)],
+                    f"--resolution {10**308} at 50 states needs 3.28795e+15033 bytes, over "
+                    f"the budget of 1 GiB; the largest --resolution that fits is 3"),
 }
 
 
@@ -454,6 +476,34 @@ CHAIN_SIZES = {
 def test_chain_side_sizes_over_their_budget_are_refused(tmp_path, capsys, monkeypatch,
                                                        run):
     _assert_largest_fits(capsys, monkeypatch, tmp_path / "x", *CHAIN_SIZES[run])
+
+
+def test_truncation_budget_is_exact_at_its_boundary(tmp_path, capsys, monkeypatch):
+    # 8,000 bytes hold the 10 point masses of 10 states
+    monkeypatch.setitem(cli.BUDGETS, "kernel-stack",
+                        cli.BUDGETS["kernel-stack"]._replace(limit=8 * 10**3))
+    _assert_largest_fits(capsys, monkeypatch, tmp_path / "x",
+                         ["chain", "--kernel", "no-invariant", "--resolution", "1"],
+                         "truncation", 10)
+
+
+def test_a_kernel_file_no_grid_fits_is_named(tmp_path, capsys, monkeypatch):
+    # a stack of 3 point masses needs 216 bytes; the refusal said the
+    # largest --resolution that fits is 0, which means the default, and
+    # did not name the file
+    monkeypatch.setitem(cli.BUDGETS, "kernel-stack",
+                        cli.BUDGETS["kernel-stack"]._replace(limit=215))
+    kfile = tmp_path / "kernel.json"
+    kfile.write_text(json.dumps({"space_size": 3, "entries": [["0.5", "0.25", "0.25"]] * 3}))
+    out = tmp_path / "x"
+    for given, resolution in ((0, kernels.default_resolution(3)), (2, 2)):
+        assert main(["chain", "--kernel", "custom", "--kernel-file", str(kfile),
+                     "--resolution", str(given), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --resolution {resolution} at 3 states of --kernel-file {kfile} needs "
+            f"{8 * 9 * math.comb(resolution + 2, 2)} bytes, over the budget of 0 GiB; "
+            f"no --resolution fits\n")
+    assert not out.exists()
 
 
 def test_chain_step_budget_grows_with_the_state_count(tmp_path, capsys):
@@ -1041,17 +1091,19 @@ def test_non_finite_values_are_refused_before_any_output(tmp_path, capsys, argv,
     out = tmp_path / "x"
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    # a number is refused by cli._resolve, naming its flag; a law text by laws
-    table = cli._SMVE if argv[0] == "smve" else cli.OPTIONS[argv[0]]
-    named = f"--{option}" if isinstance(table[option].default, float) else option
-    assert err.startswith(f"error: {named} must ") and "finite" in err
+    # a number is refused by cli._resolve, a law text by laws: each names its flag
+    assert err.startswith(f"error: --{option} must ") and "finite" in err
     assert err.count("\n") == 1
     assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, options", [
-    # weights that sum to 1.1
-    (["chain", "--mu0", "0.5,0.6"], ["mu0"]),
+    # weights that sum to 1.1, three weights for two states, and law
+    # texts of no form
+    (["chain", "--mu0", "0.5,0.6"], ["--mu0"]),
+    (["chain", "--mu0", "0.5,0.25,0.25"], ["--mu0"]),
+    (["smve", "simulate", "--mu0", "gauss:0"], ["--mu0"]),
+    (["smve", "decay", "--nu0", "point:1,2"], ["--nu0"]),
 ])
 def test_bad_initial_laws_are_named_before_any_output(tmp_path, capsys, argv, options):
     out = tmp_path / "x"
@@ -1072,7 +1124,7 @@ def test_a_mix_weight_exponent_over_4300_is_refused_at_once(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
-        "error: mu0: weight0 '1e-9999999' has an exponent over 4300 in magnitude\n")
+        "error: --mu0: weight0 '1e-9999999' has an exponent over 4300 in magnitude\n")
     assert not out.exists()
     assert laws.parse("mix:0,1,1e-300", "mu0").w0 == Fraction(1, 10**300)
     assert laws.parse("mix:0,1,1e-4300", "mu0").w0 == Fraction(1, 10**4300)
@@ -1186,9 +1238,9 @@ _ANY_WEIGHT = st.one_of(st.floats(0.0, 1.0).map(repr),
 def test_filled_cloud_is_within_tv_1_over_n_of_its_law(desc, n):
     # the round(w0 n) split puts at most half a particle off w0 n
     law = laws.parse(desc, "law")
-    x = np.full((n, 1), np.nan)
+    x = np.full(n, np.nan)
     law(np.random.default_rng(0), x)
-    values, counts = np.unique(x[:, 0], return_counts=True)
+    values, counts = np.unique(x, return_counts=True)
     cloud = laws.Point(float(values[0])) if len(values) == 1 else laws.Mix(
         float(values[0]), float(values[1]), Fraction(int(counts[0]), n))
     assert laws.tv(law, cloud) <= 1 / n

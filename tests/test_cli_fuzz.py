@@ -1,11 +1,12 @@
 """A fuzzer of the command line, generated from ``cli.OPTIONS``.
 
-Each example runs one command, counterexample replay or smve action at
-its defaults with one numeric option set to an adversarial value, in a
-child process of its own (2 GB of address space, 15 s), and checks what
-every run promises: exit 0, 1, 2 or 3; no traceback and no numpy
-warning on stderr; an exit 2 names the option with its -- and leaves no
-output directory; an exit 0 or 1 writes report.json.
+Each example runs the chain at one stock kernel, a counterexample
+replay or an smve action at its defaults with one numeric option set to
+an adversarial value, in a child process of its own (2 GB of address
+space, 15 s), and checks what every run promises: exit 0, 1, 2 or 3; no
+traceback and no numpy warning on stderr; an exit 2 names the option
+with its -- and leaves no output directory; an exit 0 or 1 writes
+report.json.
 
 Tier-1 runs a derandomized profile of FUZZ_EXAMPLES examples; set
 NLMARKOV_FUZZ_EXAMPLES to run more, drawn afresh:
@@ -36,8 +37,8 @@ TIMEOUT_S = 15
 
 
 def _runs():
-    """The argv prefix and the option table of each command, replay and
-    smve action."""
+    """The argv prefix and the option table of the chain at each stock
+    kernel, of each replay and of each smve action."""
     for command, table in cli.OPTIONS.items():
         if command == "smve":
             for action, options in table.items():
@@ -46,7 +47,8 @@ def _runs():
             for which in cli._REPLAYS:
                 yield ("counterexample", which), table
         else:
-            yield (command,), table
+            for kernel in cli._KERNELS:
+                yield (command, "--kernel", kernel), table
 
 
 # Every numeric option a run reads, with its adversarial values
@@ -101,5 +103,5 @@ def test_an_adversarial_option_keeps_the_cli_promises(example):
 
 
 def test_every_run_has_numeric_options_to_fuzz():
-    # the chain, three replays and five smve actions
-    assert len({prefix for prefix, _, _ in CASES}) == 9
+    # the chain at five stock kernels, three replays and five smve actions
+    assert len({prefix for prefix, _, _ in CASES}) == 13

@@ -45,7 +45,7 @@ from nlmarkov.reporting import NumericalFailure
 
 def constant_snapshot(value, time, V=lambda x: x, n=50):
     """The (time, mean weight) pair of n particles at ``value``."""
-    return (time, mean_weight(V, np.full((n, 1), value)))
+    return (time, mean_weight(V, np.full(n, value)))
 
 
 class TestBinning:
@@ -60,8 +60,7 @@ class TestBinning:
 
     def test_histogram_shares_the_grid(self):
         bn = Binning(-1.0, 1.0, 4)
-        assert bn.masses(np.array([[-0.9], [0.1], [0.9]])).shape == (5,)
-        assert bn.masses(np.zeros((3, 2))).shape == (17,)  # 4 x 4 cells + overflow
+        assert bn.masses(np.array([-0.9, 0.1, 0.9])).shape == (5,)
         assert bn.to_dict() == {"lower": -1.0, "upper": 1.0, "bins": 4}
 
     def test_points_scaled_past_the_float_range_are_outside_without_a_warning(self):
@@ -117,12 +116,12 @@ class TestEstimateLocalAlpha:
         starts = np.linspace(-1.0, 1.0, k)
 
         def sampler(rng, x):
-            x.reshape(k, n, 1)[:] = starts[:, None, None]
+            x.reshape(k, n)[:] = starts[:, None]
 
         def per_start(x):
             return [binning.masses(x[i * n:(i + 1) * n]) for i in range(k)]
 
-        probe = SMVESpec(1, b1, None, 0.0, 0.0, 0.0, "local-alpha-oracle")
+        probe = SMVESpec(b1, None, 0.0, 0.0, 0.0, "local-alpha-oracle")
         [(_, clouds)] = simulate(probe, sampler, k * n, 0.01, 1.0, 101, [1.0],
                                  observe=per_start)
 
@@ -167,9 +166,10 @@ class TestEstimateLocalAlpha:
         with pytest.raises(ValueError, match="ball"):
             estimate_local_alpha(ou_drift(), R=1.0, t=1.0, x_grid=np.array([0.0, 2.0]))
 
-    @pytest.mark.parametrize("x_grid", [np.zeros((2, 2)), np.zeros((2, 1, 1))],
-                             ids=["d-2", "3-d"])
+    @pytest.mark.parametrize("x_grid", [np.zeros((2, 2)), np.zeros((2, 1, 1)),
+                                        np.zeros((2, 1))], ids=["d-2", "3-d", "column"])
     def test_more_than_one_dimension_is_refused(self, monkeypatch, x_grid):
+        # the starts are a flat array of numbers, as the particle positions are
         monkeypatch.setattr(diagnostics, "euler_laws", None)
         with pytest.raises(ValueError, match="one dimension only"):
             estimate_local_alpha(ou_drift(), R=1.0, t=1.0, x_grid=x_grid)
@@ -267,7 +267,7 @@ class TestHistogramArraysHeld:
     slack = 2**20
 
     def test_a_cloud_distance_holds_both_masses_and_one_temporary(self):
-        a, b = np.zeros((300, 1)), np.full((300, 1), 5.0)
+        a, b = np.zeros(300), np.full(300, 5.0)
         peak = _peak(lambda: self.binning.tv(self.binning.masses(a),
                                              self.binning.masses(b)))
         assert 2 * self.array < peak <= 3 * self.array + self.slack
@@ -372,8 +372,8 @@ class TestFitDecay:
 
     @classmethod
     def two_bin(cls, n_far, time, n=1000):
-        pos = np.full((n, 1), 0.05)
-        pos[:n_far, 0] = 5.0
+        pos = np.full(n, 0.05)
+        pos[:n_far] = 5.0
         return (time, cls.binning.masses(pos))
 
     def planted_runs(self, theta=0.7, steps=5):

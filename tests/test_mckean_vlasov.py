@@ -42,7 +42,6 @@ def _positions(x):
 
 def brownian_spec():
     return SMVESpec(
-        dimension=1,
         b1=lambda x: np.zeros_like(x),
         b2=None,
         epsilon=0.0,
@@ -93,11 +92,6 @@ class TestWeightFunction:
             assert abs(d1(knot - 1e-6) - d1(knot + 1e-6)) < 1e-5
             assert abs(d2(knot - 1e-4) - d2(knot + 1e-4)) < 2e-2
 
-    def test_two_dimensional_input_uses_row_norms(self):
-        V = WeightFunction(4.0, 1.0)
-        pts = np.array([[3.0, 4.0], [0.0, 2.0]])
-        np.testing.assert_allclose(V(pts), [math.exp(5.0), math.exp(2.0)], rtol=1e-13)
-
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(ValueError):
             WeightFunction(0.0, 1.0)
@@ -105,26 +99,26 @@ class TestWeightFunction:
             WeightFunction(1.0, -2.0)
 
 
-def _sample(sampler, rng, n, d):
-    """The (n, d) positions that ``sampler`` writes into a fresh array."""
-    x = np.full((n, d), np.nan)
+def _sample(sampler, rng, n):
+    """The n positions that ``sampler`` writes into a fresh array."""
+    x = np.full(n, np.nan)
     assert sampler(rng, x) is None
     return x
 
 
 class TestSamplers:
     def test_point_mass_tiles_the_location(self):
-        x = _sample(Point(2.5), np.random.default_rng(0), 7, 1)
-        assert x.shape == (7, 1)
+        x = _sample(Point(2.5), np.random.default_rng(0), 7)
+        assert x.shape == (7,)
         assert np.all(x == 2.5)
 
     def test_point_mass_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            _sample(Point([1.0, 2.0]), np.random.default_rng(0), 4, 1)
+            _sample(Point([1.0, 2.0]), np.random.default_rng(0), 4)
 
     def test_gaussian_sampler_moments_and_guard(self):
-        x = _sample(Gauss(1.0, 2.0), np.random.default_rng(3), 50_000, 1)
-        assert x.shape == (50_000, 1)
+        x = _sample(Gauss(1.0, 2.0), np.random.default_rng(3), 50_000)
+        assert x.shape == (50_000,)
         assert float(x.mean()) == pytest.approx(1.0, abs=0.05)
         assert float(x.std()) == pytest.approx(2.0, abs=0.05)
         for std in (0.0, -1.0, np.nan, np.inf):
@@ -133,12 +127,12 @@ class TestSamplers:
 
     def test_gaussian_sampler_matches_one_out_of_place_draw(self):
         # in place, the draws and roundings of mean + std * z
-        got = _sample(Gauss([0.3, -1.0], 1.7), np.random.default_rng(5), 999, 2)
-        z = np.random.default_rng(5).standard_normal((999, 2))
-        assert got.tobytes() == (np.array([0.3, -1.0])[None, :] + 1.7 * z).tobytes()
+        got = _sample(Gauss(-1.0, 1.7), np.random.default_rng(5), 999)
+        z = np.random.default_rng(5).standard_normal(999)
+        assert got.tobytes() == (-1.0 + 1.7 * z).tobytes()
 
     def test_mixture_split_is_deterministic(self):
-        x = _sample(Mix(-0.5, 0.5, 0.6), np.random.default_rng(0), 10, 1)
+        x = _sample(Mix(-0.5, 0.5, 0.6), np.random.default_rng(0), 10)
         assert int(np.sum(x < 0)) == 6
         assert int(np.sum(x > 0)) == 4
         with pytest.raises(ValueError):
@@ -148,11 +142,11 @@ class TestSamplers:
 class TestSpecConstruction:
     def test_interaction_requires_a_coupling(self):
         with pytest.raises(ValueError):
-            SMVESpec(dimension=1, b1=lambda x: -x, b2=None,
+            SMVESpec(b1=lambda x: -x, b2=None,
                      epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
 
     def test_drift_bound_is_enforced_at_runtime(self):
-        bad = SMVESpec(dimension=1, b1=lambda x: -x,
+        bad = SMVESpec(b1=lambda x: -x,
                        b2=lambda positions: lambda x: np.full_like(x, 5.0),
                        epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
         with pytest.raises(DriftBoundError, match="exceeds"):
@@ -161,16 +155,15 @@ class TestSpecConstruction:
 
     def test_shipped_specs_have_consistent_constants(self):
         ou = make_ou_spec()
-        assert ou.epsilon == 0.0 and ou.b2 is None and ou.dimension == 1
+        assert ou.epsilon == 0.0 and ou.b2 is None
         vh = make_vh_spec()
         assert vh.epsilon == 0.05
         assert vh.lipschitz_L == vh.bound_D == 1.0
 
     def test_mean_attraction_is_bounded_by_D(self):
         b2 = mean_attraction_coupling(1.0)
-        x = np.array([[100.0, -100.0], [0.0, 0.0], [-100.0, 100.0]])
-        norms = np.linalg.norm(b2(x)(x), axis=1)
-        assert np.all(norms <= 1.0 + 1e-12)
+        x = np.array([100.0, 0.0, -100.0])
+        assert np.all(np.abs(b2(x)(x)) <= 1.0 + 1e-12)
 
 
 class TestSimulate:
@@ -207,7 +200,7 @@ class TestSimulate:
         res = simulate(brownian_spec(), Point(0.0), n_particles=100, step_size=0.01,
                        horizon=0.5, seed=2, observe=observe)
         assert res == [(0.0, 1), (0.5, 2)]
-        assert seen == [((100, 1), False)] * 2
+        assert seen == [((100,), False)] * 2
 
     def test_input_validation(self):
         bm = brownian_spec()
@@ -226,7 +219,7 @@ class TestSimulate:
                      seed=0, snapshot_times=[2.0], observe=_positions)
 
     def test_nonfinite_positions_raise(self):
-        expl = SMVESpec(dimension=1, b1=lambda x: x**3, b2=None,
+        expl = SMVESpec(b1=lambda x: x**3, b2=None,
                         epsilon=0.0, bound_D=0.0, lipschitz_L=0.0)
         threads = threading.active_count()
         with warnings.catch_warnings():
@@ -238,7 +231,7 @@ class TestSimulate:
         assert threading.active_count() == threads
 
     def test_drift_bound_error_keeps_its_message(self):
-        bad = SMVESpec(dimension=1, b1=lambda x: -x,
+        bad = SMVESpec(b1=lambda x: -x,
                        b2=lambda positions: lambda x: np.full_like(x, 5.0),
                        epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
         threads = threading.active_count()
@@ -270,7 +263,7 @@ class TestSimulate:
             calls.append(1)
             return -x
 
-        spec = SMVESpec(dimension=1, b1=b1, b2=None, epsilon=0.0,
+        spec = SMVESpec(b1=b1, b2=None, epsilon=0.0,
                         bound_D=0.0, lipschitz_L=0.0)
         threads = threading.active_count()
         outcome = {}
@@ -301,7 +294,7 @@ class TestSimulate:
 
         def b2(positions):
             seen.append(positions.flags.writeable)
-            assert positions.shape == (100, 2)
+            assert positions.shape == (100,)
 
             def row_map(x):
                 seen.append(x.flags.writeable)
@@ -309,16 +302,15 @@ class TestSimulate:
 
             return row_map
 
-        spec = SMVESpec(dimension=2, b1=b1, b2=b2, epsilon=0.1,
-                        bound_D=1.0, lipschitz_L=1.0)
-        simulate(spec, Point([0.0, 1.0]), n_particles=100,
+        spec = SMVESpec(b1=b1, b2=b2, epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
+        simulate(spec, Point(0.5), n_particles=100,
                  step_size=0.01, horizon=0.03, seed=3, observe=_positions)
         assert seen == [False] * 9
 
     def test_sampler_output_is_not_written_to(self):
         # the sampler copies the caller's array into the run's own array,
         # which is the only one the run writes
-        start = np.zeros((100, 1))
+        start = np.zeros(100)
 
         def sampler(rng, x):
             x[:] = start
@@ -346,14 +338,14 @@ class TestSimulate:
         [(_, first), (_, last)] = simulate(make_ou_spec(), sampler, n_particles=100,
                                            step_size=0.01, horizon=0.1, seed=3,
                                            observe=observe)
-        assert len(filled) == 1 and filled[0].shape == (100, 1)
+        assert len(filled) == 1 and filled[0].shape == (100,)
         assert np.all(first == 0.5)
         assert np.array_equal(last, filled[0])
         assert all(x.base is filled[0] and not x.flags.writeable for x in seen)
 
     def test_an_observer_that_writes_into_x_is_refused(self):
         def observe(x):
-            x[0, 0] = 1.0
+            x[0] = 1.0
 
         threads = threading.active_count()
         with pytest.raises(ValueError, match="read-only"):
@@ -362,36 +354,36 @@ class TestSimulate:
         assert threading.active_count() == threads
 
 
-def _step_noise(seed, k, n, d, whole_stream=False):
-    """Step k's (n, d) normals: row block c of ``_row_blocks(n, d)``
+def _step_noise(seed, k, n, whole_stream=False):
+    """Step k's n normals: row block c of ``_row_blocks(n)``
     drawn from a fresh Philox Generator keyed by (seed, k) at counter
     (0, c, 0, 0), or, with ``whole_stream``, all rows from counter 0 in
     one call."""
     key = np.array([seed, k], dtype=np.uint64)
     if whole_stream:
-        return Generator(Philox(key=key)).standard_normal((n, d))
+        return Generator(Philox(key=key)).standard_normal(n)
     return np.concatenate([
         Generator(Philox(key=key, counter=np.array([0, c, 0, 0], dtype=np.uint64)))
-        .standard_normal((rows.stop - rows.start, d))
-        for c, rows in enumerate(mckean_vlasov._row_blocks(n, d))])
+        .standard_normal(rows.stop - rows.start)
+        for c, rows in enumerate(mckean_vlasov._row_blocks(n))])
 
 
-def _reference_simulate(b1, b2, epsilon, bound_D, label, d,
+def _reference_simulate(b1, b2, epsilon, bound_D, label,
                         sampler, n, h, horizon, seed, times, whole_stream=False):
     """The Euler loop as it stood before the noise moved to a worker
     thread: fresh Philox Generators per step, b2 on the whole array,
-    norm-based bound check, out-of-place update, one thread."""
+    bound check on |b2|, out-of-place update, one thread."""
     n_steps = int(round(horizon / h))
     snap_steps = sorted({int(round(t / h)) for t in times})
-    x = np.zeros((n, d))
+    x = np.zeros(n)
     sampler(Generator(Philox(key=np.array([seed, 0], dtype=np.uint64))), x)
     out = [x.copy()] if 0 in snap_steps else []
     for k in range(n_steps):
-        noise = _step_noise(seed, k + 1, n, d, whole_stream)
+        noise = _step_noise(seed, k + 1, n, whole_stream)
         total = b1(x)
         if b2 is not None and epsilon > 0:
             inter = b2(x)
-            worst = float(np.linalg.norm(inter, axis=1).max())
+            worst = float(np.abs(inter).max())
             if worst > bound_D + 1e-9:
                 raise DriftBoundError(f"{label}: |b2| exceeds D")
             total = total + epsilon * inter
@@ -403,11 +395,11 @@ def _reference_simulate(b1, b2, epsilon, bound_D, label, d,
 
 
 def _old_radial(r, M):
-    return lambda x: -r * x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), M)
+    return lambda x: -r * x / np.maximum(np.abs(x), M)
 
 
 def _old_mean_attraction(D):
-    return lambda x: (D / math.sqrt(x.shape[1])) * np.tanh(x.mean(axis=0)[None, :] - x)
+    return lambda x: D * np.tanh(x.mean() - x)
 
 
 def _whole(b2):
@@ -416,81 +408,75 @@ def _whole(b2):
 
 
 # (spec, the same coefficients as the reference loop evaluated them)
-def _model(name, d):
+def _model(name):
     if name == "ou":
-        return make_ou_spec(d), (lambda x: -x, None, 0.0, 0.0)
+        return make_ou_spec(), (lambda x: -x, None, 0.0, 0.0)
     if name == "vh":
-        spec = make_vh_spec(r=1.5, M=0.7, D=1.0, epsilon=0.3, dimension=d)
+        spec = make_vh_spec(r=1.5, M=0.7, D=1.0, epsilon=0.3)
         return spec, (_old_radial(1.5, 0.7), _old_mean_attraction(1.0), 0.3, 1.0)
     if name == "identity":
         # the drift is the positions array itself
         b1 = lambda x: x
-        return SMVESpec(d, b1, None, 0.0, 0.0, 0.0, "identity"), (b1, None, 0.0, 0.0)
+        return SMVESpec(b1, None, 0.0, 0.0, 0.0, "identity"), (b1, None, 0.0, 0.0)
     if name == "cached":
         # the drift is the same writeable array at every step
         cache = {}
         b1 = lambda x: cache.setdefault(x.shape, np.full(x.shape, -0.5))
-        return SMVESpec(d, b1, None, 0.0, 0.0, 0.0, "cached"), (b1, None, 0.0, 0.0)
-    # b1 returns its input and b2's row map a view of its rows with the
-    # coordinates reversed, so a write into either would change the particles
+        return SMVESpec(b1, None, 0.0, 0.0, 0.0, "cached"), (b1, None, 0.0, 0.0)
+    # b1 returns its input and b2's row map a view of it, so a write into
+    # either would change the particles
     b1 = lambda x: x
-    b2 = lambda positions: lambda x: x[:, ::-1]
-    spec = SMVESpec(d, b1, b2, 0.5, 1e6, 1.0, "alias")
+    b2 = lambda positions: lambda x: x[:]
+    spec = SMVESpec(b1, b2, 0.5, 1e6, 1.0, "alias")
     return spec, (b1, _whole(b2), 0.5, 1e6)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    model=st.sampled_from([("ou", 1), ("vh", 1), ("vh", 2), ("identity", 1),
-                           ("cached", 2), ("alias", 1), ("alias", 2)]),
+    model=st.sampled_from(["ou", "vh", "identity", "cached", "alias"]),
     n=st.sampled_from([100, 1_000, 10_000, 140_000]),
     steps=st.integers(1, 40),
     seed=st.integers(0, 2**32),
     h=st.sampled_from([0.01, 0.05]),
 )
-@example(model=("vh", 1), n=140_000, steps=5, seed=7, h=0.01)
-@example(model=("alias", 2), n=10_000, steps=29, seed=1, h=0.05)
-@example(model=("vh", 2), n=100, steps=1, seed=0, h=0.01)
-@example(model=("identity", 1), n=1_000, steps=3, seed=2, h=0.01)
-@example(model=("cached", 2), n=1_000, steps=3, seed=2, h=0.01)
+@example(model="vh", n=140_000, steps=5, seed=7, h=0.01)
+@example(model="identity", n=1_000, steps=3, seed=2, h=0.01)
 def test_simulate_matches_reference_euler_loop(model, n, steps, seed, h):
     # 140,000 particles make one step over 1 MB (a two-buffer ring);
-    # 10^4 particles give a ring of 13 (d=1) or 6 (d=2) steps, which
-    # most step counts do not divide
+    # 10^4 particles give a ring of 13 steps, which most step counts do
+    # not divide
     if n == 140_000:
         steps = min(steps, 5)
-    spec, (b1, b2, eps, bound) = _model(*model)
-    d = spec.dimension
+    spec, (b1, b2, eps, bound) = _model(model)
     horizon = steps * h
     times = [0.0, (steps // 2) * h, horizon]
-    sampler = Gauss([0.3] * d, 1.0)
+    sampler = Gauss(0.3, 1.0)
     got = simulate(spec, sampler, n, h, horizon, seed, times, observe=_positions)
-    want = _reference_simulate(b1, b2, eps, bound, spec.label, d,
+    want = _reference_simulate(b1, b2, eps, bound, spec.label,
                                sampler, n, h, horizon, seed, times)
     assert len(got) == len(want) == len(set(times))
     for (_, pos), ref in zip(got, want):
         assert pos.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("drift", ["broadcast", "broadcast-interaction"])
-def test_simulate_reads_an_aliased_or_broadcast_drift_whole(drift, d):
+def test_simulate_reads_an_aliased_or_broadcast_drift_whole(drift):
     # the step moves a block of rows at a time: b1, and b2's row map, may
     # return one row broadcast to the rows they are given
     if drift == "broadcast":
-        b1, b2, eps = (lambda x: np.linspace(-1.0, 1.0, d)), None, 0.0
-        spec = SMVESpec(d, b1, b2, eps, 1e6, 1.0, drift)
+        b1, b2, eps = (lambda x: np.array([-1.0])), None, 0.0
+        spec = SMVESpec(b1, b2, eps, 1e6, 1.0, drift)
     else:
-        # b2 pulls every row by the same (1, d) row: 0.5 (mean - 1)
+        # b2 pulls every row by the same one-row array: 0.5 (mean - 1)
         b1, eps = (lambda x: -x), 0.5
-        row = lambda positions: 0.5 * (positions.mean(axis=0, keepdims=True) - 1.0)
-        spec = SMVESpec(d, b1, lambda positions: lambda x, m=row(positions): m,
+        row = lambda positions: 0.5 * (positions.mean(keepdims=True) - 1.0)
+        spec = SMVESpec(b1, lambda positions: lambda x, m=row(positions): m,
                         eps, 1e6, 1.0, drift)
         b2 = lambda x: np.broadcast_to(row(x), x.shape)
-    sampler = Gauss([0.3] * d, 1.0)
+    sampler = Gauss(0.3, 1.0)
     times = [0.0, 0.02, 0.03]
     got = simulate(spec, sampler, 140_000, 0.01, 0.03, 5, times, observe=_positions)
-    want = _reference_simulate(b1, b2, eps, 1e6, drift, d,
+    want = _reference_simulate(b1, b2, eps, 1e6, drift,
                                sampler, 140_000, 0.01, 0.03, 5, times)
     for (_, pos), ref in zip(got, want, strict=True):
         assert pos.tobytes() == ref.tobytes()
@@ -508,20 +494,18 @@ def _in_lanes(spec, sampler, n, h, horizon, seed, times, lanes):
 @settings(max_examples=25, deadline=None)
 @given(
     model=st.sampled_from(["ou", "vh", "alias"]),
-    d=st.sampled_from([1, 2]),
-    # one block is 16,384 rows in one dimension and 8,192 in two
-    n=st.sampled_from([100, 8_192, 8_193, 16_384, 16_385, 24_577, 40_000]),
+    # one block is 16,384 rows
+    n=st.sampled_from([100, 16_384, 16_385, 24_577, 40_000]),
     steps=st.integers(1, 6),
     seed=st.integers(0, 2**32),
 )
-@example(model="vh", d=1, n=40_000, steps=3, seed=7)
-@example(model="alias", d=2, n=24_577, steps=2, seed=1)
-def test_outputs_are_the_same_in_one_two_and_three_lanes(model, d, n, steps, seed):
+@example(model="vh", n=40_000, steps=3, seed=7)
+def test_outputs_are_the_same_in_one_two_and_three_lanes(model, n, steps, seed):
     threads = threading.active_count()
-    spec, _ = _model(model, d)
+    spec, _ = _model(model)
     h = 0.01
     times = [0.0, (steps // 2) * h, steps * h]
-    sampler = Gauss([0.3] * d, 1.0)
+    sampler = Gauss(0.3, 1.0)
     one, *more = [_in_lanes(spec, sampler, n, h, steps * h, seed, times, lanes)
                   for lanes in (1, 2, 3)]
     for run in more:
@@ -531,25 +515,20 @@ def test_outputs_are_the_same_in_one_two_and_three_lanes(model, d, n, steps, see
 
 # sha256 of the last positions of a one-block vh run, as the whole
 # (seed, k) streams gave them before the blocks had substreams
-_ONE_BLOCK_DIGESTS = {
-    1: "f8c594a2124e549ebca0ccb17f587e0ae366b1917227d095ca8e20a76e0a7a82",
-    2: "c25e664d5dc763dd10087d13a5da29e091a49212aa259507efb2bcbf7de11239",
-}
+_ONE_BLOCK_DIGEST = "f8c594a2124e549ebca0ccb17f587e0ae366b1917227d095ca8e20a76e0a7a82"
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_one_block_run_draws_the_whole_step_stream(d):
-    n = 16_384 // d
-    assert len(mckean_vlasov._row_blocks(n, d)) == 1
-    spec, (b1, b2, eps, bound) = _model("vh", d)
-    sampler = Gauss([0.3] * d, 1.0)
+def test_one_block_run_draws_the_whole_step_stream():
+    n = 16_384
+    assert len(mckean_vlasov._row_blocks(n)) == 1
+    spec, (b1, b2, eps, bound) = _model("vh")
+    sampler = Gauss(0.3, 1.0)
     got = simulate(spec, sampler, n, 0.01, 0.2, 7, observe=_positions)
-    want = _reference_simulate(b1, b2, eps, bound, spec.label, d, sampler,
+    want = _reference_simulate(b1, b2, eps, bound, spec.label, sampler,
                                n, 0.01, 0.2, 7, [0.0, 0.2], whole_stream=True)
     for (_, pos), ref in zip(got, want, strict=True):
         assert pos.tobytes() == ref.tobytes()
-    digest = hashlib.sha256(got[-1][1].tobytes()).hexdigest()
-    assert digest == _ONE_BLOCK_DIGESTS[d]
+    assert hashlib.sha256(got[-1][1].tobytes()).hexdigest() == _ONE_BLOCK_DIGEST
 
 
 def test_wide_run_steps_its_blocks_in_one_lane_per_usable_cpu(monkeypatch):
@@ -561,7 +540,7 @@ def test_wide_run_steps_its_blocks_in_one_lane_per_usable_cpu(monkeypatch):
         return -x
 
     threads = threading.active_count()
-    spec = SMVESpec(1, b1, None, 0.0, 0.0, 0.0)
+    spec = SMVESpec(b1, None, 0.0, 0.0, 0.0)
     simulate(spec, Point(0.0), 40_000, 0.01, 0.05, 3, observe=len)  # three blocks
     assert len(callers) == 3 and threading.current_thread().name in callers
     assert threading.active_count() == threads
@@ -571,15 +550,15 @@ def test_wide_run_steps_its_blocks_in_one_lane_per_usable_cpu(monkeypatch):
 
 
 def _row_index_sampler(rng, x):
-    x[:, 0] = np.arange(len(x))
+    x[:] = np.arange(len(x))
 
 
 def _refusing_b1(first_row):
     # b1 raises on every block from row first_row on; at step 1 a
     # block's first position is its first row's index
     def b1(x):
-        if x[0, 0] >= first_row:
-            raise LookupError(f"b1 refused the block from row {x[0, 0]:.0f}")
+        if x[0] >= first_row:
+            raise LookupError(f"b1 refused the block from row {x[0]:.0f}")
         return -x
 
     return b1
@@ -596,21 +575,21 @@ def _stream_failing_at_step_7(seed, tag, reuse=None, block=0, real=mckean_vlasov
 # blocks 0 and 3, 1, and 2
 LANE_FAILURES = {
     "blow-up in block 1": (
-        SMVESpec(1, lambda x: 50.0 * x, None, 0.0, 0.0, 0.0, "late"),
+        SMVESpec(lambda x: 50.0 * x, None, 0.0, 0.0, 0.0, "late"),
         lambda rng, x: x.__setitem__(slice(16_384, None), 1e306),
         SimulationBlowUp, r"^late: non-finite position at step \d+$"),
     "drift bound": (
-        SMVESpec(1, lambda x: -x, lambda positions: lambda x: np.full_like(x, 5.0),
+        SMVESpec(lambda x: -x, lambda positions: lambda x: np.full_like(x, 5.0),
                  0.1, 1.0, 1.0),
         Point(0.0), DriftBoundError, r"^smve: \|b2\| = 5 exceeds D = 1$"),
     "b1 from block 1 on": (
-        SMVESpec(1, _refusing_b1(10_000), None, 0.0, 0.0, 0.0),
+        SMVESpec(_refusing_b1(10_000), None, 0.0, 0.0, 0.0),
         _row_index_sampler, LookupError, r"^b1 refused the block from row 16384$"),
     "b1 from block 2 on": (
-        SMVESpec(1, _refusing_b1(20_000), None, 0.0, 0.0, 0.0),
+        SMVESpec(_refusing_b1(20_000), None, 0.0, 0.0, 0.0),
         _row_index_sampler, LookupError, r"^b1 refused the block from row 32768$"),
     "stream at step 7": (
-        SMVESpec(1, lambda x: -x, None, 0.0, 0.0, 0.0),
+        SMVESpec(lambda x: -x, None, 0.0, 0.0, 0.0),
         Point(0.0), RuntimeError, r"^no draws for step 7, block 0$"),
 }
 
@@ -647,9 +626,9 @@ def test_drift_bound_beats_a_blow_up_and_carries_the_largest_norm(norms, lanes,
     # two and three lanes, exceed D.  In two lanes, lane 0 checks block
     # 2 after block 0 failed.
     def b1(x):
-        return np.full_like(x, np.inf) if x[0, 0] < 16_384 else -x
+        return np.full_like(x, np.inf) if x[0] < 16_384 else -x
 
-    spec = SMVESpec(1, b1, _b2_by_block([0.0, *norms, 0.0]), 0.1, 1.0, 1.0)
+    spec = SMVESpec(b1, _b2_by_block([0.0, *norms, 0.0]), 0.1, 1.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DriftBoundError, match=r"^smve: \|b2\| = 4 exceeds D = 1$"):
@@ -669,7 +648,7 @@ def test_a_nan_interaction_hides_no_norm_over_the_bound(where, lanes, no_leftove
             return out
         return row_map
 
-    spec = SMVESpec(1, lambda x: -x, b2, 0.1, 1.0, 1.0)
+    spec = SMVESpec(lambda x: -x, b2, 0.1, 1.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DriftBoundError, match=r"^smve: \|b2\| = 5 exceeds D = 1$"):
@@ -680,13 +659,13 @@ def test_more_lanes_than_cpus_at_a_short_switch_interval_match_one_lane(no_lefto
     # five lanes on the six blocks of a wide vh run, switching threads
     # every microsecond: a lost or early update of the positions, of b2's
     # row map or of a lane's failure slot would change the bytes
-    spec, _ = _model("vh", 2)
-    sampler = Gauss([0.3, 0.3], 1.0)
-    want = _in_lanes(spec, sampler, 45_000, 0.01, 0.05, 3, None, 1)
+    spec, _ = _model("vh")
+    sampler = Gauss(0.3, 1.0)
+    want = _in_lanes(spec, sampler, 90_000, 0.01, 0.05, 3, None, 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = _in_lanes(spec, sampler, 45_000, 0.01, 0.05, 3, None, 5)
+        got = _in_lanes(spec, sampler, 90_000, 0.01, 0.05, 3, None, 5)
     finally:
         sys.setswitchinterval(interval)
     _same_runs([got], [want])
@@ -702,7 +681,7 @@ def test_interrupt_during_a_wide_run_leaves_no_lane_thread(monkeypatch):
     def interrupt(signum, frame):
         raise KeyboardInterrupt
 
-    spec = SMVESpec(1, b1, None, 0.0, 0.0, 0.0)
+    spec = SMVESpec(b1, None, 0.0, 0.0, 0.0)
     threads = threading.active_count()
     previous = signal.signal(signal.SIGALRM, interrupt)
     start = time.perf_counter()
@@ -739,10 +718,10 @@ def _use_cpus(monkeypatch, count):
 
 
 def _wide_bound(particle_arrays: int, lanes: int = 1, interaction: bool = False) -> int:
-    """What a run of WIDE particles in one dimension may hold at its
-    peak: x and at most five blocks per lane (the step's scratch, its
-    noise and its finiteness mask, and b1's output and its per-row norms
-    for one block), and a sixth, b2's output for that block, with an
+    """What a run of WIDE particles may hold at its peak: x and at most
+    five blocks per lane (the step's scratch, its noise and its
+    finiteness mask, and b1's output and its |x| for one block), and a
+    sixth, b2's output for that block, with an
     ``interaction``; never a particle-sized copy, drift or noise array."""
     blocks = 6 if interaction else 5
     return particle_arrays * 8 * WIDE + blocks * lanes * mckean_vlasov._BLOCK_BYTES
@@ -759,8 +738,8 @@ def _wide_simulate_peak(model) -> int:
     if model == "vh":
         spec = make_vh_spec()
     else:
-        spec = SMVESpec(1, radial_confinement_drift(1.0, 1.0), None, 0.0, 0.0, 0.0)
-    sampler = Gauss([0.3], 1.0)
+        spec = SMVESpec(radial_confinement_drift(1.0, 1.0), None, 0.0, 0.0, 0.0)
+    sampler = Gauss(0.3, 1.0)
     return _traced_peak(lambda: simulate(spec, sampler, WIDE, 0.01, 0.05, 7, [0.05],
                                          observe=len))
 
@@ -790,12 +769,12 @@ def _five_start_peak() -> int:
     starts = np.linspace(-1.0, 1.0, k)
 
     def sampler(rng, x):
-        x.reshape(k, n, 1)[:] = starts[:, None, None]
+        x.reshape(k, n)[:] = starts[:, None]
 
     def per_start(x):
         return [binning.masses(x[i * n:(i + 1) * n]) for i in range(k)]
 
-    spec = SMVESpec(1, radial_confinement_drift(1.0, 1.0), None, 0.0, 0.0, 0.0)
+    spec = SMVESpec(radial_confinement_drift(1.0, 1.0), None, 0.0, 0.0, 0.0)
     return _traced_peak(lambda: simulate(spec, sampler, WIDE, 0.01, 0.05, 101, [0.05],
                                          observe=per_start))
 
@@ -821,11 +800,11 @@ def _peak_at_first_b1_call() -> int:
         peaks.append(tracemalloc.get_traced_memory()[1])
         raise _Stop
 
-    spec = SMVESpec(1, b1, None, 0.0, 0.0, 0.0)
+    spec = SMVESpec(b1, None, 0.0, 0.0, 0.0)
     tracemalloc.start()
     try:
         with pytest.raises(_Stop):
-            simulate(spec, Gauss([0.3], 1.0), WIDE, 0.01, 0.05, 7, [0.05], observe=len)
+            simulate(spec, Gauss(0.3, 1.0), WIDE, 0.01, 0.05, 7, [0.05], observe=len)
     finally:
         tracemalloc.stop()
     return peaks[0]
@@ -847,7 +826,7 @@ def test_wide_run_in_lanes_starts_in_the_array_the_sampler_fills(monkeypatch):
 def test_wide_run_lets_the_observer_read_x_in_place():
     # from b1's last call to the run's return, the run allocates b1's
     # output block and no copy of x for the observer
-    last_call = 2 * len(mckean_vlasov._row_blocks(WIDE, 1))  # two steps
+    last_call = 2 * len(mckean_vlasov._row_blocks(WIDE))  # two steps
     calls, held = [], []
 
     def b1(x):
@@ -857,10 +836,10 @@ def test_wide_run_lets_the_observer_read_x_in_place():
             held.append(tracemalloc.get_traced_memory()[0])
         return -x
 
-    spec = SMVESpec(1, b1, None, 0.0, 0.0, 0.0)
+    spec = SMVESpec(b1, None, 0.0, 0.0, 0.0)
     tracemalloc.start()
     try:
-        snaps = simulate(spec, Gauss([0.3], 1.0), WIDE, 0.01, 0.02, 7, [0.02],
+        snaps = simulate(spec, Gauss(0.3, 1.0), WIDE, 0.01, 0.02, 7, [0.02],
                          observe=len)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -937,32 +916,31 @@ def _sequential(spec, runs, n, h, horizon, times):
             for sampler, seed in runs]
 
 
-def _sampler(name, d):
+def _sampler(name):
     if name == "point":
-        return Point([0.5] * d)
+        return Point(0.5)
     if name == "gauss":
-        return Gauss([0.3] * d, 1.0)
-    return Mix([-1.0] * d, [2.0] * d, 0.4)
+        return Gauss(0.3, 1.0)
+    return Mix(-1.0, 2.0, 0.4)
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    model=st.sampled_from([("ou", 1), ("vh", 1), ("vh", 2)]),
+    model=st.sampled_from(["ou", "vh"]),
     runs=st.lists(st.tuples(st.sampled_from(["point", "gauss", "mix"]), st.integers(0, 3)),
                   min_size=1, max_size=5),
     n=st.sampled_from([100, 1_000]),
     steps=st.integers(1, 30),
 )
-@example(model=("vh", 2), runs=[("gauss", 1), ("gauss", 1), ("mix", 0)], n=1_000, steps=7)
-@example(model=("ou", 1), runs=[("point", 2)], n=100, steps=1)
+@example(model="vh", runs=[("gauss", 1), ("gauss", 1), ("mix", 0)], n=1_000, steps=7)
+@example(model="ou", runs=[("point", 2)], n=100, steps=1)
 def test_simulate_runs_matches_simulate(model, runs, n, steps):
     threads = threading.active_count()
-    spec, _ = _model(*model)
-    d = spec.dimension
+    spec, _ = _model(model)
     h = 0.05
     horizon = steps * h
     times = [0.0, (steps // 2) * h, horizon]
-    pairs = [(_sampler(name, d), seed) for name, seed in runs]
+    pairs = [(_sampler(name), seed) for name, seed in runs]
     got = list(simulate_runs(spec, pairs, n, h, horizon, times, observe=_positions))
     _same_runs(got, _sequential(spec, pairs, n, h, horizon, times))
     assert multiprocessing.active_children() == []
@@ -1040,7 +1018,7 @@ def _late_blow_up_spec():
         time.sleep(0.002)
         return 50.0 * x
 
-    return SMVESpec(1, b1, None, 0.0, 0.0, 0.0, "late")
+    return SMVESpec(b1, None, 0.0, 0.0, 0.0, "late")
 
 
 def _fails_at_once(rng, x):
@@ -1073,7 +1051,7 @@ def test_runs_before_the_failure_are_yielded(no_leftovers):
 
 
 def test_worker_failure_keeps_its_type_and_message(no_leftovers):
-    bad = SMVESpec(dimension=1, b1=lambda x: -x,
+    bad = SMVESpec(b1=lambda x: -x,
                    b2=lambda positions: lambda x: np.full_like(x, 5.0),
                    epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
     runs = [(Point(0.0), 1), (Point(0.0), 2)]
@@ -1153,7 +1131,7 @@ def _slow_far_out_spec():
             time.sleep(0.005)
         return np.zeros_like(x)
 
-    return SMVESpec(1, b1, None, 0.0, 0.0, 0.0, "slow")
+    return SMVESpec(b1, None, 0.0, 0.0, 0.0, "slow")
 
 
 # runs 1 and 2 take 10 s each, runs 0 and 3 a few milliseconds

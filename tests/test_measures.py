@@ -129,7 +129,7 @@ def test_tv_distance_overlap_identity(pair):
 
 
 def cloud(*values):
-    return np.array(values, dtype=float).reshape(len(values), -1)
+    return np.array(values, dtype=float)
 
 
 def test_histogram_basic_binning():
@@ -147,13 +147,6 @@ def test_histogram_upper_edge_is_overflow():
     assert Binning(0.0, 1.0, 4).masses(cloud(np.nextafter(1.0, 0.0)))[3] == 1.0
 
 
-def test_histogram_two_dimensional():
-    pts = cloud([0.5, 0.5], [1.5, 0.5], [2.5, 2.5])
-    m = Binning(0.0, 2.0, 2).masses(pts)
-    # cells (0, 0), (0, 1), (1, 0), (1, 1) in C order, then the overflow
-    assert m.tolist() == pytest.approx([1 / 3, 0, 1 / 3, 0, 1 / 3])
-
-
 def test_tv_between_histograms_singular_clouds():
     bn = Binning(0.0, 1.0, 2)
     a, b = bn.masses(cloud(*[0.1] * 10)), bn.masses(cloud(*[0.9] * 10))
@@ -169,15 +162,11 @@ def test_tv_between_histograms_counts_overflow():
 
 def _cell_counts(points, bn):
     """Per-point pure-Python oracle of Binning.masses, as counts."""
-    d = points.shape[1]
-    counts = [0] * (bn.bins**d + 1)
+    counts = [0] * (bn.bins + 1)
     width = (bn.upper - bn.lower) / bn.bins
-    for x in points.tolist():
-        if all(bn.lower <= v < bn.upper for v in x):
-            flat = 0
-            for v in x:
-                flat = flat * bn.bins + min(math.floor((v - bn.lower) / width), bn.bins - 1)
-            counts[flat] += 1
+    for v in points.tolist():
+        if bn.lower <= v < bn.upper:
+            counts[min(math.floor((v - bn.lower) / width), bn.bins - 1)] += 1
         else:
             counts[-1] += 1
     return counts
@@ -185,7 +174,6 @@ def _cell_counts(points, bn):
 
 @st.composite
 def binned_clouds(draw):
-    d = draw(st.sampled_from([1, 2]))
     bins = draw(st.integers(1, 12))
     lower = draw(st.floats(-5.0, 5.0))
     upper = lower + draw(st.floats(0.01, 10.0))
@@ -194,8 +182,7 @@ def binned_clouds(draw):
         lower + k * (upper - lower) / bins for k in range(bins)]
     coord = st.one_of(st.sampled_from(edges), st.floats(lower - 2.0, upper + 2.0))
     n = draw(st.integers(1, 20))
-    clouds = [np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
-                                     min_size=n, max_size=n))) for _ in range(2)]
+    clouds = [np.array(draw(st.lists(coord, min_size=n, max_size=n))) for _ in range(2)]
     return bn, clouds
 
 
@@ -216,12 +203,11 @@ def test_binned_tv_properties(case):
 def _one_shot_masses(bn, points):
     """Binning.masses binned in one pass over the whole cloud, as it was
     before the blocked version: the blocked version's reference."""
-    n, d = points.shape
     width = (bn.upper - bn.lower) / bn.bins
     cells = np.clip(np.floor((points - bn.lower) / width), 0, bn.bins - 1).astype(int)
-    inside = np.all((points >= bn.lower) & (points < bn.upper), axis=1)
-    flat = np.where(inside, cells @ bn.bins ** np.arange(d - 1, -1, -1), bn.bins**d)
-    return np.bincount(flat, minlength=bn.bins**d + 1) / n
+    inside = (points >= bn.lower) & (points < bn.upper)
+    flat = np.where(inside, cells, bn.bins)
+    return np.bincount(flat, minlength=bn.bins + 1) / len(points)
 
 
 @settings(max_examples=200, deadline=None)
@@ -235,14 +221,13 @@ def test_blocked_masses_equal_one_shot_masses(case, block_rows):
             assert bn.masses(pts).tobytes() == _one_shot_masses(bn, pts).tobytes()
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_blocked_masses_of_a_wide_cloud(d):
+def test_blocked_masses_of_a_wide_cloud():
     # several blocks of the real size, with points on both bounds and
     # outside the box
     bn = Binning(-1.0, 1.0, 7)
-    pts = np.random.default_rng(d).normal(0.0, 1.0, (50_000, d))
+    pts = np.random.default_rng(1).normal(0.0, 1.0, 50_000)
     pts[::97] = -1.0
     pts[::89] = 1.0
     pts[::83] = np.nextafter(1.0, 0.0)
-    assert len(mckean_vlasov._row_blocks(*pts.shape)) > 3
+    assert len(mckean_vlasov._row_blocks(len(pts))) > 3
     assert bn.masses(pts).tobytes() == _one_shot_masses(bn, pts).tobytes()
