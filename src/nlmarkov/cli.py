@@ -250,8 +250,14 @@ class Budget(NamedTuple):
 # Every size and work limit of the CLI.  A bytes row counts the arrays a
 # run holds at once: 1 GiB of them.
 BUDGETS = {
-    # validate's (G, n, n) float64 stack of kernel matrices, 8 bytes an entry
+    # the (G, n, n) float64 stack of kernel matrices that validation and
+    # both sweeps hold, 8 bytes an entry
     "kernel-stack": Budget("chain --resolution", 2**30, "bytes", 8),
+    # the lambda sweep's n^2 entries for each of its C(R + n - 2, n - 1)
+    # n (n - 1) / 2 neighbour pairs, 6.3-7.8 ns an entry (2-CPU x86 host:
+    # R = 1 at n = 100-320, n = 50 at R = 2-3); whole no-invariant runs
+    # near the limit took 26 s (--truncation 299) and 34 s (--resolution 3)
+    "sweep": Budget("chain --resolution", 4 * 10**9, "pair-entries", 1),
     # 25 + 10 n floats a step for n states: the orbit row, Python floats and
     # the CSV lines (tracemalloc over 10^5 steps measured 340, 462, 730 and
     # 1,596 bytes at n = 2, 5, 10, 20)
@@ -361,14 +367,16 @@ def _run_chain(args, resolved: dict) -> int:
     (a, b), stack = BUDGETS["chain-step"].cost, BUDGETS["kernel-stack"].cost
     if resolved["kernel"] == "no-invariant":  # its coarsest grid holds n^3 entries
         _check(f"--truncation {n} at --resolution 1",
-               {"kernel-stack": lambda v: stack * v**3}, resolved, "truncation")
+               {"kernel-stack": lambda v: stack * v**3,
+                "sweep": lambda v: v**3 * (v - 1) // 2}, resolved, "truncation")
     _check(f"--steps {resolved['steps']} at {n} states",
            {"chain-step": lambda v: (a + b * n) * v, "rows": lambda v: v},
            resolved, "steps")
     resolved["resolution"] = resolved["resolution"] or default_resolution(n)
     source = f" of --kernel-file {resolved['kernel-file']}" if provenance else ""
     _check(f"--resolution {resolved['resolution']} at {n} states{source}",
-           {"kernel-stack": lambda v: stack * n * n * math.comb(v + n - 1, n - 1)},
+           {"kernel-stack": lambda v: stack * n * n * math.comb(v + n - 1, n - 1),
+            "sweep": lambda v: n**3 * (n - 1) // 2 * math.comb(v + n - 2, n - 1)},
            resolved, "resolution")
     grid = MeasureGrid(n, resolved["resolution"])
     # A custom kernel is validated here only, on the chain's own grid, and

@@ -137,22 +137,22 @@ class _Orbit:
         """w_i, which must be stepped already or repeat a stored iterate."""
         return self._w[self._slot(i)]
 
-    def distance(self, j: int, label: int) -> float:
+    def distance(self, j: int) -> float:
         """||w_{j+1} - w_j||_1, first stepping to w_{j+1} if it is the
-        next iterate; ``label`` is the step number a row-check error
-        names."""
+        next iterate."""
         if j + 1 == self.size and self.period is None:
-            return self._advance(label)
+            return self._advance()
         return float(self._d[self._slot(j)])
 
-    def _advance(self, label: int) -> float:
-        """Step from the last iterate and return the step's distance;
-        close the orbit instead of storing the new iterate if it repeats
-        one of the last MAX_CYCLE_PERIOD."""
+    def _advance(self) -> float:
+        """Step from the last iterate w_k to w_{k+1}, step k + 1 in a
+        row-check error, and return the step's distance; close the orbit
+        instead of storing the new iterate if it repeats one of the last
+        MAX_CYCLE_PERIOD."""
         k = self.size - 1
         slot = self._slot(k)
         w = self._w[slot]
-        nxt = _step(self.kernel, w, label)
+        nxt = _step(self.kernel, w, k + 1)
         self._d[slot] = dist = float(np.abs(nxt - w).sum())
         key = nxt.tobytes()
         j = self._recent.get(key)
@@ -176,7 +176,7 @@ class _Orbit:
         k = 1
         while k <= steps:
             if k == self.size and self.period is None:
-                self._advance(k - 1)
+                self._advance()
             if k == self.size:  # w_k repeats an earlier iterate
                 break
             DiscreteMeasure(self._w[k], tol=MASS_TOL * (k + 1))
@@ -195,20 +195,20 @@ class _Orbit:
                           tuple(self._d[:steps].tolist()))
 
     def fixed_point(self, tol: float, max_iter: int) -> "FixedPointResult":
-        """The search of ``find_invariant``, in its step numbering."""
+        """The search of ``find_invariant``."""
         if tol <= 0 or max_iter < 1:
             raise ValueError("tol must be positive and max_iter at least 1")
-        resid0 = self.distance(0, 0)
+        resid0 = self.distance(0)
         if resid0 < tol:
             return FixedPointResult(True, self.mu0, 0, resid0)
         for k in range(1, max_iter + 1):
             if self.period is not None and k - 1 - self.period >= self.start:
                 # (d_{k-1}, d_k) and every later pair repeat one tried already
                 break
-            if self.distance(k - 1, k) < tol:
+            if self.distance(k - 1) < tol:
                 # the residual is the authoritative check: small successive
                 # steps alone can be a slowly drifting or periodic orbit
-                resid = self.distance(k, k)
+                resid = self.distance(k)
                 if resid < tol:
                     pi = DiscreteMeasure(self.at(k), tol=MASS_TOL * (k + 2))
                     return FixedPointResult(True, pi, k, resid)
@@ -223,7 +223,7 @@ class _Orbit:
             DiscreteMeasure(self.at(i), tol=MASS_TOL * (max_iter + 1))
             for i in range(max(0, max_iter - 9), max_iter + 1)
         )
-        resid = self.distance(max_iter, max_iter)
+        resid = self.distance(max_iter)
         return FixedPointResult(False, None, max_iter, resid, kept, period)
 
 

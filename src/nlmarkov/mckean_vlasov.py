@@ -126,23 +126,23 @@ class SMVESpec:
 
     A position is one float.  ``b1`` is the confining drift: it maps a
     block of m positions to their m drifts.  ``b2`` is the interaction
-    b2(x, mu), curried: it maps the n positions, the empirical law mu, to
-    the row map x -> b2(x, mu) of blocks.  Each step, ``simulate`` calls
-    b2 once, then b1 and the row map on one block at a time, possibly on
-    disjoint blocks from several threads at once.  |b2| must stay within
-    ``bound_D`` (checked at runtime); ``lipschitz_L`` is the constant of
-    the perturbation bounds, derived by hand, not fitted, for the shipped
-    coefficients.
+    b2(x, m): it maps a block of positions x and the mean m of the law
+    to their drifts.  Each step, ``simulate`` takes the mean of the
+    positions once, then calls b1 and b2 on one block at a time,
+    possibly on disjoint blocks from several threads at once.  |b2| must
+    stay within ``bound_D`` (checked at runtime); ``lipschitz_L`` is the
+    constant of the perturbation bounds, derived by hand, not fitted, for
+    the shipped coefficients.
 
     No coefficient may modify the positions: ``simulate`` passes
     read-only views of the particles it steps in place, valid for the
-    duration of the call.  b1 and the row map may return their input, a
-    view of it, or an array that broadcasts to its shape; ``simulate``
-    never writes into what they return.
+    duration of the call.  b1 and b2 may return their input, a view of
+    it, or an array that broadcasts to its shape; ``simulate`` never
+    writes into what they return.
     """
 
     b1: Callable[[np.ndarray], np.ndarray]
-    b2: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]] | None
+    b2: Callable[[np.ndarray, float], np.ndarray] | None
     epsilon: float
     bound_D: float
     lipschitz_L: float
@@ -191,19 +191,12 @@ def radial_confinement_drift(r: float, M: float) -> Callable[[np.ndarray], np.nd
     return b1
 
 
-def mean_attraction_coupling(D: float) -> Callable:
-    """b2(x, mu) = D tanh(mean(mu) - x), bounded by D; mu is the cloud
-    of positions."""
+def mean_attraction_coupling(D: float) -> Callable[[np.ndarray, float], np.ndarray]:
+    """b2(x, m) = D tanh(m - x), bounded by D, in the one block that
+    subtract makes."""
     if D <= 0:
         raise ValueError("D must be positive")
-
-    def b2(positions: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        mean = positions.mean()
-        # the row map: tanh(mean - x) * D, in the one block subtract makes
-        return lambda x: np.multiply(np.tanh(t := np.subtract(mean, x), out=t),
-                                     D, out=t)
-
-    return b2
+    return lambda x, m: np.multiply(np.tanh(t := np.subtract(m, x), out=t), D, out=t)
 
 
 def make_ou_spec() -> SMVESpec:
@@ -282,14 +275,15 @@ def _euler(
 ) -> list[tuple[float, object]]:
     """The Euler loop of ``simulate``, in ``lanes`` lanes (at most one
     per row block): the calling thread and lanes - 1 threads, started
-    once per run.  Step k calls b2 on the calling thread; then lane j
-    steps blocks j, j + lanes, ... in row order: b2's row map and its
-    bound, b1, the step and its noise sqrt(h) * xi, drawn from block c's
-    substream of the (seed, k) stream, and the finiteness check, through
-    blocks of its own.  The lanes meet at a barrier before and after the
-    blocks of each step; after it, |b2| > D on any block raises first,
-    then the lowest-numbered failing block.  At each snapshot the lanes
-    wait at the barrier while ``observe`` reads the positions, under the
+    once per run.  Step k takes the mean m of the positions on the
+    calling thread; then lane j steps blocks j, j + lanes, ... in row
+    order: b2(x, m) and its bound, b1, the step and its noise
+    sqrt(h) * xi, drawn from block c's substream of the (seed, k)
+    stream, and the finiteness check, through blocks of its own.  The
+    lanes meet at a barrier before and after the blocks of each step;
+    after it, |b2| > D on any block raises first, then the
+    lowest-numbered failing block.  At each snapshot the lanes wait at
+    the barrier while ``observe`` reads the positions, under the
     caller's numpy error state.  Every lane thread is joined on every
     exit path."""
     n_steps, snap_steps = plan
@@ -328,8 +322,8 @@ def _euler(
         for c in range(j, len(blocks), lanes):
             rows = blocks[c]
             try:
-                if row_map is not None:
-                    inter = row_map(positions[rows])
+                if mean is not None:
+                    inter = spec.b2(positions[rows], mean)
                     # a NaN |b2| never counts
                     worst[j] = max(worst[j], np.fmax.reduce(np.abs(inter)).item())
                 if failed[j]:
@@ -337,7 +331,7 @@ def _euler(
                 _stream(seed, k, generator, c)
                 xb = x[rows]
                 part = scratch[:len(xb)]
-                if row_map is None:
+                if mean is None:
                     np.multiply(spec.b1(positions[rows]), step_size, out=part)
                 else:
                     np.multiply(inter, spec.epsilon, out=part)
@@ -380,7 +374,7 @@ def _euler(
         # SimulationBlowUp, so numpy's overflow warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, n_steps + 1):
-                row_map = spec.b2(positions) if spec.epsilon > 0 else None
+                mean = positions.mean() if spec.epsilon > 0 else None
                 if threads:
                     barrier.wait()
                 step(0, k)
@@ -433,11 +427,11 @@ def simulate(
     the horizon), in time order, the run calls ``observe(x)`` with a
     read-only view of x, valid only for that call, and returns the
     pairs (t, observe(x)): nothing the size of x leaves the run unless
-    the observer makes it.  Each step
-    calls b2 once in the calling thread, then b1 and b2's row map, draws
-    the noise and steps the particles a block of rows at a time, with
-    the blocks dealt round-robin to one lane per usable CPU (the calling
-    thread and threads of this run).  Raises ValueError if the sampler
+    the observer makes it.  With an interaction, each step takes the
+    mean m of the positions once in the calling thread.  It calls b1 and
+    b2(x, m), draws the noise and steps the particles a block of rows at
+    a time, with the blocks dealt round-robin to one lane per usable CPU
+    (the calling thread and threads of this run).  Raises ValueError if the sampler
     returns a value or the initial sample is not finite, DriftBoundError
     with the step's largest |b2| if any exceeds D, SimulationBlowUp if
     positions leave the finite range, and otherwise the exception of the

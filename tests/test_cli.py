@@ -212,7 +212,7 @@ class TestChain:
         ["0.4", "0.6"]]}
 
     @pytest.mark.parametrize("steps, step, trajectory_written", [
-        (200, 4, False),  # the trajectory fails first, in evolve's numbering
+        (200, 5, False),  # the trajectory fails first
         (3, 5, True),     # it is written; the fixed-point search fails next
     ])
     def test_first_failure_of_a_chain_run(self, tmp_path, capsys, steps, step,
@@ -337,8 +337,9 @@ def test_replay_parameters_are_named_before_any_output(tmp_path, capsys, case):
 # the smve horizon that covers no step, in the library's words.  And a
 # stock kernel's parameters, which its constructor named without their
 # -- (mixture's "lam" is --mix-lam), and a --truncation whose coarsest
-# grid, 8 m^3 bytes, is over the budget, which was blamed on
-# --resolution (600) or --steps (10^30), each said to fit at 0.  A need
+# grid is over the budget, which was blamed on --resolution (600) or
+# --steps (10^30), each said to fit at 0; --truncation 512, whose grid
+# fits, wrote resolved_config.json and then swept for minutes.  A need
 # past int's 4,300 decimal digits failed to print, naming nothing.
 UNNAMED = {
     "finite": (["chain", "--gamma", "nan"], "--gamma must be finite, got nan"),
@@ -362,12 +363,14 @@ UNNAMED = {
                    "--truncation must be at least 3, got 2"),
     "alpha-lam": (["chain", "--kernel", "continuum", "--alpha", "0.9"],
                   "--alpha and --lam need 0 < alpha < lam <= 1, got 0.9 and 0.8"),
-    "truncation-grid": (["chain", "--kernel", "no-invariant", "--truncation", "600"],
-                        "--truncation 600 at --resolution 1 needs 1728000000 bytes, over "
-                        "the budget of 1 GiB; the largest --truncation that fits is 512"),
+    "truncation-grid": (["chain", "--kernel", "no-invariant", "--truncation", "512"],
+                        "--truncation 512 at --resolution 1 needs 34292629504 pair-entries, "
+                        "over the budget of 4e+09 pair-entries; the largest --truncation "
+                        "that fits is 299"),
     "truncation-steps": (["chain", "--kernel", "no-invariant", "--truncation", str(10**30)],
-                         f"--truncation {10**30} at --resolution 1 needs {8 * 10**90} bytes, "
-                         f"over the budget of 1 GiB; the largest --truncation that fits is 512"),
+                         f"--truncation {10**30} at --resolution 1 needs "
+                         f"{10**90 * (10**30 - 1) // 2} pair-entries, over the budget of "
+                         f"4e+09 pair-entries; the largest --truncation that fits is 299"),
     "need-digits": (["chain", "--kernel", "no-invariant", "--resolution", str(10**308)],
                     f"--resolution {10**308} at 50 states needs 3.28795e+15033 bytes, over "
                     f"the budget of 1 GiB; the largest --resolution that fits is 3"),
@@ -421,6 +424,8 @@ NODES = 2 * 980 + 1
 # to which the test sets the row's limit.
 BOUNDARIES = {
     "kernel-stack": (["chain", "--kernel", "mixture"], "resolution", 10, 8 * 4 * 11),
+    # 2 states: one neighbour pair of 4 entries at each of R grid measures
+    "sweep": (["chain", "--kernel", "mixture"], "resolution", 10, 4 * 10),
     "chain-step": (["chain", "--kernel", "no-invariant"], "steps", 2**30 // 4200),
     "rows": (["counterexample", "no-invariant"], "n-max", 2 * 10**6),
     "particles": (["smve", "simulate", "--horizon", "0.01"], "n", 2**30 // 16),

@@ -103,7 +103,8 @@ def test_evolve_input_guards():
 def test_evolve_rejects_non_stochastic_kernel():
     rows = np.array([[0.6, 0.6], [0.5, 0.5]])
     bad = NonlinearKernel(2, lambda w: np.broadcast_to(rows, (len(w), 2, 2)), "bad")
-    with pytest.raises(KernelValidationError, match="step 0"):
+    # the step to w_1 is step 1, as in trajectory.csv
+    with pytest.raises(KernelValidationError, match="at step 1$"):
         evolve(bad, DiscreteMeasure.uniform(2), 3)
 
 
@@ -344,7 +345,7 @@ def reference_evolve(kernel, mu0, steps):
         raise ValueError("initial measure does not match kernel state space")
     measures, dists, w = [mu0], [], mu0.weights
     for k in range(steps):
-        nxt = _step(kernel, w, k)
+        nxt = _step(kernel, w, k + 1)
         dists.append(float(np.abs(nxt - w).sum()))
         measures.append(DiscreteMeasure(nxt, tol=MASS_TOL * (k + 2)))
         w = nxt
@@ -356,7 +357,7 @@ def reference_find_invariant(kernel, mu0=None, tol=1e-10, max_iter=100_000):
         raise ValueError("tol must be positive and max_iter at least 1")
     mu0 = mu0 or DiscreteMeasure.uniform(kernel.space_size)
     w = mu0.weights
-    resid0 = float(np.abs(_step(kernel, w, 0) - w).sum())
+    resid0 = float(np.abs(_step(kernel, w, 1) - w).sum())
     if resid0 < tol:
         return FixedPointResult(True, mu0, 0, resid0)
     tail = [w]
@@ -364,7 +365,7 @@ def reference_find_invariant(kernel, mu0=None, tol=1e-10, max_iter=100_000):
         nxt = _step(kernel, w, k)
         succ = float(np.abs(nxt - w).sum())
         if succ < tol:
-            resid = float(np.abs(_step(kernel, nxt, k) - nxt).sum())
+            resid = float(np.abs(_step(kernel, nxt, k + 1) - nxt).sum())
             if resid < tol:
                 pi = DiscreteMeasure(nxt, tol=MASS_TOL * (k + 2))
                 return FixedPointResult(True, pi, k, resid)
@@ -381,7 +382,7 @@ def reference_find_invariant(kernel, mu0=None, tol=1e-10, max_iter=100_000):
     kept = tuple(
         DiscreteMeasure(t, tol=MASS_TOL * (max_iter + 1)) for t in tail[-10:]
     )
-    resid = float(np.abs(_step(kernel, last, max_iter) - last).sum())
+    resid = float(np.abs(_step(kernel, last, max_iter + 1) - last).sum())
     return FixedPointResult(False, None, max_iter, resid, kept, period)
 
 
@@ -576,7 +577,7 @@ def test_an_orbit_refuses_an_iterate_that_has_left_its_window():
     orbit = ergodicity._Orbit(markov_example_kernel(), DiscreteMeasure.uniform(2), 6)
     assert orbit.fixed_point(1e-14, 1_000).iterations == 26
     assert orbit.size == 10 + ergodicity._WINDOW
-    for read in (lambda: orbit.at(6), lambda: orbit.distance(9, 10),
+    for read in (lambda: orbit.at(6), lambda: orbit.distance(9),
                  lambda: orbit.fixed_point(1e-14, 500)):
         with pytest.raises(IndexError, match="left the orbit's window"):
             read()

@@ -147,7 +147,7 @@ class TestSpecConstruction:
 
     def test_drift_bound_is_enforced_at_runtime(self):
         bad = SMVESpec(b1=lambda x: -x,
-                       b2=lambda positions: lambda x: np.full_like(x, 5.0),
+                       b2=lambda x, m: np.full_like(x, 5.0),
                        epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
         with pytest.raises(DriftBoundError, match="exceeds"):
             simulate(bad, Point(0.0), n_particles=100,
@@ -163,7 +163,7 @@ class TestSpecConstruction:
     def test_mean_attraction_is_bounded_by_D(self):
         b2 = mean_attraction_coupling(1.0)
         x = np.array([100.0, 0.0, -100.0])
-        assert np.all(np.abs(b2(x)(x)) <= 1.0 + 1e-12)
+        assert np.all(np.abs(b2(x, x.mean())) <= 1.0 + 1e-12)
 
 
 class TestSimulate:
@@ -232,7 +232,7 @@ class TestSimulate:
 
     def test_drift_bound_error_keeps_its_message(self):
         bad = SMVESpec(b1=lambda x: -x,
-                       b2=lambda positions: lambda x: np.full_like(x, 5.0),
+                       b2=lambda x, m: np.full_like(x, 5.0),
                        epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
         threads = threading.active_count()
         with pytest.raises(DriftBoundError,
@@ -292,20 +292,15 @@ class TestSimulate:
             seen.append(x.flags.writeable)
             return -x
 
-        def b2(positions):
-            seen.append(positions.flags.writeable)
-            assert positions.shape == (100,)
-
-            def row_map(x):
-                seen.append(x.flags.writeable)
-                return np.zeros_like(x)
-
-            return row_map
+        def b2(x, m):
+            seen.append(x.flags.writeable)
+            assert x.shape == (100,) and isinstance(m, float)
+            return np.zeros_like(x)
 
         spec = SMVESpec(b1=b1, b2=b2, epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
         simulate(spec, Point(0.5), n_particles=100,
                  step_size=0.01, horizon=0.03, seed=3, observe=_positions)
-        assert seen == [False] * 9
+        assert seen == [False] * 6
 
     def test_sampler_output_is_not_written_to(self):
         # the sampler copies the caller's array into the run's own array,
@@ -371,8 +366,8 @@ def _step_noise(seed, k, n, whole_stream=False):
 def _reference_simulate(b1, b2, epsilon, bound_D, label,
                         sampler, n, h, horizon, seed, times, whole_stream=False):
     """The Euler loop as it stood before the noise moved to a worker
-    thread: fresh Philox Generators per step, b2 on the whole array,
-    bound check on |b2|, out-of-place update, one thread."""
+    thread: fresh Philox Generators per step, b2(x, x.mean()) on the
+    whole array, bound check on |b2|, out-of-place update, one thread."""
     n_steps = int(round(horizon / h))
     snap_steps = sorted({int(round(t / h)) for t in times})
     x = np.zeros(n)
@@ -382,7 +377,7 @@ def _reference_simulate(b1, b2, epsilon, bound_D, label,
         noise = _step_noise(seed, k + 1, n, whole_stream)
         total = b1(x)
         if b2 is not None and epsilon > 0:
-            inter = b2(x)
+            inter = b2(x, x.mean())
             worst = float(np.abs(inter).max())
             if worst > bound_D + 1e-9:
                 raise DriftBoundError(f"{label}: |b2| exceeds D")
@@ -399,12 +394,7 @@ def _old_radial(r, M):
 
 
 def _old_mean_attraction(D):
-    return lambda x: D * np.tanh(x.mean() - x)
-
-
-def _whole(b2):
-    """A row map's b2 as the reference loop calls it: on the whole array."""
-    return lambda x: b2(x)(x)
+    return lambda x, m: D * np.tanh(m - x)
 
 
 # (spec, the same coefficients as the reference loop evaluated them)
@@ -423,12 +413,12 @@ def _model(name):
         cache = {}
         b1 = lambda x: cache.setdefault(x.shape, np.full(x.shape, -0.5))
         return SMVESpec(b1, None, 0.0, 0.0, 0.0, "cached"), (b1, None, 0.0, 0.0)
-    # b1 returns its input and b2's row map a view of it, so a write into
-    # either would change the particles
+    # b1 returns its input and b2 a view of it, so a write into either
+    # would change the particles
     b1 = lambda x: x
-    b2 = lambda positions: lambda x: x[:]
+    b2 = lambda x, m: x[:]
     spec = SMVESpec(b1, b2, 0.5, 1e6, 1.0, "alias")
-    return spec, (b1, _whole(b2), 0.5, 1e6)
+    return spec, (b1, b2, 0.5, 1e6)
 
 
 @settings(max_examples=40, deadline=None)
@@ -461,23 +451,55 @@ def test_simulate_matches_reference_euler_loop(model, n, steps, seed, h):
 
 @pytest.mark.parametrize("drift", ["broadcast", "broadcast-interaction"])
 def test_simulate_reads_an_aliased_or_broadcast_drift_whole(drift):
-    # the step moves a block of rows at a time: b1, and b2's row map, may
-    # return one row broadcast to the rows they are given
+    # the step moves a block of rows at a time: b1 and b2 may return one
+    # row broadcast to the rows they are given
     if drift == "broadcast":
         b1, b2, eps = (lambda x: np.array([-1.0])), None, 0.0
-        spec = SMVESpec(b1, b2, eps, 1e6, 1.0, drift)
     else:
-        # b2 pulls every row by the same one-row array: 0.5 (mean - 1)
+        # b2 pulls every row by the same one-row array: 0.5 (m - 1)
         b1, eps = (lambda x: -x), 0.5
-        row = lambda positions: 0.5 * (positions.mean(keepdims=True) - 1.0)
-        spec = SMVESpec(b1, lambda positions: lambda x, m=row(positions): m,
-                        eps, 1e6, 1.0, drift)
-        b2 = lambda x: np.broadcast_to(row(x), x.shape)
+        b2 = lambda x, m: np.array([0.5 * (m - 1.0)])
+    spec = SMVESpec(b1, b2, eps, 1e6, 1.0, drift)
     sampler = Gauss(0.3, 1.0)
     times = [0.0, 0.02, 0.03]
     got = simulate(spec, sampler, 140_000, 0.01, 0.03, 5, times, observe=_positions)
     want = _reference_simulate(b1, b2, eps, 1e6, drift,
                                sampler, 140_000, 0.01, 0.03, 5, times)
+    for (_, pos), ref in zip(got, want, strict=True):
+        assert pos.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    # one to four blocks of 16,384 rows
+    n=st.integers(100, 60_000),
+    lanes=st.integers(1, 3),
+    steps=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+)
+@example(n=60_000, lanes=3, steps=4, seed=7)
+def test_b2_sees_one_mean_per_step_the_mean_of_the_last_positions(n, lanes, steps, seed):
+    # every block of step k gets the same m, bit for bit the mean of the
+    # positions after step k - 1
+    seen = []
+    vh = mean_attraction_coupling(1.0)
+
+    def b2(x, m):
+        seen.append(m)
+        return vh(x, m)
+
+    spec = SMVESpec(radial_confinement_drift(1.5, 0.7), b2, 0.3, 1.0, 1.0, "recording")
+    h = 0.01
+    times = [k * h for k in range(steps + 1)]
+    sampler = Gauss(0.3, 1.0)
+    got = _in_lanes(spec, sampler, n, h, steps * h, seed, times, lanes)
+    blocks = len(mckean_vlasov._row_blocks(n))
+    assert len(seen) == steps * blocks
+    for k in range(1, steps + 1):
+        means = {np.float64(m).tobytes() for m in seen[(k - 1) * blocks:k * blocks]}
+        assert means == {got[k - 1][1].mean().tobytes()}
+    want = _reference_simulate(_old_radial(1.5, 0.7), _old_mean_attraction(1.0), 0.3, 1.0,
+                               spec.label, sampler, n, h, steps * h, seed, times)
     for (_, pos), ref in zip(got, want, strict=True):
         assert pos.tobytes() == ref.tobytes()
 
@@ -579,7 +601,7 @@ LANE_FAILURES = {
         lambda rng, x: x.__setitem__(slice(16_384, None), 1e306),
         SimulationBlowUp, r"^late: non-finite position at step \d+$"),
     "drift bound": (
-        SMVESpec(lambda x: -x, lambda positions: lambda x: np.full_like(x, 5.0),
+        SMVESpec(lambda x: -x, lambda x, m: np.full_like(x, 5.0),
                  0.1, 1.0, 1.0),
         Point(0.0), DriftBoundError, r"^smve: \|b2\| = 5 exceeds D = 1$"),
     "b1 from block 1 on": (
@@ -611,11 +633,11 @@ def test_lane_failure_reaches_the_caller_as_in_one_lane(failure, lanes, monkeypa
 
 
 def _b2_by_block(block_values):
-    """A b2 whose row map gives each row the value of its block in
+    """A b2 that gives each row the value of its block in
     ``block_values`` (blocks of 16,384 rows), read off the row index
     that ``_row_index_sampler`` puts at step 1."""
     values = np.array(block_values)
-    return lambda positions: lambda x: values[(x // 16_384).astype(int)]
+    return lambda x, m: values[(x // 16_384).astype(int)]
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 3])
@@ -641,12 +663,10 @@ def test_a_nan_interaction_hides_no_norm_over_the_bound(where, lanes, no_leftove
     # a NaN |b2| never counts, and never hides |b2| > D elsewhere in the
     # step: before the bound check moved into the blocks, a NaN anywhere
     # made the step's largest norm NaN, and the run ended in SimulationBlowUp
-    def b2(positions):
-        def row_map(x):
-            out = np.where(x < 16_384, np.nan, 0.0)
-            out[(x == 40_000) if where == "other block" else (x == 5)] = 5.0
-            return out
-        return row_map
+    def b2(x, m):
+        out = np.where(x < 16_384, np.nan, 0.0)
+        out[(x == 40_000) if where == "other block" else (x == 5)] = 5.0
+        return out
 
     spec = SMVESpec(lambda x: -x, b2, 0.1, 1.0, 1.0)
     with warnings.catch_warnings():
@@ -657,8 +677,8 @@ def test_a_nan_interaction_hides_no_norm_over_the_bound(where, lanes, no_leftove
 
 def test_more_lanes_than_cpus_at_a_short_switch_interval_match_one_lane(no_leftovers):
     # five lanes on the six blocks of a wide vh run, switching threads
-    # every microsecond: a lost or early update of the positions, of b2's
-    # row map or of a lane's failure slot would change the bytes
+    # every microsecond: a lost or early update of the positions, of the
+    # step's mean or of a lane's failure slot would change the bytes
     spec, _ = _model("vh")
     sampler = Gauss(0.3, 1.0)
     want = _in_lanes(spec, sampler, 90_000, 0.01, 0.05, 3, None, 1)
@@ -730,7 +750,7 @@ def _wide_bound(particle_arrays: int, lanes: int = 1, interaction: bool = False)
 # (model, the particle arrays a wide run of it holds)
 WIDE_MODELS = [
     ("probe", 1),  # x
-    ("vh", 1),  # x; b2's row map gives one block at a time
+    ("vh", 1),  # x; b2 gives one block at a time
 ]
 
 
@@ -1052,7 +1072,7 @@ def test_runs_before_the_failure_are_yielded(no_leftovers):
 
 def test_worker_failure_keeps_its_type_and_message(no_leftovers):
     bad = SMVESpec(b1=lambda x: -x,
-                   b2=lambda positions: lambda x: np.full_like(x, 5.0),
+                   b2=lambda x, m: np.full_like(x, 5.0),
                    epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
     runs = [(Point(0.0), 1), (Point(0.0), 2)]
     with pytest.raises(DriftBoundError, match=r"^smve: \|b2\| = 5 exceeds D = 1$"):
