@@ -237,11 +237,10 @@ def _finish(out: Path, doc: dict, line: str, file=None) -> int:
 
 
 class Budget(NamedTuple):
-    """A row of BUDGETS: ``_check`` refuses a run whose ``options`` need
-    more than ``limit`` ``unit``.  An item costs ``cost`` units; a pair
-    (a, b) costs a + b k, at k states, start laws or particles."""
+    """A row of BUDGETS: ``_check`` refuses a run that needs more than
+    ``limit`` ``unit``.  An item costs ``cost`` units; a pair (a, b)
+    costs a + b k, at k states, start laws or particles."""
 
-    options: str
     limit: int
     unit: str
     cost: float | tuple
@@ -252,37 +251,36 @@ class Budget(NamedTuple):
 BUDGETS = {
     # the (G, n, n) float64 stack of kernel matrices that validation and
     # both sweeps hold, 8 bytes an entry
-    "kernel-stack": Budget("chain --resolution", 2**30, "bytes", 8),
+    "kernel-stack": Budget(2**30, "bytes", 8),
     # the lambda sweep's n^2 entries for each of its C(R + n - 2, n - 1)
     # n (n - 1) / 2 neighbour pairs, 6.3-7.8 ns an entry (2-CPU x86 host:
     # R = 1 at n = 100-320, n = 50 at R = 2-3); whole no-invariant runs
     # near the limit took 26 s (--truncation 299) and 34 s (--resolution 3)
-    "sweep": Budget("chain --resolution", 4 * 10**9, "pair-entries", 1),
+    "sweep": Budget(4 * 10**9, "pair-entries", 1),
     # 25 + 10 n floats a step for n states: the orbit row, Python floats and
     # the CSV lines (tracemalloc over 10^5 steps measured 340, 462, 730 and
     # 1,596 bytes at n = 2, 5, 10, 20)
-    "chain-step": Budget("chain --steps", 2**30, "bytes", (200, 80)),
+    "chain-step": Budget(2**30, "bytes", (200, 80)),
     # a chain step, replay step or no-invariant entry takes at most 15 us
     # (2x10^6 chain steps at 2 states: 28 s on a 2-CPU x86 host) and 21
     # floats (tracemalloc: 96 or 136 bytes a replay step, 166 an entry)
-    "rows": Budget("chain --steps, counterexample --steps, --n-max", 2 * 10**6, "rows", 1),
+    "rows": Budget(2 * 10**6, "rows", 1),
     # a particle or a bin (and the overflow cell), in each array held at once
-    "particles": Budget("smve --n", 2**30, "bytes", 8),
-    "bins": Budget("smve --bins", 2**30, "bytes", 8),
+    "particles": Budget(2**30, "bytes", 8),
+    "bins": Budget(2**30, "bytes", 8),
     # an Euler step of n particles costs n + 1000 particle-steps, its own
     # overhead about 1,000 (2-CPU x86 host: 30-36 us a step at n = 100, 28 ns
     # a particle-step at n = 10^4 and 37 at 10^5), so the largest admitted
     # run takes about an hour at any n
-    "particle-steps": Budget("smve --n, --horizon or --times, --h", 10**11,
-                             "particle-steps", (1000, 1)),
+    "particle-steps": Budget(10**11, "particle-steps", (1000, 1)),
     # a node, in each start law and 8 more grid-sized arrays of a propagation
-    "grid-nodes": Budget("smve local-alpha --radius, --t, --h", 2**30, "bytes", (64, 8)),
+    "grid-nodes": Budget(2**30, "bytes", (64, 8)),
     # nodes times taps over the steps and laws at dx (2 dx adds a quarter):
     # 1.6 x 10^8 at the defaults, 5 laws, 100 steps, 1,961 nodes, 161 taps
-    "cell-taps": Budget("smve local-alpha --radius, --t, --h", 10**11, "cell-taps", 1),
+    "cell-taps": Budget(10**11, "cell-taps", 1),
     # a lag's snapshot time, listed, planned, observed and fitted (tracemalloc
     # measured 201 bytes a lag between 5,000 and 25,000 lags at n = 100)
-    "snapshot-times": Budget("smve lyapunov --horizon, --lag", 2**30, "bytes", 208),
+    "snapshot-times": Budget(2**30, "bytes", 208),
 }
 
 
@@ -489,7 +487,11 @@ def _positive(c: dict, *keys: str) -> None:
 
 def _times(c: dict, default: list) -> list:
     """The snapshot times of --times, each on the step grid and within
-    [0, --horizon] (or nonnegative, without --horizon), or ``default``."""
+    [0, --horizon] (or nonnegative, without --horizon), or ``default``.
+    An action whose floor option (--noise-floor or --allowance) is
+    negative bootstraps it from a snapshot at a positive time, so its
+    --times need one; the defaults have one unless --horizon, checked
+    later, is not positive."""
     times = laws.floats(c["times"], "--times")
     last = c["horizon"] / c["h"] if "horizon" in c else math.inf
     for t in times:
@@ -497,6 +499,10 @@ def _times(c: dict, default: list) -> list:
         if not 0 <= round(t / c["h"]) <= last + 0.5:
             raise ValueError(f"--times {t:g} lies outside [0, --horizon {c['horizon']:g}]"
                              if "horizon" in c else f"--times {t:g} is negative")
+    for floor in ("noise-floor", "allowance"):
+        if c.get(floor, 0) < 0 and times and not max(times) > 0:
+            raise ValueError(f"--times needs a positive time for the bootstrap floor of a "
+                             f"negative --{floor}")
     return times or default
 
 
@@ -617,9 +623,6 @@ def _smve_girsanov_check(args, c: dict) -> int:
     mu, nu = laws.parse(c["mu0"], "--mu0"), laws.parse(c["nu0"], "--nu0")
     times = _times(c, [0.5, 1.0, 2.0])
     _on_grid(c, "times", max(times))  # the default times too: the run's last step
-    if c["allowance"] < 0 and not max(times) > 0:
-        raise ValueError("--times needs a positive time for the bootstrap floor of a "
-                         "negative --allowance")
     spec, snaps = _spec(c, max(*times, c["h"]), times, runs=2)
     t = max(times)
     # the bound's largest exponent, as girsanov_bound_check computes it

@@ -45,7 +45,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    name: str
     parameters: dict
     claims: tuple
     details: dict = field(default_factory=dict)
@@ -153,7 +152,6 @@ def verify_oscillation(gamma: float, a: float, n_steps: int = 50) -> Counterexam
         )
 
     return CounterexampleReport(
-        "oscillation",
         {"gamma": gamma, "a": a, "n_steps": n_steps},
         tuple(claims),
         {"trajectory_head": w[:6].tolist()},
@@ -229,7 +227,6 @@ def verify_continuum(
         ),
     )
     return CounterexampleReport(
-        "continuum",
         {"alpha": alpha, "lam": lam, "a_samples": list(map(float, a_samples)),
          "n_steps": n_steps},
         claims,
@@ -277,7 +274,6 @@ def verify_no_invariant_recursion(
             ),
         )
         return CounterexampleReport(
-            "no-invariant",
             {"alpha": alpha, "lam": lam, "n_max": n_max},
             claims,
             {"boundary_case": True},
@@ -332,7 +328,6 @@ def verify_no_invariant_recursion(
         ),
     )
     return CounterexampleReport(
-        "no-invariant",
         {"alpha": alpha, "lam": lam, "n_max": n_max},
         claims,
         {"solved_boundary_masses": solved, "boundary_case": False},

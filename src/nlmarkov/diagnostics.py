@@ -328,7 +328,7 @@ class LyapunovFit(Record):
     n_points: int
     residual_rms: float
     degenerate: bool
-    predicted_gamma: float | None = None
+    predicted_gamma: float
 
 
 def mean_weight(V: Callable, points: np.ndarray) -> float:
@@ -343,7 +343,7 @@ def mean_weight(V: Callable, points: np.ndarray) -> float:
 
 def lyapunov_diagnostic(
     snapshots: Sequence[tuple[float, float]],
-    V: Callable,
+    V: WeightFunction,
     lag: float,
 ) -> LyapunovFit:
     """Regress the mean weight along the trajectory at lag multiples.
@@ -353,9 +353,8 @@ def lyapunov_diagnostic(
     2 lag, ... (within a relative 1e-9); at least three of them.  A flat
     series (already at equilibrium, or a frozen ensemble) cannot identify
     gamma and comes back flagged degenerate.  ``predicted_gamma`` is V's
-    own decay factor per lag when V is a ``WeightFunction``, and None
-    otherwise.  A mean weight that is not finite, or too large for the
-    fit to square, raises NumericalFailure naming its time.
+    own decay factor per lag.  A mean weight that is not finite, or too
+    large for the fit to square, raises NumericalFailure naming its time.
     """
     if lag <= 0:
         raise ValueError("lag must be positive")
@@ -370,11 +369,10 @@ def lyapunov_diagnostic(
         if not weight <= most:
             raise NumericalFailure(f"lyapunov: the mean weight at t = {time:g} is "
                                    f"{weight:.6g}, over the {most:.6g} a fit can square")
-    predicted = V.predicted_gamma(lag) if isinstance(V, WeightFunction) else None
     m = np.array([weight for _, weight in wanted])
 
     prev, nxt = m[:-1], m[1:]
-    fit = dict(lag=lag, n_points=len(m), predicted_gamma=predicted)
+    fit = dict(lag=lag, n_points=len(m), predicted_gamma=V.predicted_gamma(lag))
     if float(np.var(prev)) < 1e-14 * (1.0 + float(np.mean(prev)) ** 2):
         return LyapunovFit(gamma_hat=float("nan"), K_hat=float(np.mean(nxt)),
                            residual_rms=0.0, degenerate=True, **fit)

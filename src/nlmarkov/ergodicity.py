@@ -66,7 +66,6 @@ class Trajectory:
     read-only (n + 1, states) array and the total variation of each
     step."""
 
-    kernel_label: str
     weights: np.ndarray
     step_distances: tuple
 
@@ -191,8 +190,7 @@ class _Orbit:
                 DiscreteMeasure(self._w[k], tol=MASS_TOL * (k + 1))
         weights = self._w[:steps + 1]
         weights.flags.writeable = False
-        return Trajectory(self.kernel.label, weights,
-                          tuple(self._d[:steps].tolist()))
+        return Trajectory(weights, tuple(self._d[:steps].tolist()))
 
     def fixed_point(self, tol: float, max_iter: int) -> "FixedPointResult":
         """The search of ``find_invariant``."""
@@ -260,16 +258,15 @@ class FixedPointResult(Record):
 def find_invariant(
     kernel: NonlinearKernel,
     mu0: DiscreteMeasure | None = None,
-    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> FixedPointResult:
-    """Iterate the chain until it sits still, or give up after
-    ``max_iter`` steps and report the last stretch of the orbit with a
-    detected cycle period (up to 8) if there is one.  An orbit that
-    repeats bit for bit is not stepped past its first repeat: the rest
-    of the search is read from the cycle."""
+    """Iterate the chain until it sits still within ``DEFAULT_TOL``, or
+    give up after ``max_iter`` steps and report the last stretch of the
+    orbit with a detected cycle period (up to 8) if there is one.  An
+    orbit that repeats bit for bit is not stepped past its first repeat:
+    the rest of the search is read from the cycle."""
     mu0 = mu0 or DiscreteMeasure.uniform(kernel.space_size)
-    return _Orbit(kernel, mu0, 1).fixed_point(tol, max_iter)
+    return _Orbit(kernel, mu0, 1).fixed_point(DEFAULT_TOL, max_iter)
 
 
 def verify_invariant(kernel: NonlinearKernel, pi: DiscreteMeasure) -> float:

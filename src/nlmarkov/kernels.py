@@ -314,7 +314,7 @@ def markov_example_kernel() -> NonlinearKernel:
     return markov_kernel(np.array([[0.7, 0.3], [0.4, 0.6]]), "markov-example")
 
 
-def mixture_kernel(matrix, lam: float, label: str | None = None) -> NonlinearKernel:
+def mixture_kernel(matrix, lam: float) -> NonlinearKernel:
     """Kernel P_nu = (1 - lam) Q + lam * (every row equal to nu).
 
     Its measure sensitivity is exactly lam, and its overlap is
@@ -332,34 +332,24 @@ def mixture_kernel(matrix, lam: float, label: str | None = None) -> NonlinearKer
         # evolving law's rounding drift geometrically
         return (1.0 - lam) * q + (lam / w.sum(axis=1))[:, None, None] * w[:, None, :]
 
-    return NonlinearKernel(
-        base.space_size, rows, label or f"mixture(lam={lam:g})"
-    )
+    return NonlinearKernel(base.space_size, rows, f"mixture(lam={lam:g})")
 
 
-def birth_death_jitter_matrix(
-    p_down: float = 0.7,
-    p_stay: float = 0.2,
-    p_up: float = 0.1,
-    jitter: float = 0.1,
-    size: int = 5,
-) -> np.ndarray:
-    """Birth-death transition matrix blended with a uniform jitter.
+def birth_death_jitter_matrix() -> np.ndarray:
+    """Five-state birth-death transition matrix (down 0.7, stay 0.2,
+    up 0.1) blended with a uniform jitter of 0.1.
 
     The jitter gives every pair of rows a common overlap component,
     which pure nearest-neighbour chains lack (distant rows would be
     mutually singular).  Down-moves from the bottom state and up-moves
     from the top state fold back into staying put.
     """
-    if abs(p_down + p_stay + p_up - 1.0) > 1e-12:
-        raise ValueError("p_down + p_stay + p_up must be 1")
-    if not 0.0 <= jitter < 1.0:
-        raise ValueError("jitter must lie in [0, 1)")
+    size, jitter = 5, 0.1
     q = np.zeros((size, size))
     for i in range(size):
-        q[i, max(i - 1, 0)] += p_down
-        q[i, i] += p_stay
-        q[i, min(i + 1, size - 1)] += p_up
+        q[i, max(i - 1, 0)] += 0.7
+        q[i, i] += 0.2
+        q[i, min(i + 1, size - 1)] += 0.1
     return (1.0 - jitter) * q + jitter / size
 
 
@@ -577,24 +567,20 @@ def estimate_lambda(
     return best
 
 
-def certify(
-    kernel: NonlinearKernel,
-    grid: MeasureGrid | None = None,
-    tie_tolerance: float = TIE_TOLERANCE,
-) -> ErgodicityCertificate:
+def certify(kernel: NonlinearKernel, grid: MeasureGrid | None = None) -> ErgodicityCertificate:
     """Run both sweeps and classify the kernel.
 
-    fast if lambda_hat < alpha_hat - tie_tolerance, slow if the two agree
-    within tie_tolerance, uncertified otherwise.  Uncertified means the
+    fast if lambda_hat < alpha_hat - TIE_TOLERANCE, slow if the two agree
+    within TIE_TOLERANCE, uncertified otherwise.  Uncertified means the
     grid evidence does not separate the contraction from the measure
     feedback; it is not a proof of non-ergodicity.
     """
     grid = grid or MeasureGrid.default(kernel.space_size)
     a = estimate_alpha(kernel, grid)
     l = estimate_lambda(kernel, grid)
-    if l < a - tie_tolerance:
+    if l < a - TIE_TOLERANCE:
         regime = "fast"
-    elif abs(l - a) <= tie_tolerance:
+    elif abs(l - a) <= TIE_TOLERANCE:
         regime = "slow"
     else:
         regime = "uncertified"
@@ -603,6 +589,6 @@ def certify(
         lambda_hat=l,
         regime=regime,
         grid_resolution=grid.resolution,
-        tie_tolerance=tie_tolerance,
+        tie_tolerance=TIE_TOLERANCE,
         kernel_label=kernel.label,
     )

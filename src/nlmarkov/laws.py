@@ -7,6 +7,7 @@ between two laws."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,11 @@ import numpy as np
 __all__ = ["FORMS", "Point", "Gauss", "Mix", "floats", "parse", "tv"]
 
 FORMS = "point:x, gauss:mean,std or mix:x0,x1,w0"
+
+# A bound on |z| for numpy's standard normal draws, which stay below
+# 12.23: its ziggurat's tail draw is r + x, r = 3.654, accepted only if
+# x^2 < 2 ln(1/U) <= 2 * 53 ln 2 for a 53-bit uniform U.
+Z_BOUND = 13.0
 
 
 @dataclass(frozen=True)
@@ -31,7 +37,8 @@ class Point:
 
 @dataclass(frozen=True)
 class Gauss:
-    """Independent draws mean + std * z, z standard normal."""
+    """Independent draws mean + std * z, z standard normal, refused
+    unless every |z| up to ``Z_BOUND`` keeps them in the float range."""
 
     mean: float
     std: float
@@ -39,6 +46,9 @@ class Gauss:
     def __post_init__(self):
         if not 0 < self.std < math.inf:
             raise ValueError("std must be finite and positive")
+        if not abs(self.mean) + Z_BOUND * self.std <= sys.float_info.max:
+            raise ValueError(f"mean {self.mean:g} and std {self.std:g} put mean + std * z "
+                             f"past the float range for |z| up to {Z_BOUND:g}")
 
     def __call__(self, rng: np.random.Generator, x: np.ndarray) -> None:
         rng.standard_normal(out=x)

@@ -20,7 +20,6 @@ MASS_TOL = 1e-12
 
 __all__ = [
     "DiscreteMeasure",
-    "tv_distance",
     "weighted_tv_distance",
 ]
 
@@ -86,21 +85,11 @@ def _as_weights(mu) -> np.ndarray:
     return DiscreteMeasure(np.asarray(mu, dtype=float)).weights
 
 
-def tv_distance(mu, nu) -> float:
-    """Total variation distance sum_i |mu_i - nu_i| between two discrete
-    measures on the same state space.  Ranges over [0, 2].
-    """
-    p, q = _as_weights(mu), _as_weights(nu)
-    if p.shape != q.shape:
-        raise ValueError("measures live on different state spaces")
-    return float(np.abs(p - q).sum())
-
-
 def weighted_tv_distance(mu, nu, f) -> float:
     """Weighted total variation sum_i f_i |mu_i - nu_i|.
 
-    For f identically 1 this reduces to ``tv_distance``; with f = 1 + beta*V
-    it is the weighted metric used by the drift-condition certificates.
+    For f identically 1 this is d_tv; with f = 1 + beta*V it is the
+    weighted metric used by the drift-condition certificates.
     The weight must be nonnegative.
     """
     p, q = _as_weights(mu), _as_weights(nu)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import nlmarkov
 from nlmarkov import cli, kernels, laws, mckean_vlasov
 from nlmarkov.cli import main
-from nlmarkov.measures import tv_distance
+from nlmarkov.measures import weighted_tv_distance
 from nlmarkov.mckean_vlasov import DriftBoundError
 
 
@@ -848,11 +848,19 @@ class TestSmve:
         (["girsanov-check", "--times", "0"],
          "--times needs a positive time for the bootstrap floor of a negative "
          "--allowance"),
+        # decay stepped both systems to t = 20, then its bootstrap found no
+        # snapshot at a positive time, naming no option
+        *[(["decay", f"--times={times}"],
+           "--times needs a positive time for the bootstrap floor of a negative "
+           "--noise-floor") for times in ("0", "-0", "0,0")],
+        # decay's default times are all 0 at --horizon 0: named as a horizon
+        (["decay", "--horizon", "0"], "--horizon 0 must cover at least one --h 0.01 step"),
         *[([action, "--d-bound", "0"], "--d-bound must be positive, got 0")
           for action in ("simulate", "decay", "girsanov-check", "lyapunov")],
         (["lyapunov", "--preset", "ou", "--r", "0"], "--r must be positive, got 0"),
         (["local-alpha", "--m-ball=-1"], "--m-ball must be positive, got -1"),
-    ], ids=["girsanov-tiny-h", "girsanov-huge-h", "girsanov-time-0", "simulate-d-bound",
+    ], ids=["girsanov-tiny-h", "girsanov-huge-h", "girsanov-time-0", "decay-time-0",
+            "decay-time-minus-0", "decay-times-0-0", "decay-horizon-0", "simulate-d-bound",
             "decay-d-bound", "girsanov-d-bound", "lyapunov-d-bound", "lyapunov-r",
             "local-alpha-m-ball"])
     def test_model_and_time_options_are_named_before_any_output(self, tmp_path, capsys,
@@ -860,6 +868,24 @@ class TestSmve:
         out = tmp_path / "x"
         assert main(["smve", *argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    # A Gauss law whose draws overflow printed numpy's overflow warning,
+    # then exited 2 with "points must be finite", naming no option, after
+    # resolved_config.json was written
+    @pytest.mark.parametrize("action, option", [
+        ("simulate", "mu0"), ("decay", "mu0"), ("decay", "nu0"),
+        ("girsanov-check", "mu0"), ("girsanov-check", "nu0"), ("lyapunov", "nu0")])
+    def test_a_gauss_law_whose_draws_overflow_is_named_before_any_output(
+            self, tmp_path, capsys, action, option):
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["smve", action, f"--{option}", "gauss:0,1e308",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --{option}: mean 0 and std 1e+308 put mean + std * z past the "
+            f"float range for |z| up to 13\n")
         assert not out.exists()
 
     def test_local_alpha_grids_over_their_budgets_are_refused(self, tmp_path, capsys):
@@ -1177,8 +1203,8 @@ def test_law_tv_is_a_symmetric_distance_in_0_2(a, b):
 def test_law_tv_of_atoms_is_tv_distance(a, b):
     pa, pb = _atoms(a), _atoms(b)
     support = sorted(pa.keys() | pb.keys())
-    expected = tv_distance(np.array([pa.get(x, 0.0) for x in support]),
-                           np.array([pb.get(x, 0.0) for x in support]))
+    expected = weighted_tv_distance([pa.get(x, 0.0) for x in support],
+                                    [pb.get(x, 0.0) for x in support], np.ones(len(support)))
     assert _law_tv(a, b) == pytest.approx(expected, abs=1e-12)
 
 
@@ -1217,6 +1243,18 @@ def test_gauss_law_tv_is_scale_free_and_matches_normal_dist(m1, s1, m2, s2, k):
     if s1 == s2 or abs(s1 - s2) >= 1e-3 * max(s1, s2):
         overlap = NormalDist(m1, s1).overlap(NormalDist(m2, s2))
         assert tv == pytest.approx(2.0 * (1.0 - overlap), rel=0, abs=4e-15)
+
+
+def test_a_gauss_law_is_parsed_only_if_its_draws_stay_finite():
+    # mean + std * z stays in the float range for every |z| up to 13, a
+    # bound on numpy's standard normal draws
+    for text in ("gauss:1e308,1", "gauss:-1.7e308,1e305", "gauss:0,1e307"):
+        law = laws.parse(text, "--mu0")
+        assert all(map(math.isfinite, (law.mean + 13 * law.std, law.mean - 13 * law.std)))
+    for text in ("gauss:0,1e308", "gauss:1.79e308,1e306", "gauss:-1e308,1e307"):
+        with pytest.raises(ValueError, match=r"^--mu0: mean \S+ and std \S+ put mean "
+                                             r"\+ std \* z past the float range"):
+            laws.parse(text, "--mu0")
 
 
 def test_gauss_law_tv_of_a_vanishing_std_is_2():

@@ -1,12 +1,12 @@
 """A fuzzer of the command line, generated from ``cli.OPTIONS``.
 
 Each example runs the chain at one stock kernel, a counterexample
-replay or an smve action at its defaults with one numeric option set to
-an adversarial value, in a child process of its own (2 GB of address
-space, 15 s), and checks what every run promises: exit 0, 1, 2 or 3; no
-traceback and no numpy warning on stderr; an exit 2 names the option
-with its -- and leaves no output directory; an exit 0 or 1 writes
-report.json.
+replay or an smve action at its defaults with one numeric option, or
+one smve law, --times or --x-grid text, set to an adversarial value, in
+a child process of its own (2 GB of address space, 15 s), and checks
+what every run promises: exit 0, 1, 2 or 3; no traceback and no numpy
+warning on stderr; an exit 2 names the option with its -- and leaves no
+output directory; an exit 0 or 1 writes report.json.
 
 Tier-1 runs a derandomized profile of FUZZ_EXAMPLES examples; set
 NLMARKOV_FUZZ_EXAMPLES to run more, drawn afresh:
@@ -30,6 +30,12 @@ from nlmarkov import cli
 
 FLOATS = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-320", "1e30")
 INTS = ("0", "-1", str(10**30), str(10**308))
+# laws at the edge of the float range or of their parameters' ranges,
+# and lists of times or starts at 0, past every horizon or not finite
+LAWS = ("gauss:0,1e308", "gauss:1e308,1", "point:1e308", "mix:0,1e308,0.5",
+        "gauss:0,1e-320", "gauss:0,0", "mix:0,1,1e-320", "mix:0,1,2")
+LISTS = ("0", "-0", "0,0", "1e308", "-1e308", "1e-320", "nan", "0,1e308")
+TEXTS = {"mu0": LAWS, "nu0": LAWS, "times": LISTS, "x-grid": LISTS}
 
 FUZZ_EXAMPLES = 40
 ADDRESS_SPACE = 2 * 2**30
@@ -51,10 +57,13 @@ def _runs():
                 yield (command, "--kernel", kernel), table
 
 
-# Every numeric option a run reads, with its adversarial values
+# Every numeric option a run reads, and every text option of TEXTS an
+# smve action reads, with its adversarial values
 CASES = [(prefix, key, FLOATS if isinstance(option.default, float) else INTS)
          for prefix, table in _runs() for key, option in table.items()
          if type(option.default) in (int, float) and not option.choices]
+CASES += [(prefix, key, TEXTS[key]) for prefix, table in _runs()
+          if prefix[0] == "smve" for key in table if key in TEXTS]
 
 
 def _limit():

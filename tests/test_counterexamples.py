@@ -15,7 +15,7 @@ from nlmarkov.counterexamples import (
 )
 from nlmarkov.ergodicity import evolve, find_invariant
 from nlmarkov.kernels import continuum_kernel, oscillating_kernel
-from nlmarkov.measures import DiscreteMeasure, tv_distance
+from nlmarkov.measures import DiscreteMeasure, weighted_tv_distance
 from nlmarkov.reporting import report_document
 
 
@@ -27,10 +27,15 @@ def replay(kernel, mu0, steps):
     return np.array(w)
 
 
-def document(report):
-    """The report document that ``nlmarkov counterexample`` writes."""
-    return report_document(f"counterexample/{report.name}", report.parameters,
+def document(kind, report):
+    """The report document that ``nlmarkov counterexample kind`` writes."""
+    return report_document(f"counterexample/{kind}", report.parameters,
                            report.claims, report.details)
+
+
+def tv_distance(p, q):
+    """d_tv between two two-state measures: the weighted distance at unit weight."""
+    return weighted_tv_distance(p, q, np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +75,7 @@ def test_oscillation_report_matches_a_step_by_step_replay(gamma, a, n_steps):
     kernel = oscillating_kernel(gamma)
     mu0, swapped = DiscreteMeasure.two_point(a), DiscreteMeasure.two_point(1.0 - a)
     w = replay(kernel, mu0, n_steps)
-    doc = document(verify_oscillation(gamma, a, n_steps))
+    doc = document("oscillation", verify_oscillation(gamma, a, n_steps))
     period, dist = doc["claims"][0]["witness"], doc["claims"][1]["witness"]
     assert period["worst_deviation"] == max(
         tv_distance(x, mu0 if k % 2 == 0 else swapped) for k, x in enumerate(w))
@@ -94,7 +99,7 @@ def test_oscillation_parameter_guards():
 
 
 def test_oscillation_document_shape():
-    doc = document(verify_oscillation(0.4, 0.3))
+    doc = document("oscillation", verify_oscillation(0.4, 0.3))
     assert doc["kind"] == "counterexample/oscillation"
     assert doc["passed"] is True
     assert doc["schema"].startswith("nlmarkov.report/")

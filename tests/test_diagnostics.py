@@ -296,19 +296,22 @@ class TestHistogramArraysHeld:
 
 
 class TestLyapunovDiagnostic:
+    # the fit reads V for its predicted rate; the series below are given as means
+    V = WeightFunction(2.0, 1.0)
+
     def test_recovers_exact_affine_recursion(self):
         # Mean weights follow m' = 0.5 m + 1 exactly by construction.
         values = [10.0]
         for _ in range(4):
             values.append(0.5 * values[-1] + 1.0)
         snaps = [constant_snapshot(v, float(k)) for k, v in enumerate(values)]
-        fit = lyapunov_diagnostic(snaps, lambda x: x, lag=1.0)
+        fit = lyapunov_diagnostic(snaps, self.V, lag=1.0)
         assert fit.gamma_hat == pytest.approx(0.5, abs=1e-12)
         assert fit.K_hat == pytest.approx(1.0, abs=1e-12)
         assert fit.residual_rms < 1e-12
         assert not fit.degenerate
         assert fit.n_points == 5
-        assert fit.predicted_gamma is None
+        assert fit.predicted_gamma == self.V.predicted_gamma(1.0)
 
     def test_weight_function_supplies_predicted_rate(self):
         V = WeightFunction(2.0, 1.0)
@@ -318,7 +321,7 @@ class TestLyapunovDiagnostic:
 
     def test_flat_series_is_degenerate(self):
         snaps = [constant_snapshot(3.0, float(k)) for k in range(4)]
-        fit = lyapunov_diagnostic(snaps, lambda x: x, lag=1.0)
+        fit = lyapunov_diagnostic(snaps, self.V, lag=1.0)
         assert fit.degenerate
         assert math.isnan(fit.gamma_hat)
         assert fit.K_hat == pytest.approx(3.0)
@@ -326,14 +329,14 @@ class TestLyapunovDiagnostic:
     def test_off_lag_snapshots_are_ignored(self):
         snaps = [constant_snapshot(float(k), 0.5 * k) for k in range(5)]
         # Only times 0, 1, 2 sit on the lag-1 grid: enough to fit.
-        fit = lyapunov_diagnostic(snaps, lambda x: x, lag=1.0)
+        fit = lyapunov_diagnostic(snaps, self.V, lag=1.0)
         assert fit.n_points == 3
         with pytest.raises(ValueError, match="at least 3"):
-            lyapunov_diagnostic(snaps[:4], lambda x: x, lag=2.0)
+            lyapunov_diagnostic(snaps[:4], self.V, lag=2.0)
 
     def test_lag_must_be_positive(self):
         with pytest.raises(ValueError):
-            lyapunov_diagnostic([], lambda x: x, lag=0.0)
+            lyapunov_diagnostic([], self.V, lag=0.0)
 
     def test_mean_weight_past_the_float_range_is_a_numerical_failure(self):
         # V = exp(|x|) overflows at 1e30: the mean is inf, with no warning,
@@ -355,12 +358,11 @@ class TestLyapunovDiagnostic:
         # finite, but its square overflows: the fit once raised OverflowError
         most = math.sqrt(sys.float_info.max / 3)
         snaps = [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
-        assert not lyapunov_diagnostic(snaps, lambda x: x, lag=1.0).degenerate
+        assert not lyapunov_diagnostic(snaps, self.V, lag=1.0).degenerate
         with pytest.raises(NumericalFailure, match="t = 1 is 1e\\+200, over the"):
-            lyapunov_diagnostic([(0.0, 1.0), (1.0, 1e200), (2.0, 3.0)], lambda x: x,
-                                lag=1.0)
+            lyapunov_diagnostic([(0.0, 1.0), (1.0, 1e200), (2.0, 3.0)], self.V, lag=1.0)
         fit = lyapunov_diagnostic([(0.0, most), (1.0, most / 2), (2.0, most / 4)],
-                                  lambda x: x, lag=1.0)
+                                  self.V, lag=1.0)
         assert fit.gamma_hat == pytest.approx(0.5)
 
 

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nlmarkov import kernels
 from nlmarkov.kernel_spec import compile_kernel_spec
 from nlmarkov.kernels import (
     KernelValidationError,
@@ -210,8 +211,6 @@ def test_constructor_parameter_guards():
         markov_kernel(np.array([[0.5, 0.6], [0.5, 0.5]]))
     with pytest.raises(ValueError):
         markov_kernel(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        birth_death_jitter_matrix(p_down=0.5, p_stay=0.5, p_up=0.5)
 
 
 def test_birth_death_jitter_rows():
@@ -289,12 +288,14 @@ def test_mixture_with_flat_base_is_slow():
     assert cert.lambda_hat == pytest.approx(0.5, abs=1e-9)
 
 
-def test_tie_tolerance_is_honoured():
+def test_tie_tolerance_is_honoured(monkeypatch):
     q = np.array([[0.8, 0.2], [0.1, 0.9]])
     k = mixture_kernel(q, 0.2)
+    assert certify(k).regime == "fast"
     # |0.24 - 0.2| = 0.04 <= 0.05 counts as a tie
-    assert certify(k, tie_tolerance=0.05).regime == "slow"
-    assert certify(k, tie_tolerance=1e-6).regime == "fast"
+    monkeypatch.setattr(kernels, "TIE_TOLERANCE", 0.05)
+    cert = certify(k)
+    assert cert.regime == "slow" and cert.tie_tolerance == 0.05
 
 
 def test_certificate_to_dict_round_trip():
@@ -397,14 +398,22 @@ def test_sweeps_match_pairwise_on_mixture_kernels(case):
     assert_matches_pairwise(*case)
 
 
+def birth_death_jitter(size):
+    """``birth_death_jitter_matrix``'s chain on ``size`` states."""
+    q = np.zeros((size, size))
+    for i in range(size):
+        q[i, max(i - 1, 0)] += 0.7
+        q[i, i] += 0.2
+        q[i, min(i + 1, size - 1)] += 0.1
+    return 0.9 * q + 0.1 / size
+
+
 # With 2^(n-1) > G n the alpha sweep takes pairwise tiles instead of sign
 # vectors: n = 7 and 12 at R = 1 fall back, n = 7 at R = 2 does not.
 @SWEEP_SETTINGS
 @given(case=mixture_cases(st.integers(7, 12), st.integers(1, 2)))
-@example(case=(mixture_kernel(birth_death_jitter_matrix(size=12), 0.3),
-                MeasureGrid(12, 1)))
-@example(case=(mixture_kernel(birth_death_jitter_matrix(size=7), 0.3),
-                MeasureGrid(7, 2)))
+@example(case=(mixture_kernel(birth_death_jitter(12), 0.3), MeasureGrid(12, 1)))
+@example(case=(mixture_kernel(birth_death_jitter(7), 0.3), MeasureGrid(7, 2)))
 @example(case=(no_invariant_kernel(0.2, 0.8, 12), MeasureGrid(12, 1)))
 @example(case=(no_invariant_kernel(0.2, 0.8, 12), MeasureGrid(12, 2)))
 def test_sweeps_match_pairwise_across_the_sign_vector_cutoff(case):
