@@ -253,9 +253,10 @@ BUDGETS = {
     # both sweeps hold, 8 bytes an entry
     "kernel-stack": Budget(2**30, "bytes", 8),
     # the lambda sweep's n^2 entries for each of its C(R + n - 2, n - 1)
-    # n (n - 1) / 2 neighbour pairs, 6.3-7.8 ns an entry (2-CPU x86 host:
-    # R = 1 at n = 100-320, n = 50 at R = 2-3); whole no-invariant runs
-    # near the limit took 26 s (--truncation 299) and 34 s (--resolution 3)
+    # n (n - 1) / 2 neighbour pairs, 2.3-3.5 ns an entry in L2-sized tiles
+    # (2-CPU x86 host: R = 1 at n = 100-299, n = 50 at R = 2-3); whole
+    # no-invariant runs near the limit took 10.6-10.8 s (--truncation 299)
+    # and 12.5-12.6 s (--resolution 3)
     "sweep": Budget(4 * 10**9, "pair-entries", 1),
     # 25 + 10 n floats a step for n states: the orbit row, Python floats and
     # the CSV lines (tracemalloc over 10^5 steps measured 340, 462, 730 and

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import ErgodicityCertificate, KernelValidationError, NonlinearKernel
-from .kernels import ROW_SUM_TOL, markov_kernel, row_faults
+from .kernels import ROW_SUM_TOL, markov_kernel
 from .measures import DiscreteMeasure, MASS_TOL
 from .reporting import Record
 
@@ -84,11 +84,24 @@ def _step(kernel: NonlinearKernel, weights: np.ndarray, k: int) -> np.ndarray:
     mats = kernel.matrix(weights)
     # Row sums of measure-dependent kernels inherit the evolving law's
     # rounding drift, which grows with the state count.
-    if row_faults(mats, ROW_SUM_TOL * kernel.space_size)[2].any():
+    tol = ROW_SUM_TOL * kernel.space_size
+    # The row check in two whole-stack reductions; a NaN fails it too,
+    # since both reductions pass a NaN through.
+    passed = (mats.min(initial=np.inf) >= -tol
+              and np.abs(mats.sum(axis=-1) - 1.0).max(initial=0.0) <= tol)
+    if not passed:
         raise KernelValidationError(
             f"{kernel.label}: non-stochastic rows at step {k}"
         )
     return (weights[..., None, :] @ mats)[..., 0, :]
+
+
+def _check_iterate(w: np.ndarray, tol: float):
+    """Raise what ``DiscreteMeasure(w, tol=tol)`` raises on an (n,) array,
+    without copying a passing one into a measure.  A NaN or an infinity
+    fails the test below, as a negative weight or a bad sum does."""
+    if not (w.min() >= 0.0 and abs(w.sum() - 1.0) <= tol):
+        DiscreteMeasure(w, tol=tol)
 
 
 # Iterates kept past an orbit's stored prefix: the fixed-point search
@@ -178,7 +191,7 @@ class _Orbit:
                 self._advance()
             if k == self.size:  # w_k repeats an earlier iterate
                 break
-            DiscreteMeasure(self._w[k], tol=MASS_TOL * (k + 1))
+            _check_iterate(self._w[k], MASS_TOL * (k + 1))
             k += 1
         if k <= steps:
             for a, end in ((self._w, steps + 1), (self._d, steps)):
@@ -187,7 +200,7 @@ class _Orbit:
             # A repeat of w_m, m >= 1, passed with a smaller tolerance; the
             # first repeat of w_0 (here w_k) has not been checked at all.
             if self.start == 0:
-                DiscreteMeasure(self._w[k], tol=MASS_TOL * (k + 1))
+                _check_iterate(self._w[k], MASS_TOL * (k + 1))
         weights = self._w[:steps + 1]
         weights.flags.writeable = False
         return Trajectory(weights, tuple(self._d[:steps].tolist()))

@@ -36,7 +36,9 @@ exact identity that avoids materialising the pairs:
   instead of G^2.
 
 Memory is linear in G: the (G, n, n) kernel evaluations plus
-temporaries of at most about ``SWEEP_BLOCK_BYTES`` each.
+temporaries of at most about ``SWEEP_BLOCK_BYTES`` each; the lambda
+sweep and the pairwise tiles of the alpha sweep take L2-sized tiles of
+``PAIRWISE_TILE_BYTES``.
 """
 
 from __future__ import annotations
@@ -53,10 +55,11 @@ ROW_SUM_TOL = 1e-10
 TIE_TOLERANCE = 1e-6
 NEGLIGIBLE_TV = 1e-9
 SWEEP_BLOCK_BYTES = 16 * 2**20
-# Tiles of the pairwise L1 sweep stay in a core's L2 cache.  On
-# Dirichlet(1) rows (900 x 30 and 2500 x 50), which the floor bound of
-# _l1_diameter does not settle, 512 KiB was the fastest of 128 KiB to
-# 1 MiB, at 0.55-0.60x the time of 16 MiB tiles.
+# Tiles of the pairwise L1 sweep and of the lambda sweep stay in a
+# core's L2 cache.  On Dirichlet(1) rows (900 x 30 and 2500 x 50), which
+# the floor bound of _l1_diameter does not settle, 512 KiB was the
+# fastest of 128 KiB to 1 MiB, at 0.55-0.60x the time of 16 MiB tiles;
+# the lambda sweep's no-invariant pairs took 0.56-0.82x.
 PAIRWISE_TILE_BYTES = 512 * 2**10
 
 __all__ = [
@@ -281,11 +284,12 @@ def no_invariant_kernel(alpha: float, lam: float, truncation: int) -> NonlinearK
         # the shift mass is the exact complement, so row sums stay at 1
         # instead of compounding cumsum rounding step over step.
         cum = np.maximum(lam * np.cumsum(w, axis=1), alpha)
-        base = np.diff(cum, axis=1, prepend=0.0)
+        base = cum.copy()
+        np.subtract(cum[:, 1:], cum[:, :-1], out=base[:, 1:])
         shift = 1.0 - cum[:, -1:]
         mats = np.repeat(base[:, None, :], m, axis=1)
-        idx = np.arange(m - 1)
-        mats[:, idx, idx + 1] += shift
+        # the superdiagonal (i, i + 1) is every (m + 1)-th entry from 1
+        mats.reshape(len(w), m * m)[:, 1::m + 1] += shift
         mats[:, m - 1, m - 1] += shift[:, 0]
         return mats
 
@@ -443,8 +447,9 @@ def _farthest(rows: np.ndarray, a: int, chunk: int) -> tuple[float, int]:
     return best, far
 
 
-def _grid_ranks(counts: np.ndarray, resolution: int) -> np.ndarray:
-    """Position in ``MeasureGrid`` order of each row of integer weights.
+def _grid_ranks(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Position in ``MeasureGrid`` order of each row of integer weights,
+    given the table C(s + d, d) for s <= R and d < n.
 
     The grid lists compositions in lexicographic order of their divider
     positions.  With m = n - 1 and suffix sums S_p = k_p + ... + k_{n-1},
@@ -456,10 +461,6 @@ def _grid_ranks(counts: np.ndarray, resolution: int) -> np.ndarray:
     """
     n = counts.shape[1]
     m = n - 1
-    table = np.array(
-        [[math.comb(s + d, d) for d in range(m + 1)] for s in range(resolution + 1)],
-        dtype=np.int64,
-    )
     suffix = np.zeros((counts.shape[0], n + 1), dtype=np.int64)
     suffix[:, :n] = np.cumsum(counts[:, ::-1], axis=1)[:, ::-1]
     d = np.arange(m, 0, -1)
@@ -474,6 +475,8 @@ def _neighbour_pairs(grid: MeasureGrid) -> tuple[np.ndarray, np.ndarray]:
     """
     n, r = grid.space_size, grid.resolution
     counts = np.rint(grid.weights * r).astype(np.int64)
+    table = np.array([[math.comb(s + d, d) for d in range(n)] for s in range(r + 1)],
+                     dtype=np.int64)
     eye = np.eye(n, dtype=np.int64)
     firsts = [np.zeros(0, dtype=np.int64)]
     seconds = [np.zeros(0, dtype=np.int64)]
@@ -481,7 +484,7 @@ def _neighbour_pairs(grid: MeasureGrid) -> tuple[np.ndarray, np.ndarray]:
         src = np.flatnonzero(counts[:, i])
         moved = counts[src, None, :] - eye[i] + eye[None, i + 1:, :]
         firsts.append(np.repeat(src, n - 1 - i))
-        seconds.append(_grid_ranks(moved.reshape(-1, n), r))
+        seconds.append(_grid_ranks(moved.reshape(-1, n), table))
     return np.concatenate(firsts), np.concatenate(seconds)
 
 
@@ -544,15 +547,18 @@ def estimate_lambda(
     length 2/R, so the lengths add up to exactly ||mu - nu||_tv.  By the
     triangle inequality at each state, the row movement between mu and
     nu is at most the largest neighbour ratio times that sum.  Cost
-    O(G n^4) time over at most G n (n - 1) / 2 pairs, taken in chunks of
-    about ``SWEEP_BLOCK_BYTES``; memory O(G n^2).
+    O(G n^4) time over at most G n (n - 1) / 2 pairs, taken in tiles of
+    about ``PAIRWISE_TILE_BYTES`` so that each pair's row differences are
+    summed while they are still in the L2 cache (a pair larger than a
+    tile is a tile of its own); the maximum does not depend on how the
+    pairs are split.  Memory O(G n^2).
     """
     grid = grid or MeasureGrid.default(kernel.space_size)
     mats = kernel.matrix(grid.weights)
     w = grid.weights
     firsts, seconds = _neighbour_pairs(grid)
     n = kernel.space_size
-    step = max(1, SWEEP_BLOCK_BYTES // (8 * n * n))
+    step = max(1, PAIRWISE_TILE_BYTES // (8 * n * n))
     best = 0.0
     for s in range(0, firsts.size, step):
         a, b = firsts[s:s + step], seconds[s:s + step]

@@ -43,9 +43,13 @@ class DiscreteMeasure:
             raise ValueError("weights must be finite")
         if np.any(w < 0.0):
             raise ValueError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > self.tol:
+        # finite weights can still sum past the float range; the message
+        # names the inf sum, so numpy need not warn about it
+        with np.errstate(over="ignore"):
+            total = float(w.sum())
+        if abs(total - 1.0) > self.tol:
             raise ValueError(
-                f"weights sum to {w.sum():.17g}, not 1 within {self.tol:g}"
+                f"weights sum to {total:.17g}, not 1 within {self.tol:g}"
             )
         w = w.copy()
         w.flags.writeable = False

@@ -133,7 +133,17 @@ def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence],
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {CSV_SCHEMA} {tag}", ",".join(columns)]
+    # One % format per tuple of value types: %.17g and %d print a float
+    # and an int as format_float does.  Rows holding any other type
+    # (numpy scalars, bool, str) are formatted value by value.
+    formats = {}
     for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
+        row = tuple(row)
+        key = tuple(map(type, row))
+        if key not in formats:
+            formats[key] = (",".join("%.17g" if t is float else "%d" for t in key)
+                            if all(t is float or t is int for t in key) else None)
+        fmt = formats[key]
+        lines.append(",".join(map(format_float, row)) if fmt is None else fmt % row)
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -120,6 +120,20 @@ class TestChain:
         assert main(["chain", "--mu0", "0.2,0.3,0.5",
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--mu0=1e308,1e308"],
+        ["--kernel", "mixture", "--space", "5", "--mu0=1e308,1e308,0,0,0"],
+    ])
+    def test_mu0_that_sums_past_the_float_range_is_named_without_a_warning(
+            self, tmp_path, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["chain", *argv, "--out", str(tmp_path / "x")])
+        assert code == 2 and not (tmp_path / "x").exists()
+        assert capsys.readouterr().err == (
+            "error: --mu0: weights sum to inf, not 1 within 1e-12\n")
+        assert caught == []
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"steps": 50, "kernel": "markov-example",

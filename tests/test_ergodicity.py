@@ -23,6 +23,7 @@ from nlmarkov.ergodicity import (
     DriftConditionError,
     FixedPointResult,
     RateReport,
+    _check_iterate,
     _step,
     certify_hm_contraction,
     check_contraction_inequality,
@@ -32,6 +33,7 @@ from nlmarkov.ergodicity import (
     rate_bound,
     verify_invariant,
 )
+from nlmarkov.kernels import ROW_SUM_TOL, row_faults
 from nlmarkov.kernels import (
     ErgodicityCertificate,
     KernelValidationError,
@@ -680,6 +682,70 @@ def test_failures_match_the_step_by_step_loops(kernel, pattern):
     with mock.patch.object(ergodicity, "DEFAULT_MAX_ITER", 200):
         rate = outcome(check_rate, kernel, cert, mu0, 20)
     assert_same_rate(rate, outcome(reference_check_rate, kernel, cert, mu0, 20, 200))
+
+
+@st.composite
+def planted_stacks(draw):
+    """(B, n, n) stacks of stochastic rows, B = 0 included, with entries
+    planted around the row check's tolerance and past the float range."""
+    n, b = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = rng.dirichlet(np.ones(n), size=(b, n)) if b else np.empty((0, n, n))
+    tol = ROW_SUM_TOL * n
+    planted = st.sampled_from([
+        -0.5 * tol, -tol, -2.0 * tol, -0.1, np.nan, np.inf, -np.inf,
+        0.5 * tol, 0.99 * tol, 1.01 * tol, 2.0 * tol, 1e300])
+    for _ in range(draw(st.integers(0, 3)) if b else 0):
+        i, j, k = (draw(st.integers(0, size - 1)) for size in (b, n, n))
+        value = draw(planted)
+        if draw(st.booleans()):  # a drift: the row sum moves by value
+            mats[i, j, k] += value
+        else:
+            mats[i, j, k] = value
+    return mats
+
+
+@settings(max_examples=300, deadline=None)
+@given(mats=planted_stacks())
+def test_a_step_refuses_exactly_the_stacks_with_a_faulty_row(mats):
+    n = mats.shape[-1]
+    kernel = NonlinearKernel(n, lambda w: mats, "planted")
+    # a row planted with both infinities sums to NaN, which numpy warns of
+    with np.errstate(invalid="ignore"):
+        faulty = bool(row_faults(mats, ROW_SUM_TOL * n)[2].any())
+        try:
+            _step(kernel, np.full((len(mats), n), 1.0 / n), 1)
+            refused = False
+        except KernelValidationError:
+            refused = True
+    assert refused == faulty
+
+
+def raised(f):
+    try:
+        f()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       planted=st.lists(st.tuples(st.integers(0, 5), st.one_of(
+           st.floats(allow_nan=True, allow_infinity=True),
+           st.sampled_from([-0.0, -1e-300, 5e-324, 1e-12, 3e-12, 1e308]))), max_size=3),
+       steps=st.integers(0, 10**6))
+def test_the_iterate_check_raises_what_a_measure_raises(n, seed, planted, steps):
+    w = np.random.default_rng(seed).dirichlet(np.ones(n))
+    for i, value in planted:
+        # a small value is added, so the sum drifts near the tolerance
+        w[i % n] = w[i % n] + value if abs(value) < 1e-6 else value
+    tol = MASS_TOL * (steps + 1)
+    # the check's own sum may overflow on such weights, which no stepped
+    # iterate holds; what it raises is compared here
+    with np.errstate(over="ignore"):
+        want = raised(lambda: DiscreteMeasure(w, tol=tol))
+        assert raised(lambda: _check_iterate(w, tol)) == want
 
 
 def test_orbit_compares_bytes_not_values():

@@ -508,12 +508,35 @@ def test_sweeps_match_pairwise_on_clamped_spec_kernels(spec):
     assert_matches_pairwise(clamped_spec_kernel(n, terms, grid), grid)
 
 
+# The lambda sweep takes its neighbour pairs in tiles: here the pairs
+# fill one tile less one, exactly one, or one and one more (that is the
+# pair count just under, at and just over a tile), or a tile holds less
+# than one pair, so each pair is a tile.
+@pytest.mark.parametrize("tile", [
+    lambda pairs: pairs + 1, lambda pairs: pairs, lambda pairs: pairs - 1, lambda pairs: 0,
+], ids=["under", "at", "over", "pair-per-tile"])
+@pytest.mark.parametrize("kernel, grid", [
+    (mixture_kernel(birth_death_jitter(5), 0.3), MeasureGrid(5, 4)),
+    (clamped_spec_kernel(3, FAR_MOVE, MeasureGrid(3, 4)), MeasureGrid(3, 4)),
+    (no_invariant_kernel(0.2, 0.8, 12), MeasureGrid(12, 1)),
+], ids=["mixture5", "far-move", "no-invariant12"])
+def test_lambda_sweep_matches_pairwise_whatever_the_tile(monkeypatch, kernel, grid, tile):
+    n = kernel.space_size
+    whole = estimate_lambda(kernel, grid)
+    pairs = kernels._neighbour_pairs(grid)[0].size
+    monkeypatch.setattr(kernels, "PAIRWISE_TILE_BYTES", max(tile(pairs) * 8 * n * n, 1))
+    lam = estimate_lambda(kernel, grid)
+    assert lam == whole  # the maximum does not depend on the split
+    assert abs(lam - pairwise_sweeps(kernel, grid)[1]) <= 1e-12
+
+
 def test_grid_ranks_reproduce_grid_order():
     for n in range(1, 7):
         for r in range(1, 9):
             g = MeasureGrid(n, r)
             counts = np.rint(g.weights * r).astype(np.int64)
-            assert np.array_equal(_grid_ranks(counts, r), np.arange(g.size))
+            table = np.array([[math.comb(s + d, d) for d in range(n)] for s in range(r + 1)])
+            assert np.array_equal(_grid_ranks(counts, table), np.arange(g.size))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 brute-force oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,14 @@ def test_discrete_measure_rejects_bad_input():
         DiscreteMeasure(np.array([[0.5, 0.5]]))  # not 1-d
     with pytest.raises(ValueError):
         DiscreteMeasure(np.array([]))
+
+
+def test_weights_that_sum_past_the_float_range_are_named_without_a_warning():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="weights sum to inf, not 1 within 1e-12"):
+            DiscreteMeasure(np.array([1e308, 1e308]))
+    assert caught == []
 
 
 def test_discrete_measure_constructors():

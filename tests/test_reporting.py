@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlmarkov.diagnostics import Binning, DecayFit, GirsanovReport, LyapunovFit
 from nlmarkov.ergodicity import (
@@ -150,6 +152,25 @@ class TestWriters:
         assert lines[2] == "0,0.10000000000000001"
         # 17 significant digits round-trip exactly
         assert float(lines[3].split(",")[1]) == 2.0 / 3.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.one_of(
+        st.tuples(st.integers(-10**20, 10**20), st.floats(), st.floats()),
+        st.lists(st.one_of(
+            st.integers(-10**20, 10**20),
+            st.floats(allow_subnormal=True),
+            st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, float("nan"),
+                             float("inf"), -float("inf")]),
+            st.floats().map(np.float64),
+            st.integers(-2**63, 2**63 - 1).map(np.int64),
+            st.booleans(),
+            st.text("ab-1.", max_size=3)), max_size=6)), max_size=12))
+    def test_csv_rows_print_as_format_float_prints_each_value(self, tmp_path_factory, rows):
+        # rows of one shape reuse one format; mixed rows fall back
+        path = write_csv(tmp_path_factory.mktemp("csv") / "t.csv", ["x"], rows)
+        want = [f"# {CSV_SCHEMA} table", "x",
+                *(",".join(format_float(v) for v in row) for row in rows)]
+        assert path.read_text() == "\n".join(want) + "\n"
 
     def test_format_float_passthrough_for_non_floats(self):
         assert format_float(3) == "3"
