@@ -31,7 +31,8 @@ nlmarkov.cli``); set the variable to keep another value.
 Exit codes: 0 all claims hold, 1 a certified claim was falsified,
 2 usage or configuration error, 3 numerical failure (a particle run
 blew up or its interaction exceeded its declared bound, a stock kernel
-failed validation, or a chain orbit met a non-stochastic row).
+failed validation, a chain orbit met a non-stochastic row, or an orbit
+iterate left the simplex).
 """
 
 from __future__ import annotations

@@ -96,16 +96,27 @@ def _step(kernel: NonlinearKernel, weights: np.ndarray, k: int) -> np.ndarray:
     return (weights[..., None, :] @ mats)[..., 0, :]
 
 
-def _check_iterate(w: np.ndarray, tol: float):
-    """Raise what ``DiscreteMeasure(w, tol=tol)`` raises on an (n,) array,
-    without copying a passing one into a measure.  A NaN or an infinity
-    fails the test below, as a negative weight or a bad sum does."""
+def _iterate_measure(kernel: NonlinearKernel, w: np.ndarray, k: int, tol: float):
+    """``DiscreteMeasure(w, tol=tol)`` for iterate k (trajectory.csv's row
+    n) of an orbit of ``kernel``.  Off the simplex, the kernel's failure:
+    a KernelValidationError naming both, with the measure's message."""
+    try:
+        return DiscreteMeasure(w, tol=tol)
+    except ValueError as exc:
+        raise KernelValidationError(
+            f"{kernel.label}: iterate {k} left the simplex: {exc}") from None
+
+
+def _check_iterate(kernel: NonlinearKernel, w: np.ndarray, k: int, tol: float):
+    """Raise what ``_iterate_measure`` raises on an (n,) array, without
+    copying a passing one into a measure.  A NaN or an infinity fails
+    the test below, as a negative weight or a bad sum does."""
     if not (w.min() >= 0.0 and abs(w.sum() - 1.0) <= tol):
-        DiscreteMeasure(w, tol=tol)
+        _iterate_measure(kernel, w, k, tol)
 
 
 # Iterates kept past an orbit's stored prefix: the fixed-point search
-# reads the last ten and scans MAX_CYCLE_PERIOD back for a cycle.
+# scans MAX_CYCLE_PERIOD back from its last iterate, with room to spare.
 _WINDOW = MAX_CYCLE_PERIOD + 10
 
 
@@ -191,7 +202,7 @@ class _Orbit:
                 self._advance()
             if k == self.size:  # w_k repeats an earlier iterate
                 break
-            _check_iterate(self._w[k], MASS_TOL * (k + 1))
+            _check_iterate(self.kernel, self._w[k], k, MASS_TOL * (k + 1))
             k += 1
         if k <= steps:
             for a, end in ((self._w, steps + 1), (self._d, steps)):
@@ -200,7 +211,7 @@ class _Orbit:
             # A repeat of w_m, m >= 1, passed with a smaller tolerance; the
             # first repeat of w_0 (here w_k) has not been checked at all.
             if self.start == 0:
-                _check_iterate(self._w[k], MASS_TOL * (k + 1))
+                _check_iterate(self.kernel, self._w[k], k, MASS_TOL * (k + 1))
         weights = self._w[:steps + 1]
         weights.flags.writeable = False
         return Trajectory(weights, tuple(self._d[:steps].tolist()))
@@ -221,7 +232,8 @@ class _Orbit:
                 # steps alone can be a slowly drifting or periodic orbit
                 resid = self.distance(k)
                 if resid < tol:
-                    pi = DiscreteMeasure(self.at(k), tol=MASS_TOL * (k + 2))
+                    pi = _iterate_measure(self.kernel, self.at(k), k,
+                                          MASS_TOL * (k + 2))
                     return FixedPointResult(True, pi, k, resid)
 
         last = self.at(max_iter)
@@ -230,12 +242,8 @@ class _Orbit:
              if np.abs(last - self.at(max_iter - p)).sum() < max(tol, 1e-9)),
             None,
         )
-        kept = tuple(
-            DiscreteMeasure(self.at(i), tol=MASS_TOL * (max_iter + 1))
-            for i in range(max(0, max_iter - 9), max_iter + 1)
-        )
         resid = self.distance(max_iter)
-        return FixedPointResult(False, None, max_iter, resid, kept, period)
+        return FixedPointResult(False, None, max_iter, resid, period)
 
 
 def evolve(kernel: NonlinearKernel, mu0: DiscreteMeasure, steps: int) -> Trajectory:
@@ -256,15 +264,14 @@ class FixedPointResult(Record):
 
     Acceptance needs both the successive distance and the fixed-point
     residual d_tv(P_pi pi, pi) below tolerance; a small successive step
-    alone can be a slowly drifting orbit.  On failure the tail of the
-    trajectory is kept and scanned for short cycles.
+    alone can be a slowly drifting orbit.  On failure the end of the
+    orbit is scanned for short cycles.
     """
 
     converged: bool
     measure: DiscreteMeasure | None
     iterations: int
     residual: float
-    tail: tuple = field(default=(), metadata={"key": None})
     cycle_period: int | None = None
 
 

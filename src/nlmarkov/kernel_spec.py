@@ -186,7 +186,9 @@ def compile_kernel_spec(text: str) -> NonlinearKernel:
     roots = [compiler.compile(entry) for row in entries for entry in row]
 
     def rows(w: np.ndarray) -> np.ndarray:
-        vals = _run(compiler.code, w)
+        # past the float range, an infinity or a NaN that the row checks name
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = _run(compiler.code, w)
         return np.array([vals[r] for r in roots]).T.reshape(-1, n, n)
 
     return NonlinearKernel(n, rows, label)

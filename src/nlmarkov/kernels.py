@@ -36,9 +36,9 @@ exact identity that avoids materialising the pairs:
   instead of G^2.
 
 Memory is linear in G: the (G, n, n) kernel evaluations plus
-temporaries of at most about ``SWEEP_BLOCK_BYTES`` each; the lambda
-sweep and the pairwise tiles of the alpha sweep take L2-sized tiles of
-``PAIRWISE_TILE_BYTES``.
+temporaries of about ``TILE_BYTES`` each, the L2-sized tile that every
+sweep takes its rows or pairs in, or of the sign matrix where that is
+larger (from 14 states on, a projection chunk takes n rows).
 """
 
 from __future__ import annotations
@@ -54,13 +54,13 @@ from .reporting import Record
 ROW_SUM_TOL = 1e-10
 TIE_TOLERANCE = 1e-6
 NEGLIGIBLE_TV = 1e-9
-SWEEP_BLOCK_BYTES = 16 * 2**20
-# Tiles of the pairwise L1 sweep and of the lambda sweep stay in a
-# core's L2 cache.  On Dirichlet(1) rows (900 x 30 and 2500 x 50), which
-# the floor bound of _l1_diameter does not settle, 512 KiB was the
-# fastest of 128 KiB to 1 MiB, at 0.55-0.60x the time of 16 MiB tiles;
-# the lambda sweep's no-invariant pairs took 0.56-0.82x.
-PAIRWISE_TILE_BYTES = 512 * 2**10
+# Every sweep's tile stays in a core's L2 cache.  On Dirichlet(1) rows
+# (900 x 30 and 2500 x 50), which the floor bound of _l1_diameter does
+# not settle, 512 KiB was the fastest of 128 KiB to 1 MiB, at 0.55-0.60x
+# the time of 16 MiB tiles; the lambda sweep's no-invariant pairs took
+# 0.56-0.82x, and the sign-vector projections of 10-14 states
+# (10,000-40,000 rows) 0.46-0.85x, on a 2-CPU x86 host.
+TILE_BYTES = 512 * 2**10
 
 __all__ = [
     "NonlinearKernel",
@@ -366,7 +366,8 @@ def row_faults(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np
     -tol, its deviation |sum - 1|, and whether it is faulty, i.e. has
     either a negative entry or a deviation not within tol (NaN is not)."""
     negative = (mats < -tol).any(axis=-1)
-    deviation = np.abs(mats.sum(axis=-1) - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail below
+        deviation = np.abs(mats.sum(axis=-1) - 1.0)
     return negative, deviation, negative | ~(deviation <= tol)
 
 
@@ -387,8 +388,10 @@ def validate(kernel: NonlinearKernel, grid: MeasureGrid | None = None) -> dict:
                 f"{kernel.label}: negative entry in row {negative[b].argmax()} at nu={nu}"
             )
         i = deviation[b].argmax()
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = mats[b, i].sum()
         raise KernelValidationError(
-            f"{kernel.label}: row {i} sums to {mats[b, i].sum():.17g} at nu={nu}"
+            f"{kernel.label}: row {i} sums to {total:.17g} at nu={nu}"
         )
     return {
         "kernel": kernel.label,
@@ -408,7 +411,8 @@ def _l1_diameter(rows: np.ndarray) -> float:
         signs = np.vstack([np.ones((1, n_signs)), 1.0 - 2.0 * bits])
         hi = np.full(n_signs, -np.inf)
         lo = np.full(n_signs, np.inf)
-        step = max(1, SWEEP_BLOCK_BYTES // (8 * n_signs))
+        # every chunk reads all of signs, so it takes at least n rows
+        step = max(TILE_BYTES, signs.nbytes) // (8 * n_signs)
         for s in range(0, m, step):
             proj = rows[s:s + step] @ signs
             np.maximum(hi, proj.max(axis=0), out=hi)
@@ -420,14 +424,14 @@ def _l1_diameter(rows: np.ndarray) -> float:
     # is answered here with NaN, as the sign-vector branch answers it.
     if np.isnan(rows).any():
         return float("nan")
-    chunk = max(1, SWEEP_BLOCK_BYTES // (8 * n))
+    chunk = max(1, TILE_BYTES // (8 * n))
     _, far = _farthest(rows, 0, chunk)
     best, _ = _farthest(rows, far, chunk)
     top = max(rows[s:s + chunk].sum(axis=1).max() for s in range(0, m, chunk))
     if 2.0 * (top - rows.min(axis=0).sum()) <= best:
         return best
     # Otherwise pairwise differences in square tiles, upper triangle only.
-    step = max(1, math.isqrt(PAIRWISE_TILE_BYTES // (8 * n)))
+    step = max(1, math.isqrt(TILE_BYTES // (8 * n)))
     worst = 0.0
     for s in range(0, m, step):
         for t in range(s, m, step):
@@ -509,7 +513,7 @@ def estimate_alpha(
     the pair max and the sign max commute, and s and -s give the same
     spread.  Cost O(G n^2 2^(n-1)) time for the projections; when
     2^(n-1) > G*n the pairwise sweep is cheaper and runs instead in tiles
-    of about ``PAIRWISE_TILE_BYTES``, O((G n)^2 n) time.  Two
+    of about ``TILE_BYTES``, O((G n)^2 n) time.  Two
     farthest-row sweeps come first, O(G n^2) time, and when the pair they
     find is as far apart as the floor bound
     2 max_a sum(r_a) - 2 sum_i min_a r_ai allows, no tile is compared;
@@ -520,8 +524,8 @@ def estimate_alpha(
     only where the computed bound rounds below the true diameter: by at
     most the rounding of the bound and of one n-term distance, about
     n * eps times the largest row sum, far below ``TIE_TOLERANCE``.
-    Memory is O(G n^2) plus temporaries of about ``SWEEP_BLOCK_BYTES``
-    each.
+    Memory is O(G n^2) plus temporaries of about ``TILE_BYTES`` or the
+    sign matrix each, whichever is larger.
     """
     grid = grid or MeasureGrid.default(kernel.space_size)
     rows = kernel.matrix(grid.weights).reshape(-1, kernel.space_size)
@@ -548,7 +552,7 @@ def estimate_lambda(
     triangle inequality at each state, the row movement between mu and
     nu is at most the largest neighbour ratio times that sum.  Cost
     O(G n^4) time over at most G n (n - 1) / 2 pairs, taken in tiles of
-    about ``PAIRWISE_TILE_BYTES`` so that each pair's row differences are
+    about ``TILE_BYTES`` so that each pair's row differences are
     summed while they are still in the L2 cache (a pair larger than a
     tile is a tile of its own); the maximum does not depend on how the
     pairs are split.  Memory O(G n^2).
@@ -558,7 +562,7 @@ def estimate_lambda(
     w = grid.weights
     firsts, seconds = _neighbour_pairs(grid)
     n = kernel.space_size
-    step = max(1, PAIRWISE_TILE_BYTES // (8 * n * n))
+    step = max(1, TILE_BYTES // (8 * n * n))
     best = 0.0
     for s in range(0, firsts.size, step):
         a, b = firsts[s:s + step], seconds[s:s + step]

@@ -274,18 +274,17 @@ def _euler(
     lanes: int = 1,
 ) -> list[tuple[float, object]]:
     """The Euler loop of ``simulate``, in ``lanes`` lanes (at most one
-    per row block): the calling thread and lanes - 1 threads, started
-    once per run.  Step k takes the mean m of the positions on the
-    calling thread; then lane j steps blocks j, j + lanes, ... in row
-    order: b2(x, m) and its bound, b1, the step and its noise
-    sqrt(h) * xi, drawn from block c's substream of the (seed, k)
-    stream, and the finiteness check, through blocks of its own.  The
-    lanes meet at a barrier before and after the blocks of each step;
-    after it, |b2| > D on any block raises first, then the
-    lowest-numbered failing block.  At each snapshot the lanes wait at
-    the barrier while ``observe`` reads the positions, under the
-    caller's numpy error state.  Every lane thread is joined on every
-    exit path."""
+    per row block): the calling thread and, in a run of more than one
+    lane, a pool of lanes - 1 threads that lives as long as the run.
+    Step k takes the mean m of the positions on the calling thread; then
+    lane j steps blocks j, j + lanes, ... in row order: b2(x, m) and its
+    bound, b1, the step and its noise sqrt(h) * xi, drawn from block c's
+    substream of the (seed, k) stream, and the finiteness check, through
+    blocks of its own.  The caller steps lane 0 and then waits for the
+    other lanes; after them, |b2| > D on any block raises first, then
+    the lowest-numbered failing block.  No lane runs while ``observe``
+    reads the positions at a snapshot, under the caller's numpy error
+    state.  The pool's threads are joined on every exit path."""
     n_steps, snap_steps = plan
     blocks = _row_blocks(n_particles)
     lanes = min(lanes, len(blocks))
@@ -348,38 +347,24 @@ def _euler(
             except Exception as exc:
                 failed[j] = failed[j] or (c, exc)
 
-    barrier = threading.Barrier(lanes)
+    pool = None
+    if lanes > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-    def follow(j: int) -> None:
-        # lane j's thread: its blocks of each step between two barrier waits
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                for k in range(1, n_steps + 1):
-                    barrier.wait()
-                    step(j, k)
-                    barrier.wait()
-            except threading.BrokenBarrierError:
-                pass  # the run stopped early
-            except BaseException:
-                barrier.abort()  # so the caller does not wait for this lane
-                raise
-
-    threads = []
+        # numpy's error state is per thread: a pool thread ignores what
+        # the caller's loop ignores
+        pool = ThreadPoolExecutor(lanes - 1, initializer=np.seterr,
+                                  initargs=(None, None, "ignore", None, "ignore"))
     try:
-        for j in range(1, lanes):
-            thread = threading.Thread(target=follow, args=(j,), daemon=True)
-            thread.start()
-            threads.append(thread)
         # The finiteness check after each step reports a blow-up as
         # SimulationBlowUp, so numpy's overflow warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(1, n_steps + 1):
                 mean = positions.mean() if spec.epsilon > 0 else None
-                if threads:
-                    barrier.wait()
+                others = [pool.submit(step, j, k) for j in range(1, lanes)] if pool else ()
                 step(0, k)
-                if threads:
-                    barrier.wait()
+                for other in others:
+                    other.result()
                 if max(worst) > spec.bound_D + 1e-9:
                     raise DriftBoundError(f"{spec.label}: |b2| = {max(worst):.17g} "
                                           f"exceeds D = {spec.bound_D:g}")
@@ -389,9 +374,8 @@ def _euler(
                     with np.errstate(**caller_errors):
                         snapshots.append((k * step_size, observe(positions)))
     finally:
-        barrier.abort()
-        for thread in threads:
-            thread.join()
+        if pool:
+            pool.shutdown()
     return snapshots
 
 
@@ -430,8 +414,9 @@ def simulate(
     the observer makes it.  With an interaction, each step takes the
     mean m of the positions once in the calling thread.  It calls b1 and
     b2(x, m), draws the noise and steps the particles a block of rows at
-    a time, with the blocks dealt round-robin to one lane per usable CPU
-    (the calling thread and threads of this run).  Raises ValueError if the sampler
+    a time, with the blocks dealt round-robin to one lane per usable CPU:
+    the calling thread and, with more than one block and CPU, a thread
+    pool of this run's own.  Raises ValueError if the sampler
     returns a value or the initial sample is not finite, DriftBoundError
     with the step's largest |b2| if any exceeds D, SimulationBlowUp if
     positions leave the finite range, and otherwise the exception of the

@@ -241,6 +241,26 @@ class TestChain:
         assert (out / "trajectory.csv").exists() == trajectory_written
         assert not (out / "report.json").exists()
 
+    # Rows within the row check's 1e-10 of stochastic pass validation and
+    # every step, but the orbit's mass drifts by 5e-11 a step, past the
+    # iterate check's MASS_TOL * (n + 1).
+    @pytest.mark.parametrize("entries, iterate, fault", [
+        ([["0.50000000005", "0.5"], ["0.5", "0.50000000005"]], 1,
+         "weights sum to 1.00000000005, not 1 within 2e-12"),
+        ([["1.00000000005", "0-0.00000000005"], ["0.5", "0.5"]], 33,
+         "weights must be nonnegative"),
+    ], ids=["drift", "negative"])
+    def test_an_iterate_off_the_simplex_exits_3_naming_it(self, tmp_path, capsys,
+                                                          entries, iterate, fault):
+        kfile = tmp_path / "drift.json"
+        kfile.write_text(json.dumps({"space_size": 2, "entries": entries}))
+        out = tmp_path / "run"
+        assert main(["chain", "--kernel", "custom", "--kernel-file", str(kfile),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: custom: iterate {iterate} left the simplex: {fault}\n")
+        assert not (out / "report.json").exists()
+
     def test_stock_kernel_that_fails_validation_exits_3(self, tmp_path, capsys,
                                                         monkeypatch):
         # no stock kernel's parameters reach a faulty row: stand one in
@@ -261,6 +281,23 @@ class TestChain:
         assert main(["chain", "--kernel", "custom", "--kernel-file", str(kfile),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: heavy: row 0 sums to 1.1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entries, fault", [
+        ([["1e308*10", "0-1e308*10"], ["0.5", "0.5"]], "negative entry in row 0"),
+        ([["1e999-1e999", "0.5"], ["0.5", "0.5"]], "row 0 sums to nan"),
+        ([["1e308", "1e308"], ["0.5", "0.5"]], "row 0 sums to inf"),
+    ], ids=["overflow", "inf-minus-inf", "sum-overflow"])
+    def test_custom_kernel_past_the_float_range_exits_2_without_a_warning(
+            self, tmp_path, capsys, entries, fault):
+        kfile = tmp_path / "huge.json"
+        kfile.write_text(json.dumps({"space_size": 2, "entries": entries}))
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["chain", "--kernel", "custom", "--kernel-file", str(kfile),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: custom: {fault} at nu=[0.0, 1.0]\n"
         assert not out.exists()
 
 
@@ -1400,6 +1437,22 @@ def test_cli_import_does_not_load(module):
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "False"
+
+
+def test_narrow_smve_runs_do_not_load_the_thread_pool(tmp_path):
+    # a one-block run steps in the calling thread alone: only a wide run
+    # imports concurrent.futures, which loads logging (about 11 ms)
+    src = str(Path(nlmarkov.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "from nlmarkov.cli import main\n"
+            "for argv in sys.argv[1:]:\n"
+            "    assert main(argv.split()) == 0, argv\n"
+            "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+    runs = [f"smve simulate --out {tmp_path / 'simulate'}",
+            f"smve decay --horizon 2 --out {tmp_path / 'decay'}"]
+    done = subprocess.run([sys.executable, "-c", code, *runs], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def _spin_env(spin):

@@ -135,7 +135,6 @@ def test_find_invariant_reports_cycles():
     assert not fp.converged
     assert fp.measure is None
     assert fp.cycle_period == 2
-    assert len(fp.tail) == 10
     assert fp.residual > 0.1
 
 
@@ -338,6 +337,16 @@ def test_rate_report_round_trip():
 # included.
 
 
+def reference_measure(kernel, w, k, tol):
+    """Iterate k of an orbit as a measure; off the simplex, the kernel's
+    failure naming the iterate."""
+    try:
+        return DiscreteMeasure(w, tol=tol)
+    except ValueError as exc:
+        raise KernelValidationError(
+            f"{kernel.label}: iterate {k} left the simplex: {exc}") from None
+
+
 def reference_evolve(kernel, mu0, steps):
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -347,7 +356,7 @@ def reference_evolve(kernel, mu0, steps):
     for k in range(steps):
         nxt = _step(kernel, w, k + 1)
         dists.append(float(np.abs(nxt - w).sum()))
-        measures.append(DiscreteMeasure(nxt, tol=MASS_TOL * (k + 2)))
+        measures.append(reference_measure(kernel, nxt, k + 1, MASS_TOL * (k + 2)))
         w = nxt
     return measures, dists
 
@@ -367,7 +376,7 @@ def reference_find_invariant(kernel, mu0=None, tol=1e-10, max_iter=100_000):
         if succ < tol:
             resid = float(np.abs(_step(kernel, nxt, k + 1) - nxt).sum())
             if resid < tol:
-                pi = DiscreteMeasure(nxt, tol=MASS_TOL * (k + 2))
+                pi = reference_measure(kernel, nxt, k, MASS_TOL * (k + 2))
                 return FixedPointResult(True, pi, k, resid)
         w = nxt
         tail.append(w)
@@ -379,11 +388,8 @@ def reference_find_invariant(kernel, mu0=None, tol=1e-10, max_iter=100_000):
         if len(tail) > p and np.abs(last - tail[-1 - p]).sum() < max(tol, 1e-9):
             period = p
             break
-    kept = tuple(
-        DiscreteMeasure(t, tol=MASS_TOL * (max_iter + 1)) for t in tail[-10:]
-    )
     resid = float(np.abs(_step(kernel, last, max_iter + 1) - last).sum())
-    return FixedPointResult(False, None, max_iter, resid, kept, period)
+    return FixedPointResult(False, None, max_iter, resid, period)
 
 
 def reference_check_rate(kernel, certificate, mu0, steps, max_iter=100_000,
@@ -428,7 +434,7 @@ def measure_bits(measures):
 def fixed_point_bits(fp):
     measure = None if fp.measure is None else measure_bits([fp.measure])
     return (fp.converged, measure, fp.iterations, np.float64(fp.residual).tobytes(),
-            measure_bits(fp.tail), fp.cycle_period)
+            fp.cycle_period)
 
 
 def assert_same_trajectory(got, want):
@@ -622,7 +628,6 @@ def test_fixed_point_search_stops_stepping_a_cycle(monkeypatch):
     fp = find_invariant(SWAP, DiscreteMeasure.dirac(0, 2), max_iter=100_000)
     assert calls[0] <= 3
     assert (fp.converged, fp.iterations, fp.cycle_period, fp.residual) == (False, 100_000, 2, 2.0)
-    assert [m.weights.tolist() for m in fp.tail[-2:]] == [[0.0, 1.0], [1.0, 0.0]]
 
 
 def test_fixed_point_search_keeps_a_bounded_window():
@@ -674,7 +679,7 @@ def test_failures_match_the_step_by_step_loops(kernel, pattern):
     for steps in (2, 20):
         got = outcome(evolve, kernel, mu0, steps)
         assert_same_trajectory(got, outcome(reference_evolve, kernel, mu0, steps))
-    assert pattern in got[1]
+    assert got[0] is KernelValidationError and pattern in got[1]
     for max_iter in (2, 3, 100):
         assert_same_fixed_point(outcome(find_invariant, kernel, mu0, max_iter=max_iter),
                                 outcome(reference_find_invariant, kernel, mu0, max_iter=max_iter))
@@ -741,11 +746,15 @@ def test_the_iterate_check_raises_what_a_measure_raises(n, seed, planted, steps)
         # a small value is added, so the sum drifts near the tolerance
         w[i % n] = w[i % n] + value if abs(value) < 1e-6 else value
     tol = MASS_TOL * (steps + 1)
+    kernel = markov_kernel(np.eye(n), "probe")
     # the check's own sum may overflow on such weights, which no stepped
     # iterate holds; what it raises is compared here
     with np.errstate(over="ignore"):
         want = raised(lambda: DiscreteMeasure(w, tol=tol))
-        assert raised(lambda: _check_iterate(w, tol)) == want
+        got = raised(lambda: _check_iterate(kernel, w, steps, tol))
+    # the measure's failure, as the kernel's, naming the iterate
+    assert got == (want and (KernelValidationError,
+                             f"probe: iterate {steps} left the simplex: {want[1]}"))
 
 
 def test_orbit_compares_bytes_not_values():
@@ -770,7 +779,7 @@ def test_a_repeat_of_the_start_is_checked_as_a_later_iterate():
     identity = markov_kernel(np.eye(2), "identity")
     got = outcome(evolve, identity, mu0, 5)
     assert_same_trajectory(got, outcome(reference_evolve, identity, mu0, 5))
-    assert got[0] is ValueError and "within 2e-12" in got[1]
+    assert got[0] is KernelValidationError and "within 2e-12" in got[1]
 
 
 # ---------------------------------------------------------------------------

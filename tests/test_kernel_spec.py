@@ -1,6 +1,7 @@
 """Expression grammar and file loading for custom kernels."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,31 @@ def test_load_validates_rows_on_the_grid():
     kernel = compile_kernel_spec(json.dumps(doc))
     with pytest.raises(KernelValidationError, match="row"):
         validate(kernel)
+
+
+@pytest.mark.parametrize("row", [
+    ["1e308*10", "0-1e308*10"],
+    ["1e999-1e999", "0-1e308*10"],
+    ["1e308", "1e308"],
+], ids=["infinities", "nan", "sum-overflow"])
+def test_entries_past_the_float_range_fail_the_row_checks_without_a_warning(row):
+    # a row of both infinities, whose sum is NaN; a NaN beside an
+    # infinity; two finite entries whose sum is an infinity
+    from nlmarkov.ergodicity import evolve
+    from nlmarkov.kernels import KernelValidationError
+    from nlmarkov.measures import DiscreteMeasure
+
+    doc = {"space_size": 2, "entries": [row, ["0.5", "0.5"]]}
+    kernel = compile_kernel_spec(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KernelValidationError, match="row 0"):
+            validate(kernel)
+        if row[1].startswith("0-"):
+            # the orbit's row check fails on its minimum before it sums
+            with pytest.raises(KernelValidationError,
+                               match="non-stochastic rows at step 1"):
+                evolve(kernel, DiscreteMeasure.uniform(2), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -447,6 +447,16 @@ def test_l1_diameter_matches_all_pairs(rows):
     assert abs(_l1_diameter(rows) - dist.max()) <= 1e-12
 
 
+# 53 x 5 takes the sign-vector branch: chunks of 5 rows (the floor of n
+# rows under a 1-byte tile), 7 rows, or all 53 at once
+@pytest.mark.parametrize("tile", [1, 7 * 8 * 16, 2**30])
+def test_l1_diameter_sign_vectors_match_all_pairs_whatever_the_tile(monkeypatch, tile):
+    rows = np.random.default_rng(3).dirichlet(np.ones(5), size=53)
+    dist = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
+    monkeypatch.setattr(kernels, "TILE_BYTES", tile)
+    assert abs(_l1_diameter(rows) - dist.max()) <= 1e-12
+
+
 # 20 x 3 takes the sign-vector branch, 200 x 12 the pairwise one
 @pytest.mark.parametrize("m, n", [(20, 3), (200, 12)])
 def test_l1_diameter_is_nan_on_a_nan_entry(m, n):
@@ -524,7 +534,7 @@ def test_lambda_sweep_matches_pairwise_whatever_the_tile(monkeypatch, kernel, gr
     n = kernel.space_size
     whole = estimate_lambda(kernel, grid)
     pairs = kernels._neighbour_pairs(grid)[0].size
-    monkeypatch.setattr(kernels, "PAIRWISE_TILE_BYTES", max(tile(pairs) * 8 * n * n, 1))
+    monkeypatch.setattr(kernels, "TILE_BYTES", max(tile(pairs) * 8 * n * n, 1))
     lam = estimate_lambda(kernel, grid)
     assert lam == whole  # the maximum does not depend on the split
     assert abs(lam - pairwise_sweeps(kernel, grid)[1]) <= 1e-12

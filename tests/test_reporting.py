@@ -47,7 +47,7 @@ RECORDS = {
                           0.01),
                  {"theta", "theta_lower", "theta_upper", "log_c", "n_used",
                   "times", "tv_values", "noise_floor"}),
-    "FixedPointResult": (FixedPointResult(True, HALF, 3, 0.0, (HALF, HALF), None),
+    "FixedPointResult": (FixedPointResult(True, HALF, 3, 0.0, None),
                          {"converged", "measure", "iterations", "residual",
                           "cycle_period"}),
     "ContractionCheck": (ContractionCheck(2, np.int64(0), -0.1,
@@ -111,7 +111,7 @@ def test_record_serializes_by_field_name(name, tmp_path):
     record, keys = RECORDS[name]
     d = record.to_dict()
     assert set(d) == keys
-    assert not {"kernel_label", "trajectory", "tail"} & set(d)
+    assert not {"kernel_label", "trajectory"} & set(d)
     text = write_json_report(tmp_path / "r.json", record).read_text()
     assert json.loads(text) == d
     if "passed" in d:
