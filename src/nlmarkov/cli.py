@@ -7,7 +7,9 @@ Three subcommands:
     nlmarkov smve ACTION ...      particle runs and their diagnostics
 
 Each command, and each smve action, takes only the options it reads
-(``OPTIONS``); girsanov-check derives tv0 from --mu0 and --nu0.
+(``OPTIONS``); girsanov-check derives tv0 from --mu0 and --nu0.  A
+call to ``main`` builds the flags of the command it names only: the
+others' are never read.
 
 Every run writes ``resolved_config.json`` (all defaults materialized)
 and a ``report.json`` in the shared schema, plus CSV tables where
@@ -255,9 +257,10 @@ BUDGETS = {
     "kernel-stack": Budget(2**30, "bytes", 8),
     # the lambda sweep's n^2 entries for each of its C(R + n - 2, n - 1)
     # n (n - 1) / 2 neighbour pairs, 2.3-3.5 ns an entry in L2-sized tiles
-    # (2-CPU x86 host: R = 1 at n = 100-299, n = 50 at R = 2-3); whole
-    # no-invariant runs near the limit took 10.6-10.8 s (--truncation 299)
-    # and 12.5-12.6 s (--resolution 3)
+    # (2-CPU x86 host: R = 1 at n = 100-299, n = 50 at R = 2-3), 1.8-2.0 ns
+    # at n = 299 once a pair past a tile is read as views; whole no-invariant
+    # runs near the limit took 6.2-6.5 s (--truncation 299) and 12.5-12.6 s
+    # (--resolution 3)
     "sweep": Budget(4 * 10**9, "pair-entries", 1),
     # 25 + 10 n floats a step for n states: the orbit row, Python floats and
     # the CSV lines (tracemalloc over 10^5 steps measured 340, 462, 730 and
@@ -404,16 +407,15 @@ def _run_chain(args, resolved: dict) -> int:
 
     # The rate check steps the orbit once and hands its trajectory back.
     # The trajectory is written first: a failure of the rate check is
-    # raised after it, unless stepping the trajectory itself fails first.
+    # raised after it, unless stepping the trajectory itself fails first,
+    # as it does again here when it failed inside the rate check.
     rate = failure = None
     if cert.regime in ("fast", "slow"):
         try:
             rate = check_rate(kernel, cert, mu0, resolved["steps"])
         except ValueError as exc:
             failure = exc
-    traj = rate.trajectory if rate is not None else None
-    if traj is None:
-        traj = evolve(kernel, mu0, resolved["steps"])
+    traj = rate.trajectory if rate is not None else evolve(kernel, mu0, resolved["steps"])
     write_csv(out / "trajectory.csv", ["n", *[f"p{i + 1}" for i in range(n)], "step_tv"],
               traj.csv_rows(), "trajectory")
     if failure is not None:
@@ -728,33 +730,47 @@ _SMVE_RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The subcommands: name, help, positional (name and choices) and runner.
+_COMMANDS = (
+    ("chain", "certify a kernel and check its rate bound", None, _run_chain),
+    ("counterexample", "replay one sharpness construction",
+     ("which", _REPLAYS), _run_counterexample),
+    ("smve", "mean-field particle runs and diagnostics",
+     ("action", _SMVE_RUNNERS), _run_smve),
+)
+
+
+def _build_parser(command) -> argparse.ArgumentParser:
+    """The parser of every subcommand, so that --help and usage errors
+    name all three, with arguments only for ``command``: a call reads no
+    other command's options, and each argument costs argparse a help
+    formatter."""
     top = argparse.ArgumentParser(
         prog="nlmarkov",
         description="nonlinear Markov chain certificates and mean-field diagnostics",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for command, help_text, positional, run in (
-        ("chain", "certify a kernel and check its rate bound", None, _run_chain),
-        ("counterexample", "replay one sharpness construction",
-         ("which", _REPLAYS), _run_counterexample),
-        ("smve", "mean-field particle runs and diagnostics",
-         ("action", _SMVE_RUNNERS), _run_smve),
-    ):
-        p = sub.add_parser(command, help=help_text)
+    for name, help_text, positional, run in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if name != command:
+            continue
         if positional:
             p.add_argument(positional[0], choices=list(positional[1]))
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="output directory (default $NLMARKOV_OUT)")
-        for name, option in (_SMVE if command == "smve" else OPTIONS[command]).items():
-            p.add_argument(f"--{name}", type=type(option.default),
+        for flag, option in (_SMVE if name == "smve" else OPTIONS[name]).items():
+            p.add_argument(f"--{flag}", type=type(option.default),
                            choices=option.choices, help=option.help)
         p.set_defaults(run=run)
     return top
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser takes no value, so its first positional, the
+    # first argument that names a command, is the command argparse runs.
+    names = [name for name, *_ in _COMMANDS]
+    args = _build_parser(next((a for a in argv if a in names), None)).parse_args(argv)
     try:
         return args.run(args, _resolve(args))
     except (ValueError, NumericalFailure) as exc:

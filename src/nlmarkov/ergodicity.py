@@ -20,10 +20,12 @@ Lyapunov function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
+from . import kernels
 from .kernels import ErgodicityCertificate, KernelValidationError, NonlinearKernel
 from .kernels import ROW_SUM_TOL, markov_kernel
 from .measures import DiscreteMeasure, MASS_TOL
@@ -80,7 +82,20 @@ class Trajectory:
 
 def _step(kernel: NonlinearKernel, weights: np.ndarray, k: int) -> np.ndarray:
     """mu P_mu for an (n,) measure, or for each row of a (B, n) stack as a
-    (1, n) @ (n, n) product, the same product as for a single measure."""
+    (1, n) @ (n, n) product, the same product as for a single measure.
+
+    A stack is stepped in tiles of about ``kernels.TILE_BYTES`` of kernel
+    matrices, each evaluated, checked and applied while it is in the
+    cache.  A kernel is pure per row, so the tiles change no value, and a
+    faulty row raises the same error in whichever tile it lies."""
+    if weights.ndim == 2:
+        n = kernel.space_size
+        rows = max(1, kernels.TILE_BYTES // (8 * n * n))
+        if len(weights) > rows:
+            out = np.empty(weights.shape)
+            for s in range(0, len(weights), rows):
+                out[s:s + rows] = _step(kernel, weights[s:s + rows], k)
+            return out
     mats = kernel.matrix(weights)
     # Row sums of measure-dependent kernels inherit the evolving law's
     # rounding drift, which grows with the state count.
@@ -310,6 +325,18 @@ class ContractionCheck(Record):
         return self.n_violations == 0
 
 
+def _pair_weights(pairs: Sequence, n: int) -> np.ndarray:
+    """The (P, 2, n) weights of P measure pairs, as ``np.asarray(pairs,
+    dtype=float)`` reads them, though numpy reads only the flat list of
+    the 2 P measures, not the shape of P pairs.  A pair that does not
+    hold two measures of n weights raises ValueError."""
+    if isinstance(pairs, np.ndarray):  # one array already: nothing to read
+        return np.asarray(pairs, dtype=float).reshape(len(pairs), 2, n)
+    if set(map(len, pairs)) - {2}:
+        raise ValueError("every pair must hold two measures")
+    return np.array(list(chain.from_iterable(pairs)), dtype=float).reshape(len(pairs), 2, n)
+
+
 def check_contraction_inequality(
     kernel: NonlinearKernel,
     alpha: float,
@@ -319,10 +346,11 @@ def check_contraction_inequality(
 ) -> ContractionCheck:
     """Check d_tv(P_mu mu, P_nu nu) <= d (1 - alpha + lambda) - lambda d^2/2
     for each supplied pair, d being their total variation distance, with
-    all pairs in one kernel evaluation.  ``worst_pair`` is the first pair
-    with the largest excess of the left side over the right."""
+    all pairs stepped as one batch, in tiles of ``kernels.TILE_BYTES`` of
+    kernel matrices.  ``worst_pair`` is the first pair with the largest
+    excess of the left side over the right."""
     n = kernel.space_size
-    w = np.asarray(pairs, dtype=float).reshape(len(pairs), 2, n)
+    w = _pair_weights(pairs, n)
     if not len(w):
         return ContractionCheck(0, 0, -np.inf, None, tol)
     stepped = _step(kernel, w.reshape(-1, n), 0).reshape(w.shape)
@@ -381,7 +409,7 @@ class RateReport(Record):
     fixed_point_iterations: int
     # slow-regime bounds start at n = 1 (Eq. undefined at n = 0)
     first_step: int = 0
-    # the run the distances were read from; None when falsified
+    # the run from mu0, stepped before the fixed-point search
     trajectory: Trajectory | None = field(default=None, repr=False, compare=False,
                                           metadata={"key": None})
 
@@ -402,9 +430,10 @@ def check_rate(
 ) -> RateReport:
     """Evolve from mu0 and compare every d_tv(mu_n, pi) with the regime
     bound.  A certified kernel whose fixed-point search fails is
-    reported as falsified rather than skipped.  The search and the
-    trajectory read one orbit, stepped once from mu0; the report hands
-    the trajectory back.
+    reported as falsified rather than skipped.  The trajectory and the
+    search read one orbit, stepped once from mu0, the trajectory first:
+    an iterate off the simplex raises before the search steps on.  The
+    report, falsified or not, hands the trajectory back.
 
     In the fast regime the reference fixed point is resolved two orders
     of magnitude below the numerical floor; otherwise the estimation
@@ -414,6 +443,7 @@ def check_rate(
         raise ValueError("rate check needs a fast or slow certificate")
     fp_tol = DEFAULT_TOL if certificate.regime == "slow" else NUMERICAL_FLOOR / 100.0
     orbit = _Orbit(kernel, mu0, max(steps, 0) + 1)
+    traj = orbit.trajectory(steps)
     fp = orbit.fixed_point(fp_tol, DEFAULT_MAX_ITER)
     if not fp.converged:
         return RateReport(
@@ -426,9 +456,9 @@ def check_rate(
             falsified=True,
             invariant=None,
             fixed_point_iterations=fp.iterations,
+            trajectory=traj,
         )
     pi = fp.measure.weights
-    traj = orbit.trajectory(steps)
     first = 0 if certificate.regime == "fast" else 1
     steps_n = range(first, steps + 1)
     distances = tuple(np.abs(traj.weights[first:] - pi).sum(axis=1).tolist())
@@ -566,7 +596,7 @@ def certify_hm_contraction(
         )
 
     f = 1.0 + best_beta * v
-    w = np.asarray(test_pairs, dtype=float).reshape(len(test_pairs), 2, n)
+    w = _pair_weights(test_pairs, n)
     moved = _step(kernel, w.reshape(-1, n), 0).reshape(w.shape)
     lhs = (f * np.abs(moved[:, 0] - moved[:, 1])).sum(axis=1)
     rhs = best_lw * (f * np.abs(w[:, 0] - w[:, 1])).sum(axis=1)

@@ -554,8 +554,9 @@ def estimate_lambda(
     O(G n^4) time over at most G n (n - 1) / 2 pairs, taken in tiles of
     about ``TILE_BYTES`` so that each pair's row differences are
     summed while they are still in the L2 cache (a pair larger than a
-    tile is a tile of its own); the maximum does not depend on how the
-    pairs are split.  Memory O(G n^2).
+    tile is a tile of its own, its difference taken from views of its
+    two matrices into one reused buffer); the maximum does not depend on
+    how the pairs are split.  Memory O(G n^2).
     """
     grid = grid or MeasureGrid.default(kernel.space_size)
     mats = kernel.matrix(grid.weights)
@@ -563,12 +564,18 @@ def estimate_lambda(
     firsts, seconds = _neighbour_pairs(grid)
     n = kernel.space_size
     step = max(1, TILE_BYTES // (8 * n * n))
+    # a pair larger than a tile reads its two matrices as views, into one buffer
+    pair = np.empty((1, n, n)) if step == 1 else None
     best = 0.0
     for s in range(0, firsts.size, step):
         a, b = firsts[s:s + step], seconds[s:s + step]
         # Row movement per state, then max over states, per measure pair.
-        diff = mats[a]
-        diff -= mats[b]
+        if pair is not None:
+            diff = pair
+            np.subtract(mats[a[0]], mats[b[0]], out=diff[0])
+        else:
+            diff = mats[a]
+            diff -= mats[b]
         move = np.abs(diff, out=diff).sum(axis=2).max(axis=1)
         base = np.abs(w[a] - w[b]).sum(axis=1)
         ok = base > NEGLIGIBLE_TV

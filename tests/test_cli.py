@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nlmarkov
-from nlmarkov import cli, kernels, laws, mckean_vlasov
+from nlmarkov import cli, ergodicity, kernels, laws, mckean_vlasov
 from nlmarkov.cli import main
 from nlmarkov.measures import weighted_tv_distance
 from nlmarkov.mckean_vlasov import DriftBoundError
@@ -260,6 +260,27 @@ class TestChain:
         assert capsys.readouterr().err == (
             f"error: custom: iterate {iterate} left the simplex: {fault}\n")
         assert not (out / "report.json").exists()
+
+    def test_an_orbit_off_the_simplex_at_its_first_iterate_takes_two_steps(
+            self, tmp_path, capsys, monkeypatch):
+        # the rate check steps the trajectory before its fixed-point search,
+        # and the CLI steps it once more for the error: not 10^5 steps
+        calls, step = [0], ergodicity._step
+
+        def counted(*args):
+            calls[0] += 1
+            return step(*args)
+
+        monkeypatch.setattr(ergodicity, "_step", counted)
+        kfile = tmp_path / "drift.json"
+        kfile.write_text(json.dumps(
+            {"space_size": 2, "entries": [["0.50000000005", "0.5"], ["0.5", "0.50000000005"]]}))
+        assert main(["chain", "--kernel", "custom", "--kernel-file", str(kfile),
+                     "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err == (
+            "error: custom: iterate 1 left the simplex: weights sum to 1.00000000005, "
+            "not 1 within 2e-12\n")
+        assert calls[0] <= 2
 
     def test_stock_kernel_that_fails_validation_exits_3(self, tmp_path, capsys,
                                                         monkeypatch):
@@ -1148,6 +1169,41 @@ def test_smve_action_refuses_other_actions_options(tmp_path, capsys, action):
     assert capsys.readouterr().err == (
         f"error: unknown config field {name!r} for smve {action}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, table", [
+    (["chain"], cli.OPTIONS["chain"]),
+    (["counterexample"], cli.OPTIONS["counterexample"]),
+    (["smve"], cli._SMVE),
+    *[(["smve", action], table) for action, table in cli.OPTIONS["smve"].items()],
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_help_lists_every_flag_of_the_table(capsys, argv, table):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith(f"usage: nlmarkov {argv[0]} [-h]")
+    flags = {line.split()[0] for line in text.splitlines() if line.startswith("  --")}
+    assert {f"--{k}" for k in ("config", "out", *table)} <= flags
+
+
+@pytest.mark.parametrize("argv", [[], ["nope"]])
+def test_no_command_exits_2_with_the_top_level_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nlmarkov [-h] {chain,counterexample,smve} ...\n")
+    assert "nlmarkov: error: " in err
+
+
+def test_the_parser_holds_the_flags_of_the_named_command_only(capsys):
+    parser = cli._build_parser("counterexample")
+    assert parser.parse_args(["counterexample", "continuum", "--steps", "3"]).steps == 3
+    for argv in (["chain", "--steps", "3"], ["smve", "simulate"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+    capsys.readouterr()
 
 
 def test_tv0_is_no_longer_an_option(tmp_path):
