@@ -66,10 +66,12 @@ class CertificationError(RuntimeError):
 class Trajectory:
     """A finite run of the chain: the weights of mu_0 ... mu_n as one
     read-only (n + 1, states) array and the total variation of each
-    step."""
+    step, with the orbit they were read from, which ``check_rate``
+    searches on."""
 
     weights: np.ndarray
     step_distances: tuple
+    _orbit: "_Orbit" = field(compare=False, repr=False)
 
     @property
     def steps(self) -> int:
@@ -229,7 +231,7 @@ class _Orbit:
                 _check_iterate(self.kernel, self._w[k], k, MASS_TOL * (k + 1))
         weights = self._w[:steps + 1]
         weights.flags.writeable = False
-        return Trajectory(weights, tuple(self._d[:steps].tolist()))
+        return Trajectory(weights, tuple(self._d[:steps].tolist()), self)
 
     def fixed_point(self, tol: float, max_iter: int) -> "FixedPointResult":
         """The search of ``find_invariant``."""
@@ -409,9 +411,6 @@ class RateReport(Record):
     fixed_point_iterations: int
     # slow-regime bounds start at n = 1 (Eq. undefined at n = 0)
     first_step: int = 0
-    # the run from mu0, stepped before the fixed-point search
-    trajectory: Trajectory | None = field(default=None, repr=False, compare=False,
-                                          metadata={"key": None})
 
     @property
     def passed(self) -> bool:
@@ -422,18 +421,13 @@ class RateReport(Record):
             yield (self.first_step + i, d, b, max(b, self.numerical_floor) - d)
 
 
-def check_rate(
-    kernel: NonlinearKernel,
-    certificate: ErgodicityCertificate,
-    mu0: DiscreteMeasure,
-    steps: int,
-) -> RateReport:
-    """Evolve from mu0 and compare every d_tv(mu_n, pi) with the regime
-    bound.  A certified kernel whose fixed-point search fails is
-    reported as falsified rather than skipped.  The trajectory and the
-    search read one orbit, stepped once from mu0, the trajectory first:
-    an iterate off the simplex raises before the search steps on.  The
-    report, falsified or not, hands the trajectory back.
+def check_rate(certificate: ErgodicityCertificate, trajectory: Trajectory) -> RateReport:
+    """Compare every d_tv(mu_n, pi) of a trajectory from ``evolve`` with
+    the regime bound.  A certified kernel whose fixed-point search fails
+    is reported as falsified rather than skipped.  The search runs on
+    the trajectory's own orbit: it reads the iterates ``evolve`` stepped
+    and steps only past them.  A second search of an orbit whose first
+    ran past its window raises IndexError.
 
     In the fast regime the reference fixed point is resolved two orders
     of magnitude below the numerical floor; otherwise the estimation
@@ -442,12 +436,11 @@ def check_rate(
     if certificate.regime not in ("fast", "slow"):
         raise ValueError("rate check needs a fast or slow certificate")
     fp_tol = DEFAULT_TOL if certificate.regime == "slow" else NUMERICAL_FLOOR / 100.0
-    orbit = _Orbit(kernel, mu0, max(steps, 0) + 1)
-    traj = orbit.trajectory(steps)
+    orbit = trajectory._orbit
     fp = orbit.fixed_point(fp_tol, DEFAULT_MAX_ITER)
     if not fp.converged:
         return RateReport(
-            kernel_label=kernel.label,
+            kernel_label=orbit.kernel.label,
             certificate=certificate,
             distances=(),
             bounds=(),
@@ -456,19 +449,18 @@ def check_rate(
             falsified=True,
             invariant=None,
             fixed_point_iterations=fp.iterations,
-            trajectory=traj,
         )
     pi = fp.measure.weights
     first = 0 if certificate.regime == "fast" else 1
-    steps_n = range(first, steps + 1)
-    distances = tuple(np.abs(traj.weights[first:] - pi).sum(axis=1).tolist())
+    steps_n = range(first, trajectory.steps + 1)
+    distances = tuple(np.abs(trajectory.weights[first:] - pi).sum(axis=1).tolist())
     bounds = tuple(rate_bound(certificate, n) for n in steps_n)
     violations = tuple(
         (n, d, b) for n, d, b in zip(steps_n, distances, bounds)
         if d > max(b, NUMERICAL_FLOOR)
     )
     return RateReport(
-        kernel_label=kernel.label,
+        kernel_label=orbit.kernel.label,
         certificate=certificate,
         distances=distances,
         bounds=bounds,
@@ -478,7 +470,6 @@ def check_rate(
         invariant=tuple(pi.tolist()),
         fixed_point_iterations=fp.iterations,
         first_step=first,
-        trajectory=traj,
     )
 
 

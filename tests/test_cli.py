@@ -30,6 +30,18 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def step_calls(monkeypatch):
+    """Count ergodicity._step calls: the chain steps its orbits there."""
+    calls, step = [0], ergodicity._step
+
+    def counted(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(ergodicity, "_step", counted)
+    return calls
+
+
 class TestChain:
     def test_default_run_writes_certificate_and_rate_files(self, tmp_path):
         out = tmp_path / "run"
@@ -225,12 +237,14 @@ class TestChain:
         ["0.7 + max(0, 0.001 - max(nu(1) - 0.571, 0.571 - nu(1)))", "0.3"],
         ["0.4", "0.6"]]}
 
-    @pytest.mark.parametrize("steps, step, trajectory_written", [
-        (200, 5, False),  # the trajectory fails first
-        (3, 5, True),     # it is written; the fixed-point search fails next
+    # Each run steps its one orbit up to the failing step 5 and no further.
+    @pytest.mark.parametrize("steps, step, trajectory_written, stepped", [
+        (200, 5, False, 5),  # the trajectory fails first
+        (3, 5, True, 5),     # it is written; the fixed-point search fails next
     ])
-    def test_first_failure_of_a_chain_run(self, tmp_path, capsys, steps, step,
-                                          trajectory_written):
+    def test_first_failure_of_a_chain_run(self, tmp_path, capsys, monkeypatch, steps,
+                                          step, trajectory_written, stepped):
+        calls = step_calls(monkeypatch)
         kfile = tmp_path / "bump.json"
         kfile.write_text(json.dumps(self.BUMP))
         out = tmp_path / "run"
@@ -240,6 +254,7 @@ class TestChain:
         assert capsys.readouterr().err == f"error: bump: non-stochastic rows at step {step}\n"
         assert (out / "trajectory.csv").exists() == trajectory_written
         assert not (out / "report.json").exists()
+        assert calls[0] == stepped
 
     # Rows within the row check's 1e-10 of stochastic pass validation and
     # every step, but the orbit's mass drifts by 5e-11 a step, past the
@@ -261,17 +276,11 @@ class TestChain:
             f"error: custom: iterate {iterate} left the simplex: {fault}\n")
         assert not (out / "report.json").exists()
 
-    def test_an_orbit_off_the_simplex_at_its_first_iterate_takes_two_steps(
+    def test_an_orbit_off_the_simplex_at_its_first_iterate_takes_one_step(
             self, tmp_path, capsys, monkeypatch):
-        # the rate check steps the trajectory before its fixed-point search,
-        # and the CLI steps it once more for the error: not 10^5 steps
-        calls, step = [0], ergodicity._step
-
-        def counted(*args):
-            calls[0] += 1
-            return step(*args)
-
-        monkeypatch.setattr(ergodicity, "_step", counted)
+        # the trajectory fails at its first iterate, before any fixed-point
+        # search: not 10^5 steps
+        calls = step_calls(monkeypatch)
         kfile = tmp_path / "drift.json"
         kfile.write_text(json.dumps(
             {"space_size": 2, "entries": [["0.50000000005", "0.5"], ["0.5", "0.50000000005"]]}))
@@ -280,7 +289,7 @@ class TestChain:
         assert capsys.readouterr().err == (
             "error: custom: iterate 1 left the simplex: weights sum to 1.00000000005, "
             "not 1 within 2e-12\n")
-        assert calls[0] <= 2
+        assert calls[0] == 1
 
     def test_stock_kernel_that_fails_validation_exits_3(self, tmp_path, capsys,
                                                         monkeypatch):

@@ -360,7 +360,7 @@ def test_check_rate_markov_example_two_hundred_steps():
     k = markov_example_kernel()
     cert = certify(k)
     mu0 = DiscreteMeasure(np.array([1.0, 0.0]))
-    report = check_rate(k, cert, mu0, steps=200)
+    report = check_rate(cert, evolve(k, mu0, 200))
     assert report.passed and not report.falsified
     assert len(report.violations) == 0
     assert report.first_step == 0
@@ -376,7 +376,7 @@ def test_check_rate_slow_regime_starts_at_step_one():
     k = mixture_kernel(np.full((2, 2), 0.5), 0.5)
     cert = certify(k)
     assert cert.regime == "slow"
-    report = check_rate(k, cert, DiscreteMeasure(np.array([1.0, 0.0])), steps=50)
+    report = check_rate(cert, evolve(k, DiscreteMeasure(np.array([1.0, 0.0])), 50))
     assert report.passed
     assert report.first_step == 1
     assert len(report.distances) == 50
@@ -389,7 +389,7 @@ def test_check_rate_requires_certified_regime():
     k = continuum_kernel(0.2, 0.8)
     cert = certify(k)
     with pytest.raises(ValueError):
-        check_rate(k, cert, DiscreteMeasure.uniform(2), 10)
+        check_rate(cert, evolve(k, DiscreteMeasure.uniform(2), 10))
 
 
 def test_check_rate_flags_unreachable_fixed_point():
@@ -397,17 +397,18 @@ def test_check_rate_flags_unreachable_fixed_point():
     # so a (bogus) fast certificate must come back falsified
     k = markov_kernel(np.array([[0.0, 1.0], [1.0, 0.0]]), "swap")
     bogus = fast_cert(0.5, 0.0)
-    report = check_rate(k, bogus, DiscreteMeasure(np.array([1.0, 0.0])), steps=5)
+    traj = evolve(k, DiscreteMeasure(np.array([1.0, 0.0])), 5)
+    report = check_rate(bogus, traj)
     assert report.falsified
     assert not report.passed
     assert report.distances == ()
-    # the falsified report still hands back the trajectory it stepped first
-    assert report.trajectory.weights.tolist() == [[1.0, 0.0], [0.0, 1.0]] * 3
+    # the failed search leaves the trajectory it searched on from intact
+    assert traj.weights.tolist() == [[1.0, 0.0], [0.0, 1.0]] * 3
 
 
 def test_rate_report_round_trip():
     k = markov_example_kernel()
-    report = check_rate(k, certify(k), DiscreteMeasure.uniform(2), steps=10)
+    report = check_rate(certify(k), evolve(k, DiscreteMeasure.uniform(2), 10))
     d = report.to_dict()
     assert d["passed"] is True
     assert d["first_step"] == 0
@@ -641,10 +642,10 @@ def test_orbit_matches_the_step_by_step_loops(chain, steps, tol, max_iter, regim
     # check_rate searches up to DEFAULT_MAX_ITER steps; a smaller bound
     # keeps the reference loop short on orbits that never converge
     with mock.patch.object(ergodicity, "DEFAULT_MAX_ITER", max_iter):
-        rate = outcome(check_rate, kernel, cert, mu0, steps)
+        rate = outcome(check_rate, cert, got[1]) if got[0] == "ok" else got
     assert_same_rate(rate, outcome(reference_check_rate, kernel, cert, mu0, steps, max_iter))
-    if rate[0] == "ok":
-        assert_same_trajectory(("ok", rate[1].trajectory), outcome(reference_evolve, kernel, mu0, steps))
+    # the search ran on along the trajectory's orbit and left its iterates as they were
+    assert_same_trajectory(got, outcome(reference_evolve, kernel, mu0, steps))
 
 
 def test_fixed_point_search_reads_a_closed_orbit_by_index():
@@ -654,14 +655,26 @@ def test_fixed_point_search_reads_a_closed_orbit_by_index():
 
 
 def test_rate_check_reads_its_trajectory_after_a_search_past_the_window():
-    # check_rate searches the orbit to its fixed point at step 26, past
-    # the steps + 1 stored iterates and, for few steps, the ring behind
-    # them, before it reads the trajectory from the stored ones.
+    # check_rate searches the trajectory's orbit on to its fixed point at
+    # step 26, past the steps + 1 stored iterates and, for few steps, the
+    # ring behind them, before it reads the trajectory from the stored ones.
     kernel, mu0, cert = markov_example_kernel(), DiscreteMeasure.uniform(2), fast_cert(0.6, 0.1)
     for steps in (0, 1, 5, 13, 40):
-        rate = outcome(check_rate, kernel, cert, mu0, steps)
+        traj = outcome(evolve, kernel, mu0, steps)
+        rate = outcome(check_rate, cert, traj[1])
         assert_same_rate(rate, outcome(reference_check_rate, kernel, cert, mu0, steps))
-        assert_same_trajectory(("ok", rate[1].trajectory), outcome(reference_evolve, kernel, mu0, steps))
+        assert_same_trajectory(traj, outcome(reference_evolve, kernel, mu0, steps))
+
+
+def test_a_second_rate_check_past_the_window_raises():
+    # The first search wrote iterates past w_20 over the ring's slots: a
+    # second one must not build its report from them.
+    kernel, mu0, cert = markov_example_kernel(), DiscreteMeasure.uniform(2), fast_cert(0.6, 0.1)
+    traj = evolve(kernel, mu0, 1)
+    assert check_rate(cert, traj).fixed_point_iterations == 26
+    for _ in range(2):
+        with pytest.raises(IndexError, match="left the orbit's window"):
+            check_rate(cert, traj)
 
 
 def test_an_orbit_refuses_an_iterate_that_has_left_its_window():
@@ -771,7 +784,7 @@ def test_failures_match_the_step_by_step_loops(kernel, pattern):
                                 outcome(reference_find_invariant, kernel, mu0, max_iter=max_iter))
     cert = fast_cert(0.6, 0.1)
     with mock.patch.object(ergodicity, "DEFAULT_MAX_ITER", 200):
-        rate = outcome(check_rate, kernel, cert, mu0, 20)
+        rate = outcome(lambda: check_rate(cert, evolve(kernel, mu0, 20)))
     assert_same_rate(rate, outcome(reference_check_rate, kernel, cert, mu0, 20, 200))
 
 

@@ -13,9 +13,8 @@ from nlmarkov.ergodicity import (
     FixedPointResult,
     HMCertificate,
     RateReport,
-    evolve,
 )
-from nlmarkov.kernels import ErgodicityCertificate, markov_example_kernel
+from nlmarkov.kernels import ErgodicityCertificate
 from nlmarkov.measures import DiscreteMeasure
 from nlmarkov.reporting import (
     CSV_SCHEMA,
@@ -55,8 +54,7 @@ RECORDS = {
                          {"n_pairs", "n_violations", "max_excess", "worst_pair",
                           "tolerance", "passed"}),
     "RateReport": (RateReport("demo", CERT, (0.5, 0.1), (2.0, 0.6), 1e-15, (),
-                              np.bool_(True), (0.5, 0.5), 4,
-                              trajectory=evolve(markov_example_kernel(), HALF, 2)),
+                              np.bool_(True), (0.5, 0.5), 4),
                    {"kernel", "certificate", "first_step", "distances", "bounds",
                     "numerical_floor", "violations", "falsified", "invariant",
                     "fixed_point_iterations", "passed"}),
