@@ -575,22 +575,35 @@ def _binning(c: dict, held: int):
     return Binning(c["bin-lo"], c["bin-hi"], c["bins"])
 
 
-def _smve_decay(args, c: dict) -> int:
-    from .diagnostics import DecayFitError, bootstrap_floor, fit_decay
+def _pair(args, c: dict, spec, snaps: int, horizon: float, times: list,
+          runs: list, floor: str):
+    """The step decay and girsanov-check share after their own checks:
+    budget the binning, write resolved_config.json, run the (law, seed)
+    pairs of ``runs`` observing cell masses, and return the output
+    directory, both runs and the floor: option ``floor`` if nonnegative,
+    else the bootstrap floor of the first run."""
+    from .diagnostics import bootstrap_floor
     from .mckean_vlasov import simulate_runs
+
+    binning = _binning(c, 3 * snaps + 1)
+    out = _begin(args, f"smve/{args.action}", c)
+    run_a, run_b = simulate_runs(spec, runs, c["n"], float(c["h"]), horizon, times,
+                                 observe=binning.masses)
+    if c[floor] < 0:
+        return out, run_a, run_b, bootstrap_floor(run_a, c["n"], c["seed"])
+    return out, run_a, run_b, c[floor]
+
+
+def _smve_decay(args, c: dict) -> int:
+    from .diagnostics import DecayFitError, fit_decay
 
     mu, nu = laws.parse(c["mu0"], "--mu0"), laws.parse(c["nu0"], "--nu0")
     horizon = float(c["horizon"])
     times = _times(c, np.linspace(0.0, horizon, 21).tolist())
     spec, snaps = _spec(c, horizon, times, runs=2)
-    binning = _binning(c, 3 * snaps + 1)
-    out = _begin(args, "smve/decay", c)
-    run_a, run_b = simulate_runs(spec, [(mu, c["seed"]), (nu, c["seed"] + 1)],
-                                 c["n"], float(c["h"]), horizon, times,
-                                 observe=binning.masses)
-    floor = c["noise-floor"]
-    if floor < 0:
-        floor = bootstrap_floor(run_a, c["n"], c["seed"])
+    out, run_a, run_b, floor = _pair(args, c, spec, snaps, horizon, times,
+                                     [(mu, c["seed"]), (nu, c["seed"] + 1)],
+                                     "noise-floor")
     try:
         fit = fit_decay(run_a, run_b, floor)
     except DecayFitError as exc:
@@ -620,18 +633,18 @@ def _smve_girsanov_check(args, c: dict) -> int:
 
     mu, nu = laws.parse(c["mu0"], "--mu0"), laws.parse(c["nu0"], "--nu0")
     times = _times(c, [0.5, 1.0, 2.0])
-    _on_grid(c, "times", max(times))  # the default times too: the run's last step
-    spec, snaps = _spec(c, max(*times, c["h"]), times, runs=2)
     t = max(times)
+    _on_grid(c, "times", t)  # the default times too: the run's last step
+    horizon = max(t, float(c["h"]))
+    spec, snaps = _spec(c, horizon, times, runs=2)
     # the bound's largest exponent, as girsanov_bound_check computes it
     if not girsanov_rate(spec.epsilon, spec.lipschitz_L) * t <= math.log(sys.float_info.max):
         raise ValueError(f"--epsilon {c['epsilon']:g}, --d-bound {c['d-bound']:g} and --times "
                          f"up to {t:g} put exp(4 eps^2 D^2 t) past the float range")
-    binning, tv0 = _binning(c, 3 * snaps + 1), laws.tv(mu, nu)
-    out = _begin(args, "smve/girsanov-check", c)
-    report = girsanov_bound_check(spec, mu, nu, tv0, times, c["n"], float(c["h"]),
-                                  c["seed"], binning,
-                                  None if c["allowance"] < 0 else c["allowance"])
+    out, run_a, run_b, allowance = _pair(args, c, spec, snaps, horizon, times,
+                                         [(mu, c["seed"]), (nu, c["seed"])], "allowance")
+    report = girsanov_bound_check(run_a, run_b, laws.tv(mu, nu), spec.epsilon,
+                                  spec.lipschitz_L, allowance)
     write_csv(out / "girsanov.csv", ["time", "estimate", "bound", "margin"],
               report.csv_rows(), "girsanov-check")
     doc = report_document(

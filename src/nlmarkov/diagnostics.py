@@ -3,13 +3,17 @@ total variation over time, exponential decay fits, Lyapunov
 regressions and coupled-run bound checks; and the local overlap of
 transition laws, read from the Euler chain's laws on a grid.
 
+The particle diagnostics only reduce the observations of runs their
+caller made; a pair of runs is read through one distance reader.
+
 All total variation estimates here go through a fixed shared binning,
 declared once per experiment, because comparing histograms with
 different bins estimates nothing.  Monte Carlo noise gives the
 particle estimates a positive floor; checks that compare against
-theoretical bounds therefore carry an explicit allowance, bootstrapped
-from a run they already made, instead of pretending the estimator is
-exact.  The grid laws carry no noise, only a grid tolerance.
+theoretical bounds therefore carry an explicit allowance, such as the
+``bootstrap_floor`` of a run the caller already made, instead of
+pretending the estimator is exact.  The grid laws carry no noise, only
+a grid tolerance.
 """
 
 from __future__ import annotations
@@ -21,15 +25,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mckean_vlasov import (
-    SMVESpec,
-    WeightFunction,
-    _BLOCK_BYTES,
-    _row_blocks,
-    _stream,
-    simulate_runs,
-)
+from .mckean_vlasov import WeightFunction, _BLOCK_BYTES, _row_blocks, _stream
 from .reporting import NumericalFailure, Record
+
+# A run observing Binning.masses: its (time, cell masses) pairs.
+Run = Sequence[tuple[float, np.ndarray]]
 
 __all__ = [
     "Binning",
@@ -417,55 +417,52 @@ def girsanov_rate(epsilon: float, lipschitz_L: float) -> float:
     return 4.0 * el * el
 
 
-def girsanov_bound_check(
-    spec: SMVESpec,
-    mu0_sampler: Callable,
-    nu0_sampler: Callable,
-    tv0: float,
-    times: Sequence[float],
-    n_particles: int,
-    step_size: float,
-    seed: int,
-    binning: Binning = Binning(),
-    allowance: float | None = 0.0,
-) -> GirsanovReport:
-    """Run the same noise through two initial laws and compare their
-    histogram distance with sqrt(2) tv0 exp(4 eps^2 L^2 t) + allowance.
+def girsanov_bound_check(run_a: Run, run_b: Run, tv0: float, epsilon: float,
+                         lipschitz_L: float, allowance: float = 0.0) -> GirsanovReport:
+    """Compare the histogram distance of two runs of one binning, driven
+    by the same noise from two initial laws, with
+    sqrt(2) tv0 exp(4 eps^2 L^2 t) + allowance at each snapshot.
 
     ``tv0`` is the total variation between the exact initial laws (not
-    estimated from particles).  With ``allowance`` None, the allowance
-    is the bootstrap_floor of the mu0 run, drawn at ``seed``.
+    estimated from particles); ``allowance`` covers the estimator's
+    noise, the bootstrap_floor of the mu0 run for instance.
     """
     if not 0.0 <= tv0 <= 2.0:
         raise ValueError("tv0 must lie in [0, 2]")
-    if allowance is not None and allowance < 0.0:
+    if not allowance >= 0.0:
         raise ValueError("allowance must be nonnegative")
-    times = sorted(float(t) for t in times)
-    if not times:
-        raise ValueError("need at least one time")
-    horizon = max(times[-1], step_size)
-    run_a, run_b = simulate_runs(spec, [(mu0_sampler, seed), (nu0_sampler, seed)],
-                                 n_particles, step_size, horizon, times,
-                                 observe=binning.masses)
-    if allowance is None:
-        allowance = bootstrap_floor(run_a, n_particles, seed)
-
-    rate = girsanov_rate(spec.epsilon, spec.lipschitz_L)
-    snap_times = tuple(t for t, _ in run_a)
-    estimates = tuple(Binning.tv(p, q) for (_, p), (_, q) in zip(run_a, run_b))
-    bounds = tuple(math.sqrt(2.0) * tv0 * math.exp(rate * t) for t in snap_times)
-    violations = [(t, est, bound) for t, est, bound in zip(snap_times, estimates, bounds)
+    if not run_a:
+        raise ValueError("need at least one snapshot")
+    times, estimates = _distances(run_a, run_b)
+    rate = girsanov_rate(epsilon, lipschitz_L)
+    bounds = [math.sqrt(2.0) * tv0 * math.exp(rate * t) for t in times]
+    violations = [(t, est, bound) for t, est, bound in zip(times, estimates, bounds)
                   if est > bound + allowance]
     return GirsanovReport(
-        times=snap_times,
-        estimates=estimates,
-        bounds=bounds,
+        times=tuple(times),
+        estimates=tuple(estimates),
+        bounds=tuple(bounds),
         allowance=allowance,
         tv0=tv0,
-        epsilon=spec.epsilon,
-        lipschitz_L=spec.lipschitz_L,
+        epsilon=epsilon,
+        lipschitz_L=lipschitz_L,
         violations=tuple(violations),
     )
+
+
+def _distances(run_a: Run, run_b: Run) -> tuple[list, list]:
+    """The snapshot times of two runs and their histogram distances, one
+    per snapshot.  Raises ValueError unless the runs have the same
+    snapshot count and times (within 1e-9)."""
+    if len(run_a) != len(run_b):
+        raise ValueError("trajectories have different snapshot counts")
+    times, tvs = [], []
+    for (t, p), (u, q) in zip(run_a, run_b):
+        if abs(t - u) > 1e-9:
+            raise ValueError("snapshot times differ between trajectories")
+        times.append(t)
+        tvs.append(Binning.tv(p, q))
+    return times, tvs
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +475,7 @@ BOOTSTRAP_PAIRS = 200
 _BOOTSTRAP_CHUNK = 25
 
 
-def bootstrap_floor(run: Sequence[tuple[float, np.ndarray]], n: int,
-                    seed: int) -> float:
+def bootstrap_floor(run: Run, n: int, seed: int) -> float:
     """Noise floor of the histogram distance between two independent
     runs from the law of ``run``, taken from ``run`` alone: a parametric
     bootstrap (B. Efron, Ann. Statist. 7 (1979)).  ``run`` holds the
@@ -562,11 +558,7 @@ class DecayFit(Record):
     noise_floor: float
 
 
-def fit_decay(
-    run_a: Sequence[tuple[float, np.ndarray]],
-    run_b: Sequence[tuple[float, np.ndarray]],
-    noise_floor: float = 0.0,
-) -> DecayFit:
+def fit_decay(run_a: Run, run_b: Run, noise_floor: float = 0.0) -> DecayFit:
     """Exponential decay rate of the histogram distance between two
     trajectories sharing snapshot times, given as (time, cell masses)
     pairs of one binning.
@@ -575,14 +567,7 @@ def fit_decay(
     dropped; fewer than three survivors raise DecayFitError (identical
     runs, or a floor set too high).
     """
-    if len(run_a) != len(run_b):
-        raise ValueError("trajectories have different snapshot counts")
-    times, tvs = [], []
-    for (t, p), (u, q) in zip(run_a, run_b):
-        if abs(t - u) > 1e-9:
-            raise ValueError("snapshot times differ between trajectories")
-        times.append(t)
-        tvs.append(Binning.tv(p, q))
+    times, tvs = _distances(run_a, run_b)
     keep = [i for i, v in enumerate(tvs) if v > noise_floor]
     if len(keep) < 3:
         raise DecayFitError(

@@ -20,6 +20,7 @@ from nlmarkov.counterexamples import (
 )
 from nlmarkov.diagnostics import (
     Binning,
+    bootstrap_floor,
     estimate_local_alpha,
     fit_decay,
     girsanov_bound_check,
@@ -49,7 +50,9 @@ from nlmarkov.mckean_vlasov import (
     make_ou_spec,
     make_vh_spec,
     ou_drift,
+    radial_confinement_drift,
     simulate,
+    simulate_runs,
 )
 from nlmarkov.reporting import Claim, report_document, write_json_report
 
@@ -322,10 +325,13 @@ def run_criterion_08(out):
     details = {}
     for eps in GIRSANOV_EPSILONS:
         spec = make_vh_spec(epsilon=eps)
-        # the allowance is the bootstrap floor of the mu0 run, as the CLI takes it
-        rep = girsanov_bound_check(
-            spec, mu0, nu0, 0.2, GIRSANOV_TIMES, N_PARTICLES, STEP,
-            seed=500, binning=BINNING, allowance=None)
+        # the coupled pair at one seed, and the allowance the bootstrap floor
+        # of the mu0 run, as girsanov-check takes them
+        run_a, run_b = simulate_runs(spec, [(mu0, 500), (nu0, 500)], N_PARTICLES, STEP,
+                                     max(GIRSANOV_TIMES), list(GIRSANOV_TIMES),
+                                     observe=BINNING.masses)
+        rep = girsanov_bound_check(run_a, run_b, 0.2, spec.epsilon, spec.lipschitz_L,
+                                   bootstrap_floor(run_a, N_PARTICLES, 500))
         claims.append(
             Claim(
                 f"eps={eps:g}: estimates stay under sqrt(2) tv0 e^(4 eps^2 L^2 t)",
@@ -361,11 +367,16 @@ def run_criterion_09(out):
     tv_final = BINNING.tv(run_a[-1][1], run_b[-1][1])
     fit = fit_decay(run_a, run_b, noise_floor=0.05)
     lyap = lyapunov_diagnostic([(t, m) for t, (_, m) in obs_b], V, lag=2.0)
+    # the computed overlap of the confinement's Euler chain from the unit
+    # ball over unit time, as smve local-alpha reads it at its defaults
+    alpha_local = estimate_local_alpha(radial_confinement_drift(1.0, 1.0), 1.0, 1.0,
+                                       Binning(), step_size=STEP).alpha_hat
+    eps_zero = epsilon_zero(alpha_local, 1.0, 1.0)
     claims = [
         Claim("interaction strength is inside the smallness regime",
-              spec.epsilon <= epsilon_zero(1.0, 1.0, 1.0),
-              {"epsilon": spec.epsilon,
-               "epsilon_zero": epsilon_zero(1.0, 1.0, 1.0)}),
+              spec.epsilon <= eps_zero,
+              {"epsilon": spec.epsilon, "epsilon_zero": eps_zero,
+               "alpha_local": alpha_local}),
         Claim("ensembles merge: histogram TV below 0.05 at T=20",
               tv_final < 0.05,
               {"tv_final": tv_final}),

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import warnings
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -273,18 +274,35 @@ class TestHistogramArraysHeld:
         assert 2 * self.array < peak <= 3 * self.array + self.slack
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "workers"])
-    @pytest.mark.parametrize("allowance", [0.5, None], ids=["given", "bootstrap"])
+    @pytest.mark.parametrize("floor", [0.5, -1.0], ids=["given", "bootstrap"])
+    @pytest.mark.parametrize("action", ["decay", "girsanov-check"])
     def test_a_pair_of_runs_holds_their_masses_and_one_temporary(self, monkeypatch,
-                                                                 allowance, cpus):
-        # both runs' masses, then one temporary of the distance or the
-        # bootstrap; unpickling the second run from a worker holds a third
-        # run's worth: the 3 s + 1 arrays the CLI budgets --bins by
+                                                                 tmp_path, action,
+                                                                 floor, cpus):
+        # the step decay and girsanov-check share, then the action's
+        # reduction: both runs' masses, then one temporary of the distance
+        # or the bootstrap; unpickling the second run from a worker holds a
+        # third run's worth: the 3 s + 1 arrays the CLI budgets --bins by
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        times = [0.01, 0.02, 0.03]
-        peak = _peak(lambda: girsanov_bound_check(
-            make_ou_spec(), Point(0.0), Point(1.0), 0.2, times, 300, 0.01, 1,
-            self.binning, allowance))
+        c = {k: option.default for k, option in cli.OPTIONS["smve"][action].items()}
+        key = "noise-floor" if action == "decay" else "allowance"
+        c.update({"n": 300, "h": 0.01, "bins": 2**18, key: floor})
+        args = SimpleNamespace(action=action, out=str(tmp_path))
+        spec, times = make_ou_spec(), [0.01, 0.02, 0.03]
+        seeds = (1, 2) if action == "decay" else (1, 1)
+
+        def pair_and_reduction():
+            _, run_a, run_b, given = cli._pair(
+                args, c, spec, len(times), 0.03, times,
+                [(Point(0.0), seeds[0]), (Point(1.0), seeds[1])], key)
+            if action == "decay":
+                fit_decay(run_a, run_b, given)
+            else:
+                girsanov_bound_check(run_a, run_b, 0.2, spec.epsilon,
+                                     spec.lipschitz_L, given)
+
+        peak = _peak(pair_and_reduction)
         held = 2 * len(times) + 1 if cpus == 1 else 3 * len(times)
         assert (held - 1) * self.array < peak <= held * self.array + self.slack
 
@@ -423,16 +441,73 @@ class TestFitDecay:
         assert len(d["times"]) == len(d["tv_values"]) == 5
 
 
+def _masses(*cells):
+    """The cell masses of a hand-built snapshot, the overflow cell last."""
+    return np.array(cells, dtype=float)
+
+
+class TestGirsanovReduction:
+    # Two runs built by hand: three cells and the overflow, masses in
+    # binary fractions, so each distance is exact.
+    run_a = [(0.0, _masses(0.5, 0.5, 0.0, 0.0)),
+             (0.5, _masses(0.25, 0.25, 0.25, 0.25)),
+             (1.0, _masses(0.0, 0.0, 1.0, 0.0))]
+    run_b = [(0.0, _masses(0.5, 0.5, 0.0, 0.0)),
+             (0.5, _masses(0.5, 0.0, 0.25, 0.25)),
+             (1.0, _masses(0.0, 0.0, 0.5, 0.5))]
+
+    def test_estimates_bounds_and_violations(self):
+        # eps = 0.5, L = 1: the rate 4 eps^2 L^2 is 1
+        rep = girsanov_bound_check(self.run_a, self.run_b, 0.25, 0.5, 1.0)
+        assert rep.times == (0.0, 0.5, 1.0)
+        assert rep.estimates == (0.0, 0.5, 1.0)
+        assert rep.bounds == tuple(math.sqrt(2.0) * 0.25 * math.exp(t)
+                                   for t in (0.0, 0.5, 1.0))
+        assert rep.bounds[2] == pytest.approx(0.9610, abs=1e-4)
+        assert rep.violations == ((1.0, 1.0, rep.bounds[2]),)
+        assert not rep.passed
+        assert (rep.allowance, rep.tv0, rep.epsilon, rep.lipschitz_L) == (0.0, 0.25, 0.5, 1.0)
+        assert list(rep.csv_rows()) == [(t, est, b, b - est) for t, est, b in
+                                        zip(rep.times, rep.estimates, rep.bounds)]
+
+    def test_allowance_covers_an_estimate_up_to_bound_plus_allowance(self):
+        rep = girsanov_bound_check(self.run_a, self.run_b, 0.25, 0.5, 1.0, 0.05)
+        assert rep.passed and rep.allowance == 0.05
+        # at tv0 = 0 the bound is 0: an estimate equal to bound + allowance
+        # passes, one above it does not
+        rep = girsanov_bound_check(self.run_a, self.run_b, 0.0, 0.5, 1.0, 0.5)
+        assert rep.bounds == (0.0, 0.0, 0.0)
+        assert rep.violations == ((1.0, 1.0, 0.0),)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="counts"):
+            girsanov_bound_check(self.run_a, self.run_b[:-1], 0.2, 0.5, 1.0)
+        shifted = [(t + 0.25, p) for t, p in self.run_b]
+        with pytest.raises(ValueError, match="times"):
+            girsanov_bound_check(self.run_a, shifted, 0.2, 0.5, 1.0)
+        for tv0 in (-0.1, 2.5, math.nan):
+            with pytest.raises(ValueError, match="tv0"):
+                girsanov_bound_check(self.run_a, self.run_b, tv0, 0.5, 1.0)
+        for allowance in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="allowance"):
+                girsanov_bound_check(self.run_a, self.run_b, 0.2, 0.5, 1.0, allowance)
+        with pytest.raises(ValueError, match="snapshot"):
+            girsanov_bound_check([], [], 0.2, 0.5, 1.0)
+
+
 class TestGirsanovBoundCheck:
     binning = Binning(-10.0, 10.0, 50)
+
+    def check(self, spec, mu0, nu0, tv0, times):
+        # the pair girsanov-check runs: both laws at one seed, to the last time
+        run_a, run_b = simulate_runs(spec, [(mu0, 9), (nu0, 9)], 200, 0.01, max(times),
+                                     times, observe=self.binning.masses)
+        return girsanov_bound_check(run_a, run_b, tv0, spec.epsilon, spec.lipschitz_L)
 
     def test_identical_initials_pass_with_margin(self):
         # Same sampler and seed: the two runs coincide, the estimate is
         # zero, and the bound is sqrt(2) tv0 at every time.
-        rep = girsanov_bound_check(
-            make_ou_spec(), Point(0.0), Point(0.0),
-            tv0=0.2, times=[0.1, 0.2], n_particles=200, step_size=0.01,
-            seed=9, binning=self.binning)
+        rep = self.check(make_ou_spec(), Point(0.0), Point(0.0), 0.2, [0.1, 0.2])
         assert rep.passed
         assert rep.estimates == (0.0, 0.0)
         assert rep.bounds[0] == pytest.approx(math.sqrt(2.0) * 0.2)
@@ -440,53 +515,51 @@ class TestGirsanovBoundCheck:
         assert rows[0] == (0.1, 0.0, rep.bounds[0], rep.bounds[0])
 
     def test_understated_tv0_is_caught(self):
-        rep = girsanov_bound_check(
-            make_ou_spec(), Point(-0.5), Point(0.5),
-            tv0=0.0, times=[0.1], n_particles=200, step_size=0.01,
-            seed=9, binning=self.binning)
+        rep = self.check(make_ou_spec(), Point(-0.5), Point(0.5), 0.0, [0.1])
         assert not rep.passed
         t, est, bound = rep.violations[0]
         assert t == 0.1 and bound == 0.0 and est > 1.0
-
-    def test_guards(self):
-        args = (make_ou_spec(), Point(0.0), Point(0.0))
-        with pytest.raises(ValueError):
-            girsanov_bound_check(*args, tv0=2.5, times=[0.1],
-                                 n_particles=200, step_size=0.01, seed=1)
-        with pytest.raises(ValueError):
-            girsanov_bound_check(*args, tv0=0.1, times=[0.1], n_particles=200,
-                                 step_size=0.01, seed=1, allowance=-0.1)
-        with pytest.raises(ValueError):
-            girsanov_bound_check(*args, tv0=0.1, times=[],
-                                 n_particles=200, step_size=0.01, seed=1)
-
-    def test_no_allowance_is_the_bootstrap_of_the_mu0_run(self):
-        rep = girsanov_bound_check(
-            make_ou_spec(), Point(0.0), Point(0.5),
-            tv0=2.0, times=[0.1, 0.2], n_particles=200, step_size=0.01,
-            seed=9, binning=self.binning, allowance=None)
-        run = simulate(make_ou_spec(), Point(0.0), 200, 0.01, 0.2, 9, [0.1, 0.2],
-                       observe=self.binning.masses)
-        assert rep.allowance == bootstrap_floor(run, 200, 9) > 0.0
 
     def test_rate_is_finite_whenever_eps_times_l_is(self):
         assert girsanov_rate(0.05, 1.0) == 0.010000000000000002  # the defaults
         assert girsanov_rate(1e200, 1e-200) == pytest.approx(4.0)  # eps**2 overflows
         assert girsanov_rate(1e200, 1.0) == math.inf  # the rate itself overflows
-        rep = girsanov_bound_check(
-            make_vh_spec(D=1e-200, epsilon=1e200), Point(0.0), Point(0.0),
-            tv0=0.2, times=[0.1], n_particles=200, step_size=0.01,
-            seed=9, binning=self.binning)
+        rep = self.check(make_vh_spec(D=1e-200, epsilon=1e200), Point(0.0), Point(0.0),
+                         0.2, [0.1])
         assert rep.bounds[0] == pytest.approx(math.sqrt(2.0) * 0.2 * math.exp(0.4))
 
     def test_to_dict_has_passed_flag(self):
-        rep = girsanov_bound_check(
-            make_ou_spec(), Point(0.0), Point(0.0),
-            tv0=0.2, times=[0.1], n_particles=200, step_size=0.01,
-            seed=9, binning=self.binning)
+        rep = self.check(make_ou_spec(), Point(0.0), Point(0.0), 0.2, [0.1])
         d = rep.to_dict()
         assert d["passed"] is True
         assert d["violations"] == []
+
+
+class TestSharedPairStep:
+    # cli._pair, the step decay and girsanov-check share
+    @pytest.mark.parametrize("action,key,nu_seed", [("decay", "noise-floor", 10),
+                                                   ("girsanov-check", "allowance", 9)])
+    def test_runs_the_pair_and_takes_the_floor(self, tmp_path, action, key, nu_seed):
+        spec, times = make_ou_spec(), [0.1, 0.2]
+        c = {k: option.default for k, option in cli.OPTIONS["smve"][action].items()}
+        c.update({"n": 200, "h": 0.01, "seed": 9, "bins": 50})
+        args = SimpleNamespace(action=action, out=str(tmp_path))
+        runs = [(Point(0.0), 9), (Point(0.5), nu_seed)]
+        want = [simulate(spec, law, 200, 0.01, 0.2, seed, times,
+                         observe=Binning(-10.0, 10.0, 50).masses)
+                for law, seed in runs]
+        c[key] = -1.0
+        out, run_a, run_b, floor = cli._pair(args, c, spec, 2, 0.2, times, runs, key)
+        assert (out / "resolved_config.json").exists()
+        for got, run in zip((run_a, run_b), want):
+            assert [t for t, _ in got] == [t for t, _ in run] == times
+            assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(got, run))
+        # a negative floor is the bootstrap of the first run; any other is kept
+        assert floor == bootstrap_floor(want[0], 200, 9) > 0.0
+        for given in (0.0, 1):
+            c[key] = given
+            *_, floor = cli._pair(args, c, spec, 2, 0.2, times, runs, key)
+            assert floor == given and type(floor) is type(given)
 
 
 def _calibrated_floor(spec, times, n, seed, binning, pairs=5) -> float:
