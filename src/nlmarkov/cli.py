@@ -255,14 +255,14 @@ class Budget(NamedTuple):
 # run holds at once: 1 GiB of them.
 BUDGETS = {
     # the (G, n, n) float64 stack of kernel matrices that validation and
-    # both sweeps hold, 8 bytes an entry
+    # both sweeps hold, 8 bytes an entry; with the grid's (G, n) arrays, the
+    # largest runs admitted peak at 1.66x it (5 states, R = 103: 1,633 MB)
     "kernel-stack": Budget(2**30, "bytes", 8),
     # the lambda sweep's n^2 entries for each of its C(R + n - 2, n - 1)
-    # n (n - 1) / 2 neighbour pairs, 2.3-3.5 ns an entry in L2-sized tiles
-    # (2-CPU x86 host: R = 1 at n = 100-299, n = 50 at R = 2-3), 1.8-2.0 ns
-    # at n = 299 once a pair past a tile is read as views; whole no-invariant
-    # runs near the limit took 6.2-6.5 s (--truncation 299) and 12.5-12.6 s
-    # (--resolution 3)
+    # n (n - 1) / 2 neighbour pairs, in L2-sized tiles on a 2-CPU x86 host:
+    # 2.3-3.5 ns an entry at n = 50-299, 1.8-2.0 at n = 299 (a pair read as
+    # views), 16-17 at n = 5 (R = 60 and 103); whole runs near the limit
+    # took 6.2-6.5 s (--truncation 299) and 12.5-12.6 s (--resolution 3)
     "sweep": Budget(4 * 10**9, "pair-entries", 1),
     # 25 + 10 n floats a step for n states: the orbit row, Python floats and
     # the CSV lines (tracemalloc over 10^5 steps measured 340, 462, 730 and

@@ -35,17 +35,17 @@ exact identity that avoids materialising the pairs:
   pairs is the largest ratio over neighbour pairs: G*n(n-1)/2 pairs
   instead of G^2.
 
-Memory is linear in G: the (G, n, n) kernel evaluations plus
-temporaries of about ``TILE_BYTES`` each, the L2-sized tile that every
-sweep takes its rows or pairs in, or of the sign matrix where that is
-larger (from 14 states on, a projection chunk takes n rows).
+Memory is linear in G: the (G, n, n) kernel evaluations, the (G, n)
+grid counts, and temporaries of about ``TILE_BYTES`` each (the L2-sized
+tile or pair chunk every sweep works in) or of the sign matrix where
+that is larger (from 14 states on, a projection chunk takes n rows).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from .reporting import Record
 
 ROW_SUM_TOL = 1e-10
 TIE_TOLERANCE = 1e-6
-NEGLIGIBLE_TV = 1e-9
 # Every sweep's tile stays in a core's L2 cache.  On Dirichlet(1) rows
 # (900 x 30 and 2500 x 50), which the floor bound of _l1_diameter does
 # not settle, 512 KiB was the fastest of 128 KiB to 1 MiB, at 0.55-0.60x
@@ -471,25 +470,26 @@ def _grid_ranks(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (table[suffix[:, :m], d] - table[suffix[:, 1:n], d]).sum(axis=1)
 
 
-def _neighbour_pairs(grid: MeasureGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (a, b) of grid measures with k_b = k_a - e_i + e_j, i < j.
-
-    Every unordered pair of grid measures one unit move apart appears
-    exactly once; there are at most G n (n - 1) / 2 of them.
+def _neighbour_pairs(grid: MeasureGrid) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Chunks (a, b) of the index pairs of grid measures with
+    k_b = k_a - e_i + e_j, i < j: each unordered pair one unit move apart
+    once, at most G n (n - 1) / 2 of them.  A chunk is one direction i
+    and a run of sources whose moved counts take about ``TILE_BYTES``
+    (one source at least); no index of all pairs is built.
     """
     n, r = grid.space_size, grid.resolution
     counts = np.rint(grid.weights * r).astype(np.int64)
     table = np.array([[math.comb(s + d, d) for d in range(n)] for s in range(r + 1)],
                      dtype=np.int64)
     eye = np.eye(n, dtype=np.int64)
-    firsts = [np.zeros(0, dtype=np.int64)]
-    seconds = [np.zeros(0, dtype=np.int64)]
     for i in range(n - 1):
         src = np.flatnonzero(counts[:, i])
-        moved = counts[src, None, :] - eye[i] + eye[None, i + 1:, :]
-        firsts.append(np.repeat(src, n - 1 - i))
-        seconds.append(_grid_ranks(moved.reshape(-1, n), table))
-    return np.concatenate(firsts), np.concatenate(seconds)
+        step = max(1, TILE_BYTES // (8 * n * (n - 1 - i)))
+        for s in range(0, src.size, step):
+            a = src[s:s + step]
+            # unnamed, the moved counts are freed before the chunk is swept
+            yield np.repeat(a, n - 1 - i), _grid_ranks(
+                (counts[a, None, :] - eye[i] + eye[None, i + 1:, :]).reshape(-1, n), table)
 
 
 def estimate_alpha(
@@ -541,46 +541,45 @@ def estimate_lambda(
         lambda_hat = max over grid pairs, states x of
                      ||P_mu(x, .) - P_nu(x, .)||_tv / ||mu - nu||_tv.
 
-    Pairs closer than 1e-9 in total variation are skipped to avoid 0/0.
     The max runs over a grid subset, so lambda_hat <= lambda and grid
     refinement can only raise it.
 
     Only neighbour pairs (k, k - e_i + e_j) are swept, and the max is
-    the same.  Any two grid measures mu, nu are joined by
-    ||mu - nu||_tv R / 2 unit moves through grid measures, each of TV
-    length 2/R, so the lengths add up to exactly ||mu - nu||_tv.  By the
-    triangle inequality at each state, the row movement between mu and
-    nu is at most the largest neighbour ratio times that sum.  Cost
-    O(G n^4) time over at most G n (n - 1) / 2 pairs, taken in tiles of
-    about ``TILE_BYTES`` so that each pair's row differences are
-    summed while they are still in the L2 cache (a pair larger than a
-    tile is a tile of its own, its difference taken from views of its
-    two matrices into one reused buffer); the maximum does not depend on
-    how the pairs are split.  Memory O(G n^2).
+    the same.  Such a pair differs by (e_i - e_j)/R, so its TV length
+    is 2/R up to rounding, never 0.  Any two grid measures mu, nu are
+    joined by ||mu - nu||_tv R / 2 unit moves through grid measures, so
+    the lengths add up to exactly ||mu - nu||_tv.  By the triangle
+    inequality at each state, the row movement between mu and nu is at
+    most the largest neighbour ratio times that sum.  Cost O(G n^4) time
+    over at most G n (n - 1) / 2 pairs, which arrive in chunks and are
+    taken in tiles of about ``TILE_BYTES`` so that each pair's row
+    differences are summed while they are still in the L2 cache (a pair
+    larger than a tile is a tile of its own, its difference taken from
+    views of its two matrices into one reused buffer); the maximum does
+    not depend on how the pairs are split.  Memory: the (G, n, n) stack
+    and (G, n) counts, plus about ``TILE_BYTES`` a chunk and a tile.
     """
     grid = grid or MeasureGrid.default(kernel.space_size)
     mats = kernel.matrix(grid.weights)
     w = grid.weights
-    firsts, seconds = _neighbour_pairs(grid)
     n = kernel.space_size
     step = max(1, TILE_BYTES // (8 * n * n))
     # a pair larger than a tile reads its two matrices as views, into one buffer
     pair = np.empty((1, n, n)) if step == 1 else None
     best = 0.0
-    for s in range(0, firsts.size, step):
-        a, b = firsts[s:s + step], seconds[s:s + step]
-        # Row movement per state, then max over states, per measure pair.
-        if pair is not None:
-            diff = pair
-            np.subtract(mats[a[0]], mats[b[0]], out=diff[0])
-        else:
-            diff = mats[a]
-            diff -= mats[b]
-        move = np.abs(diff, out=diff).sum(axis=2).max(axis=1)
-        base = np.abs(w[a] - w[b]).sum(axis=1)
-        ok = base > NEGLIGIBLE_TV
-        if ok.any():
-            best = max(best, float((move[ok] / base[ok]).max()))
+    for firsts, seconds in _neighbour_pairs(grid):
+        for s in range(0, firsts.size, step):
+            a, b = firsts[s:s + step], seconds[s:s + step]
+            # Row movement per state, then max over states, per measure pair.
+            if pair is not None:
+                diff = pair
+                np.subtract(mats[a[0]], mats[b[0]], out=diff[0])
+            else:
+                diff = mats[a]
+                diff -= mats[b]
+            move = np.abs(diff, out=diff).sum(axis=2).max(axis=1)
+            base = np.abs(w[a] - w[b]).sum(axis=1)
+            best = max(best, float((move / base).max()))
     return best
 
 

@@ -533,7 +533,7 @@ def test_sweeps_match_pairwise_on_clamped_spec_kernels(spec):
 def test_lambda_sweep_matches_pairwise_whatever_the_tile(monkeypatch, kernel, grid, tile):
     n = kernel.space_size
     whole = estimate_lambda(kernel, grid)
-    pairs = kernels._neighbour_pairs(grid)[0].size
+    pairs = sum(a.size for a, _ in kernels._neighbour_pairs(grid))
     monkeypatch.setattr(kernels, "TILE_BYTES", max(tile(pairs) * 8 * n * n, 1))
     lam = estimate_lambda(kernel, grid)
     assert lam == whole  # the maximum does not depend on the split
@@ -549,8 +549,66 @@ def test_grid_ranks_reproduce_grid_order():
             assert np.array_equal(_grid_ranks(counts, table), np.arange(g.size))
 
 
+def whole_pair_index(grid):
+    """The neighbour pairs (a, b), k_b = k_a - e_i + e_j with i < j, as one
+    index of all of them, in direction, source and target order: the
+    oracle of the chunks the lambda sweep takes them in."""
+    n, r = grid.space_size, grid.resolution
+    counts = np.rint(grid.weights * r).astype(np.int64)
+    table = np.array([[math.comb(s + d, d) for d in range(n)] for s in range(r + 1)],
+                     dtype=np.int64)
+    eye = np.eye(n, dtype=np.int64)
+    firsts = [np.zeros(0, dtype=np.int64)]
+    seconds = [np.zeros(0, dtype=np.int64)]
+    for i in range(n - 1):
+        src = np.flatnonzero(counts[:, i])
+        moved = counts[src, None, :] - eye[i] + eye[None, i + 1:, :]
+        firsts.append(np.repeat(src, n - 1 - i))
+        seconds.append(_grid_ranks(moved.reshape(-1, n), table))
+    return np.concatenate(firsts), np.concatenate(seconds)
+
+
+# A tile of 1 byte makes every chunk one source measure, and so one pair
+# in the last direction; the stock tile splits only the first directions
+# of the largest grids.
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 7), r=st.integers(1, 8), tile=st.integers(1, 2**12))
+@example(n=7, r=8, tile=1)
+@example(n=7, r=8, tile=kernels.TILE_BYTES)
+def test_neighbour_pair_chunks_are_the_whole_index_in_order(n, r, tile):
+    grid = MeasureGrid(n, r)
+    counts = np.rint(grid.weights * r).astype(np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "TILE_BYTES", tile)
+        chunks = list(kernels._neighbour_pairs(grid))
+    want = whole_pair_index(grid)
+    got = [np.concatenate([c[k] for c in chunks] or [np.zeros(0, dtype=np.int64)])
+           for k in (0, 1)]
+    assert all(g.dtype == np.int64 and np.array_equal(g, w) for g, w in zip(got, want))
+    for firsts, seconds in chunks:
+        # one direction i: every pair moves a unit out of the same state
+        assert np.unique((counts[seconds] - counts[firsts]).argmin(axis=1)).size == 1
+        # moved counts: n int64 a pair, a tile's worth or one source's moves
+        per_source = firsts.size // np.unique(firsts).size
+        assert firsts.size * 8 * n <= max(tile, per_source * 8 * n)
+
+
 # ---------------------------------------------------------------------------
 # Sweep memory
+
+
+def test_lambda_sweep_holds_little_beyond_its_stack():
+    # the stack is 46,376 x 25 floats, 9.3 MB; an index of all 409,200
+    # neighbour pairs and their moved counts would hold more than it again
+    kernel, grid = mixture_kernel(birth_death_jitter(5), 0.3), MeasureGrid(5, 30)
+    stack = grid.size * 5 * 5 * 8
+    tracemalloc.start()
+    try:
+        estimate_lambda(kernel, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * stack
 
 
 @pytest.mark.parametrize(
