@@ -31,7 +31,8 @@ module is the first to load numpy (the console script, ``python -m
 nlmarkov.cli``); set the variable to keep another value.
 
 Exit codes: 0 all claims hold, 1 a certified claim was falsified,
-2 usage or configuration error, 3 numerical failure (a particle run
+2 usage or configuration error (an smve Euler step h with h Lip(b1) >= 1
+among them, refused before any output), 3 numerical failure (a particle run
 blew up or its interaction exceeded its declared bound, a stock kernel
 failed validation, a chain orbit met a non-stochastic row, an orbit
 iterate left the simplex, a ``lyapunov`` mean weight was too large for
@@ -508,8 +509,11 @@ def _spec(c: dict, horizon: float, times, runs: int = 1, extra: int = 0):
     """The model options' particle system and its runs' snapshot count,
     once they, --horizon and n are checked.  n is budgeted by the
     particle arrays the action holds at once in this process: x, and
-    ``extra`` temporaries of its observer; forked workers hold an x
-    each.  The ``runs`` runs' particle-steps are budgeted too."""
+    ``extra`` temporaries of its observer; the forked child of a pair
+    holds the other run's x.  The ``runs`` runs' particle-steps are
+    budgeted too.  Last, an unstable Euler step is refused: h Lip(b1)
+    must lie below 1, where Lip(b1) is 1 for ou (b1 = -x) and r/M for vh
+    (slope r/M inside the ball and 0 outside it)."""
     from .mckean_vlasov import _plan, make_ou_spec, make_vh_spec
 
     if c["n"] < 100:
@@ -530,6 +534,12 @@ def _spec(c: dict, horizon: float, times, runs: int = 1, extra: int = 0):
     _check(f"{runs} run{'s' * (runs > 1)} of --n {c['n']} particles to "
            f"--{'horizon' if 'horizon' in c else 'times'} {horizon:g} at --h {c['h']:g}",
            {"particle-steps": runs * (a + b * c["n"]) * float(n_steps)})
+    lip, which = ((1.0, "1") if c["preset"] == "ou" else
+                  (c["r"] / c["m-ball"], f"--r {c['r']:g} / --m-ball {c['m-ball']:g}"))
+    if not c["h"] * lip < 1.0:
+        raise ValueError(f"--h {c['h']:g} at --preset {c['preset']} has h Lip(b1) = "
+                         f"{c['h'] * lip:.6g}, not below 1, so the Euler step is unstable "
+                         f"(Lip(b1) = {which})")
     return make_ou_spec() if c["preset"] == "ou" else make_vh_spec(
         r=c["r"], M=c["m-ball"], D=c["d-bound"], epsilon=c["epsilon"]), len(snaps)
 
@@ -562,8 +572,8 @@ def _smve_simulate(args, c: dict) -> int:
 def _binning(c: dict, held: int):
     """The action's binning, its ``held`` arrays of --bins + 1 floats budgeted.
     A pair of runs of s snapshots holds 3 s + 1: both runs' masses, a
-    third run's worth while the second is unpickled from a worker, and a
-    temporary of the distance or the bootstrap."""
+    third run's worth while the second is unpickled from the forked
+    child, and a temporary of the distance or the bootstrap."""
     from .diagnostics import Binning
 
     _positive(c, "bins")
@@ -578,16 +588,17 @@ def _binning(c: dict, held: int):
 def _pair(args, c: dict, spec, snaps: int, horizon: float, times: list,
           runs: list, floor: str):
     """The step decay and girsanov-check share after their own checks:
-    budget the binning, write resolved_config.json, run the (law, seed)
-    pairs of ``runs`` observing cell masses, and return the output
-    directory, both runs and the floor: option ``floor`` if nonnegative,
-    else the bootstrap floor of the first run."""
+    budget the binning, write resolved_config.json, run the two (law,
+    seed) pairs of ``runs`` through ``simulate_pair`` observing cell
+    masses, and return the output directory, both runs and the floor:
+    option ``floor`` if nonnegative, else the bootstrap floor of the
+    first run."""
     from .diagnostics import bootstrap_floor
-    from .mckean_vlasov import simulate_runs
+    from .mckean_vlasov import simulate_pair
 
     binning = _binning(c, 3 * snaps + 1)
     out = _begin(args, f"smve/{args.action}", c)
-    run_a, run_b = simulate_runs(spec, runs, c["n"], float(c["h"]), horizon, times,
+    run_a, run_b = simulate_pair(spec, *runs, c["n"], float(c["h"]), horizon, times,
                                  observe=binning.masses)
     if c[floor] < 0:
         return out, run_a, run_b, bootstrap_floor(run_a, c["n"], c["seed"])

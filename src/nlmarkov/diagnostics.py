@@ -496,7 +496,7 @@ def bootstrap_floor(run: Run, n: int, seed: int) -> float:
 
     The draws come from the (seed, 2**64 - 1) stream, which no step of
     any run uses, so the floor is a function of the run's masses, n and
-    the seed, whatever the worker layout.  A cell of
+    the seed, whichever process stepped the run.  A cell of
     mass 0 always counts 0 and is left out of the draws, so a draw holds
     at most min(n, cells) counts.
     """

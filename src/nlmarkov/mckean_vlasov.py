@@ -12,6 +12,10 @@ law of the process admits an exponential Lyapunov weight
 
 smoothly capped inside the ball, and small-eps perturbation bounds hold
 up to eps_0 = min(alpha_local, r) / (2 D).
+
+``simulate`` steps one particle system and returns what its observer
+reads at each snapshot; ``simulate_pair`` steps two independent ones,
+the second in a forked child where a second CPU is free.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import signal
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -36,7 +40,7 @@ __all__ = [
     "SimulationBlowUp",
     "DriftBoundError",
     "simulate",
-    "simulate_runs",
+    "simulate_pair",
     "epsilon_zero",
     "ou_drift",
     "radial_confinement_drift",
@@ -400,7 +404,7 @@ def simulate(
     are stepped in blocks of _BLOCK_BYTES // 8 = 16,384 rows, and block c
     draws its normals from the (seed, k) stream at Philox counter
     (0, c, 0, 0), its own substream.  So a run is bit-reproducible and
-    independent of the thread count or any worker layout, and
+    independent of the thread count or the process that steps it, and
     ``_BLOCK_BYTES`` is part of what fixes the outputs of a run of more
     than one block; a one-block run (n <= 16,384) draws the (seed, k)
     stream from its start.
@@ -434,107 +438,87 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def simulate_runs(
+def simulate_pair(
     spec: SMVESpec,
-    runs: Sequence[tuple[Callable, int]],
+    first: tuple[Callable, int],
+    second: tuple[Callable, int],
     n_particles: int,
     step_size: float,
     horizon: float,
     snapshot_times: Sequence[float] | None = None,
     *,
     observe: Callable[[np.ndarray], object],
-) -> Iterator[list[tuple[float, object]]]:
+) -> tuple[list[tuple[float, object]], list[tuple[float, object]]]:
     """``simulate(spec, sampler, n_particles, step_size, horizon, seed,
-    snapshot_times, observe=observe)`` for each ``(sampler, seed)`` in
-    ``runs``, yielded in list order and equal to it.
+    snapshot_times, observe=observe)`` for the ``(sampler, seed)`` of
+    ``first`` and of ``second``, returned in that order.
 
-    The runs are independent, so they are spread round-robin over forked
-    worker processes, one per usable CPU: with W workers, worker w
-    steps runs w, w + W, ... one after another and sends each run's
-    pairs down its own pipe as one pickle, so observations must pickle;
-    the caller reads run i from worker i mod W alone.  A worker's write
-    blocks while the caller reads an earlier run, so it is at most one
-    finished run ahead.  The runs go in order in this process, through
-    ``simulate``, when there is one run or one usable CPU, off Linux, or
-    when other threads are alive, since forking a threaded process is
-    unsafe.
+    The runs are independent, so one forked child steps ``second`` while
+    the caller steps ``first``, each in one lane; the child sends its
+    run's pairs through a pipe as one pickle, so observations must
+    pickle.  Both runs go one after the other in this process, through
+    ``simulate``, on one usable CPU, off Linux, or when other threads are
+    alive, since forking a threaded process is unsafe.
 
-    The arguments are checked before any fork.  The exception of the
-    first failing run in list order, an observer's included, is raised
-    with its type and message (as a RuntimeError naming both if it
-    cannot be pickled); a worker that exits without reporting its run
-    raises RuntimeError with its exit code.  Every worker is joined, or
-    terminated and joined, when the iterator finishes, fails or is
-    closed.
+    The arguments are checked before the fork.  The first run's
+    exception, an observer's included, wins over the second's.  The
+    child's exception keeps its type and message (it becomes a
+    RuntimeError naming both if it cannot be pickled), and a child that
+    exits without reporting its run raises RuntimeError with its exit
+    code.  The child ignores SIGINT and is joined, or terminated and
+    joined, on every exit path.
     """
     plan = _plan(n_particles, step_size, horizon, snapshot_times)
-    runs = [(sampler, seed) for sampler, seed in runs]
-    cpus = _usable_cpus() if sys.platform == "linux" else 1
-    if len(runs) < 2 or cpus < 2 or threading.active_count() > 1:
-        return (simulate(spec, sampler, n_particles, step_size, horizon, seed,
-                         snapshot_times, observe=observe) for sampler, seed in runs)
-    return _forked_runs(spec, runs, n_particles, step_size, plan, observe,
-                        min(len(runs), cpus))
-
-
-def _forked_runs(spec, runs, n_particles, step_size, plan, observe, n_workers):
+    if sys.platform != "linux" or _usable_cpus() < 2 or threading.active_count() > 1:
+        return tuple(simulate(spec, sampler, n_particles, step_size, horizon, seed,
+                              snapshot_times, observe=observe)
+                     for sampler, seed in (first, second))
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
-    workers = []  # (process, read end of its pipe)
+    reader, writer = context.Pipe(duplex=False)
+    child = context.Process(target=_run_child, name="nlmarkov-run", daemon=True,
+                            args=(writer, spec, *second, n_particles, step_size, plan,
+                                  observe))
     finished = False
     try:
-        for w in range(n_workers):
-            reader, writer = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_run_worker, name=f"nlmarkov-runs-{w}", daemon=True,
-                args=(writer, spec, runs[w::n_workers], n_particles, step_size, plan,
-                      observe),
-            )
-            workers.append((process, reader))
-            process.start()
-            # closed before the next fork, so only worker w holds it and
-            # its exit shows as end-of-file
-            writer.close()
-        for i in range(len(runs)):
-            process, reader = workers[i % n_workers]
-            try:
-                item = pickle.loads(reader.recv_bytes())
-            except EOFError:
-                process.join()
-                raise RuntimeError(
-                    f"particle run {i}: worker process exited with code "
-                    f"{process.exitcode} without reporting it") from None
-            if not isinstance(item, list):
-                raise item
-            yield item
-        finished = True
-    finally:
-        for process, reader in workers:
-            if process.pid is not None:  # None if interrupted before it started
-                if not finished:
-                    process.terminate()
-                process.join()
-                process.close()
-            reader.close()
-
-
-def _run_worker(writer, spec, runs, n_particles, step_size, plan, observe):
-    """Worker body: its runs in order, each in one lane since the other
-    workers use the other CPUs, stopping at the first failure.  Each
-    message is one pickle: a run's list of (time, observation) pairs, or
-    the exception when it failed.  Ctrl-C reaches the parent, which
-    terminates the workers."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for sampler, seed in runs:
+        child.start()
+        # only the child holds the write end, so its exit shows as end-of-file
+        writer.close()
+        sampler, seed = first
+        run_a = _euler(spec, sampler, n_particles, step_size, seed, plan, observe)
         try:
-            message = pickle.dumps(
-                _euler(spec, sampler, n_particles, step_size, seed, plan, observe),
-                protocol=5)
-        except BaseException as exc:
-            writer.send_bytes(_pickled_failure(exc))
-            return
-        writer.send_bytes(message)
+            run_b = pickle.loads(reader.recv_bytes())
+        except EOFError:
+            child.join()
+            raise RuntimeError(f"the second particle run's process exited with code "
+                               f"{child.exitcode} without reporting it") from None
+        if not isinstance(run_b, list):
+            raise run_b
+        finished = True
+        return run_a, run_b
+    finally:
+        if child.pid is not None:  # None if interrupted before it started
+            if not finished:
+                child.terminate()
+            child.join()
+            child.close()
+        writer.close()
+        reader.close()
+
+
+def _run_child(writer, spec, sampler, seed, n_particles, step_size, plan, observe):
+    """Child body: one run in one lane, since the caller steps the other
+    run on another CPU, sent as one pickle: its list of (time,
+    observation) pairs, or its exception.  Ctrl-C reaches the caller,
+    which terminates the child."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        message = pickle.dumps(
+            _euler(spec, sampler, n_particles, step_size, seed, plan, observe), protocol=5)
+    except BaseException as exc:
+        message = _pickled_failure(exc)
+    writer.send_bytes(message)
 
 
 def _pickled_failure(exc: BaseException) -> bytes:

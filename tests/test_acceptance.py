@@ -52,7 +52,7 @@ from nlmarkov.mckean_vlasov import (
     ou_drift,
     radial_confinement_drift,
     simulate,
-    simulate_runs,
+    simulate_pair,
 )
 from nlmarkov.reporting import Claim, report_document, write_json_report
 
@@ -327,7 +327,7 @@ def run_criterion_08(out):
         spec = make_vh_spec(epsilon=eps)
         # the coupled pair at one seed, and the allowance the bootstrap floor
         # of the mu0 run, as girsanov-check takes them
-        run_a, run_b = simulate_runs(spec, [(mu0, 500), (nu0, 500)], N_PARTICLES, STEP,
+        run_a, run_b = simulate_pair(spec, (mu0, 500), (nu0, 500), N_PARTICLES, STEP,
                                      max(GIRSANOV_TIMES), list(GIRSANOV_TIMES),
                                      observe=BINNING.masses)
         rep = girsanov_bound_check(run_a, run_b, 0.2, spec.epsilon, spec.lipschitz_L,

@@ -704,18 +704,52 @@ class TestSmve:
         assert rep["claims"][0]["witness"]["gamma_hat"] < 1.0
 
     def test_blow_up_exits_three_with_one_error_line(self, tmp_path):
-        # simulate steps in this process; in decay the mu0 run blows up,
-        # in a worker process where there are two CPUs.  A fresh
+        # an interaction of strength 2e308 on a stable Euler step: simulate
+        # steps in this process; in decay the mu0 run blows up in the
+        # caller, which forks the nu0 run where there are two CPUs.  A fresh
         # interpreter, because pytest records numpy's warnings instead of
         # printing them: no overflow warning may precede the one error line.
         src = str(Path(nlmarkov.__file__).resolve().parents[1])
         for action in ("simulate", "decay"):
             done = subprocess.run(
-                [sys.executable, "-m", "nlmarkov.cli", "smve", action, "--preset", "ou",
-                 "--h", "5", "--horizon", "5000", "--out", str(tmp_path / action)],
+                [sys.executable, "-m", "nlmarkov.cli", "smve", action, "--epsilon", "2",
+                 "--d-bound", "1e308", "--horizon", "1", "--out", str(tmp_path / action)],
                 capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
             assert done.returncode == 3
-            assert done.stderr == "error: ou: non-finite position at step 512\n"
+            assert done.stderr == ("error: vh(r=1,M=1,D=1e+308,eps=2): non-finite "
+                                   "position at step 3\n")
+
+    @pytest.mark.parametrize("action", ["simulate", "decay", "girsanov-check", "lyapunov"])
+    @pytest.mark.parametrize("argv, lip", [
+        (["--preset", "ou", "--h", "5", "--horizon", "500"], "1"),
+        (["--preset", "ou", "--h", "1", "--horizon", "2"], "1"),
+        (["--r", "2", "--m-ball", "0.5", "--h", "0.25", "--horizon", "2"],
+         "--r 2 / --m-ball 0.5"),
+    ], ids=["ou-h5", "ou-h1", "vh-edge"])
+    def test_unstable_euler_step_is_refused_before_any_output(self, tmp_path, capsys,
+                                                               action, argv, lip):
+        # the ou run at h = 5 exited 0 with positions of 3.7e60 at t = 500;
+        # h Lip(b1) = 1 is refused too
+        h = argv[argv.index("--h") + 1]
+        if action == "girsanov-check":
+            argv = [a.replace("--horizon", "--times") for a in argv]
+        if action == "lyapunov":
+            argv = [*argv, "--lag", h]
+        out = tmp_path / "x"
+        assert main(["smve", action, *argv, "--out", str(out)]) == 2
+        preset = "ou" if "ou" in argv else "vh"
+        hlip = float(h) if preset == "ou" else 1
+        assert capsys.readouterr().err == (
+            f"error: --h {h} at --preset {preset} has h Lip(b1) = {hlip:g}, not below 1, "
+            f"so the Euler step is unstable (Lip(b1) = {lip})\n")
+        assert not out.exists()
+
+    def test_stable_euler_steps_below_the_bound_run(self, tmp_path):
+        # just below h Lip(b1) = 1 on each preset
+        assert main(["smve", "simulate", "--preset", "ou", "--h", "0.5", "--n", "100",
+                     "--horizon", "1", "--out", str(tmp_path / "ou")]) == 0
+        assert main(["smve", "simulate", "--r", "2", "--m-ball", "0.5", "--h", "0.2",
+                     "--n", "100", "--horizon", "1", "--out", str(tmp_path / "vh")]) == 0
 
     @pytest.mark.parametrize("option", ["--d-bound", "--epsilon"])
     def test_simulate_moments_past_the_float_range_exit_three(self, tmp_path, capsys,
@@ -731,7 +765,7 @@ class TestSmve:
             ": the mean or variance at t = 0.1 is past the float range\n")
         assert not (out / "snapshots.csv").exists()
 
-    @pytest.mark.parametrize("option", ["--r", "--epsilon"])
+    @pytest.mark.parametrize("option", ["--d-bound", "--epsilon"])
     def test_lyapunov_weight_overflow_exits_three_with_one_error_line(self, tmp_path,
                                                                       option):
         # V = exp(kappa |x|) overflowed, and np.polyfit failed in LAPACK:
@@ -754,12 +788,12 @@ class TestSmve:
         assert capsys.readouterr().err == "error: vh: |b2| = 5 exceeds D = 1\n"
 
     def test_other_runtime_errors_are_not_numerical_failures(self, tmp_path, monkeypatch):
-        # such as a forked worker that died without reporting its run
+        # such as a forked child that died without reporting its run
         def died(*args, **kwargs):
-            raise RuntimeError("worker 1 exited with code -9")
+            raise RuntimeError("the second particle run's process exited with code -9")
 
         monkeypatch.setattr(mckean_vlasov, "simulate", died)
-        with pytest.raises(RuntimeError, match="worker 1 exited"):
+        with pytest.raises(RuntimeError, match="process exited with code -9"):
             main(["smve", "simulate", "--out", str(tmp_path / "run")])
 
     def test_usage_errors(self, tmp_path):
@@ -1488,7 +1522,7 @@ PARTICLE_MODULES = ("numpy.random", "nlmarkov.mckean_vlasov", "nlmarkov.diagnost
 # beyond what numpy loads: scipy, since numpy is the only runtime
 # dependency; concurrent.futures, which nothing the CLI runs needs and
 # which would add about 8 ms to every start; multiprocessing, which
-# simulate_runs imports when it first forks workers; hashlib and
+# simulate_pair imports when it forks its child; hashlib and
 # kernel_spec, which only chain --kernel custom needs (about 7 ms); and
 # the particle modules.
 @pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "multiprocessing",

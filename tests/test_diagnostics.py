@@ -39,7 +39,7 @@ from nlmarkov.mckean_vlasov import (
     ou_drift,
     radial_confinement_drift,
     simulate,
-    simulate_runs,
+    simulate_pair,
 )
 from nlmarkov.reporting import NumericalFailure
 
@@ -273,7 +273,7 @@ class TestHistogramArraysHeld:
                                              self.binning.masses(b)))
         assert 2 * self.array < peak <= 3 * self.array + self.slack
 
-    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "workers"])
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
     @pytest.mark.parametrize("floor", [0.5, -1.0], ids=["given", "bootstrap"])
     @pytest.mark.parametrize("action", ["decay", "girsanov-check"])
     def test_a_pair_of_runs_holds_their_masses_and_one_temporary(self, monkeypatch,
@@ -281,8 +281,9 @@ class TestHistogramArraysHeld:
                                                                  floor, cpus):
         # the step decay and girsanov-check share, then the action's
         # reduction: both runs' masses, then one temporary of the distance
-        # or the bootstrap; unpickling the second run from a worker holds a
-        # third run's worth: the 3 s + 1 arrays the CLI budgets --bins by
+        # or the bootstrap; unpickling the second run from the forked child
+        # holds a third run's worth: the 3 s + 1 arrays the CLI budgets
+        # --bins by
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
         c = {k: option.default for k, option in cli.OPTIONS["smve"][action].items()}
@@ -500,7 +501,7 @@ class TestGirsanovBoundCheck:
 
     def check(self, spec, mu0, nu0, tv0, times):
         # the pair girsanov-check runs: both laws at one seed, to the last time
-        run_a, run_b = simulate_runs(spec, [(mu0, 9), (nu0, 9)], 200, 0.01, max(times),
+        run_a, run_b = simulate_pair(spec, (mu0, 9), (nu0, 9), 200, 0.01, max(times),
                                      times, observe=self.binning.masses)
         return girsanov_bound_check(run_a, run_b, tv0, spec.epsilon, spec.lipschitz_L)
 
@@ -567,11 +568,11 @@ def _calibrated_floor(spec, times, n, seed, binning, pairs=5) -> float:
     histogram distances of ``pairs`` pairs of independent runs from
     point:0, at seeds seed + 1, seed + 2, ..., over the times past 0."""
     times = [t for t in times if t > 0.0]
-    runs = simulate_runs(spec, [(Point(0.0), seed + k) for k in range(1, 2 * pairs + 1)],
-                         n, 0.05, max(times), times, observe=binning.masses)
     distances = []
-    for run_a in runs:
-        run_b = next(runs)
+    for k in range(1, 2 * pairs + 1, 2):
+        run_a, run_b = simulate_pair(spec, (Point(0.0), seed + k),
+                                     (Point(0.0), seed + k + 1), n, 0.05, max(times),
+                                     times, observe=binning.masses)
         distances += [Binning.tv(p, q) for (_, p), (_, q) in zip(run_a, run_b)]
     return float(np.percentile(distances, 99.0))
 

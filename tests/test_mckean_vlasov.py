@@ -31,7 +31,7 @@ from nlmarkov.mckean_vlasov import (
     mean_attraction_coupling,
     radial_confinement_drift,
     simulate,
-    simulate_runs,
+    simulate_pair,
 )
 
 
@@ -890,11 +890,7 @@ def _plain(state):
 
 
 # ---------------------------------------------------------------------------
-# Independent runs in worker processes.
-
-TWO_CPUS = pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="worker processes need two usable CPUs")
+# A pair of independent runs: the caller and one forked child.
 
 
 class _Hang(Exception):
@@ -903,12 +899,12 @@ class _Hang(Exception):
 
 @pytest.fixture
 def no_leftovers():
-    """Fails the test if it leaves a worker process or a thread behind,
+    """Fails the test if it leaves a child process or a thread behind,
     and fails it, instead of hanging, after 60 s."""
     threads = threading.active_count()
 
     def expire(signum, frame):
-        raise _Hang("simulate_runs did not return within 60 s")
+        raise _Hang("simulate_pair did not return within 60 s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(60)
@@ -919,6 +915,20 @@ def no_leftovers():
         signal.signal(signal.SIGALRM, previous)
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads
+
+
+@pytest.fixture
+def forked(monkeypatch, no_leftovers):
+    """Two usable CPUs, so that ``simulate_pair`` forks its child on any
+    Linux host, with no run of its own through ``simulate``."""
+    if sys.platform != "linux":
+        pytest.skip("the pair forks on Linux only")
+    _use_cpus(monkeypatch, 2)
+
+    def in_process(*args, **kwargs):
+        raise AssertionError("a run went through simulate in this process")
+
+    monkeypatch.setattr(mckean_vlasov, "simulate", in_process)
 
 
 def _same_runs(got, want):
@@ -947,40 +957,53 @@ def _sampler(name):
 @settings(max_examples=25, deadline=None)
 @given(
     model=st.sampled_from(["ou", "vh"]),
-    runs=st.lists(st.tuples(st.sampled_from(["point", "gauss", "mix"]), st.integers(0, 3)),
-                  min_size=1, max_size=5),
-    n=st.sampled_from([100, 1_000]),
+    runs=st.tuples(*[st.tuples(st.sampled_from(["point", "gauss", "mix"]),
+                               st.integers(0, 3))] * 2),
+    same_seed=st.booleans(),
+    n=st.sampled_from([100, 1_000, 20_000]),
     steps=st.integers(1, 30),
+    cpus=st.sampled_from([1, 2]),
 )
-@example(model="vh", runs=[("gauss", 1), ("gauss", 1), ("mix", 0)], n=1_000, steps=7)
-@example(model="ou", runs=[("point", 2)], n=100, steps=1)
-def test_simulate_runs_matches_simulate(model, runs, n, steps):
+@example(model="vh", runs=(("gauss", 1), ("mix", 0)), same_seed=True, n=20_000, steps=7,
+         cpus=2)
+@example(model="ou", runs=(("point", 2), ("point", 3)), same_seed=False, n=100, steps=1,
+         cpus=1)
+def test_simulate_pair_matches_simulate(model, runs, same_seed, n, steps, cpus):
+    # girsanov-check runs both laws at one seed, decay at two
     threads = threading.active_count()
     spec, _ = _model(model)
     h = 0.05
     horizon = steps * h
     times = [0.0, (steps // 2) * h, horizon]
-    pairs = [(_sampler(name), seed) for name, seed in runs]
-    got = list(simulate_runs(spec, pairs, n, h, horizon, times, observe=_positions))
-    _same_runs(got, _sequential(spec, pairs, n, h, horizon, times))
+    (a, seed_a), (b, seed_b) = runs
+    pair = [(_sampler(a), seed_a), (_sampler(b), seed_a if same_seed else seed_b)]
+    want = _sequential(spec, pair, n, h, horizon, times)
+    with pytest.MonkeyPatch.context() as patch:
+        _use_cpus(patch, cpus)
+        got = simulate_pair(spec, *pair, n, h, horizon, times, observe=_positions)
+    assert isinstance(got, tuple)
+    _same_runs(got, want)
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads
 
 
 def _two_runs():
-    return make_vh_spec(), [(Gauss(0.0, 1.0), 4), (Point(1.0), 5)]
+    return make_vh_spec(), (Gauss(0.0, 1.0), 4), (Point(1.0), 5)
 
 
-@TWO_CPUS
-def test_runs_go_to_worker_processes(monkeypatch, no_leftovers):
-    spec, runs = _two_runs()
-    want = _sequential(spec, runs, 1_000, 0.01, 0.2, None)
+def test_pair_forks_one_child_and_steps_the_first_run_itself(monkeypatch, forked):
+    spec, first, second = _two_runs()
+    seeds = []
+    euler = mckean_vlasov._euler
 
-    def in_process(*args, **kwargs):
-        raise AssertionError("a run went through simulate in this process")
+    def stepped(*args, **kwargs):
+        seeds.append(args[4])  # in this process, or in the child, where it stays
+        return euler(*args, **kwargs)
 
-    monkeypatch.setattr(mckean_vlasov, "simulate", in_process)
-    _same_runs(list(simulate_runs(spec, runs, 1_000, 0.01, 0.2, observe=_positions)), want)
+    monkeypatch.setattr(mckean_vlasov, "_euler", stepped)
+    got = simulate_pair(spec, first, second, 1_000, 0.01, 0.2, observe=_positions)
+    assert seeds == [4]
+    _same_runs(got, _sequential(spec, [first, second], 1_000, 0.01, 0.2, None))
 
 
 def _counting_simulate(monkeypatch):
@@ -988,7 +1011,7 @@ def _counting_simulate(monkeypatch):
     real = mckean_vlasov.simulate
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args[5])  # the seed
         return real(*args, **kwargs)
 
     monkeypatch.setattr(mckean_vlasov, "simulate", counted)
@@ -996,40 +1019,44 @@ def _counting_simulate(monkeypatch):
 
 
 def test_one_cpu_runs_in_order_in_process(monkeypatch, no_leftovers):
-    spec, runs = _two_runs()
-    want = _sequential(spec, runs, 1_000, 0.01, 0.2, [0.1, 0.2])
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    spec, first, second = _two_runs()
+    want = _sequential(spec, [first, second], 1_000, 0.01, 0.2, [0.1, 0.2])
+    _use_cpus(monkeypatch, 1)
     calls = _counting_simulate(monkeypatch)
-    _same_runs(list(simulate_runs(spec, runs, 1_000, 0.01, 0.2, [0.1, 0.2],
-                                  observe=_positions)), want)
-    assert len(calls) == 2
+    _same_runs(simulate_pair(spec, first, second, 1_000, 0.01, 0.2, [0.1, 0.2],
+                             observe=_positions), want)
+    assert calls == [4, 5]
 
 
 def test_live_threads_keep_the_runs_in_process(monkeypatch):
-    spec, runs = _two_runs()
-    want = _sequential(spec, runs, 1_000, 0.01, 0.2, None)
+    spec, first, second = _two_runs()
+    want = _sequential(spec, [first, second], 1_000, 0.01, 0.2, None)
+    _use_cpus(monkeypatch, 2)
     calls = _counting_simulate(monkeypatch)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        got = list(simulate_runs(spec, runs, 1_000, 0.01, 0.2, observe=_positions))
+        got = simulate_pair(spec, first, second, 1_000, 0.01, 0.2, observe=_positions)
     finally:
         release.set()
         other.join()
     _same_runs(got, want)
-    assert len(calls) == 2
+    assert calls == [4, 5]
     assert multiprocessing.active_children() == []
 
 
-def test_bad_arguments_raise_before_any_run(no_leftovers):
-    spec, runs = _two_runs()
+def test_bad_arguments_raise_before_any_run(monkeypatch, forked):
+    def stepped(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(mckean_vlasov, "_euler", stepped)
+    spec, first, second = _two_runs()
     for kwargs in (dict(n_particles=50), dict(step_size=0.0),
                    dict(horizon=0.001), dict(snapshot_times=[2.0])):
         args = dict(n_particles=100, step_size=0.01, horizon=1.0) | kwargs
         with pytest.raises(ValueError):
-            simulate_runs(spec, runs, **args, observe=_positions)
-    assert list(simulate_runs(spec, [], 100, 0.01, 1.0, observe=_positions)) == []
+            simulate_pair(spec, first, second, **args, observe=_positions)
 
 
 def _late_blow_up_spec():
@@ -1045,38 +1072,31 @@ def _fails_at_once(rng, x):
     raise ValueError("no initial sample")
 
 
-def test_first_failing_run_in_list_order_wins(no_leftovers):
-    # run 0 blows up late; run 1 fails at once; run 2 would pass
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "forked"])
+def test_the_first_runs_failure_wins(monkeypatch, no_leftovers, cpus):
+    # the first run blows up late in the caller; the second fails at once
+    # in the child
     spec = _late_blow_up_spec()
-    runs = [(Point(1e250), 1), (_fails_at_once, 2),
-            (Point(0.0), 3)]
+    first, second = (Point(1e250), 1), (_fails_at_once, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(SimulationBlowUp) as want:
-            _sequential(spec, runs, 100, 0.1, 20.0, None)
-        results = simulate_runs(spec, runs, 100, 0.1, 20.0, observe=_positions)
+            _sequential(spec, [first], 100, 0.1, 20.0, None)
+        _use_cpus(monkeypatch, cpus)
         with pytest.raises(SimulationBlowUp) as got:
-            next(results)
+            simulate_pair(spec, first, second, 100, 0.1, 20.0, observe=_positions)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("late: non-finite position at step ")
 
 
-def test_runs_before_the_failure_are_yielded(no_leftovers):
-    spec = make_ou_spec()
-    runs = [(Point(0.0), 1), (_fails_at_once, 2), (Point(0.0), 3)]
-    results = simulate_runs(spec, runs, 100, 0.01, 0.5, observe=_positions)
-    _same_runs([next(results)], _sequential(spec, runs[:1], 100, 0.01, 0.5, None))
-    with pytest.raises(ValueError, match="^no initial sample$"):
-        next(results)
-
-
-def test_worker_failure_keeps_its_type_and_message(no_leftovers):
+def test_the_childs_failure_keeps_its_type_and_message(forked):
+    # |b2| = 5 > D once the mean passes 50: the second run only
     bad = SMVESpec(b1=lambda x: -x,
-                   b2=lambda x, m: np.full_like(x, 5.0),
+                   b2=lambda x, m: np.full_like(x, 5.0 if m > 50 else 0.0),
                    epsilon=0.1, bound_D=1.0, lipschitz_L=1.0)
-    runs = [(Point(0.0), 1), (Point(0.0), 2)]
     with pytest.raises(DriftBoundError, match=r"^smve: \|b2\| = 5 exceeds D = 1$"):
-        list(simulate_runs(bad, runs, 100, 0.01, 0.1, observe=_positions))
+        simulate_pair(bad, (Point(0.0), 1), (Point(100.0), 2), 100, 0.01, 0.1,
+                      observe=_positions)
 
 
 class _ObserverError(Exception):
@@ -1087,15 +1107,17 @@ def _failing_observer(x):
     raise _ObserverError(f"observer refused {len(x)} particles")
 
 
-@TWO_CPUS
-def test_observer_failure_in_a_worker_reaches_the_caller(monkeypatch, no_leftovers):
-    def in_process(*args, **kwargs):
-        raise AssertionError("a run went through simulate in this process")
+def test_observer_failure_in_the_child_reaches_the_caller(forked):
+    parent = os.getpid()
 
-    monkeypatch.setattr(mckean_vlasov, "simulate", in_process)
-    spec, runs = _two_runs()
+    def observe(x):
+        if os.getpid() != parent:
+            _failing_observer(x)
+        return len(x)
+
+    spec, first, second = _two_runs()
     with pytest.raises(_ObserverError, match="^observer refused 100 particles$"):
-        list(simulate_runs(spec, runs, 100, 0.01, 0.1, observe=_failing_observer))
+        simulate_pair(spec, first, second, 100, 0.01, 0.1, observe=observe)
 
 
 def test_observer_failure_in_a_wide_run_joins_every_lane(monkeypatch, no_leftovers):
@@ -1113,35 +1135,35 @@ def test_observer_failure_in_a_wide_run_joins_every_lane(monkeypatch, no_leftove
     assert len(calls) == 2
 
 
-@TWO_CPUS
-def test_unpicklable_failure_becomes_a_runtime_error(no_leftovers):
+def test_unpicklable_failure_crosses_the_pipe_as_a_runtime_error(forked):
     class LocalError(Exception):
         pass
 
     def sampler(rng, x):
         raise LocalError("cannot cross a pipe")
 
-    runs = [(sampler, 1), (Point(0.0), 2)]
+    # in the child it becomes a RuntimeError naming both ...
     with pytest.raises(RuntimeError, match="^LocalError: cannot cross a pipe$"):
-        list(simulate_runs(make_ou_spec(), runs, 100, 0.01, 0.1, observe=_positions))
+        simulate_pair(make_ou_spec(), (Point(0.0), 1), (sampler, 2), 100, 0.01, 0.1,
+                      observe=_positions)
+    # ... and in the caller, where nothing crosses a pipe, it raises as itself
+    with pytest.raises(LocalError, match="^cannot cross a pipe$"):
+        simulate_pair(make_ou_spec(), (sampler, 1), (Point(0.0), 2), 100, 0.01, 0.1,
+                      observe=_positions)
 
 
-@TWO_CPUS
-def test_killed_worker_raises_instead_of_hanging(no_leftovers):
-    # the last worker started dies in its first run's sampler
+def test_killed_child_raises_instead_of_hanging(forked):
+    # the child dies in its run's sampler
     parent = os.getpid()
 
-    def killed_in_worker(rng, x):
+    def killed_in_child(rng, x):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    spec = make_ou_spec()
-    runs = [(Point(0.0), 1), (killed_in_worker, 2), (Point(0.0), 3)]
-    results = simulate_runs(spec, runs, 100, 0.01, 0.1, observe=_positions)
-    _same_runs([next(results)], _sequential(spec, runs[:1], 100, 0.01, 0.1, None))
-    with pytest.raises(RuntimeError, match=r"^particle run 1: worker process exited "
+    with pytest.raises(RuntimeError, match=r"^the second particle run's process exited "
                                            r"with code -9 without reporting it$"):
-        next(results)
+        simulate_pair(make_ou_spec(), (Point(0.0), 1), (killed_in_child, 2), 100, 0.01,
+                      0.1, observe=_positions)
 
 
 def _slow_far_out_spec():
@@ -1154,25 +1176,12 @@ def _slow_far_out_spec():
     return SMVESpec(b1, None, 0.0, 0.0, 0.0, "slow")
 
 
-# runs 1 and 2 take 10 s each, runs 0 and 3 a few milliseconds
-_FAST_AND_SLOW = [(Point(0.0), 1), (Point(1000.0), 2),
-                  (Point(1000.0), 3), (Point(0.0), 4)]
-
-
-def test_consumer_that_stops_early_leaves_no_worker(no_leftovers):
-    results = simulate_runs(_slow_far_out_spec(), _FAST_AND_SLOW, 100, 0.01, 20.0,
-                            observe=len)
-    next(results)
-    start = time.perf_counter()
-    results.close()
-    # the workers were terminated, not waited for
-    assert time.perf_counter() - start < 5.0
-    # and one that never starts
-    simulate_runs(_slow_far_out_spec(), _FAST_AND_SLOW, 100, 0.01, 20.0,
-                  observe=len).close()
-
-
-def test_interrupt_while_waiting_leaves_no_worker(no_leftovers):
+# a run from 1000 takes 10 s, a run from 0 a few milliseconds
+@pytest.mark.parametrize("first, second", [
+    ((Point(1000.0), 1), (Point(1000.0), 2)),
+    ((Point(0.0), 1), (Point(1000.0), 2)),
+], ids=["caller-steps", "caller-waits"])
+def test_interrupt_leaves_no_child(forked, first, second):
     def interrupt(signum, frame):
         raise KeyboardInterrupt
 
@@ -1181,12 +1190,13 @@ def test_interrupt_while_waiting_leaves_no_worker(no_leftovers):
     signal.setitimer(signal.ITIMER_REAL, 0.3)
     try:
         with pytest.raises(KeyboardInterrupt):
-            list(simulate_runs(_slow_far_out_spec(), _FAST_AND_SLOW, 100, 0.01, 20.0,
-                               observe=len))
+            simulate_pair(_slow_far_out_spec(), first, second, 100, 0.01, 20.0,
+                          observe=len)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - start < 5.0
+    assert multiprocessing.active_children() == []
 
 
 class TestEpsilonZero:
