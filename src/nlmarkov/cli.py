@@ -184,7 +184,7 @@ def _resolve(args) -> dict:
     refused.  A config value must have its option's type (a float
     field also takes an int; a bool is never a number) and be one of
     its choices; it is kept as given, not coerced.  No float option
-    may be NaN or infinite."""
+    may be NaN, infinite or an int past the float range."""
     options, name, config = OPTIONS[args.command], args.command, {}
     if args.command == "smve":
         options, name = options[args.action], f"smve {args.action}"
@@ -216,7 +216,7 @@ def _resolve(args) -> dict:
         if v is not None:
             resolved[k] = v
     for k, v in resolved.items():
-        if isinstance(v, float) and not math.isfinite(v):
+        if type(options[k].default) is float and not abs(v) <= sys.float_info.max:
             raise ValueError(f"--{k} must be finite, got {v}")
     return resolved
 

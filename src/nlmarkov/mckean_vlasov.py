@@ -15,7 +15,7 @@ up to eps_0 = min(alpha_local, r) / (2 D).
 
 ``simulate`` steps one particle system and returns what its observer
 reads at each snapshot; ``simulate_pair`` steps two independent ones,
-the second in a forked child where a second CPU is free.
+the second in a child made by ``os.fork`` where a second CPU is free.
 """
 
 from __future__ import annotations
@@ -453,72 +453,71 @@ def simulate_pair(
     snapshot_times, observe=observe)`` for the ``(sampler, seed)`` of
     ``first`` and of ``second``, returned in that order.
 
-    The runs are independent, so one forked child steps ``second`` while
-    the caller steps ``first``, each in one lane; the child sends its
-    run's pairs through a pipe as one pickle, so observations must
-    pickle.  Both runs go one after the other in this process, through
-    ``simulate``, on one usable CPU, off Linux, or when other threads are
-    alive, since forking a threaded process is unsafe.
+    The runs are independent, so a child made by ``os.fork`` steps
+    ``second`` while the caller steps ``first``, each in one lane; the
+    child writes its run's pairs to an ``os.pipe`` as one pickle, so
+    observations must pickle.  Both runs go one after the other in this
+    process, through ``simulate``, on one usable CPU, off Linux, or when
+    other threads are alive, since forking a threaded process is unsafe.
 
     The arguments are checked before the fork.  The first run's
     exception, an observer's included, wins over the second's.  The
     child's exception keeps its type and message (it becomes a
     RuntimeError naming both if it cannot be pickled), and a child that
     exits without reporting its run raises RuntimeError with its exit
-    code.  The child ignores SIGINT and is joined, or terminated and
-    joined, on every exit path.
+    code.  The child ignores SIGINT and leaves through ``os._exit``, never
+    returning into the caller's stack or flushing the stdio it inherited;
+    the caller reaps it with ``os.waitpid``, after SIGTERM if it has not
+    reported, on every exit path.
     """
     plan = _plan(n_particles, step_size, horizon, snapshot_times)
     if sys.platform != "linux" or _usable_cpus() < 2 or threading.active_count() > 1:
         return tuple(simulate(spec, sampler, n_particles, step_size, horizon, seed,
                               snapshot_times, observe=observe)
                      for sampler, seed in (first, second))
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    reader, writer = context.Pipe(duplex=False)
-    child = context.Process(target=_run_child, name="nlmarkov-run", daemon=True,
-                            args=(writer, spec, *second, n_particles, step_size, plan,
-                                  observe))
-    finished = False
+    reader, writer = map(open, os.pipe(), ("rb", "wb"))
+    pid = message = None
     try:
-        child.start()
+        pid = os.fork()
+        if pid == 0:
+            # the child: one run in one lane, written as one pickle of its
+            # (time, observation) pairs or of its exception; Ctrl-C reaches
+            # the caller, which terminates it
+            code = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                sampler, seed = second
+                try:
+                    message = pickle.dumps(
+                        _euler(spec, sampler, n_particles, step_size, seed, plan, observe),
+                        protocol=5)
+                except BaseException as exc:
+                    message = _pickled_failure(exc)
+                writer.write(message)
+                writer.close()
+                code = 0
+            finally:
+                os._exit(code)
         # only the child holds the write end, so its exit shows as end-of-file
         writer.close()
         sampler, seed = first
         run_a = _euler(spec, sampler, n_particles, step_size, seed, plan, observe)
-        try:
-            run_b = pickle.loads(reader.recv_bytes())
-        except EOFError:
-            child.join()
-            raise RuntimeError(f"the second particle run's process exited with code "
-                               f"{child.exitcode} without reporting it") from None
-        if not isinstance(run_b, list):
-            raise run_b
-        finished = True
-        return run_a, run_b
+        message = reader.read()
     finally:
-        if child.pid is not None:  # None if interrupted before it started
-            if not finished:
-                child.terminate()
-            child.join()
-            child.close()
+        if pid:  # None if the fork failed or was interrupted
+            if message is None:
+                os.kill(pid, signal.SIGTERM)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         writer.close()
         reader.close()
-
-
-def _run_child(writer, spec, sampler, seed, n_particles, step_size, plan, observe):
-    """Child body: one run in one lane, since the caller steps the other
-    run on another CPU, sent as one pickle: its list of (time,
-    observation) pairs, or its exception.  Ctrl-C reaches the caller,
-    which terminates the child."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        message = pickle.dumps(
-            _euler(spec, sampler, n_particles, step_size, seed, plan, observe), protocol=5)
-    except BaseException as exc:
-        message = _pickled_failure(exc)
-    writer.send_bytes(message)
+    # the child exits 0 only once its whole pickle is written
+    if code != 0:
+        raise RuntimeError(f"the second particle run's process exited with code "
+                           f"{code} without reporting it")
+    run_b = pickle.loads(message)
+    if not isinstance(run_b, list):
+        raise run_b
+    return run_a, run_b
 
 
 def _pickled_failure(exc: BaseException) -> bytes:

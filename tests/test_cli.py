@@ -193,6 +193,22 @@ class TestChain:
         assert f"config field {field!r} must be one of" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, field, value", [
+        (["smve", "simulate"], "r", 10**400),
+        (["smve", "local-alpha"], "t", 10**400),
+        (["smve", "decay"], "epsilon", -10**400),
+    ], ids=["simulate-r", "local-alpha-t", "decay-epsilon"])
+    def test_config_ints_past_the_float_range_are_refused(self, tmp_path, capsys,
+                                                          command, field, value):
+        # a float field keeps an int as given: r / m-ball and t ended in an
+        # OverflowError traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        out = tmp_path / "x"
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --{field} must be finite, got {value}\n"
+        assert not out.exists()
+
     def test_custom_kernel_is_validated_once_on_the_chain_grid(self, tmp_path,
                                                                 monkeypatch):
         calls, validate = [], kernels.validate
@@ -1521,8 +1537,8 @@ PARTICLE_MODULES = ("numpy.random", "nlmarkov.mckean_vlasov", "nlmarkov.diagnost
 # What a fresh interpreter that imports the entry point must not load
 # beyond what numpy loads: scipy, since numpy is the only runtime
 # dependency; concurrent.futures, which nothing the CLI runs needs and
-# which would add about 8 ms to every start; multiprocessing, which
-# simulate_pair imports when it forks its child; hashlib and
+# which would add about 8 ms to every start; multiprocessing, which no
+# run needs (simulate_pair forks its child with os.fork); hashlib and
 # kernel_spec, which only chain --kernel custom needs (about 7 ms); and
 # the particle modules.
 @pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "multiprocessing",
@@ -1540,15 +1556,19 @@ def test_cli_import_does_not_load(module):
 
 def test_narrow_smve_runs_do_not_load_the_thread_pool(tmp_path):
     # a one-block run steps in the calling thread alone: only a wide run
-    # imports concurrent.futures, which loads logging (about 11 ms)
+    # imports concurrent.futures, which loads logging (about 11 ms); a
+    # pair of runs forks its child with os.fork, not multiprocessing
+    # (8-11 ms and about 0.7 MB)
     src = str(Path(nlmarkov.__file__).resolve().parents[1])
     code = ("import sys\n"
             "from nlmarkov.cli import main\n"
             "for argv in sys.argv[1:]:\n"
             "    assert main(argv.split()) == 0, argv\n"
-            "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+            "print([m for m in ('concurrent.futures', 'logging', 'multiprocessing')\n"
+            "       if m in sys.modules])")
     runs = [f"smve simulate --out {tmp_path / 'simulate'}",
-            f"smve decay --horizon 2 --out {tmp_path / 'decay'}"]
+            f"smve decay --horizon 2 --out {tmp_path / 'decay'}",
+            f"smve girsanov-check --out {tmp_path / 'girsanov-check'}"]
     done = subprocess.run([sys.executable, "-c", code, *runs], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.splitlines()[-1] == "[]"

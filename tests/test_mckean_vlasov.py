@@ -3,7 +3,6 @@ simulation determinism, and the perturbation threshold."""
 
 import hashlib
 import math
-import multiprocessing
 import os
 import signal
 import sys
@@ -11,6 +10,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -897,6 +897,14 @@ class _Hang(Exception):
     pass
 
 
+def _children():
+    """The pids of this process's children, live or not yet reaped, as
+    the OS lists them."""
+    lists = list(Path("/proc/self/task").glob("*/children"))
+    assert lists or sys.platform != "linux", "the OS does not list children"
+    return [pid for path in lists for pid in path.read_text().split()]
+
+
 @pytest.fixture
 def no_leftovers():
     """Fails the test if it leaves a child process or a thread behind,
@@ -913,7 +921,7 @@ def no_leftovers():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
+    assert _children() == []
     assert threading.active_count() == threads
 
 
@@ -983,7 +991,7 @@ def test_simulate_pair_matches_simulate(model, runs, same_seed, n, steps, cpus):
         got = simulate_pair(spec, *pair, n, h, horizon, times, observe=_positions)
     assert isinstance(got, tuple)
     _same_runs(got, want)
-    assert multiprocessing.active_children() == []
+    assert _children() == []
     assert threading.active_count() == threads
 
 
@@ -1043,7 +1051,7 @@ def test_live_threads_keep_the_runs_in_process(monkeypatch):
         other.join()
     _same_runs(got, want)
     assert calls == [4, 5]
-    assert multiprocessing.active_children() == []
+    assert _children() == []
 
 
 def test_bad_arguments_raise_before_any_run(monkeypatch, forked):
@@ -1196,7 +1204,7 @@ def test_interrupt_leaves_no_child(forked, first, second):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - start < 5.0
-    assert multiprocessing.active_children() == []
+    assert _children() == []
 
 
 class TestEpsilonZero:
